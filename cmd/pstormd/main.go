@@ -31,7 +31,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,15 +43,10 @@ import (
 	"syscall"
 	"time"
 
-	"pstorm/internal/cbo"
-	"pstorm/internal/cluster"
-	"pstorm/internal/conf"
 	"pstorm/internal/core"
 	"pstorm/internal/dstore"
 	"pstorm/internal/gateway"
-	"pstorm/internal/httperr"
 	"pstorm/internal/obs"
-	"pstorm/internal/whatif"
 )
 
 // daemonConfig is the flag set one pstormd process runs with.
@@ -146,15 +140,15 @@ func run(cfg daemonConfig) error {
 			return err
 		}
 		m.Start()
-		// The master also serves /tune and the multi-tenant gateway: it
-		// is the node every client already knows, and the routing client
-		// it serves through reaches the region servers the same way any
-		// external client would.
-		tuneObs := obs.NewRegistry()
+		// The master also serves the multi-tenant gateway: it is the node
+		// every client already knows, and the routing client it serves
+		// through reaches the region servers the same way any external
+		// client would.
+		gwObs := obs.NewRegistry()
 		gwKV := dstore.NewClient(dstore.ConnectMaster(m), reg)
 		gw, err := gateway.New(gateway.Options{
 			KV:  gwKV,
-			Obs: tuneObs,
+			Obs: gwObs,
 			DefaultTenant: gateway.TenantConfig{
 				RatePerSec:  cfg.gwRate,
 				Burst:       cfg.gwBurst,
@@ -169,12 +163,9 @@ func run(cfg daemonConfig) error {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/", dstore.MasterHandler(m))
-		mux.Handle("/tune", tuneHandler(func() core.KV {
-			return dstore.NewClient(dstore.ConnectMaster(m), reg)
-		}, tuneObs))
 		gw.Mount(mux)
 		gather := func() obs.Snapshot {
-			return obs.Merge(m.Obs().Snapshot(), tuneObs.Snapshot(), gwKV.Obs().Snapshot())
+			return obs.Merge(m.Obs().Snapshot(), gwObs.Snapshot(), gwKV.Obs().Snapshot())
 		}
 		ln, err := net.Listen("tcp", cfg.listen)
 		if err != nil {
@@ -274,111 +265,6 @@ func serveGraceful(ctx context.Context, ln net.Listener, h http.Handler, drain t
 		return nil
 	}
 	return err
-}
-
-// tuneReq is the /tune request body. Workers, budget, and deadline map
-// onto the tuning pipeline's TuneOptions; input_bytes defaults to the
-// stored profile's own input size.
-type tuneReq struct {
-	JobID      string `json:"job_id"`
-	InputBytes int64  `json:"input_bytes"`
-	Workers    int    `json:"workers"`
-	Budget     int    `json:"budget"`
-	DeadlineMs int64  `json:"deadline_ms"`
-	Seed       int64  `json:"seed"`
-}
-
-// tuneResp is the /tune response body.
-type tuneResp struct {
-	JobID       string      `json:"job_id"`
-	Config      conf.Config `json:"config"`
-	PredictedMs float64     `json:"predicted_ms"`
-	DefaultMs   float64     `json:"default_ms"`
-	Evaluations int         `json:"evaluations"`
-}
-
-// tuneHandler serves tuning requests: load the named profile through a
-// fresh routing client, run the parallel cost-based optimizer on it,
-// and return the recommendation. One memoizing evaluator is shared
-// across all requests, so repeat tunes of hot profiles are answered
-// mostly from cache.
-func tuneHandler(newKV func() core.KV, o *obs.Registry) http.Handler {
-	cl := cluster.Default16()
-	eval := whatif.NewEvaluator(whatif.EvaluatorOptions{Obs: o})
-	now := time.Now
-	evalCtr := o.Counter("tune_evaluations_total")
-	latH := o.Histogram("tune_latency_ms", nil)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httperr.Write(w, http.StatusMethodNotAllowed, httperr.CodeBadRequest, "POST only", false)
-			return
-		}
-		var req tuneReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, err.Error(), false)
-			return
-		}
-		if req.JobID == "" {
-			httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, "job_id required", false)
-			return
-		}
-		st, err := core.NewStore(r.Context(), newKV())
-		if err != nil {
-			writeWireErr(w, err)
-			return
-		}
-		prof, err := st.LoadProfile(r.Context(), req.JobID)
-		if err != nil {
-			writeWireErr(w, err)
-			return
-		}
-		if req.InputBytes <= 0 {
-			req.InputBytes = prof.InputBytes
-		}
-		ctx := r.Context()
-		if req.DeadlineMs > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-			defer cancel()
-		}
-		start := now()
-		rec, err := cbo.Optimize(ctx, prof, req.InputBytes, cl, core.ProfileHasCombiner(prof), cbo.Options{
-			Seed: req.Seed, Workers: req.Workers, MaxEvaluations: req.Budget, Evaluator: eval,
-		})
-		if err != nil {
-			writeWireErr(w, err)
-			return
-		}
-		evalCtr.Add(int64(rec.Evaluations))
-		latH.Observe(float64(now().Sub(start)) / float64(time.Millisecond))
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(tuneResp{
-			JobID: req.JobID, Config: rec.Config, PredictedMs: rec.PredictedMs,
-			DefaultMs: rec.DefaultMs, Evaluations: rec.Evaluations,
-		}); err != nil {
-			httperr.Write(w, http.StatusInternalServerError, httperr.CodeInternal, err.Error(), false)
-		}
-	})
-}
-
-// writeWireErr maps an error from the tuning pipeline or the store
-// onto the shared JSON error envelope — the same shape the gateway
-// endpoints and the dstore wire protocol emit, so a client parses one
-// error format everywhere. Deadlines are never a bare 504: they carry
-// the envelope's deadline code.
-func writeWireErr(w http.ResponseWriter, err error) {
-	status, code, degraded := http.StatusInternalServerError, httperr.CodeInternal, false
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		status, code = http.StatusGatewayTimeout, httperr.CodeDeadline
-	case errors.Is(err, context.Canceled):
-		status, code = http.StatusGatewayTimeout, httperr.CodeCanceled
-	case errors.Is(err, core.ErrNotFound):
-		status, code = http.StatusNotFound, httperr.CodeNotFound
-	case errors.Is(err, dstore.ErrExhausted):
-		status, code, degraded = http.StatusServiceUnavailable, httperr.CodeUnavailable, true
-	}
-	httperr.Write(w, status, code, err.Error(), degraded)
 }
 
 // withObs wraps a node's wire-protocol handler with the /metrics and

@@ -18,9 +18,9 @@ func todoOffline() {
 	_ = ctx
 }
 
-// adminCtx is the sanctioned shape: a process-owned maintenance root
+// detachedCtx is the sanctioned shape: a process-owned maintenance root
 // with a reason on the line.
-func adminCtx() context.Context {
+func detachedCtx() context.Context {
 	return context.Background() //pstorm:allow ctxcheck process-owned maintenance path with no inbound request context
 }
 

@@ -232,40 +232,6 @@ func TestCollectAndStore(t *testing.T) {
 	}
 }
 
-func TestStoreOverHTTPTransport(t *testing.T) {
-	// The profile store must work identically over the HTTP transport.
-	srv := hstore.NewServer()
-	ts := newHTTPServer(t, srv)
-	defer ts.close()
-	st, err := core.NewStore(context.Background(), hstore.Dial(ts.url))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(cluster.Default16(), 2)
-	// Seed a small but realistic store (a single-profile store makes
-	// the conservative matcher decline, by design).
-	for _, jd := range [][2]string{{"sort", "tera-1g"}, {"wordcount", "randomtext-1g"}, {"join", "tpch-1g"}} {
-		if err := st.PutProfile(context.Background(), collectProfile(t, eng, jd[0], jd[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids, err := st.JobIDs(context.Background())
-	if err != nil || len(ids) != 3 {
-		t.Fatalf("HTTP store has %v (%v)", ids, err)
-	}
-	back, err := st.LoadProfile(context.Background(), ids[0])
-	if err != nil || back.JobName == "" {
-		t.Fatalf("HTTP round trip failed: %v", err)
-	}
-	res, err := matcher.New().Match(context.Background(), st, sampleOf(t, eng, "sort", "tera-1g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Matched() {
-		t.Errorf("matching over HTTP store failed: %+v / %+v", res.MapReport, res.ReduceReport)
-	}
-}
-
 func sampleOf(t *testing.T, eng *engine.Engine, job, dsName string) *profile.Profile {
 	t.Helper()
 	spec, _ := workloads.JobByName(job)

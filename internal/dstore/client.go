@@ -195,12 +195,11 @@ func (c *Client) nowFn() time.Time {
 // effectiveDeadline returns one operation's wall-clock cutoff: the
 // earliest of the caller's context deadline and the client's OpBudget,
 // or zero when neither applies. This is the single place the two
-// budgets compose — retry loops, the scan fan-out, and the topo-retry
-// backstop all consult it instead of tracking their own cutoffs. The
-// caller's deadline only participates under the real clock: with an
-// injected Now the two are on different clocks and the context's own
-// Done channel (checked every loop iteration and mid-backoff) already
-// enforces it.
+// budgets compose — retry loops and the scan fan-out both consult it
+// instead of tracking their own cutoffs. The caller's deadline only
+// participates under the real clock: with an injected Now the two are
+// on different clocks and the context's own Done channel (checked every
+// loop iteration and mid-backoff) already enforces it.
 func (c *Client) effectiveDeadline(ctx context.Context) time.Time {
 	var d time.Time
 	if c.OpBudget > 0 {
@@ -391,6 +390,12 @@ func (c *Client) route(table, row string) (RegionInfo, ServerConn, error) {
 	return g, conn, nil
 }
 
+// topoRestartCap bounds, in multiples of the attempt budget, how many
+// forgiven restarts withRetry tolerates before charging every failure
+// anyway. It is a backstop against pathological master or epoch churn,
+// not a budget the normal path ever approaches.
+const topoRestartCap = 32
+
 // withRetry runs op under the caller's context and the op's wall-clock
 // budget, refreshing META and backing off after each retryable failure.
 // Exhausting the attempt budget on a retryable error wraps it in
@@ -403,8 +408,26 @@ func (c *Client) route(table, row string) (RegionInfo, ServerConn, error) {
 // OpBudget, by contrast, is ErrExhausted — the cluster never healed
 // within the time the caller was willing to wait. op receives the
 // budget-bounded context (see opContext) so every RPC it makes carries
-// the remaining time to the server.
-func (c *Client) withRetry(ctx context.Context, opName string, op func(ctx context.Context) error) error {
+// the remaining time to the server. The deadline is effectiveDeadline's
+// composition of OpBudget and the caller's context deadline.
+//
+// A failed attempt is charged against MaxAttempts unless it is forgiven,
+// and up to topoRestartCap*MaxAttempts failures are. A master takeover
+// (masterOutage) is always forgiven: it costs wall-clock time, never op
+// attempts. A non-nil epoch arms a second pardon, for operations whose
+// one attempt spans many regions at once (the scan fan-out). Such an
+// attempt needs the whole keyspace healthy at a single instant, so under
+// a steady stream of rebalances it can lose the race against the next
+// fence every time and exhaust a budget that a region-at-a-time visit
+// would have survived. op stores the META epoch it is about to run under
+// in *epoch; when the attempt fails retryably the loop refetches META
+// (blocking on the master until any in-flight move commits) and
+// compares. Epoch advanced — the restart is the designed response to a
+// concurrent topology change, so no attempt is consumed. Epoch unchanged
+// — the cluster is actually unhealthy and the failure burns an attempt.
+// Forgiven or not, every retryable failure invalidates META, counts a
+// retry, backs off, and rebuilds the operation from scratch.
+func (c *Client) withRetry(ctx context.Context, opName string, epoch *int64, op func(ctx context.Context) error) error {
 	c.countOp(opName)
 	refreshesBefore := c.mRefreshes.Value()
 	defer func() {
@@ -415,9 +438,12 @@ func (c *Client) withRetry(ctx context.Context, opName string, op func(ctx conte
 	defer cancel()
 	var err error
 	spins := 0
-	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < c.maxAttempts(); {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
+		}
+		if epoch != nil {
+			*epoch = 0
 		}
 		if err = op(opCtx); err == nil {
 			return nil
@@ -441,100 +467,30 @@ func (c *Client) withRetry(ctx context.Context, opName string, op func(ctx conte
 			c.mGiveUps.Inc()
 			return fmt.Errorf("%w: %s spent its %v budget: %w", ErrExhausted, opName, c.OpBudget, err)
 		}
+		forgiven := spins < topoRestartCap*c.maxAttempts() && (masterOutage(err) || c.epochAdvanced(epoch))
 		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
 			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
 		}
-		if masterOutage(err) && spins < topoRestartCap*c.maxAttempts() {
-			// A master takeover costs wall-clock time, never op
-			// attempts: the spin cap and the deadline bound the wait.
+		if forgiven {
 			spins++
-			attempt--
+		} else {
+			attempt++
 		}
 	}
 	c.mGiveUps.Inc()
 	return fmt.Errorf("%w: giving up after %d attempts: %w", ErrExhausted, c.maxAttempts(), err)
 }
 
-// topoRestartCap bounds, in multiples of the attempt budget, how many
-// epoch-forgiven restarts withTopoRetry tolerates before giving up
-// anyway. It is a backstop against pathological epoch churn, not a
-// budget the normal path ever approaches.
-const topoRestartCap = 32
-
-// withTopoRetry is withRetry for operations whose one attempt spans
-// many regions at once (the scan fan-out). Such an attempt needs the
-// whole keyspace healthy at a single instant, so under a steady stream
-// of rebalances it can lose the race against the next fence every time
-// and exhaust a per-attempt budget that a region-at-a-time visit would
-// have survived. The distinction that matters is *why* the attempt
-// failed: before each attempt op stores the META epoch it is about to
-// scan under in *epoch, and when the attempt fails retryably this loop
-// refetches META (blocking on the master until any in-flight move
-// commits) and compares. Epoch advanced — the restart is the designed
-// response to a concurrent topology change, so no attempt is consumed.
-// Epoch unchanged — the cluster is actually unhealthy and the failure
-// burns an attempt exactly as in withRetry. Restart semantics are
-// untouched: every retryable failure still invalidates META, counts a
-// retry, and rebuilds the operation from scratch; only the exhaustion
-// accounting differs, with topoRestartCap bounding total iterations.
-// The deadline is effectiveDeadline's composition, so the topo backstop
-// honors the caller's context deadline as well as OpBudget.
-func (c *Client) withTopoRetry(ctx context.Context, opName string, epoch *int64, op func(ctx context.Context) error) error {
-	c.countOp(opName)
-	refreshesBefore := c.mRefreshes.Value()
-	defer func() {
-		c.refreshPerOpH.Observe(float64(c.mRefreshes.Value() - refreshesBefore))
-	}()
-	deadline := c.effectiveDeadline(ctx)
-	opCtx, cancel := c.opContext(ctx)
-	defer cancel()
-	var err error
-	attempt := 0
-	for spin := 0; spin < topoRestartCap*c.maxAttempts(); spin++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
-		}
-		*epoch = 0
-		if err = op(opCtx); err == nil {
-			return nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
-		}
-		if !retryable(err) {
-			if errors.Is(err, context.DeadlineExceeded) {
-				c.mGiveUps.Inc()
-				return fmt.Errorf("%w: %s spent its %v budget: %w", ErrExhausted, opName, c.OpBudget, err)
-			}
-			return err
-		}
-		seen := *epoch
-		c.mRetries.Inc()
-		c.invalidate()
-		if c.budgetSpent(deadline) {
-			c.mGiveUps.Inc()
-			return fmt.Errorf("%w: %s spent its %v budget: %w", ErrExhausted, opName, c.OpBudget, err)
-		}
-		moved := false
-		if masterOutage(err) {
-			// Master takeover mid-scan: forgiven like a topology change —
-			// the spin cap and the deadline still bound the wait.
-			moved = true
-		} else if m, merr := c.cachedMeta(); merr == nil && seen != 0 && m.Epoch > seen {
-			moved = true
-		}
-		if !moved {
-			attempt++
-			if attempt >= c.maxAttempts() {
-				break
-			}
-		}
-		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
-		}
+// epochAdvanced is withRetry's epoch probe: it refetches META and
+// reports whether its epoch moved past the one a failed attempt recorded
+// in *epoch (0: the attempt failed before reading META). A nil epoch
+// never probes.
+func (c *Client) epochAdvanced(epoch *int64) bool {
+	if epoch == nil {
+		return false
 	}
-	c.mGiveUps.Inc()
-	return fmt.Errorf("%w: giving up after %d attempts: %w", ErrExhausted, c.maxAttempts(), err)
+	m, err := c.cachedMeta()
+	return err == nil && *epoch != 0 && m.Epoch > *epoch
 }
 
 // CreateTable asks the master to lay out a new table.
@@ -550,7 +506,7 @@ func (c *Client) CreateTable(ctx context.Context, table string) error {
 // Put writes one cell through the owning primary. Cancellation aborts
 // the retry loop without consuming an attempt.
 func (c *Client) Put(ctx context.Context, table, row, column string, value []byte) error {
-	return c.withRetry(ctx, "put", func(ctx context.Context) error {
+	return c.withRetry(ctx, "put", nil, func(ctx context.Context) error {
 		g, conn, err := c.route(table, row)
 		if err != nil {
 			return err
@@ -563,7 +519,7 @@ func (c *Client) Put(ctx context.Context, table, row, column string, value []byt
 
 // PutRow writes all columns of a row in one replication round.
 func (c *Client) PutRow(ctx context.Context, table string, r hstore.Row) error {
-	return c.withRetry(ctx, "putrow", func(ctx context.Context) error {
+	return c.withRetry(ctx, "putrow", nil, func(ctx context.Context) error {
 		g, conn, err := c.route(table, r.Key)
 		if err != nil {
 			return err
@@ -792,11 +748,11 @@ func (c *Client) routeIn(m Meta, table, row string) (RegionInfo, error) {
 
 // Get fetches one row. Cancellation aborts the retry loop without
 // consuming an attempt. With HedgeDelay set, a slow primary races a
-// follower read (see getOnce).
+// follower read (see hedge).
 func (c *Client) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
 	var out hstore.Row
 	var found bool
-	err := c.withRetry(ctx, "get", func(ctx context.Context) error {
+	err := c.withRetry(ctx, "get", nil, func(ctx context.Context) error {
 		r, ok, err := c.getOnce(ctx, table, row)
 		if err != nil {
 			return err
@@ -807,11 +763,10 @@ func (c *Client) Get(ctx context.Context, table, row string) (hstore.Row, bool, 
 	return out, found, err
 }
 
-// getResult carries one read attempt's answer over a channel.
-type getResult struct {
+// rowAnswer is a point read's result, the T of a hedged Get.
+type rowAnswer struct {
 	row   hstore.Row
 	found bool
-	err   error
 }
 
 // getOnce performs a single routed read attempt, hedged when armed.
@@ -832,90 +787,104 @@ func (c *Client) getOnce(ctx context.Context, table, row string) (hstore.Row, bo
 	if err != nil {
 		return hstore.Row{}, false, err
 	}
-	if c.HedgeDelay <= 0 || len(g.Followers) == 0 {
-		var r hstore.Row
-		var ok bool
-		err := c.do(g.Primary, func() error {
-			var e error
-			r, ok, e = conn.Get(ctx, table, row)
+	primary := func() (a rowAnswer, err error) {
+		err = c.do(g.Primary, func() (e error) {
+			a.row, a.found, e = conn.Get(ctx, table, row)
 			return e
 		})
-		return r, ok, err
+		return a, err
 	}
-	return c.hedgedGet(ctx, m, g, conn, table, row)
+	if c.HedgeDelay <= 0 || len(g.Followers) == 0 {
+		a, err := primary()
+		return a.row, a.found, err
+	}
+	a, err := hedge(c.HedgeDelay, primary, func() (func() (rowAnswer, error), error) {
+		fid, fconn, err := c.firstFollower(m, g)
+		if err != nil {
+			return nil, err
+		}
+		c.mHedged.Inc()
+		return func() (a rowAnswer, err error) {
+			err = c.do(fid, func() (e error) {
+				a.row, a.found, e = fconn.FollowerGet(ctx, table, row)
+				return e
+			})
+			return a, err
+		}, nil
+	})
+	return a.row, a.found, err
 }
 
-// hedgedGet asks the primary, and if it has not answered within
-// HedgeDelay, fires a fence-bypassing read at the first follower and
-// returns whichever succeeds first (preferring the primary on a tie).
-// Both result channels are buffered so the losing goroutine always
-// completes and exits — no leak regardless of which side wins. Both
-// sides share the caller's (budget-bounded) context, so the hedge
-// carries the remaining budget, not a fresh one.
-func (c *Client) hedgedGet(ctx context.Context, m Meta, g RegionInfo, primary ServerConn, table, row string) (hstore.Row, bool, error) {
-	prim := make(chan getResult, 1)
-	go func() {
-		var r hstore.Row
-		var ok bool
-		err := c.do(g.Primary, func() error {
-			var e error
-			r, ok, e = primary.Get(ctx, table, row)
-			return e
-		})
-		prim <- getResult{r, ok, err}
-	}()
-	t := time.NewTimer(c.HedgeDelay)
-	defer t.Stop()
-	select {
-	case pr := <-prim:
-		return pr.row, pr.found, pr.err
-	case <-t.C:
-	}
+// firstFollower resolves the region's first follower replica, the
+// target of hedged reads.
+func (c *Client) firstFollower(m Meta, g RegionInfo) (string, ServerConn, error) {
 	fid := g.Followers[0]
 	fp, err := c.peerByID(m, fid)
 	if err != nil {
-		pr := <-prim
-		return pr.row, pr.found, pr.err
+		return "", nil, err
 	}
 	fconn, err := c.reg.Resolve(fp)
+	return fid, fconn, err
+}
+
+// hedge asks the primary, and if it has not answered within delay, arms
+// and fires the follower call and returns whichever succeeds first
+// (preferring the primary on a tie, and the primary's error when both
+// fail). arm runs only once the delay has passed; when it cannot
+// produce a follower call the primary's answer stands alone. Both
+// result channels are buffered so the losing goroutine always completes
+// and exits — no leak regardless of which side wins. Callers close both
+// calls over one (budget-bounded) context, so the hedge carries the
+// remaining budget, not a fresh one, and a canceled caller stops both
+// sides server-side.
+func hedge[T any](delay time.Duration, primary func() (T, error), arm func() (func() (T, error), error)) (T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	run := func(call func() (T, error)) <-chan result {
+		ch := make(chan result, 1)
+		go func() {
+			v, err := call()
+			ch <- result{v, err}
+		}()
+		return ch
+	}
+	prim := run(primary)
+	t := time.NewTimer(delay)
+	defer t.Stop()
+	select {
+	case pr := <-prim:
+		return pr.v, pr.err
+	case <-t.C:
+	}
+	follower, err := arm()
 	if err != nil {
 		pr := <-prim
-		return pr.row, pr.found, pr.err
+		return pr.v, pr.err
 	}
-	c.mHedged.Inc()
-	hed := make(chan getResult, 1)
-	go func() {
-		var r hstore.Row
-		var ok bool
-		err := c.do(fid, func() error {
-			var e error
-			r, ok, e = fconn.FollowerGet(ctx, table, row)
-			return e
-		})
-		hed <- getResult{r, ok, err}
-	}()
+	hed := run(follower)
 	select {
 	case pr := <-prim:
 		if pr.err == nil {
-			return pr.row, pr.found, nil
+			return pr.v, nil
 		}
-		hr := <-hed
-		if hr.err == nil {
-			return hr.row, hr.found, nil
+		if hr := <-hed; hr.err == nil {
+			return hr.v, nil
 		}
-		return pr.row, pr.found, pr.err
+		return pr.v, pr.err
 	case hr := <-hed:
 		if hr.err == nil {
-			return hr.row, hr.found, nil
+			return hr.v, nil
 		}
 		pr := <-prim
-		return pr.row, pr.found, pr.err
+		return pr.v, pr.err
 	}
 }
 
 // DeleteRow tombstones every column of the row.
 func (c *Client) DeleteRow(ctx context.Context, table, row string) error {
-	return c.withRetry(ctx, "deleterow", func(ctx context.Context) error {
+	return c.withRetry(ctx, "deleterow", nil, func(ctx context.Context) error {
 		g, conn, err := c.route(table, row)
 		if err != nil {
 			return err
@@ -968,7 +937,8 @@ func (c *Client) scanTasks(m Meta, table, start, end string) ([]scanTask, error)
 }
 
 // scanRegionOnce runs one region's scan RPC through the primary's
-// breaker, hedging against a follower when armed (see hedgedScan).
+// breaker, hedging with a fence-bypassing FollowerScan when armed
+// (scans are read-only, so the hedge is safe).
 func (c *Client) scanRegionOnce(ctx context.Context, m Meta, t scanTask, table string, f hstore.Filter, limit int) ([]hstore.Row, error) {
 	p, err := c.peerByID(m, t.g.Primary)
 	if err != nil {
@@ -978,89 +948,30 @@ func (c *Client) scanRegionOnce(ctx context.Context, m Meta, t scanTask, table s
 	if err != nil {
 		return nil, err
 	}
-	if c.HedgeDelay <= 0 || len(t.g.Followers) == 0 {
-		var rows []hstore.Row
-		err := c.do(t.g.Primary, func() error {
-			var serr error
-			rows, serr = conn.Scan(ctx, table, t.g.ID, t.s, t.e, f, limit)
-			return serr
+	primary := func() (rows []hstore.Row, err error) {
+		err = c.do(t.g.Primary, func() (e error) {
+			rows, e = conn.Scan(ctx, table, t.g.ID, t.s, t.e, f, limit)
+			return e
 		})
 		return rows, err
 	}
-	return c.hedgedScan(ctx, m, t, conn, table, f, limit)
-}
-
-// scanResult carries one region scan's answer over a channel.
-type scanResult struct {
-	rows []hstore.Row
-	err  error
-}
-
-// hedgedScan asks the region's primary, and if it has not answered
-// within HedgeDelay, fires a fence-bypassing FollowerScan at the first
-// follower and returns whichever succeeds first (preferring the
-// primary on a tie). Scans are read-only, so the hedge is safe; both
-// channels are buffered so the losing goroutine always exits. Primary
-// and hedge share the caller's (budget-bounded) context: the hedge gets
-// the remaining budget, and a canceled caller stops both sides
-// server-side.
-func (c *Client) hedgedScan(ctx context.Context, m Meta, t scanTask, primary ServerConn, table string, f hstore.Filter, limit int) ([]hstore.Row, error) {
-	prim := make(chan scanResult, 1)
-	go func() {
-		var rows []hstore.Row
-		err := c.do(t.g.Primary, func() error {
-			var serr error
-			rows, serr = primary.Scan(ctx, table, t.g.ID, t.s, t.e, f, limit)
-			return serr
-		})
-		prim <- scanResult{rows, err}
-	}()
-	tm := time.NewTimer(c.HedgeDelay)
-	defer tm.Stop()
-	select {
-	case pr := <-prim:
-		return pr.rows, pr.err
-	case <-tm.C:
+	if c.HedgeDelay <= 0 || len(t.g.Followers) == 0 {
+		return primary()
 	}
-	fid := t.g.Followers[0]
-	fp, err := c.peerByID(m, fid)
-	if err != nil {
-		pr := <-prim
-		return pr.rows, pr.err
-	}
-	fconn, err := c.reg.Resolve(fp)
-	if err != nil {
-		pr := <-prim
-		return pr.rows, pr.err
-	}
-	c.mHedgedScans.Inc()
-	hed := make(chan scanResult, 1)
-	go func() {
-		var rows []hstore.Row
-		err := c.do(fid, func() error {
-			var serr error
-			rows, serr = fconn.FollowerScan(ctx, table, t.g.ID, t.s, t.e, f, limit)
-			return serr
-		})
-		hed <- scanResult{rows, err}
-	}()
-	select {
-	case pr := <-prim:
-		if pr.err == nil {
-			return pr.rows, nil
+	return hedge(c.HedgeDelay, primary, func() (func() ([]hstore.Row, error), error) {
+		fid, fconn, err := c.firstFollower(m, t.g)
+		if err != nil {
+			return nil, err
 		}
-		hr := <-hed
-		if hr.err == nil {
-			return hr.rows, nil
-		}
-		return pr.rows, pr.err
-	case hr := <-hed:
-		if hr.err == nil {
-			return hr.rows, nil
-		}
-		pr := <-prim
-		return pr.rows, pr.err
-	}
+		c.mHedgedScans.Inc()
+		return func() (rows []hstore.Row, err error) {
+			err = c.do(fid, func() (e error) {
+				rows, e = fconn.FollowerScan(ctx, table, t.g.ID, t.s, t.e, f, limit)
+				return e
+			})
+			return rows, err
+		}, nil
+	})
 }
 
 // Scan returns the rows of [start, end) matching the filter, fanning
@@ -1074,14 +985,14 @@ func (c *Client) hedgedScan(ctx context.Context, m Meta, t scanTask, primary Ser
 // anywhere restarts the whole scan against fresh META (partial fan-out
 // results are discarded, never returned); restarts forced by a move
 // that committed mid-scan do not consume retry attempts (see
-// withTopoRetry), so a busy rebalancer cannot starve wide scans. The
+// withRetry's epoch probe), so a busy rebalancer cannot starve wide scans. The
 // caller's context rides into every per-region RPC (bounded by
 // OpBudget), so cancellation stops region-server merges mid-scan and
 // the fan-out stops launching work for a departed caller.
 func (c *Client) Scan(ctx context.Context, table, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
 	var out []hstore.Row
 	var epoch int64
-	err := c.withTopoRetry(ctx, "scan", &epoch, func(ctx context.Context) error {
+	err := c.withRetry(ctx, "scan", &epoch, func(ctx context.Context) error {
 		out = nil
 		m, err := c.cachedMeta()
 		if err != nil {

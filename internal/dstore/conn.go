@@ -14,12 +14,12 @@ import (
 //
 // Data-plane methods take the caller's context first: the HTTP conn
 // ships the remaining deadline on the wire (httperr.DeadlineHeader) and
-// the direct conn hands it straight to the region server, so a canceled
-// caller aborts server-side work. Apply stays context-free — it is the
-// replication/backfill path, owned by the primary (or the master's move
-// protocol), and must not be severed by the original writer departing
-// mid-replication. The control plane below is master-owned and
-// likewise context-free.
+// an in-process *RegionServer, which is a ServerConn itself, takes it
+// directly, so a canceled caller aborts server-side work. Apply stays
+// context-free — it is the replication/backfill path, owned by the
+// primary (or the master's move protocol), and must not be severed by
+// the original writer departing mid-replication. The control plane
+// below is master-owned and likewise context-free.
 type ServerConn interface {
 	// Data plane.
 	Put(ctx context.Context, table, row, column string, value []byte) error
@@ -69,7 +69,7 @@ type MasterConn interface {
 // process share a Registry.
 type Registry struct {
 	// Timeout bounds each HTTP request of resolved remote conns
-	// (default hstore.DefaultDialTimeout).
+	// (default DefaultDialTimeout).
 	Timeout time.Duration
 
 	// WrapConn, when set, decorates every resolved connection — the
@@ -120,7 +120,7 @@ func (r *Registry) resolve(p Peer) (ServerConn, error) {
 		if !ok {
 			return nil, fmt.Errorf("dstore: unknown in-process server %q", p.ID)
 		}
-		return &directConn{rs: rs}, nil
+		return rs, nil
 	}
 	if c, ok := r.remote[p.Addr]; ok {
 		r.mu.RUnlock()
@@ -135,58 +135,6 @@ func (r *Registry) resolve(p Peer) (ServerConn, error) {
 	c := newHTTPServerConn(p.Addr, r.Timeout)
 	r.remote[p.Addr] = c
 	return c, nil
-}
-
-// directConn adapts an in-process *RegionServer to ServerConn.
-type directConn struct{ rs *RegionServer }
-
-func (c *directConn) Put(ctx context.Context, table, row, column string, value []byte) error {
-	return c.rs.Put(ctx, table, row, column, value)
-}
-func (c *directConn) BatchPut(ctx context.Context, table string, rows []hstore.Row) error {
-	return c.rs.BatchPut(ctx, table, rows)
-}
-func (c *directConn) Apply(table string, cells []hstore.Cell) error {
-	return c.rs.Apply(table, cells)
-}
-func (c *directConn) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
-	return c.rs.Get(ctx, table, row)
-}
-func (c *directConn) FollowerGet(ctx context.Context, table, row string) (hstore.Row, bool, error) {
-	return c.rs.FollowerGet(ctx, table, row)
-}
-func (c *directConn) BatchGet(ctx context.Context, table string, rows []string) ([]hstore.Row, []bool, error) {
-	return c.rs.BatchGet(ctx, table, rows)
-}
-func (c *directConn) Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
-	return c.rs.Scan(ctx, table, regionID, start, end, f, limit)
-}
-func (c *directConn) FollowerScan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
-	return c.rs.FollowerScan(ctx, table, regionID, start, end, f, limit)
-}
-func (c *directConn) DeleteRow(ctx context.Context, table, row string) error {
-	return c.rs.DeleteRow(ctx, table, row)
-}
-func (c *directConn) Flush(table string) error { return c.rs.Flush(table) }
-func (c *directConn) Stats() (hstore.TransferStats, error) {
-	return c.rs.Stats()
-}
-func (c *directConn) ResetStats() error             { return c.rs.ResetStats() }
-func (c *directConn) Health() (HealthReport, error) { return c.rs.Health() }
-func (c *directConn) Install(snap *hstore.RegionSnapshot, serving bool, masterEpoch int64) error {
-	return c.rs.Install(snap, serving, masterEpoch)
-}
-func (c *directConn) Export(table string, regionID int) (*hstore.RegionSnapshot, error) {
-	return c.rs.Export(table, regionID)
-}
-func (c *directConn) Drop(table string, regionID int, masterEpoch int64) error {
-	return c.rs.Drop(table, regionID, masterEpoch)
-}
-func (c *directConn) SetServing(table string, regionID int, serving bool, masterEpoch int64) error {
-	return c.rs.SetServing(table, regionID, serving, masterEpoch)
-}
-func (c *directConn) SetFollowers(table string, regionID int, followers []Peer, masterEpoch int64) error {
-	return c.rs.SetFollowers(table, regionID, followers, masterEpoch)
 }
 
 // unresolvedConn stands in for a server whose connection could not be

@@ -426,9 +426,14 @@ type httpJSON struct {
 	hc   *http.Client
 }
 
+// DefaultDialTimeout bounds every request of an HTTP conn dialed with
+// timeout 0. A hung region server must fail the call, not wedge the
+// matcher forever.
+const DefaultDialTimeout = 10 * time.Second
+
 func newHTTPJSON(base string, timeout time.Duration) *httpJSON {
 	if timeout <= 0 {
-		timeout = hstore.DefaultDialTimeout
+		timeout = DefaultDialTimeout
 	}
 	return &httpJSON{base: base, hc: &http.Client{Timeout: timeout}}
 }
@@ -649,7 +654,7 @@ func (c *httpServerConn) SetFollowers(table string, regionID int, followers []Pe
 type httpMasterConn struct{ h *httpJSON }
 
 // DialMaster returns a MasterConn speaking HTTP to a pstormd master.
-// timeout 0 uses hstore.DefaultDialTimeout.
+// timeout 0 uses DefaultDialTimeout.
 func DialMaster(base string, timeout time.Duration) MasterConn {
 	return &httpMasterConn{h: newHTTPJSON(base, timeout)}
 }
@@ -675,7 +680,7 @@ func (c *httpMasterConn) CreateTable(table string) error {
 type httpPeerConn struct{ h *httpJSON }
 
 // DialMasterPeer returns a MasterPeerConn speaking HTTP to a pstormd
-// master. timeout 0 uses hstore.DefaultDialTimeout.
+// master. timeout 0 uses DefaultDialTimeout.
 func DialMasterPeer(base string, timeout time.Duration) MasterPeerConn {
 	return &httpPeerConn{h: newHTTPJSON(base, timeout)}
 }

@@ -2,7 +2,9 @@ package dstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -119,5 +121,32 @@ func TestHTTPCluster(t *testing.T) {
 	}
 	if st.RowsReturned != 0 {
 		t.Fatalf("stats not reset over HTTP: %+v", st)
+	}
+}
+
+// A hung region server must fail the call within Registry.Timeout, and
+// a registry left at zero must still arm a timeout at all.
+func TestDialTimeout(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(200 * time.Millisecond)
+	}))
+	defer slow.Close()
+	reg := NewRegistry()
+	reg.Timeout = 10 * time.Millisecond
+	conn, err := reg.Resolve(Peer{ID: "hung", Addr: slow.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server would answer 200 after its nap; only the client cutting
+	// the request off surfaces as a transport failure.
+	if _, _, err := conn.Get(context.Background(), "t", "row"); !errors.Is(err, errTransport) {
+		t.Errorf("hung /d/get = %v, want a transport timeout", err)
+	}
+	def, err := NewRegistry().Resolve(Peer{ID: "hung", Addr: slow.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := def.(*httpServerConn).h.hc.Timeout; got != DefaultDialTimeout {
+		t.Errorf("default conn timeout = %v, want %v", got, DefaultDialTimeout)
 	}
 }

@@ -432,8 +432,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // ---- /g/tune ----
 
-// TuneRequest is the /g/tune body — the same shape pstormd's legacy
-// /tune takes.
+// TuneRequest is the /g/tune body.
 type TuneRequest struct {
 	JobID      string `json:"job_id"`
 	InputBytes int64  `json:"input_bytes"`

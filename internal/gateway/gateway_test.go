@@ -707,6 +707,37 @@ func TestTuneDeadlineEnvelope(t *testing.T) {
 	}
 }
 
+// /g/tune's request validation: wrong method, missing job_id and an
+// unknown job each answer with the shared error envelope, and a
+// negative deadline is simply "no deadline".
+func TestTuneRequestErrors(t *testing.T) {
+	kv := hstore.Connect(hstore.NewServer())
+	eng := engine.New(cluster.Default16(), 7)
+	_, srv := newTestGateway(t, Options{KV: kv, Engine: eng})
+	prof := seedProfile(t, kv, "acme", eng)
+
+	for _, tc := range []struct {
+		name, method string
+		body         any
+		status       int
+		code         string
+	}{
+		{"GET", http.MethodGet, nil, http.StatusMethodNotAllowed, httperr.CodeBadRequest},
+		{"empty job_id", http.MethodPost, TuneRequest{}, http.StatusBadRequest, httperr.CodeBadRequest},
+		{"unknown job", http.MethodPost, TuneRequest{JobID: "nope"}, http.StatusNotFound, httperr.CodeNotFound},
+		{"negative deadline", http.MethodPost, TuneRequest{JobID: prof.JobID, Budget: 6, DeadlineMs: -1}, http.StatusOK, ""},
+	} {
+		status, raw, _ := doReq(t, tc.method, srv.URL+"/g/tune", "acme", tc.body)
+		if status != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, status, tc.status, raw)
+			continue
+		}
+		if tc.code != "" && envelopeCode(t, raw) != tc.code {
+			t.Errorf("%s: body %s, want envelope code %q", tc.name, raw, tc.code)
+		}
+	}
+}
+
 func TestValidateTenant(t *testing.T) {
 	for _, ok := range []string{"a", "acme", "team-1", "a.b_c", "0"} {
 		if err := core.ValidateTenant(ok); err != nil {

@@ -1,75 +1,39 @@
 package hstore
 
-import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"time"
+import "context"
 
-	"pstorm/internal/httperr"
-)
-
-// Client is how applications talk to the store. Two transports exist:
-// in-process (Connect) and HTTP (Dial), sharing the same API so the
-// pushdown experiment can compare like with like. Scan supports both
-// server-side filtering (pushdown, §5.3) and client-side filtering
-// (fetch everything in range, filter locally) — the difference in bytes
-// transferred is exactly what §5.3 argues about.
+// Client is how applications talk to an in-process store; anything
+// networked goes through internal/dstore, which wraps the same Server in
+// a region server. Scan supports both server-side filtering (pushdown,
+// §5.3) and client-side filtering (fetch everything in range, filter
+// locally) — the difference in rows and bytes returned is exactly what
+// §5.3 argues about.
 //
-// Every data-plane method takes the caller's context first: the HTTP
-// transport attaches it to the request (plus the remaining deadline as
-// an httperr.DeadlineHeader, so the server aborts scans the caller has
-// abandoned), and the in-process transport hands it straight to the
-// server. Flush/Stats/ResetStats are process-owned admin operations and
-// stay context-free.
+// Every data-plane method takes the caller's context first and refuses
+// to start under a dead one; Scan hands it to the server, which stops
+// its region merge mid-scan. Flush/Stats/ResetStats are process-owned
+// admin operations and stay context-free.
 type Client struct {
-	transport transport
-}
-
-type transport interface {
-	put(ctx context.Context, table, row, column string, value []byte) error
-	deleteRow(ctx context.Context, table, row string) error
-	get(ctx context.Context, table, row string) (Row, bool, error)
-	multiGet(ctx context.Context, table string, rows []string) ([]Row, []bool, error)
-	scan(ctx context.Context, table, start, end string, filterWire []byte, limit int) ([]Row, error)
-	createTable(ctx context.Context, table string) error
-	flush(table string) error
-	stats() (TransferStats, error)
-	resetStats() error
+	s *Server
 }
 
 // Connect returns a client bound directly to an in-process server.
-func Connect(s *Server) *Client {
-	return &Client{transport: &localTransport{s: s}}
-}
-
-// DefaultDialTimeout bounds every request a Dial-ed client makes. A
-// hung region server must fail the call, not wedge the matcher forever.
-const DefaultDialTimeout = 10 * time.Second
-
-// Dial returns a client speaking the HTTP wire protocol to baseURL
-// (e.g. "http://127.0.0.1:8765"), with DefaultDialTimeout per request.
-func Dial(baseURL string) *Client {
-	return DialWith(baseURL, DefaultDialTimeout)
-}
-
-// DialWith is Dial with an explicit per-request timeout; 0 disables the
-// timeout (not recommended outside tests).
-func DialWith(baseURL string, timeout time.Duration) *Client {
-	return &Client{transport: &httpTransport{base: baseURL, hc: &http.Client{Timeout: timeout}}}
-}
+func Connect(s *Server) *Client { return &Client{s: s} }
 
 // CreateTable creates a table.
 func (c *Client) CreateTable(ctx context.Context, table string) error {
-	return c.transport.createTable(ctx, table)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return c.s.CreateTable(table)
 }
 
 // Put writes one cell.
 func (c *Client) Put(ctx context.Context, table, row, column string, value []byte) error {
-	return c.transport.put(ctx, table, row, column, value)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return c.s.Put(table, row, column, value)
 }
 
 // PutRow writes all columns of a row.
@@ -84,46 +48,60 @@ func (c *Client) PutRow(ctx context.Context, table string, r Row) error {
 
 // Get fetches one row.
 func (c *Client) Get(ctx context.Context, table, row string) (Row, bool, error) {
-	return c.transport.get(ctx, table, row)
+	if err := ctx.Err(); err != nil {
+		return Row{}, false, err
+	}
+	return c.s.Get(table, row)
 }
 
 // MultiGet fetches many rows in one round trip. Both result slices are
 // aligned with the requested keys: found[i] reports whether rows[i]
 // exists, and missing rows are zero-valued.
 func (c *Client) MultiGet(ctx context.Context, table string, rows []string) ([]Row, []bool, error) {
-	return c.transport.multiGet(ctx, table, rows)
+	out := make([]Row, len(rows))
+	found := make([]bool, len(rows))
+	for i, key := range rows {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		r, ok, err := c.s.Get(table, key)
+		if err != nil {
+			return nil, nil, err
+		}
+		out[i], found[i] = r, ok
+	}
+	return out, found, nil
 }
 
 // DeleteRow tombstones every column of the row.
 func (c *Client) DeleteRow(ctx context.Context, table, row string) error {
-	return c.transport.deleteRow(ctx, table, row)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return c.s.DeleteRow(table, row)
 }
 
 // Flush flushes the table's memstores.
-func (c *Client) Flush(table string) error { return c.transport.flush(table) }
+func (c *Client) Flush(table string) error { return c.s.Flush(table) }
 
 // Stats returns the server's transfer counters.
-func (c *Client) Stats() (TransferStats, error) { return c.transport.stats() }
+func (c *Client) Stats() (TransferStats, error) { return c.s.Stats(), nil }
 
 // ResetStats zeroes the server's transfer counters, so an experiment
 // can read them per-phase instead of cumulatively.
-func (c *Client) ResetStats() error { return c.transport.resetStats() }
+func (c *Client) ResetStats() error { c.s.ResetStats(); return nil }
 
 // Scan returns the rows in [start, end) matching the filter, evaluated
 // at the server (pushdown). Limit 0 means unlimited. A canceled ctx
 // stops the server's region merge mid-scan.
 func (c *Client) Scan(ctx context.Context, table, start, end string, f Filter, limit int) ([]Row, error) {
-	wire, err := EncodeFilter(f)
-	if err != nil {
-		return nil, err
-	}
-	return c.transport.scan(ctx, table, start, end, wire, limit)
+	return c.s.Scan(ctx, table, start, end, f, limit)
 }
 
 // ScanClientSide fetches every row in [start, end) from the server and
 // applies the filter locally — the non-pushdown baseline of §5.3.
 func (c *Client) ScanClientSide(ctx context.Context, table, start, end string, f Filter, limit int) ([]Row, error) {
-	all, err := c.transport.scan(ctx, table, start, end, nil, 0)
+	all, err := c.s.Scan(ctx, table, start, end, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -137,353 +115,4 @@ func (c *Client) ScanClientSide(ctx context.Context, table, start, end string, f
 		}
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// In-process transport.
-
-type localTransport struct{ s *Server }
-
-func (t *localTransport) put(ctx context.Context, table, row, column string, value []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return t.s.Put(table, row, column, value)
-}
-
-func (t *localTransport) get(ctx context.Context, table, row string) (Row, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return Row{}, false, err
-	}
-	return t.s.Get(table, row)
-}
-
-func (t *localTransport) multiGet(ctx context.Context, table string, rows []string) ([]Row, []bool, error) {
-	out := make([]Row, len(rows))
-	found := make([]bool, len(rows))
-	for i, key := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		r, ok, err := t.s.Get(table, key)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[i], found[i] = r, ok
-	}
-	return out, found, nil
-}
-
-func (t *localTransport) deleteRow(ctx context.Context, table, row string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return t.s.DeleteRow(table, row)
-}
-
-func (t *localTransport) scan(ctx context.Context, table, start, end string, filterWire []byte, limit int) ([]Row, error) {
-	var f Filter
-	if filterWire != nil {
-		var err error
-		f, err = DecodeFilter(filterWire)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t.s.Scan(ctx, table, start, end, f, limit)
-}
-
-func (t *localTransport) createTable(ctx context.Context, table string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return t.s.CreateTable(table)
-}
-func (t *localTransport) flush(table string) error      { return t.s.Flush(table) }
-func (t *localTransport) stats() (TransferStats, error) { return t.s.Stats(), nil }
-func (t *localTransport) resetStats() error             { t.s.ResetStats(); return nil }
-
-// ---------------------------------------------------------------------
-// HTTP wire protocol.
-
-type putReq struct {
-	Table  string `json:"table"`
-	Row    string `json:"row"`
-	Column string `json:"column"`
-	Value  []byte `json:"value"`
-}
-
-type scanReq struct {
-	Table  string          `json:"table"`
-	Start  string          `json:"start"`
-	End    string          `json:"end"`
-	Filter json.RawMessage `json:"filter,omitempty"`
-	Limit  int             `json:"limit"`
-}
-
-type multiGetReq struct {
-	Table string   `json:"table"`
-	Rows  []string `json:"rows"`
-}
-
-type multiGetResp struct {
-	Found []bool    `json:"found"`
-	Rows  []rowWire `json:"rows"`
-}
-
-type rowWire struct {
-	Key     string            `json:"key"`
-	Columns map[string][]byte `json:"columns"`
-}
-
-func toWire(r Row) rowWire   { return rowWire{Key: r.Key, Columns: r.Columns} }
-func fromWire(w rowWire) Row { return Row{Key: w.Key, Columns: w.Columns} }
-
-// Handler exposes the server over HTTP. Mount it on any mux. Each
-// data-plane handler runs under the request's context bounded by the
-// remaining budget the client sent in httperr.DeadlineHeader, so a
-// departed or out-of-time caller stops server-side work.
-func Handler(s *Server) http.Handler {
-	mux := http.NewServeMux()
-	writeErr := func(w http.ResponseWriter, err error) {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	}
-	writeJSON := func(w http.ResponseWriter, v interface{}) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	mux.HandleFunc("/v1/table", func(w http.ResponseWriter, r *http.Request) {
-		name := r.URL.Query().Get("name")
-		if err := s.CreateTable(name); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/v1/flush", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.Flush(r.URL.Query().Get("table")); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/v1/put", func(w http.ResponseWriter, r *http.Request) {
-		var req putReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, err)
-			return
-		}
-		if err := s.Put(req.Table, req.Row, req.Column, req.Value); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/v1/deleterow", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.DeleteRow(r.URL.Query().Get("table"), r.URL.Query().Get("row")); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/v1/get", func(w http.ResponseWriter, r *http.Request) {
-		row, ok, err := s.Get(r.URL.Query().Get("table"), r.URL.Query().Get("row"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]interface{}{"found": ok, "row": toWire(row)})
-	})
-	mux.HandleFunc("/v1/multiget", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		var req multiGetReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, err)
-			return
-		}
-		resp := multiGetResp{Found: make([]bool, len(req.Rows)), Rows: make([]rowWire, len(req.Rows))}
-		for i, key := range req.Rows {
-			if err := ctx.Err(); err != nil {
-				writeErr(w, err)
-				return
-			}
-			row, ok, err := s.Get(req.Table, key)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-			resp.Found[i] = ok
-			resp.Rows[i] = toWire(row)
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/v1/scan", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		var req scanReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, err)
-			return
-		}
-		var f Filter
-		if len(req.Filter) > 0 {
-			var err error
-			f, err = DecodeFilter(req.Filter)
-			if err != nil {
-				writeErr(w, err)
-				return
-			}
-		}
-		rows, err := s.Scan(ctx, req.Table, req.Start, req.End, f, req.Limit)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		wires := make([]rowWire, len(rows))
-		for i, row := range rows {
-			wires[i] = toWire(row)
-		}
-		writeJSON(w, wires)
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("reset") == "1" {
-			s.ResetStats()
-		}
-		writeJSON(w, s.Stats())
-	})
-	return mux
-}
-
-type httpTransport struct {
-	base string
-	hc   *http.Client
-}
-
-// adminCtx roots the ctx-less admin surface (createTable via Dial-time
-// setup helpers aside, flush/stats/resetStats): maintenance RPCs owned
-// by the process, not by any inbound request.
-func adminCtx() context.Context {
-	return context.Background() //pstorm:allow ctxcheck admin RPCs (flush/stats) are process-owned maintenance with no inbound request context
-}
-
-func (t *httpTransport) post(ctx context.Context, path string, body interface{}, out interface{}) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+path, bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httperr.SetDeadlineHeader(req.Header, ctx)
-	resp, err := t.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("hstore: %s: %s", path, bytes.TrimSpace(payload))
-	}
-	if out != nil {
-		return json.Unmarshal(payload, out)
-	}
-	return nil
-}
-
-func (t *httpTransport) getURL(ctx context.Context, path string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+path, nil)
-	if err != nil {
-		return err
-	}
-	httperr.SetDeadlineHeader(req.Header, ctx)
-	resp, err := t.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("hstore: %s: %s", path, bytes.TrimSpace(payload))
-	}
-	if out != nil {
-		return json.Unmarshal(payload, out)
-	}
-	return nil
-}
-
-func (t *httpTransport) put(ctx context.Context, table, row, column string, value []byte) error {
-	return t.post(ctx, "/v1/put", putReq{Table: table, Row: row, Column: column, Value: value}, nil)
-}
-
-func (t *httpTransport) get(ctx context.Context, table, row string) (Row, bool, error) {
-	var resp struct {
-		Found bool    `json:"found"`
-		Row   rowWire `json:"row"`
-	}
-	if err := t.getURL(ctx, "/v1/get?table="+table+"&row="+row, &resp); err != nil {
-		return Row{}, false, err
-	}
-	return fromWire(resp.Row), resp.Found, nil
-}
-
-func (t *httpTransport) multiGet(ctx context.Context, table string, rows []string) ([]Row, []bool, error) {
-	var resp multiGetResp
-	if err := t.post(ctx, "/v1/multiget", multiGetReq{Table: table, Rows: rows}, &resp); err != nil {
-		return nil, nil, err
-	}
-	out := make([]Row, len(resp.Rows))
-	for i, w := range resp.Rows {
-		out[i] = fromWire(w)
-	}
-	return out, resp.Found, nil
-}
-
-func (t *httpTransport) scan(ctx context.Context, table, start, end string, filterWire []byte, limit int) ([]Row, error) {
-	req := scanReq{Table: table, Start: start, End: end, Limit: limit}
-	if filterWire != nil {
-		req.Filter = filterWire
-	}
-	var wires []rowWire
-	if err := t.post(ctx, "/v1/scan", req, &wires); err != nil {
-		return nil, err
-	}
-	rows := make([]Row, len(wires))
-	for i, w := range wires {
-		rows[i] = fromWire(w)
-	}
-	return rows, nil
-}
-
-func (t *httpTransport) deleteRow(ctx context.Context, table, row string) error {
-	return t.getURL(ctx, "/v1/deleterow?table="+table+"&row="+row, nil)
-}
-
-func (t *httpTransport) createTable(ctx context.Context, table string) error {
-	return t.getURL(ctx, "/v1/table?name="+table, nil)
-}
-
-func (t *httpTransport) flush(table string) error {
-	return t.getURL(adminCtx(), "/v1/flush?table="+table, nil)
-}
-
-func (t *httpTransport) stats() (TransferStats, error) {
-	var s TransferStats
-	err := t.getURL(adminCtx(), "/v1/stats", &s)
-	return s, err
-}
-
-func (t *httpTransport) resetStats() error {
-	var s TransferStats
-	return t.getURL(adminCtx(), "/v1/stats?reset=1", &s)
 }

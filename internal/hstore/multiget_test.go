@@ -3,7 +3,6 @@ package hstore
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 )
 
@@ -62,10 +61,4 @@ func checkMultiGet(t *testing.T, c *Client) {
 
 func TestClientMultiGetLocal(t *testing.T) {
 	checkMultiGet(t, Connect(multiGetFixture(t)))
-}
-
-func TestClientMultiGetHTTP(t *testing.T) {
-	ts := httptest.NewServer(Handler(multiGetFixture(t)))
-	defer ts.Close()
-	checkMultiGet(t, Dial(ts.URL))
 }

@@ -3,11 +3,8 @@ package hstore
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 )
 
 func mustPut(t *testing.T, s *Server, table, row, col, val string) {
@@ -185,55 +182,5 @@ func TestConcurrentSplitRace(t *testing.T) {
 	}
 	if len(s.Meta()) < 2 {
 		t.Errorf("expected splits to have happened, META = %v", s.Meta())
-	}
-}
-
-func TestDialTimeout(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(200 * time.Millisecond)
-	}))
-	defer slow.Close()
-	c := DialWith(slow.URL, 10*time.Millisecond)
-	if _, _, err := c.Get(context.Background(), "t", "row"); err == nil {
-		t.Error("expected a timeout error from a hung server")
-	}
-	// The default Dial must arm a timeout at all.
-	d := Dial(slow.URL)
-	ht, ok := d.transport.(*httpTransport)
-	if !ok || ht.hc.Timeout != DefaultDialTimeout {
-		t.Errorf("Dial timeout = %v, want %v", ht.hc.Timeout, DefaultDialTimeout)
-	}
-}
-
-func TestStatsResetOverHTTP(t *testing.T) {
-	s := NewServer()
-	if err := s.CreateTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(s))
-	defer srv.Close()
-	c := Dial(srv.URL)
-	if err := c.Put(context.Background(), "t", "a", "c", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get(context.Background(), "t", "a"); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RowsReturned == 0 {
-		t.Fatal("expected nonzero counters before reset")
-	}
-	if err := c.ResetStats(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RowsReturned != 0 || st.RowsScanned != 0 || st.BytesReturned != 0 {
-		t.Errorf("counters after reset = %+v, want zero", st)
 	}
 }

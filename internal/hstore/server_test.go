@@ -3,7 +3,6 @@ package hstore
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -202,67 +201,39 @@ func TestServerConcurrentPuts(t *testing.T) {
 	}
 }
 
-func TestClientLocalAndHTTPEquivalence(t *testing.T) {
-	seed := func(c *Client) error {
-		if err := c.CreateTable(context.Background(), "t"); err != nil {
-			return err
-		}
-		for i := 0; i < 25; i++ {
-			if err := c.Put(context.Background(), "t", fmt.Sprintf("r%02d", i), "v", []byte(fmt.Sprintf("%d", i))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	query := func(c *Client) ([]Row, Row, bool, error) {
-		f := &PrefixFilter{Prefix: "r1"}
-		rows, err := c.Scan(context.Background(), "t", "", "", f, 0)
-		if err != nil {
-			return nil, Row{}, false, err
-		}
-		one, ok, err := c.Get(context.Background(), "t", "r07")
-		return rows, one, ok, err
-	}
-
-	local := Connect(NewServer())
-	if err := seed(local); err != nil {
+func TestClientScanGetAndErrors(t *testing.T) {
+	ctx := context.Background()
+	c := Connect(NewServer())
+	if err := c.CreateTable(ctx, "t"); err != nil {
 		t.Fatal(err)
 	}
-	lRows, lOne, lOK, err := query(local)
+	for i := 0; i < 25; i++ {
+		if err := c.Put(ctx, "t", fmt.Sprintf("r%02d", i), "v", []byte(fmt.Sprintf("%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := c.Scan(ctx, "t", "", "", &PrefixFilter{Prefix: "r1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	remoteSrv := NewServer()
-	ts := httptest.NewServer(Handler(remoteSrv))
-	defer ts.Close()
-	remote := Dial(ts.URL)
-	if err := seed(remote); err != nil {
-		t.Fatal(err)
+	if len(rows) != 10 {
+		t.Fatalf("prefix scan returned %d rows, want 10", len(rows))
 	}
-	rRows, rOne, rOK, err := query(remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(lRows) != len(rRows) {
-		t.Fatalf("local %d rows vs http %d rows", len(lRows), len(rRows))
-	}
-	for i := range lRows {
-		if lRows[i].Key != rRows[i].Key {
-			t.Errorf("row %d: %q vs %q", i, lRows[i].Key, rRows[i].Key)
+	for i, r := range rows {
+		if want := fmt.Sprintf("r1%d", i); r.Key != want {
+			t.Errorf("row %d: %q, want %q", i, r.Key, want)
 		}
 	}
-	if lOK != rOK || string(lOne.Columns["v"]) != string(rOne.Columns["v"]) {
-		t.Errorf("Get mismatch: local (%v,%v) http (%v,%v)", lOne, lOK, rOne, rOK)
+	one, ok, err := c.Get(ctx, "t", "r07")
+	if err != nil || !ok || string(one.Columns["v"]) != "7" {
+		t.Errorf("Get r07 = (%v,%v,%v), want v=7", one, ok, err)
 	}
 
-	// Error propagation over HTTP.
-	if err := remote.CreateTable(context.Background(), "t"); err == nil {
-		t.Error("duplicate CreateTable over HTTP should error")
+	if err := c.CreateTable(ctx, "t"); err == nil {
+		t.Error("duplicate CreateTable should error")
 	}
-	if _, err := remote.Scan(context.Background(), "missing", "", "", nil, 0); err == nil {
-		t.Error("scan of missing table over HTTP should error")
+	if _, err := c.Scan(ctx, "missing", "", "", nil, 0); err == nil {
+		t.Error("scan of missing table should error")
 	}
 }
 

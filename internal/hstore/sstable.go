@@ -36,10 +36,8 @@ import (
 //
 // The trailing whole-file checksum catches corruption anywhere in the
 // encoded form at load time; the per-block CRCs keep guarding the
-// in-memory payloads afterwards. decodeSSTable dispatches on the magic:
-// PST3 files (the previous flat-cell-area format) are still read, with
-// their own checksum discipline, and converted on load (see
-// sstable_pst3.go).
+// in-memory payloads afterwards. PST4 is the only format: decodeSSTable
+// rejects any other magic as corruption.
 type sstable struct {
 	data   []byte // concatenated stored block payloads
 	blocks []blockMeta
@@ -65,7 +63,6 @@ type blockMeta struct {
 }
 
 const (
-	sstMagic3    = 0x50535433 // "PST3" (flat cell area, per-4KB-slice CRCs)
 	sstMagic4    = 0x50535434 // "PST4" (compressed prefix-encoded blocks)
 	sstBlockSize = 4096       // target uncompressed bytes per block
 	sstFooterLen = 8 + 8 + 8 + 4 + 4 + 4
@@ -231,9 +228,12 @@ func (t *sstable) compressionRatio() float64 {
 }
 
 // seekBlock returns the index of the block a scan starting at row must
-// open: the last block whose first row is <= row.
+// open: the last block whose first row is strictly less than row (block
+// 0 if none). A block whose first row equals row may be the row's tail —
+// its head cells then sit at the end of the block before — so the scan
+// opens the earlier block and iterate skips forward to the row.
 func (t *sstable) seekBlock(row string) int {
-	i := sort.Search(len(t.blocks), func(i int) bool { return t.blocks[i].firstRow > row })
+	i := sort.Search(len(t.blocks), func(i int) bool { return t.blocks[i].firstRow >= row })
 	if i == 0 {
 		return 0
 	}
@@ -439,9 +439,8 @@ func (t *sstable) encode() []byte {
 }
 
 // decodeSSTable parses an encoded table, verifying the whole-file
-// checksum before trusting any offset in it, then dispatching on the
-// format magic: PST4 loads in place; PST3 (the previous format) is
-// verified with its own checksum discipline and rebuilt as PST4.
+// checksum before trusting any offset in it. An image that is not PST4
+// is corruption, however valid its checksum.
 func decodeSSTable(raw []byte) (*sstable, error) {
 	if len(raw) < sstFooterLen {
 		return nil, &CorruptionError{Detail: fmt.Sprintf("sstable too short (%d bytes)", len(raw))}
@@ -450,22 +449,9 @@ func decodeSSTable(raw []byte) (*sstable, error) {
 	if got := crc32c(raw[:len(raw)-4]); got != fileSum {
 		return nil, &CorruptionError{Detail: fmt.Sprintf("sstable file checksum mismatch (got %#x want %#x)", got, fileSum)}
 	}
-	magic := binary.LittleEndian.Uint32(raw[len(raw)-8:])
-	switch magic {
-	case sstMagic4:
-		return decodePST4(raw)
-	case sstMagic3:
-		cells, err := decodePST3Cells(raw)
-		if err != nil {
-			return nil, err
-		}
-		return buildSSTable(cells), nil
-	default:
+	if magic := binary.LittleEndian.Uint32(raw[len(raw)-8:]); magic != sstMagic4 {
 		return nil, &CorruptionError{Detail: fmt.Sprintf("bad sstable magic %#x", magic)}
 	}
-}
-
-func decodePST4(raw []byte) (*sstable, error) {
 	f := raw[len(raw)-sstFooterLen:]
 	indexOff := binary.LittleEndian.Uint64(f[0:])
 	bloomOff := binary.LittleEndian.Uint64(f[8:])

@@ -36,52 +36,14 @@ func scanAll(t *testing.T, tbl *sstable) []Cell {
 	return out
 }
 
-// A PST3 file written by the previous format version must decode into
-// the same cells through the format-dispatching decoder.
-func TestSSTablePST3CrossVersionRead(t *testing.T) {
-	cells := makeCells(700, 21)
-	// Mix in a tombstone so the flag crosses formats too.
-	cells[3].Deleted = true
-	cells[3].Value = nil
-	raw := encodePST3(cells)
-	back, err := decodeSSTable(raw)
-	if err != nil {
-		t.Fatalf("decode PST3: %v", err)
-	}
-	if back.count != len(cells) {
-		t.Fatalf("count = %d, want %d", back.count, len(cells))
-	}
-	sameCells(t, scanAll(t, back), cells, "PST3 converted table")
-	if back.minRow != cells[0].Row || back.maxRow != cells[len(cells)-1].Row {
-		t.Errorf("key range [%q,%q], want [%q,%q]", back.minRow, back.maxRow, cells[0].Row, cells[len(cells)-1].Row)
-	}
-	for _, c := range cells[:20] {
-		if !back.mayContainRow(c.Row) {
-			t.Fatalf("bloom false negative for %q after conversion", c.Row)
-		}
-	}
-	// Round-tripping through the new encoder yields a PST4 file that
-	// reads back identically: upgrade-on-rewrite.
-	rt, err := decodeSSTable(back.encode())
-	if err != nil {
-		t.Fatalf("re-encode as PST4: %v", err)
-	}
-	if magic := binary.LittleEndian.Uint32(back.encode()[len(back.encode())-8:]); magic != sstMagic4 {
-		t.Errorf("re-encoded magic = %#x, want PST4", magic)
-	}
-	sameCells(t, scanAll(t, rt), cells, "PST3→PST4 rewritten table")
-}
-
-// A bit flip inside a PST3 cell area must surface through the per-block
-// CRC discipline during conversion, not as garbage cells.
-func TestSSTablePST3CorruptBlockDetected(t *testing.T) {
-	raw := encodePST3(makeCells(500, 23))
-	raw[100] ^= 0x10
-	// Re-stamp the whole-file CRC so only the legacy per-block check can
-	// catch the damage.
+// An image whose magic is not PST4 — here PST3's, the retired previous
+// format — is corruption even when its whole-file checksum is valid.
+func TestSSTableUnknownMagicRejected(t *testing.T) {
+	raw := buildSSTable(makeCells(50, 21)).encode()
+	binary.LittleEndian.PutUint32(raw[len(raw)-8:], 0x50535433) // "PST3"
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32c(raw[:len(raw)-4]))
 	if _, err := decodeSSTable(raw); !IsCorruption(err) {
-		t.Fatalf("decode damaged PST3 = %v, want CorruptionError", err)
+		t.Fatalf("decode unknown-magic image = %v, want CorruptionError", err)
 	}
 }
 

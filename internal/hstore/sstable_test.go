@@ -1,6 +1,7 @@
 package hstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -194,5 +195,96 @@ func TestSSTableSeekBlockSkipsBlocks(t *testing.T) {
 	// Seeking deep into the table must not open the first block.
 	if bi := tbl.seekBlock(tbl.maxRow); bi == 0 {
 		t.Error("seek to maxRow started at block 0 — block index unused")
+	}
+}
+
+// A row whose cells span a block boundary has its head at the end of one
+// block and its tail at the start of the next, which then carries the
+// row as its firstRow. A read starting exactly at that row must open the
+// earlier block too: Get, MultiGet and a Scan from the row return every
+// cell at its newest version.
+func TestStraddlingRowReadsEveryCell(t *testing.T) {
+	ctx := context.Background()
+	s := NewServer()
+	c := Connect(s)
+	if err := c.CreateTable(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	const rows, cols = 60, 8
+	key := func(i int) string { return fmt.Sprintf("row%03d", i) }
+	value := func(ver string, i, f, width int) []byte {
+		return []byte(fmt.Sprintf("%s-%d-%d-%0*d", ver, i, f, width, 0))
+	}
+	// Two flushed versions of every cell, of different widths so the two
+	// segments break their blocks at different rows: a head skipped in
+	// the newer segment reads back stale from the older one.
+	for _, v := range []struct {
+		ver   string
+		width int
+	}{{"old", 150}, {"new", 170}} {
+		for i := 0; i < rows; i++ {
+			for f := 0; f < cols; f++ {
+				if err := c.Put(ctx, "t", key(i), fmt.Sprintf("col%d", f), value(v.ver, i, f, v.width)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.Flush("t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s.mu.RLock()
+	segs := append([]*sstable(nil), s.tables["t"].regions[0].sstables...)
+	s.mu.RUnlock()
+	straddling := 0
+	for _, seg := range segs {
+		cells := scanAll(t, seg)
+		n := 0
+		for _, b := range seg.blocks[:len(seg.blocks)-1] {
+			n += int(b.cells)
+			if cells[n-1].Row == cells[n].Row {
+				straddling++
+			}
+		}
+	}
+	if straddling == 0 {
+		t.Fatal("setup: no row straddles a block boundary")
+	}
+
+	check := func(how string, i int, r Row) {
+		t.Helper()
+		if r.Key != key(i) || len(r.Columns) != cols {
+			t.Fatalf("%s %s: got key %q with %d columns, want %d", how, key(i), r.Key, len(r.Columns), cols)
+		}
+		for f := 0; f < cols; f++ {
+			if got, want := r.Columns[fmt.Sprintf("col%d", f)], value("new", i, f, 170); string(got) != string(want) {
+				t.Fatalf("%s %s col%d = %.12q, want %.12q", how, key(i), f, got, want)
+			}
+		}
+	}
+	keys := make([]string, rows)
+	for i := range keys {
+		keys[i] = key(i)
+		r, ok, err := c.Get(ctx, "t", keys[i])
+		if err != nil || !ok {
+			t.Fatalf("Get %s: ok=%v err=%v", keys[i], ok, err)
+		}
+		check("Get", i, r)
+		scanned, err := c.Scan(ctx, "t", keys[i], "", nil, 1)
+		if err != nil || len(scanned) != 1 {
+			t.Fatalf("Scan from %s: %d rows, err=%v", keys[i], len(scanned), err)
+		}
+		check("Scan", i, scanned[0])
+	}
+	got, found, err := c.MultiGet(ctx, "t", keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if !found[i] {
+			t.Fatalf("MultiGet %s: not found", keys[i])
+		}
+		check("MultiGet", i, got[i])
 	}
 }

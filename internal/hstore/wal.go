@@ -39,6 +39,9 @@ const walFileName = "wal.log"
 const (
 	walCreateTable byte = 1
 	walCell        byte = 2
+
+	// tombstoneBit is the top bit of a cell record's colLen.
+	tombstoneBit = 1 << 31
 )
 
 // walFrameHeader is the per-record framing overhead: length + CRC.

@@ -1,9 +1,9 @@
 // Package httperr is the JSON error envelope every HTTP surface of the
-// repo speaks: the pstormd /tune endpoint, the dstore /d/* wire
-// protocol, and the gateway serving tier. One shape everywhere means a
-// client can always distinguish "the store is degraded but answering"
-// from "your request is malformed" without parsing prose, and a shed
-// request always carries a machine-readable code plus Retry-After.
+// repo speaks: the dstore /d/* wire protocol and the gateway serving
+// tier. One shape everywhere means a client can always distinguish "the
+// store is degraded but answering" from "your request is malformed"
+// without parsing prose, and a shed request always carries a
+// machine-readable code plus Retry-After.
 //
 // The envelope is:
 //

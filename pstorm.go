@@ -87,13 +87,10 @@ type Options struct {
 	Seed int64
 	// Cluster is the execution environment (nil: DefaultCluster).
 	Cluster *Cluster
-	// StoreURL, when set, connects the profile store to a remote hstore
-	// server over HTTP instead of an in-process one.
-	StoreURL string
 	// StoreServers, when > 0, backs the profile store with an in-process
 	// dstore cluster of that many region servers (replication 2, the
-	// profile table split across them). Takes precedence over StoreURL
-	// and DataDir. Close() shuts the cluster down.
+	// profile table split across them). Takes precedence over DataDir.
+	// Close() shuts the cluster down.
 	StoreServers int
 	// MasterURL, when set, connects the profile store to a running
 	// pstormd master over HTTP; region servers must carry addresses in
@@ -105,7 +102,6 @@ type Options struct {
 	// last checkpoint in the directory is reopened, the write-ahead log
 	// replayed over it, and every subsequent mutation logged — so stored
 	// profiles survive restarts even without an explicit Checkpoint().
-	// Ignored when StoreURL is set.
 	DataDir string
 	// CBOSeed seeds the optimizer search (0: derived from Seed).
 	CBOSeed int64
@@ -154,8 +150,6 @@ func Open(opt Options) (*System, error) {
 			return nil, err
 		}
 		client = dcluster.Client()
-	case opt.StoreURL != "":
-		client = hstore.Dial(opt.StoreURL)
 	case opt.DataDir != "":
 		var err error
 		server, err = hstore.OpenDurable(opt.DataDir)
