@@ -2,15 +2,16 @@
 //
 // Usage:
 //
-//	pstorm-bench [-seed N] [-run id[,id...]] [-list] [-json] [-metrics]
+//	pstorm-bench [-seed N] [-run id[,id...]] [-list] [-json] [-chaos]
 //
 // With no -run flag every experiment runs, in the paper's order. The
 // experiment IDs follow the paper (table6.1, fig6.3, ...) plus the
-// ablations (ablation-pushdown, ...) and the systems experiments
-// (dstore-scale). -json additionally writes each experiment's tables to
-// BENCH_<id>.json in the current directory; -metrics appends the
-// observability snapshots an experiment records (retry/failover
-// counters, latency histograms, traced events) to that JSON.
+// ablations (ablation-pushdown, ...), the extensions (ext-*) and the
+// chaos experiment. -json additionally writes each experiment's tables,
+// and the observability snapshots it recorded (retry/failover counters,
+// latency histograms, traced events), to BENCH_<id>.json in the current
+// directory. -chaos is shorthand for -run chaos -json. How fast this
+// implementation serves requests is measured by benchmark/, not here.
 package main
 
 import (
@@ -18,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -30,51 +30,12 @@ func main() {
 	seed := flag.Int64("seed", 42, "experiment seed (fixed seed = identical tables)")
 	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	asJSON := flag.Bool("json", false, "also write each experiment's tables to BENCH_<id>.json")
-	withMetrics := flag.Bool("metrics", false, "with -json: include recorded observability snapshots in the BENCH JSON")
-	tune := flag.Bool("tune", false, "benchmark the tuning pipeline (sequential vs parallel+cached) and write BENCH_tune.json")
-	tuneWorkers := flag.String("tune-workers", "1,2,4,8", "with -tune: comma-separated worker counts")
-	tuneBudget := flag.Int("tune-budget", 0, "with -tune: What-If evaluation budget per tune (0: full search)")
-	tuneRepeats := flag.Int("tune-repeats", 8, "with -tune: times the tuning workload is repeated per row")
-	chaosMode := flag.Bool("chaos", false, "run the deterministic chaos experiment and write BENCH_chaos.json")
-	serveMode := flag.Bool("serve", false, "benchmark the multi-tenant serving tier (gateway fleet) and write BENCH_serve.json")
-	serveQPS := flag.Float64("serve-qps", 150, "with -serve: open-loop target request rate per phase")
-	serveSteady := flag.Duration("serve-steady", 2*time.Second, "with -serve: steady (in-quota) phase duration")
-	serveOverload := flag.Duration("serve-overload", 1500*time.Millisecond, "with -serve: noisy-tenant overload phase duration")
-	serveGateways := flag.Int("serve-gateways", 2, "with -serve: gateway instances sharing the one cluster")
-	scaleCheck := flag.Bool("dstore-scale-check", false, "run the dstore-scale experiment, write BENCH_dstore-scale.json, and fail unless scan throughput is monotonic 1→2 servers and blocks compress > 1.5x")
+	asJSON := flag.Bool("json", false, "also write each experiment's tables and recorded metrics to BENCH_<id>.json")
+	chaosMode := flag.Bool("chaos", false, "shorthand for -run chaos -json")
 	flag.Parse()
 
-	if *scaleCheck {
-		if err := runDStoreScaleCheck(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, "pstorm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveMode {
-		if err := runServeBench(*seed, *serveQPS, *serveSteady, *serveOverload, *serveGateways); err != nil {
-			fmt.Fprintln(os.Stderr, "pstorm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *chaosMode {
-		if err := runChaosBench(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, "pstorm-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tune {
-		if err := runTuneBench(*seed, *tuneWorkers, *tuneBudget, *tuneRepeats); err != nil {
-			fmt.Fprintln(os.Stderr, "pstorm-bench:", err)
-			os.Exit(1)
-		}
-		return
+		*run, *asJSON = "chaos", true
 	}
 
 	if *list {
@@ -112,13 +73,9 @@ func main() {
 		for _, t := range tables {
 			t.Fprint(os.Stdout)
 		}
-		metrics := env.DrainMetrics()
-		if !*withMetrics {
-			metrics = nil
-		}
 		if *asJSON {
 			name := "BENCH_" + r.ID + ".json"
-			if err := writeJSON(name, *seed, r, tables, metrics); err != nil {
+			if err := writeJSON(name, *seed, r, tables, env.DrainMetrics()); err != nil {
 				fmt.Fprintf(os.Stderr, "pstorm-bench: writing %s: %v\n", name, err)
 				failed = true
 			} else {
@@ -131,163 +88,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runTuneBench drives the tuning-pipeline benchmark and always writes
-// BENCH_tune.json (the point of the mode is the machine-checkable
-// speedup and determinism evidence).
-func runTuneBench(seed int64, workersCSV string, budget, repeats int) error {
-	var workers []int
-	for _, s := range strings.Split(workersCSV, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || w < 1 {
-			return fmt.Errorf("bad -tune-workers entry %q", s)
-		}
-		workers = append(workers, w)
-	}
-	env := bench.NewEnv(seed)
-	tables, err := bench.RunTuneBenchWith(env, workers, budget, repeats)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		t.Fprint(os.Stdout)
-	}
-	r := bench.Runner{ID: "tune", Desc: "Tuning pipeline: sequential vs parallel+cached evaluation core"}
-	if err := writeJSON("BENCH_tune.json", seed, r, tables, nil); err != nil {
-		return err
-	}
-	fmt.Println("(wrote BENCH_tune.json)")
-	return nil
-}
-
-// runServeBench drives the serving-tier benchmark and always writes
-// BENCH_serve.json (the point of the mode is the machine-checkable
-// coalescing and quota-shedding evidence: the experiment itself errors
-// when a serving contract is violated).
-func runServeBench(seed int64, qps float64, steady, overload time.Duration, gateways int) error {
-	env := bench.NewEnv(seed)
-	tables, err := bench.RunServeBenchWith(env, bench.ServeOptions{
-		QPS: qps, Steady: steady, Overload: overload, Gateways: gateways,
-	})
-	for _, t := range tables {
-		t.Fprint(os.Stdout)
-	}
-	if err != nil {
-		return err
-	}
-	r := bench.Runner{ID: "serve", Desc: "Serving tier: gateway fleet, coalescing, quota shedding under open-loop load"}
-	if err := writeJSON("BENCH_serve.json", seed, r, tables, env.DrainMetrics()); err != nil {
-		return err
-	}
-	fmt.Println("(wrote BENCH_serve.json)")
-	return nil
-}
-
-// runDStoreScaleCheck is the CI gate on the scan-scaling regression:
-// it runs the dstore-scale experiment, writes BENCH_dstore-scale.json,
-// and fails when adding a second server makes full-table scans slower
-// than one server, or when PST4 block compression falls to 1.5x or
-// below on the profile-vector workload.
-func runDStoreScaleCheck(seed int64) error {
-	env := bench.NewEnv(seed)
-	r, ok := bench.Lookup("dstore-scale")
-	if !ok {
-		return fmt.Errorf("dstore-scale experiment not registered")
-	}
-	tables, err := r.Run(env)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		t.Fprint(os.Stdout)
-	}
-	if err := writeJSON("BENCH_dstore-scale.json", seed, r, tables, nil); err != nil {
-		return err
-	}
-	fmt.Println("(wrote BENCH_dstore-scale.json)")
-
-	t := tables[0]
-	col := func(name string) (int, error) {
-		for i, c := range t.Columns {
-			if c == name {
-				return i, nil
-			}
-		}
-		return 0, fmt.Errorf("dstore-scale table has no %q column", name)
-	}
-	cell := func(row []string, name string) (float64, error) {
-		i, err := col(name)
-		if err != nil {
-			return 0, err
-		}
-		v, err := strconv.ParseFloat(row[i], 64)
-		if err != nil {
-			return 0, fmt.Errorf("dstore-scale %s = %q: %w", name, row[i], err)
-		}
-		return v, nil
-	}
-	byServers := map[int][]string{}
-	for _, row := range t.Rows {
-		n, err := cell(row, "servers")
-		if err != nil {
-			return err
-		}
-		byServers[int(n)] = row
-	}
-	if byServers[1] == nil || byServers[2] == nil {
-		return fmt.Errorf("dstore-scale table missing the 1- or 2-server row")
-	}
-	scan1, err := cell(byServers[1], "scanrows/s")
-	if err != nil {
-		return err
-	}
-	scan2, err := cell(byServers[2], "scanrows/s")
-	if err != nil {
-		return err
-	}
-	// Both configurations run in one process and share the machine's
-	// cores, so their scan rates are near-equal by design once the
-	// fan-out is parallel; a 10% floor keeps scheduler noise from
-	// flapping the gate while still catching the sequential-visit
-	// regression class (which cost ~27% going 1→2 servers).
-	if scan2 < 0.9*scan1 {
-		return fmt.Errorf("scan scaling regressed: %.0f scanrows/s @ 2 servers < %.0f @ 1 server", scan2, scan1)
-	}
-	for n, row := range byServers {
-		ratio, err := cell(row, "compress")
-		if err != nil {
-			return err
-		}
-		if ratio <= 1.5 {
-			return fmt.Errorf("block compression ratio %.2f @ %d servers, want > 1.5 on profile-vector rows", ratio, n)
-		}
-	}
-	fmt.Printf("dstore-scale check passed: %.0f scanrows/s @ 1 server <= %.0f @ 2 servers, compression > 1.5x\n", scan1, scan2)
-	return nil
-}
-
-// runChaosBench drives the deterministic chaos experiment and always
-// writes BENCH_chaos.json (the point of the mode is the machine-checkable
-// zero-wrong-reads and schedule-replay evidence).
-func runChaosBench(seed int64) error {
-	env := bench.NewEnv(seed)
-	r, ok := bench.Lookup("chaos")
-	if !ok {
-		return fmt.Errorf("chaos experiment not registered")
-	}
-	tables, err := r.Run(env)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		t.Fprint(os.Stdout)
-	}
-	if err := writeJSON("BENCH_chaos.json", seed, r, tables, env.DrainMetrics()); err != nil {
-		return err
-	}
-	fmt.Println("(wrote BENCH_chaos.json)")
-	return nil
 }
 
 // benchJSON is the machine-readable form of one experiment's output.

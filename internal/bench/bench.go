@@ -97,9 +97,6 @@ func Experiments() []Runner {
 		{"ablation-costfactors", "Cost factors in stage 1 vs as fallback only", RunAblationCostFactors},
 		{"ablation-datamodel", "Data model: Table 5.1 vs OpenTSDB-style vs table-per-type", RunAblationDataModel},
 		{"ablation-pushdown", "Filter pushdown vs client-side filtering", RunAblationPushdown},
-		{"dstore-scale", "Distributed store scaling: throughput, bytes moved, failover recovery", RunDStoreScale},
-		{"tune", "Tuning pipeline: sequential vs parallel+cached evaluation core", RunTuneBench},
-		{"serve", "Serving tier: gateway fleet, coalescing, quota shedding under open-loop load", RunServeBench},
 		{"chaos", "Deterministic chaos: fault barrage vs detections, heals, zero wrong reads", RunChaos},
 		{"ext-crosscluster", "Extension (§7.2.3): cross-cluster profile adaptation", RunExtCrossCluster},
 		{"ext-thresholds", "Sensitivity of matching accuracy to the two thresholds", RunExtThresholds},
@@ -135,7 +132,7 @@ type Env struct {
 }
 
 // RecordMetrics stashes an observability snapshot under a key (e.g.
-// "dstore-scale/servers=4"); pstorm-bench -metrics drains them into the
+// "chaos/seed=42"); pstorm-bench -json drains them into the
 // experiment's BENCH JSON.
 func (e *Env) RecordMetrics(key string, snap obs.Snapshot) {
 	e.mu.Lock()

@@ -39,6 +39,16 @@ func TestExperimentsRegistry(t *testing.T) {
 			t.Errorf("missing paper experiment %s", want)
 		}
 	}
+	if !seen["chaos"] {
+		t.Error("missing chaos experiment")
+	}
+	// Performance is benchmark/'s job; the harness it superseded must
+	// not come back.
+	for _, gone := range []string{"serve", "tune", "dstore-scale"} {
+		if _, ok := Lookup(gone); ok {
+			t.Errorf("Lookup(%s) found a retired performance experiment", gone)
+		}
+	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup accepted an unknown id")
 	}

@@ -23,6 +23,22 @@ const chaosKeys = 150
 // election is stalling rather than waiting out the lease.
 const chaosLease = 4 * time.Second
 
+// Feature-type prefixes of the Table 5.1 row-key layout, used to shape
+// the synthetic workload like real PutProfile traffic.
+var dstoreFtypes = []string{"costmap", "costred", "dynmap", "dynred", "meta", "statmap", "statred"}
+
+// wallNow and wallSince time the run for the "ms" column, which
+// measures this machine's actual elapsed time, so an injected clock
+// would be meaningless here; everything derived from the seed stays
+// deterministic.
+func wallNow() time.Time {
+	return time.Now() //pstorm:allow clockcheck benchmarks measure real elapsed wall time
+}
+
+func wallSince(start time.Time) time.Duration {
+	return time.Since(start) //pstorm:allow clockcheck benchmarks measure real elapsed wall time
+}
+
 // chaosClock hand-cranks the master's liveness clock so fault counts
 // are a function of the seed alone, never of machine speed.
 type chaosClock struct{ t time.Time }

@@ -360,13 +360,14 @@ func (c *Client) cachedMeta() (Meta, error) {
 // Meta returns the client's current routing view (refreshing if empty).
 func (c *Client) Meta() (Meta, error) { return c.cachedMeta() }
 
-func (c *Client) peerByID(m Meta, id string) (Peer, error) {
+// connFor resolves a connection to the server META names id.
+func (c *Client) connFor(m Meta, id string) (ServerConn, error) {
 	for _, p := range m.Servers {
 		if p.ID == id {
-			return p, nil
+			return c.reg.Resolve(p)
 		}
 	}
-	return Peer{}, fmt.Errorf("dstore: META names unknown server %q", id)
+	return nil, fmt.Errorf("dstore: META names unknown server %q", id)
 }
 
 // route finds the region owning row and a connection to its primary.
@@ -379,11 +380,7 @@ func (c *Client) route(table, row string) (RegionInfo, ServerConn, error) {
 	if err != nil {
 		return RegionInfo{}, nil, err
 	}
-	p, err := c.peerByID(m, g.Primary)
-	if err != nil {
-		return RegionInfo{}, nil, err
-	}
-	conn, err := c.reg.Resolve(p)
+	conn, err := c.connFor(m, g.Primary)
 	if err != nil {
 		return RegionInfo{}, nil, err
 	}
@@ -536,87 +533,11 @@ func (c *Client) PutRow(ctx context.Context, table string, r hstore.Row) error {
 // aborts between rounds without consuming an attempt.
 func (c *Client) BatchPut(ctx context.Context, table string, rows []hstore.Row) error {
 	c.countOp("batchput")
-	deadline := c.effectiveDeadline(ctx)
-	opCtx, cancel := c.opContext(ctx)
-	defer cancel()
-	remaining := rows
-	var lastErr error
-	spins := 0
-	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dstore: batch put interrupted: %w", cerr)
-		}
-		m, err := c.cachedMeta()
-		if err != nil {
-			// A master outage (takeover in flight) heals on wall-clock
-			// time without burning write attempts; anything else is final.
-			if !masterOutage(err) {
-				return err
-			}
-			lastErr = err
-			c.mRetries.Inc()
-			if c.budgetSpent(deadline) {
-				c.mGiveUps.Inc()
-				return fmt.Errorf("%w: batch put spent its %v budget with %d rows unacked: %w", ErrExhausted, c.OpBudget, len(remaining), lastErr)
-			}
-			if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
-				return fmt.Errorf("dstore: batch put interrupted: %w", cerr)
-			}
-			if spins < topoRestartCap*c.maxAttempts() {
-				spins++
-				attempt--
-			}
-			continue
-		}
-		groups := make(map[string][]hstore.Row)
-		for _, r := range remaining {
-			g, err := c.routeIn(m, table, r.Key)
-			if err != nil {
-				return err
-			}
-			groups[g.Primary] = append(groups[g.Primary], r)
-		}
-		var failed []hstore.Row
-		ids := make([]string, 0, len(groups))
-		for id := range groups {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			p, err := c.peerByID(m, id)
-			if err != nil {
-				return err
-			}
-			conn, err := c.reg.Resolve(p)
-			if err != nil {
-				return err
-			}
-			if err := c.do(id, func() error {
-				return conn.BatchPut(opCtx, table, groups[id])
-			}); err != nil {
-				if !retryable(err) {
-					return err
-				}
-				lastErr = err
-				failed = append(failed, groups[id]...)
-			}
-		}
-		if len(failed) == 0 {
-			return nil
-		}
-		remaining = failed
-		c.mRetries.Inc()
-		c.invalidate()
-		if c.budgetSpent(deadline) {
-			c.mGiveUps.Inc()
-			return fmt.Errorf("%w: batch put spent its %v budget with %d rows unacked: %w", ErrExhausted, c.OpBudget, len(remaining), lastErr)
-		}
-		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
-			return fmt.Errorf("dstore: batch put interrupted: %w", cerr)
-		}
-	}
-	c.mGiveUps.Inc()
-	return fmt.Errorf("%w: batch put gave up with %d rows unacked: %w", ErrExhausted, len(remaining), lastErr)
+	return groupedRounds(ctx, c, "batch put", "unacked", table, rows,
+		func(r hstore.Row) string { return r.Key },
+		func(ctx context.Context, conn ServerConn, group []hstore.Row) error {
+			return conn.BatchPut(ctx, table, group)
+		})
 }
 
 // MultiGet point-reads many rows, grouped per primary server so each
@@ -628,106 +549,115 @@ func (c *Client) BatchPut(ctx context.Context, table string, rows []hstore.Row) 
 // assembling the batch.
 func (c *Client) MultiGet(ctx context.Context, table string, rows []string) ([]hstore.Row, []bool, error) {
 	c.countOp("multiget")
-	deadline := c.effectiveDeadline(ctx)
-	opCtx, cancel := c.opContext(ctx)
-	defer cancel()
 	out := make([]hstore.Row, len(rows))
 	found := make([]bool, len(rows))
-	remaining := make([]int, len(rows))
+	all := make([]int, len(rows))
 	for i := range rows {
-		remaining[i] = i
+		all[i] = i
 	}
-	var lastErr error
-	spins := 0
-	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, fmt.Errorf("dstore: multi-get interrupted: %w", cerr)
-		}
-		m, err := c.cachedMeta()
-		if err != nil {
-			// Same forgiveness as BatchPut: a takeover window costs
-			// wall-clock time, not read attempts.
-			if !masterOutage(err) {
-				return nil, nil, err
-			}
-			lastErr = err
-			c.mRetries.Inc()
-			if c.budgetSpent(deadline) {
-				c.mGiveUps.Inc()
-				return nil, nil, fmt.Errorf("%w: multi-get spent its %v budget with %d rows unanswered: %w", ErrExhausted, c.OpBudget, len(remaining), lastErr)
-			}
-			if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
-				return nil, nil, fmt.Errorf("dstore: multi-get interrupted: %w", cerr)
-			}
-			if spins < topoRestartCap*c.maxAttempts() {
-				spins++
-				attempt--
-			}
-			continue
-		}
-		groups := make(map[string][]int)
-		for _, i := range remaining {
-			g, err := c.routeIn(m, table, rows[i])
-			if err != nil {
-				return nil, nil, err
-			}
-			groups[g.Primary] = append(groups[g.Primary], i)
-		}
-		var failed []int
-		ids := make([]string, 0, len(groups))
-		for id := range groups {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			p, err := c.peerByID(m, id)
-			if err != nil {
-				return nil, nil, err
-			}
-			conn, err := c.reg.Resolve(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			idx := groups[id]
+	err := groupedRounds(ctx, c, "multi-get", "unanswered", table, all,
+		func(i int) string { return rows[i] },
+		func(ctx context.Context, conn ServerConn, idx []int) error {
 			keys := make([]string, len(idx))
 			for k, i := range idx {
 				keys[k] = rows[i]
 			}
-			var got []hstore.Row
-			var ok []bool
-			err = c.do(id, func() error {
-				var e error
-				got, ok, e = conn.BatchGet(opCtx, table, keys)
-				return e
-			})
+			got, ok, err := conn.BatchGet(ctx, table, keys)
 			if err != nil {
-				if !retryable(err) {
-					return nil, nil, err
-				}
-				lastErr = err
-				failed = append(failed, idx...)
-				continue
+				return err
 			}
 			for k, i := range idx {
 				out[i], found[i] = got[k], ok[k]
 			}
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, found, nil
+}
+
+// groupedRounds is the round loop BatchPut and MultiGet share. Each
+// round groups the still-pending items by the primary that owns
+// key(item) under the current META view, visits the servers in sorted-id
+// order with one call each through the server's breaker, and keeps the
+// groups whose call failed retryably for the next round, which runs
+// against refreshed META after a backoff. op names the operation and
+// pending its leftover items ("unacked") in errors. A master outage
+// (takeover in flight) while fetching META heals on wall-clock time
+// without burning attempts, up to topoRestartCap*MaxAttempts times;
+// any other non-retryable error is final. call receives the
+// budget-bounded context (see opContext).
+func groupedRounds[T any](ctx context.Context, c *Client, op, pending, table string, items []T,
+	key func(T) string, call func(ctx context.Context, conn ServerConn, group []T) error) error {
+	deadline := c.effectiveDeadline(ctx)
+	opCtx, cancel := c.opContext(ctx)
+	defer cancel()
+	remaining := items
+	var lastErr error
+	spins := 0
+	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
 		}
-		if len(failed) == 0 {
-			return out, found, nil
+		m, err := c.cachedMeta()
+		outage := err != nil
+		if outage {
+			if !masterOutage(err) {
+				return err
+			}
+			lastErr = err
+		} else {
+			groups := make(map[string][]T)
+			for _, it := range remaining {
+				g, err := c.routeIn(m, table, key(it))
+				if err != nil {
+					return err
+				}
+				groups[g.Primary] = append(groups[g.Primary], it)
+			}
+			ids := make([]string, 0, len(groups))
+			for id := range groups {
+				ids = append(ids, id)
+			}
+			sort.Strings(ids)
+			var failed []T
+			for _, id := range ids {
+				conn, err := c.connFor(m, id)
+				if err != nil {
+					return err
+				}
+				if err := c.do(id, func() error {
+					return call(opCtx, conn, groups[id])
+				}); err != nil {
+					if !retryable(err) {
+						return err
+					}
+					lastErr = err
+					failed = append(failed, groups[id]...)
+				}
+			}
+			if len(failed) == 0 {
+				return nil
+			}
+			remaining = failed
+			c.invalidate()
 		}
-		remaining = failed
 		c.mRetries.Inc()
-		c.invalidate()
 		if c.budgetSpent(deadline) {
 			c.mGiveUps.Inc()
-			return nil, nil, fmt.Errorf("%w: multi-get spent its %v budget with %d rows unanswered: %w", ErrExhausted, c.OpBudget, len(remaining), lastErr)
+			return fmt.Errorf("%w: %s spent its %v budget with %d rows %s: %w", ErrExhausted, op, c.OpBudget, len(remaining), pending, lastErr)
 		}
 		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
-			return nil, nil, fmt.Errorf("dstore: multi-get interrupted: %w", cerr)
+			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
+		}
+		if outage && spins < topoRestartCap*c.maxAttempts() {
+			spins++
+			attempt--
 		}
 	}
 	c.mGiveUps.Inc()
-	return nil, nil, fmt.Errorf("%w: multi-get gave up with %d rows unanswered: %w", ErrExhausted, len(remaining), lastErr)
+	return fmt.Errorf("%w: %s gave up with %d rows %s: %w", ErrExhausted, op, len(remaining), pending, lastErr)
 }
 
 // routeIn locates the owning region in an already-fetched META view.
@@ -779,11 +709,7 @@ func (c *Client) getOnce(ctx context.Context, table, row string) (hstore.Row, bo
 	if err != nil {
 		return hstore.Row{}, false, err
 	}
-	p, err := c.peerByID(m, g.Primary)
-	if err != nil {
-		return hstore.Row{}, false, err
-	}
-	conn, err := c.reg.Resolve(p)
+	conn, err := c.connFor(m, g.Primary)
 	if err != nil {
 		return hstore.Row{}, false, err
 	}
@@ -819,11 +745,7 @@ func (c *Client) getOnce(ctx context.Context, table, row string) (hstore.Row, bo
 // target of hedged reads.
 func (c *Client) firstFollower(m Meta, g RegionInfo) (string, ServerConn, error) {
 	fid := g.Followers[0]
-	fp, err := c.peerByID(m, fid)
-	if err != nil {
-		return "", nil, err
-	}
-	fconn, err := c.reg.Resolve(fp)
+	fconn, err := c.connFor(m, fid)
 	return fid, fconn, err
 }
 
@@ -940,11 +862,7 @@ func (c *Client) scanTasks(m Meta, table, start, end string) ([]scanTask, error)
 // breaker, hedging with a fence-bypassing FollowerScan when armed
 // (scans are read-only, so the hedge is safe).
 func (c *Client) scanRegionOnce(ctx context.Context, m Meta, t scanTask, table string, f hstore.Filter, limit int) ([]hstore.Row, error) {
-	p, err := c.peerByID(m, t.g.Primary)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := c.reg.Resolve(p)
+	conn, err := c.connFor(m, t.g.Primary)
 	if err != nil {
 		return nil, err
 	}

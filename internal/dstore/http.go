@@ -173,26 +173,20 @@ func RegionServerHandler(rs *RegionServer) http.Handler {
 		}
 		ok(w, rs.Apply(req.Table, req.Cells))
 	})
-	mux.HandleFunc("/d/get", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		row, found, err := rs.Get(ctx, r.URL.Query().Get("table"), r.URL.Query().Get("row"))
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
+	getHandler := func(get func(ctx context.Context, table, row string) (hstore.Row, bool, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			ctx, cancel := httperr.ContextFromRequest(r)
+			defer cancel()
+			row, found, err := get(ctx, r.URL.Query().Get("table"), r.URL.Query().Get("row"))
+			if err != nil {
+				writeHTTPErr(w, err)
+				return
+			}
+			writeJSONBody(w, map[string]interface{}{"found": found, "row": rowToWire(row)})
 		}
-		writeJSONBody(w, map[string]interface{}{"found": found, "row": rowToWire(row)})
-	})
-	mux.HandleFunc("/d/fget", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		row, found, err := rs.FollowerGet(ctx, r.URL.Query().Get("table"), r.URL.Query().Get("row"))
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, map[string]interface{}{"found": found, "row": rowToWire(row)})
-	})
+	}
+	mux.HandleFunc("/d/get", getHandler(rs.Get))
+	mux.HandleFunc("/d/fget", getHandler(rs.FollowerGet))
 	mux.HandleFunc("/d/health", func(w http.ResponseWriter, r *http.Request) {
 		h, err := rs.Health()
 		if err != nil {
@@ -216,52 +210,33 @@ func RegionServerHandler(rs *RegionServer) http.Handler {
 		}
 		writeJSONBody(w, batchGetRespWire{Found: found, Rows: rowsToWire(rows)})
 	})
-	mux.HandleFunc("/d/scan", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		var req scanWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		var f hstore.Filter
-		if len(req.Filter) > 0 {
-			var err error
-			if f, err = hstore.DecodeFilter(req.Filter); err != nil {
+	scanHandler := func(scan func(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			ctx, cancel := httperr.ContextFromRequest(r)
+			defer cancel()
+			var req scanWire
+			if err := decodeBody(r, &req); err != nil {
 				writeHTTPErr(w, err)
 				return
 			}
-		}
-		rows, err := rs.Scan(ctx, req.Table, req.Region, req.Start, req.End, f, req.Limit)
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, rowsToWire(rows))
-	})
-	mux.HandleFunc("/d/fscan", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		var req scanWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		var f hstore.Filter
-		if len(req.Filter) > 0 {
-			var err error
-			if f, err = hstore.DecodeFilter(req.Filter); err != nil {
+			var f hstore.Filter
+			if len(req.Filter) > 0 {
+				var err error
+				if f, err = hstore.DecodeFilter(req.Filter); err != nil {
+					writeHTTPErr(w, err)
+					return
+				}
+			}
+			rows, err := scan(ctx, req.Table, req.Region, req.Start, req.End, f, req.Limit)
+			if err != nil {
 				writeHTTPErr(w, err)
 				return
 			}
+			writeJSONBody(w, rowsToWire(rows))
 		}
-		rows, err := rs.FollowerScan(ctx, req.Table, req.Region, req.Start, req.End, f, req.Limit)
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, rowsToWire(rows))
-	})
+	}
+	mux.HandleFunc("/d/scan", scanHandler(rs.Scan))
+	mux.HandleFunc("/d/fscan", scanHandler(rs.FollowerScan))
 	mux.HandleFunc("/d/deleterow", func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := httperr.ContextFromRequest(r)
 		defer cancel()
@@ -539,22 +514,19 @@ func (c *httpServerConn) Apply(table string, cells []hstore.Cell) error {
 }
 
 func (c *httpServerConn) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
-	var resp struct {
-		Found bool    `json:"found"`
-		Row   wireRow `json:"row"`
-	}
-	if err := c.h.call(ctx, "/d/get?table="+queryEscape(table)+"&row="+queryEscape(row), nil, &resp); err != nil {
-		return hstore.Row{}, false, err
-	}
-	return rowFromWire(resp.Row), resp.Found, nil
+	return c.get(ctx, "/d/get", table, row)
 }
 
 func (c *httpServerConn) FollowerGet(ctx context.Context, table, row string) (hstore.Row, bool, error) {
+	return c.get(ctx, "/d/fget", table, row)
+}
+
+func (c *httpServerConn) get(ctx context.Context, path, table, row string) (hstore.Row, bool, error) {
 	var resp struct {
 		Found bool    `json:"found"`
 		Row   wireRow `json:"row"`
 	}
-	if err := c.h.call(ctx, "/d/fget?table="+queryEscape(table)+"&row="+queryEscape(row), nil, &resp); err != nil {
+	if err := c.h.call(ctx, path+"?table="+queryEscape(table)+"&row="+queryEscape(row), nil, &resp); err != nil {
 		return hstore.Row{}, false, err
 	}
 	return rowFromWire(resp.Row), resp.Found, nil
@@ -575,22 +547,14 @@ func (c *httpServerConn) BatchGet(ctx context.Context, table string, rows []stri
 }
 
 func (c *httpServerConn) Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
-	req := scanWire{Table: table, Region: regionID, Start: start, End: end, Limit: limit}
-	if f != nil {
-		wire, err := hstore.EncodeFilter(f)
-		if err != nil {
-			return nil, err
-		}
-		req.Filter = wire
-	}
-	var ws []wireRow
-	if err := c.h.call(ctx, "/d/scan", req, &ws); err != nil {
-		return nil, err
-	}
-	return rowsFromWire(ws), nil
+	return c.scan(ctx, "/d/scan", table, regionID, start, end, f, limit)
 }
 
 func (c *httpServerConn) FollowerScan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
+	return c.scan(ctx, "/d/fscan", table, regionID, start, end, f, limit)
+}
+
+func (c *httpServerConn) scan(ctx context.Context, path, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
 	req := scanWire{Table: table, Region: regionID, Start: start, End: end, Limit: limit}
 	if f != nil {
 		wire, err := hstore.EncodeFilter(f)
@@ -600,7 +564,7 @@ func (c *httpServerConn) FollowerScan(ctx context.Context, table string, regionI
 		req.Filter = wire
 	}
 	var ws []wireRow
-	if err := c.h.call(ctx, "/d/fscan", req, &ws); err != nil {
+	if err := c.h.call(ctx, path, req, &ws); err != nil {
 		return nil, err
 	}
 	return rowsFromWire(ws), nil

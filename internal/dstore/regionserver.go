@@ -327,13 +327,7 @@ func (rs *RegionServer) Apply(table string, cells []hstore.Cell) error {
 
 // Get reads one row from a serving (primary) copy.
 func (rs *RegionServer) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
-	if err := rs.checkCtx(ctx); err != nil {
-		return hstore.Row{}, false, err
-	}
-	start := rs.now()
-	defer func() { rs.hGetMs.Observe(rs.sinceMs(start)) }()
-	r, ok, err := rs.hs.Get(table, row)
-	return r, ok, rs.guard(table, row, err)
+	return rs.get(ctx, table, row, true)
 }
 
 // FollowerGet reads one row from this server regardless of the serving
@@ -342,12 +336,20 @@ func (rs *RegionServer) Get(ctx context.Context, table, row string) (hstore.Row,
 // the primary's (modulo a write racing the hedge, which the primary
 // read also races).
 func (rs *RegionServer) FollowerGet(ctx context.Context, table, row string) (hstore.Row, bool, error) {
+	return rs.get(ctx, table, row, false)
+}
+
+func (rs *RegionServer) get(ctx context.Context, table, row string, requireServing bool) (hstore.Row, bool, error) {
 	if err := rs.checkCtx(ctx); err != nil {
 		return hstore.Row{}, false, err
 	}
 	start := rs.now()
 	defer func() { rs.hGetMs.Observe(rs.sinceMs(start)) }()
-	r, ok, err := rs.hs.GetAny(table, row)
+	read := rs.hs.GetAny
+	if requireServing {
+		read = rs.hs.Get
+	}
+	r, ok, err := read(table, row)
 	return r, ok, rs.guard(table, row, err)
 }
 
@@ -394,11 +396,24 @@ func (rs *RegionServer) BatchGet(ctx context.Context, table string, rows []strin
 // is fenced, the scan fails NotServing instead of silently returning a
 // subset.
 func (rs *RegionServer) Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
+	return rs.scan(ctx, table, regionID, start, end, f, limit, true)
+}
+
+// FollowerScan reads [start, end) of one hosted region regardless of
+// the serving fence — the hedged-scan path. The region ID still pins
+// the route (a moved region fails NotServing rather than returning a
+// stale subset), and synchronous replication means the fenced copy
+// holds every acked write, so the rows are as fresh as the primary's.
+func (rs *RegionServer) FollowerScan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
+	return rs.scan(ctx, table, regionID, start, end, f, limit, false)
+}
+
+func (rs *RegionServer) scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int, requireServing bool) ([]hstore.Row, error) {
 	if err := rs.checkCtx(ctx); err != nil {
 		return nil, err
 	}
 	me, ok := rs.hs.LookupRegion(table, start)
-	if !ok || me.RegionID != regionID || !me.Serving {
+	if !ok || me.RegionID != regionID || (requireServing && !me.Serving) {
 		rs.cNotServing.Inc()
 		return nil, &hstore.NotServingError{Table: table, Row: start}
 	}
@@ -410,34 +425,11 @@ func (rs *RegionServer) Scan(ctx context.Context, table string, regionID int, st
 	if me.EndKey != "" && (end == "" || end > me.EndKey) {
 		end = me.EndKey
 	}
-	rows, err := rs.hs.Scan(ctx, table, start, end, f, limit)
-	if err != nil {
-		return nil, rs.guard(table, start, err)
+	read := rs.hs.ScanAny
+	if requireServing {
+		read = rs.hs.Scan
 	}
-	return rows, nil
-}
-
-// FollowerScan reads [start, end) of one hosted region regardless of
-// the serving fence — the hedged-scan path. The region ID still pins
-// the route (a moved region fails NotServing rather than returning a
-// stale subset), and synchronous replication means the fenced copy
-// holds every acked write, so the rows are as fresh as the primary's.
-func (rs *RegionServer) FollowerScan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
-	if err := rs.checkCtx(ctx); err != nil {
-		return nil, err
-	}
-	me, ok := rs.hs.LookupRegion(table, start)
-	if !ok || me.RegionID != regionID {
-		rs.cNotServing.Inc()
-		return nil, &hstore.NotServingError{Table: table, Row: start}
-	}
-	if start < me.StartKey {
-		start = me.StartKey
-	}
-	if me.EndKey != "" && (end == "" || end > me.EndKey) {
-		end = me.EndKey
-	}
-	rows, err := rs.hs.ScanAny(ctx, table, start, end, f, limit)
+	rows, err := read(ctx, table, start, end, f, limit)
 	if err != nil {
 		return nil, rs.guard(table, start, err)
 	}

@@ -192,6 +192,16 @@ func New(opt Options) (*Gateway, error) {
 		defer g.mu.Unlock()
 		return float64(g.inflight)
 	})
+	// Summed here, once, because every tenant's evaluator shares g.o.
+	g.o.GaugeFunc("tune_cache_size", func() float64 {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		n := 0
+		for _, ts := range g.tenants {
+			n += ts.sys.Evaluator.Len()
+		}
+		return float64(n)
+	})
 	return g, nil
 }
 

@@ -446,6 +446,10 @@ func TestQuotaRateLimit(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After")
 	}
+	// The noisy tenant's empty bucket sheds nobody else.
+	if status, _, _ := doReq(t, http.MethodGet, srv.URL+"/g/profiles", "quiet", nil); status != http.StatusOK {
+		t.Fatalf("unmetered tenant while metered is shed: status %d, want 200", status)
+	}
 	clk.advance(time.Second) // one token accrues
 	status, _, _ = doReq(t, http.MethodGet, srv.URL+"/g/profiles", "metered", nil)
 	if status != http.StatusOK {
@@ -455,6 +459,39 @@ func TestQuotaRateLimit(t *testing.T) {
 	key := `gateway_shed_total{reason="rate_limited",tenant="metered"}`
 	if got := snap.Counters[key]; got != 1 {
 		t.Errorf("%s = %d, want 1 (snapshot: %v)", key, got, snap.Counters)
+	}
+	for k := range snap.Counters {
+		if strings.HasPrefix(k, "gateway_shed_total") && strings.Contains(k, `tenant="quiet"`) {
+			t.Errorf("unmetered tenant has a shed series: %s", k)
+		}
+	}
+}
+
+// TestTuneCacheSizeSumsTenants: every tenant's evaluator reports into
+// the gateway's one registry, so tune_cache_size must be their sum, not
+// whichever tenant was built last.
+func TestTuneCacheSizeSumsTenants(t *testing.T) {
+	kv := hstore.Connect(hstore.NewServer())
+	eng := engine.New(cluster.Default16(), 7)
+	g, srv := newTestGateway(t, Options{KV: kv, Engine: eng})
+	want := 0
+	for tenant, budget := range map[string]int{"acme": 6, "globex": 12} {
+		prof := seedProfile(t, kv, tenant, eng)
+		status, raw, _ := doReq(t, http.MethodPost, srv.URL+"/g/tune", tenant,
+			TuneRequest{JobID: prof.JobID, Budget: budget})
+		if status != http.StatusOK {
+			t.Fatalf("%s tune: status %d: %s", tenant, status, raw)
+		}
+		g.mu.Lock()
+		n := g.tenants[tenant].sys.Evaluator.Len()
+		g.mu.Unlock()
+		if n == 0 {
+			t.Fatalf("%s evaluator cached nothing", tenant)
+		}
+		want += n
+	}
+	if got := g.Obs().Snapshot().Gauges["tune_cache_size"]; got != float64(want) {
+		t.Errorf("tune_cache_size = %v, want %d (sum over both tenants)", got, want)
 	}
 }
 

@@ -260,7 +260,10 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 
 // GaugeFunc registers a gauge whose value is computed at snapshot time
 // — for quantities cheaper to derive than to maintain (memstore bytes,
-// region counts). Re-registering an identity replaces the function.
+// region counts). One identity (name + labels) has one function, owned
+// by whoever owns the registry: registering it a second time panics,
+// as http.ServeMux does for a duplicate pattern, because silently
+// replacing would report only the last registrant's value.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
 	if r == nil || fn == nil {
 		return
@@ -268,6 +271,9 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
 	k := key(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, dup := r.gaugeFns[k]; dup {
+		panic("obs: GaugeFunc registered twice for " + k)
+	}
 	r.gaugeFns[k] = fn
 }
 

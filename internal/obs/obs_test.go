@@ -53,6 +53,24 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+func TestGaugeFuncDuplicateIdentityPanics(t *testing.T) {
+	r := NewRegistry()
+	one := func() float64 { return 1 }
+	r.GaugeFunc("size", one)
+	r.GaugeFunc("size", one, "tenant", "a")
+	r.GaugeFunc("size", one, "tenant", "b")
+	if got := len(r.Snapshot().Gauges); got != 3 {
+		t.Fatalf("distinct label sets registered %d gauges, want 3", got)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `size{tenant="a"}`) {
+			t.Fatalf("duplicate GaugeFunc: recovered %q, want a panic naming the identity", msg)
+		}
+	}()
+	r.GaugeFunc("size", one, "tenant", "a")
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_ms", []float64{1, 10, 100})

@@ -72,65 +72,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) of the observed
-// distribution by linear interpolation within the bucket holding the
-// q-th observation — the standard fixed-bucket estimate (what
-// histogram_quantile computes server-side). The first bucket
-// interpolates from 0; the +Inf bucket returns its lower bound (the
-// estimate is a floor there). Returns 0 when the histogram is empty.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	cum := int64(0)
-	for i, c := range h.Counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i >= len(h.Bounds) { // +Inf bucket: no upper bound to interpolate to
-			if len(h.Bounds) == 0 {
-				return 0
-			}
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.Bounds[i-1]
-		}
-		hi := h.Bounds[i]
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-float64(cum))/float64(c)
-	}
-	if len(h.Bounds) == 0 {
-		return 0
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
-// Sub returns the bucket-wise difference h - prev, for isolating the
-// observations one phase of a workload contributed to a shared
-// histogram. The receiver and prev must have identical bounds (the
-// result is h unchanged otherwise).
-func (h HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	if len(h.Bounds) != len(prev.Bounds) || len(h.Counts) != len(prev.Counts) {
-		return cloneHist(h)
-	}
-	out := cloneHist(h)
-	for i := range out.Counts {
-		out.Counts[i] -= prev.Counts[i]
-	}
-	out.Count -= prev.Count
-	out.Sum -= prev.Sum
-	return out
-}
-
 func cloneHist(h HistogramSnapshot) HistogramSnapshot {
 	return HistogramSnapshot{
 		Bounds: append([]float64(nil), h.Bounds...),

@@ -59,7 +59,9 @@ type EvaluatorOptions struct {
 	// enforced with LRU eviction.
 	MaxEntries int
 	// Obs, when non-nil, receives tune_cache_hits_total /
-	// tune_cache_misses_total counters and a tune_cache_size gauge.
+	// tune_cache_misses_total counters. Evaluators sharing a registry
+	// add into the same counters; the tune_cache_size gauge is
+	// registered once by the registry's owner, from Len.
 	Obs *obs.Registry
 }
 
@@ -98,7 +100,6 @@ func NewEvaluator(opt EvaluatorOptions) *Evaluator {
 		cHits:   opt.Obs.Counter("tune_cache_hits_total"),
 		cMisses: opt.Obs.Counter("tune_cache_misses_total"),
 	}
-	opt.Obs.GaugeFunc("tune_cache_size", func() float64 { return float64(e.Len()) })
 	return e
 }
 

@@ -182,6 +182,7 @@ func Open(opt Options) (*System, error) {
 	sys.Matcher.Obs = obs.NewRegistry()
 	sys.Obs = obs.NewRegistry()
 	sys.Evaluator = whatif.NewEvaluator(whatif.EvaluatorOptions{Obs: sys.Obs})
+	sys.Obs.GaugeFunc("tune_cache_size", func() float64 { return float64(sys.Evaluator.Len()) })
 	return &System{core: sys, engine: eng, store: store, server: server, cluster: dcluster, dclient: dclient, dataDir: opt.DataDir}, nil
 }
 
