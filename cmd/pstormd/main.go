@@ -86,7 +86,7 @@ func main() {
 	flag.StringVar(&cfg.id, "id", "", "region server identity (unique per cluster)")
 	flag.StringVar(&cfg.masterURL, "master", "", "master base URL(s), comma-separated for HA failover (region and gateway roles)")
 	flag.StringVar(&cfg.peers, "peers", "", "master: full electorate as id=url pairs, comma-separated (e.g. m-0=http://a:9700,m-1=http://b:9700); self included")
-	flag.BoolVar(&cfg.standby, "standby", false, "master: start as a standby tailing the leader's META journal")
+	flag.BoolVar(&cfg.standby, "standby", false, "master: start as a standby following the leader's latest META image")
 	flag.StringVar(&cfg.journalDir, "journal", "", "master: directory for the durable META journal (empty = memory only)")
 	flag.DurationVar(&cfg.lease, "lease", 0, "master: leader lease standbys wait out before promoting (default 2×hb-timeout)")
 	flag.Int64Var(&cfg.seed, "seed", 0, "master: seed for the deterministic election tie-break")
@@ -298,7 +298,7 @@ func parseMasterPeers(s string) ([]dstore.Peer, error) {
 }
 
 // runDemo stands up a full HA cluster over loopback TCP — three
-// masters (one leader, two standbys tailing its META journal) plus
+// masters (one leader, two standbys holding its latest META image) plus
 // three region servers, all speaking the HTTP wire protocol — creates
 // the profile table through a routing client, writes and reads rows,
 // then kills a primary mid-stream, lets the master fail over, joins a
@@ -454,7 +454,7 @@ func runDemo(hbTimeout, hbEvery time.Duration, repl int, hold bool) error {
 
 	// Control-plane failover: kill the leader master and keep using the
 	// cluster. The standbys notice the lease lapse, one promotes with a
-	// higher fencing epoch from its journal-tailed META shadow, the
+	// higher fencing epoch from the META image it holds, the
 	// region servers' heartbeats re-home through the master list, and
 	// the client follows the not-leader redirects with no config change.
 	var leader *dstore.Master
@@ -513,7 +513,7 @@ func runDemo(hbTimeout, hbEvery time.Duration, repl int, hold bool) error {
 	for _, k := range []string{
 		"dstore_master_server_deaths_total", "dstore_master_failovers_total",
 		"dstore_master_rereplications_total", "dstore_master_elections_total",
-		"dstore_master_stepdowns_total", "dstore_master_journal_appends_total",
+		"dstore_master_stepdowns_total", "dstore_master_journal_pushes_total",
 		"dstore_master_journal_tails_total", "dstore_rs_stale_master_total",
 		"dstore_client_retries_total", "dstore_client_meta_refresh_total",
 	} {

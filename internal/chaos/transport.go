@@ -217,21 +217,21 @@ func (c *faultPeer) Ping(from string) (dstore.PeerStatus, error) {
 	return c.inner.Ping(from)
 }
 
-func (c *faultPeer) JournalTail(gen, off int64) (dstore.JournalTail, error) {
+func (c *faultPeer) PullImage(masterEpoch, epoch int64) (dstore.MetaImage, error) {
 	if err := c.gate("journal"); err != nil {
-		return dstore.JournalTail{}, err
+		return dstore.MetaImage{}, err
 	}
-	return c.inner.JournalTail(gen, off)
+	return c.inner.PullImage(masterEpoch, epoch)
 }
 
-func (c *faultPeer) JournalPush(from string, t dstore.JournalTail) (dstore.JournalPushAck, error) {
+func (c *faultPeer) PushImage(from string, img dstore.MetaImage) error {
 	if err := c.gate("journal_push"); err != nil {
-		return dstore.JournalPushAck{}, err
+		return err
 	}
 	if c.e.isPartitioned(from) {
 		// The pushing leader is on the wrong side of the partition: its
-		// frames never arrive.
-		return dstore.JournalPushAck{}, fmt.Errorf("chaos: master %s partitioned: %w", from, dstore.ErrInjected)
+		// image never arrives.
+		return fmt.Errorf("chaos: master %s partitioned: %w", from, dstore.ErrInjected)
 	}
-	return c.inner.JournalPush(from, t)
+	return c.inner.PushImage(from, img)
 }

@@ -138,7 +138,7 @@ func (r *Registry) resolve(p Peer) (ServerConn, error) {
 }
 
 // unresolvedConn stands in for a server whose connection could not be
-// re-resolved when a master adopted journaled or tailed META (the
+// re-resolved when a master adopted a journaled or peer META image (the
 // server may simply not have rejoined yet). Every call fails like a
 // down network path — retryable — and the entry heals in place when
 // the server rejoins with a resolvable peer.

@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
+	"sync"
 	"time"
+
+	"pstorm/internal/hstore"
 )
 
 // Lease-based master election. Every master — leader or standby — runs
 // ElectionTick on its liveness timer: leaders ping their peers to learn
 // whether a higher master epoch has superseded them, standbys ping to
-// track the leader's lease, mirror its META journal, and promote when
-// the lease lapses.
+// track the leader's lease, pull its latest catalog image, and promote
+// when the lease lapses.
 //
 // The election is deterministic under an injected clock: liveness is
 // "pinged successfully within LeaseDuration", and contention between
@@ -27,13 +30,13 @@ import (
 // epoch: the first fencing sweep settles which one the region servers
 // obey, and the loser steps down on its first rejected RPC or ping.
 //
-// META durability across failover is two-layered. Synchronously, every
-// journal append the leader makes is pushed to each standby seen alive
-// within a lease before the mutation acks (pushJournalLocked), so the
-// common leader-crash case loses nothing: the mirror already holds the
-// acked frame. Asynchronously, standbys pull-tail once per tick as a
-// catch-up and repair path. The push is availability-first, not a
-// quorum write: if every standby is unreachable the leader still acks,
+// META replication is latest-image-wins, not log shipping: every
+// journal record is a full catalog image, so a peer only ever needs the
+// newest, and images are totally ordered (metaVersion). The leader
+// pushes each new image to every standby seen alive within a lease
+// before the mutation acks (pushImageLocked); standbys also pull once
+// per tick as catch-up and repair. The push is availability-first, not
+// a quorum write: with every standby unreachable the leader still acks,
 // and mutations acked in that state live only in the leader's own
 // durable journal until it (or its disk) comes back — the residual,
 // deliberate loss window of this design.
@@ -55,31 +58,71 @@ type PeerStatus struct {
 	LeaderAddr  string `json:"leader_addr,omitempty"`
 }
 
-// MasterPeerConn is how one master reaches another: lease pings,
-// journal tailing (standby pull), and journal pushing (leader's
-// synchronous replication of appended frames). Like ServerConn it is
-// transport-agnostic — direct in-process calls for tests and local
-// clusters, HTTP for pstormd.
+// MasterPeerConn is how one master reaches another: lease pings, a
+// pull that returns the peer's image only if newer than the version
+// the caller holds, and a push of one image. Like ServerConn it is
+// transport-agnostic — a *Master is its own in-process conn, HTTP for
+// pstormd.
 type MasterPeerConn interface {
 	Ping(from string) (PeerStatus, error)
-	JournalTail(gen, off int64) (JournalTail, error)
-	JournalPush(from string, t JournalTail) (JournalPushAck, error)
-}
-
-// directPeer adapts an in-process *Master to MasterPeerConn.
-type directPeer struct{ m *Master }
-
-func (c *directPeer) Ping(from string) (PeerStatus, error) { return c.m.Ping(from) }
-func (c *directPeer) JournalTail(gen, off int64) (JournalTail, error) {
-	return c.m.JournalTailSince(gen, off)
-}
-func (c *directPeer) JournalPush(from string, t JournalTail) (JournalPushAck, error) {
-	return c.m.AcceptJournalPush(from, t)
+	PullImage(masterEpoch, epoch int64) (MetaImage, error)
+	PushImage(from string, img MetaImage) error
 }
 
 // ConnectMasterPeer returns a MasterPeerConn bound to an in-process
 // master — the default peer transport of local clusters.
-func ConnectMasterPeer(m *Master) MasterPeerConn { return &directPeer{m: m} }
+func ConnectMasterPeer(m *Master) MasterPeerConn { return m }
+
+// MetaImage is what masters exchange: one framed journal record (the
+// file's codec, checksum included) carrying a full catalog image. An
+// empty Frame answers a pull whose caller already holds the newest.
+type MetaImage struct {
+	Frame []byte `json:"frame,omitempty"`
+}
+
+// metaVersion orders catalog images, master epoch first. The order is
+// total and safe to take the maximum of: distinct masters mint distinct
+// master epochs (mintEpochLocked), every journaled mutation of one
+// reign bumps the META epoch, and region servers obey the greater
+// master epoch whatever META epoch an older reign reached (DESIGN.md §
+// Control-plane HA).
+type metaVersion struct{ masterEpoch, epoch int64 }
+
+func (v metaVersion) newerThan(o metaVersion) bool {
+	return v.masterEpoch > o.masterEpoch || (v.masterEpoch == o.masterEpoch && v.epoch > o.epoch)
+}
+
+// version is the image's place in the order (zero for no image).
+func (st *metaState) version() metaVersion {
+	if st == nil {
+		return metaVersion{}
+	}
+	return metaVersion{st.MasterEpoch, st.Epoch}
+}
+
+// heldImage is the newest catalog image this master has journaled,
+// written as leader or accepted from a peer; immutable once held. Its
+// lock is a leaf (only the journal's nests inside), so the push-receive
+// path never waits on the catalog lock. leading tracks role ==
+// roleLeader: a leader's own history is authoritative and it refuses
+// peer images — two partitioned leaders never overwrite each other.
+type heldImage struct {
+	mu      sync.Mutex
+	leading bool
+	state   *metaState
+}
+
+func (h *heldImage) get() *metaState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.state
+}
+
+func (h *heldImage) setLeading(on bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.leading = on
+}
 
 // Ping answers a peer's lease probe with this master's view. The probe
 // itself is evidence of the pinger's liveness, so it refreshes the
@@ -113,7 +156,6 @@ func (m *Master) statusLocked() PeerStatus {
 type HAStatus struct {
 	PeerStatus
 	JournalBytes int64 `json:"journal_bytes"`
-	JournalGen   int64 `json:"journal_gen"`
 }
 
 // HAStatus reports this master's election and journal state.
@@ -121,21 +163,83 @@ func (m *Master) HAStatus() (HAStatus, error) {
 	if m.stopped.Load() {
 		return HAStatus{}, errStopped
 	}
-	gen, off := m.journal.pos()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return HAStatus{PeerStatus: m.statusLocked(), JournalBytes: off, JournalGen: gen}, nil
+	return HAStatus{PeerStatus: m.statusLocked(), JournalBytes: m.journal.size()}, nil
 }
 
-// JournalTailSince serves the META journal from (gen, off) — the
-// /m/journal endpoint standbys poll. Standbys serve their mirrored
-// copy too, so a rebuilt standby can seed from any live master.
-func (m *Master) JournalTailSince(gen, off int64) (JournalTail, error) {
+// PullImage serves the held image if it is newer than the version the
+// caller holds — the /m/image endpoint standbys poll once a tick.
+func (m *Master) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
 	if m.stopped.Load() {
-		return JournalTail{}, errStopped
+		return MetaImage{}, errStopped
 	}
 	m.cJournalTails.Inc()
-	return m.journal.tail(gen, off), nil
+	st := m.held.get()
+	if !st.version().newerThan(metaVersion{masterEpoch, epoch}) {
+		return MetaImage{}, nil
+	}
+	framed, err := frameRecord(journalRecord{Kind: "image", State: *st})
+	return MetaImage{Frame: framed}, err
+}
+
+// PushImage receives a leader's synchronous replication (the
+// /m/image/push handler) and, on a standby, the answer to its own pull.
+// It deliberately touches only leaf locks — never the catalog lock — so
+// a push can never stall behind (or deadlock against) a local catalog
+// operation, even with two partitioned leaders pushing at each other.
+// The shadow catalog catches up on the next election tick, and
+// promotion adopts the held image first, so nothing pushed is lost even
+// when no tick intervened before the leader's death. A frame that fails
+// its checksum or is not exactly one record is rejected and changes
+// nothing.
+func (m *Master) PushImage(from string, img MetaImage) error {
+	if m.stopped.Load() {
+		return errStopped
+	}
+	rec, n, err := decodeFrame(img.Frame)
+	if err == nil && n != len(img.Frame) {
+		err = &hstore.CorruptionError{Detail: fmt.Sprintf("META image has %d trailing bytes", len(img.Frame)-n)}
+	}
+	if err != nil {
+		m.o.Emit("image_rejected", map[string]string{"from": from, "error": err.Error()})
+		return err
+	}
+	return m.keepImage(rec, img.Frame, true)
+}
+
+// keepImage appends one image to this master's own journal and makes it
+// the held one — leader mutations and accepted peer images alike. A
+// peer image is refused while leading and dropped unless strictly newer
+// than the held one, so the held version never decreases; the lock
+// spans the append, so the file keeps that order and a restart recovers
+// the newest image acknowledged. A failed append is reported but the
+// image is still held: it is the freshest catalog this process knows.
+func (m *Master) keepImage(rec journalRecord, framed []byte, fromPeer bool) error {
+	h := &m.held
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if fromPeer {
+		if h.leading {
+			return fmt.Errorf("dstore: image push refused: %s is leading", m.id)
+		}
+		if !rec.State.version().newerThan(h.state.version()) {
+			return nil
+		}
+	}
+	if m.opts.JournalDir != "" {
+		checkpointed, err := m.journal.append(rec, framed)
+		if err != nil {
+			m.o.Emit("journal_error", map[string]string{"kind": rec.Kind, "error": err.Error()})
+		} else {
+			m.cJournalAppends.Inc()
+			if checkpointed {
+				m.cJournalCheckpoints.Inc()
+			}
+		}
+	}
+	h.state = &rec.State
+	return nil
 }
 
 // rankOf is a master's seeded election rank; the lowest-ranked live
@@ -188,7 +292,7 @@ func (m *Master) peerConnLocked(id string) (MasterPeerConn, error) {
 }
 
 // ElectionTick advances the lease state machine one step at the given
-// instant: ping peers, mirror the leader's journal when standby, step
+// instant: ping peers, pull the leader's image when standby, step
 // down if superseded, promote if the lease has lapsed and no
 // better-ranked standby is alive. pstormd and background local clusters
 // call it on the liveness timer; deterministic tests drive it directly
@@ -234,7 +338,7 @@ func (m *Master) ElectionTick(now time.Time) {
 	}
 
 	// Fold the ping results into the lease table and the leader hint.
-	var tailFrom MasterPeerConn
+	var pullFrom MasterPeerConn
 	m.mu.Lock()
 	supersededBy := int64(0)
 	okPings := 0
@@ -256,15 +360,20 @@ func (m *Master) ElectionTick(now time.Time) {
 				m.leaderAddr = m.peerAddr(v.st.ID)
 			}
 		}
+		if v.id == m.leaderID && v.st.Role != roleLeader {
+			// The believed leader says it is not (restarted as a standby,
+			// or deposed): its pings must not keep a leader's lease fresh.
+			m.leaderID, m.leaderAddr = "", ""
+		}
 	}
 	if m.role == roleLeader && supersededBy > 0 {
 		m.stepDownLocked("superseded by epoch " + strconv.FormatInt(supersededBy, 10))
 	}
-	tailID := ""
+	pullID := ""
 	if m.role == roleStandby && m.leaderID != "" && m.leaderID != m.id {
 		for i, id := range ids {
 			if id == m.leaderID && views[i].err == nil {
-				tailFrom, tailID = conns[i], id
+				pullFrom, pullID = conns[i], id
 				break
 			}
 		}
@@ -278,38 +387,33 @@ func (m *Master) ElectionTick(now time.Time) {
 	// leader never takes this path: stepdown clears fastElect so the
 	// tick that deposed it cannot also re-promote it.
 	fullView := m.fastElect && okPings == len(m.electorate)-1
-	gen, off := m.journal.pos()
 	m.mu.Unlock()
 
-	// Standby: mirror the leader's journal and adopt its catalog as the
-	// shadow view — outside the lock, it is an RPC.
-	if tailFrom != nil {
-		if t, err := tailFrom.JournalTail(gen, off); err == nil {
-			m.adoptJournal(tailID, t, now)
+	// Standby: pull the leader's image if it is newer than the one held
+	// — outside the lock, it is an RPC.
+	if pullFrom != nil {
+		have := m.held.get().version()
+		if img, err := pullFrom.PullImage(have.masterEpoch, have.epoch); err == nil && len(img.Frame) > 0 {
+			m.PushImage(pullID, img) //nolint:errcheck — a rejected image is emitted there; the next tick pulls again
 		}
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.role == roleStandby && (fullView || !now.Before(m.electionGrace)) && !m.blockedLocked(now) {
+	if m.role != roleStandby {
+		return
+	}
+	m.adoptHeldLocked(now)
+	if (fullView || !now.Before(m.electionGrace)) && !m.blockedLocked(now) {
 		m.promoteLocked(now)
 	}
 }
 
-// adoptJournal mirrors frames tailed from the named leader and replays
-// the buffer into the standby's shadow catalog.
-func (m *Master) adoptJournal(source string, t JournalTail, now time.Time) {
-	m.journal.adopt(source, t)
-	st, _, _, _ := replayMetaJournal(m.journal.tail(0, 0).Frames)
-	if st == nil {
-		return
+// adoptHeldLocked brings the catalog up to the held image when newer.
+func (m *Master) adoptHeldLocked(now time.Time) {
+	if st := m.held.get(); st.version().newerThan(metaVersion{m.catalogTerm, m.epoch}) {
+		m.adoptStateLocked(*st, now)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.role != roleStandby {
-		return // promoted between the RPC and here; our catalog is authoritative now
-	}
-	m.adoptStateLocked(*st, now)
 }
 
 // blockedLocked reports whether a standby must defer promotion: the
@@ -333,16 +437,14 @@ func (m *Master) blockedLocked(now time.Time) bool {
 	return false
 }
 
-// mintEpochLocked constructs this master's next fencing epoch:
-// term*n + index over the lexically sorted electorate. Distinct masters
-// occupy distinct residues mod n, so no two masters can ever mint the
-// same epoch — the "never two leaders at the same epoch" invariant is
-// arithmetic, not protocol.
-func (m *Master) mintEpochLocked() int64 {
+// mintEpochLocked starts this master's next reign at a fresh fencing
+// epoch, above every epoch seen: term*n + index over the lexically
+// sorted electorate (never empty — it includes this master). Distinct
+// masters occupy distinct residues mod n, so no two masters can ever
+// mint the same epoch — the "never two leaders at the same epoch"
+// invariant is arithmetic, not protocol.
+func (m *Master) mintEpochLocked() {
 	n := int64(len(m.electorate))
-	if n == 0 {
-		return m.maxSeenMasterEpoch + 1
-	}
 	idx := int64(0)
 	for i, id := range m.electorate {
 		if id == m.id {
@@ -356,7 +458,7 @@ func (m *Master) mintEpochLocked() int64 {
 		term++
 		e = term*n + idx
 	}
-	return e
+	m.masterEpoch, m.catalogTerm, m.maxSeenMasterEpoch = e, e, e
 }
 
 // promoteLocked turns this standby into the leader: mint a fencing
@@ -365,20 +467,13 @@ func (m *Master) mintEpochLocked() int64 {
 // chain and serving fence at the new epoch so every region server's
 // epoch floor rises past any deposed leader.
 func (m *Master) promoteLocked(now time.Time) {
-	// Pushed frames land in the journal mirror without touching the
-	// catalog (the push path stays off the catalog lock), so between the
-	// last election tick and now the mirror may be ahead of the shadow
-	// catalog. Replay it first and adopt anything fresher — then seal
-	// the journal against further pushes: from here this history is
-	// authoritative.
-	if st, _, _, _ := replayMetaJournal(m.journal.tail(0, 0).Frames); st != nil && st.Epoch > m.epoch {
-		m.adoptStateLocked(*st, now)
-	}
-	m.journal.setMirroring(false)
-	m.masterEpoch = m.mintEpochLocked()
-	if m.masterEpoch > m.maxSeenMasterEpoch {
-		m.maxSeenMasterEpoch = m.masterEpoch
-	}
+	// Pushed images land in the held slot without touching the catalog,
+	// so the slot may be ahead of the shadow catalog. Seal it against
+	// peer images — from here this history is authoritative — then
+	// adopt anything fresher.
+	m.held.setLeading(true)
+	m.adoptHeldLocked(now)
+	m.mintEpochLocked()
 	m.role = roleLeader
 	m.fastElect = false
 	m.leaderID, m.leaderAddr = m.id, m.peerAddr(m.id)
@@ -414,12 +509,9 @@ func (m *Master) stepDownLocked(reason string) {
 	}
 	m.role = roleStandby
 	m.fastElect = false
-	// The journal buffer written while leading is this master's own
-	// lineage — offsets into it mean nothing to the new leader. Restart
-	// the mirror from scratch (the catalog keeps serving as a shadow
-	// view) and reopen it to pushes and tails.
-	m.journal.resetMirror()
-	m.journal.setMirroring(true)
+	// The catalog keeps serving as a shadow view until a later reign's
+	// image, which outranks everything written here, arrives.
+	m.held.setLeading(false)
 	m.leaderID, m.leaderAddr = "", ""
 	m.electionGrace = m.now().Add(m.leaseDuration())
 	m.cStepdowns.Inc()

@@ -11,8 +11,8 @@ import (
 )
 
 // gatedPeers is a test-controlled master-to-master transport fault: a
-// blocked master can neither ping nor be pinged nor serve journal
-// tails, which is exactly what a network partition looks like to the
+// blocked master can neither ping nor be pinged nor serve image
+// pulls, which is exactly what a network partition looks like to the
 // electorate.
 type gatedPeers struct {
 	mu      sync.Mutex
@@ -40,18 +40,18 @@ func (c *gatedPeerConn) Ping(from string) (PeerStatus, error) {
 	return c.inner.Ping(from)
 }
 
-func (c *gatedPeerConn) JournalTail(gen, off int64) (JournalTail, error) {
+func (c *gatedPeerConn) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
 	if c.g.cut(c.id) {
-		return JournalTail{}, fmt.Errorf("test: master link cut: %w", errTransport)
+		return MetaImage{}, fmt.Errorf("test: master link cut: %w", errTransport)
 	}
-	return c.inner.JournalTail(gen, off)
+	return c.inner.PullImage(masterEpoch, epoch)
 }
 
-func (c *gatedPeerConn) JournalPush(from string, t JournalTail) (JournalPushAck, error) {
+func (c *gatedPeerConn) PushImage(from string, img MetaImage) error {
 	if c.g.cut(c.id) || c.g.cut(from) {
-		return JournalPushAck{}, fmt.Errorf("test: master link cut: %w", errTransport)
+		return fmt.Errorf("test: master link cut: %w", errTransport)
 	}
-	return c.inner.JournalPush(from, t)
+	return c.inner.PushImage(from, img)
 }
 
 // startHACluster builds a deterministic 3-master cluster: no

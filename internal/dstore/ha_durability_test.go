@@ -1,8 +1,12 @@
 package dstore
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -295,8 +299,8 @@ func TestJournalCompactionFallbackOnRenameFailure(t *testing.T) {
 		}
 		move(i)
 	}
-	if m.journal.gen != 0 {
-		t.Fatalf("journal gen = %d under failing renames, want 0 (no compaction committed)", m.journal.gen)
+	if n := m.cJournalCheckpoints.Value(); n != 0 {
+		t.Fatalf("journal checkpoints = %d under failing renames, want 0 (no compaction committed)", n)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, metaJournalFile))
 	if err != nil {
@@ -313,8 +317,8 @@ func TestJournalCompactionFallbackOnRenameFailure(t *testing.T) {
 	// Heal the filesystem: the very next append retries the rewrite.
 	fsys.fail.Store(false)
 	move(i)
-	if m.journal.gen != 1 {
-		t.Fatalf("journal gen = %d after heal, want 1 (compaction retried)", m.journal.gen)
+	if n := m.cJournalCheckpoints.Value(); n != 1 {
+		t.Fatalf("journal checkpoints = %d after heal, want 1 (compaction retried)", n)
 	}
 	raw, err = os.ReadFile(filepath.Join(dir, metaJournalFile))
 	if err != nil {
@@ -378,6 +382,272 @@ func TestJournalAppendsFsync(t *testing.T) {
 		}
 		if after := fsys.syncs.Load(); after <= before {
 			t.Fatalf("mutation %d acked without a journal fsync (syncs %d -> %d)", i, before, after)
+		}
+	}
+}
+
+// stubSyncFS replaces the fsync of every append handle it opens with
+// sync — a leader whose disk has gone bad, or a model that restarts
+// processes, not machines — leaving every other operation real.
+type stubSyncFS struct {
+	hstore.FS
+	sync func() error
+}
+
+func (f stubSyncFS) OpenAppend(path string) (hstore.AppendFile, error) {
+	af, err := f.FS.OpenAppend(path)
+	return stubSyncFile{af, f.sync}, err
+}
+
+type stubSyncFile struct {
+	hstore.AppendFile
+	sync func() error
+}
+
+func (f stubSyncFile) Sync() error { return f.sync() }
+
+// TestLeaderDiskFailureStillReplicates: a leader that cannot write its
+// own journal must still push the mutation to its standbys before it
+// acks — otherwise one failed fsync leaves an acked change in nothing
+// but the leader's RAM, and the leader's death loses it.
+func TestLeaderDiskFailureStillReplicates(t *testing.T) {
+	clock := newTestClock()
+	reg := NewRegistry()
+	NewRegionServer("rs-0", reg)
+	var diskFailed atomic.Bool
+	fsys := stubSyncFS{hstore.OSFS, func() error {
+		if diskFailed.Load() {
+			return errors.New("test: injected fsync failure")
+		}
+		return nil
+	}}
+	masters := map[string]*Master{}
+	open := func(id string, opts MasterOptions) *Master {
+		opts.ID, opts.Peers = id, []Peer{{ID: "m-0"}, {ID: "m-1"}}
+		opts.Replication, opts.Now = 1, clock.now
+		opts.PeerResolver = func(p Peer) (MasterPeerConn, error) { return ConnectMasterPeer(masters[p.ID]), nil }
+		m, err := OpenMaster(reg, opts)
+		if err != nil {
+			t.Fatalf("OpenMaster(%s): %v", id, err)
+		}
+		t.Cleanup(m.Close)
+		masters[id] = m
+		return m
+	}
+	m0 := open("m-0", MasterOptions{JournalDir: t.TempDir(), FS: fsys})
+	m1 := open("m-1", MasterOptions{Standby: true})
+	if err := m0.Join(Peer{ID: "rs-0"}); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	m0.ElectionTick(clock.t)
+	m1.ElectionTick(clock.t)
+
+	diskFailed.Store(true)
+	pushes := m0.cJournalPushes.Value()
+	if err := m0.CreateTable("late"); err != nil {
+		t.Fatalf("CreateTable with a failing journal disk: %v", err)
+	}
+	journalErrors := 0
+	for _, e := range m0.Obs().EventLog().Since(0, 0) {
+		if e.Type == "journal_error" {
+			journalErrors++
+		}
+	}
+	if journalErrors != 1 {
+		t.Fatalf("journal_error events = %d, want 1 (the failed fsync must be reported)", journalErrors)
+	}
+	if m0.cJournalPushes.Value() == pushes {
+		t.Fatal("the failed local append also withheld the mutation from the standby")
+	}
+
+	m0.Stop()
+	clock.advance(5 * time.Second)
+	m1.ElectionTick(clock.t)
+	if !m1.IsLeader() {
+		t.Fatal("standby did not promote after the leader died")
+	}
+	if len(m1.Meta().Tables["late"]) == 0 {
+		t.Fatalf("acked table lost with the leader; promoted standby holds %v", m1.Meta().Tables)
+	}
+}
+
+// livePeer reaches whichever incarnation of a master currently holds
+// the ID, so peers' cached conns survive its restarts.
+type livePeer struct {
+	id   string
+	live map[string]*Master
+}
+
+func (c livePeer) Ping(from string) (PeerStatus, error) { return c.live[c.id].Ping(from) }
+func (c livePeer) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
+	return c.live[c.id].PullImage(masterEpoch, epoch)
+}
+func (c livePeer) PushImage(from string, img MetaImage) error {
+	return c.live[c.id].PushImage(from, img)
+}
+
+// lossyPeerConn drops a third of all pushes, on top of whatever
+// partitions the gate beneath it imposes.
+type lossyPeerConn struct {
+	MasterPeerConn
+	rng *rand.Rand
+}
+
+func (c lossyPeerConn) PushImage(from string, img MetaImage) error {
+	if c.rng.Intn(3) == 0 {
+		return fmt.Errorf("test: push dropped: %w", errTransport)
+	}
+	return c.MasterPeerConn.PushImage(from, img)
+}
+
+// TestImageReplicationModel is the model check of latest-image-wins
+// replication: over many seeded interleavings of leader mutations,
+// dropped pushes, partitions (two masters believing they lead),
+// process restarts from each master's own journal dir, clock jumps and
+// election ticks, three invariants hold after every step — the version
+// a master holds never decreases, restarts included; a standby that
+// just pulled from its leader holds at least the leader's version, and
+// at the same version the same catalog byte for byte; a restarted
+// master recovers at least the version it last acknowledged — and once
+// the network heals exactly one master leads and every other has caught
+// up with it.
+func TestImageReplicationModel(t *testing.T) {
+	base := t.TempDir()
+	for seed := int64(1); seed <= 200; seed++ {
+		runImageReplicationModel(t, seed, filepath.Join(base, fmt.Sprint(seed)))
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+func runImageReplicationModel(t *testing.T, seed int64, dir string) {
+	rng := rand.New(rand.NewSource(seed))
+	clock := newTestClock()
+	reg := NewRegistry()
+	gate := &gatedPeers{blocked: make(map[string]bool)}
+	ids := []string{"m-0", "m-1", "m-2"}
+	peers := []Peer{{ID: "m-0"}, {ID: "m-1"}, {ID: "m-2"}}
+	live := map[string]*Master{}
+	open := func(id string, standby bool) *Master {
+		m, err := OpenMaster(reg, MasterOptions{
+			ID: id, Peers: peers, Standby: standby, Replication: 1, Seed: seed,
+			HeartbeatTimeout: 2 * time.Second, LeaseDuration: 4 * time.Second, Now: clock.now,
+			JournalDir: filepath.Join(dir, id), FS: stubSyncFS{hstore.OSFS, func() error { return nil }},
+			PeerResolver: func(p Peer) (MasterPeerConn, error) {
+				return lossyPeerConn{gate.wrap(p.ID, livePeer{p.ID, live}), rng}, nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("seed %d: OpenMaster(%s): %v", seed, id, err)
+		}
+		t.Cleanup(m.Close)
+		live[id] = m
+		return m
+	}
+	held := func(m *Master) metaVersion { return m.held.get().version() }
+	image := func(m *Master) []byte {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		b, err := json.Marshal(m.snapshotStateLocked())
+		if err != nil {
+			t.Fatalf("seed %d: marshal catalog: %v", seed, err)
+		}
+		return b
+	}
+
+	// caughtUp is what one successful pull guarantees: the standby holds
+	// at least the leader's version, and at the same version the same
+	// catalog, byte for byte.
+	caughtUp := func(step int, standby, leader *Master) {
+		if held(leader).newerThan(held(standby)) {
+			t.Fatalf("seed %d step %d: %s pulled from leader %s yet holds %+v < %+v",
+				seed, step, standby.id, leader.id, held(standby), held(leader))
+		}
+		if held(leader) == held(standby) && !bytes.Equal(image(standby), image(leader)) {
+			t.Fatalf("seed %d step %d: %s and leader %s differ at version %+v:\n standby: %s\n leader:  %s",
+				seed, step, standby.id, leader.id, held(standby), image(standby), image(leader))
+		}
+	}
+
+	for i, id := range ids {
+		open(id, i > 0)
+	}
+	for _, id := range []string{"rs-0", "rs-1"} {
+		NewRegionServer(id, reg)
+		if err := live["m-0"].Join(Peer{ID: id}); err != nil {
+			t.Fatalf("seed %d: Join(%s): %v", seed, id, err)
+		}
+	}
+
+	last := map[string]metaVersion{}
+	for step := 0; step < 60; step++ {
+		m := live[ids[rng.Intn(len(ids))]]
+		switch op := rng.Intn(10); {
+		case op < 3:
+			// Whoever believes it leads mutates; a fenced leader's attempt
+			// fails and deposes it, which is the point.
+			if m.IsLeader() {
+				m.CreateTable(fmt.Sprintf("t%d", step)) //nolint:errcheck
+			}
+		case op < 7:
+			m.ElectionTick(clock.t)
+			m.mu.Lock()
+			role, leaderID := m.role, m.leaderID
+			m.mu.Unlock()
+			l := live[leaderID]
+			if role != roleStandby || l == nil || l == m || !l.IsLeader() || gate.cut(m.id) || gate.cut(l.id) {
+				break // no pull, or not from a leader
+			}
+			caughtUp(step, m, l)
+		case op == 7:
+			clock.advance(time.Duration(rng.Intn(3000)) * time.Millisecond)
+		case op == 8:
+			if gate.cut(m.id) {
+				gate.heal(m.id)
+			} else {
+				gate.block(m.id)
+			}
+		default:
+			acked := held(m)
+			m.Stop()
+			if got := held(open(m.id, true)); acked.newerThan(got) {
+				t.Fatalf("seed %d step %d: %s restarted at %+v, had acknowledged %+v", seed, step, m.id, got, acked)
+			}
+		}
+		for _, id := range ids {
+			if v := held(live[id]); last[id].newerThan(v) {
+				t.Fatalf("seed %d step %d: %s's held version went backwards: %+v -> %+v", seed, step, id, last[id], v)
+			} else {
+				last[id] = v
+			}
+		}
+	}
+
+	for _, id := range ids {
+		gate.heal(id)
+	}
+	for round := 0; round < 5; round++ {
+		clock.advance(5 * time.Second)
+		for _, id := range ids {
+			live[id].ElectionTick(clock.t)
+		}
+	}
+	var leader *Master
+	for _, id := range ids {
+		if live[id].IsLeader() {
+			if leader != nil {
+				t.Fatalf("seed %d: two leaders after healing: %s and %s", seed, leader.id, id)
+			}
+			leader = live[id]
+		}
+	}
+	if leader == nil {
+		t.Fatalf("seed %d: no leader after healing", seed)
+	}
+	for _, id := range ids {
+		if live[id] != leader {
+			caughtUp(-1, live[id], leader)
 		}
 	}
 }

@@ -350,8 +350,8 @@ func MasterHandler(m *Master) http.Handler {
 		}
 		writeJSONBody(w, m.Status())
 	})
-	// Master-to-master endpoints: lease pings, journal tailing and
-	// pushing, and the operator HA view.
+	// Master-to-master endpoints: lease pings, catalog-image pull and
+	// push, and the operator HA view.
 	mux.HandleFunc("/m/ping", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Ping(r.URL.Query().Get("from"))
 		if err != nil {
@@ -360,28 +360,27 @@ func MasterHandler(m *Master) http.Handler {
 		}
 		writeJSONBody(w, st)
 	})
-	mux.HandleFunc("/m/journal", func(w http.ResponseWriter, r *http.Request) {
-		gen, _ := strconv.ParseInt(r.URL.Query().Get("gen"), 10, 64)
-		off, _ := strconv.ParseInt(r.URL.Query().Get("off"), 10, 64)
-		t, err := m.JournalTailSince(gen, off)
+	mux.HandleFunc("/m/image", func(w http.ResponseWriter, r *http.Request) {
+		masterEpoch, _ := strconv.ParseInt(r.URL.Query().Get("master_epoch"), 10, 64)
+		epoch, _ := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
+		img, err := m.PullImage(masterEpoch, epoch)
 		if err != nil {
 			writeHTTPErr(w, err)
 			return
 		}
-		writeJSONBody(w, t)
+		writeJSONBody(w, img)
 	})
-	mux.HandleFunc("/m/journal/push", func(w http.ResponseWriter, r *http.Request) {
-		var t JournalTail
-		if err := decodeBody(r, &t); err != nil {
+	mux.HandleFunc("/m/image/push", func(w http.ResponseWriter, r *http.Request) {
+		var img MetaImage
+		if err := decodeBody(r, &img); err != nil {
 			writeHTTPErr(w, err)
 			return
 		}
-		ack, err := m.AcceptJournalPush(r.URL.Query().Get("from"), t)
-		if err != nil {
+		if err := m.PushImage(r.URL.Query().Get("from"), img); err != nil {
 			writeHTTPErr(w, err)
 			return
 		}
-		writeJSONBody(w, ack)
+		writeJSONBody(w, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/m/status", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.HAStatus()
@@ -639,8 +638,8 @@ func (c *httpMasterConn) CreateTable(table string) error {
 	return c.h.call(detachedCtx(), "/d/createtable?name="+queryEscape(table), nil, nil)
 }
 
-// httpPeerConn speaks master-to-master HTTP: lease pings, journal
-// tailing, and journal pushing against a peer's /m/ endpoints.
+// httpPeerConn speaks master-to-master HTTP: lease pings, image pulls,
+// and image pushes against a peer's /m/ endpoints.
 type httpPeerConn struct{ h *httpJSON }
 
 // DialMasterPeer returns a MasterPeerConn speaking HTTP to a pstormd
@@ -655,14 +654,12 @@ func (c *httpPeerConn) Ping(from string) (PeerStatus, error) {
 	return st, err
 }
 
-func (c *httpPeerConn) JournalTail(gen, off int64) (JournalTail, error) {
-	var t JournalTail
-	err := c.h.call(detachedCtx(), fmt.Sprintf("/m/journal?gen=%d&off=%d", gen, off), nil, &t)
-	return t, err
+func (c *httpPeerConn) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
+	var img MetaImage
+	err := c.h.call(detachedCtx(), fmt.Sprintf("/m/image?master_epoch=%d&epoch=%d", masterEpoch, epoch), nil, &img)
+	return img, err
 }
 
-func (c *httpPeerConn) JournalPush(from string, t JournalTail) (JournalPushAck, error) {
-	var ack JournalPushAck
-	err := c.h.call(detachedCtx(), "/m/journal/push?from="+queryEscape(from), t, &ack)
-	return ack, err
+func (c *httpPeerConn) PushImage(from string, img MetaImage) error {
+	return c.h.call(detachedCtx(), "/m/image/push?from="+queryEscape(from), img, nil)
 }

@@ -13,10 +13,11 @@ import (
 	"pstorm/internal/hstore"
 )
 
-// META journal: the master's write-ahead log of catalog mutations, so
-// a restarted master recovers epoch-consistent META instead of an
-// empty table, and standbys can tail the leader's history over the
-// /m/journal endpoint.
+// META journal: each master's own durability log of the catalog images
+// it has written (as leader) or accepted from a peer (as standby), so a
+// restarted master recovers epoch-consistent META instead of an empty
+// table. It is never shipped: masters exchange only their latest image
+// (election.go), framed by the same codec the file uses.
 //
 // Framing is the PST/WAL discipline (u32 payloadLen | u32 crc32c |
 // payload, little endian): replay verifies every frame and stops at
@@ -77,39 +78,12 @@ type journalRecord struct {
 	State metaState `json:"state"`
 }
 
-// JournalTail is one /m/journal response: raw frames from the
-// requested offset, plus the generation that offset is relative to.
-// A checkpoint compaction rewrites the journal and bumps Gen; a tailer
-// holding frames of an older generation discards them and re-tails
-// from offset 0 of the new one (the first frame after a compaction is
-// a checkpoint record, so nothing is lost). The same shape rides the
-// other direction on /m/journal/push, a leader's synchronous
-// replication of just-appended frames to its standbys.
-type JournalTail struct {
-	Gen    int64  `json:"gen"`
-	Offset int64  `json:"offset"` // offset Frames starts at (0 after a gen change)
-	Size   int64  `json:"size"`   // journal size after Frames
-	Frames []byte `json:"frames,omitempty"`
-}
-
-// JournalPushAck is a push receiver's resulting journal position — the
-// cursor the leader pushes from next. A receiver that could not apply
-// the push (non-contiguous offset) acks its unchanged position, and the
-// leader's next push resends from there, so cursors self-heal.
-type JournalPushAck struct {
-	Gen  int64 `json:"gen"`
-	Size int64 `json:"size"`
-}
-
-// metaJournal is the append-only record store. The in-memory buffer is
-// authoritative — it is what /m/journal serves and what standbys
-// mirror — and the file, when a directory is configured, is its
-// durable image. Memory growth is bounded by checkpoint compaction.
+// metaJournal is the append-only record file. It holds no copy of its
+// contents: every record is a full image, so the only one that ever
+// matters again is the last, and that is read back once, at open.
+// Without a directory it is inert — append is a no-op.
 type metaJournal struct {
-	mu      sync.Mutex
-	buf     []byte
-	gen     int64
-	appends int64
+	mu sync.Mutex
 
 	fs   hstore.FS
 	path string
@@ -119,57 +93,77 @@ type metaJournal struct {
 	// latches the journal read-only if even the rollback fails.
 	fileSize int64
 	broken   error
-
-	// mirroring marks a standby's journal: it accepts leader pushes
-	// (adoptPush) and tailed frames. A leader's journal is authoritative
-	// and rejects pushes — two partitioned leaders must never scribble
-	// on each other's history. mirrorSource is the master whose bytes
-	// the mirror currently holds: offsets are only meaningful against
-	// one source, so frames from anyone else restart the mirror instead
-	// of splicing onto a foreign byte stream.
-	mirroring    bool
-	mirrorSource string
 }
 
-// openMetaJournal opens (or creates) the journal. With dir empty the
-// journal is memory-only — the shape every in-process standby uses to
-// mirror its leader. With a dir, the existing file is replayed: the
-// clean prefix becomes the in-memory buffer, a torn or corrupt tail is
-// truncated away, and the last record's state is returned for the
-// master to adopt.
-func openMetaJournal(fsys hstore.FS, dir string) (*metaJournal, *metaState, error) {
+// openMetaJournal opens (or creates) the journal. With dir empty there
+// is no file and nothing to recover. With a dir, the existing file is
+// replayed: the last clean record's state is returned for the master to
+// adopt and everything past the clean prefix is truncated away.
+// discarded is nonzero only when replay stopped at a checksum or decode
+// failure rather than a torn tail — the bytes cut then may have held
+// valid, fresher records, and the caller must say so.
+func openMetaJournal(fsys hstore.FS, dir string) (j *metaJournal, state *metaState, discarded int64, err error) {
 	if dir == "" {
-		return &metaJournal{}, nil, nil
+		return &metaJournal{}, nil, 0, nil
 	}
 	if fsys == nil {
 		fsys = hstore.OSFS
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	path := filepath.Join(dir, metaJournalFile)
-	j := &metaJournal{fs: fsys, path: path}
+	j = &metaJournal{fs: fsys, path: path}
 	raw, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	state, _, cleanLen, _ := replayMetaJournal(raw)
+	state, _, cleanLen, corrupt := replayMetaJournal(raw)
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if int64(len(raw)) > cleanLen {
 		// Torn or corrupt tail: cut it before re-arming appends, so a
 		// valid record never lands after garbage replay would drop.
 		if err := f.Truncate(cleanLen); err != nil {
 			f.Close() //nolint:errcheck — the truncate failure is the interesting one
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 	}
 	j.f = f
 	j.fileSize = cleanLen
-	j.buf = append([]byte(nil), raw[:cleanLen]...)
-	return j, state, nil
+	if corrupt {
+		discarded = int64(len(raw)) - cleanLen
+	}
+	return j, state, discarded, nil
+}
+
+// errTornFrame reports that the bytes end inside a frame: a torn write,
+// or a corrupt length field — the two are indistinguishable.
+var errTornFrame = errors.New("dstore: torn journal frame")
+
+// decodeFrame decodes the frame at the head of raw and returns its
+// record and length. It is the one decoder for the journal file and the
+// peer wire: a checksum mismatch, or a payload that checksums but is
+// not a record, is a *hstore.CorruptionError — never silently accepted.
+func decodeFrame(raw []byte) (rec journalRecord, size int, err error) {
+	if len(raw) < journalFrameHeader {
+		return rec, 0, errTornFrame
+	}
+	n := int(binary.LittleEndian.Uint32(raw))
+	sum := binary.LittleEndian.Uint32(raw[4:])
+	if n < 0 || n > len(raw)-journalFrameHeader {
+		return rec, 0, errTornFrame
+	}
+	p := raw[journalFrameHeader : journalFrameHeader+n]
+	if got := journalCRC(p); got != sum {
+		return rec, 0, &hstore.CorruptionError{Detail: fmt.Sprintf("META frame checksum mismatch (got %#x want %#x)", got, sum)}
+	}
+	if err := json.Unmarshal(p, &rec); err != nil {
+		return rec, 0, &hstore.CorruptionError{Detail: fmt.Sprintf("META frame payload: %v", err)}
+	}
+	return rec, journalFrameHeader + n, nil
 }
 
 // replayMetaJournal decodes the journal byte stream: the state of the
@@ -179,30 +173,14 @@ func openMetaJournal(fsys hstore.FS, dir string) (*metaJournal, *metaState, erro
 func replayMetaJournal(raw []byte) (last *metaState, records int, cleanLen int64, corrupt bool) {
 	off := 0
 	for off < len(raw) {
-		if off+journalFrameHeader > len(raw) {
-			break // torn frame header
-		}
-		n := int(binary.LittleEndian.Uint32(raw[off:]))
-		sum := binary.LittleEndian.Uint32(raw[off+4:])
-		if n < 0 || off+journalFrameHeader+n > len(raw) {
-			break // torn payload (or corrupt length — indistinguishable)
-		}
-		p := raw[off+journalFrameHeader : off+journalFrameHeader+n]
-		if journalCRC(p) != sum {
-			corrupt = true
+		rec, n, err := decodeFrame(raw[off:])
+		if err != nil {
+			corrupt = !errors.Is(err, errTornFrame)
 			break
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(p, &rec); err != nil {
-			// CRC matched but the payload is not a record: structurally
-			// corrupt, keep it (and everything after) out of the prefix.
-			corrupt = true
-			break
-		}
-		st := rec.State
-		last = &st
+		last = &rec.State
 		records++
-		off += journalFrameHeader + n
+		off += n
 	}
 	return last, records, int64(off), corrupt
 }
@@ -221,20 +199,20 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 	return append(framed, payload...), nil
 }
 
-// append logs one record, compacting to a checkpoint when the journal
-// has outgrown the threshold. It returns whether a checkpoint rewrite
-// happened (for the master's checkpoint counter).
-func (j *metaJournal) append(rec journalRecord) (checkpointed bool, err error) {
-	framed, err := frameRecord(rec)
-	if err != nil {
-		return false, err
-	}
+// append logs one record — framed holds its frameRecord bytes, which
+// the caller also ships to peers — compacting to a checkpoint when the
+// journal has outgrown the threshold. It returns whether a checkpoint
+// rewrite happened (for the master's checkpoint counter).
+func (j *metaJournal) append(rec journalRecord, framed []byte) (checkpointed bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.broken != nil {
 		return false, j.broken
 	}
-	if len(j.buf) > journalCheckpointBytes {
+	if j.f == nil {
+		return false, nil
+	}
+	if j.fileSize > journalCheckpointBytes {
 		// Compact: the record being appended already carries the full
 		// catalog image, so the checkpoint IS this record, re-labeled.
 		ck, err := frameRecord(journalRecord{Kind: "checkpoint", State: rec.State})
@@ -243,9 +221,6 @@ func (j *metaJournal) append(rec journalRecord) (checkpointed bool, err error) {
 		}
 		switch err := j.replaceFileLocked(ck); {
 		case err == nil:
-			j.buf = ck
-			j.gen++
-			j.appends++
 			return true, nil
 		case j.broken != nil:
 			return false, err
@@ -255,33 +230,26 @@ func (j *metaJournal) append(rec journalRecord) (checkpointed bool, err error) {
 		// acked mutation must never be lost to a failed compaction. The
 		// rewrite retries on the next append.
 	}
-	if err := j.appendLocked(framed); err != nil {
-		return false, err
-	}
-	return false, nil
+	return false, j.appendLocked(framed)
 }
 
-// appendLocked writes one framed record to the durable file (when one
-// is configured) and the in-memory buffer, fsyncing so an acked
-// control-plane mutation survives power loss, not just a process crash.
+// appendLocked writes one framed record to the file, fsyncing so an
+// acked control-plane mutation survives power loss, not just a process
+// crash.
 func (j *metaJournal) appendLocked(framed []byte) error {
-	if j.f != nil {
-		_, err := j.f.Write(framed)
-		if err == nil {
-			err = j.f.Sync()
-		}
-		if err != nil {
-			// The append may have persisted a partial frame; roll the file
-			// back to the last good boundary or latch the journal broken.
-			if terr := j.f.Truncate(j.fileSize); terr != nil {
-				j.broken = fmt.Errorf("dstore: META journal unwritable after failed rollback: %w", terr)
-			}
-			return err
-		}
-		j.fileSize += int64(len(framed))
+	_, err := j.f.Write(framed)
+	if err == nil {
+		err = j.f.Sync()
 	}
-	j.buf = append(j.buf, framed...)
-	j.appends++
+	if err != nil {
+		// The append may have persisted a partial frame; roll the file
+		// back to the last good boundary or latch the journal broken.
+		if terr := j.f.Truncate(j.fileSize); terr != nil {
+			j.broken = fmt.Errorf("dstore: META journal unwritable after failed rollback: %w", terr)
+		}
+		return err
+	}
+	j.fileSize += int64(len(framed))
 	return nil
 }
 
@@ -292,12 +260,8 @@ func (j *metaJournal) appendLocked(framed []byte) error {
 // torn file. A failure before the rename leaves the old journal
 // untouched (compaction falls back to a plain append); a failure after
 // it latches the journal broken, since the append handle no longer
-// reaches the live file. Checkpoint compaction and a mirroring
-// standby's generation restart both go through here.
+// reaches the live file.
 func (j *metaJournal) replaceFileLocked(data []byte) error {
-	if j.f == nil {
-		return nil
-	}
 	tmp := j.path + ".tmp"
 	tf, err := j.fs.OpenAppend(tmp)
 	if err != nil {
@@ -335,154 +299,14 @@ func (j *metaJournal) replaceFileLocked(data []byte) error {
 	return nil
 }
 
-// tail returns the frames past (gen, off). A generation mismatch — the
-// journal was compacted since the tailer's last pull — or an offset
-// past the end resends everything from 0 of the current generation.
-func (j *metaJournal) tail(gen, off int64) JournalTail {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if gen != j.gen || off < 0 || off > int64(len(j.buf)) {
-		gen, off = j.gen, 0
-	}
-	out := JournalTail{Gen: j.gen, Offset: off, Size: int64(len(j.buf))}
-	if off < int64(len(j.buf)) {
-		out.Frames = append([]byte(nil), j.buf[off:]...)
-	}
-	return out
-}
-
-// size returns the current journal length in bytes.
+// size returns the journal file's length in bytes.
 func (j *metaJournal) size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return int64(len(j.buf))
+	return j.fileSize
 }
 
-// setMirroring flips whether this journal accepts mirrored frames —
-// true for standbys, false for the leader, toggled at boot, promotion,
-// and stepdown.
-func (j *metaJournal) setMirroring(on bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.mirroring = on
-}
-
-// adopt merges frames mirrored from a leader (a standby's pull-tail);
-// source names that leader. The standby keeps its buffer byte-identical
-// to the source's so its own offsets line up if it later serves tails.
-// A no-op when the journal is not mirroring: the tailing RPC races
-// promotion, and a just-promoted leader's history is authoritative.
-func (j *metaJournal) adopt(source string, t JournalTail) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.mirroring {
-		j.adoptLocked(source, t)
-	}
-}
-
-// adoptPush merges a leader-pushed tail into the mirror and reports the
-// resulting position — the ack the pusher advances (or rewinds) its
-// per-peer cursor to. ok is false when this journal is not mirroring:
-// the receiver is itself a leader, and the push is refused.
-func (j *metaJournal) adoptPush(from string, t JournalTail) (ack JournalPushAck, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.mirroring {
-		j.adoptLocked(from, t)
-	}
-	return JournalPushAck{Gen: j.gen, Size: int64(len(j.buf))}, j.mirroring
-}
-
-// adoptLocked applies mirrored frames: contiguous frames from the
-// current source append, a tail restarting at offset 0 (full image
-// after a leader compaction or cursor reset) replaces the buffer, and
-// anything non-contiguous — including any frames from a *different*
-// source, whose offsets mean nothing against this buffer — mutates
-// nothing beyond restarting the mirror; the caller's ack carries our
-// real position and the leader resends from there. The durable file,
-// when configured, is written through (best-effort) so a standby
-// restarted after a crash recovers a near-current shadow catalog:
-// every record is a full image, so an appended file of mixed lineage
-// still replays to the freshest state.
-func (j *metaJournal) adoptLocked(source string, t JournalTail) {
-	if source != j.mirrorSource {
-		// Source switch (failover, or a first adoption): this buffer is
-		// another master's byte stream. Restart the mirror; only a full
-		// image (offset 0) from the new source lands below.
-		j.buf = nil
-		j.gen = 0
-		j.mirrorSource = source
-	}
-	if t.Gen == j.gen && t.Offset == int64(len(j.buf)) {
-		if len(t.Frames) == 0 {
-			return
-		}
-		j.buf = append(j.buf, t.Frames...)
-		j.persistAppendLocked(t.Frames)
-		return
-	}
-	if t.Offset != 0 {
-		return
-	}
-	j.buf = append([]byte(nil), t.Frames...)
-	j.gen = t.Gen
-	j.persistResetLocked()
-}
-
-// persistAppendLocked appends mirrored frames to the durable file with
-// write-through sync; persistResetLocked rewrites it with the current
-// buffer. Both are best-effort — the in-memory mirror is what
-// promotion replays; the file only improves what a *restarted* standby
-// recovers — so failures roll back (or latch broken) without failing
-// the adoption.
-func (j *metaJournal) persistAppendLocked(frames []byte) {
-	if j.f == nil || j.broken != nil {
-		return
-	}
-	_, err := j.f.Write(frames)
-	if err == nil {
-		err = j.f.Sync()
-	}
-	if err != nil {
-		if terr := j.f.Truncate(j.fileSize); terr != nil {
-			j.broken = fmt.Errorf("dstore: META journal unwritable after failed rollback: %w", terr)
-		}
-		return
-	}
-	j.fileSize += int64(len(frames))
-}
-
-func (j *metaJournal) persistResetLocked() {
-	if j.f == nil || j.broken != nil || len(j.buf) == 0 {
-		return
-	}
-	j.replaceFileLocked(j.buf) //nolint:errcheck — best-effort; a pre-rename failure leaves the old (still valid) file
-}
-
-// resetMirror clears the in-memory buffer so a recovered journal can
-// mirror a live leader from scratch. A restarted standby's replayed
-// buffer is its *own* past history, not a byte-identical copy of the
-// current leader's, so tail offsets into it would misalign and splice
-// garbage. The durable file keeps the recovered records (full-image
-// frames of mixed lineage replay fine) until the first full adoption
-// rewrites it.
-func (j *metaJournal) resetMirror() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf = nil
-	j.gen = 0
-	j.mirrorSource = ""
-}
-
-// pos returns the tailing cursor (gen, size) a standby sends on its
-// next /m/journal pull.
-func (j *metaJournal) pos() (gen, off int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.gen, int64(len(j.buf))
-}
-
-// close releases the file handle (memory state is kept).
+// close releases the file handle.
 func (j *metaJournal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -190,9 +191,10 @@ func TestJournalReplayAnyPrefix(t *testing.T) {
 
 // TestJournalReplayDetectsCorruption flips one payload byte mid-journal
 // and expects replay to stop exactly there, flag corruption, and keep
-// every record before the flip.
+// every record before the flip — and a master opening that file to
+// report what it discarded.
 func TestJournalReplayDetectsCorruption(t *testing.T) {
-	_, raw, _ := journalFixture(t)
+	dir, raw, liveStates := journalFixture(t)
 	ends, _ := frameBounds(t, raw)
 	if len(ends) < 3 {
 		t.Fatalf("fixture journal too short: %d records", len(ends))
@@ -208,6 +210,37 @@ func TestJournalReplayDetectsCorruption(t *testing.T) {
 	}
 	if last == nil {
 		t.Fatal("replay after flip lost the clean prefix")
+	}
+
+	// A master reopening that file recovers the pre-flip catalog — and
+	// says that it cut valid-looking history, instead of passing the
+	// checksum failure off as a torn tail.
+	if err := os.WriteFile(filepath.Join(dir, metaJournalFile), mut, 0o644); err != nil {
+		t.Fatalf("write corrupt journal: %v", err)
+	}
+	m, err := OpenMaster(NewRegistry(), MasterOptions{JournalDir: dir})
+	if err != nil {
+		t.Fatalf("OpenMaster over corrupt journal: %v", err)
+	}
+	defer m.Close()
+	m.mu.Lock()
+	got, _ := json.Marshal(m.snapshotStateLocked())
+	m.mu.Unlock()
+	if !bytes.Equal(got, liveStates[1]) {
+		t.Fatalf("recovered catalog != last record before the flip:\n got:  %s\n want: %s", got, liveStates[1])
+	}
+	var ev map[string]string
+	for _, e := range m.Obs().EventLog().Since(0, 0) {
+		if e.Type == "journal_corrupt" {
+			ev = e.Fields
+		}
+	}
+	wantClean, wantCut := strconv.FormatInt(ends[1], 10), strconv.FormatInt(int64(len(raw))-ends[1], 10)
+	if ev["clean_bytes"] != wantClean || ev["discarded_bytes"] != wantCut {
+		t.Fatalf("journal_corrupt event = %v, want clean_bytes=%s discarded_bytes=%s", ev, wantClean, wantCut)
+	}
+	if n := m.Obs().Snapshot().Counters["dstore_master_journal_corrupt_total"]; n != 1 {
+		t.Fatalf("journal_corrupt_total = %d, want 1", n)
 	}
 }
 
@@ -317,7 +350,7 @@ func TestJournalRestartContinuity(t *testing.T) {
 
 // TestJournalCheckpointCompaction drives enough journaled mutations to
 // cross the compaction threshold: the journal must shrink to a single
-// checkpoint record, bump its generation, and still replay to the
+// checkpoint record, count the checkpoint, and still replay to the
 // current catalog.
 func TestJournalCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
@@ -338,7 +371,7 @@ func TestJournalCheckpointCompaction(t *testing.T) {
 	}
 	g := m.Meta().Tables["t"][0]
 	primary, follower := g.Primary, g.Followers[0]
-	for i := 0; m.journal.gen == 0; i++ {
+	for i := 0; m.cJournalCheckpoints.Value() == 0; i++ {
 		if i > 5000 {
 			t.Fatal("no checkpoint after 5000 moves")
 		}
@@ -370,4 +403,40 @@ func TestJournalCheckpointCompaction(t *testing.T) {
 	if snap := m.Obs().Snapshot(); snap.Counters["dstore_master_journal_checkpoints_total"] == 0 {
 		t.Fatal("checkpoint counter never incremented")
 	}
+}
+
+// FuzzReplayMetaJournal feeds arbitrary bytes to the one frame decoder
+// through both of its doors. As a journal file: replay never panics,
+// the clean prefix it reports lies inside the input, and replaying just
+// that prefix is clean and lands on the same state. As a pushed image:
+// a standby accepts the bytes only if they are exactly one clean frame,
+// and a rejected push leaves the image it holds untouched. The seed
+// corpus under testdata/fuzz (the fixture journal, a torn tail, a
+// flipped CRC, a huge length field, a checksummed non-record, an empty
+// file) runs as regression inputs in plain `go test`.
+func FuzzReplayMetaJournal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		last, records, cleanLen, _ := replayMetaJournal(raw)
+		if cleanLen < 0 || cleanLen > int64(len(raw)) {
+			t.Fatalf("cleanLen %d outside input of %d bytes", cleanLen, len(raw))
+		}
+		again, records2, cleanLen2, corrupt2 := replayMetaJournal(raw[:cleanLen])
+		if corrupt2 || cleanLen2 != cleanLen || records2 != records || !reflect.DeepEqual(again, last) {
+			t.Fatalf("clean prefix replays differently: corrupt=%v clean=%d/%d records=%d/%d", corrupt2, cleanLen2, cleanLen, records2, records)
+		}
+
+		m := NewMaster(NewRegistry(), MasterOptions{ID: "m-1", Peers: []Peer{{ID: "m-0"}, {ID: "m-1"}}, Standby: true})
+		defer m.Close()
+		err := m.PushImage("m-0", MetaImage{Frame: raw})
+		oneFrame := records == 1 && cleanLen == int64(len(raw))
+		if (err == nil) != oneFrame {
+			t.Fatalf("PushImage err = %v for input with %d clean records in %d of %d bytes", err, records, cleanLen, len(raw))
+		}
+		switch held := m.held.get(); {
+		case err != nil && held != nil:
+			t.Fatalf("rejected push changed the held image to %+v", held)
+		case held != nil && !reflect.DeepEqual(held, last):
+			t.Fatalf("held image %+v is not the pushed record %+v", held, last)
+		}
+	})
 }

@@ -41,10 +41,10 @@ type LocalOptions struct {
 	Now func() time.Time
 
 	// Masters is how many masters to run (default 1). With more than
-	// one, masters[0] boots as leader and the rest as standbys tailing
-	// its journal; the cluster's MasterConn fails over across all of
-	// them, and election is driven by ElectionTick (Background) or the
-	// test's own tick schedule.
+	// one, masters[0] boots as leader and the rest as standbys holding
+	// its latest catalog image; the cluster's MasterConn fails over
+	// across all of them, and election is driven by ElectionTick
+	// (Background) or the test's own tick schedule.
 	Masters int
 	// LeaseDuration is the leader lease standbys wait out before
 	// promoting (default 2×HeartbeatTimeout).

@@ -31,22 +31,22 @@ type MasterOptions struct {
 	// be unique per master when Peers is set.
 	ID string
 	// Peers is the full master electorate, this master included. More
-	// than one peer enables HA: lease election, journal tailing, and
-	// epoch fencing of control RPCs. Empty or single-entry keeps the
+	// than one peer enables HA: lease election, catalog-image exchange,
+	// and epoch fencing of control RPCs. Empty or single-entry keeps the
 	// legacy single-master behavior (unfenced, always leader).
 	Peers []Peer
-	// Standby starts this master as a standby that tails the leader's
-	// journal and only serves reads; it promotes itself when the
-	// leader's lease lapses. Ignored without Peers.
+	// Standby starts this master as a standby that follows the leader's
+	// latest catalog image and only serves reads; it promotes itself when
+	// the leader's lease lapses. Ignored without Peers.
 	Standby bool
 	// LeaseDuration is how long a leader may go unreachable before
 	// standbys may promote (default 2×HeartbeatTimeout).
 	LeaseDuration time.Duration
 	// Seed feeds the deterministic election tie-break ranks.
 	Seed int64
-	// JournalDir, when set, persists the META journal there so a
-	// restarted master recovers its catalog (use OpenMaster to surface
-	// open/replay errors).
+	// JournalDir, when set, persists this master's own META journal
+	// there so a restarted master recovers its catalog (use OpenMaster to
+	// surface open/replay errors).
 	JournalDir string
 	// FS is the journal's filesystem (default hstore.OSFS); fault tests
 	// inject their own.
@@ -94,8 +94,9 @@ type member struct {
 // Master owns the META catalog and region→server assignment: liveness
 // via heartbeats, follower promotion on primary death, re-replication,
 // and region moves. With MasterOptions.Peers set it is one voice in an
-// HA electorate: the leader mutates META and journals every change;
-// standbys mirror the journal and promote on lease expiry (election.go).
+// HA electorate: the leader mutates META, journals every change and
+// pushes the resulting image; standbys hold the newest image and
+// promote on lease expiry (election.go).
 type Master struct {
 	opts MasterOptions
 	reg  *Registry
@@ -106,13 +107,19 @@ type Master struct {
 	electorate []string
 
 	journal *metaJournal
+	held    heldImage
 	stopped atomic.Bool
 
-	mu           sync.Mutex
-	servers      map[string]*member
-	order        []string // join order, for deterministic placement
-	tables       map[string][]*RegionInfo
-	epoch        int64
+	mu      sync.Mutex
+	servers map[string]*member
+	order   []string // join order, for deterministic placement
+	tables  map[string][]*RegionInfo
+	epoch   int64
+	// catalogTerm is the master epoch of the reign that wrote the catalog
+	// held here: this master's own masterEpoch while it leads, the
+	// adopted image's otherwise. (catalogTerm, epoch) is the catalog's
+	// metaVersion.
+	catalogTerm  int64
 	nextRegionID int
 	// pendingSync holds regions whose primary has not yet confirmed its
 	// replication chain and serving fence (a SetFollowers/SetServing RPC
@@ -132,11 +139,6 @@ type Master struct {
 	lastSeen           map[string]time.Time // peer ID -> last successful contact
 	peerConns          map[string]MasterPeerConn
 	electionGrace      time.Time
-	// pushCursors tracks, per standby, the journal position the last
-	// acked push left it at — where the next push resends from. Reset
-	// (full resend) on a failed push; corrected from the ack when the
-	// standby reports a different position.
-	pushCursors map[string]JournalPushAck
 	// fastElect marks a cold-started standby that has never led nor been
 	// deposed this incarnation: it may promote on a tick that reached the
 	// whole electorate without waiting out the election grace (a restart
@@ -183,10 +185,12 @@ func NewMaster(reg *Registry, opts MasterOptions) *Master {
 // MasterOptions.JournalDir is set: the recovered catalog (tables,
 // servers, epochs) is adopted wholesale, server leases are restamped to
 // now (nobody is declared dead for silence during the master's own
-// outage), and a torn journal tail is truncated.
+// outage), and a torn journal tail is truncated. A journal that fails
+// a checksum mid-file still opens on its clean prefix, but says so: a
+// journal_corrupt event and dstore_master_journal_corrupt_total.
 func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 	o := obs.NewRegistry()
-	journal, recovered, err := openMetaJournal(opts.FS, opts.JournalDir)
+	journal, recovered, discarded, err := openMetaJournal(opts.FS, opts.JournalDir)
 	if err != nil {
 		return nil, fmt.Errorf("dstore: opening META journal: %w", err)
 	}
@@ -201,7 +205,6 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 		nextRegionID:        1,
 		lastSeen:            make(map[string]time.Time),
 		peerConns:           make(map[string]MasterPeerConn),
-		pushCursors:         make(map[string]JournalPushAck),
 		loopStop:            make(chan struct{}),
 		o:                   o,
 		cHeartbeats:         o.Counter("dstore_master_heartbeats_total"),
@@ -247,7 +250,15 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 		m.role = roleStandby
 		m.fastElect = true
 	}
+	if discarded > 0 {
+		o.Counter("dstore_master_journal_corrupt_total").Inc()
+		m.o.Emit("journal_corrupt", map[string]string{
+			"clean_bytes":     strconv.FormatInt(journal.size(), 10),
+			"discarded_bytes": strconv.FormatInt(discarded, 10),
+		})
+	}
 	if recovered != nil {
+		m.held.state = recovered
 		m.adoptStateLocked(*recovered, m.now())
 		m.o.Emit("journal_recover", map[string]string{
 			"epoch":   strconv.FormatInt(m.epoch, 10),
@@ -259,24 +270,15 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 		if m.haEnabled() {
 			// A fresh HA bootstrap leader (nothing recovered — a restart
 			// boots standby) mints its first fencing epoch.
-			m.masterEpoch = m.mintEpochLocked()
-			m.maxSeenMasterEpoch = m.masterEpoch
+			m.mintEpochLocked()
 			for _, regions := range m.tables {
 				for _, g := range regions {
 					m.pendSyncLocked(g)
 				}
 			}
 		}
+		m.held.leading = true
 		m.gLeader.Set(1)
-	} else {
-		if recovered != nil {
-			// The recovered buffer is this master's own past history, not
-			// a byte-copy of the current leader's — clear it so mirroring
-			// starts aligned (the shadow catalog above keeps the recovered
-			// view until fresher frames arrive).
-			m.journal.resetMirror()
-		}
-		m.journal.setMirroring(true)
 	}
 	return m, nil
 }
@@ -311,7 +313,7 @@ func (m *Master) MasterEpoch() int64 {
 }
 
 // Stop simulates a master crash: every subsequent RPC — heartbeats,
-// META fetches, peer pings, journal tails — fails with errStopped, and
+// META fetches, peer pings, image pulls and pushes — fails with errStopped, and
 // the background loop halts. Like RegionServer.Stop there is no
 // restart; a recovered master is a new OpenMaster over the same
 // journal dir.
@@ -333,42 +335,38 @@ func (m *Master) notLeaderLocked() error {
 	return &NotLeaderError{LeaderID: m.leaderID, LeaderAddr: m.leaderAddr}
 }
 
-// journalLocked appends the post-mutation catalog image to the META
-// journal. Every epoch-bumping mutation calls it while still holding
-// the catalog lock, so journal order is mutation order.
+// journalLocked makes the post-mutation catalog image durable and
+// replicated: appended to this master's journal, held for pulls, pushed
+// to the standbys. Every epoch-bumping mutation calls it while still
+// holding the catalog lock, so journal order is mutation order. A
+// master with neither a journal dir nor peers has nobody to tell, and a
+// leader deposed mid-mutation (a stale-rejected control RPC) must not
+// write its orphaned step over what the new leader has pushed it since.
 func (m *Master) journalLocked(kind string) {
-	if m.journal == nil {
+	if m.role != roleLeader || (m.opts.JournalDir == "" && !m.haEnabled()) {
 		return
 	}
-	checkpointed, err := m.journal.append(journalRecord{Kind: kind, State: m.snapshotStateLocked()})
+	rec := journalRecord{Kind: kind, State: m.snapshotStateLocked()}
+	framed, err := frameRecord(rec)
 	if err != nil {
 		m.o.Emit("journal_error", map[string]string{"kind": kind, "error": err.Error()})
 		return
 	}
-	m.cJournalAppends.Inc()
-	if checkpointed {
-		m.cJournalCheckpoints.Inc()
-	}
-	if m.haEnabled() && m.role == roleLeader {
-		m.pushJournalLocked()
+	m.keepImage(rec, framed, false) //nolint:errcheck — only a peer's image can be refused
+	if m.haEnabled() {
+		m.pushImageLocked(MetaImage{Frame: framed})
 	}
 }
 
-// pushJournalLocked replicates the just-appended journal tail to every
-// standby seen alive within a lease, synchronously, before the mutation
-// that triggered it acks: a leader crash right after the ack then finds
-// the mutation already on every reachable standby's mirror, closing the
-// pull-tail window where acked META changes lived only on the dead
-// leader's disk. The push is availability-first, never quorum: an
+// pushImageLocked replicates the just-journaled image to every standby
+// seen alive within a lease, synchronously, before the mutation that
+// triggered it acks — whether or not the leader's own append succeeded:
+// a failing disk must not also withhold the change from the masters
+// that could outlive it. Availability-first, never quorum: an
 // unreachable or refusing standby is skipped (counted in
-// dstore_master_journal_push_misses_total and emitted), so a cluster
-// whose standbys are all down still serves mutations — frames acked in
-// that state ride on the leader's durable journal alone until a standby
-// reconnects and pull-tailing catches it up. The receive path
-// (AcceptJournalPush) takes only the journal's leaf lock, never the
-// catalog lock, so two partitioned leaders pushing at each other cannot
-// deadlock on crossed locks.
-func (m *Master) pushJournalLocked() {
+// dstore_master_journal_push_misses_total and emitted) and its per-tick
+// pull catches it up.
+func (m *Master) pushImageLocked(img MetaImage) {
 	now := m.now()
 	lease := m.leaseDuration()
 	for _, id := range m.electorate {
@@ -382,61 +380,24 @@ func (m *Master) pushJournalLocked() {
 		if err != nil {
 			continue
 		}
-		cur := m.pushCursors[id]
-		t := m.journal.tail(cur.Gen, cur.Size)
-		if len(t.Frames) == 0 {
-			m.pushCursors[id] = JournalPushAck{Gen: t.Gen, Size: t.Size}
-			continue
-		}
-		ack, err := c.JournalPush(m.id, t)
-		if err != nil {
-			// Unknown peer state now: forget the cursor so the next push
-			// resends from scratch.
-			delete(m.pushCursors, id)
+		if err := c.PushImage(m.id, img); err != nil {
 			m.cJournalPushMisses.Inc()
 			m.o.Emit("journal_push_miss", map[string]string{"peer": id, "error": err.Error()})
 			continue
 		}
 		m.cJournalPushes.Inc()
-		m.pushCursors[id] = ack
 	}
-}
-
-// AcceptJournalPush receives a leader's synchronous journal replication
-// (the /m/journal/push handler). It deliberately touches only the
-// journal's own lock — never the catalog lock — so a push can never
-// stall behind (or deadlock against) a local catalog operation. The
-// shadow catalog catches up on the next election tick; promotion
-// replays the mirror first, so nothing pushed is lost even when no tick
-// intervened between the push and the leader's death.
-func (m *Master) AcceptJournalPush(from string, t JournalTail) (JournalPushAck, error) {
-	if m.stopped.Load() {
-		return JournalPushAck{}, errStopped
-	}
-	ack, ok := m.journal.adoptPush(from, t)
-	if !ok {
-		return ack, fmt.Errorf("dstore: journal push refused: %s is not mirroring", m.id)
-	}
-	return ack, nil
 }
 
 // snapshotStateLocked captures the full catalog image a journal record
 // carries.
 func (m *Master) snapshotStateLocked() metaState {
 	st := metaState{
-		MasterEpoch:  m.masterEpoch,
+		MasterEpoch:  m.catalogTerm,
 		LeaderID:     m.leaderID,
 		Epoch:        m.epoch,
 		NextRegionID: m.nextRegionID,
-		Tables:       make(map[string][]RegionInfo, len(m.tables)),
-	}
-	for t, regions := range m.tables {
-		rs := make([]RegionInfo, len(regions))
-		for i, g := range regions {
-			rs[i] = *g
-			rs[i].Followers = append([]string(nil), g.Followers...)
-		}
-		st.Tables[t] = rs
+		Tables:       m.copyTablesLocked(),
 	}
 	for _, id := range m.order {
 		mem := m.servers[id]
@@ -445,13 +406,29 @@ func (m *Master) snapshotStateLocked() metaState {
 	return st
 }
 
+// copyTablesLocked deep-copies the region catalog for a caller that
+// outlives the lock.
+func (m *Master) copyTablesLocked() map[string][]RegionInfo {
+	out := make(map[string][]RegionInfo, len(m.tables))
+	for t, regions := range m.tables {
+		rs := make([]RegionInfo, len(regions))
+		for i, g := range regions {
+			rs[i] = *g
+			rs[i].Followers = append([]string(nil), g.Followers...)
+		}
+		out[t] = rs
+	}
+	return out
+}
+
 // adoptStateLocked replaces the catalog with a journaled image — the
-// recovery path of a restarted master and the shadow view of a tailing
+// recovery path of a restarted master and the shadow view of a
 // standby. Server conns re-resolve through the registry; a peer that
 // has not (re)registered yet gets an unresolvable stub that fails like
 // a dead transport until its next Join.
 func (m *Master) adoptStateLocked(st metaState, now time.Time) {
 	m.epoch = st.Epoch
+	m.catalogTerm = st.MasterEpoch
 	m.nextRegionID = st.NextRegionID
 	if m.nextRegionID < 1 {
 		m.nextRegionID = 1
@@ -593,15 +570,7 @@ func (m *Master) Heartbeat(id string) error {
 func (m *Master) Meta() Meta {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := Meta{Epoch: m.epoch, Tables: make(map[string][]RegionInfo, len(m.tables))}
-	for t, regions := range m.tables {
-		rs := make([]RegionInfo, len(regions))
-		for i, g := range regions {
-			rs[i] = *g
-			rs[i].Followers = append([]string(nil), g.Followers...)
-		}
-		out.Tables[t] = rs
-	}
+	out := Meta{Epoch: m.epoch, Tables: m.copyTablesLocked()}
 	for _, id := range m.order {
 		out.Servers = append(out.Servers, m.servers[id].peer)
 	}
@@ -742,7 +711,12 @@ func (m *Master) CheckLiveness(now time.Time) []string {
 	}
 	m.repairLocked()
 	m.syncPendingLocked()
-	if len(died) > 0 || m.epoch != epochBefore {
+	if len(died) > 0 && m.epoch == epochBefore {
+		// No region moved, but the image did change (an alive flag), and
+		// peers take two images of one version for the same image.
+		m.epoch++
+	}
+	if m.epoch != epochBefore {
 		m.journalLocked("liveness")
 	}
 	return died
@@ -825,31 +799,40 @@ func (m *Master) failoverLocked() {
 				// the corpse so clients keep retrying.
 				continue
 			}
-			promoted := g.Followers[0]
-			dead := g.Primary
-			g.Followers = g.Followers[1:]
-			g.Primary = promoted
 			changed = true
 			m.cFailovers.Inc()
 			m.o.Emit("failover", map[string]string{
 				"table": g.Table, "region": strconv.Itoa(g.ID),
-				"from": dead, "to": promoted,
+				"from": g.Primary, "to": g.Followers[0],
 			})
-			// Followers before serving: writes acked by the promoted
-			// primary must already fan out to the surviving replicas. A
-			// failed push pends the region — syncPendingLocked retries
-			// until the new primary confirms its chain and fence, so a
-			// dropped RPC cannot leave the region fenced forever.
-			if m.setFollowersLocked(g) != nil {
-				m.pendSyncLocked(g)
-			}
-			if err := m.rpcSetServing(m.servers[promoted], g.Table, g.ID, true); err != nil {
-				m.pendSyncLocked(g)
-			}
+			m.promoteFollowerLocked(g, g.Followers[0])
 		}
 	}
 	if changed {
 		m.epoch++
+	}
+}
+
+// promoteFollowerLocked makes follower f the region's primary: f leaves
+// the follower list, learns the surviving chain, then starts serving.
+// Followers before serving: writes acked by the promoted primary must
+// already fan out to the surviving replicas. A failed RPC pends the
+// region — syncPendingLocked retries until the new primary confirms its
+// chain and fence, so a dropped RPC cannot leave the region fenced
+// forever.
+func (m *Master) promoteFollowerLocked(g *RegionInfo, f string) {
+	rest := g.Followers[:0]
+	for _, id := range g.Followers {
+		if id != f {
+			rest = append(rest, id)
+		}
+	}
+	g.Primary, g.Followers = f, rest
+	if m.setFollowersLocked(g) != nil {
+		m.pendSyncLocked(g)
+	}
+	if err := m.rpcSetServing(m.servers[f], g.Table, g.ID, true); err != nil {
+		m.pendSyncLocked(g)
 	}
 }
 
@@ -1003,23 +986,7 @@ func (m *Master) rebuildQuarantined(server, table string, regionID int, badCopie
 			// serving corrupt bytes.
 			return false
 		}
-		live := make([]string, 0, len(g.Followers))
-		for _, f := range g.Followers {
-			if f != promoted {
-				live = append(live, f)
-			}
-		}
-		g.Primary = promoted
-		g.Followers = live
-		// Followers before serving, as in failover: writes acked by the
-		// promoted primary must already fan out to surviving replicas.
-		// Failures pend the region for syncPendingLocked to retry.
-		if m.setFollowersLocked(g) != nil {
-			m.pendSyncLocked(g)
-		}
-		if err := m.rpcSetServing(m.servers[promoted], table, regionID, true); err != nil {
-			m.pendSyncLocked(g)
-		}
+		m.promoteFollowerLocked(g, promoted)
 	} else {
 		idx := -1
 		for i, f := range g.Followers {
