@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	pstorm-vet [-list] [-checker name,...] [-json] [-baseline file] [-cache file] [packages]
+//	pstorm-vet [-list] [-checker name,...] [-json] [packages]
 //
 // Package patterns are module-relative: "./..." (the default) checks
 // every non-test package; "./internal/hstore" or
@@ -19,15 +19,9 @@
 //
 // -checker runs a subset of the suite (comma-separated names; see
 // -list) while iterating on one checker. -json emits a machine-
-// readable report. -baseline names the accepted-debt file (default
-// vet-baseline.json at the module root, "none" disables); baselined
-// findings are dropped, and baseline entries matching nothing are
-// reported as stale. -cache names a findings cache keyed on a digest
-// of the module sources and the checker set, so a warm CI run skips
-// loading and analysis entirely.
+// readable report.
 //
-// Exits 1 when findings (or stale baseline entries) remain, 2 on load
-// errors.
+// Exits 1 when findings remain, 2 on load errors.
 //
 // Justified exceptions are annotated in the source on the finding's
 // line or the line above:
@@ -47,18 +41,13 @@ import (
 )
 
 type report struct {
-	Findings      []analysis.Finding       `json:"findings"`
-	StaleBaseline []analysis.BaselineEntry `json:"stale_baseline,omitempty"`
-	BaselineDebt  []analysis.BaselineEntry `json:"baseline_debt,omitempty"`
-	Cached        bool                     `json:"cached"`
+	Findings []analysis.Finding `json:"findings"`
 }
 
 func main() {
 	list := flag.Bool("list", false, "list checkers and exit")
 	checkerFlag := flag.String("checker", "", "comma-separated checker names to run (default: the full suite)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report")
-	baselineFlag := flag.String("baseline", "", `baseline file (default <module>/vet-baseline.json, "none" to disable)`)
-	cacheFlag := flag.String("cache", "", "findings cache file for whole-module runs")
 	flag.Parse()
 	if *list {
 		for _, c := range analysis.Checkers() {
@@ -68,7 +57,6 @@ func main() {
 	}
 
 	var checkers []analysis.Checker // nil = full suite
-	checkerNames := make([]string, 0, len(analysis.Checkers()))
 	if *checkerFlag != "" {
 		for _, name := range strings.Split(*checkerFlag, ",") {
 			name = strings.TrimSpace(name)
@@ -77,11 +65,6 @@ func main() {
 				fatal(fmt.Errorf("unknown checker %q (see -list)", name))
 			}
 			checkers = append(checkers, c)
-			checkerNames = append(checkerNames, name)
-		}
-	} else {
-		for _, c := range analysis.Checkers() {
-			checkerNames = append(checkerNames, c.Name())
 		}
 	}
 
@@ -116,62 +99,15 @@ func main() {
 	}
 
 	if len(patterns) > 0 || len(fixtureDirs) == 0 {
-		explicit := len(patterns) > 0
-		if !explicit {
-			patterns = []string{"./..."}
+		pkgs, err := loader.LoadModule()
+		if err != nil {
+			fatal(err)
 		}
-
-		var modFindings []analysis.Finding
-		digest := ""
-		if *cacheFlag != "" {
-			if d, err := analysis.SourceDigest(root, checkerNames); err == nil {
-				digest = d
-				if cached, ok := analysis.LoadCache(*cacheFlag, digest); ok {
-					modFindings = cached
-					out.Cached = true
-				}
+		for _, f := range analysis.Run(pkgs, checkers) {
+			// No pattern means "./...": every package.
+			if len(patterns) == 0 || matchesAny(f.Pos.Filename, loader.ModPath, pkgs, patterns) {
+				out.Findings = append(out.Findings, f)
 			}
-		}
-		var pkgs []*analysis.Package
-		if !out.Cached || explicit {
-			// Explicit patterns need the package layout for matching even
-			// when the findings themselves come from the cache.
-			pkgs, err = loader.LoadModule()
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if !out.Cached {
-			modFindings = analysis.Run(pkgs, checkers)
-			if digest != "" {
-				if err := analysis.SaveCache(*cacheFlag, digest, modFindings); err != nil {
-					fmt.Fprintln(os.Stderr, "pstorm-vet: cache not written:", err)
-				}
-			}
-		}
-
-		bl := &analysis.Baseline{}
-		if *baselineFlag != "none" {
-			path := *baselineFlag
-			if path == "" {
-				path = filepath.Join(root, "vet-baseline.json")
-			}
-			bl, err = analysis.LoadBaseline(path)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		kept, stale := bl.Apply(modFindings, root)
-		out.StaleBaseline = stale
-		// The context end-to-end refactor drained the baseline; it must
-		// stay empty. Any entry — matched debt or not — fails the run,
-		// so new accepted debt cannot slip in via the baseline file.
-		out.BaselineDebt = bl.Entries
-		for _, f := range kept {
-			if explicit && !matchesAny(f.Pos.Filename, root, loader.ModPath, pkgs, patterns) {
-				continue
-			}
-			out.Findings = append(out.Findings, f)
 		}
 	}
 
@@ -188,14 +124,8 @@ func main() {
 		for _, f := range out.Findings {
 			fmt.Println(f)
 		}
-		for _, e := range out.StaleBaseline {
-			fmt.Fprintf(os.Stderr, "pstorm-vet: stale baseline entry (%s %s %q) matches nothing — delete it\n", e.Checker, e.File, e.Msg)
-		}
-		for _, e := range out.BaselineDebt {
-			fmt.Fprintf(os.Stderr, "pstorm-vet: baseline entry (%s %s %q) — the baseline must stay empty; fix the finding or annotate the site\n", e.Checker, e.File, e.Msg)
-		}
 	}
-	if n := len(out.Findings) + len(out.StaleBaseline) + len(out.BaselineDebt); n > 0 {
+	if n := len(out.Findings); n > 0 {
 		fmt.Fprintf(os.Stderr, "pstorm-vet: %d finding(s)\n", n)
 		os.Exit(1)
 	}
@@ -224,7 +154,7 @@ func fatal(err error) {
 
 // matchesAny reports whether the file holding a finding belongs to a
 // package selected by the patterns.
-func matchesAny(filename, root, modPath string, pkgs []*analysis.Package, patterns []string) bool {
+func matchesAny(filename, modPath string, pkgs []*analysis.Package, patterns []string) bool {
 	var pkgPath string
 	for _, p := range pkgs {
 		if strings.HasPrefix(filename, p.Dir+string(os.PathSeparator)) {

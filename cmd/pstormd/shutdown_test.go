@@ -22,12 +22,12 @@ func leakGuard(t *testing.T) {
 			return
 		}
 		http.DefaultClient.CloseIdleConnections()
-		deadline := time.Now().Add(2 * time.Second) //pstorm:allow clockcheck leak guard waits out real goroutine teardown
+		deadline := time.Now().Add(2 * time.Second)
 		for {
 			if runtime.NumGoroutine() <= before {
 				return
 			}
-			if time.Now().After(deadline) { //pstorm:allow clockcheck leak guard waits out real goroutine teardown
+			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
 				n := runtime.Stack(buf, true)
 				t.Errorf("goroutine leak: %d before, %d now\n%s", before, runtime.NumGoroutine(), buf[:n])

@@ -3,7 +3,8 @@
 // determinism and concurrency story depends on — invariants that were
 // previously guarded only by reviewer memory.
 //
-// Intraprocedural checkers (each function judged on its own):
+// Syntactic and intraprocedural checkers (each site or function judged
+// on its own):
 //
 //   - clockcheck: no bare time.Now()/time.Since() calls; clocks are
 //     injected (MasterOptions.Now, hstore WallClock, obs.Registry.Now)
@@ -19,27 +20,33 @@
 //   - obscheck: metric and event names are compile-time constants in
 //     lowercase_snake form, and one name is never registered as two
 //     different metric kinds.
+//   - ctxcheck: only package main and the module root package mint
+//     root contexts: context.Background()/TODO() anywhere else is a
+//     finding, and context.WithoutCancel always needs a
+//     //pstorm:allow reason.
+//   - tenantcheck: a package above the tenant boundary that imports
+//     net/http never calls a method on a raw store client (core.KV,
+//     *dstore.Client, *hstore.Client); core.Store is the only door, so
+//     no request-derived "ftype/<tenant>!<jobID>" key can be built
+//     around the validated namespace.
+//   - leakcheck: a goroutine spawned in a long-lived server package
+//     (hstore, dstore, gateway, cluster) is tied, in its own body, to a
+//     WaitGroup, a stop channel, or a context — or is a provably
+//     bounded one-shot — so Close actually closes.
 //
-// Interprocedural checkers (built on the whole-module call graph and
-// dataflow core in callgraph.go / dataflow.go / taint.go):
+// One interprocedural checker, built on the whole-module call graph
+// and dataflow core in callgraph.go / dataflow.go (which hold exactly
+// what it uses):
 //
 //   - lockorder: the global mutex-acquisition-order graph (which lock
 //     classes are acquired while which others are held, across function
 //     and package boundaries) must be acyclic — a cycle is a potential
 //     deadlock even when every individual function looks fine.
-//   - ctxcheck: functions reachable from HTTP handlers thread their
-//     context.Context: bare context.Background()/TODO() on a
-//     handler-reachable path is a finding, and context.WithoutCancel
-//     always needs a //pstorm:allow reason.
-//   - tenantcheck: request-derived strings (headers, query fields,
-//     decoded request bodies) must not reach a KV row-key position
-//     without flowing through core.ValidateTenant/NewTenantStore —
-//     a raw "ftype/<tenant>!<jobID>" built from request input is a
-//     cross-tenant escape hatch.
-//   - leakcheck: goroutines spawned in long-lived server packages
-//     (hstore, dstore, gateway, cluster) must be tied to a WaitGroup,
-//     a stop channel, or a context on their path — or be provably
-//     bounded one-shots — so Close actually closes.
+//
+// Every checker is held to one product-code regression it must catch:
+// the mutation table in mutation_test.go. Test files are out of scope —
+// the loader never parses _test.go, so nothing is reported there and a
+// //pstorm:allow in a test file is inert.
 //
 // Justified exceptions carry a line directive, on the finding's line
 // or the line above:
@@ -49,9 +56,7 @@
 // The reason is mandatory; an unknown checker name in a directive is
 // itself reported; and a directive that no longer suppresses anything
 // is reported as an unusedallow finding — so the exception list stays
-// auditable and cannot rot silently. Findings that predate a checker
-// (accepted tech debt) live in the committed baseline file instead
-// (see baseline.go): new violations fail, old ones are tracked.
+// auditable and cannot rot silently.
 package analysis
 
 import (
@@ -64,8 +69,7 @@ import (
 )
 
 // Finding is one report from one checker. All fields are exported and
-// JSON-serializable so pstorm-vet -json and the summary cache can
-// round-trip findings losslessly.
+// JSON-serializable for pstorm-vet -json.
 type Finding struct {
 	Checker string         `json:"checker"`
 	Pos     token.Position `json:"pos"`
@@ -76,16 +80,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Checker, f.Msg)
 }
 
-// Module is the loaded module plus lazily built whole-program facts
-// that checkers share: today the call graph (with HTTP-handler roots
-// and handler-reachability) built once per Run, tomorrow whatever the
-// next interprocedural checker needs. Sharing the facts here keeps a
-// nine-checker run at one call-graph construction instead of four.
+// Module is the loaded module plus the one lazily built whole-program
+// fact checkers share: the call graph, built at most once per Run.
 type Module struct {
 	Pkgs []*Package
 
-	cg        *CallGraph
-	reachable map[*types.Func]bool
+	cg *CallGraph
 }
 
 // NewModule wraps loaded packages for checking.
@@ -99,25 +99,14 @@ func (m *Module) Graph() *CallGraph {
 	return m.cg
 }
 
-// HandlerReachable returns the set of functions reachable from HTTP
-// handler roots (see CallGraph.HandlerRoots), computed once per Run.
-func (m *Module) HandlerReachable() map[*types.Func]bool {
-	if m.reachable == nil {
-		g := m.Graph()
-		m.reachable = g.Reachable(g.HandlerRoots())
-	}
-	return m.reachable
-}
-
 // Checker inspects the loaded module and reports findings.
 type Checker interface {
 	// Name is the identifier used in output and //pstorm:allow directives.
 	Name() string
 	// Doc is a one-line description of the enforced invariant.
 	Doc() string
-	// Check runs over the whole module at once (many checks — metric
-	// name uniqueness, lock ordering, handler reachability — are
-	// cross-package).
+	// Check runs over the whole module at once (metric name uniqueness
+	// and lock ordering are cross-package).
 	Check(m *Module, report func(pos token.Position, msg string))
 }
 

@@ -5,23 +5,33 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// fixtureLoader loads one testdata/src package under a synthetic
-// import path, sharing a loader so module imports (pstorm/internal/obs
-// in the obscheck fixture) resolve.
+// sharedLoader is the one Loader of the test binary: fixtures (under
+// synthetic import paths), the real module and the mutation table's
+// forks all resolve imports through it, so the standard library is
+// type-checked from source once, not once per test.
+var sharedLoader struct {
+	once sync.Once
+	l    *Loader
+	err  error
+}
+
 func fixtureLoader(t *testing.T) *Loader {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
+	s := &sharedLoader
+	s.once.Do(func() {
+		var root string
+		if root, s.err = FindModuleRoot("."); s.err == nil {
+			s.l, s.err = NewLoader(root)
+		}
+	})
+	if s.err != nil {
+		t.Fatalf("NewLoader: %v", s.err)
 	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	return l
+	return s.l
 }
 
 func loadFixture(t *testing.T, l *Loader, name string) *Package {
@@ -106,9 +116,8 @@ func TestObscheckFixture(t *testing.T) { runFixture(t, "obsfix", obsCheck{}) }
 func TestLockorderFixture(t *testing.T) { runFixture(t, "lockorderfix", lockOrderCheck{}) }
 func TestCtxcheckFixture(t *testing.T)  { runFixture(t, "ctxfix", ctxCheck{}) }
 
-// The internal/ fixture path places the package under the
-// strengthened arm of ctxcheck: Background/TODO is flagged without
-// any handler reachability.
+// A library package under internal/: the same rule, plus the sanctioned
+// //pstorm:allow shape.
 func TestCtxcheckInternalFixture(t *testing.T) {
 	runFixture(t, "internal/ctxrootfix", ctxCheck{})
 }
@@ -186,45 +195,18 @@ func TestMalformedDirectives(t *testing.T) {
 }
 
 // TestModuleClean is the repo's own gate: the full suite over every
-// non-test package must come back empty modulo the committed baseline,
-// and every baseline entry must still match something. This is the
-// same run CI does via cmd/pstorm-vet.
+// non-test package must come back empty. This is the same run CI does
+// via cmd/pstorm-vet.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
+	_, pkgs := loadModule(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("LoadModule found only %d packages — loader regression?", len(pkgs))
 	}
-	bl, err := LoadBaseline(filepath.Join(root, "vet-baseline.json"))
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	// The baseline was drained by the context end-to-end refactor and
-	// must stay empty: accepted debt is no longer a mechanism this
-	// module uses, so any entry is a regression even if it still
-	// matches a finding.
-	for _, e := range bl.Entries {
-		t.Errorf("vet-baseline.json entry (%s %s %q) — the baseline must stay empty", e.Checker, e.File, e.Msg)
-	}
-	kept, stale := bl.Apply(Run(pkgs, nil), root)
-	if len(kept) != 0 {
-		t.Errorf("module has %d findings outside the baseline:\n%s", len(kept), joinFindings(kept))
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry (%s %s %q) matches nothing — delete it", e.Checker, e.File, e.Msg)
+	if fs := Run(pkgs, nil); len(fs) != 0 {
+		t.Errorf("module has %d findings:\n%s", len(fs), joinFindings(fs))
 	}
 }
 

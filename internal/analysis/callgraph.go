@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -32,14 +31,11 @@ const (
 	KindDefer
 )
 
-// CallEdge is one resolved call site.
+// CallEdge is one resolved callee of a node: a static call, or a
+// dispatch edge added by method-set resolution.
 type CallEdge struct {
-	Caller, Callee *CGNode
-	Kind           CallKind
-	Pos            token.Pos
-	// ViaInterface marks a dispatch edge added by method-set
-	// resolution rather than a static callee.
-	ViaInterface bool
+	Callee *CGNode
+	Kind   CallKind
 }
 
 // CGNode is one declared function or method of the module.
@@ -48,15 +44,7 @@ type CGNode struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
 	Out  []*CallEdge
-	In   []*CallEdge
-	// IsHandler marks HTTP entry points: the function's own signature
-	// (or a function literal it contains) takes both an
-	// http.ResponseWriter and an *http.Request, or it is a ServeHTTP
-	// method. These are the roots request-path checks traverse from.
-	IsHandler bool
 }
-
-func (n *CGNode) String() string { return n.Fn.FullName() }
 
 // CallGraph is the whole-module graph. Nodes is keyed by the declared
 // (origin) *types.Func; Order lists nodes deterministically by source
@@ -109,53 +97,11 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 
 	// Pass 2: edges.
 	for _, n := range g.Order {
-		n.IsHandler = isHandlerDecl(n)
-		body := n.Decl.Body
-		if body == nil {
-			continue
+		if n.Decl.Body != nil {
+			addEdges(g, n, n.Decl.Body, impls)
 		}
-		addEdges(g, n, body, impls)
 	}
 	return g
-}
-
-// isHandlerDecl reports whether a declaration is an HTTP entry point:
-// its signature (or a literal inside it) carries (http.ResponseWriter,
-// *http.Request), or it is a ServeHTTP method.
-func isHandlerDecl(n *CGNode) bool {
-	if n.Fn.Name() == "ServeHTTP" {
-		return true
-	}
-	if sig, ok := n.Fn.Type().(*types.Signature); ok && handlerSignature(sig) {
-		return true
-	}
-	found := false
-	ast.Inspect(n.Decl, func(x ast.Node) bool {
-		lit, ok := x.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		if tv, ok := n.Pkg.Info.Types[lit]; ok {
-			if sig, ok := tv.Type.(*types.Signature); ok && handlerSignature(sig) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-func handlerSignature(sig *types.Signature) bool {
-	var hasW, hasR bool
-	for i := 0; i < sig.Params().Len(); i++ {
-		switch sig.Params().At(i).Type().String() {
-		case "net/http.ResponseWriter":
-			hasW = true
-		case "*net/http.Request":
-			hasR = true
-		}
-	}
-	return hasW && hasR
 }
 
 // addEdges walks one declaration body, attributing calls inside
@@ -195,7 +141,7 @@ func addEdges(g *CallGraph, n *CGNode, body ast.Node, impls map[*types.Interface
 
 func walkCall(g *CallGraph, n *CGNode, call *ast.CallExpr, kind CallKind, impls map[*types.Interface][]types.Type) {
 	if callee := g.Node(calleeFunc(n.Pkg, call)); callee != nil {
-		addEdge(n, callee, kind, call.Pos(), false)
+		addEdge(n, callee, kind)
 	}
 	// Interface dispatch: resolve the called method against every
 	// module type implementing the (module-declared) interface.
@@ -220,22 +166,20 @@ func walkCall(g *CallGraph, n *CGNode, call *ast.CallExpr, kind CallKind, impls 
 			obj, _, _ := types.LookupFieldOrMethod(t, true, nil, sel.Sel.Name)
 			if m, ok := obj.(*types.Func); ok {
 				if callee := g.Node(m); callee != nil {
-					addEdge(n, callee, kind, call.Pos(), true)
+					addEdge(n, callee, kind)
 				}
 			}
 		}
 	}
 }
 
-func addEdge(from, to *CGNode, kind CallKind, pos token.Pos, viaIface bool) {
+func addEdge(from, to *CGNode, kind CallKind) {
 	for _, e := range from.Out {
-		if e.Callee == to && e.Kind == kind && e.ViaInterface == viaIface {
+		if e.Callee == to && e.Kind == kind {
 			return
 		}
 	}
-	e := &CallEdge{Caller: from, Callee: to, Kind: kind, Pos: pos, ViaInterface: viaIface}
-	from.Out = append(from.Out, e)
-	to.In = append(to.In, e)
+	from.Out = append(from.Out, &CallEdge{Callee: to, Kind: kind})
 }
 
 // interfaceImplementers maps every non-empty interface declared in the
@@ -274,43 +218,6 @@ func interfaceImplementers(pkgs []*Package) map[*types.Interface][]types.Type {
 		}
 	}
 	return out
-}
-
-// HandlerRoots returns the graph's HTTP entry points in deterministic
-// order.
-func (g *CallGraph) HandlerRoots() []*CGNode {
-	var roots []*CGNode
-	for _, n := range g.Order {
-		if n.IsHandler {
-			roots = append(roots, n)
-		}
-	}
-	return roots
-}
-
-// Reachable returns every function reachable from the roots over call,
-// go, and defer edges (a goroutine spawned on a request path is still
-// request-path code).
-func (g *CallGraph) Reachable(roots []*CGNode) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
-	var stack []*CGNode
-	for _, r := range roots {
-		if !seen[r.Fn] {
-			seen[r.Fn] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range n.Out {
-			if !seen[e.Callee.Fn] {
-				seen[e.Callee.Fn] = true
-				stack = append(stack, e.Callee)
-			}
-		}
-	}
-	return seen
 }
 
 // SCCs returns the graph's strongly connected components in bottom-up

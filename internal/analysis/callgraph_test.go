@@ -5,50 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"testing"
 )
-
-// TestHandlerReachability: the call graph finds handler roots by
-// signature (including the closure-registration pattern) and
-// reachability crosses plain calls but respects declaration
-// boundaries.
-func TestHandlerReachability(t *testing.T) {
-	l := fixtureLoader(t)
-	pkg := loadFixture(t, l, "ctxfix")
-	m := NewModule([]*Package{pkg})
-	reach := m.HandlerReachable()
-
-	byName := func(name string) bool {
-		if pkg.Types.Scope().Lookup(name) == nil {
-			t.Fatalf("function %s not found", name)
-		}
-		for f := range reach {
-			if f.Name() == name {
-				return true
-			}
-		}
-		return false
-	}
-
-	for _, want := range []string{"handle", "fetch", "refresh", "todoOnPath", "register", "lookup"} {
-		if !byName(want) {
-			t.Errorf("%s should be handler-reachable", want)
-		}
-	}
-	if byName("offline") {
-		t.Errorf("offline must not be handler-reachable")
-	}
-
-	roots := m.Graph().HandlerRoots()
-	rootNames := make(map[string]bool)
-	for _, r := range roots {
-		rootNames[r.Fn.Name()] = true
-	}
-	if !rootNames["handle"] || !rootNames["todoOnPath"] || !rootNames["register"] {
-		t.Errorf("handler roots = %v, want handle, todoOnPath, and register (closure pattern)", rootNames)
-	}
-}
 
 // TestBottomUpSummaries: summaries compose callees-first — a fact true
 // of a leaf is visible two callers up.
@@ -212,46 +170,5 @@ func work() {}`
 	})
 	if !sawWork {
 		t.Fatal("solver never reached the work() call")
-	}
-}
-
-// TestBaselineApply: matching entries absorb findings, unmatched
-// entries come back stale, unmatched findings survive.
-func TestBaselineApply(t *testing.T) {
-	root := string(filepath.Separator) + "mod"
-	mk := func(file, checker, msg string) Finding {
-		return Finding{Checker: checker, Msg: msg,
-			Pos: token.Position{Filename: filepath.Join(root, filepath.FromSlash(file)), Line: 1}}
-	}
-	bl := &Baseline{Entries: []BaselineEntry{
-		{Checker: "ctxcheck", File: "a/b.go", Msg: "Background", Desc: "debt"},
-		{Checker: "ctxcheck", File: "a/gone.go", Msg: "Background", Desc: "paid off"},
-	}}
-	findings := []Finding{
-		mk("a/b.go", "ctxcheck", "context.Background() in x"),
-		mk("a/b.go", "clockcheck", "bare time.Now()"),
-	}
-	kept, stale := bl.Apply(findings, root)
-	if len(kept) != 1 || kept[0].Checker != "clockcheck" {
-		t.Errorf("kept = %v, want just the clockcheck finding", kept)
-	}
-	if len(stale) != 1 || stale[0].File != "a/gone.go" {
-		t.Errorf("stale = %v, want the a/gone.go entry", stale)
-	}
-}
-
-// TestCacheRoundTrip: same digest loads, different digest misses.
-func TestCacheRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	fs := []Finding{{Checker: "ctxcheck", Msg: "m", Pos: token.Position{Filename: "f.go", Line: 3}}}
-	if err := SaveCache(path, "d1", fs); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := LoadCache(path, "d1")
-	if !ok || len(got) != 1 || got[0] != fs[0] {
-		t.Errorf("LoadCache(d1) = %v, %v; want the saved finding", got, ok)
-	}
-	if _, ok := LoadCache(path, "d2"); ok {
-		t.Error("LoadCache with a different digest must miss")
 	}
 }

@@ -4,86 +4,55 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
-// ctxCheck enforces context threading on request paths. Inside any
-// internal/ package, every call to context.Background() or
-// context.TODO() is flagged: internal code is never the top of a call
-// stack, so minting a root context there cuts cancellation and
+// ctxCheck enforces context threading. Every call to
+// context.Background() or context.TODO() outside package main and the
+// module root package is flagged: library code is never the top of a
+// call stack, so minting a root context there cuts cancellation and
 // deadlines exactly where they matter most — a departed client keeps
-// burning scans and a gateway timeout stops meaning anything. The rare
-// legitimate detachment (an admin RPC owned by the process lifecycle,
-// a bench harness that is its own top layer) carries a
-// //pstorm:allow ctxcheck reason at the site.
+// burning scans and a gateway timeout stops meaning anything. A process
+// entry point and the exported convenience surface are where root
+// contexts are legitimately minted. The rare legitimate detachment
+// elsewhere (an admin RPC owned by the process lifecycle, a bench
+// harness that is its own top layer) carries a //pstorm:allow ctxcheck
+// reason at the site.
 //
-// Outside internal/, Background/TODO is flagged only in functions
-// reachable from an HTTP handler (per the module call graph).
-// context.WithoutCancel is flagged everywhere, reachable or not —
-// detaching lifetime is occasionally right (a singleflight leader must
-// outlive the first caller) but never silently.
-//
-// Package main and the module root package are exempt from the
-// Background/TODO rule: a process entry point and the exported
-// convenience surface are where root contexts are legitimately minted.
+// context.WithoutCancel is flagged everywhere — detaching lifetime is
+// occasionally right (a singleflight leader must outlive the first
+// caller) but never silently.
 type ctxCheck struct{}
 
 func (ctxCheck) Name() string { return "ctxcheck" }
 func (ctxCheck) Doc() string {
-	return "internal packages thread their context; no bare Background()/TODO(), WithoutCancel needs a reason"
-}
-
-// internalPkg reports whether the package lives under an internal/
-// subtree, where no function is a legitimate context root.
-func internalPkg(path string) bool {
-	return strings.Contains(path, "/internal/") || strings.HasPrefix(path, "internal/")
+	return "only package main and the module root mint root contexts; WithoutCancel needs a reason"
 }
 
 func (ctxCheck) Check(m *Module, report func(token.Position, string)) {
-	reachable := m.HandlerReachable()
 	for _, pkg := range m.Pkgs {
-		isMain := pkg.Types.Name() == "main"
-		isInternal := internalPkg(pkg.Path)
+		mayRoot := pkg.Types.Name() == "main" || pkg.root
 		for _, file := range pkg.Files {
-			for _, d := range file.Decls {
-				decl, ok := d.(*ast.FuncDecl)
-				if !ok || decl.Body == nil {
-					continue
-				}
-				fn := declFunc(pkg, decl)
-				inReach := fn != nil && reachable[fn]
-				// Function literals inherit the enclosing declaration's
-				// reachability: a closure built on a handler path runs on
-				// that path.
-				ast.Inspect(decl.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := calleeFunc(pkg, call)
-					if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "context" {
-						return true
-					}
-					switch callee.Name() {
-					case "WithoutCancel":
-						report(pkg.Fset.Position(call.Pos()),
-							"context.WithoutCancel detaches the request lifetime — annotate //pstorm:allow ctxcheck <reason> if the detachment is intentional")
-					case "Background", "TODO":
-						if isMain {
-							break
-						}
-						switch {
-						case isInternal:
-							report(pkg.Fset.Position(call.Pos()),
-								fmt.Sprintf("context.%s() in %s — internal code is never a context root; accept a ctx from the caller or annotate //pstorm:allow ctxcheck <reason>", callee.Name(), funcDisplay(fn)))
-						case inReach:
-							report(pkg.Fset.Position(call.Pos()),
-								fmt.Sprintf("context.%s() in %s, which is reachable from an HTTP handler — thread the request context instead of minting a root one", callee.Name(), funcDisplay(fn)))
-						}
-					}
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
-				})
-			}
+				}
+				callee := calleeFunc(pkg, call)
+				if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "context" {
+					return true
+				}
+				switch callee.Name() {
+				case "WithoutCancel":
+					report(pkg.Fset.Position(call.Pos()),
+						"context.WithoutCancel detaches the request lifetime — annotate //pstorm:allow ctxcheck <reason> if the detachment is intentional")
+				case "Background", "TODO":
+					if !mayRoot {
+						report(pkg.Fset.Position(call.Pos()),
+							fmt.Sprintf("context.%s() in package %s — only package main and the module root mint root contexts; accept a ctx from the caller or annotate //pstorm:allow ctxcheck <reason>", callee.Name(), pkg.Types.Name()))
+					}
+				}
+				return true
+			})
 		}
 	}
 }

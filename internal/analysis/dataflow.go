@@ -9,10 +9,9 @@ import (
 // This file is the intraprocedural half of the analysis core: a
 // statement-level control-flow graph over one function body and a
 // forward worklist solver over a caller-supplied join semilattice.
-// Checkers pair it with the call graph's BottomUp driver: solve each
-// function with a lattice whose transfer function consults callee
-// summaries, then publish the function's own summary — the classic
-// intra-then-inter layering.
+// lockorder pairs it with the call graph's BottomUp driver: callee
+// may-acquire summaries first, then each function's held-set flow
+// consults them — the classic intra-then-inter layering.
 //
 // Granularity: blocks hold "shallow" nodes — simple statements and the
 // bare condition/tag expressions of compound statements — never a
@@ -171,9 +170,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		head := b.cfg.newBlock()
 		connect(cur, head)
 		head.Nodes = append(head.Nodes, st.X)
-		if st.Key != nil || st.Value != nil {
-			head.Nodes = append(head.Nodes, rangeAssign(st))
-		}
 		after := b.cfg.newBlock()
 		connect(head, after)
 		body := b.cfg.newBlock()
@@ -308,19 +304,6 @@ func endsInFallthrough(body []ast.Stmt) bool {
 	return ok && br.Tok == token.FALLTHROUGH
 }
 
-// rangeAssign packages a range statement's key/value binding as a node
-// so transfer functions see the assignment (value flows from st.X).
-func rangeAssign(st *ast.RangeStmt) ast.Stmt {
-	lhs := []ast.Expr{}
-	if st.Key != nil {
-		lhs = append(lhs, st.Key)
-	}
-	if st.Value != nil {
-		lhs = append(lhs, st.Value)
-	}
-	return &ast.AssignStmt{Lhs: lhs, Tok: st.Tok, Rhs: []ast.Expr{st.X}, TokPos: st.For}
-}
-
 // FlowFuncs supplies the semilattice for a forward dataflow pass.
 // Transfer must not mutate its input state; Clone is applied before a
 // block's node chain runs.
@@ -392,7 +375,6 @@ func ForwardVisit[S any](c *CFG, init S, f FlowFuncs[S], visit func(n ast.Node, 
 type funcScope struct {
 	Pkg  *Package
 	Decl *ast.FuncDecl // enclosing declaration; nil for package-level literals
-	Lit  *ast.FuncLit  // non-nil when the scope is a literal
 	Body *ast.BlockStmt
 	// GoLit marks a literal launched directly by a go statement: its
 	// body runs on a fresh goroutine, so lock state never flows in.
@@ -438,7 +420,7 @@ func collectLits(pkg *Package, decl *ast.FuncDecl, body ast.Node, out *[]funcSco
 		switch x := n.(type) {
 		case *ast.GoStmt:
 			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				*out = append(*out, funcScope{Pkg: pkg, Decl: decl, Lit: lit, Body: lit.Body, GoLit: true})
+				*out = append(*out, funcScope{Pkg: pkg, Decl: decl, Body: lit.Body, GoLit: true})
 				collectLits(pkg, decl, lit.Body, out)
 				for _, arg := range x.Call.Args {
 					collectLits(pkg, decl, arg, out)
@@ -446,7 +428,7 @@ func collectLits(pkg *Package, decl *ast.FuncDecl, body ast.Node, out *[]funcSco
 				return false
 			}
 		case *ast.FuncLit:
-			*out = append(*out, funcScope{Pkg: pkg, Decl: decl, Lit: x, Body: x.Body})
+			*out = append(*out, funcScope{Pkg: pkg, Decl: decl, Body: x.Body})
 			collectLits(pkg, decl, x.Body, out)
 			return false
 		}

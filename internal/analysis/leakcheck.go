@@ -11,8 +11,10 @@ import (
 // leakCheck ties every goroutine spawned in a long-lived server
 // package to a lifecycle: the chaos harness's leak budget and the
 // fleet gateway's restart story both assume Close actually quiesces
-// the process. A `go` statement passes when, somewhere on its body's
-// path (interprocedurally, via bottom-up summaries), it:
+// the process. A `go` statement is judged on its own body — the
+// literal it launches, or the declaration of the one named function it
+// calls; what that body's callees do is not evidence (a stop path three
+// calls down does not stop this loop). It passes when the body:
 //
 //   - calls Done on a sync.WaitGroup (someone Waits for it);
 //   - receives or selects on a stop-style channel (chan struct{}, or a
@@ -49,36 +51,6 @@ func leakScoped(pkgPath string) bool {
 var stopChanName = regexp.MustCompile(`(?i)stop|done|quit|clos|shutdown|exit`)
 
 func (leakCheck) Check(m *Module, report func(token.Position, string)) {
-	g := m.Graph()
-
-	// Bottom-up: does calling fn put lifecycle observation on the
-	// goroutine's path? Local evidence in the declaration and its
-	// synchronously-executed literals, plus any non-go callee that
-	// observes. (A managed goroutine fn itself spawns is fn's own
-	// business — KindGo edges don't make the caller observed.)
-	localEv := make(map[*types.Func]bool)
-	for _, fs := range moduleScopes(m.Pkgs) {
-		fn := fs.Fn()
-		if fn == nil || fs.GoLit {
-			continue
-		}
-		if !localEv[fn] && lifecycleEvidence(fs.Pkg, fs.Body, nil) {
-			localEv[fn] = true
-		}
-	}
-	observes := BottomUp(g, func(n *CGNode, get func(*types.Func) bool) bool {
-		if localEv[n.Fn] {
-			return true
-		}
-		for _, e := range n.Out {
-			if e.Kind != KindGo && get(e.Callee.Fn) {
-				return true
-			}
-		}
-		return false
-	}, func(a, b bool) bool { return a == b })
-	getObs := func(fn *types.Func) bool { return fn != nil && observes[fn.Origin()] }
-
 	for _, pkg := range m.Pkgs {
 		if !leakScoped(pkg.Path) {
 			continue
@@ -90,15 +62,10 @@ func (leakCheck) Check(m *Module, report func(token.Position, string)) {
 					continue
 				}
 				ast.Inspect(decl.Body, func(n ast.Node) bool {
-					st, ok := n.(*ast.GoStmt)
-					if !ok {
-						return true
+					if st, ok := n.(*ast.GoStmt); ok && !goStmtTied(m, pkg, decl, st) {
+						report(pkg.Fset.Position(st.Pos()),
+							"goroutine is not tied to a WaitGroup, stop channel, or context — Close cannot reap it (bound its lifetime or annotate //pstorm:allow leakcheck <reason>)")
 					}
-					if goStmtTied(pkg, decl, st, getObs) {
-						return true
-					}
-					report(pkg.Fset.Position(st.Pos()),
-						"goroutine is not tied to a WaitGroup, stop channel, or context — Close cannot reap it (bound its lifetime or annotate //pstorm:allow leakcheck <reason>)")
 					return true
 				})
 			}
@@ -106,18 +73,15 @@ func (leakCheck) Check(m *Module, report func(token.Position, string)) {
 	}
 }
 
-// goStmtTied decides one go statement: direct literal bodies are
-// inspected in place, named callees consult their bottom-up summary,
-// and the bounded-one-shot escape hatch applies to literals only.
-func goStmtTied(pkg *Package, decl *ast.FuncDecl, st *ast.GoStmt, observes func(*types.Func) bool) bool {
+// goStmtTied decides one go statement: a literal's body is inspected in
+// place (with the bounded-one-shot escape hatch), a named module
+// function's declaration stands in for it.
+func goStmtTied(m *Module, pkg *Package, decl *ast.FuncDecl, st *ast.GoStmt) bool {
 	if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
-		if lifecycleEvidence(pkg, lit.Body, observes) {
-			return true
-		}
-		return boundedOneShot(pkg, decl, lit)
+		return lifecycleEvidence(pkg, lit.Body) || boundedOneShot(pkg, decl, lit)
 	}
 	// go rs.heartbeatLoop(): the callee's own body must observe.
-	if fn := calleeFunc(pkg, st.Call); fn != nil && observes(fn) {
+	if n := m.Graph().Node(calleeFunc(pkg, st.Call)); n != nil && n.Decl.Body != nil && lifecycleEvidence(n.Pkg, n.Decl.Body) {
 		return true
 	}
 	// A context handed to the spawned call ties it too.
@@ -132,27 +96,18 @@ func goStmtTied(pkg *Package, decl *ast.FuncDecl, st *ast.GoStmt, observes func(
 // lifecycleEvidence inspects a body (including nested literals — a
 // closure's observation still runs on this goroutine unless it is
 // itself go-spawned, and over-approximating there is the safe
-// direction) for any lifecycle tie. observes may be nil when callee
-// summaries are not yet available.
-func lifecycleEvidence(pkg *Package, body ast.Node, observes func(*types.Func) bool) bool {
+// direction) for any lifecycle tie.
+func lifecycleEvidence(pkg *Package, body ast.Node) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
 		switch x := n.(type) {
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW && stopStyleChan(pkg, x.X) {
 				found = true
 			}
 		case *ast.CallExpr:
-			if fn := calleeFunc(pkg, x); fn != nil {
-				if fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Done" {
-					found = true // wg.Done()
-				}
-				if observes != nil && observes(fn) {
-					found = true
-				}
+			if fn := calleeFunc(pkg, x); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Done" {
+				found = true // wg.Done()
 			}
 			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && isContextExpr(pkg, sel.X) {
 				found = true // ctx.Done()/Err()/Deadline()...
@@ -225,40 +180,24 @@ func boundedOneShot(pkg *Package, decl *ast.FuncDecl, lit *ast.FuncLit) bool {
 // capacity counts — the site chose a buffer deliberately).
 func bufferedChanVar(pkg *Package, decl *ast.FuncDecl, e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := pkg.Info.Uses[id]
-	if obj == nil {
+	if !ok || pkg.Info.Uses[id] == nil {
 		return false
 	}
 	buffered := false
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if buffered {
-			return false
-		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
-			return true
+			return !buffered
 		}
 		for i, l := range as.Lhs {
 			lid, ok := l.(*ast.Ident)
-			if !ok || i >= len(as.Rhs) {
+			if !ok || i >= len(as.Rhs) || pkg.Info.ObjectOf(lid) != pkg.Info.Uses[id] {
 				continue
 			}
-			def := pkg.Info.Defs[lid]
-			if def == nil {
-				def = pkg.Info.Uses[lid]
-			}
-			if def != obj {
-				continue
-			}
-			call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 {
-				continue
-			}
-			if fid, ok := call.Fun.(*ast.Ident); ok && fid.Name == "make" {
-				buffered = true
+			if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok && len(call.Args) == 2 {
+				if fid, ok := call.Fun.(*ast.Ident); ok && fid.Name == "make" {
+					buffered = true
+				}
 			}
 		}
 		return !buffered

@@ -24,6 +24,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	root bool // the module root package, where ctxcheck lets root contexts be minted
 }
 
 // Loader resolves and type-checks packages with nothing beyond the
@@ -37,6 +39,9 @@ type Loader struct {
 
 	std  types.Importer
 	pkgs map[string]*Package
+	// overlay replaces the on-disk source of the named files (absolute
+	// paths): the mutation table's seam.
+	overlay map[string][]byte
 }
 
 // NewLoader returns a loader for the module rooted at modRoot. The
@@ -121,7 +126,12 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		file := filepath.Join(dir, name)
+		var src any // nil: read the file
+		if b, ok := l.overlay[file]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(l.Fset, file, src, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +151,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, root: path == l.ModPath}
 	l.pkgs[path] = p
 	return p, nil
 }

@@ -4,122 +4,52 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// tenantCheck enforces the tenant-isolation boundary by taint
-// analysis: a string derived from request input (headers, query
-// parameters, decoded bodies) must not reach a raw KV operation's
-// table/row/column argument without flowing through
-// core.ValidateTenant or core.NewTenantStore first. A raw
-// "ftype/<tenant>!<jobID>" key built from an unvalidated header is a
-// cross-tenant escape: the gateway's quota, quorum, and isolation
-// story all assume every key was minted under a validated namespace.
-//
-// The boundary has two sides, and only one is checked:
-//
-//   - Above the boundary (gateway, top-level API, tools): request data
-//     is attacker-controlled; raw calls to core.KV / dstore clients
-//     with request-derived strings are findings. Calls through
-//     core.Store are fine — Store prefixes every key with the
-//     validated namespace; that IS the sanctioned path.
-//   - Below the boundary (internal/core itself, internal/dstore,
-//     internal/hstore, and package main's /d/ wire protocol): raw keys
-//     are the job description. Exempt.
-//
-// Taint rides the interprocedural summaries in taint.go, so a handler
-// that launders a header through two helper functions before the Put
-// is still caught at the outermost tainted call.
+// tenantCheck keeps request-serving code off the raw store: in a
+// package above the tenant boundary that imports net/http, any method
+// call on core.KV, *dstore.Client or *hstore.Client is a finding.
+// core.Store is the only door — it weaves the validated namespace into
+// every row key ("ftype/<tenant>!<jobID>"), so a package that sees
+// requests and never calls the client cannot build a cross-tenant key.
+// Handing the client on (the gateway's one use is the NewTenantStore
+// argument) is not a call. Below the boundary — core, dstore, hstore,
+// package main's wire protocol — raw keys are the job: exempt. The rule
+// is syntactic on purpose, with no verb or sanitizer list to rot; known
+// miss: a local interface with KV's method set hides the receiver type.
 type tenantCheck struct{}
 
 func (tenantCheck) Name() string { return "tenantcheck" }
 func (tenantCheck) Doc() string {
-	return "request-derived KV keys flow through ValidateTenant/NewTenantStore before any raw KV op"
+	return "packages that import net/http reach the store through core.Store, never a raw KV client"
 }
 
-// tenantExempt reports whether a package is below the tenant boundary.
-func tenantExempt(pkgPath, pkgName string) bool {
-	if pkgName == "main" {
-		return true
+var rawKVTypes = []string{"internal/core.KV", "internal/dstore.Client", "internal/hstore.Client"}
+
+// aboveTenantBoundary reports whether pkg serves HTTP outside the
+// packages whose job is raw keys.
+func aboveTenantBoundary(pkg *Package) bool {
+	below := pkg.Types.Name() == "main"
+	for _, p := range []string{"internal/core", "internal/dstore", "internal/hstore"} {
+		below = below || strings.HasSuffix(pkg.Path, p)
 	}
-	for _, below := range []string{"internal/core", "internal/dstore", "internal/hstore"} {
-		if strings.HasSuffix(pkgPath, below) || strings.Contains(pkgPath, below+"/") {
-			return true
-		}
-	}
-	return false
+	return !below && slices.ContainsFunc(pkg.Types.Imports(), func(p *types.Package) bool { return p.Path() == "net/http" })
 }
 
 func (tenantCheck) Check(m *Module, report func(token.Position, string)) {
-	g := m.Graph()
-	isLocal := func(fn *types.Func) bool { return g.Node(fn) != nil }
-	exemptFn := func(fn *types.Func) bool {
-		if fn == nil || fn.Pkg() == nil {
-			return false
-		}
-		return tenantExempt(fn.Pkg().Path(), fn.Pkg().Name())
-	}
-
-	// Pass 1: bottom-up parameter summaries (which params reach returns
-	// and sinks) for every non-exempt module function.
-	var summaries map[*types.Func]taintSummary
-	summaries = BottomUp(g, func(n *CGNode, get func(*types.Func) taintSummary) taintSummary {
-		if n.Decl.Body == nil || exemptFn(n.Fn) {
-			return taintSummary{}
-		}
-		sig := n.Fn.Type().(*types.Signature)
-		seed := make(taintState)
-		var paramBits uint64
-		for i := 0; i < sig.Params().Len() && i < 63; i++ {
-			bit := uint64(1) << uint(i)
-			seed[sig.Params().At(i)] = bit
-			paramBits |= bit
-		}
-		var sum taintSummary
-		te := &taintEngine{
-			pkg:     n.Pkg,
-			isLocal: isLocal,
-			exempt:  exemptFn,
-			sum:     get,
-			onSink: func(_ token.Pos, _ string, mask uint64) {
-				sum.sink |= mask & paramBits
-			},
-			onReturn: func(mask uint64) {
-				sum.ret |= mask & paramBits
-			},
-		}
-		te.runTaint(n.Decl.Body, seed)
-		return sum
-	}, func(a, b taintSummary) bool { return a == b })
-	getSum := func(fn *types.Func) taintSummary {
-		if fn == nil {
-			return taintSummary{}
-		}
-		return summaries[fn.Origin()]
-	}
-
-	// Pass 2: report. Every scope (declarations and literals) in a
-	// non-exempt package, empty seed: taint enters only through
-	// request-typed values, and a sink hit with the source bit set is a
-	// finding.
-	for _, fs := range moduleScopes(m.Pkgs) {
-		if tenantExempt(fs.Pkg.Path, fs.Pkg.Types.Name()) {
+	for _, pkg := range m.Pkgs {
+		if !aboveTenantBoundary(pkg) {
 			continue
 		}
-		pkg := fs.Pkg
-		te := &taintEngine{
-			pkg:     pkg,
-			isLocal: isLocal,
-			exempt:  exemptFn,
-			sum:     getSum,
-			onSink: func(pos token.Pos, desc string, mask uint64) {
-				if mask&taintSrcBit == 0 {
-					return
+		for sel, s := range pkg.Info.Selections {
+			for _, raw := range rawKVTypes {
+				if s.Kind() == types.MethodVal && strings.HasSuffix(s.Recv().String(), raw) {
+					report(pkg.Fset.Position(sel.Pos()),
+						fmt.Sprintf("raw store method %s.%s in a package that serves HTTP — go through core.Store (NewTenantStore), the only door that namespaces row keys", raw[len("internal/"):], sel.Sel.Name))
 				}
-				report(pkg.Fset.Position(pos),
-					fmt.Sprintf("request-derived value reaches raw KV op %s without core.ValidateTenant/NewTenantStore — cross-tenant key escape", desc))
-			},
+			}
 		}
-		te.runTaint(fs.Body, make(taintState))
 	}
 }

@@ -1,6 +1,6 @@
-// Package ctxfix exercises ctxcheck: functions reachable from HTTP
-// handlers must not mint root contexts, and WithoutCancel always needs
-// a reason. Code off the request path may use Background freely.
+// Package ctxfix exercises ctxcheck: a library package (anything but
+// package main and the module root) never mints a root context, on a
+// request path or off it, and WithoutCancel always needs a reason.
 package ctxfix
 
 import (
@@ -8,73 +8,53 @@ import (
 	"net/http"
 )
 
-// handle is a handler root; everything it calls is request-path code.
+// handle threads the request context: clean.
 func handle(w http.ResponseWriter, r *http.Request) {
 	fetch(r.Context(), "key")
 }
 
 func fetch(ctx context.Context, key string) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	_ = ctx
 	refresh()
 }
 
-// refresh is two hops from the handler — still on the request path.
 func refresh() {
-	ctx := context.Background() // want `context\.Background\(\) in .*refresh.* reachable from an HTTP handler`
+	ctx := context.Background() // want `context\.Background\(\) in package ctxfix`
 	_ = ctx
 }
 
-// todoOnPath: TODO is the same hazard as Background.
-func todoOnPath(w http.ResponseWriter, r *http.Request) {
-	ctx := context.TODO() // want `context\.TODO\(\) in .*todoOnPath`
+// todoInHandler: TODO is the same hazard as Background.
+func todoInHandler(w http.ResponseWriter, r *http.Request) {
+	ctx := context.TODO() // want `context\.TODO\(\) in package ctxfix`
 	_ = ctx
 }
 
-// detach: WithoutCancel is flagged everywhere, reachable or not.
+// detach: WithoutCancel is flagged everywhere.
 func detach(ctx context.Context) context.Context {
 	return context.WithoutCancel(ctx) // want `context\.WithoutCancel detaches the request lifetime`
 }
 
 // register wires a handler closure — the gateway's instrument pattern.
-// Functions the closure calls are handler-reachable through it.
+// A literal is judged like any other code in the package.
 func register(mux *http.ServeMux) {
 	mux.HandleFunc("/x", func(w http.ResponseWriter, r *http.Request) {
-		lookup()
+		ctx := context.Background() // want `context\.Background\(\) in package ctxfix`
+		_ = ctx
 	})
 }
 
-func lookup() {
-	ctx := context.Background() // want `context\.Background\(\) in .*lookup`
-	_ = ctx
-}
-
-// offline is not reachable from any handler: a root context is fine.
-func offline() {
-	ctx := context.Background()
-	_ = ctx
-}
-
-// electionLoop is process-lifecycle code, never on a request path: a
-// master's control loop legitimately roots its own context.
+// electionLoop is process-lifecycle code no handler reaches: still not
+// a context root — the process entry point hands it one.
 func electionLoop(stop chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
 		default:
-			ctx := context.Background()
+			ctx := context.Background() // want `only package main and the module root mint root contexts`
 			_ = ctx
 		}
 	}
-}
-
-// tailHandler serves META journal tails over HTTP; code on that path
-// must thread the follower's request context, not mint a root one.
-func tailHandler(w http.ResponseWriter, r *http.Request) {
-	tailOnce()
-}
-
-func tailOnce() {
-	ctx := context.Background() // want `context\.Background\(\) in .*tailOnce.* reachable from an HTTP handler`
-	_ = ctx
 }

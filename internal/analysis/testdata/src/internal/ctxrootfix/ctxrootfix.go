@@ -1,20 +1,18 @@
-// Package ctxrootfix exercises the internal-package arm of ctxcheck:
-// under internal/ a bare Background()/TODO() is flagged even in code
-// no handler reaches — internal code is never the top of a call
-// stack, so the only sanctioned detachments carry an allow directive.
+// Package ctxrootfix exercises ctxcheck on a package under internal/:
+// a bare Background()/TODO() is flagged in code no handler reaches —
+// library code is never the top of a call stack, so the only
+// sanctioned detachments carry an allow directive.
 package ctxrootfix
 
 import "context"
 
-// offline is NOT handler-reachable, but lives under internal/ — the
-// strengthened rule flags it anyway.
 func offline() {
-	ctx := context.Background() // want `context\.Background\(\) in .*offline.* internal code is never a context root`
+	ctx := context.Background() // want `context\.Background\(\) in package ctxrootfix — only package main and the module root`
 	_ = ctx
 }
 
 func todoOffline() {
-	ctx := context.TODO() // want `context\.TODO\(\) in .*todoOffline`
+	ctx := context.TODO() // want `context\.TODO\(\) in package ctxrootfix`
 	_ = ctx
 }
 

@@ -54,7 +54,7 @@ func (s *server) startCtx(ctx context.Context) {
 }
 
 // Start spawns a named loop whose own body observes the stop channel —
-// the tie is found through the callee's bottom-up summary.
+// the spawned function's declaration is the body that is judged.
 func (s *server) Start() {
 	go s.loop()
 }
@@ -86,8 +86,8 @@ func (s *server) startElectionLoop() {
 }
 
 // startJournalTailer mirrors a standby tailing the leader's META
-// journal: the named callee's own loop observes the stop channel, so
-// the tie is found through the bottom-up summary.
+// journal: the named callee's own loop observes the stop channel and
+// signals the WaitGroup.
 func (s *server) startJournalTailer() {
 	s.wg.Add(1)
 	go s.tailJournal()
@@ -114,6 +114,30 @@ func (s *server) startUntiedTailer() {
 			work()
 		}
 	}()
+}
+
+// startBeats is the heartbeat loop with its stop case deleted: a
+// ticker is not a lifecycle, and what a callee observes on its own
+// behalf (poll returns when stopped) does not stop this loop.
+func (s *server) startBeats() {
+	go func() { // want `goroutine is not tied to a WaitGroup, stop channel, or context`
+		t := time.NewTicker(time.Second)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				s.poll()
+			}
+		}
+	}()
+}
+
+func (s *server) poll() {
+	select {
+	case <-s.stop:
+	default:
+		work()
+	}
 }
 
 // hedged is the bounded one-shot idiom: no loops, and the only send

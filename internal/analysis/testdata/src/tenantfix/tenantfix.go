@@ -1,76 +1,58 @@
-// Package tenantfix exercises tenantcheck: request-derived strings
-// must pass core.ValidateTenant or core.NewTenantStore before they
-// reach a raw KV operation's key arguments. Laundering through locals,
-// concatenation, helpers, or a decoded body does not help; validation
-// does.
+// Package tenantfix exercises tenantcheck: a package that imports
+// net/http and sits above the tenant boundary never calls a raw store
+// client — core.KV, *dstore.Client, *hstore.Client — whatever the key
+// is built from. core.Store is the only door.
 package tenantfix
 
 import (
-	"encoding/json"
+	"context"
 	"net/http"
 
 	"pstorm/internal/core"
+	"pstorm/internal/dstore"
+	"pstorm/internal/hstore"
 )
 
-// KV mirrors the raw core.KV verbs; tenantcheck treats KV-verb methods
-// on module-declared interfaces as sinks.
-type KV interface {
-	Put(table, row, column string, value []byte) error
-	Get(table, row, column string) ([]byte, bool, error)
+type srv struct {
+	kv core.KV
+	dc *dstore.Client
+	hc *hstore.Client
 }
 
-type srv struct{ kv KV }
-
-// handlePut builds a row key straight from the request: the escape.
-func (s *srv) handlePut(w http.ResponseWriter, r *http.Request) {
-	tenant := r.Header.Get("X-Tenant")
-	key := "profiles/" + tenant + "!" + r.URL.Query().Get("job")
-	s.kv.Put("profiles", key, "spec", nil) // want `request-derived value reaches raw KV op KV\.Put`
+// handleDirect reads a row keyed straight from a header: the escape.
+func (s *srv) handleDirect(w http.ResponseWriter, r *http.Request) {
+	key := r.Header.Get("X-Job")
+	s.kv.Get(r.Context(), core.TableName, key) // want `raw store method core\.KV\.Get`
 }
 
-// handleLaunder hides the sink behind a helper: the summary carries
-// the parameter to the Put inside store, so the tainted call site is
-// the finding.
+// handleLaunder hides the raw call behind a helper: the helper lives
+// in the same request-serving package, so it is the finding.
 func (s *srv) handleLaunder(w http.ResponseWriter, r *http.Request) {
-	s.store(r.Header.Get("X-Tenant")) // want `request-derived value reaches raw KV op`
+	s.store(r.Context(), r.Header.Get("X-Tenant"))
 }
 
-func (s *srv) store(tenant string) {
-	s.kv.Put("profiles", "p/"+tenant, "spec", nil)
+func (s *srv) store(ctx context.Context, tenant string) {
+	s.kv.Put(ctx, core.TableName, "p/"+tenant, "spec", nil) // want `raw store method core\.KV\.Put`
 }
 
-// handleDecoded taints through a decoded JSON body.
-func (s *srv) handleDecoded(w http.ResponseWriter, r *http.Request) {
-	var req struct{ Tenant, Job string }
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad body", http.StatusBadRequest)
-		return
-	}
-	s.kv.Put("profiles", req.Tenant+"!"+req.Job, "spec", nil) // want `request-derived value reaches raw KV op KV\.Put`
+// The concrete clients are the same door left open; a constant key does
+// not excuse the call, and a verb the old list never knew is a method
+// like any other.
+func (s *srv) sweep(ctx context.Context) {
+	s.dc.BatchPut(ctx, core.TableName, nil)        // want `raw store method dstore\.Client\.BatchPut`
+	s.hc.DeleteRow(ctx, core.TableName, "!bounds") // want `raw store method hstore\.Client\.DeleteRow`
 }
 
-// handleValidated clears the taint through ValidateTenant: clean.
-func (s *srv) handleValidated(w http.ResponseWriter, r *http.Request) {
-	tenant := r.Header.Get("X-Tenant")
-	if err := core.ValidateTenant(tenant); err != nil {
-		http.Error(w, "bad tenant", http.StatusBadRequest)
-		return
-	}
-	s.kv.Put("profiles", "p/"+tenant, "spec", nil)
-}
-
-// handleStore goes through NewTenantStore — the sanctioned path; the
-// Store's own key building is the enforcement boundary, not a sink.
-func handleStore(kv core.KV, w http.ResponseWriter, r *http.Request) {
-	st, err := core.NewTenantStore(r.Context(), kv, r.Header.Get("X-Tenant"))
+// handleStore goes through NewTenantStore — the sanctioned path.
+// Handing the client on is not a call on it; everything after is
+// core.Store's namespaced surface.
+func (s *srv) handleStore(w http.ResponseWriter, r *http.Request) {
+	st, err := core.NewTenantStore(r.Context(), s.kv, r.Header.Get("X-Tenant"))
 	if err != nil {
 		http.Error(w, "bad tenant", http.StatusBadRequest)
 		return
 	}
-	_ = st
-}
-
-// constantKeys never touch request data: clean even at a raw sink.
-func (s *srv) sweep() {
-	s.kv.Put("profiles", "system/bounds", "spec", nil)
+	if _, err := st.JobIDs(r.Context()); err != nil {
+		http.Error(w, "store", http.StatusInternalServerError)
+	}
 }

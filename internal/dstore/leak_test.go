@@ -20,13 +20,13 @@ func checkGoroutineLeak(t *testing.T) {
 		if t.Failed() {
 			return // don't pile a leak report onto a real failure
 		}
-		deadline := time.Now().Add(2 * time.Second) //pstorm:allow clockcheck leak guard waits out real goroutine teardown
+		deadline := time.Now().Add(2 * time.Second)
 		for {
 			after := runtime.NumGoroutine()
 			if after <= before {
 				return
 			}
-			if time.Now().After(deadline) { //pstorm:allow clockcheck leak guard waits out real goroutine teardown
+			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
 				n := runtime.Stack(buf, true)
 				t.Errorf("goroutine leak: %d before, %d after cleanup\n%s", before, after, buf[:n])

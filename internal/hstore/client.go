@@ -36,14 +36,13 @@ func (c *Client) Put(ctx context.Context, table, row, column string, value []byt
 	return c.s.Put(table, row, column, value)
 }
 
-// PutRow writes all columns of a row.
+// PutRow writes all columns of a row, in column-name order (the
+// server sorts), so cell timestamps do not depend on map iteration.
 func (c *Client) PutRow(ctx context.Context, table string, r Row) error {
-	for col, v := range r.Columns {
-		if err := c.Put(ctx, table, r.Key, col, v); err != nil {
-			return err
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return nil
+	return c.s.PutRow(table, r)
 }
 
 // Get fetches one row.

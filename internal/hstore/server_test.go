@@ -3,6 +3,7 @@ package hstore
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -278,5 +279,41 @@ func TestRowBytesAndClone(t *testing.T) {
 	c.Columns["a"][0] = 'X'
 	if r.Columns["a"][0] == 'X' {
 		t.Error("Clone shares value bytes")
+	}
+}
+
+// TestClientPutRowCellOrderDeterministic: a row's cells are written in
+// column-name order, whatever order the map iterates in — so per-cell
+// timestamps (and with them WAL and sstable bytes) are the same from
+// run to run (determinism, contract 3c).
+func TestClientPutRowCellOrderDeterministic(t *testing.T) {
+	cols := map[string][]byte{}
+	for _, c := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		cols[c] = []byte("v-" + c)
+	}
+	for i := 0; i < 20; i++ {
+		s := NewServer()
+		c := Connect(s)
+		ctx := context.Background()
+		if err := c.CreateTable(ctx, "t"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PutRow(ctx, "t", Row{Key: "r", Columns: cols}); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.ExportRegion("t", s.Meta()[0].RegionID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Cells) != len(cols) {
+			t.Fatalf("server %d: exported %d cells, want %d", i, len(snap.Cells), len(cols))
+		}
+		sort.Slice(snap.Cells, func(a, b int) bool { return snap.Cells[a].Column < snap.Cells[b].Column })
+		for j := 1; j < len(snap.Cells); j++ {
+			if prev, cur := snap.Cells[j-1], snap.Cells[j]; cur.Ts <= prev.Ts {
+				t.Fatalf("server %d: column %q has Ts %d, not after column %q's %d — cells were written in map order",
+					i, cur.Column, cur.Ts, prev.Column, prev.Ts)
+			}
+		}
 	}
 }
