@@ -73,13 +73,13 @@ var mutations = []mutation{
 		name: "region-server RPC under the catalog lock", checker: "lockcheck",
 		file: "internal/dstore/master.go",
 		old:  "\tmem.alive = true\n\tm.cHeartbeats.Inc()",
-		new:  "\tmem.alive = true\n\tmem.conn.SetServing(\"t\", 0, true, m.masterEpoch)\n\tm.cHeartbeats.Inc()",
+		new:  "\tmem.alive = true\n\tmem.conn.SetRole(\"t\", 0, false, nil, m.masterEpoch)\n\tm.cHeartbeats.Inc()",
 	},
 	{
 		name: "the same RPC one helper down", checker: "lockcheck",
 		file: "internal/dstore/master.go",
 		old:  "\tmem.alive = true\n\tm.cHeartbeats.Inc()",
-		new:  "\tmem.alive = true\n\tm.rpcSetServing(mem, \"t\", 0, true)\n\tm.cHeartbeats.Inc()",
+		new:  "\tmem.alive = true\n\tm.rpcDemote(mem, \"t\", 0)\n\tm.cHeartbeats.Inc()",
 		miss: "lockcheck is intraprocedural by design: the master holds the catalog lock across its rpc* helpers everywhere (MoveRegion's choreography, failover, repair), so following calls would flag the design, not a regression",
 	},
 	{

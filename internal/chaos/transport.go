@@ -139,11 +139,11 @@ func (c *faultConn) Health() (dstore.HealthReport, error) {
 	return c.inner.Health()
 }
 
-func (c *faultConn) Install(snap *hstore.RegionSnapshot, serving bool, masterEpoch int64) error {
+func (c *faultConn) Install(snap *hstore.RegionSnapshot, masterEpoch int64) error {
 	if err := c.gate("install"); err != nil {
 		return err
 	}
-	return c.inner.Install(snap, serving, masterEpoch)
+	return c.inner.Install(snap, masterEpoch)
 }
 
 func (c *faultConn) Export(table string, regionID int) (*hstore.RegionSnapshot, error) {
@@ -160,18 +160,11 @@ func (c *faultConn) Drop(table string, regionID int, masterEpoch int64) error {
 	return c.inner.Drop(table, regionID, masterEpoch)
 }
 
-func (c *faultConn) SetServing(table string, regionID int, serving bool, masterEpoch int64) error {
-	if err := c.gate("setserving"); err != nil {
+func (c *faultConn) SetRole(table string, regionID int, primary bool, followers []dstore.Peer, masterEpoch int64) error {
+	if err := c.gate("setrole"); err != nil {
 		return err
 	}
-	return c.inner.SetServing(table, regionID, serving, masterEpoch)
-}
-
-func (c *faultConn) SetFollowers(table string, regionID int, followers []dstore.Peer, masterEpoch int64) error {
-	if err := c.gate("setfollowers"); err != nil {
-		return err
-	}
-	return c.inner.SetFollowers(table, regionID, followers, masterEpoch)
+	return c.inner.SetRole(table, regionID, primary, followers, masterEpoch)
 }
 
 // WrapPeerConn decorates a master-to-master connection with the same

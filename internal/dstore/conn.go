@@ -47,12 +47,13 @@ type ServerConn interface {
 	// than the highest it has seen (ErrStaleMaster), so a deposed
 	// leader cannot mutate placement after a standby promoted. Epoch 0
 	// means unfenced (single-master legacy). Export is a read and stays
-	// unfenced.
-	Install(snap *hstore.RegionSnapshot, serving bool, masterEpoch int64) error
+	// unfenced. A copy is installed fenced; SetRole alone makes it the
+	// primary (serving, replicating to followers) or a fenced follower
+	// again, and returns once the writes of the previous role drained.
+	Install(snap *hstore.RegionSnapshot, masterEpoch int64) error
 	Export(table string, regionID int) (*hstore.RegionSnapshot, error)
 	Drop(table string, regionID int, masterEpoch int64) error
-	SetServing(table string, regionID int, serving bool, masterEpoch int64) error
-	SetFollowers(table string, regionID int, followers []Peer, masterEpoch int64) error
+	SetRole(table string, regionID int, primary bool, followers []Peer, masterEpoch int64) error
 }
 
 // MasterConn is how region servers and clients reach the master.
@@ -171,17 +172,14 @@ func (c *unresolvedConn) Flush(string) error                              { retu
 func (c *unresolvedConn) Stats() (hstore.TransferStats, error) {
 	return hstore.TransferStats{}, c.err()
 }
-func (c *unresolvedConn) ResetStats() error             { return c.err() }
-func (c *unresolvedConn) Health() (HealthReport, error) { return HealthReport{}, c.err() }
-func (c *unresolvedConn) Install(*hstore.RegionSnapshot, bool, int64) error {
-	return c.err()
-}
+func (c *unresolvedConn) ResetStats() error                           { return c.err() }
+func (c *unresolvedConn) Health() (HealthReport, error)               { return HealthReport{}, c.err() }
+func (c *unresolvedConn) Install(*hstore.RegionSnapshot, int64) error { return c.err() }
 func (c *unresolvedConn) Export(string, int) (*hstore.RegionSnapshot, error) {
 	return nil, c.err()
 }
-func (c *unresolvedConn) Drop(string, int, int64) error                 { return c.err() }
-func (c *unresolvedConn) SetServing(string, int, bool, int64) error     { return c.err() }
-func (c *unresolvedConn) SetFollowers(string, int, []Peer, int64) error { return c.err() }
+func (c *unresolvedConn) Drop(string, int, int64) error                  { return c.err() }
+func (c *unresolvedConn) SetRole(string, int, bool, []Peer, int64) error { return c.err() }
 
 // directMaster adapts an in-process *Master to MasterConn.
 type directMaster struct{ m *Master }

@@ -3,6 +3,7 @@ package dstore
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"pstorm/internal/cluster"
 	"pstorm/internal/core"
 	"pstorm/internal/engine"
+	"pstorm/internal/hstore"
 	"pstorm/internal/workloads"
 )
 
@@ -135,28 +137,54 @@ func TestEndToEndFailover(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientOpsDuringMoves races writers and scanners through
-// the routing client against a master that keeps moving regions between
-// servers. Every acked write must be readable afterwards and the
-// clients must have recovered from NotServing via retry (not silently
-// dropped work).
+// TestConcurrentClientOpsDuringMoves runs every client write verb
+// against regions that are being moved the whole time, and then checks
+// the replication invariant itself rather than a row count that samples
+// it: every acked row reads back from its primary, and every follower
+// copy of every region scans equal to its primary, cell for cell.
 func TestConcurrentClientOpsDuringMoves(t *testing.T) {
 	c, _ := startCluster(t, 3, []string{"g", "p"})
 	cl := c.Client()
 	cl.RetryBase = time.Microsecond
+	ctx := context.Background()
 
 	const writers, perWriter = 4, 120
+	prefixes := []string{"a", "h", "q"} // one per region
 	var wg sync.WaitGroup
 	errs := make(chan error, writers+2)
+	acked := make([]map[string]string, writers)
 
 	for w := 0; w < writers; w++ {
+		acked[w] = make(map[string]string)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				key := fmt.Sprintf("w%d-%04d", w, i)
-				if err := cl.Put(context.Background(), "t", key, "c", []byte(key)); err != nil {
-					errs <- fmt.Errorf("put %s: %w", key, err)
+				key := fmt.Sprintf("%s-w%d-%04d", prefixes[i%3], w, i)
+				var err error
+				switch i % 3 {
+				case 0:
+					err = cl.Put(ctx, "t", key, "c", []byte(key))
+					acked[w][key] = key
+				case 1:
+					// Two regions in one batch.
+					other := fmt.Sprintf("%s-w%d-%04d-b", prefixes[(i+1)%3], w, i)
+					err = cl.BatchPut(ctx, "t", []hstore.Row{
+						{Key: key, Columns: map[string][]byte{"c": []byte(key)}},
+						{Key: other, Columns: map[string][]byte{"c": []byte(other), "d": []byte("d")}},
+					})
+					acked[w][key], acked[w][other] = key, other
+				case 2:
+					if err = cl.Put(ctx, "t", key, "c", []byte("doomed")); err == nil {
+						err = cl.DeleteRow(ctx, "t", key)
+					}
+					if err == nil {
+						err = cl.Put(ctx, "t", key, "c", []byte(key))
+					}
+					acked[w][key] = key
+				}
+				if err != nil {
+					errs <- fmt.Errorf("writer %d op %d (%s): %w", w, i, key, err)
 					return
 				}
 			}
@@ -169,7 +197,7 @@ func TestConcurrentClientOpsDuringMoves(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
-			if _, err := cl.Scan(context.Background(), "t", "", "", nil, 0); err != nil {
+			if _, err := cl.Scan(ctx, "t", "", "", nil, 0); err != nil {
 				errs <- fmt.Errorf("scan: %w", err)
 				return
 			}
@@ -211,16 +239,44 @@ func TestConcurrentClientOpsDuringMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows, err := cl.Scan(context.Background(), "t", "", "", nil, 0)
+	want := 0
+	for w := range acked {
+		want += len(acked[w])
+		for key, val := range acked[w] {
+			r, ok, err := cl.Get(ctx, "t", key)
+			if err != nil || !ok || string(r.Columns["c"]) != val {
+				t.Fatalf("acked row %s reads back ok=%v err=%v value %q (lost write)", key, ok, err, r.Columns["c"])
+			}
+		}
+	}
+	rows, err := cl.Scan(ctx, "t", "", "", nil, 0)
 	if err != nil {
 		t.Fatalf("final scan: %v", err)
 	}
-	if len(rows) != writers*perWriter {
-		t.Fatalf("found %d rows after concurrent moves, want %d (lost writes)", len(rows), writers*perWriter)
+	if len(rows) != want {
+		t.Fatalf("found %d rows after concurrent moves, want %d", len(rows), want)
 	}
-	for _, r := range rows {
-		if string(r.Columns["c"]) != r.Key {
-			t.Fatalf("row %s holds %q", r.Key, r.Columns["c"])
+	byID := make(map[string]*RegionServer)
+	for _, rs := range c.Servers {
+		byID[rs.ID()] = rs
+	}
+	for _, g := range c.Master.Meta().Tables["t"] {
+		onPrimary, err := byID[g.Primary].Scan(ctx, "t", g.ID, g.StartKey, g.EndKey, nil, 0)
+		if err != nil {
+			t.Fatalf("region %d: primary scan on %s: %v", g.ID, g.Primary, err)
+		}
+		if len(g.Followers) == 0 {
+			t.Fatalf("region %d ended with no follower", g.ID)
+		}
+		for _, f := range g.Followers {
+			onFollower, err := byID[f].FollowerScan(ctx, "t", g.ID, g.StartKey, g.EndKey, nil, 0)
+			if err != nil {
+				t.Fatalf("region %d: follower scan on %s: %v", g.ID, f, err)
+			}
+			if !reflect.DeepEqual(onPrimary, onFollower) {
+				t.Fatalf("region %d: follower %s holds %d rows, primary %s holds %d, or their cells differ (replication incomplete)",
+					g.ID, f, len(onFollower), g.Primary, len(onPrimary))
+			}
 		}
 	}
 
@@ -233,7 +289,7 @@ func TestConcurrentClientOpsDuringMoves(t *testing.T) {
 	m := c.Master.Meta()
 	var g RegionInfo
 	for _, cand := range m.Tables["t"] {
-		if cand.StartKey <= "w0-0000" && (cand.EndKey == "" || "w0-0000" < cand.EndKey) {
+		if cand.StartKey <= "q-stale" && (cand.EndKey == "" || "q-stale" < cand.EndKey) {
 			g = cand
 		}
 	}
@@ -248,7 +304,7 @@ func TestConcurrentClientOpsDuringMoves(t *testing.T) {
 	if _, err := c.Master.MoveRegion("t", g.ID, target); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Put(context.Background(), "t", "w0-0000", "c", []byte("w0-0000")); err != nil {
+	if err := cl.Put(context.Background(), "t", "q-stale", "c", []byte("q-stale")); err != nil {
 		t.Fatalf("put through stale route: %v", err)
 	}
 	if cl.Retries() == before {

@@ -463,9 +463,9 @@ func (m *Master) mintEpochLocked() {
 
 // promoteLocked turns this standby into the leader: mint a fencing
 // epoch, adopt the shadow catalog as authoritative, bump the META
-// epoch, journal the takeover, and sweep every region's replication
-// chain and serving fence at the new epoch so every region server's
-// epoch floor rises past any deposed leader.
+// epoch, journal the takeover, and re-push every region's role at the
+// new epoch so every region server's epoch floor rises past any deposed
+// leader.
 func (m *Master) promoteLocked(now time.Time) {
 	// Pushed images land in the held slot without touching the catalog,
 	// so the slot may be ahead of the shadow catalog. Seal it against
@@ -483,10 +483,8 @@ func (m *Master) promoteLocked(now time.Time) {
 	for _, id := range m.order {
 		m.servers[id].lastBeat = now
 	}
-	for _, regions := range m.tables {
-		for _, g := range regions {
-			m.pendSyncLocked(g)
-		}
+	for _, g := range m.regionsLocked() {
+		m.pendSyncLocked(g)
 	}
 	m.cElections.Inc()
 	m.gLeader.Set(1)

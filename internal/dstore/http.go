@@ -83,14 +83,14 @@ type scanWire struct {
 
 type installWire struct {
 	Snapshot    *hstore.RegionSnapshot `json:"snapshot"`
-	Serving     bool                   `json:"serving"`
 	MasterEpoch int64                  `json:"master_epoch,omitempty"`
 }
 
-type followersWire struct {
+type roleWire struct {
 	Table       string `json:"table"`
 	Region      int    `json:"region"`
-	Peers       []Peer `json:"peers"`
+	Primary     bool   `json:"primary"`
+	Followers   []Peer `json:"followers,omitempty"`
 	MasterEpoch int64  `json:"master_epoch,omitempty"`
 }
 
@@ -133,6 +133,28 @@ func writeJSONBody(w http.ResponseWriter, v interface{}) {
 
 func decodeBody(r *http.Request, v interface{}) error {
 	return json.NewDecoder(r.Body).Decode(v)
+}
+
+// queryInts parses numeric query values, in key order. A missing key is
+// 0 — an absent mepoch is the unfenced single-master case — but a
+// garbled one is answered 400 bad_request (ok false), never read as a
+// silent 0 that would name region 0 or wave a deposed master through
+// the epoch fence.
+func queryInts(w http.ResponseWriter, r *http.Request, keys ...string) (out []int64, parsed bool) {
+	q := r.URL.Query()
+	out = make([]int64, len(keys))
+	for i, k := range keys {
+		if !q.Has(k) {
+			continue
+		}
+		n, err := strconv.ParseInt(q.Get(k), 10, 64)
+		if err != nil {
+			writeHTTPErr(w, fmt.Errorf("dstore: query value %s=%q is not an integer", k, q.Get(k)))
+			return nil, false
+		}
+		out[i] = n
+	}
+	return out, true
 }
 
 // RegionServerHandler exposes a region server over HTTP.
@@ -265,11 +287,14 @@ func RegionServerHandler(rs *RegionServer) http.Handler {
 			writeHTTPErr(w, err)
 			return
 		}
-		ok(w, rs.Install(req.Snapshot, req.Serving, req.MasterEpoch))
+		ok(w, rs.Install(req.Snapshot, req.MasterEpoch))
 	})
 	mux.HandleFunc("/d/export", func(w http.ResponseWriter, r *http.Request) {
-		region, _ := strconv.Atoi(r.URL.Query().Get("region"))
-		snap, err := rs.Export(r.URL.Query().Get("table"), region)
+		v, parsed := queryInts(w, r, "region")
+		if !parsed {
+			return
+		}
+		snap, err := rs.Export(r.URL.Query().Get("table"), int(v[0]))
 		if err != nil {
 			writeHTTPErr(w, err)
 			return
@@ -277,23 +302,17 @@ func RegionServerHandler(rs *RegionServer) http.Handler {
 		writeJSONBody(w, snap)
 	})
 	mux.HandleFunc("/d/drop", func(w http.ResponseWriter, r *http.Request) {
-		region, _ := strconv.Atoi(r.URL.Query().Get("region"))
-		mepoch, _ := strconv.ParseInt(r.URL.Query().Get("mepoch"), 10, 64)
-		ok(w, rs.Drop(r.URL.Query().Get("table"), region, mepoch))
+		if v, parsed := queryInts(w, r, "region", "mepoch"); parsed {
+			ok(w, rs.Drop(r.URL.Query().Get("table"), int(v[0]), v[1]))
+		}
 	})
-	mux.HandleFunc("/d/serving", func(w http.ResponseWriter, r *http.Request) {
-		region, _ := strconv.Atoi(r.URL.Query().Get("region"))
-		serving := r.URL.Query().Get("serving") == "true"
-		mepoch, _ := strconv.ParseInt(r.URL.Query().Get("mepoch"), 10, 64)
-		ok(w, rs.SetServing(r.URL.Query().Get("table"), region, serving, mepoch))
-	})
-	mux.HandleFunc("/d/followers", func(w http.ResponseWriter, r *http.Request) {
-		var req followersWire
+	mux.HandleFunc("/d/role", func(w http.ResponseWriter, r *http.Request) {
+		var req roleWire
 		if err := decodeBody(r, &req); err != nil {
 			writeHTTPErr(w, err)
 			return
 		}
-		ok(w, rs.SetFollowers(req.Table, req.Region, req.Peers, req.MasterEpoch))
+		ok(w, rs.SetRole(req.Table, req.Region, req.Primary, req.Followers, req.MasterEpoch))
 	})
 	return mux
 }
@@ -335,8 +354,11 @@ func MasterHandler(m *Master) http.Handler {
 		writeJSONBody(w, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/d/move", func(w http.ResponseWriter, r *http.Request) {
-		region, _ := strconv.Atoi(r.URL.Query().Get("region"))
-		n, err := m.MoveRegion(r.URL.Query().Get("table"), region, r.URL.Query().Get("to"))
+		v, parsed := queryInts(w, r, "region")
+		if !parsed {
+			return
+		}
+		n, err := m.MoveRegion(r.URL.Query().Get("table"), int(v[0]), r.URL.Query().Get("to"))
 		if err != nil {
 			writeHTTPErr(w, err)
 			return
@@ -361,9 +383,11 @@ func MasterHandler(m *Master) http.Handler {
 		writeJSONBody(w, st)
 	})
 	mux.HandleFunc("/m/image", func(w http.ResponseWriter, r *http.Request) {
-		masterEpoch, _ := strconv.ParseInt(r.URL.Query().Get("master_epoch"), 10, 64)
-		epoch, _ := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
-		img, err := m.PullImage(masterEpoch, epoch)
+		v, parsed := queryInts(w, r, "master_epoch", "epoch")
+		if !parsed {
+			return
+		}
+		img, err := m.PullImage(v[0], v[1])
 		if err != nil {
 			writeHTTPErr(w, err)
 			return
@@ -588,8 +612,8 @@ func (c *httpServerConn) ResetStats() error {
 	return c.h.call(detachedCtx(), "/d/stats?reset=1", nil, &st)
 }
 
-func (c *httpServerConn) Install(snap *hstore.RegionSnapshot, serving bool, masterEpoch int64) error {
-	return c.h.call(detachedCtx(), "/d/install", installWire{Snapshot: snap, Serving: serving, MasterEpoch: masterEpoch}, nil)
+func (c *httpServerConn) Install(snap *hstore.RegionSnapshot, masterEpoch int64) error {
+	return c.h.call(detachedCtx(), "/d/install", installWire{Snapshot: snap, MasterEpoch: masterEpoch}, nil)
 }
 
 func (c *httpServerConn) Export(table string, regionID int) (*hstore.RegionSnapshot, error) {
@@ -605,12 +629,8 @@ func (c *httpServerConn) Drop(table string, regionID int, masterEpoch int64) err
 	return c.h.call(detachedCtx(), fmt.Sprintf("/d/drop?table=%s&region=%d&mepoch=%d", queryEscape(table), regionID, masterEpoch), nil, nil)
 }
 
-func (c *httpServerConn) SetServing(table string, regionID int, serving bool, masterEpoch int64) error {
-	return c.h.call(detachedCtx(), fmt.Sprintf("/d/serving?table=%s&region=%d&serving=%t&mepoch=%d", queryEscape(table), regionID, serving, masterEpoch), nil, nil)
-}
-
-func (c *httpServerConn) SetFollowers(table string, regionID int, followers []Peer, masterEpoch int64) error {
-	return c.h.call(detachedCtx(), "/d/followers", followersWire{Table: table, Region: regionID, Peers: followers, MasterEpoch: masterEpoch}, nil)
+func (c *httpServerConn) SetRole(table string, regionID int, primary bool, followers []Peer, masterEpoch int64) error {
+	return c.h.call(detachedCtx(), "/d/role", roleWire{Table: table, Region: regionID, Primary: primary, Followers: followers, MasterEpoch: masterEpoch}, nil)
 }
 
 // httpMasterConn speaks to a remote master.

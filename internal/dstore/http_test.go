@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"pstorm/internal/hstore"
+	"pstorm/internal/httperr"
 )
 
 // TestHTTPCluster runs the whole control and data plane over real HTTP:
@@ -79,19 +82,25 @@ func TestHTTPCluster(t *testing.T) {
 	}
 	g := meta.Tables["t"][0]
 	var primary Peer
+	var chain []Peer
 	for _, p := range meta.Servers {
 		if p.ID == g.Primary {
 			primary = p
 		}
+		for _, f := range g.Followers {
+			if p.ID == f {
+				chain = append(chain, p)
+			}
+		}
 	}
 	conn := newHTTPServerConn(primary.Addr, time.Second)
-	if err := conn.SetServing("t", g.ID, false, 0); err != nil {
+	if err := conn.SetRole("t", g.ID, false, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := conn.Get(context.Background(), "t", "k00"); !hstore.IsNotServing(err) {
 		t.Fatalf("fenced remote Get returned %v, want NotServing", err)
 	}
-	if err := conn.SetServing("t", g.ID, true, 0); err != nil {
+	if err := conn.SetRole("t", g.ID, true, chain, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := cl.Get(context.Background(), "t", "k00"); err != nil || !ok {
@@ -148,5 +157,58 @@ func TestDialTimeout(t *testing.T) {
 	}
 	if got := def.(*httpServerConn).h.hc.Timeout; got != DefaultDialTimeout {
 		t.Errorf("default conn timeout = %v, want %v", got, DefaultDialTimeout)
+	}
+}
+
+// TestMalformedControlQueryRejected: a control-plane query value that
+// does not parse is a 400 bad_request, never a silent 0 — region 0 is a
+// region, and master epoch 0 is the unfenced value fence() waves
+// through. A missing mepoch still means the single-master 0.
+func TestMalformedControlQueryRejected(t *testing.T) {
+	rs := NewRegionServer("rs", NewRegistry())
+	if err := rs.Install(&hstore.RegionSnapshot{Table: "t", RegionID: 0}, 7); err != nil {
+		t.Fatal(err)
+	}
+	rsSrv := httptest.NewServer(RegionServerHandler(rs))
+	defer rsSrv.Close()
+	m := NewMaster(NewRegistry(), MasterOptions{})
+	mSrv := httptest.NewServer(MasterHandler(m))
+	defer mSrv.Close()
+
+	for _, url := range []string{
+		rsSrv.URL + "/d/export?table=t&region=abc",
+		rsSrv.URL + "/d/drop?table=t&region=abc&mepoch=7",
+		rsSrv.URL + "/d/drop?table=t&region=0&mepoch=seven",
+		rsSrv.URL + "/d/drop?table=t&region=0&mepoch=",
+		mSrv.URL + "/d/move?table=t&region=1x&to=rs",
+		mSrv.URL + "/m/image?master_epoch=abc&epoch=0",
+		mSrv.URL + "/m/image?master_epoch=0&epoch=1e3",
+	} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		e, ok := httperr.Parse(body)
+		if resp.StatusCode != http.StatusBadRequest || !ok || e.Code != httperr.CodeBadRequest || !strings.Contains(e.Message, "not an integer") {
+			t.Errorf("GET %s = %d %s, want 400 bad_request naming the value", url, resp.StatusCode, body)
+		}
+	}
+	if _, err := rs.Export("t", 0); err != nil {
+		t.Fatalf("region 0 after the malformed drops: %v", err)
+	}
+	// Stale epoch is still fenced, an absent one is still the legacy 0.
+	conn := newHTTPServerConn(rsSrv.URL, time.Second)
+	if err := conn.Drop("t", 0, 3); !errors.Is(err, ErrStaleMaster) {
+		t.Fatalf("Drop at a deposed epoch = %v, want ErrStaleMaster", err)
+	}
+	resp, err := http.Get(rsSrv.URL + "/d/drop?table=t&region=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("drop without mepoch = %d, want 200", resp.StatusCode)
 	}
 }

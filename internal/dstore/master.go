@@ -3,6 +3,7 @@ package dstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -121,10 +122,10 @@ type Master struct {
 	// metaVersion.
 	catalogTerm  int64
 	nextRegionID int
-	// pendingSync holds regions whose primary has not yet confirmed its
-	// replication chain and serving fence (a SetFollowers/SetServing RPC
-	// failed mid-failover or mid-rebuild); every liveness and health
-	// round re-pushes them until the primary acks.
+	// pendingSync holds regions whose primary has not yet confirmed the
+	// role the catalog gives it (a SetRole push failed, or a new reign
+	// has yet to re-stamp it); every liveness and health round re-pushes
+	// them until the primary acks.
 	pendingSync map[regionRef]bool
 
 	// Election state (all under mu). masterEpoch is this master's
@@ -271,10 +272,8 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 			// A fresh HA bootstrap leader (nothing recovered — a restart
 			// boots standby) mints its first fencing epoch.
 			m.mintEpochLocked()
-			for _, regions := range m.tables {
-				for _, g := range regions {
-					m.pendSyncLocked(g)
-				}
+			for _, g := range m.regionsLocked() {
+				m.pendSyncLocked(g)
 			}
 		}
 		m.held.leading = true
@@ -483,20 +482,37 @@ func (m *Master) deposeOnStaleLocked(err error) error {
 	return err
 }
 
-func (m *Master) rpcInstall(mem *member, snap *hstore.RegionSnapshot, serving bool) error {
-	return m.deposeOnStaleLocked(mem.conn.Install(snap, serving, m.masterEpoch))
-}
-
-func (m *Master) rpcSetServing(mem *member, table string, regionID int, serving bool) error {
-	return m.deposeOnStaleLocked(mem.conn.SetServing(table, regionID, serving, m.masterEpoch))
+func (m *Master) rpcInstall(mem *member, snap *hstore.RegionSnapshot) error {
+	return m.deposeOnStaleLocked(mem.conn.Install(snap, m.masterEpoch))
 }
 
 func (m *Master) rpcDrop(mem *member, table string, regionID int) error {
 	return m.deposeOnStaleLocked(mem.conn.Drop(table, regionID, m.masterEpoch))
 }
 
-func (m *Master) rpcSetFollowers(mem *member, table string, regionID int, followers []Peer) error {
-	return m.deposeOnStaleLocked(mem.conn.SetFollowers(table, regionID, followers, m.masterEpoch))
+// rpcDemote fences mem's copy into a follower; it returns once the
+// copy's in-flight writes have reached its whole chain.
+func (m *Master) rpcDemote(mem *member, table string, regionID int) error {
+	return m.deposeOnStaleLocked(mem.conn.SetRole(table, regionID, false, nil, m.masterEpoch))
+}
+
+// pushRoleLocked tells g.Primary what the catalog says: serve, and
+// replicate to g.Followers. The catalog is the truth and this is the one
+// way a primary learns it, so a push that fails leaves the region
+// pending — syncPendingLocked retries until the primary acks, and a
+// dropped RPC cannot leave a region fenced or a chain stale forever.
+func (m *Master) pushRoleLocked(g *RegionInfo) error {
+	peers := make([]Peer, 0, len(g.Followers))
+	for _, f := range g.Followers {
+		peers = append(peers, m.servers[f].peer)
+	}
+	err := m.deposeOnStaleLocked(m.servers[g.Primary].conn.SetRole(g.Table, g.ID, true, peers, m.masterEpoch))
+	if err != nil {
+		m.pendSyncLocked(g)
+	} else {
+		delete(m.pendingSync, regionRef{g.Table, g.ID})
+	}
+	return err
 }
 
 // Join registers a region server. A re-join of a known ID — whether its
@@ -655,27 +671,20 @@ func (m *Master) CreateTableSplits(table string, splits []string) error {
 	return nil
 }
 
-// installRegionLocked creates the empty copies of a new region on its
-// primary and followers and wires the replication chain.
-func (m *Master) installRegionLocked(g *RegionInfo) error {
-	empty := &hstore.RegionSnapshot{Table: g.Table, RegionID: g.ID, StartKey: g.StartKey, EndKey: g.EndKey}
-	if err := m.rpcInstall(m.servers[g.Primary], empty, true); err != nil {
-		return fmt.Errorf("dstore: installing region %d primary on %s: %w", g.ID, g.Primary, err)
-	}
-	for _, f := range g.Followers {
-		if err := m.rpcInstall(m.servers[f], empty, false); err != nil {
-			return fmt.Errorf("dstore: installing region %d follower on %s: %w", g.ID, f, err)
-		}
-	}
-	return m.setFollowersLocked(g)
+// emptyCopy is the snapshot a fresh copy of g is installed from.
+func emptyCopy(g *RegionInfo) *hstore.RegionSnapshot {
+	return &hstore.RegionSnapshot{Table: g.Table, RegionID: g.ID, StartKey: g.StartKey, EndKey: g.EndKey}
 }
 
-func (m *Master) setFollowersLocked(g *RegionInfo) error {
-	peers := make([]Peer, 0, len(g.Followers))
-	for _, f := range g.Followers {
-		peers = append(peers, m.servers[f].peer)
+// installRegionLocked creates the empty, fenced copies of a new region
+// on every server the catalog names and hands the primary its role.
+func (m *Master) installRegionLocked(g *RegionInfo) error {
+	for _, id := range append([]string{g.Primary}, g.Followers...) {
+		if err := m.rpcInstall(m.servers[id], emptyCopy(g)); err != nil {
+			return fmt.Errorf("dstore: installing region %d on %s: %w", g.ID, id, err)
+		}
 	}
-	return m.rpcSetFollowers(m.servers[g.Primary], g.Table, g.ID, peers)
+	return m.pushRoleLocked(g)
 }
 
 // CheckLiveness declares servers whose heartbeat lapsed dead (as of
@@ -732,10 +741,9 @@ func (m *Master) pendSyncLocked(g *RegionInfo) {
 	m.pendingSync[regionRef{g.Table, g.ID}] = true
 }
 
-// syncPendingLocked re-pushes the replication chain and serving fence
-// of every region left pending by a failed RPC. Refs are retried in
-// sorted order so the RPC sequence — and with it a chaos harness's
-// fault schedule — is deterministic.
+// syncPendingLocked re-pushes the role of every region left pending.
+// Refs are retried in sorted order so the RPC sequence — and with it a
+// chaos harness's fault schedule — is deterministic.
 func (m *Master) syncPendingLocked() {
 	if len(m.pendingSync) == 0 {
 		return
@@ -759,47 +767,46 @@ func (m *Master) syncPendingLocked() {
 		if !m.servers[g.Primary].alive {
 			continue // failover will reassign; keep it pending
 		}
-		if m.setFollowersLocked(g) != nil {
-			continue
-		}
-		if err := m.rpcSetServing(m.servers[g.Primary], ref.table, ref.id, true); err != nil {
-			continue
-		}
-		delete(m.pendingSync, ref)
+		m.pushRoleLocked(g) //nolint:errcheck — stays pending on failure
 	}
+}
+
+// regionsLocked lists every region, tables in name order, so a walk
+// that issues RPCs issues them in the same order every run.
+func (m *Master) regionsLocked() []*RegionInfo {
+	names := make([]string, 0, len(m.tables))
+	for t := range m.tables {
+		names = append(names, t)
+	}
+	sort.Strings(names)
+	var out []*RegionInfo
+	for _, t := range names {
+		out = append(out, m.tables[t]...)
+	}
+	return out
 }
 
 // failoverLocked walks every region and repairs assignments that name
 // dead servers: dead followers are pruned; a dead primary is replaced
-// by its first live follower, whose fenced copy is promoted to serving.
+// by its first live follower, whose fenced copy is promoted. Only a
+// region whose own assignment changed costs an RPC.
 func (m *Master) failoverLocked() {
 	changed := false
-	for _, regions := range m.tables {
-		for _, g := range regions {
-			live := g.Followers[:0]
-			for _, f := range g.Followers {
-				if m.servers[f].alive {
-					live = append(live, f)
-				} else {
-					changed = true
-				}
+	for _, g := range m.regionsLocked() {
+		live := slices.DeleteFunc(g.Followers, func(f string) bool { return !m.servers[f].alive })
+		pruned := len(live) < len(g.Followers)
+		g.Followers = live
+		switch {
+		case m.servers[g.Primary].alive:
+			if pruned {
+				m.pushRoleLocked(g) //nolint:errcheck — pended on failure
 			}
-			g.Followers = live
-			if m.servers[g.Primary].alive {
-				if changed {
-					if m.setFollowersLocked(g) != nil {
-						m.pendSyncLocked(g)
-					}
-				}
-				continue
-			}
-			if len(g.Followers) == 0 {
-				// No live copy; the region is unavailable until an
-				// operator restores a server. Leave META pointing at
-				// the corpse so clients keep retrying.
-				continue
-			}
-			changed = true
+		case len(g.Followers) == 0:
+			// No live copy; the region is unavailable until an operator
+			// restores a server. Leave META pointing at the corpse so
+			// clients keep retrying.
+		default:
+			pruned = true
 			m.cFailovers.Inc()
 			m.o.Emit("failover", map[string]string{
 				"table": g.Table, "region": strconv.Itoa(g.ID),
@@ -807,6 +814,7 @@ func (m *Master) failoverLocked() {
 			})
 			m.promoteFollowerLocked(g, g.Followers[0])
 		}
+		changed = changed || pruned
 	}
 	if changed {
 		m.epoch++
@@ -814,32 +822,49 @@ func (m *Master) failoverLocked() {
 }
 
 // promoteFollowerLocked makes follower f the region's primary: f leaves
-// the follower list, learns the surviving chain, then starts serving.
-// Followers before serving: writes acked by the promoted primary must
-// already fan out to the surviving replicas. A failed RPC pends the
-// region — syncPendingLocked retries until the new primary confirms its
-// chain and fence, so a dropped RPC cannot leave the region fenced
-// forever.
+// the follower list and is pushed its new role — serving and the
+// surviving chain arrive together, so it never acks a write it does not
+// replicate.
 func (m *Master) promoteFollowerLocked(g *RegionInfo, f string) {
-	rest := g.Followers[:0]
-	for _, id := range g.Followers {
-		if id != f {
-			rest = append(rest, id)
-		}
+	g.Primary, g.Followers = f, slices.DeleteFunc(g.Followers, func(id string) bool { return id == f })
+	m.pushRoleLocked(g) //nolint:errcheck — pended on failure
+}
+
+// recruitLocked makes cand, which holds no copy of g, a follower:
+// install an empty fenced copy — refused, before anything changes, if
+// cand still hosts a copy a lost Drop left behind, which may hold rows
+// deleted since — join the primary's chain (the push drains the
+// primary's in-flight writes, so every write from here on reaches cand),
+// then backfill it with an export taken after the join. The primary
+// serves throughout. It returns the snapshot bytes shipped; on failure
+// the catalog and the chain are put back and the copy dropped.
+func (m *Master) recruitLocked(g *RegionInfo, cand string) (int64, error) {
+	mem := m.servers[cand]
+	if err := m.rpcInstall(mem, emptyCopy(g)); err != nil {
+		return 0, err
 	}
-	g.Primary, g.Followers = f, rest
-	if m.setFollowersLocked(g) != nil {
-		m.pendSyncLocked(g)
+	g.Followers = append(g.Followers, cand)
+	var snap *hstore.RegionSnapshot
+	err := m.pushRoleLocked(g)
+	if err == nil {
+		snap, err = m.servers[g.Primary].conn.Export(g.Table, g.ID)
 	}
-	if err := m.rpcSetServing(m.servers[f], g.Table, g.ID, true); err != nil {
-		m.pendSyncLocked(g)
+	if err == nil {
+		snap.Backfill = true
+		err = m.rpcInstall(mem, snap)
 	}
+	if err != nil {
+		g.Followers = g.Followers[:len(g.Followers)-1]
+		m.pushRoleLocked(g)           //nolint:errcheck — pended on failure
+		m.rpcDrop(mem, g.Table, g.ID) //nolint:errcheck — orphan copy, harmless
+		return 0, err
+	}
+	return snap.Bytes(), nil
 }
 
 // repairLocked restores the replication factor of under-replicated
-// regions by seeding fresh followers on live servers that do not yet
-// hold a copy: install an empty fenced region, join the replication
-// chain (so new writes flow), then backfill from a primary snapshot.
+// regions by recruiting live servers that do not yet hold a copy; a
+// failed recruit is retried next round.
 func (m *Master) repairLocked() {
 	repl := m.opts.replication()
 	alive := m.aliveIDs()
@@ -847,42 +872,23 @@ func (m *Master) repairLocked() {
 		return
 	}
 	changed := false
-	for _, regions := range m.tables {
-		for _, g := range regions {
-			if !m.servers[g.Primary].alive {
-				continue
+	for _, g := range m.regionsLocked() {
+		if !m.servers[g.Primary].alive {
+			continue
+		}
+		for len(g.Followers)+1 < repl {
+			cand := m.pickCandidateLocked(g, alive)
+			if cand == "" {
+				break
 			}
-			for len(g.Followers)+1 < repl {
-				cand := m.pickCandidateLocked(g, alive)
-				if cand == "" {
-					break
-				}
-				empty := &hstore.RegionSnapshot{Table: g.Table, RegionID: g.ID, StartKey: g.StartKey, EndKey: g.EndKey}
-				if err := m.rpcInstall(m.servers[cand], empty, false); err != nil {
-					break
-				}
-				g.Followers = append(g.Followers, cand)
-				if err := m.setFollowersLocked(g); err != nil {
-					g.Followers = g.Followers[:len(g.Followers)-1]
-					break
-				}
-				snap, err := m.servers[g.Primary].conn.Export(g.Table, g.ID)
-				if err == nil {
-					err = m.servers[cand].conn.Apply(g.Table, snap.Cells)
-				}
-				if err != nil {
-					// Roll the recruit back; retried next round.
-					g.Followers = g.Followers[:len(g.Followers)-1]
-					m.setFollowersLocked(g)                   //nolint:errcheck
-					m.rpcDrop(m.servers[cand], g.Table, g.ID) //nolint:errcheck
-					break
-				}
-				changed = true
-				m.cRepairs.Inc()
-				m.o.Emit("rereplicate", map[string]string{
-					"table": g.Table, "region": strconv.Itoa(g.ID), "to": cand,
-				})
+			if _, err := m.recruitLocked(g, cand); err != nil {
+				break
 			}
+			changed = true
+			m.cRepairs.Inc()
+			m.o.Emit("rereplicate", map[string]string{
+				"table": g.Table, "region": strconv.Itoa(g.ID), "to": cand,
+			})
 		}
 	}
 	if changed {
@@ -959,8 +965,8 @@ func (m *Master) CheckHealth() int {
 // copy that is corrupt too.
 //
 // Like MoveRegion, the choreography is atomic under the catalog lock —
-// the fence flips and META mutation must not interleave with
-// concurrent failovers — so the conn RPCs are annotated for lockcheck.
+// the role push and the META mutation must not interleave with
+// concurrent failovers.
 func (m *Master) rebuildQuarantined(server, table string, regionID int, badCopies map[string]bool) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -999,9 +1005,7 @@ func (m *Master) rebuildQuarantined(server, table string, regionID int, badCopie
 			return false // already evicted
 		}
 		g.Followers = append(g.Followers[:idx], g.Followers[idx+1:]...)
-		if m.setFollowersLocked(g) != nil {
-			m.pendSyncLocked(g)
-		}
+		m.pushRoleLocked(g) //nolint:errcheck — pended on failure
 	}
 	// Drop the corrupt copy; a failure leaves an orphan the next health
 	// round retries (the copy stays quarantined, so it is never read).
@@ -1049,18 +1053,22 @@ func (m *Master) primaryCountsLocked() map[string]int {
 }
 
 // MoveRegion moves a region's primary to another live server and
-// returns the snapshot bytes shipped. If the target already follows the
-// region, the move is a promotion flip (zero bytes moved); otherwise the
-// source is fenced, its snapshot exported and installed on the target,
-// META flipped, and the source copy dropped.
+// returns the snapshot bytes shipped. There is one choreography: a
+// target that holds no copy is first recruited as a follower (the source
+// keeps serving while the snapshot ships), then the roles flip — demote
+// the source, which drains its in-flight writes into a chain that
+// includes the target; swap the catalog; push the target its role. A
+// target that already follows the region skips the recruit and ships
+// zero bytes; a recruited one takes the source's place, and the source
+// copy is dropped. An error means the catalog is as it was and the
+// source has been told to serve again.
 //
 // The whole choreography runs under the catalog lock: the fence, the
-// META mutation, and the rollbacks must be atomic with respect to
-// concurrent liveness checks and other moves, so the conn RPCs below
-// are individually annotated for lockcheck. The known cost is that a
-// slow peer stalls heartbeats for the duration of one move; lifting
-// the RPCs out requires a per-region move lease and is tracked as
-// future work rather than bolted on here.
+// META mutation, and the undo must be atomic with respect to concurrent
+// liveness checks and other moves. The known cost is that a slow peer
+// stalls heartbeats for the duration of one move; lifting the RPCs out
+// requires a per-region move lease and is tracked as future work rather
+// than bolted on here.
 func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error) {
 	if m.stopped.Load() {
 		return 0, errStopped
@@ -1081,83 +1089,40 @@ func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error
 	if to == g.Primary {
 		return 0, nil
 	}
-	src := m.servers[g.Primary]
-
-	for i, f := range g.Followers {
-		if f != to {
-			continue
-		}
-		// Promotion flip: the target already holds a synchronously
-		// replicated copy. Fence the old primary first so no write can
-		// land there after the flip, and give the target its follower
-		// set while it is still fenced — a write acked by the new
-		// primary before its followers were wired up would be
-		// unreplicated, and a later flip back would lose it.
-		if err := m.rpcSetServing(src, table, regionID, false); err != nil {
-			return 0, fmt.Errorf("dstore: fencing %s: %w", g.Primary, err)
-		}
-		oldPrimary := g.Primary
-		g.Followers[i] = g.Primary
-		g.Primary = to
-		if err := m.setFollowersLocked(g); err != nil {
-			g.Primary = oldPrimary
-			g.Followers[i] = to
-			m.rpcSetServing(src, table, regionID, true) //nolint:errcheck — undo fence
+	src, from := m.servers[g.Primary], g.Primary
+	before, after := slices.Clone(g.Followers), slices.Clone(g.Followers)
+	kind, moved := "full", int64(0)
+	if i := slices.Index(after, to); i >= 0 {
+		kind, after[i] = "flip", from
+	}
+	if kind == "full" {
+		if moved, err = m.recruitLocked(g, to); err != nil {
 			return 0, err
 		}
-		if err := m.rpcSetServing(dst, table, regionID, true); err != nil {
-			g.Primary = oldPrimary
-			g.Followers[i] = to
-			m.rpcSetFollowers(dst, table, regionID, nil) //nolint:errcheck
-			m.rpcSetServing(src, table, regionID, true)  //nolint:errcheck — undo fence
-			return 0, err
-		}
-		m.rpcSetFollowers(src, table, regionID, nil) //nolint:errcheck
-		m.epoch++
-		m.cMoves.Inc()
-		m.o.Emit("move", map[string]string{
-			"table": table, "region": strconv.Itoa(regionID),
-			"from": oldPrimary, "to": to, "kind": "flip",
-		})
-		m.journalLocked("move")
-		return 0, nil
 	}
-
-	// Full move: fence → export → wire followers → install → flip →
-	// drop. The target learns its follower set before it serves, for
-	// the same reason as the flip above.
-	if err := m.rpcSetServing(src, table, regionID, false); err != nil {
-		return 0, fmt.Errorf("dstore: fencing %s: %w", g.Primary, err)
+	if err = m.rpcDemote(src, table, regionID); err == nil {
+		g.Primary, g.Followers = to, after
+		err = m.pushRoleLocked(g)
 	}
-	//pstorm:allow lockcheck move choreography is atomic under the catalog lock by design (see MoveRegion doc)
-	snap, err := src.conn.Export(table, regionID)
 	if err != nil {
-		m.rpcSetServing(src, table, regionID, true) //nolint:errcheck — undo fence
-		return 0, err
-	}
-	oldPrimary := g.Primary
-	g.Primary = to
-	if err := m.setFollowersLocked(g); err != nil {
-		g.Primary = oldPrimary
-		m.rpcSetServing(src, table, regionID, true) //nolint:errcheck — undo fence
-		return 0, err
-	}
-	if err := m.rpcInstall(dst, snap, true); err != nil {
-		g.Primary = oldPrimary
-		m.rpcSetFollowers(dst, table, regionID, nil) //nolint:errcheck
-		m.rpcSetServing(src, table, regionID, true)  //nolint:errcheck — undo fence
+		g.Primary, g.Followers = from, before
+		m.pushRoleLocked(g) //nolint:errcheck — pended on failure
+		if kind == "full" {
+			m.rpcDrop(dst, table, regionID) //nolint:errcheck — orphan copy, harmless
+		}
 		return 0, err
 	}
 	m.epoch++
 	m.cMoves.Inc()
 	m.o.Emit("move", map[string]string{
 		"table": table, "region": strconv.Itoa(regionID),
-		"from": oldPrimary, "to": to, "kind": "full",
+		"from": from, "to": to, "kind": kind,
 	})
 	m.journalLocked("move")
-	m.rpcSetFollowers(src, table, regionID, nil) //nolint:errcheck
-	m.rpcDrop(src, table, regionID)              //nolint:errcheck — orphan copy, harmless
-	return snap.Bytes(), nil
+	if kind == "full" {
+		m.rpcDrop(src, table, regionID) //nolint:errcheck — orphan copy, harmless
+	}
+	return moved, nil
 }
 
 // Rebalance evens primary-region counts across live servers with
@@ -1197,14 +1162,9 @@ func (m *Master) Rebalance() (int64, error) {
 		// Pick one region of the overloaded server to shed. Capture its
 		// identity under the lock; MoveRegion re-locks and re-validates.
 		pickTable, pickID := "", 0
-		for _, regions := range m.tables {
-			for _, g := range regions {
-				if g.Primary == maxID {
-					pickTable, pickID = g.Table, g.ID
-					break
-				}
-			}
-			if pickTable != "" {
+		for _, g := range m.regionsLocked() {
+			if g.Primary == maxID {
+				pickTable, pickID = g.Table, g.ID
 				break
 			}
 		}

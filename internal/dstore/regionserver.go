@@ -21,8 +21,8 @@ type RegionServer struct {
 	hs  *hstore.Server
 	reg *Registry
 
-	mu        sync.RWMutex
-	followers map[string][]Peer // regionKey -> follower peers
+	mu     sync.RWMutex
+	copies map[regionRef]*regionCopy // entries are never deleted
 
 	stopped atomic.Bool
 	hbStop  chan struct{}
@@ -60,7 +60,7 @@ func NewRegionServer(id string, reg *Registry) *RegionServer {
 		id:           id,
 		hs:           hs,
 		reg:          reg,
-		followers:    make(map[string][]Peer),
+		copies:       make(map[regionRef]*regionCopy),
 		hbStop:       make(chan struct{}),
 		now:          time.Now,
 		o:            o,
@@ -192,57 +192,76 @@ func (rs *RegionServer) Beat(mc MasterConn, self Peer) {
 	}
 }
 
-func (rs *RegionServer) followersFor(table string, regionID int) []Peer {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	return rs.followers[regionKey(table, regionID)]
+// regionCopy is the replication state of one region key on this server:
+// primary with a follower chain, or fenced follower (chain nil; the
+// serving bit itself lives on the hstore region). The gate is the drain
+// barrier between the two: every client write holds it shared from its
+// first local cell to its last follower Apply, SetRole and Drop take it
+// exclusively, so a fence returns only once every write it did not stop
+// has reached the whole chain or failed. The record belongs to the key,
+// not to the hosted copy — Drop resets it and never deletes it, so a
+// writer parked on the gate across a Drop/Install of the same region
+// meets the same gate when it wakes.
+type regionCopy struct {
+	gate  sync.RWMutex
+	chain []Peer // guarded by gate
 }
 
-// replicate forwards stamped cells of one region to every follower,
-// synchronously; an unreachable follower fails the write (the client
-// retries while the master prunes the follower from the set).
-func (rs *RegionServer) replicate(table string, regionID int, cells []hstore.Cell) error {
-	followers := rs.followersFor(table, regionID)
-	if len(followers) == 0 {
-		return nil
+func (rs *RegionServer) copyFor(table string, regionID int) *regionCopy {
+	k := regionRef{table, regionID}
+	rs.mu.RLock()
+	c := rs.copies[k]
+	rs.mu.RUnlock()
+	if c != nil {
+		return c
 	}
-	start := rs.now()
-	defer func() { rs.hReplMs.Observe(rs.sinceMs(start)) }()
-	for _, p := range followers {
-		conn, err := rs.reg.Resolve(p)
-		if err != nil {
-			return fmt.Errorf("%w: resolving follower %s: %v", errReplication, p.ID, err)
-		}
-		if err := conn.Apply(table, cells); err != nil {
-			return fmt.Errorf("%w: region %d to %s: %v", errReplication, regionID, p.ID, err)
-		}
-		rs.cReplCells.Add(int64(len(cells)))
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if c = rs.copies[k]; c == nil {
+		c = &regionCopy{}
+		rs.copies[k] = c
 	}
-	return nil
+	return c
 }
 
 func (rs *RegionServer) regionIDFor(table, row string) (int, error) {
 	me, ok := rs.hs.LookupRegion(table, row)
 	if !ok {
-		return 0, &hstore.NotServingError{Table: table, Row: row}
+		return 0, rs.countNotServing(&hstore.NotServingError{Table: table, Row: row})
 	}
 	return me.RegionID, nil
 }
 
-// ackCheck guards the ack of a client write: if the owning region is no
-// longer serving here, a concurrent move fenced and demoted this
-// primary between the local write and now, and the replication fan-out
-// may have missed the new primary (a flip clears the follower set, a
-// full move exports before the cell landed). Returning NotServing makes
-// the client retry against the new primary; the re-put is idempotent.
-// Conversely, serving observed true here means the fence — which every
-// move performs before export or follower rewiring — had not yet
-// happened, so the local write and its replication fan-out both
-// preceded it and the cells are in every surviving copy.
-func (rs *RegionServer) ackCheck(table, row string) error {
-	me, ok := rs.hs.LookupRegion(table, row)
-	if !ok || !me.Serving {
-		return &hstore.NotServingError{Table: table, Row: row}
+// write is the one client write path. stamp writes the local cells of
+// one region (row names it in errors); they then go to every follower
+// of the role that admitted them, synchronously — an unreachable
+// follower fails the write (the client retries while the master prunes
+// the follower from the chain) — and all of it happens inside the
+// region's gate, so no role change can fall between the first local
+// cell and the ack.
+func (rs *RegionServer) write(table string, regionID int, row string, stamp func() ([]hstore.Cell, error)) error {
+	c := rs.copyFor(table, regionID)
+	c.gate.RLock()
+	defer c.gate.RUnlock()
+	cells, err := stamp()
+	if err != nil {
+		return rs.guard(table, row, err)
+	}
+	if len(cells) == 0 || len(c.chain) == 0 {
+		return nil
+	}
+	start := rs.now()
+	defer func() { rs.hReplMs.Observe(rs.sinceMs(start)) }()
+	for _, p := range c.chain {
+		conn, err := rs.reg.Resolve(p)
+		if err != nil {
+			return fmt.Errorf("%w: resolving follower %s: %v", errReplication, p.ID, err)
+		}
+		//pstorm:allow lockcheck the gate is a drain barrier a fence must wait on, not a data lock: a fence that returns means every admitted write has replicated
+		if err := conn.Apply(table, cells); err != nil {
+			return fmt.Errorf("%w: region %d to %s: %v", errReplication, regionID, p.ID, err)
+		}
+		rs.cReplCells.Add(int64(len(cells)))
 	}
 	return nil
 }
@@ -254,48 +273,33 @@ func (rs *RegionServer) Put(ctx context.Context, table, row, column string, valu
 	}
 	start := rs.now()
 	defer func() { rs.hPutMs.Observe(rs.sinceMs(start)) }()
-	c, err := rs.hs.PutCell(table, row, column, value)
-	if err != nil {
-		return rs.guard(table, row, err)
-	}
 	id, err := rs.regionIDFor(table, row)
 	if err != nil {
-		return rs.countNotServing(err)
-	}
-	if err := rs.replicate(table, id, []hstore.Cell{c}); err != nil {
 		return err
 	}
-	return rs.countNotServing(rs.ackCheck(table, row))
+	return rs.write(table, id, row, func() ([]hstore.Cell, error) {
+		c, err := rs.hs.PutCell(table, row, column, value)
+		return []hstore.Cell{c}, err
+	})
 }
 
-// BatchPut writes whole rows, one replication round per touched region.
-// Rows are applied in order; on error, earlier rows of the batch may
-// already be applied — the routing client simply retries the batch
-// (re-puts are idempotent: same columns, newer timestamps).
+// BatchPut writes whole rows, one write — one replication round — per
+// touched region, in region order. On error, earlier regions of the
+// batch may already be applied — the routing client simply retries the
+// batch (re-puts are idempotent: same columns, newer timestamps).
 func (rs *RegionServer) BatchPut(ctx context.Context, table string, rows []hstore.Row) error {
 	if err := rs.checkCtx(ctx); err != nil {
 		return err
 	}
 	start := rs.now()
 	defer func() { rs.hPutMs.Observe(rs.sinceMs(start)) }()
-	perRegion := make(map[int][]hstore.Cell)
+	perRegion := make(map[int][]hstore.Row)
 	for _, r := range rows {
 		id, err := rs.regionIDFor(table, r.Key)
 		if err != nil {
-			return rs.countNotServing(err)
+			return err
 		}
-		cols := make([]string, 0, len(r.Columns))
-		for c := range r.Columns {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			c, err := rs.hs.PutCell(table, r.Key, col, r.Columns[col])
-			if err != nil {
-				return rs.guard(table, r.Key, err)
-			}
-			perRegion[id] = append(perRegion[id], c)
-		}
+		perRegion[id] = append(perRegion[id], r)
 	}
 	ids := make([]int, 0, len(perRegion))
 	for id := range perRegion {
@@ -303,16 +307,34 @@ func (rs *RegionServer) BatchPut(ctx context.Context, table string, rows []hstor
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		if err := rs.replicate(table, id, perRegion[id]); err != nil {
+		group := perRegion[id]
+		err := rs.write(table, id, group[0].Key, func() ([]hstore.Cell, error) {
+			var cells []hstore.Cell
+			for _, r := range group {
+				for _, col := range sortedColumns(r) {
+					c, err := rs.hs.PutCell(table, r.Key, col, r.Columns[col])
+					if err != nil {
+						return nil, err
+					}
+					cells = append(cells, c)
+				}
+			}
+			return cells, nil
+		})
+		if err != nil {
 			return err
 		}
 	}
-	for _, id := range ids {
-		if err := rs.ackCheck(table, perRegion[id][0].Row); err != nil {
-			return rs.countNotServing(err)
-		}
-	}
 	return nil
+}
+
+func sortedColumns(r hstore.Row) []string {
+	cols := make([]string, 0, len(r.Columns))
+	for c := range r.Columns {
+		cols = append(cols, c)
+	}
+	sort.Strings(cols)
+	return cols
 }
 
 // Apply receives replicated cells from a primary (or a snapshot
@@ -442,31 +464,25 @@ func (rs *RegionServer) DeleteRow(ctx context.Context, table, row string) error 
 	if err := rs.checkCtx(ctx); err != nil {
 		return err
 	}
-	r, ok, err := rs.hs.Get(table, row)
-	if err != nil || !ok {
-		return rs.guard(table, row, err)
-	}
 	id, err := rs.regionIDFor(table, row)
 	if err != nil {
 		return err
 	}
-	cols := make([]string, 0, len(r.Columns))
-	for c := range r.Columns {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	cells := make([]hstore.Cell, 0, len(cols))
-	for _, col := range cols {
-		c, err := rs.hs.DeleteCell(table, row, col)
-		if err != nil {
-			return err
+	return rs.write(table, id, row, func() ([]hstore.Cell, error) {
+		r, ok, err := rs.hs.Get(table, row)
+		if err != nil || !ok {
+			return nil, err
 		}
-		cells = append(cells, c)
-	}
-	if err := rs.replicate(table, id, cells); err != nil {
-		return err
-	}
-	return rs.ackCheck(table, row)
+		cells := make([]hstore.Cell, 0, len(r.Columns))
+		for _, col := range sortedColumns(r) {
+			c, err := rs.hs.DeleteCell(table, row, col)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, c)
+		}
+		return cells, nil
+	})
 }
 
 // Flush flushes every hosted region of the table.
@@ -494,26 +510,27 @@ func (rs *RegionServer) ResetStats() error {
 	return nil
 }
 
-// Install hosts a region from a snapshot (serving=true for a primary,
-// false for a follower replica).
-func (rs *RegionServer) Install(snap *hstore.RegionSnapshot, serving bool, masterEpoch int64) error {
-	if err := rs.check(); err != nil {
-		return err
-	}
+// Install hosts a region from a snapshot as a fenced follower copy —
+// SetRole is the only door to primary — or, for a snapshot marked
+// Backfill, merges it into the fenced copy already hosted.
+func (rs *RegionServer) Install(snap *hstore.RegionSnapshot, masterEpoch int64) error {
 	if err := rs.fence(masterEpoch); err != nil {
 		return err
 	}
-	return rs.hs.InstallRegion(snap, serving)
+	if snap != nil && snap.Backfill {
+		return rs.hs.BackfillRegion(snap)
+	}
+	return rs.hs.InstallRegion(snap)
 }
 
-// fence enforces master-epoch monotonicity on control RPCs: epoch 0 is
-// the unfenced legacy single-master case, a higher epoch is adopted,
-// and a lower one is a deposed leader's write — rejected so a paused
-// or partitioned old master cannot mutate placement after a standby
-// promoted.
+// fence admits a mutating control RPC: the server must be up, and the
+// master epoch monotonic — epoch 0 is the unfenced legacy single-master
+// case, a higher epoch is adopted, and a lower one is a deposed leader's
+// write — rejected so a paused or partitioned old master cannot mutate
+// placement after a standby promoted.
 func (rs *RegionServer) fence(masterEpoch int64) error {
-	if masterEpoch == 0 {
-		return nil
+	if err := rs.check(); err != nil || masterEpoch == 0 {
+		return err
 	}
 	for {
 		cur := rs.masterEpoch.Load()
@@ -535,46 +552,44 @@ func (rs *RegionServer) Export(table string, regionID int) (*hstore.RegionSnapsh
 	return rs.hs.ExportRegion(table, regionID)
 }
 
-// Drop removes a hosted region and its follower set.
+// Drop removes a hosted region once its in-flight writes have drained,
+// and resets its replication state to fenced-follower.
 func (rs *RegionServer) Drop(table string, regionID int, masterEpoch int64) error {
-	if err := rs.check(); err != nil {
-		return err
-	}
 	if err := rs.fence(masterEpoch); err != nil {
 		return err
 	}
-	rs.mu.Lock()
-	delete(rs.followers, regionKey(table, regionID))
-	rs.mu.Unlock()
+	if err := rs.hs.HostsRegion(table, regionID); err != nil {
+		return err // and no record for a region never hosted here
+	}
+	c := rs.copyFor(table, regionID)
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	c.chain = nil
 	return rs.hs.DropRegion(table, regionID)
 }
 
-// SetServing fences or unfences a hosted region.
-func (rs *RegionServer) SetServing(table string, regionID int, serving bool, masterEpoch int64) error {
-	if err := rs.check(); err != nil {
-		return err
-	}
+// SetRole is the one change of a hosted copy's replication state:
+// primary serving clients and replicating to followers, or fenced
+// follower (followers ignored). It takes the copy's gate exclusively,
+// so it returns only after every client write admitted under the old
+// role has finished its fan-out or failed, and every later write sees
+// the new role whole.
+func (rs *RegionServer) SetRole(table string, regionID int, primary bool, followers []Peer, masterEpoch int64) error {
 	if err := rs.fence(masterEpoch); err != nil {
 		return err
 	}
-	return rs.hs.SetServing(table, regionID, serving)
-}
-
-// SetFollowers replaces the follower set this server replicates the
-// region's writes to (master-driven).
-func (rs *RegionServer) SetFollowers(table string, regionID int, followers []Peer, masterEpoch int64) error {
-	if err := rs.check(); err != nil {
+	if err := rs.hs.HostsRegion(table, regionID); err != nil {
+		return err // and no record for a region never hosted here
+	}
+	c := rs.copyFor(table, regionID)
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	if err := rs.hs.SetServing(table, regionID, primary); err != nil {
 		return err
 	}
-	if err := rs.fence(masterEpoch); err != nil {
-		return err
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if len(followers) == 0 {
-		delete(rs.followers, regionKey(table, regionID))
-	} else {
-		rs.followers[regionKey(table, regionID)] = append([]Peer(nil), followers...)
+	c.chain = nil
+	if primary {
+		c.chain = append([]Peer(nil), followers...)
 	}
 	return nil
 }

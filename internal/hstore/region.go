@@ -573,9 +573,10 @@ func mergeTables(tables []*sstable) ([]Cell, error) {
 // exportCells returns the newest live cell of every (row, column) in
 // the region, timestamps preserved — the payload of a RegionSnapshot.
 // Tombstoned columns are omitted entirely: the importing side starts
-// from nothing, so there is no older version left to hide. A corrupt
-// copy refuses to export: snapshots for replication must come from a
-// healthy replica.
+// from nothing — or, for a backfill, from an empty copy that has since
+// received only writes newer than what they deleted — so there is no
+// older version left to hide. A corrupt copy refuses to export:
+// snapshots for replication must come from a healthy replica.
 func (g *region) exportCells() ([]Cell, error) {
 	if err := g.checkQuarantine(); err != nil {
 		return nil, err

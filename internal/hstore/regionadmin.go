@@ -49,6 +49,14 @@ type RegionSnapshot struct {
 	StartKey string `json:"start_key"`
 	EndKey   string `json:"end_key"`
 	Cells    []Cell `json:"cells"`
+	// Clock is the exporter's logical clock. Cells omits tombstones, but
+	// another replica may still hold one; the installer advances past
+	// Clock so that, once it is primary, nothing it stamps can sort
+	// under a version it never saw.
+	Clock int64 `json:"clock,omitempty"`
+	// Backfill marks a snapshot meant for BackfillRegion, not
+	// InstallRegion: the receiver already hosts the copy it fills.
+	Backfill bool `json:"backfill,omitempty"`
 }
 
 // Bytes approximates the snapshot's wire size, for the bytes-moved
@@ -61,8 +69,7 @@ func (snap *RegionSnapshot) Bytes() int64 {
 	return n
 }
 
-// ExportRegion snapshots one hosted region. The region does not need to
-// be serving (moves fence the region first, then export).
+// ExportRegion snapshots one hosted region, serving or fenced.
 func (s *Server) ExportRegion(table string, regionID int) (*RegionSnapshot, error) {
 	g, err := s.regionByID(table, regionID)
 	if err != nil {
@@ -78,16 +85,18 @@ func (s *Server) ExportRegion(table string, regionID int) (*RegionSnapshot, erro
 		StartKey: g.startKey,
 		EndKey:   g.endKey,
 		Cells:    cells,
+		Clock:    s.clock.Load(),
 	}, nil
 }
 
 // InstallRegion adds a region with the snapshot's bounds and contents
 // to this server, creating an empty table shell first if the table is
-// unknown here. serving=false installs a fenced replica (the follower
-// state in dstore); client-facing reads and writes on it fail with
+// unknown here. The copy is installed fenced (the follower state in
+// dstore): client-facing reads and writes on it fail with
 // NotServingError until SetServing(true), while replicated Apply
-// traffic is always accepted.
-func (s *Server) InstallRegion(snap *RegionSnapshot, serving bool) error {
+// traffic is always accepted. A region already hosted here — whatever
+// its state — is an error: a leftover copy may hold rows deleted since.
+func (s *Server) InstallRegion(snap *RegionSnapshot) error {
 	if snap == nil || snap.Table == "" {
 		return fmt.Errorf("hstore: install needs a table name")
 	}
@@ -109,19 +118,44 @@ func (s *Server) InstallRegion(snap *RegionSnapshot, serving bool) error {
 		}
 	}
 	g := newRegion(snap.RegionID, snap.StartKey, snap.EndKey, s.flushBytes(), s.stats)
-	g.serving.Store(serving)
+	g.serving.Store(false)
 	if snap.RegionID >= s.nextID {
 		s.nextID = snap.RegionID + 1
 	}
 	t.regions = append(t.regions, g)
 	sort.Slice(t.regions, func(i, j int) bool { return t.regions[i].startKey < t.regions[j].startKey })
 	s.mu.Unlock()
+	s.load(g, snap)
+	return nil
+}
 
+// BackfillRegion merges a snapshot into the fenced copy of its region
+// already hosted here: the copy was installed empty and joined its
+// replication chain before the export was taken, so it has missed no
+// write, and cell timestamps order the snapshot against what the chain
+// delivered meanwhile. The caller vouches that the copy started empty —
+// a snapshot omits tombstones, so merged over older data it would
+// resurrect deleted rows.
+func (s *Server) BackfillRegion(snap *RegionSnapshot) error {
+	g, err := s.regionByID(snap.Table, snap.RegionID)
+	if err != nil {
+		return err
+	}
+	if g.serving.Load() {
+		return fmt.Errorf("hstore: region %d of table %q is serving, not a fenced copy to backfill", snap.RegionID, snap.Table)
+	}
+	s.load(g, snap)
+	return nil
+}
+
+// load writes a snapshot's cells into g and advances the clock past
+// everything the exporter had stamped.
+func (s *Server) load(g *region, snap *RegionSnapshot) {
+	s.bumpClock(snap.Clock)
 	for _, c := range snap.Cells {
 		s.bumpClock(c.Ts)
 		g.put(c)
 	}
-	return nil
 }
 
 // DropRegion removes a hosted region and its data (the final step of a
@@ -170,6 +204,13 @@ func (s *Server) LookupRegion(table, row string) (MetaEntry, bool) {
 		Table: table, StartKey: g.startKey, EndKey: g.endKey,
 		RegionID: g.id, Server: localServerName, Serving: g.serving.Load(),
 	}, true
+}
+
+// HostsRegion returns nil if the region is hosted here, in any state,
+// and otherwise the error every by-ID call reports.
+func (s *Server) HostsRegion(table string, regionID int) error {
+	_, err := s.regionByID(table, regionID)
+	return err
 }
 
 func (s *Server) regionByID(table string, regionID int) (*region, error) {

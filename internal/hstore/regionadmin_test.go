@@ -46,7 +46,13 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	}
 
 	dst := NewServer()
-	if err := dst.InstallRegion(snap, true); err != nil {
+	if err := dst.InstallRegion(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dst.Get("t", "b"); !IsNotServing(err) {
+		t.Errorf("get on a freshly installed copy: err = %v, want NotServing (installed fenced)", err)
+	}
+	if err := dst.SetServing("t", snap.RegionID, true); err != nil {
 		t.Fatal(err)
 	}
 	r, ok, err := dst.Get("t", "b")
@@ -59,9 +65,56 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	if _, ok, _ := dst.Get("t", "a"); ok {
 		t.Error("tombstoned row resurrected by install")
 	}
-	// Installing the same region again must fail (overlap).
-	if err := dst.InstallRegion(snap, true); err == nil {
-		t.Error("double install should fail")
+	// Installing the same region again must fail, serving or fenced: a
+	// leftover copy is never silently reused.
+	for _, serving := range []bool{true, false} {
+		if err := dst.SetServing("t", snap.RegionID, serving); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.InstallRegion(snap); err == nil {
+			t.Errorf("double install onto a copy with serving=%v should fail", serving)
+		}
+	}
+}
+
+// TestBackfillRegion: a backfill merges into the fenced copy already
+// hosted — newest timestamp wins against what replication delivered
+// meanwhile, and the exporter's clock carries over — and into nothing
+// else.
+func TestBackfillRegion(t *testing.T) {
+	s := NewServer()
+	s.NoAutoSplit = true
+	shell := &RegionSnapshot{Table: "t", RegionID: 7, StartKey: "m", EndKey: "t"}
+	fill := &RegionSnapshot{Table: "t", RegionID: 7, StartKey: "m", EndKey: "t", Clock: 50, Cells: []Cell{
+		{Row: "ma", Column: "c", Ts: 10, Value: []byte("snap")},
+		{Row: "mb", Column: "c", Ts: 10, Value: []byte("snap")},
+	}}
+	if err := s.BackfillRegion(fill); err == nil {
+		t.Error("backfill of a region not hosted should fail")
+	}
+	if err := s.InstallRegion(shell); err != nil {
+		t.Fatal(err)
+	}
+	// Replication delivers a newer version of mb before the backfill.
+	if err := s.Apply("t", []Cell{{Row: "mb", Column: "c", Ts: 20, Value: []byte("chain")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BackfillRegion(fill); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetServing("t", 7, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BackfillRegion(fill); err == nil {
+		t.Error("backfill of a serving copy should fail")
+	}
+	for row, want := range map[string]string{"ma": "snap", "mb": "chain"} {
+		if r, ok, err := s.Get("t", row); err != nil || !ok || string(r.Columns["c"]) != want {
+			t.Errorf("%s = %q (ok=%v err=%v), want %q", row, r.Columns["c"], ok, err, want)
+		}
+	}
+	if c, err := s.PutCell("t", "mc", "c", []byte("v")); err != nil || c.Ts <= fill.Clock {
+		t.Errorf("stamp after backfill: ts=%d err=%v, want ts > exporter clock %d", c.Ts, err, fill.Clock)
 	}
 }
 
@@ -71,7 +124,10 @@ func TestNotServingOnGapsAndFences(t *testing.T) {
 	// Host only ["m", "t") of table "t" — a partial server, as under a
 	// dstore master.
 	snap := &RegionSnapshot{Table: "t", RegionID: 7, StartKey: "m", EndKey: "t"}
-	if err := s.InstallRegion(snap, true); err != nil {
+	if err := s.InstallRegion(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetServing("t", 7, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("t", "zzz", "c", []byte("v")); !IsNotServing(err) {
