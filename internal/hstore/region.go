@@ -202,14 +202,26 @@ func (g *region) scanRows(startRow, endRow string, fn func(Row) bool) error {
 		return err
 	}
 	g.mu.RLock()
-	memCells := make([]Cell, 0, 64)
-	g.mem.scanRange(startRow, endRow, func(c Cell) bool {
-		memCells = append(memCells, c)
-		return true
-	})
+	memCells := g.memCells(startRow, endRow)
 	tables := append([]*sstable(nil), g.sstables...)
 	g.mu.RUnlock()
+	return g.mergeRows(memCells, tables, startRow, endRow, fn)
+}
 
+// memCells snapshots the memstore's cells in [startRow, endRow); the
+// caller holds mu.
+func (g *region) memCells(startRow, endRow string) []Cell {
+	var cells []Cell
+	g.mem.scanRange(startRow, endRow, func(c Cell) bool {
+		cells = append(cells, c)
+		return true
+	})
+	return cells
+}
+
+// mergeRows k-way merges a memstore snapshot with sstables (newest
+// first) over [startRow, endRow), passing each materialized row to fn.
+func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow string, fn func(Row) bool) error {
 	// Sources ordered newest first (memstore, then sstables): the merge
 	// below lets the earliest source win ties, preserving shadowing.
 	iters := make([]cellSource, 0, 1+len(tables))
@@ -290,37 +302,35 @@ func (g *region) scanRows(startRow, endRow string, fn func(Row) bool) error {
 	return nil
 }
 
-// get returns the materialized row. Bloom filters let the point read
-// skip every sstable that cannot contain the row; if the memstore also
-// has nothing for it, the read answers negatively without any scan.
+// get returns the materialized row. The read merges only the sstables
+// whose bloom filter admits the row; if the memstore also has nothing
+// for it, the read answers negatively without opening any block. The
+// filters are tested under the same lock that snapshots the memstore
+// and the sstable list: tested earlier, a concurrent flush could move
+// the row into a segment the filtered list leaves out.
 func (g *region) get(row string) (Row, bool, error) {
 	if err := g.checkQuarantine(); err != nil {
 		return Row{}, false, err
 	}
+	end := row + "\x00"
 	g.mu.RLock()
-	inMem := false
-	if n := g.mem.seek(row, ""); n != nil && n.cell.Row == row {
-		inMem = true
-	}
-	possible := inMem
-	if !possible {
-		for _, t := range g.sstables {
-			hit := t.mayContainRow(row)
-			g.stats.bloom(!hit)
-			if hit {
-				possible = true
-				break
-			}
+	memCells := g.memCells(row, end)
+	var tables []*sstable
+	for _, t := range g.sstables {
+		hit := t.mayContainRow(row)
+		g.stats.bloom(!hit)
+		if hit {
+			tables = append(tables, t)
 		}
 	}
 	g.mu.RUnlock()
-	if !possible {
+	if len(memCells) == 0 && len(tables) == 0 {
 		return Row{}, false, nil
 	}
 
 	var out Row
 	found := false
-	err := g.scanRows(row, row+"\x00", func(r Row) bool {
+	err := g.mergeRows(memCells, tables, row, end, func(r Row) bool {
 		out = r
 		found = true
 		return false

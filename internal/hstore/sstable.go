@@ -109,6 +109,41 @@ func compressBlock(src []byte) ([]byte, byte) {
 	return buf.Bytes(), codecFlate
 }
 
+// flateReader is a pooled inflater and the source it reads from. A
+// fresh flate reader allocates a 32 KiB window and its Huffman tables,
+// about 60 KiB, far more than the 4 KB block it inflates; Reset reuses
+// them and clears every error state, corruption included.
+type flateReader struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+}
+
+func newFlateReader() *flateReader {
+	fr := new(flateReader)
+	fr.zr = flate.NewReader(&fr.src)
+	return fr
+}
+
+var flateReaders = sync.Pool{New: func() interface{} { return newFlateReader() }}
+
+// inflate decodes one flate payload of exactly ulen bytes into a fresh
+// buffer.
+func (fr *flateReader) inflate(payload []byte, ulen uint32) ([]byte, error) {
+	fr.src.Reset(payload)
+	if err := fr.zr.(flate.Resetter).Reset(&fr.src, nil); err != nil {
+		return nil, &CorruptionError{Detail: fmt.Sprintf("sstable flate block: %v", err)}
+	}
+	out := make([]byte, ulen)
+	if _, err := io.ReadFull(fr.zr, out); err != nil {
+		return nil, &CorruptionError{Detail: fmt.Sprintf("sstable flate block: %v", err)}
+	}
+	var one [1]byte
+	if n, _ := fr.zr.Read(one[:]); n != 0 {
+		return nil, &CorruptionError{Detail: "sstable flate block has trailing data"}
+	}
+	return out, nil
+}
+
 // decompressBlock restores a stored payload to its uncompressed form.
 // The returned buffer is freshly allocated per block, so cells decoded
 // from it may alias it safely for as long as the caller needs them.
@@ -120,17 +155,9 @@ func decompressBlock(payload []byte, codec byte, ulen uint32) ([]byte, error) {
 		}
 		return payload, nil
 	case codecFlate:
-		r := flate.NewReader(bytes.NewReader(payload))
-		out := make([]byte, ulen)
-		if _, err := io.ReadFull(r, out); err != nil {
-			return nil, &CorruptionError{Detail: fmt.Sprintf("sstable flate block: %v", err)}
-		}
-		var one [1]byte
-		if n, _ := r.Read(one[:]); n != 0 {
-			return nil, &CorruptionError{Detail: "sstable flate block has trailing data"}
-		}
-		r.Close()
-		return out, nil
+		fr := flateReaders.Get().(*flateReader)
+		defer flateReaders.Put(fr)
+		return fr.inflate(payload, ulen)
 	default:
 		return nil, &CorruptionError{Detail: fmt.Sprintf("sstable block uses unknown codec %d", codec)}
 	}

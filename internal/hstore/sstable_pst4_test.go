@@ -1,6 +1,7 @@
 package hstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -136,6 +137,35 @@ func TestCorruptedCompressedBlockQuarantinesRegion(t *testing.T) {
 	// The quarantine latches: later reads refuse without rescanning.
 	if _, _, err := s.Get("t", "dyn/job_0000"); !IsCorruption(err) {
 		t.Fatalf("get after quarantine = %v, want CorruptionError", err)
+	}
+}
+
+// A pooled flate reader that hit a corrupt block must inflate the next
+// good block exactly: Reset clears the decoder's error state.
+func TestPooledFlateReaderSurvivesCorruption(t *testing.T) {
+	var src []byte
+	for _, c := range compressibleCells(40) {
+		src = appendBlockEntry(src, c, "")
+	}
+	good, codec := compressBlock(src)
+	if codec != codecFlate {
+		t.Fatal("setup: block did not compress")
+	}
+	bad := append([]byte(nil), good...)
+	bad[0] |= 0x06 // block header BTYPE 11: reserved, invalid in any stream
+	if bad[0] == good[0] {
+		t.Fatal("setup: the flip changed nothing")
+	}
+	fr := newFlateReader()
+	if _, err := fr.inflate(bad, uint32(len(src))); !IsCorruption(err) {
+		t.Fatalf("inflate of a damaged block = %v, want CorruptionError", err)
+	}
+	out, err := fr.inflate(good, uint32(len(src)))
+	if err != nil {
+		t.Fatalf("inflate of a good block after a damaged one: %v", err)
+	}
+	if !bytes.Equal(out, src) {
+		t.Fatal("reused reader inflated a good block to different bytes")
 	}
 }
 

@@ -336,6 +336,15 @@ func (m *Matcher) structuralWant(side *profile.Side) (col, want string) {
 	return CFGColumn, side.StaticCFG
 }
 
+// structuralScan is stage 2 evaluated where the rows live: one scan of
+// the side's static rows with the structural comparison pushed down,
+// returning only the rows whose CFG (or call signature) equals the
+// probe's. Both filter orders issue it.
+func (m *Matcher) structuralScan(ctx context.Context, st Store, spec sideSpec, side *profile.Side) ([]Entry, error) {
+	col, want := m.structuralWant(side)
+	return st.ScanFeatures(ctx, spec.ftStat, &hstore.ColumnEqualsFilter{Column: col, Value: want})
+}
+
 // jaccardWant returns the stage-3 categorical vector, extended with the
 // job parameters under the §7.2.1 extension.
 func (m *Matcher) jaccardWant(side *profile.Side, params map[string]string) map[string]string {
@@ -399,26 +408,30 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		}
 	}
 
-	// ----- Stage 2: conservative CFG match. -----
-	// A fetch failure here means the static rows are unreachable after
-	// the client's whole retry budget — a store outage, not a miss.
-	// Rather than failing the match (and with it the whole tuning run),
-	// degrade to stage-1-only: the dynamic-distance winner is still a
-	// defensible profile, just unrefined by the code-identity stages.
-	cfgCol, cfgWant := m.structuralWant(side)
-	statRows, err := getFeatureRows(ctx, st, spec.ftStat, cands)
-	if err != nil {
-		rep.Degraded = true
-		rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, candIn, inputBytes)
-		return rep, nil
+	// ----- Stage 2: conservative CFG match, pushed down. -----
+	// The survivors are the stage-1 candidates whose static row the scan
+	// returns; a probe without a CFG matches nothing and skips the scan.
+	// A scan failure means the static rows are unreachable after the
+	// client's whole retry budget — a store outage, not a miss. Rather
+	// than failing the match (and with it the whole tuning run), degrade
+	// to stage-1-only: the dynamic-distance winner is still a defensible
+	// profile, just unrefined by the code-identity stages.
+	var statRows map[string]hstore.Row
+	if _, want := m.structuralWant(side); want != "" {
+		hits, err := m.structuralScan(ctx, st, spec, side)
+		if err != nil {
+			rep.Degraded = true
+			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, candIn, inputBytes)
+			return rep, nil
+		}
+		statRows = make(map[string]hstore.Row, len(hits))
+		for _, h := range hits {
+			statRows[h.JobID] = h.Row
+		}
 	}
 	var afterCFG []Entry
 	for _, c := range cands {
-		row, ok := statRows[c.JobID]
-		if !ok {
-			continue
-		}
-		if string(row.Columns[cfgCol]) == cfgWant && cfgWant != "" {
+		if _, ok := statRows[c.JobID]; ok {
 			afterCFG = append(afterCFG, c)
 		}
 	}
@@ -606,9 +619,7 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 	rep := SideReport{Side: spec.kind}
 
 	// Static stages over the whole store, CFG pushed down.
-	cfgCol, cfgWant := m.structuralWant(side)
-	cfgF := &hstore.ColumnEqualsFilter{Column: cfgCol, Value: cfgWant}
-	statCands, err := st.ScanFeatures(ctx, spec.ftStat, cfgF)
+	statCands, err := m.structuralScan(ctx, st, spec, side)
 	if err != nil {
 		return rep, err
 	}
