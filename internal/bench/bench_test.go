@@ -10,9 +10,9 @@ import (
 	"pstorm/internal/matcher"
 )
 
-// The experiment runners are exercised with a shared environment; the
-// heavyweight experiments (fig6.2's GBRT training, the full fig6.3
-// sweep) are covered by the repository's testing.B benchmarks instead.
+// The experiment runners are exercised with a shared environment; every
+// table but fig6.2's (GBRT training, covered by the repository's
+// testing.B benchmarks) and chaos is also pinned by TestGoldenTables.
 
 func testEnv(t *testing.T) *Env {
 	t.Helper()
