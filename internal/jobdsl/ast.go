@@ -1,15 +1,21 @@
 package jobdsl
 
+import "sync"
+
 // The abstract syntax tree. Nodes carry the source line of their first
 // token so runtime errors can point back into the DSL source.
 
 // Program is a parsed DSL source file: a set of named functions. A
 // MapReduce job's DSL source defines "map" and "reduce" (and optionally
-// "combine") plus any helper functions they call.
+// "combine") plus any helper functions they call. A Program must not be
+// modified once an Interp has been created over it.
 type Program struct {
 	Funcs map[string]*FuncDecl
 	// Order preserves declaration order, for stable printing.
 	Order []string
+
+	once sync.Once
+	code map[string]*code // compiled by the first NewInterp
 }
 
 // FuncDecl is one function declaration.

@@ -8,7 +8,9 @@ import (
 )
 
 // builtinFunc implements one built-in. Implementations panic with
-// *RuntimeError (via in.fail) on misuse.
+// *RuntimeError (via in.fail) on misuse. args lives on the Interp's
+// argument stack and is reused by the next call: a builtin never
+// retains the slice or appends to it (copying a Value out is fine).
 type builtinFunc func(in *Interp, args []Value, line int) Value
 
 // builtins is the DSL standard library. These mirror the helper
@@ -117,16 +119,8 @@ func biSubstr(in *Interp, args []Value, line int) Value {
 	if s.Kind != KindStr || args[1].Kind != KindInt || args[2].Kind != KindInt {
 		in.fail(line, "substr expects (string, int, int)")
 	}
-	i, j := args[1].I, args[2].I
-	if i < 0 {
-		i = 0
-	}
-	if j > int64(len(s.S)) {
-		j = int64(len(s.S))
-	}
-	if i > j {
-		i = j
-	}
+	j := min(max(args[2].I, 0), int64(len(s.S)))
+	i := min(max(args[1].I, 0), j)
 	return Str(s.S[i:j])
 }
 

@@ -5,13 +5,13 @@ import (
 	"sort"
 )
 
-// Static semantic analysis. Check walks a parsed program and reports
-// problems that would otherwise only surface at runtime, in the middle
-// of a (simulated) cluster run: references to undefined variables,
-// calls to unknown functions, wrong argument counts, and assignments to
-// names that were never declared. The profile store ingests jobs from
-// many tenants, so rejecting broken programs at submission time is part
-// of being a well-behaved shared service.
+// Static semantic analysis. Check reports problems that would otherwise
+// only surface at runtime, in the middle of a (simulated) cluster run:
+// references to undefined variables, calls to unknown functions, wrong
+// argument counts, and assignments to names that were never declared.
+// The profile store ingests jobs from many tenants, so rejecting broken
+// programs at submission time is part of being a well-behaved shared
+// service.
 
 // Problem is one finding of the checker.
 type Problem struct {
@@ -33,150 +33,19 @@ var builtinArity = map[string]int{
 // Check performs semantic analysis on the whole program and returns its
 // findings sorted by line. A nil or empty result means the program is
 // statically sound (it can still fail at runtime on data-dependent
-// errors such as division by zero).
+// errors such as division by zero). The findings come from the
+// compiler's own name resolution (compile.go), so Check applies exactly
+// the scoping rules the program runs under.
 func Check(prog *Program) []Problem {
 	if prog == nil {
 		return nil
 	}
-	c := &checker{prog: prog}
-	for _, name := range prog.Order {
-		c.checkFunc(prog.Funcs[name])
-	}
-	sort.Slice(c.problems, func(i, j int) bool {
-		if c.problems[i].Line != c.problems[j].Line {
-			return c.problems[i].Line < c.problems[j].Line
+	_, problems := compile(prog)
+	sort.Slice(problems, func(i, j int) bool {
+		if problems[i].Line != problems[j].Line {
+			return problems[i].Line < problems[j].Line
 		}
-		return c.problems[i].Msg < c.problems[j].Msg
+		return problems[i].Msg < problems[j].Msg
 	})
-	return c.problems
-}
-
-type checker struct {
-	prog     *Program
-	problems []Problem
-}
-
-func (c *checker) report(line int, format string, args ...interface{}) {
-	c.problems = append(c.problems, Problem{Line: line, Msg: fmt.Sprintf(format, args...)})
-}
-
-// lexScope tracks declared names during the walk.
-type lexScope struct {
-	names  map[string]bool
-	parent *lexScope
-}
-
-func (s *lexScope) declared(name string) bool {
-	for cur := s; cur != nil; cur = cur.parent {
-		if cur.names[name] {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *checker) checkFunc(fn *FuncDecl) {
-	sc := &lexScope{names: make(map[string]bool)}
-	for _, p := range fn.Params {
-		if sc.names[p] {
-			c.report(fn.Line, "function %q declares parameter %q twice", fn.Name, p)
-		}
-		sc.names[p] = true
-	}
-	c.checkBlock(fn.Body, sc)
-}
-
-func (c *checker) checkBlock(stmts []Stmt, parent *lexScope) {
-	sc := &lexScope{names: make(map[string]bool), parent: parent}
-	for _, s := range stmts {
-		c.checkStmt(s, sc)
-	}
-}
-
-func (c *checker) checkStmt(s Stmt, sc *lexScope) {
-	switch s := s.(type) {
-	case *LetStmt:
-		c.checkExpr(s.Expr, sc)
-		if sc.names[s.Name] {
-			c.report(s.Line, "variable %q redeclared in the same block", s.Name)
-		}
-		sc.names[s.Name] = true
-	case *AssignStmt:
-		c.checkExpr(s.Expr, sc)
-		switch t := s.Target.(type) {
-		case *IdentExpr:
-			if !sc.declared(t.Name) {
-				c.report(t.Line, "assignment to undeclared variable %q", t.Name)
-			}
-		case *IndexExpr:
-			c.checkExpr(t, sc)
-		}
-	case *ExprStmt:
-		c.checkExpr(s.Expr, sc)
-	case *ReturnStmt:
-		if s.Expr != nil {
-			c.checkExpr(s.Expr, sc)
-		}
-	case *IfStmt:
-		c.checkExpr(s.Cond, sc)
-		c.checkBlock(s.Then, sc)
-		if s.Else != nil {
-			c.checkBlock(s.Else, sc)
-		}
-	case *WhileStmt:
-		c.checkExpr(s.Cond, sc)
-		c.checkBlock(s.Body, sc)
-	case *ForStmt:
-		loop := &lexScope{names: make(map[string]bool), parent: sc}
-		if s.Init != nil {
-			c.checkStmt(s.Init, loop)
-		}
-		if s.Cond != nil {
-			c.checkExpr(s.Cond, loop)
-		}
-		c.checkBlock(s.Body, loop)
-		if s.Post != nil {
-			c.checkStmt(s.Post, loop)
-		}
-	}
-}
-
-func (c *checker) checkExpr(e Expr, sc *lexScope) {
-	switch e := e.(type) {
-	case *IntLit, *StrLit, *BoolLit:
-	case *ListLit:
-		for _, el := range e.Elems {
-			c.checkExpr(el, sc)
-		}
-	case *IdentExpr:
-		if !sc.declared(e.Name) {
-			c.report(e.Line, "reference to undefined variable %q", e.Name)
-		}
-	case *UnaryExpr:
-		c.checkExpr(e.X, sc)
-	case *BinaryExpr:
-		c.checkExpr(e.L, sc)
-		c.checkExpr(e.R, sc)
-	case *IndexExpr:
-		c.checkExpr(e.X, sc)
-		c.checkExpr(e.Index, sc)
-	case *CallExpr:
-		for _, a := range e.Args {
-			c.checkExpr(a, sc)
-		}
-		if want, ok := builtinArity[e.Name]; ok {
-			if len(e.Args) != want {
-				c.report(e.Line, "builtin %q takes %d argument(s), got %d", e.Name, want, len(e.Args))
-			}
-			return
-		}
-		fn, ok := c.prog.Funcs[e.Name]
-		if !ok {
-			c.report(e.Line, "call to undefined function %q", e.Name)
-			return
-		}
-		if len(e.Args) != len(fn.Params) {
-			c.report(e.Line, "function %q takes %d argument(s), got %d", e.Name, len(fn.Params), len(e.Args))
-		}
-	}
+	return problems
 }

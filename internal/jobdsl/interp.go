@@ -1,6 +1,10 @@
 package jobdsl
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Emitter receives the key/value pairs produced by emit() calls during
 // map, combine, or reduce execution.
@@ -28,7 +32,8 @@ func (e *RuntimeError) Error() string {
 // execution steps (one per statement executed and expression evaluated),
 // which the execution engine converts into the per-record CPU cost
 // factors of the Starfish profile (Table 4.2). An Interp is not safe
-// for concurrent use; create one per goroutine.
+// for concurrent use; create one per goroutine. Interps over one
+// Program share its compiled code, which holds no mutable state.
 type Interp struct {
 	prog *Program
 
@@ -44,10 +49,16 @@ type Interp struct {
 	steps   int64
 	emitter Emitter
 	depth   int
+
+	vals []Value // call frames, innermost last
+	args []Value // arguments of the builtin calls in progress, innermost last
+	ret  Value   // the value of the return statement that just ran
 }
 
-// NewInterp creates an interpreter over prog.
+// NewInterp creates an interpreter over prog, compiling prog on its
+// first use.
 func NewInterp(prog *Program) *Interp {
+	prog.once.Do(func() { prog.code, _ = compile(prog) })
 	return &Interp{prog: prog}
 }
 
@@ -61,41 +72,58 @@ func (in *Interp) ResetSteps() { in.steps = 0 }
 // Call invokes the named function with the given arguments, routing
 // emit() output to em (which may be nil if the function never emits).
 func (in *Interp) Call(name string, args []Value, em Emitter) (result Value, err error) {
+	vals, argc, depth := len(in.vals), len(in.args), in.depth
 	defer func() {
 		if r := recover(); r != nil {
-			if re, ok := r.(*RuntimeError); ok {
-				err = re
-				return
+			re, ok := r.(*RuntimeError)
+			if !ok {
+				panic(r)
 			}
-			panic(r)
+			// Unwind whatever the failed call left on the stacks.
+			in.vals, in.args, in.depth, in.ret = in.vals[:vals], in.args[:argc], depth, Nil
+			err = re
 		}
 	}()
 	in.emitter = em
-	return in.callFunc(name, args, 0), nil
-}
-
-// scope is a lexical environment chain.
-type scope struct {
-	vars   map[string]Value
-	parent *scope
-}
-
-func (s *scope) lookup(name string) (*scope, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if _, ok := cur.vars[name]; ok {
-			return cur, true
-		}
+	fn, ok := in.prog.code[name]
+	if !ok {
+		in.fail(0, "undefined function %q", name)
 	}
-	return nil, false
+	if len(args) != len(fn.decl.Params) {
+		in.fail(0, "function %q expects %d args, got %d", name, len(fn.decl.Params), len(args))
+	}
+	fr := push(&in.vals, fn.nslots)
+	copy(fr, args)
+	result = in.run(fn, fr, 0)
+	in.vals = in.vals[:vals]
+	return result, nil
 }
 
-// signal distinguishes normal fallthrough from an executed return.
-type signal int
+// push extends *stack by n zeroed values and returns them; the caller
+// pops them by truncating *stack back to its earlier length. A push
+// that outgrows the stack moves it to a new array, but the slices
+// already handed out keep their old one, so a frame in use never moves.
+func push(stack *[]Value, n int) []Value {
+	base := len(*stack)
+	*stack = slices.Grow(*stack, n)[:base+n]
+	fr := (*stack)[base : base+n : base+n]
+	clear(fr)
+	return fr
+}
 
-const (
-	sigNone signal = iota
-	sigReturn
-)
+// run executes fn in fr, a frame whose first slots hold the arguments.
+func (in *Interp) run(fn *code, fr []Value, line int) Value {
+	if in.depth >= 64 {
+		in.fail(line, "call depth limit exceeded")
+	}
+	in.depth++
+	v := Nil
+	if fn.body(in, fr) {
+		v, in.ret = in.ret, Nil
+	}
+	in.depth--
+	return v
+}
 
 func (in *Interp) fail(line int, format string, args ...interface{}) {
 	panic(&RuntimeError{Line: line, Msg: fmt.Sprintf(format, args...)})
@@ -112,296 +140,88 @@ func (in *Interp) tick(line int) {
 	}
 }
 
-func (in *Interp) callFunc(name string, args []Value, line int) Value {
-	fn, ok := in.prog.Funcs[name]
-	if !ok {
-		in.fail(line, "undefined function %q", name)
+// index evaluates container[idx].
+func (in *Interp) index(container, idx Value, line int) Value {
+	switch container.Kind {
+	case KindList:
+		return container.L[in.offset(idx, len(container.L), "list", line)]
+	case KindStr:
+		return Str(string(container.S[in.offset(idx, len(container.S), "string", line)]))
+	case KindMap:
+		return container.M[idx.String()]
 	}
-	if len(args) != len(fn.Params) {
-		in.fail(line, "function %q expects %d args, got %d", name, len(fn.Params), len(args))
-	}
-	if in.depth >= 64 {
-		in.fail(line, "call depth limit exceeded")
-	}
-	in.depth++
-	defer func() { in.depth-- }()
-	sc := &scope{vars: make(map[string]Value, len(args))}
-	for i, p := range fn.Params {
-		sc.vars[p] = args[i]
-	}
-	ret, sig := in.execBlock(fn.Body, sc)
-	if sig == sigReturn {
-		return ret
-	}
+	in.fail(line, "cannot index %s", container.Kind)
 	return Nil
 }
 
-func (in *Interp) execBlock(stmts []Stmt, parent *scope) (Value, signal) {
-	sc := &scope{vars: make(map[string]Value), parent: parent}
-	for _, s := range stmts {
-		if v, sig := in.exec(s, sc); sig == sigReturn {
-			return v, sig
-		}
-	}
-	return Nil, sigNone
-}
-
-func (in *Interp) exec(s Stmt, sc *scope) (Value, signal) {
-	switch s := s.(type) {
-	case *LetStmt:
-		in.tick(s.Line)
-		sc.vars[s.Name] = in.eval(s.Expr, sc)
-	case *AssignStmt:
-		in.tick(s.Line)
-		v := in.eval(s.Expr, sc)
-		in.assign(s.Target, v, sc)
-	case *ExprStmt:
-		in.tick(s.Line)
-		in.eval(s.Expr, sc)
-	case *ReturnStmt:
-		in.tick(s.Line)
-		if s.Expr == nil {
-			return Nil, sigReturn
-		}
-		return in.eval(s.Expr, sc), sigReturn
-	case *IfStmt:
-		in.tick(s.Line)
-		if in.eval(s.Cond, sc).Truthy() {
-			return in.execBlock(s.Then, sc)
-		}
-		if s.Else != nil {
-			return in.execBlock(s.Else, sc)
-		}
-	case *WhileStmt:
-		for {
-			in.tick(s.Line)
-			if !in.eval(s.Cond, sc).Truthy() {
-				break
-			}
-			if v, sig := in.execBlock(s.Body, sc); sig == sigReturn {
-				return v, sig
-			}
-		}
-	case *ForStmt:
-		loopScope := &scope{vars: make(map[string]Value), parent: sc}
-		if s.Init != nil {
-			if v, sig := in.exec(s.Init, loopScope); sig == sigReturn {
-				return v, sig
-			}
-		}
-		for {
-			in.tick(s.Line)
-			if s.Cond != nil && !in.eval(s.Cond, loopScope).Truthy() {
-				break
-			}
-			if v, sig := in.execBlock(s.Body, loopScope); sig == sigReturn {
-				return v, sig
-			}
-			if s.Post != nil {
-				if v, sig := in.exec(s.Post, loopScope); sig == sigReturn {
-					return v, sig
-				}
-			}
-		}
+// setIndex performs container[idx] = v.
+func (in *Interp) setIndex(container, idx, v Value, line int) {
+	switch container.Kind {
+	case KindList:
+		// Slice headers share backing arrays, so this mutation is
+		// visible through every binding of the same list.
+		container.L[in.offset(idx, len(container.L), "list", line)] = v
+	case KindMap:
+		container.M[idx.String()] = v
 	default:
-		panic(fmt.Sprintf("jobdsl: unknown statement %T", s))
-	}
-	return Nil, sigNone
-}
-
-func (in *Interp) assign(target Expr, v Value, sc *scope) {
-	switch t := target.(type) {
-	case *IdentExpr:
-		holder, ok := sc.lookup(t.Name)
-		if !ok {
-			in.fail(t.Line, "assignment to undeclared variable %q", t.Name)
-		}
-		holder.vars[t.Name] = v
-	case *IndexExpr:
-		container := in.eval(t.X, sc)
-		idx := in.eval(t.Index, sc)
-		switch container.Kind {
-		case KindList:
-			if idx.Kind != KindInt {
-				in.fail(t.Line, "list index must be int, got %s", idx.Kind)
-			}
-			if idx.I < 0 || idx.I >= int64(len(container.L)) {
-				in.fail(t.Line, "list index %d out of range [0,%d)", idx.I, len(container.L))
-			}
-			// Slice headers share backing arrays, so this mutation is
-			// visible through every binding of the same list.
-			container.L[idx.I] = v
-		case KindMap:
-			container.M[idx.String()] = v
-		default:
-			in.fail(t.Line, "cannot index-assign into %s", container.Kind)
-		}
-	default:
-		in.fail(0, "invalid assignment target %T", target)
+		in.fail(line, "cannot index-assign into %s", container.Kind)
 	}
 }
 
-func (in *Interp) eval(e Expr, sc *scope) Value {
-	switch e := e.(type) {
-	case *IntLit:
-		in.tick(e.Line)
-		return Int(e.Val)
-	case *StrLit:
-		in.tick(e.Line)
-		return Str(e.Val)
-	case *BoolLit:
-		in.tick(e.Line)
-		return Bool(e.Val)
-	case *ListLit:
-		in.tick(e.Line)
-		elems := make([]Value, len(e.Elems))
-		for i, el := range e.Elems {
-			elems[i] = in.eval(el, sc)
-		}
-		return List(elems)
-	case *IdentExpr:
-		in.tick(e.Line)
-		holder, ok := sc.lookup(e.Name)
-		if !ok {
-			in.fail(e.Line, "undefined variable %q", e.Name)
-		}
-		return holder.vars[e.Name]
-	case *UnaryExpr:
-		in.tick(e.Line)
-		x := in.eval(e.X, sc)
-		switch e.Op {
-		case "-":
-			if x.Kind != KindInt {
-				in.fail(e.Line, "unary - needs int, got %s", x.Kind)
-			}
-			return Int(-x.I)
-		case "!":
-			return Bool(!x.Truthy())
-		}
-		in.fail(e.Line, "unknown unary operator %q", e.Op)
-	case *BinaryExpr:
-		in.tick(e.Line)
-		return in.evalBinary(e, sc)
-	case *IndexExpr:
-		in.tick(e.Line)
-		container := in.eval(e.X, sc)
-		idx := in.eval(e.Index, sc)
-		switch container.Kind {
-		case KindList:
-			if idx.Kind != KindInt {
-				in.fail(e.Line, "list index must be int, got %s", idx.Kind)
-			}
-			if idx.I < 0 || idx.I >= int64(len(container.L)) {
-				in.fail(e.Line, "list index %d out of range [0,%d)", idx.I, len(container.L))
-			}
-			return container.L[idx.I]
-		case KindStr:
-			if idx.Kind != KindInt {
-				in.fail(e.Line, "string index must be int, got %s", idx.Kind)
-			}
-			if idx.I < 0 || idx.I >= int64(len(container.S)) {
-				in.fail(e.Line, "string index %d out of range [0,%d)", idx.I, len(container.S))
-			}
-			return Str(string(container.S[idx.I]))
-		case KindMap:
-			if v, ok := container.M[idx.String()]; ok {
-				return v
-			}
-			return Nil
-		default:
-			in.fail(e.Line, "cannot index %s", container.Kind)
-		}
-	case *CallExpr:
-		in.tick(e.Line)
-		args := make([]Value, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = in.eval(a, sc)
-		}
-		if b, ok := builtins[e.Name]; ok {
-			return b(in, args, e.Line)
-		}
-		return in.callFunc(e.Name, args, e.Line)
+// offset checks that idx is a position in a sequence of length n.
+func (in *Interp) offset(idx Value, n int, what string, line int) int64 {
+	if idx.Kind != KindInt {
+		in.fail(line, "%s index must be int, got %s", what, idx.Kind)
 	}
-	panic(fmt.Sprintf("jobdsl: unknown expression %T", e))
+	if idx.I < 0 || idx.I >= int64(n) {
+		in.fail(line, "%s index %d out of range [0,%d)", what, idx.I, n)
+	}
+	return idx.I
 }
 
-func (in *Interp) evalBinary(e *BinaryExpr, sc *scope) Value {
-	// Short-circuit logic operators.
-	switch e.Op {
-	case "&&":
-		l := in.eval(e.L, sc)
-		if !l.Truthy() {
-			return Bool(false)
-		}
-		return Bool(in.eval(e.R, sc).Truthy())
-	case "||":
-		l := in.eval(e.L, sc)
-		if l.Truthy() {
-			return Bool(true)
-		}
-		return Bool(in.eval(e.R, sc).Truthy())
-	}
-	l := in.eval(e.L, sc)
-	r := in.eval(e.R, sc)
-	switch e.Op {
-	case "==":
-		return Bool(l.Equal(r))
-	case "!=":
-		return Bool(!l.Equal(r))
-	case "+":
+// binaryOps implements every binary operator but the short-circuit
+// && and ||.
+var binaryOps = map[string]func(in *Interp, l, r Value, line int) Value{
+	"==": func(_ *Interp, l, r Value, _ int) Value { return Bool(l.Equal(r)) },
+	"!=": func(_ *Interp, l, r Value, _ int) Value { return Bool(!l.Equal(r)) },
+	"+": func(in *Interp, l, r Value, line int) Value {
 		if l.Kind == KindStr || r.Kind == KindStr {
 			return Str(l.String() + r.String())
 		}
-		return Int(in.wantInt(l, e.Line) + in.wantInt(r, e.Line))
-	case "-":
-		return Int(in.wantInt(l, e.Line) - in.wantInt(r, e.Line))
-	case "*":
-		return Int(in.wantInt(l, e.Line) * in.wantInt(r, e.Line))
-	case "/":
-		d := in.wantInt(r, e.Line)
+		return Int(in.wantInt(l, line) + in.wantInt(r, line))
+	},
+	"-": func(in *Interp, l, r Value, line int) Value { return Int(in.wantInt(l, line) - in.wantInt(r, line)) },
+	"*": func(in *Interp, l, r Value, line int) Value { return Int(in.wantInt(l, line) * in.wantInt(r, line)) },
+	"/": func(in *Interp, l, r Value, line int) Value {
+		d := in.wantInt(r, line)
 		if d == 0 {
-			in.fail(e.Line, "division by zero")
+			in.fail(line, "division by zero")
 		}
-		return Int(in.wantInt(l, e.Line) / d)
-	case "%":
-		d := in.wantInt(r, e.Line)
+		return Int(in.wantInt(l, line) / d)
+	},
+	"%": func(in *Interp, l, r Value, line int) Value {
+		d := in.wantInt(r, line)
 		if d == 0 {
-			in.fail(e.Line, "modulo by zero")
+			in.fail(line, "modulo by zero")
 		}
-		return Int(in.wantInt(l, e.Line) % d)
-	case "<", "<=", ">", ">=":
-		var cmp int
-		switch {
-		case l.Kind == KindInt && r.Kind == KindInt:
-			switch {
-			case l.I < r.I:
-				cmp = -1
-			case l.I > r.I:
-				cmp = 1
-			}
-		case l.Kind == KindStr && r.Kind == KindStr:
-			switch {
-			case l.S < r.S:
-				cmp = -1
-			case l.S > r.S:
-				cmp = 1
-			}
-		default:
-			in.fail(e.Line, "cannot compare %s with %s", l.Kind, r.Kind)
-		}
-		switch e.Op {
-		case "<":
-			return Bool(cmp < 0)
-		case "<=":
-			return Bool(cmp <= 0)
-		case ">":
-			return Bool(cmp > 0)
-		default:
-			return Bool(cmp >= 0)
-		}
+		return Int(in.wantInt(l, line) % d)
+	},
+	"<":  func(in *Interp, l, r Value, line int) Value { return Bool(in.compare(l, r, line) < 0) },
+	"<=": func(in *Interp, l, r Value, line int) Value { return Bool(in.compare(l, r, line) <= 0) },
+	">":  func(in *Interp, l, r Value, line int) Value { return Bool(in.compare(l, r, line) > 0) },
+	">=": func(in *Interp, l, r Value, line int) Value { return Bool(in.compare(l, r, line) >= 0) },
+}
+
+// compare orders two ints or two strings.
+func (in *Interp) compare(l, r Value, line int) int {
+	switch {
+	case l.Kind == KindInt && r.Kind == KindInt:
+		return cmp.Compare(l.I, r.I)
+	case l.Kind == KindStr && r.Kind == KindStr:
+		return cmp.Compare(l.S, r.S)
 	}
-	in.fail(e.Line, "unknown operator %q", e.Op)
-	return Nil
+	in.fail(line, "cannot compare %s with %s", l.Kind, r.Kind)
+	return 0
 }
 
 func (in *Interp) wantInt(v Value, line int) int64 {

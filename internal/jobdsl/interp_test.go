@@ -217,6 +217,7 @@ func TestInterpStringBuiltins(t *testing.T) {
 		{`lower("AbC")`, "abc"},
 		{`substr("hello", 1, 3)`, "el"},
 		{`substr("hello", -2, 99)`, "hello"},
+		{`substr("hello", 0, -2)`, ""},
 		{`tostr(split("a|b|c", "|"))`, "[a,b,c]"},
 		{`tostr(contains("hello", "ell"))`, "true"},
 		{`tostr(sortlist(["b", "a", "c"]))`, "[a,b,c]"},

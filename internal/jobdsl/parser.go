@@ -274,6 +274,13 @@ func (p *parser) forStmt() (Stmt, error) {
 	if _, err := p.expect(TokOp, ";"); err != nil {
 		return nil, err
 	}
+	if p.at(TokKeyword, "let") {
+		// The post clause runs after the body, so a name it declared
+		// would reach the condition and body only from the second
+		// iteration on: no lexical scope can say that.
+		t := p.cur()
+		return nil, &SyntaxError{Line: t.Line, Col: t.Col, Msg: "let is not allowed in a for post clause"}
+	}
 	if !p.at(TokOp, ")") {
 		post, err = p.simpleStmt()
 		if err != nil {

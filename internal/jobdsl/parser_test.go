@@ -1,6 +1,7 @@
 package jobdsl
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -183,6 +184,20 @@ func TestMustParsePanicsOnError(t *testing.T) {
 		}
 	}()
 	MustParse("not a program")
+}
+
+// A let in the post clause would declare its name only from the second
+// iteration on, so an outer name of the same spelling would be read on
+// the first and the loop's afterwards. The parser rejects it.
+func TestParseRejectsLetInForPost(t *testing.T) {
+	_, err := Parse(`func f() { let j = 9; for (let i = 0; i < 3; let j = i) { emit("k", j); } }`)
+	var se *SyntaxError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "let is not allowed in a for post clause") {
+		t.Errorf("err = %v, want a SyntaxError rejecting let in the post clause", err)
+	}
+	if _, err := Parse(`func f() { for (let i = 0; i < 3; i = i + 1) { } }`); err != nil {
+		t.Errorf("assignment in the post clause: %v", err)
+	}
 }
 
 func TestParseForClausesOptional(t *testing.T) {

@@ -3,10 +3,13 @@
 // and reduce functions of the original paper: the parser and AST give
 // the static-analysis surface (control-flow-graph extraction, §4.1.3,
 // which the paper obtained with the Soot bytecode analyzer), and the
-// tree-walking interpreter gives the dynamic surface (the map/combine/
-// reduce functions are really executed over input records, and the
+// interpreter gives the dynamic surface (the map/combine/reduce
+// functions are really executed over input records, and the
 // interpreter's step counter provides the per-record CPU cost that
-// feeds the profile cost factors of Table 4.2).
+// feeds the profile cost factors of Table 4.2). The interpreter compiles
+// each Program once into Go closures whose variables are slots of a call
+// frame; frames come from a per-Interp value stack and builtin arguments
+// from a per-Interp argument stack, which builtins never retain.
 package jobdsl
 
 import (
