@@ -12,7 +12,8 @@ import "fmt"
 //
 // The same walk is the static checker: names that resolve to nothing and
 // calls with the wrong arity are reported as Problems, and compile to
-// closures that raise the runtime error only if they run.
+// closures that raise the runtime error only if they run. Nodes the
+// parser never builds, such as an unknown operator, panic here.
 
 type (
 	// expr evaluates one expression in fr, the frame of the running call.
@@ -222,12 +223,7 @@ func (c *compiler) assign(s *AssignStmt) stmt {
 			return false
 		}
 	}
-	return func(in *Interp, fr []Value) bool {
-		in.tick(line)
-		x(in, fr)
-		in.fail(0, "invalid assignment target %T", s.Target)
-		return false
-	}
+	panic(fmt.Sprintf("jobdsl: invalid assignment target %T", s.Target))
 }
 
 func (c *compiler) exprs(es []Expr) []expr {
@@ -287,12 +283,7 @@ func (c *compiler) expr(e Expr) expr {
 		case "!":
 			return func(in *Interp, fr []Value) Value { in.tick(line); return Bool(!x(in, fr).Truthy()) }
 		}
-		return func(in *Interp, fr []Value) Value {
-			in.tick(line)
-			x(in, fr)
-			in.fail(line, "unknown unary operator %q", e.Op)
-			return Nil
-		}
+		panic(fmt.Sprintf("jobdsl: unknown unary operator %q", e.Op))
 	case *BinaryExpr:
 		l, r, line := c.expr(e.L), c.expr(e.R), e.Line
 		switch e.Op {
@@ -309,7 +300,7 @@ func (c *compiler) expr(e Expr) expr {
 		}
 		op, ok := binaryOps[e.Op]
 		if !ok {
-			op = func(in *Interp, _, _ Value, line int) Value { in.fail(line, "unknown operator %q", e.Op); return Nil }
+			panic(fmt.Sprintf("jobdsl: unknown operator %q", e.Op))
 		}
 		return func(in *Interp, fr []Value) Value { in.tick(line); return op(in, l(in, fr), r(in, fr), line) }
 	case *IndexExpr:
