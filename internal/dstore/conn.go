@@ -26,12 +26,12 @@ type ServerConn interface {
 	BatchPut(ctx context.Context, table string, rows []hstore.Row) error
 	Apply(table string, cells []hstore.Cell) error
 	Get(ctx context.Context, table, row string) (hstore.Row, bool, error)
-	// FollowerGet reads a row ignoring the serving fence — the hedged-
-	// read path against follower replicas.
+	// FollowerGet reads a row whatever the copy's role — the hedged-read
+	// path against follower replicas.
 	FollowerGet(ctx context.Context, table, row string) (hstore.Row, bool, error)
 	BatchGet(ctx context.Context, table string, rows []string) ([]hstore.Row, []bool, error)
 	Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error)
-	// FollowerScan scans one region ignoring the serving fence — the
+	// FollowerScan scans one region whatever the copy's role — the
 	// hedged-scan path against follower replicas (read-only safe:
 	// synchronous replication keeps follower copies complete).
 	FollowerScan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error)

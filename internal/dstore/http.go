@@ -437,7 +437,7 @@ func newHTTPJSON(base string, timeout time.Duration) *httpJSON {
 }
 
 // detachedCtx roots control-plane RPCs (join, heartbeats, catalog
-// moves, serving fences): they are owned by the master's and region
+// moves, role changes): they are owned by the master's and region
 // servers' own lifecycles, not by any inbound request.
 func detachedCtx() context.Context {
 	return context.Background() //pstorm:allow ctxcheck control-plane RPCs are owned by the master/server lifecycle, not an inbound request

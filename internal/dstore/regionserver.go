@@ -192,19 +192,19 @@ func (rs *RegionServer) Beat(mc MasterConn, self Peer) {
 	}
 }
 
-// regionCopy is the replication state of one region key on this server:
-// primary with a follower chain, or fenced follower (chain nil; the
-// serving bit itself lives on the hstore region). The gate is the drain
-// barrier between the two: every client write holds it shared from its
-// first local cell to its last follower Apply, SetRole and Drop take it
-// exclusively, so a fence returns only once every write it did not stop
-// has reached the whole chain or failed. The record belongs to the key,
-// not to the hosted copy — Drop resets it and never deletes it, so a
-// writer parked on the gate across a Drop/Install of the same region
+// regionCopy is the one home of a region copy's role on this server:
+// primary with a follower chain, or fenced follower. The gate is the
+// drain barrier between the two: every client write holds it shared
+// from its role check to its last follower Apply, SetRole and Drop take
+// it exclusively, so a fence returns only once every write it did not
+// stop has reached the whole chain or failed. The record belongs to the
+// key, not to the hosted copy — Drop resets it and never deletes it, so
+// a writer parked on the gate across a Drop/Install of the same region
 // meets the same gate when it wakes.
 type regionCopy struct {
-	gate  sync.RWMutex
-	chain []Peer // guarded by gate
+	gate    sync.RWMutex
+	primary atomic.Bool // stored under gate exclusively; reads load it without the gate
+	chain   []Peer      // guarded by gate
 }
 
 func (rs *RegionServer) copyFor(table string, regionID int) *regionCopy {
@@ -224,6 +224,14 @@ func (rs *RegionServer) copyFor(table string, regionID int) *regionCopy {
 	return c
 }
 
+// isPrimary reads the region's role without creating a record (none: never primary).
+func (rs *RegionServer) isPrimary(table string, regionID int) bool {
+	rs.mu.RLock()
+	c := rs.copies[regionRef{table, regionID}]
+	rs.mu.RUnlock()
+	return c != nil && c.primary.Load()
+}
+
 func (rs *RegionServer) regionIDFor(table, row string) (int, error) {
 	me, ok := rs.hs.LookupRegion(table, row)
 	if !ok {
@@ -232,17 +240,29 @@ func (rs *RegionServer) regionIDFor(table, row string) (int, error) {
 	return me.RegionID, nil
 }
 
-// write is the one client write path. stamp writes the local cells of
-// one region (row names it in errors); they then go to every follower
-// of the role that admitted them, synchronously — an unreachable
-// follower fails the write (the client retries while the master prunes
-// the follower from the chain) — and all of it happens inside the
-// region's gate, so no role change can fall between the first local
-// cell and the ack.
+// checkPrimary fails a client read NotServing unless the row's region is primary here.
+func (rs *RegionServer) checkPrimary(table, row string) error {
+	id, err := rs.regionIDFor(table, row)
+	if err == nil && !rs.isPrimary(table, id) {
+		err = rs.countNotServing(&hstore.NotServingError{Table: table, Row: row})
+	}
+	return err
+}
+
+// write is the one client write path. A copy that is not primary
+// refuses; otherwise stamp writes the local cells of one region (row
+// names it in errors), and they go to every follower of the role that
+// admitted them, synchronously — an unreachable follower fails the
+// write (the client retries while the master prunes the follower from
+// the chain). All of it happens inside the region's gate, so no role
+// change can fall between the role check and the ack.
 func (rs *RegionServer) write(table string, regionID int, row string, stamp func() ([]hstore.Cell, error)) error {
 	c := rs.copyFor(table, regionID)
 	c.gate.RLock()
 	defer c.gate.RUnlock()
+	if !c.primary.Load() {
+		return rs.countNotServing(&hstore.NotServingError{Table: table, Row: row})
+	}
 	cells, err := stamp()
 	if err != nil {
 		return rs.guard(table, row, err)
@@ -347,31 +367,32 @@ func (rs *RegionServer) Apply(table string, cells []hstore.Cell) error {
 	return rs.hs.Apply(table, cells)
 }
 
-// Get reads one row from a serving (primary) copy.
+// Get reads one row from a primary copy.
 func (rs *RegionServer) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
 	return rs.get(ctx, table, row, true)
 }
 
-// FollowerGet reads one row from this server regardless of the serving
-// fence — the hedged-read path. Synchronous replication guarantees a
-// follower copy holds every acked write, so the answer is as good as
-// the primary's (modulo a write racing the hedge, which the primary
-// read also races).
+// FollowerGet reads one row from this server whatever its copy's role —
+// the hedged-read path. Synchronous replication guarantees a follower
+// copy holds every acked write, so the answer is as good as the
+// primary's (modulo a write racing the hedge, which the primary read
+// also races).
 func (rs *RegionServer) FollowerGet(ctx context.Context, table, row string) (hstore.Row, bool, error) {
 	return rs.get(ctx, table, row, false)
 }
 
-func (rs *RegionServer) get(ctx context.Context, table, row string, requireServing bool) (hstore.Row, bool, error) {
+func (rs *RegionServer) get(ctx context.Context, table, row string, requirePrimary bool) (hstore.Row, bool, error) {
 	if err := rs.checkCtx(ctx); err != nil {
 		return hstore.Row{}, false, err
 	}
 	start := rs.now()
 	defer func() { rs.hGetMs.Observe(rs.sinceMs(start)) }()
-	read := rs.hs.GetAny
-	if requireServing {
-		read = rs.hs.Get
+	if requirePrimary {
+		if err := rs.checkPrimary(table, row); err != nil {
+			return hstore.Row{}, false, err
+		}
 	}
-	r, ok, err := read(table, row)
+	r, ok, err := rs.hs.Get(table, row)
 	return r, ok, rs.guard(table, row, err)
 }
 
@@ -404,6 +425,9 @@ func (rs *RegionServer) BatchGet(ctx context.Context, table string, rows []strin
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
+		if err := rs.checkPrimary(table, row); err != nil {
+			return nil, nil, err
+		}
 		r, ok, err := rs.hs.Get(table, row)
 		if err != nil {
 			return nil, nil, rs.guard(table, row, err)
@@ -415,29 +439,28 @@ func (rs *RegionServer) BatchGet(ctx context.Context, table string, rows []strin
 
 // Scan reads [start, end) of one region the caller believes this server
 // is primary for. The region ID pins the route: if the region moved or
-// is fenced, the scan fails NotServing instead of silently returning a
-// subset.
+// its copy here is not primary, the scan fails NotServing instead of
+// silently returning a subset.
 func (rs *RegionServer) Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
 	return rs.scan(ctx, table, regionID, start, end, f, limit, true)
 }
 
-// FollowerScan reads [start, end) of one hosted region regardless of
-// the serving fence — the hedged-scan path. The region ID still pins
-// the route (a moved region fails NotServing rather than returning a
-// stale subset), and synchronous replication means the fenced copy
-// holds every acked write, so the rows are as fresh as the primary's.
+// FollowerScan reads [start, end) of one hosted region whatever its
+// copy's role — the hedged-scan path. The region ID still pins the
+// route (a moved region fails NotServing rather than returning a stale
+// subset), and synchronous replication means a follower copy holds
+// every acked write, so the rows are as fresh as the primary's.
 func (rs *RegionServer) FollowerScan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
 	return rs.scan(ctx, table, regionID, start, end, f, limit, false)
 }
 
-func (rs *RegionServer) scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int, requireServing bool) ([]hstore.Row, error) {
+func (rs *RegionServer) scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int, requirePrimary bool) ([]hstore.Row, error) {
 	if err := rs.checkCtx(ctx); err != nil {
 		return nil, err
 	}
 	me, ok := rs.hs.LookupRegion(table, start)
-	if !ok || me.RegionID != regionID || (requireServing && !me.Serving) {
-		rs.cNotServing.Inc()
-		return nil, &hstore.NotServingError{Table: table, Row: start}
+	if !ok || me.RegionID != regionID || (requirePrimary && !rs.isPrimary(table, regionID)) {
+		return nil, rs.countNotServing(&hstore.NotServingError{Table: table, Row: start})
 	}
 	// Clamp to the region's bounds so the hstore coverage check sees a
 	// fully hosted range.
@@ -447,11 +470,7 @@ func (rs *RegionServer) scan(ctx context.Context, table string, regionID int, st
 	if me.EndKey != "" && (end == "" || end > me.EndKey) {
 		end = me.EndKey
 	}
-	read := rs.hs.ScanAny
-	if requireServing {
-		read = rs.hs.Scan
-	}
-	rows, err := read(ctx, table, start, end, f, limit)
+	rows, err := rs.hs.Scan(ctx, table, start, end, f, limit)
 	if err != nil {
 		return nil, rs.guard(table, start, err)
 	}
@@ -517,10 +536,19 @@ func (rs *RegionServer) Install(snap *hstore.RegionSnapshot, masterEpoch int64) 
 	if err := rs.fence(masterEpoch); err != nil {
 		return err
 	}
-	if snap != nil && snap.Backfill {
-		return rs.hs.BackfillRegion(snap)
+	if snap == nil || !snap.Backfill {
+		return rs.hs.InstallRegion(snap)
 	}
-	return rs.hs.InstallRegion(snap)
+	if err := rs.hs.HostsRegion(snap.Table, snap.RegionID); err != nil {
+		return err // and no record for a region never hosted here
+	}
+	c := rs.copyFor(snap.Table, snap.RegionID)
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	if c.primary.Load() {
+		return fmt.Errorf("dstore: region %d of table %q is primary here, not a fenced copy to backfill", snap.RegionID, snap.Table)
+	}
+	return rs.hs.BackfillRegion(snap)
 }
 
 // fence admits a mutating control RPC: the server must be up, and the
@@ -564,6 +592,7 @@ func (rs *RegionServer) Drop(table string, regionID int, masterEpoch int64) erro
 	c := rs.copyFor(table, regionID)
 	c.gate.Lock()
 	defer c.gate.Unlock()
+	c.primary.Store(false)
 	c.chain = nil
 	return rs.hs.DropRegion(table, regionID)
 }
@@ -584,9 +613,10 @@ func (rs *RegionServer) SetRole(table string, regionID int, primary bool, follow
 	c := rs.copyFor(table, regionID)
 	c.gate.Lock()
 	defer c.gate.Unlock()
-	if err := rs.hs.SetServing(table, regionID, primary); err != nil {
-		return err
+	if err := rs.hs.HostsRegion(table, regionID); err != nil {
+		return err // dropped while this call waited for the gate
 	}
+	c.primary.Store(primary)
 	c.chain = nil
 	if primary {
 		c.chain = append([]Peer(nil), followers...)

@@ -353,10 +353,10 @@ func TestQuarantineRebuildPrunesCorruptFollower(t *testing.T) {
 	if !hs.CorruptRegionData("t", g.ID, 4) {
 		t.Fatal("CorruptRegionData found nothing to damage")
 	}
-	// Latch via a fence-bypassing read (the copy is fenced as a
-	// follower, so a plain Get would refuse before reading data).
-	if _, _, err := hs.GetAny("t", "k00"); !hstore.IsCorruption(err) {
-		t.Fatalf("GetAny on corrupt follower: err=%v, want CorruptionError", err)
+	// Latch via a direct read of the follower's store: hstore knows
+	// nothing of roles, so it reads the data and finds the damage.
+	if _, _, err := hs.Get("t", "k00"); !hstore.IsCorruption(err) {
+		t.Fatalf("Get on corrupt follower: err=%v, want CorruptionError", err)
 	}
 	if rebuilt := c.Master.CheckHealth(); rebuilt != 1 {
 		t.Fatalf("CheckHealth rebuilt %d, want 1", rebuilt)

@@ -155,6 +155,83 @@ func TestDropKeepsGateAndDrains(t *testing.T) {
 	}
 }
 
+// TestFencedCopyRefusesClientTraffic pins where a copy's role lives:
+// the region server, not its store. A copy that is not primary refuses
+// every client call, counted, while replication and hedged reads pass;
+// SetRole opens it, and Drop/Install closes it again.
+func TestFencedCopyRefusesClientTraffic(t *testing.T) {
+	ctx := context.Background()
+	rs := NewRegionServer("f", NewRegistry())
+	region := &hstore.RegionSnapshot{Table: "t", RegionID: 1}
+	if err := rs.Install(region, 0); err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Put", func() error { return rs.Put(ctx, "t", "k", "c", []byte("v")) }},
+		{"BatchPut", func() error {
+			return rs.BatchPut(ctx, "t", []hstore.Row{{Key: "k", Columns: map[string][]byte{"c": []byte("v")}}})
+		}},
+		{"DeleteRow", func() error { return rs.DeleteRow(ctx, "t", "k") }},
+		{"Get", func() error { _, _, err := rs.Get(ctx, "t", "k"); return err }},
+		{"BatchGet", func() error { _, _, err := rs.BatchGet(ctx, "t", []string{"k"}); return err }},
+		{"Scan", func() error { _, err := rs.Scan(ctx, "t", 1, "", "", nil, 0); return err }},
+	}
+	refusesAll := func(when string) {
+		t.Helper()
+		for _, c := range calls {
+			before := rs.cNotServing.Value()
+			if err := c.call(); !hstore.IsNotServing(err) {
+				t.Errorf("%s: %s returned %v, want NotServing", when, c.name, err)
+			}
+			if n := rs.cNotServing.Value() - before; n != 1 {
+				t.Errorf("%s: %s moved dstore_rs_notserving_total by %d, want 1", when, c.name, n)
+			}
+		}
+	}
+	refusesAll("installed")
+
+	// Stamped far past the wall clock: a local write can shadow it only
+	// if Apply advanced the clock.
+	applied := hstore.Cell{Row: "k", Column: "c", Ts: 1 << 62, Value: []byte("applied")}
+	if err := rs.Apply("t", []hstore.Cell{applied}); err != nil {
+		t.Fatalf("Apply on a fenced copy: %v", err)
+	}
+	if r, ok, err := rs.FollowerGet(ctx, "t", "k"); err != nil || !ok || string(r.Columns["c"]) != "applied" {
+		t.Fatalf("FollowerGet on a fenced copy: %v ok=%v err=%v", r.Columns, ok, err)
+	}
+	if rows, err := rs.FollowerScan(ctx, "t", 1, "", "", nil, 0); err != nil || len(rows) != 1 {
+		t.Fatalf("FollowerScan on a fenced copy: %d rows, err=%v", len(rows), err)
+	}
+
+	if err := rs.SetRole("t", 1, true, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok, err := rs.Get(ctx, "t", "k"); err != nil || !ok || string(r.Columns["c"]) != "applied" {
+		t.Fatalf("Get after promotion: %v ok=%v err=%v, want the applied cell", r.Columns, ok, err)
+	}
+	if err := rs.Put(ctx, "t", "k", "c", []byte("local")); err != nil {
+		t.Fatal(err)
+	}
+	if r, _, err := rs.Get(ctx, "t", "k"); err != nil || string(r.Columns["c"]) != "local" {
+		t.Fatalf("local write after the applied cell reads %q (err=%v): shadowed by replicated history", r.Columns["c"], err)
+	}
+	backfill := &hstore.RegionSnapshot{Table: "t", RegionID: 1, Backfill: true}
+	if err := rs.Install(backfill, 0); err == nil {
+		t.Error("Backfill install onto a primary copy succeeded")
+	}
+
+	if err := rs.Drop("t", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Install(region, 0); err != nil {
+		t.Fatal(err)
+	}
+	refusesAll("re-installed after a primary copy was dropped")
+}
+
 // roleLog records every SetRole the master sends, as "table/region@server".
 type roleLog struct {
 	mu    sync.Mutex

@@ -7,8 +7,9 @@ import (
 )
 
 // NotServingError reports that the addressed row (or scan range) is not
-// currently served by this server: the owning region was never hosted
-// here, has been moved away, or is fenced for a move/failover. Clients
+// currently served by this server. hstore returns it when no hosted
+// region covers the row — never hosted here, or moved away; a dstore
+// region server also returns it for a copy that is not primary. Clients
 // holding a routing cache should treat it as "my route is stale":
 // refresh the route and retry — exactly HBase's
 // NotServingRegionException contract.
@@ -69,7 +70,7 @@ func (snap *RegionSnapshot) Bytes() int64 {
 	return n
 }
 
-// ExportRegion snapshots one hosted region, serving or fenced.
+// ExportRegion snapshots one hosted region.
 func (s *Server) ExportRegion(table string, regionID int) (*RegionSnapshot, error) {
 	g, err := s.regionByID(table, regionID)
 	if err != nil {
@@ -91,11 +92,8 @@ func (s *Server) ExportRegion(table string, regionID int) (*RegionSnapshot, erro
 
 // InstallRegion adds a region with the snapshot's bounds and contents
 // to this server, creating an empty table shell first if the table is
-// unknown here. The copy is installed fenced (the follower state in
-// dstore): client-facing reads and writes on it fail with
-// NotServingError until SetServing(true), while replicated Apply
-// traffic is always accepted. A region already hosted here — whatever
-// its state — is an error: a leftover copy may hold rows deleted since.
+// unknown here. A region already hosted here is an error: a leftover
+// copy may hold rows deleted since.
 func (s *Server) InstallRegion(snap *RegionSnapshot) error {
 	if snap == nil || snap.Table == "" {
 		return fmt.Errorf("hstore: install needs a table name")
@@ -118,7 +116,6 @@ func (s *Server) InstallRegion(snap *RegionSnapshot) error {
 		}
 	}
 	g := newRegion(snap.RegionID, snap.StartKey, snap.EndKey, s.flushBytes(), s.stats)
-	g.serving.Store(false)
 	if snap.RegionID >= s.nextID {
 		s.nextID = snap.RegionID + 1
 	}
@@ -129,20 +126,17 @@ func (s *Server) InstallRegion(snap *RegionSnapshot) error {
 	return nil
 }
 
-// BackfillRegion merges a snapshot into the fenced copy of its region
-// already hosted here: the copy was installed empty and joined its
-// replication chain before the export was taken, so it has missed no
-// write, and cell timestamps order the snapshot against what the chain
-// delivered meanwhile. The caller vouches that the copy started empty —
-// a snapshot omits tombstones, so merged over older data it would
+// BackfillRegion merges a snapshot into the copy of its region already
+// hosted here: the copy was installed empty and joined its replication
+// chain before the export was taken, so it has missed no write, and
+// cell timestamps order the snapshot against what the chain delivered
+// meanwhile. The caller vouches that the copy started empty — a
+// snapshot omits tombstones, so merged over older data it would
 // resurrect deleted rows.
 func (s *Server) BackfillRegion(snap *RegionSnapshot) error {
 	g, err := s.regionByID(snap.Table, snap.RegionID)
 	if err != nil {
 		return err
-	}
-	if g.serving.Load() {
-		return fmt.Errorf("hstore: region %d of table %q is serving, not a fenced copy to backfill", snap.RegionID, snap.Table)
 	}
 	s.load(g, snap)
 	return nil
@@ -176,17 +170,6 @@ func (s *Server) DropRegion(table string, regionID int) error {
 	return fmt.Errorf("hstore: region %d not hosted for table %q", regionID, table)
 }
 
-// SetServing fences (false) or unfences (true) one hosted region for
-// client-facing traffic. Replication Apply ignores the flag.
-func (s *Server) SetServing(table string, regionID int, serving bool) error {
-	g, err := s.regionByID(table, regionID)
-	if err != nil {
-		return err
-	}
-	g.serving.Store(serving)
-	return nil
-}
-
 // LookupRegion returns the catalog entry of the hosted region owning
 // the row, if any.
 func (s *Server) LookupRegion(table, row string) (MetaEntry, bool) {
@@ -202,7 +185,7 @@ func (s *Server) LookupRegion(table, row string) (MetaEntry, bool) {
 	}
 	return MetaEntry{
 		Table: table, StartKey: g.startKey, EndKey: g.endKey,
-		RegionID: g.id, Server: localServerName, Serving: g.serving.Load(),
+		RegionID: g.id, Server: localServerName,
 	}, true
 }
 

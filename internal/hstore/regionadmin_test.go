@@ -49,12 +49,6 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	if err := dst.InstallRegion(snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dst.Get("t", "b"); !IsNotServing(err) {
-		t.Errorf("get on a freshly installed copy: err = %v, want NotServing (installed fenced)", err)
-	}
-	if err := dst.SetServing("t", snap.RegionID, true); err != nil {
-		t.Fatal(err)
-	}
 	r, ok, err := dst.Get("t", "b")
 	if err != nil || !ok {
 		t.Fatalf("get b after install: %v %v", ok, err)
@@ -65,22 +59,16 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	if _, ok, _ := dst.Get("t", "a"); ok {
 		t.Error("tombstoned row resurrected by install")
 	}
-	// Installing the same region again must fail, serving or fenced: a
-	// leftover copy is never silently reused.
-	for _, serving := range []bool{true, false} {
-		if err := dst.SetServing("t", snap.RegionID, serving); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.InstallRegion(snap); err == nil {
-			t.Errorf("double install onto a copy with serving=%v should fail", serving)
-		}
+	// Installing the same region again must fail: a leftover copy is
+	// never silently reused.
+	if err := dst.InstallRegion(snap); err == nil {
+		t.Error("double install should fail")
 	}
 }
 
-// TestBackfillRegion: a backfill merges into the fenced copy already
-// hosted — newest timestamp wins against what replication delivered
-// meanwhile, and the exporter's clock carries over — and into nothing
-// else.
+// TestBackfillRegion: a backfill merges into the copy already hosted —
+// newest timestamp wins against what replication delivered meanwhile,
+// and the exporter's clock carries over — and into nothing else.
 func TestBackfillRegion(t *testing.T) {
 	s := NewServer()
 	s.NoAutoSplit = true
@@ -102,12 +90,6 @@ func TestBackfillRegion(t *testing.T) {
 	if err := s.BackfillRegion(fill); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetServing("t", 7, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BackfillRegion(fill); err == nil {
-		t.Error("backfill of a serving copy should fail")
-	}
 	for row, want := range map[string]string{"ma": "snap", "mb": "chain"} {
 		if r, ok, err := s.Get("t", row); err != nil || !ok || string(r.Columns["c"]) != want {
 			t.Errorf("%s = %q (ok=%v err=%v), want %q", row, r.Columns["c"], ok, err, want)
@@ -127,9 +109,6 @@ func TestNotServingOnGapsAndFences(t *testing.T) {
 	if err := s.InstallRegion(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetServing("t", 7, true); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Put("t", "zzz", "c", []byte("v")); !IsNotServing(err) {
 		t.Errorf("put outside hosted range: err = %v, want NotServing", err)
 	}
@@ -142,34 +121,6 @@ func TestNotServingOnGapsAndFences(t *testing.T) {
 	mustPut(t, s, "t", "mm", "c", "v")
 	if rows, err := s.Scan(context.Background(), "t", "m", "t", nil, 0); err != nil || len(rows) != 1 {
 		t.Errorf("scan within hosted range: %v %v", rows, err)
-	}
-
-	// Fence the region: client traffic bounces, Apply still lands.
-	if err := s.SetServing("t", 7, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("t", "mm", "c", []byte("v2")); !IsNotServing(err) {
-		t.Errorf("put on fenced region: err = %v, want NotServing", err)
-	}
-	if _, err := s.Scan(context.Background(), "t", "m", "t", nil, 0); !IsNotServing(err) {
-		t.Errorf("scan on fenced region: err = %v, want NotServing", err)
-	}
-	if err := s.Apply("t", []Cell{{Row: "mq", Column: "c", Ts: 99, Value: []byte("r")}}); err != nil {
-		t.Errorf("apply on fenced region: %v", err)
-	}
-	if err := s.SetServing("t", 7, true); err != nil {
-		t.Fatal(err)
-	}
-	r, ok, err := s.Get("t", "mq")
-	if err != nil || !ok || string(r.Columns["c"]) != "r" {
-		t.Errorf("replicated cell not readable after unfence: %v %v %v", r, ok, err)
-	}
-	// The clock advanced past the applied ts: a local write now must
-	// shadow the replicated cell, not be shadowed by it.
-	mustPut(t, s, "t", "mq", "c", "newer")
-	r, _, _ = s.Get("t", "mq")
-	if string(r.Columns["c"]) != "newer" {
-		t.Errorf("local write shadowed by replicated history: %q", r.Columns["c"])
 	}
 }
 

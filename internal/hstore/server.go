@@ -322,33 +322,34 @@ func (s *Server) PutCell(tableName, row, column string, value []byte) (Cell, err
 	return c, s.applyCell(tableName, c, true)
 }
 
-// applyCell is the single write path: WAL first, then the owning
-// region. clientFacing writes respect the region's serving fence;
-// replication traffic (Apply) does not, because fences gate client
-// routing, not master-driven data movement.
-func (s *Server) applyCell(tableName string, c Cell, clientFacing bool) error {
+// applyCell is the single write path: resolve the owning region, then
+// WAL, then the region, so a refused cell never reaches the log. Local
+// writes refuse a quarantined copy — an acked write there could be lost
+// when the region is rebuilt from a healthy replica; replicated cells
+// (Apply) land regardless.
+func (s *Server) applyCell(tableName string, c Cell, local bool) error {
 	t, err := s.table(tableName)
 	if err != nil {
 		return err
 	}
-	if s.wal != nil {
-		if err := s.wal.logCell(tableName, c); err != nil {
-			return err
-		}
-	}
+	logged := s.wal == nil
 	for {
 		s.mu.Lock()
 		g := t.regionFor(c.Row)
 		s.mu.Unlock()
-		if g == nil || (clientFacing && !g.serving.Load()) {
+		if g == nil {
 			return &NotServingError{Table: tableName, Row: c.Row}
 		}
-		if clientFacing {
-			// A quarantined copy refuses acked writes: they could be lost
-			// when the region is rebuilt from a healthy replica.
+		if local {
 			if err := g.checkQuarantine(); err != nil {
 				return withTable(err, tableName)
 			}
+		}
+		if !logged {
+			if err := s.wal.logCell(tableName, c); err != nil {
+				return err
+			}
+			logged = true
 		}
 		if !g.put(c) {
 			// The region was sealed by a concurrent split between the
@@ -482,33 +483,6 @@ func (s *Server) Get(tableName, row string) (Row, bool, error) {
 	s.mu.RLock()
 	g := t.regionFor(row)
 	s.mu.RUnlock()
-	if g == nil || !g.serving.Load() {
-		return Row{}, false, &NotServingError{Table: tableName, Row: row}
-	}
-	r, ok, err := g.get(row)
-	if err != nil {
-		return Row{}, false, withTable(err, tableName)
-	}
-	if ok {
-		s.rowsReturned.Add(1)
-		s.bytesReturned.Add(r.Bytes())
-	}
-	return r, ok, nil
-}
-
-// GetAny fetches one row regardless of the region's serving fence —
-// the hedged-read path: replication is synchronous, so a fenced
-// follower copy holds every acked write and can answer point reads
-// when the primary is slow or partitioned. Quarantined copies still
-// refuse: checksums outrank availability.
-func (s *Server) GetAny(tableName, row string) (Row, bool, error) {
-	t, err := s.table(tableName)
-	if err != nil {
-		return Row{}, false, err
-	}
-	s.mu.RLock()
-	g := t.regionFor(row)
-	s.mu.RUnlock()
 	if g == nil {
 		return Row{}, false, &NotServingError{Table: tableName, Row: row}
 	}
@@ -530,19 +504,6 @@ func (s *Server) GetAny(tableName, row string) (Row, bool, error) {
 // The context is checked once per emitted row, so a canceled caller
 // stops the merge mid-region instead of paying for the full range.
 func (s *Server) Scan(ctx context.Context, tableName, startRow, endRow string, f Filter, limit int) ([]Row, error) {
-	return s.scan(ctx, tableName, startRow, endRow, f, limit, true)
-}
-
-// ScanAny scans regardless of serving fences — the hedged-scan path:
-// synchronous replication means a fenced follower copy holds every
-// acked write, so it can answer range reads when the primary is slow.
-// Coverage is still required (a missing region fails NotServing) and
-// quarantined copies still refuse.
-func (s *Server) ScanAny(ctx context.Context, tableName, startRow, endRow string, f Filter, limit int) ([]Row, error) {
-	return s.scan(ctx, tableName, startRow, endRow, f, limit, false)
-}
-
-func (s *Server) scan(ctx context.Context, tableName, startRow, endRow string, f Filter, limit int, requireServing bool) ([]Row, error) {
 	t, err := s.table(tableName)
 	if err != nil {
 		return nil, err
@@ -551,10 +512,10 @@ func (s *Server) scan(ctx context.Context, tableName, startRow, endRow string, f
 	regions := append([]*region(nil), t.regions...)
 	s.mu.RUnlock()
 
-	// The scan range must be fully covered by serving regions; a gap or
-	// a fenced region means a routing client holds a stale view of who
-	// serves what, and silently returning partial results would read as
-	// missing rows. (A standalone server always covers the key space.)
+	// The scan range must be fully covered by hosted regions; a gap means
+	// a routing client holds a stale view of who hosts what, and silently
+	// returning partial results would read as missing rows. (A standalone
+	// server always covers the key space.)
 	cursor := startRow
 	covered := false
 	for _, g := range regions {
@@ -564,7 +525,7 @@ func (s *Server) scan(ctx context.Context, tableName, startRow, endRow string, f
 		if g.endKey != "" && g.endKey <= cursor {
 			continue
 		}
-		if g.startKey > cursor || (requireServing && !g.serving.Load()) {
+		if g.startKey > cursor {
 			return nil, &NotServingError{Table: tableName, Row: cursor}
 		}
 		if g.endKey == "" {
@@ -640,7 +601,7 @@ func (s *Server) Flush(tableName string) error {
 const localServerName = "regionserver-0"
 
 // MetaEntry is one catalog row, as in HBase's .META. table: the key is
-// (table, startKey, regionID) and the value names the serving region
+// (table, startKey, regionID) and the value names the hosting region
 // server (always this server in the single-process build).
 type MetaEntry struct {
 	Table    string
@@ -648,7 +609,6 @@ type MetaEntry struct {
 	EndKey   string
 	RegionID int
 	Server   string
-	Serving  bool
 }
 
 // Meta returns the catalog.
@@ -665,7 +625,7 @@ func (s *Server) Meta() []MetaEntry {
 		for _, g := range s.tables[n].regions {
 			out = append(out, MetaEntry{
 				Table: n, StartKey: g.startKey, EndKey: g.endKey,
-				RegionID: g.id, Server: localServerName, Serving: g.serving.Load(),
+				RegionID: g.id, Server: localServerName,
 			})
 		}
 	}

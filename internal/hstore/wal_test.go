@@ -123,6 +123,53 @@ func TestOpenDurableFreshDirectory(t *testing.T) {
 	}
 }
 
+// TestRefusedWriteIsNotReplayed: a write the server refuses — into a
+// quarantined region, or to a row no hosted region covers — never
+// reaches the WAL, so a restart cannot bring back what was never acked.
+func TestRefusedWriteIsNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "t", "a", "c", "v")
+	if err := s.Flush("t"); err != nil {
+		t.Fatal(err)
+	}
+	id := s.Meta()[0].RegionID
+	if !s.CorruptRegionData("t", id, 0) {
+		t.Fatal("CorruptRegionData found no sstable to damage")
+	}
+	if _, _, err := s.Get("t", "a"); !IsCorruption(err) {
+		t.Fatalf("get of a damaged region: err=%v, want CorruptionError", err)
+	}
+	if err := s.Put("t", "zz", "c", []byte("refused")); !IsCorruption(err) {
+		t.Fatalf("put into a quarantined region: err=%v, want CorruptionError", err)
+	}
+	if err := s.DropRegion("t", id); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("t", "yy", "c", []byte("uncovered")); !IsNotServing(err) {
+		t.Fatalf("put to a row no region covers: err=%v, want NotServing", err)
+	}
+
+	back, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []string{"zz", "yy"} {
+		if r, ok, err := back.Get("t", row); ok || err != nil {
+			t.Errorf("refused write %s came back from the WAL: %v ok=%v err=%v", row, r.Columns, ok, err)
+		}
+	}
+	if _, ok, err := back.Get("t", "a"); !ok || err != nil {
+		t.Errorf("acked write a lost on replay: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestWALPreservesVersionOrder(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenDurable(dir)
