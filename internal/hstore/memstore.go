@@ -29,7 +29,7 @@ func newMemStore(seed int64) *memStore {
 }
 
 // Put inserts a cell; an existing cell with the same (row, column, ts)
-// is overwritten in place.
+// is overwritten in place, tombstone flag included.
 func (m *memStore) Put(c Cell) {
 	var update [maxSkipLevel]*skipNode
 	x := m.head
@@ -42,7 +42,7 @@ func (m *memStore) Put(c Cell) {
 	if n := update[0].next[0]; n != nil &&
 		n.cell.Row == c.Row && n.cell.Column == c.Column && n.cell.Ts == c.Ts {
 		m.size += int64(len(c.Value) - len(n.cell.Value))
-		n.cell.Value = c.Value
+		n.cell.Value, n.cell.Deleted = c.Value, c.Deleted
 		return
 	}
 	lvl := 1

@@ -323,11 +323,15 @@ func (s *Server) PutCell(tableName, row, column string, value []byte) (Cell, err
 }
 
 // applyCell is the single write path: resolve the owning region, then
-// WAL, then the region, so a refused cell never reaches the log. Local
-// writes refuse a quarantined copy — an acked write there could be lost
-// when the region is rebuilt from a healthy replica; replicated cells
-// (Apply) land regardless.
+// WAL, then the region, so a refused cell never reaches the log. An
+// empty row key is refused, as HBase does. Local writes refuse a
+// quarantined copy — an acked write there could be lost when the region
+// is rebuilt from a healthy replica; replicated cells (Apply) land
+// regardless.
 func (s *Server) applyCell(tableName string, c Cell, local bool) error {
+	if c.Row == "" {
+		return fmt.Errorf("hstore: table %q: empty row key", tableName)
+	}
 	t, err := s.table(tableName)
 	if err != nil {
 		return err

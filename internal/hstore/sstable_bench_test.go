@@ -1,6 +1,7 @@
 package hstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -76,6 +77,41 @@ func BenchmarkSSTableSeekScan(b *testing.B) {
 		}
 		if n == 0 {
 			b.Fatal("seek scan found no cells")
+		}
+	}
+}
+
+// BenchmarkRegionScanFiltered scans a flushed region of profile-shaped
+// rows through a pushed-down filter that keeps one row in ten: the
+// matcher's scan shape, where most merged rows exist only to fail their
+// filter.
+func BenchmarkRegionScanFiltered(b *testing.B) {
+	const rows = 2000
+	s := NewServer()
+	if err := s.CreateTable("t"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		r := Row{Key: fmt.Sprintf("dyn/job_%05d", i), Columns: map[string][]byte{
+			"kind": []byte(fmt.Sprintf("k%d", i%10)),
+		}}
+		for f := 0; f < 12; f++ {
+			r.Columns[fmt.Sprintf("feat%02d", f)] = []byte(fmt.Sprintf("%d.%06d", f, i*37%1000000))
+		}
+		if err := s.PutRow("t", r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Flush("t"); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	keep := &ColumnEqualsFilter{Column: "kind", Value: "k0"}
+	b.ReportAllocs()
+	for b.Loop() {
+		out, err := s.Scan(ctx, "t", "", "", keep, 0)
+		if err != nil || len(out) != rows/10 {
+			b.Fatalf("scan kept %d rows, err %v; want %d", len(out), err, rows/10)
 		}
 	}
 }

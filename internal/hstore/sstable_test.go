@@ -9,6 +9,25 @@ import (
 	"testing/quick"
 )
 
+// scanRange streams the table's cells with startRow <= row < endRow
+// (endRow "" unbounded) through its lazy iterator; fn returning false
+// stops the scan.
+func (t *sstable) scanRange(startRow, endRow string, fn func(Cell) bool) error {
+	it, err := t.iterate(startRow, endRow)
+	if err != nil {
+		return err
+	}
+	for {
+		c, ok := it.peek()
+		if !ok || !fn(c) {
+			return nil
+		}
+		if err := it.advance(); err != nil {
+			return err
+		}
+	}
+}
+
 func makeCells(n int, seed int64) []Cell {
 	m := newMemStore(seed)
 	r := rand.New(rand.NewSource(seed))
