@@ -190,17 +190,24 @@ func TestReadsMatchNewestVersionModel(t *testing.T) {
 		seeds = 10
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		checkNewestVersionModel(t, seed, steps)
+		checkNewestVersionModel(t, seed, steps, 0)
 		if t.Failed() {
 			return
 		}
 	}
 }
 
-func checkNewestVersionModel(t *testing.T, seed int64, steps int) {
+// checkNewestVersionModel runs one seed of the model test. A cacheBytes
+// above zero shrinks the server's block cache to that budget and makes
+// the values compressible, so blocks inflate into the cache and evict
+// one another at every step.
+func checkNewestVersionModel(t *testing.T, seed int64, steps int, cacheBytes int64) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	s := NewServer()
+	if cacheBytes > 0 {
+		s.stats.blocks.max = cacheBytes
+	}
 	s.FlushBytes = 8 << 10
 	s.NoAutoSplit = true // a split rewrites timestamps, outside the model
 	s.WallClock = func() time.Time { return time.Unix(0, 0) }
@@ -213,10 +220,17 @@ func checkNewestVersionModel(t *testing.T, seed int64, steps int) {
 	colKeys := []string{"c0", "c1", "c2", "c3", "c4"}
 	// Values up to ~1.2 KiB make a row's five columns straddle the
 	// ~4 KiB sstable blocks. Random bytes keep most blocks raw, which
-	// keeps the test fast; the codec is not what it checks.
+	// keeps the test fast; the codec is not what it checks. Under a
+	// shrunken cache all but a value's first 8 bytes repeat, so its
+	// blocks are flate-coded and cached whole.
 	value := func() []byte {
 		b := make([]byte, 1+rng.Intn(1200))
 		rng.Read(b)
+		if cacheBytes > 0 {
+			for i := 8; i < len(b); i++ {
+				b[i] = 'a' + byte(i%7)
+			}
+		}
 		return b
 	}
 	fail := func(step int, op, format string, args ...any) {
@@ -370,6 +384,17 @@ func checkNewestVersionModel(t *testing.T, seed int64, steps int) {
 					i, c.Row, c.Column, c.Ts, len(c.Value), w.Row, w.Column, w.Ts, len(w.Value))
 			}
 		}
+		if _, size := s.stats.blocks.stat(); size > s.stats.blocks.max {
+			fail(step, op, "block cache holds %d bytes, over its %d-byte budget", size, s.stats.blocks.max)
+		}
+	}
+	if cacheBytes > 0 {
+		// Every miss inserts a block no larger than the budget, so more
+		// misses than cached blocks means blocks were evicted.
+		entries, _ := s.stats.blocks.stat()
+		if misses := s.Obs().Snapshot().Counters["hstore_block_cache_misses_total"]; misses <= int64(entries) {
+			t.Fatalf("seed %d: %d misses for %d cached blocks; the cache never evicted", seed, misses, entries)
+		}
 	}
 }
 
@@ -406,8 +431,17 @@ func ownedRowsServer(t *testing.T) (*Server, map[string]map[string]string) {
 // byte-identical while further reads of the same region, concurrent
 // ones included, run after them.
 func TestReadResultsAreCallerOwned(t *testing.T) {
+	checkReadResultsOwned(t, 0)
+}
+
+// checkReadResultsOwned runs TestReadResultsAreCallerOwned against a
+// server whose block cache holds cacheBytes (0 keeps the default).
+func checkReadResultsOwned(t *testing.T, cacheBytes int64) {
 	ctx := context.Background()
 	s, want := ownedRowsServer(t)
+	if cacheBytes > 0 {
+		s.stats.blocks.max = cacheBytes
+	}
 	c := Connect(s)
 	keys := []string{"row0003", "row0099", "row0150", "row0201", "row0299"}
 	filter := &ColumnEqualsFilter{Column: "col1", Value: want["row0150"]["col1"]}

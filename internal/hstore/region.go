@@ -181,14 +181,16 @@ func (it *cellIterator) advance() error { it.pos++; return nil }
 // newestCells k-way merges the memstore snapshot and sstables (newest
 // first) over [startRow, endRow) and passes fn the newest version of
 // each (row, column), tombstones included; fn returning false stops the
-// merge. This is the store's one version rule. Every source yields
-// (row, column, ts desc) order and a tie on (row, column, ts) goes to
-// the earlier, newer source, so the first cell of a (row, column) the
-// merge reaches is its newest version and every later one is shadowed.
-func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, fn func(Cell) bool) error {
+// merge. Blocks open through cache; nil opens each afresh and leaves
+// the cache alone. This is the store's one version rule. Every source
+// yields (row, column, ts desc) order and a tie on (row, column, ts)
+// goes to the earlier, newer source, so the first cell of a (row,
+// column) the merge reaches is its newest version and every later one
+// is shadowed.
+func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, cache *blockCache, fn func(Cell) bool) error {
 	srcs := []cellSource{&cellIterator{cells: memCells}}
 	for _, t := range tables {
-		it, err := t.iterate(startRow, endRow)
+		it, err := t.iterate(startRow, endRow, cache)
 		if err != nil {
 			return err
 		}
@@ -230,9 +232,10 @@ func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, fn
 // outside it against immutable segments, so a slow consumer (an HTTP
 // scan response draining to a client) no longer blocks flushes, splits,
 // or writers. Sstable blocks are decompressed lazily as the merge
-// reaches them rather than materialized up front. A checksum mismatch
-// in any touched block quarantines the region and aborts the scan with
-// a CorruptionError — partial garbage is never surfaced.
+// reaches them rather than materialized up front, or come from the
+// server's block cache. A checksum mismatch in any touched block
+// quarantines the region and aborts the scan with a CorruptionError —
+// partial garbage is never surfaced.
 func (g *region) scanRows(startRow, endRow string, fn func(Row) bool) error {
 	if err := g.checkQuarantine(); err != nil {
 		return err
@@ -259,7 +262,8 @@ func (g *region) memCells(startRow, endRow string) []Cell {
 // sstables (newest first) over [startRow, endRow) into rows, passing fn
 // each row that has a live column. The Row is borrowed: its Columns map
 // is cleared and refilled for the next row, so fn must copy any row it
-// keeps. Values alias immutable memstore cells and sstable blocks.
+// keeps. Values alias immutable memstore cells and sstable blocks, the
+// server's cached blocks included.
 func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow string, fn func(Row) bool) error {
 	cur := Row{Columns: make(map[string][]byte)}
 	// emit passes on the row built so far and empties it, so after fn
@@ -273,7 +277,7 @@ func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow 
 		clear(cur.Columns)
 		return ok
 	}
-	err := newestCells(memCells, tables, startRow, endRow, func(c Cell) bool {
+	err := newestCells(memCells, tables, startRow, endRow, g.stats.cache(), func(c Cell) bool {
 		if c.Row != cur.Key {
 			if !emit() {
 				return false
@@ -527,10 +531,12 @@ func (g *region) swapRun(snap []*sstable, i, j int, merged *sstable) bool {
 // memCells and tables (newest first) through newestCells, so the result
 // holds exactly what reads see, tombstones included unless
 // dropTombstones is set. Values are cloned out of the block buffers:
-// the cells outlive the merge.
+// the cells outlive the merge. It bypasses the block cache: compaction
+// and export read blocks that are about to die or be shipped once, and
+// must not evict the blocks reads keep hot.
 func newestVersions(memCells []Cell, tables []*sstable, dropTombstones bool) ([]Cell, error) {
 	var out []Cell
-	err := newestCells(memCells, tables, "", "", func(c Cell) bool {
+	err := newestCells(memCells, tables, "", "", nil, func(c Cell) bool {
 		if !c.Deleted || !dropTombstones {
 			c.Value = append([]byte(nil), c.Value...)
 			out = append(out, c)

@@ -76,10 +76,22 @@ type storeStats struct {
 	tierSegments  *obs.Histogram
 	compressRatio *obs.Histogram
 
+	// blocks caches opened sstable blocks for reads; it counts its own
+	// hits and misses (hstore_block_cache_{hits,misses}_total).
+	blocks *blockCache
+
 	// throttle paces compaction output (the server wires it to the
 	// compaction rate limiter; tests inject hooks here to land writes
 	// mid-compaction deterministically).
 	throttle func(bytes int)
+}
+
+// cache returns the server's block cache, nil (no caching) without one.
+func (st *storeStats) cache() *blockCache {
+	if st == nil {
+		return nil
+	}
+	return st.blocks
 }
 
 func (st *storeStats) flush() {
@@ -161,6 +173,8 @@ func NewServer() *Server {
 			tierMerges:    o.Counter("compaction_tier_merges_total"),
 			tierSegments:  o.Histogram("compaction_tier_segments", []float64{2, 4, 8, 16}),
 			compressRatio: o.Histogram("sstable_block_compress_ratio", []float64{1, 1.25, 1.5, 2, 3, 5}),
+			blocks: newBlockCache(blockCacheBytes,
+				o.Counter("hstore_block_cache_hits_total"), o.Counter("hstore_block_cache_misses_total")),
 		},
 	}
 	s.stats.throttle = s.throttleCompaction
@@ -478,7 +492,9 @@ func (s *Server) DeleteRow(tableName, row string) error {
 	return nil
 }
 
-// Get fetches one row.
+// Get fetches one row. The row's map is the caller's, but its values
+// are read-only: they alias sstable blocks that the server's block
+// cache shares with every other read.
 func (s *Server) Get(tableName, row string) (Row, bool, error) {
 	t, err := s.table(tableName)
 	if err != nil {

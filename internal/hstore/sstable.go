@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // sstable is an immutable sorted segment produced by flushing a
@@ -20,11 +21,12 @@ import (
 // bytes go), and each block's payload is independently compressed by a
 // pluggable codec — stdlib flate, or raw when compression does not pay.
 // Every stored block carries a CRC32C computed at build time and
-// verified when the block is first opened by an iterator — a flipped
-// bit (in memory or on disk) surfaces as a CorruptionError, never as
-// data. Iteration is lazy: a scan decompresses only the blocks its key
-// range touches, one at a time, and cell values alias the decoded
-// block buffer instead of being copied out (zero-copy within a block).
+// verified every time an iterator opens the block — a flipped bit (in
+// memory or on disk) surfaces as a CorruptionError, never as data.
+// Iteration is lazy: a scan decompresses only the blocks its key range
+// touches, one at a time, or takes them from the server's blockCache,
+// and cell values alias the decoded block buffer instead of being
+// copied out (zero-copy within a block).
 //
 // The encoded PST4 file is
 //
@@ -40,6 +42,7 @@ import (
 // in-memory payloads afterwards. PST4 is the only format: decodeSSTable
 // rejects any other magic as corruption.
 type sstable struct {
+	id     uint64 // per-process identity, the block cache's key
 	data   []byte // concatenated stored block payloads
 	blocks []blockMeta
 	bloom  *bloom
@@ -146,8 +149,8 @@ func (fr *flateReader) inflate(payload []byte, ulen uint32) ([]byte, error) {
 }
 
 // decompressBlock restores a stored payload to its uncompressed form.
-// The returned buffer is freshly allocated per block, so cells decoded
-// from it may alias it safely for as long as the caller needs them.
+// The returned buffer is freshly allocated per block and never written
+// again, so cells decoded from it, and the block cache, may share it.
 func decompressBlock(payload []byte, codec byte, ulen uint32) ([]byte, error) {
 	switch codec {
 	case codecRaw:
@@ -195,10 +198,13 @@ func appendBlockEntry(buf []byte, c Cell, prevRow string) []byte {
 	return buf
 }
 
+// sstableIDs stamps every table built or decoded in this process.
+var sstableIDs atomic.Uint64
+
 // buildSSTable encodes sorted cells into a segment. Cells must already
 // be in (row, column, ts desc) order, as memstore.Cells produces.
 func buildSSTable(cells []Cell) *sstable {
-	t := &sstable{count: len(cells), bloom: newBloom(len(cells))}
+	t := &sstable{id: sstableIDs.Add(1), count: len(cells), bloom: newBloom(len(cells))}
 	var blockBuf []byte
 	var firstRow, prevRow, lastRow string
 	var nCells uint32
@@ -271,12 +277,14 @@ func (t *sstable) seekBlock(row string) int {
 }
 
 // ssIter streams cells of [startRow, endRow) lazily: blocks are CRC-
-// verified, decompressed, and decoded one at a time as the iterator
-// crosses into them, and each decoded cell's value aliases the block's
-// buffer (no per-cell copy). A block failing its checksum or decoding
-// impossibly surfaces as a CorruptionError from advance().
+// verified, decompressed (or taken from cache), and decoded one at a
+// time as the iterator crosses into them, and each decoded cell's value
+// aliases the block's buffer (no per-cell copy). A block failing its
+// checksum or decoding impossibly surfaces as a CorruptionError from
+// advance().
 type ssIter struct {
 	t      *sstable
+	cache  *blockCache // nil: open every block afresh
 	endRow string
 
 	bi   int    // next block to open
@@ -285,9 +293,10 @@ type ssIter struct {
 	left uint32 // cells remaining in current block
 
 	// row is the current row key. Opening a block rebuilds its row keys
-	// end to end into keys and copies them to one string, rows; each new
-	// row then slices rows at offset to, so the iterator allocates once
-	// per block for its keys, not once per row.
+	// end to end into keys and copies them to one string, rows (or takes
+	// that string from cache); each new row then slices rows at offset
+	// to, so the iterator allocates at most once per block for its keys,
+	// not once per row.
 	row  string
 	rows string
 	keys []byte
@@ -304,10 +313,11 @@ type ssIter struct {
 // maxInternedCols bounds an iterator's intern map over ever-new names.
 const maxInternedCols = 256
 
-// iterate positions an iterator at the first cell with row >= startRow.
-// The returned iterator already holds that cell (peek) or is exhausted.
-func (t *sstable) iterate(startRow, endRow string) (*ssIter, error) {
-	it := &ssIter{t: t, endRow: endRow}
+// iterate positions an iterator at the first cell with row >= startRow,
+// opening blocks through cache (nil for none). The returned iterator
+// already holds that cell (peek) or is exhausted.
+func (t *sstable) iterate(startRow, endRow string, cache *blockCache) (*ssIter, error) {
+	it := &ssIter{t: t, cache: cache, endRow: endRow}
 	if len(t.blocks) == 0 {
 		return it, nil
 	}
@@ -325,8 +335,10 @@ func (t *sstable) iterate(startRow, endRow string) (*ssIter, error) {
 // peek returns the current cell without advancing.
 func (it *ssIter) peek() (Cell, bool) { return it.cur, it.ok }
 
-// openBlock verifies and decompresses block bi into the iterator's
-// buffer.
+// openBlock verifies block bi's stored payload, then takes its decoded
+// form from the cache or decompresses it and rebuilds its row keys.
+// The checksum runs on every open, hit or miss, so a flipped stored bit
+// is caught even while the block's decoded form sits in the cache.
 func (it *ssIter) openBlock(bi int) error {
 	t := it.t
 	m := t.blocks[bi]
@@ -338,28 +350,39 @@ func (it *ssIter) openBlock(bi int) error {
 	if got := crc32c(payload); got != m.crc {
 		return &CorruptionError{Detail: fmt.Sprintf("sstable block %d checksum mismatch (got %#x want %#x)", bi, got, m.crc)}
 	}
-	buf, err := decompressBlock(payload, m.codec, m.ulen)
-	if err != nil {
-		return err
+	key := blockKey{table: t.id, block: bi}
+	b, ok := it.cache.get(key)
+	if !ok {
+		buf, err := decompressBlock(payload, m.codec, m.ulen)
+		if err != nil {
+			return err
+		}
+		if b.rows, err = it.blockKeys(buf, m.cells); err != nil {
+			return err
+		}
+		if m.codec != codecRaw {
+			b.buf = buf
+		}
+		it.cache.add(key, b)
 	}
-	if err := it.blockKeys(buf, m.cells); err != nil {
-		return err
+	if m.codec == codecRaw { // read in place, never cached
+		b.buf = payload
 	}
-	it.buf, it.pos, it.left, it.row = buf, 0, m.cells, ""
+	it.buf, it.rows, it.to, it.pos, it.left, it.row = b.buf, b.rows, 0, 0, m.cells, ""
 	return nil
 }
 
-// blockKeys rebuilds the row keys of a decoded block end to end and
-// copies them to it.rows, for advance to slice from offset 0 on.
-func (it *ssIter) blockKeys(buf []byte, cells uint32) error {
+// blockKeys rebuilds the row keys of a decoded block end to end into
+// one string, for advance to slice from offset 0 on.
+func (it *ssIter) blockKeys(buf []byte, cells uint32) (string, error) {
 	keys := it.keys[:0]
 	var e blockEntry
 	for pos, start, n := 0, 0, uint32(0); n < cells; n++ {
 		if err := e.decode(buf, pos); err != nil {
-			return err
+			return "", err
 		}
 		if prev := len(keys) - start; e.shared > prev {
-			return entryCorrupt("shares more prefix than the previous row has", pos)
+			return "", entryCorrupt("shares more prefix than the previous row has", pos)
 		} else if e.shared < prev || len(e.suffix) > 0 {
 			k := len(keys)
 			keys = append(append(keys, keys[start:start+e.shared]...), e.suffix...)
@@ -367,8 +390,8 @@ func (it *ssIter) blockKeys(buf []byte, cells uint32) error {
 		}
 		pos = e.next
 	}
-	it.keys, it.rows, it.to = keys, string(keys), 0
-	return nil
+	it.keys = keys
+	return string(keys), nil
 }
 
 // advance decodes the next cell, exhausting cleanly at the table's end
@@ -531,7 +554,7 @@ func decodeSSTable(raw []byte) (*sstable, error) {
 	if indexOff > bloomOff || bloomOff > body {
 		return nil, &CorruptionError{Detail: "corrupt sstable footer offsets"}
 	}
-	t := &sstable{data: raw[:indexOff], count: int(count), rawBytes: rawBytes}
+	t := &sstable{id: sstableIDs.Add(1), data: raw[:indexOff], count: int(count), rawBytes: rawBytes}
 	idx := raw[indexOff:bloomOff]
 	for len(idx) > 0 {
 		if len(idx) < 4 {

@@ -13,7 +13,7 @@ import (
 // (endRow "" unbounded) through its lazy iterator; fn returning false
 // stops the scan.
 func (t *sstable) scanRange(startRow, endRow string, fn func(Cell) bool) error {
-	it, err := t.iterate(startRow, endRow)
+	it, err := t.iterate(startRow, endRow, nil)
 	if err != nil {
 		return err
 	}
