@@ -17,6 +17,10 @@ import (
 // half-opens after the cooldown to probe for recovery.
 var errBreakerOpen = errors.New("dstore: circuit breaker open")
 
+// breakerCooldown is how long an open breaker rejects calls before
+// half-opening to probe the server.
+const breakerCooldown = 100 * time.Millisecond
+
 // Breaker states, exported to the breaker_state gauge per server.
 const (
 	breakerClosed   = 0 // normal operation
@@ -31,7 +35,6 @@ const (
 // injected so chaos tests drive state transitions deterministically.
 type breaker struct {
 	threshold int
-	cooldown  time.Duration
 	now       func() time.Time
 	gauge     *obs.Gauge
 
@@ -53,7 +56,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if b.now().Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = breakerHalfOpen

@@ -35,7 +35,6 @@ func TestScanCallerCancelMidFanout(t *testing.T) {
 	c, _ := startCluster(t, 3, nil)
 	cl := c.Client()
 	seedScanRows(t, cl)
-	cl.ScanParallelism = 8
 
 	started := make(chan struct{}, 1)
 	c.Reg.WrapConn = func(id string, conn ServerConn) ServerConn {

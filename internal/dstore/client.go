@@ -2,7 +2,6 @@ package dstore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -44,32 +43,11 @@ type Client struct {
 	// seeded per client: reproducible within a process, distinct across
 	// clients.
 	RetryBase time.Duration
-	// OpBudget bounds one operation's wall-clock time across all its
-	// retries: once the budget is spent, the next retryable failure
-	// surfaces as ErrExhausted even with attempts left (0 = attempts
-	// only).
-	OpBudget time.Duration
 	// BreakerThreshold is how many consecutive transport-class failures
 	// open a server's circuit breaker (default 5; negative disables
 	// breakers entirely).
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects calls before
-	// half-opening to probe the server (default 100ms).
-	BreakerCooldown time.Duration
-	// HedgeDelay, when positive, arms hedged reads: a Get or per-region
-	// Scan that has not heard from the primary after this delay fires a
-	// fence-bypassing follower read and returns whichever answers
-	// first. Tune it to a tail quantile of the primary's latency so
-	// hedges fire only on stragglers (0 = off). Followers hold every
-	// acked write (replication is synchronous), so a hedged answer is
-	// as fresh as any non-linearizable read here.
-	HedgeDelay time.Duration
-	// ScanParallelism bounds how many per-region scan RPCs one Scan
-	// fans out concurrently (default 4; 1 restores strictly sequential
-	// region visits). Results are merged in region-index order, so the
-	// answer is bit-identical at any parallelism.
-	ScanParallelism int
-	// Now is the clock used by op budgets and breakers; tests inject a
+	// Now is the clock breakers time their cooldown on; tests inject a
 	// seeded clock (defaults to the wall clock).
 	Now func() time.Time
 
@@ -87,8 +65,6 @@ type Client struct {
 	mRetries      *obs.Counter
 	mRefreshes    *obs.Counter
 	mGiveUps      *obs.Counter
-	mHedged       *obs.Counter
-	mHedgedScans  *obs.Counter
 	hFanout       *obs.Histogram
 	hBackoffMs    *obs.Histogram
 	opCounters    map[string]*obs.Counter
@@ -108,8 +84,6 @@ func NewClient(master MasterConn, reg *Registry) *Client {
 		mRetries:      o.Counter("dstore_client_retries_total"),
 		mRefreshes:    o.Counter("dstore_client_meta_refresh_total"),
 		mGiveUps:      o.Counter("dstore_client_giveup_total"),
-		mHedged:       o.Counter("hedged_reads_total"),
-		mHedgedScans:  o.Counter("hedged_scans_total"),
 		hFanout:       o.Histogram("scan_parallel_fanout", []float64{1, 2, 4, 8, 16}),
 		hBackoffMs:    o.Histogram("dstore_client_backoff_ms", nil),
 		breakers:      make(map[string]*breaker),
@@ -184,51 +158,12 @@ func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// nowFn is the clock used by op budgets and breakers.
+// nowFn is the clock breakers run on.
 func (c *Client) nowFn() time.Time {
 	if c.Now != nil {
 		return c.Now()
 	}
 	return time.Now() //pstorm:allow clockcheck this is the injection point's default when Client.Now is unset
-}
-
-// effectiveDeadline returns one operation's wall-clock cutoff: the
-// earliest of the caller's context deadline and the client's OpBudget,
-// or zero when neither applies. This is the single place the two
-// budgets compose — retry loops and the scan fan-out both consult it
-// instead of tracking their own cutoffs. The caller's deadline only
-// participates under the real clock: with an injected Now the two are
-// on different clocks and the context's own Done channel (checked every
-// loop iteration and mid-backoff) already enforces it.
-func (c *Client) effectiveDeadline(ctx context.Context) time.Time {
-	var d time.Time
-	if c.OpBudget > 0 {
-		d = c.nowFn().Add(c.OpBudget)
-	}
-	if c.Now == nil {
-		if cd, ok := ctx.Deadline(); ok && (d.IsZero() || cd.Before(d)) {
-			d = cd
-		}
-	}
-	return d
-}
-
-// opContext bounds the context handed to server RPCs by OpBudget, so
-// the remaining budget reaches the wire (httperr.DeadlineHeader) and
-// region servers abort scans whose caller is out of time. The caller's
-// own deadline, when earlier, already rides on ctx. With an injected
-// clock real-time deadlines are meaningless, so the budget is then
-// enforced only by effectiveDeadline in the injected domain.
-func (c *Client) opContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.OpBudget <= 0 || c.Now != nil {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.OpBudget)
-}
-
-// budgetSpent reports whether the cutoff has passed.
-func (c *Client) budgetSpent(deadline time.Time) bool {
-	return !deadline.IsZero() && !c.nowFn().Before(deadline)
 }
 
 // breakerFor returns the server's circuit breaker, creating it on
@@ -248,13 +183,8 @@ func (c *Client) breakerFor(id string) *breaker {
 		if th == 0 {
 			th = 5
 		}
-		cd := c.BreakerCooldown
-		if cd <= 0 {
-			cd = 100 * time.Millisecond
-		}
 		b = &breaker{
 			threshold: th,
-			cooldown:  cd,
 			now:       c.nowFn,
 			gauge:     c.o.Gauge("breaker_state", "server", id),
 		}
@@ -283,7 +213,7 @@ func (c *Client) BreakerState(id string) int {
 // AnyBreakerOpen reports whether any server's circuit breaker is
 // currently open — the client-side signal that some slice of the store
 // is rejecting traffic. Serving tiers use it to enter degraded-mode
-// load shedding before op budgets start blowing.
+// load shedding before retry loops start running out of attempts.
 func (c *Client) AnyBreakerOpen() bool {
 	if c.BreakerThreshold < 0 {
 		return false
@@ -393,20 +323,17 @@ func (c *Client) route(table, row string) (RegionInfo, ServerConn, error) {
 // not a budget the normal path ever approaches.
 const topoRestartCap = 32
 
-// withRetry runs op under the caller's context and the op's wall-clock
-// budget, refreshing META and backing off after each retryable failure.
-// Exhausting the attempt budget on a retryable error wraps it in
-// ErrExhausted, so callers can tell a liveness problem ("the cluster
-// never healed while I retried") from a plain store error.
+// withRetry runs op, refreshing META and backing off after each
+// retryable failure. Exhausting the attempt budget on a retryable error
+// wraps it in ErrExhausted, so callers can tell a liveness problem ("the
+// cluster never healed while I retried") from a plain store error.
 //
-// Cancellation consumes no attempt and surfaces as the context's own
-// error wrapped (errors.Is(err, context.Canceled)), not as
-// ErrExhausted: the caller gave up, the cluster did not fail. Spending
-// OpBudget, by contrast, is ErrExhausted — the cluster never healed
-// within the time the caller was willing to wait. op receives the
-// budget-bounded context (see opContext) so every RPC it makes carries
-// the remaining time to the server. The deadline is effectiveDeadline's
-// composition of OpBudget and the caller's context deadline.
+// A dead caller — canceled or past its deadline — consumes no attempt
+// and surfaces as the context's own error wrapped, not as ErrExhausted:
+// the caller gave up, the cluster did not fail. op's RPCs run under the
+// same ctx, so the caller's deadline reaches the wire
+// (httperr.DeadlineHeader) and region servers abort work nobody waits
+// for.
 //
 // A failed attempt is charged against MaxAttempts unless it is forgiven,
 // and up to topoRestartCap*MaxAttempts failures are. A master takeover
@@ -424,15 +351,12 @@ const topoRestartCap = 32
 // — the cluster is actually unhealthy and the failure burns an attempt.
 // Forgiven or not, every retryable failure invalidates META, counts a
 // retry, backs off, and rebuilds the operation from scratch.
-func (c *Client) withRetry(ctx context.Context, opName string, epoch *int64, op func(ctx context.Context) error) error {
+func (c *Client) withRetry(ctx context.Context, opName string, epoch *int64, op func() error) error {
 	c.countOp(opName)
 	refreshesBefore := c.mRefreshes.Value()
 	defer func() {
 		c.refreshPerOpH.Observe(float64(c.mRefreshes.Value() - refreshesBefore))
 	}()
-	deadline := c.effectiveDeadline(ctx)
-	opCtx, cancel := c.opContext(ctx)
-	defer cancel()
 	var err error
 	spins := 0
 	for attempt := 0; attempt < c.maxAttempts(); {
@@ -442,28 +366,17 @@ func (c *Client) withRetry(ctx context.Context, opName string, epoch *int64, op 
 		if epoch != nil {
 			*epoch = 0
 		}
-		if err = op(opCtx); err == nil {
+		if err = op(); err == nil {
 			return nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
 		}
 		if !retryable(err) {
-			if errors.Is(err, context.DeadlineExceeded) {
-				// The op budget expired mid-RPC: the server aborted on the
-				// wire deadline. The caller is still live, so this is
-				// exhaustion, not interruption.
-				c.mGiveUps.Inc()
-				return fmt.Errorf("%w: %s spent its %v budget: %w", ErrExhausted, opName, c.OpBudget, err)
-			}
 			return err
 		}
 		c.mRetries.Inc()
 		c.invalidate()
-		if c.budgetSpent(deadline) {
-			c.mGiveUps.Inc()
-			return fmt.Errorf("%w: %s spent its %v budget: %w", ErrExhausted, opName, c.OpBudget, err)
-		}
 		forgiven := spins < topoRestartCap*c.maxAttempts() && (masterOutage(err) || c.epochAdvanced(epoch))
 		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
 			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
@@ -503,7 +416,7 @@ func (c *Client) CreateTable(ctx context.Context, table string) error {
 // Put writes one cell through the owning primary. Cancellation aborts
 // the retry loop without consuming an attempt.
 func (c *Client) Put(ctx context.Context, table, row, column string, value []byte) error {
-	return c.withRetry(ctx, "put", nil, func(ctx context.Context) error {
+	return c.withRetry(ctx, "put", nil, func() error {
 		g, conn, err := c.route(table, row)
 		if err != nil {
 			return err
@@ -516,7 +429,7 @@ func (c *Client) Put(ctx context.Context, table, row, column string, value []byt
 
 // PutRow writes all columns of a row in one replication round.
 func (c *Client) PutRow(ctx context.Context, table string, r hstore.Row) error {
-	return c.withRetry(ctx, "putrow", nil, func(ctx context.Context) error {
+	return c.withRetry(ctx, "putrow", nil, func() error {
 		g, conn, err := c.route(table, r.Key)
 		if err != nil {
 			return err
@@ -545,7 +458,7 @@ func (c *Client) BatchPut(ctx context.Context, table string, rows []hstore.Row) 
 // with the requested keys; failed groups are retried with a refreshed
 // META view until every row is answered or attempts run out.
 // Cancellation aborts between rounds without consuming an attempt, and
-// the remaining budget rides to each server, which checks it while
+// the caller's deadline rides to each server, which checks it while
 // assembling the batch.
 func (c *Client) MultiGet(ctx context.Context, table string, rows []string) ([]hstore.Row, []bool, error) {
 	c.countOp("multiget")
@@ -586,13 +499,9 @@ func (c *Client) MultiGet(ctx context.Context, table string, rows []string) ([]h
 // pending its leftover items ("unacked") in errors. A master outage
 // (takeover in flight) while fetching META heals on wall-clock time
 // without burning attempts, up to topoRestartCap*MaxAttempts times;
-// any other non-retryable error is final. call receives the
-// budget-bounded context (see opContext).
+// any other non-retryable error is final.
 func groupedRounds[T any](ctx context.Context, c *Client, op, pending, table string, items []T,
 	key func(T) string, call func(ctx context.Context, conn ServerConn, group []T) error) error {
-	deadline := c.effectiveDeadline(ctx)
-	opCtx, cancel := c.opContext(ctx)
-	defer cancel()
 	remaining := items
 	var lastErr error
 	spins := 0
@@ -628,7 +537,7 @@ func groupedRounds[T any](ctx context.Context, c *Client, op, pending, table str
 					return err
 				}
 				if err := c.do(id, func() error {
-					return call(opCtx, conn, groups[id])
+					return call(ctx, conn, groups[id])
 				}); err != nil {
 					if !retryable(err) {
 						return err
@@ -644,10 +553,6 @@ func groupedRounds[T any](ctx context.Context, c *Client, op, pending, table str
 			c.invalidate()
 		}
 		c.mRetries.Inc()
-		if c.budgetSpent(deadline) {
-			c.mGiveUps.Inc()
-			return fmt.Errorf("%w: %s spent its %v budget with %d rows %s: %w", ErrExhausted, op, c.OpBudget, len(remaining), pending, lastErr)
-		}
 		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
 			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
 		}
@@ -677,136 +582,26 @@ func (c *Client) routeIn(m Meta, table, row string) (RegionInfo, error) {
 }
 
 // Get fetches one row. Cancellation aborts the retry loop without
-// consuming an attempt. With HedgeDelay set, a slow primary races a
-// follower read (see hedge).
+// consuming an attempt.
 func (c *Client) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
 	var out hstore.Row
 	var found bool
-	err := c.withRetry(ctx, "get", nil, func(ctx context.Context) error {
-		r, ok, err := c.getOnce(ctx, table, row)
+	err := c.withRetry(ctx, "get", nil, func() error {
+		g, conn, err := c.route(table, row)
 		if err != nil {
 			return err
 		}
-		out, found = r, ok
-		return nil
+		return c.do(g.Primary, func() (err error) {
+			out, found, err = conn.Get(ctx, table, row)
+			return err
+		})
 	})
 	return out, found, err
 }
 
-// rowAnswer is a point read's result, the T of a hedged Get.
-type rowAnswer struct {
-	row   hstore.Row
-	found bool
-}
-
-// getOnce performs a single routed read attempt, hedged when armed.
-func (c *Client) getOnce(ctx context.Context, table, row string) (hstore.Row, bool, error) {
-	m, err := c.cachedMeta()
-	if err != nil {
-		return hstore.Row{}, false, err
-	}
-	g, err := c.routeIn(m, table, row)
-	if err != nil {
-		return hstore.Row{}, false, err
-	}
-	conn, err := c.connFor(m, g.Primary)
-	if err != nil {
-		return hstore.Row{}, false, err
-	}
-	primary := func() (a rowAnswer, err error) {
-		err = c.do(g.Primary, func() (e error) {
-			a.row, a.found, e = conn.Get(ctx, table, row)
-			return e
-		})
-		return a, err
-	}
-	if c.HedgeDelay <= 0 || len(g.Followers) == 0 {
-		a, err := primary()
-		return a.row, a.found, err
-	}
-	a, err := hedge(c.HedgeDelay, primary, func() (func() (rowAnswer, error), error) {
-		fid, fconn, err := c.firstFollower(m, g)
-		if err != nil {
-			return nil, err
-		}
-		c.mHedged.Inc()
-		return func() (a rowAnswer, err error) {
-			err = c.do(fid, func() (e error) {
-				a.row, a.found, e = fconn.FollowerGet(ctx, table, row)
-				return e
-			})
-			return a, err
-		}, nil
-	})
-	return a.row, a.found, err
-}
-
-// firstFollower resolves the region's first follower replica, the
-// target of hedged reads.
-func (c *Client) firstFollower(m Meta, g RegionInfo) (string, ServerConn, error) {
-	fid := g.Followers[0]
-	fconn, err := c.connFor(m, fid)
-	return fid, fconn, err
-}
-
-// hedge asks the primary, and if it has not answered within delay, arms
-// and fires the follower call and returns whichever succeeds first
-// (preferring the primary on a tie, and the primary's error when both
-// fail). arm runs only once the delay has passed; when it cannot
-// produce a follower call the primary's answer stands alone. Both
-// result channels are buffered so the losing goroutine always completes
-// and exits — no leak regardless of which side wins. Callers close both
-// calls over one (budget-bounded) context, so the hedge carries the
-// remaining budget, not a fresh one, and a canceled caller stops both
-// sides server-side.
-func hedge[T any](delay time.Duration, primary func() (T, error), arm func() (func() (T, error), error)) (T, error) {
-	type result struct {
-		v   T
-		err error
-	}
-	run := func(call func() (T, error)) <-chan result {
-		ch := make(chan result, 1)
-		go func() {
-			v, err := call()
-			ch <- result{v, err}
-		}()
-		return ch
-	}
-	prim := run(primary)
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case pr := <-prim:
-		return pr.v, pr.err
-	case <-t.C:
-	}
-	follower, err := arm()
-	if err != nil {
-		pr := <-prim
-		return pr.v, pr.err
-	}
-	hed := run(follower)
-	select {
-	case pr := <-prim:
-		if pr.err == nil {
-			return pr.v, nil
-		}
-		if hr := <-hed; hr.err == nil {
-			return hr.v, nil
-		}
-		return pr.v, pr.err
-	case hr := <-hed:
-		if hr.err == nil {
-			return hr.v, nil
-		}
-		pr := <-prim
-		return pr.v, pr.err
-	}
-}
-
 // DeleteRow tombstones every column of the row.
 func (c *Client) DeleteRow(ctx context.Context, table, row string) error {
-	return c.withRetry(ctx, "deleterow", nil, func(ctx context.Context) error {
+	return c.withRetry(ctx, "deleterow", nil, func() error {
 		g, conn, err := c.route(table, row)
 		if err != nil {
 			return err
@@ -817,13 +612,9 @@ func (c *Client) DeleteRow(ctx context.Context, table, row string) error {
 	})
 }
 
-// scanParallelism is the bounded fan-out width of one Scan.
-func (c *Client) scanParallelism() int {
-	if c.ScanParallelism > 0 {
-		return c.ScanParallelism
-	}
-	return 4
-}
+// scanFanout bounds how many per-region scan RPCs one Scan runs
+// concurrently.
+const scanFanout = 4
 
 // scanTask is one region's share of a table scan, with the scan range
 // clamped to the region's bounds.
@@ -858,59 +649,36 @@ func (c *Client) scanTasks(m Meta, table, start, end string) ([]scanTask, error)
 	return tasks, nil
 }
 
-// scanRegionOnce runs one region's scan RPC through the primary's
-// breaker, hedging with a fence-bypassing FollowerScan when armed
-// (scans are read-only, so the hedge is safe).
-func (c *Client) scanRegionOnce(ctx context.Context, m Meta, t scanTask, table string, f hstore.Filter, limit int) ([]hstore.Row, error) {
+// scanRegion runs one region's scan RPC through the primary's breaker.
+func (c *Client) scanRegion(ctx context.Context, m Meta, t scanTask, table string, f hstore.Filter, limit int) (rows []hstore.Row, err error) {
 	conn, err := c.connFor(m, t.g.Primary)
 	if err != nil {
 		return nil, err
 	}
-	primary := func() (rows []hstore.Row, err error) {
-		err = c.do(t.g.Primary, func() (e error) {
-			rows, e = conn.Scan(ctx, table, t.g.ID, t.s, t.e, f, limit)
-			return e
-		})
-		return rows, err
-	}
-	if c.HedgeDelay <= 0 || len(t.g.Followers) == 0 {
-		return primary()
-	}
-	return hedge(c.HedgeDelay, primary, func() (func() ([]hstore.Row, error), error) {
-		fid, fconn, err := c.firstFollower(m, t.g)
-		if err != nil {
-			return nil, err
-		}
-		c.mHedgedScans.Inc()
-		return func() (rows []hstore.Row, err error) {
-			err = c.do(fid, func() (e error) {
-				rows, e = fconn.FollowerScan(ctx, table, t.g.ID, t.s, t.e, f, limit)
-				return e
-			})
-			return rows, err
-		}, nil
+	err = c.do(t.g.Primary, func() (e error) {
+		rows, e = conn.Scan(ctx, table, t.g.ID, t.s, t.e, f, limit)
+		return e
 	})
+	return rows, err
 }
 
 // Scan returns the rows of [start, end) matching the filter, fanning
 // out to the owning regions with the filter pushed down to each one.
-// Up to ScanParallelism regions are scanned concurrently; results are
-// stitched back in region-index order, so the answer is bit-identical
-// to a sequential visit at any parallelism. Each parallel region
-// fetches up to the full limit (the key-ordered concatenation's prefix
-// is then exactly what a sequential scan with running limits would
-// return) and the merged result is truncated afterwards. A stale route
-// anywhere restarts the whole scan against fresh META (partial fan-out
-// results are discarded, never returned); restarts forced by a move
-// that committed mid-scan do not consume retry attempts (see
-// withRetry's epoch probe), so a busy rebalancer cannot starve wide scans. The
-// caller's context rides into every per-region RPC (bounded by
-// OpBudget), so cancellation stops region-server merges mid-scan and
-// the fan-out stops launching work for a departed caller.
+// Up to scanFanout regions are scanned concurrently. Each region
+// fetches up to the full limit, and the results are stitched back in
+// region order and truncated to the limit, so the answer is the
+// key-ordered prefix a region-by-region walk would return. A stale
+// route anywhere restarts the whole scan against fresh META (partial
+// fan-out results are discarded, never returned); restarts forced by a
+// move that committed mid-scan do not consume retry attempts (see
+// withRetry's epoch probe), so a busy rebalancer cannot starve wide
+// scans. The caller's context rides into every per-region RPC, so
+// cancellation stops region-server merges mid-scan and the fan-out
+// stops launching work for a departed caller.
 func (c *Client) Scan(ctx context.Context, table, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
 	var out []hstore.Row
 	var epoch int64
-	err := c.withRetry(ctx, "scan", &epoch, func(ctx context.Context) error {
+	err := c.withRetry(ctx, "scan", &epoch, func() error {
 		out = nil
 		m, err := c.cachedMeta()
 		if err != nil {
@@ -925,33 +693,9 @@ func (c *Client) Scan(ctx context.Context, table, start, end string, f hstore.Fi
 			return nil
 		}
 		c.hFanout.Observe(float64(len(tasks)))
-		par := c.scanParallelism()
-		if par > len(tasks) {
-			par = len(tasks)
-		}
-		if par <= 1 || len(tasks) == 1 {
-			// Sequential fast path: later regions see the remaining
-			// limit and the scan stops as soon as it is reached.
-			for _, t := range tasks {
-				rem := 0
-				if limit > 0 {
-					rem = limit - len(out)
-				}
-				rows, err := c.scanRegionOnce(ctx, m, t, table, f, rem)
-				if err != nil {
-					return err
-				}
-				out = append(out, rows...)
-				if limit > 0 && len(out) >= limit {
-					out = out[:limit]
-					break
-				}
-			}
-			return nil
-		}
 		results := make([][]hstore.Row, len(tasks))
 		errs := make([]error, len(tasks))
-		sem := make(chan struct{}, par)
+		sem := make(chan struct{}, scanFanout)
 		var wg sync.WaitGroup
 		for i, t := range tasks {
 			wg.Add(1)
@@ -966,7 +710,7 @@ func (c *Client) Scan(ctx context.Context, table, start, end string, f hstore.Fi
 					errs[i] = err
 					return
 				}
-				results[i], errs[i] = c.scanRegionOnce(ctx, m, t, table, f, limit)
+				results[i], errs[i] = c.scanRegion(ctx, m, t, table, f, limit)
 			}(i, t)
 		}
 		wg.Wait()
@@ -979,11 +723,9 @@ func (c *Client) Scan(ctx context.Context, table, start, end string, f hstore.Fi
 		for _, rows := range results {
 			out = append(out, rows...)
 			if limit > 0 && len(out) >= limit {
+				out = out[:limit]
 				break
 			}
-		}
-		if limit > 0 && len(out) > limit {
-			out = out[:limit]
 		}
 		return nil
 	})

@@ -26,14 +26,14 @@ type ServerConn interface {
 	BatchPut(ctx context.Context, table string, rows []hstore.Row) error
 	Apply(table string, cells []hstore.Cell) error
 	Get(ctx context.Context, table, row string) (hstore.Row, bool, error)
-	// FollowerGet reads a row whatever the copy's role — the hedged-read
-	// path against follower replicas.
+	// FollowerGet reads a row whatever the copy's role, so a follower
+	// replica answers too. The routing client never calls it.
 	FollowerGet(ctx context.Context, table, row string) (hstore.Row, bool, error)
 	BatchGet(ctx context.Context, table string, rows []string) ([]hstore.Row, []bool, error)
 	Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error)
-	// FollowerScan scans one region whatever the copy's role — the
-	// hedged-scan path against follower replicas (read-only safe:
-	// synchronous replication keeps follower copies complete).
+	// FollowerScan scans one region whatever the copy's role (read-only
+	// safe: synchronous replication keeps follower copies complete). The
+	// routing client never calls it.
 	FollowerScan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error)
 	DeleteRow(ctx context.Context, table, row string) error
 	Flush(table string) error

@@ -124,9 +124,10 @@ var ErrUnknownServer = errors.New("dstore: unknown server")
 // list without reaching a leader — the takeover window, when the old
 // leader is dead and no standby has promoted yet. It is retryable, and
 // the routing client additionally forgives it from the per-op attempt
-// budget (the wall-clock budget still bounds the wait): a client should
-// survive any takeover its deadline allows, not give up because the
-// window spanned more RPC attempts than a region failover would.
+// budget (the caller's deadline and the restart cap still bound the
+// wait): a client should survive any takeover its deadline allows, not
+// give up because the window spanned more RPC attempts than a region
+// failover would.
 var errNoLeader = errors.New("dstore: no master reachable or leading")
 
 // errStopped marks operations against a stopped (simulated-dead)

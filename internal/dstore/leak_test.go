@@ -44,11 +44,10 @@ func checkGoroutineLeak(t *testing.T) {
 func TestLocalClusterNoGoroutineLeak(t *testing.T) {
 	checkGoroutineLeak(t)
 	c, err := StartLocalCluster(LocalOptions{
-		Servers:           3,
-		Replication:       2,
-		HeartbeatTimeout:  200 * time.Millisecond,
-		HeartbeatInterval: 10 * time.Millisecond,
-		Background:        true,
+		Servers:          3,
+		Replication:      2,
+		HeartbeatTimeout: 40 * time.Millisecond,
+		Background:       true,
 	})
 	if err != nil {
 		t.Fatalf("StartLocalCluster: %v", err)
@@ -73,11 +72,10 @@ func TestLocalClusterNoGoroutineLeak(t *testing.T) {
 func TestLocalClusterLeakAfterKill(t *testing.T) {
 	checkGoroutineLeak(t)
 	c, err := StartLocalCluster(LocalOptions{
-		Servers:           3,
-		Replication:       2,
-		HeartbeatTimeout:  200 * time.Millisecond,
-		HeartbeatInterval: 10 * time.Millisecond,
-		Background:        true,
+		Servers:          3,
+		Replication:      2,
+		HeartbeatTimeout: 40 * time.Millisecond,
+		Background:       true,
 	})
 	if err != nil {
 		t.Fatalf("StartLocalCluster: %v", err)

@@ -27,12 +27,9 @@ type LocalOptions struct {
 	// DefaultSplits).
 	Splits []string
 	// Background starts the master's liveness loop and per-server
-	// heartbeats. Leave false in deterministic tests and drive
-	// Heartbeat/CheckLiveness manually.
+	// heartbeats, which beat every HeartbeatTimeout/4. Leave false in
+	// deterministic tests and drive Heartbeat/CheckLiveness manually.
 	Background bool
-	// HeartbeatInterval is the background heartbeat period (default
-	// HeartbeatTimeout/4).
-	HeartbeatInterval time.Duration
 	// WrapConn, when set, is installed on the cluster's Registry before
 	// anything resolves — the chaos harness's transport hook.
 	WrapConn func(id string, conn ServerConn) ServerConn
@@ -146,10 +143,7 @@ func StartLocalCluster(opts LocalOptions) (*LocalCluster, error) {
 		c.Servers = append(c.Servers, rs)
 	}
 	if opts.Background {
-		interval := opts.HeartbeatInterval
-		if interval <= 0 {
-			interval = c.Master.opts.heartbeatTimeout() / 4
-		}
+		interval := c.Master.opts.heartbeatTimeout() / 4
 		for _, rs := range c.Servers {
 			rs.StartHeartbeats(c.mc, Peer{ID: rs.ID()}, interval)
 		}

@@ -95,7 +95,7 @@ func (mm *multiMaster) findHint(nl *NotLeaderError) int {
 // 2n+1: enough to visit every entry once, chase one round of stale
 // hints, and land on a freshly promoted leader — without looping
 // forever when an election is still in flight (that surfaces as
-// errNoLeader, which the client retries on wall-clock budget).
+// errNoLeader, which the client retries without spending attempts).
 func (mm *multiMaster) call(f func(MasterConn) error) error {
 	n := len(mm.entries)
 	if n == 0 {

@@ -372,11 +372,10 @@ func (rs *RegionServer) Get(ctx context.Context, table, row string) (hstore.Row,
 	return rs.get(ctx, table, row, true)
 }
 
-// FollowerGet reads one row from this server whatever its copy's role —
-// the hedged-read path. Synchronous replication guarantees a follower
-// copy holds every acked write, so the answer is as good as the
-// primary's (modulo a write racing the hedge, which the primary read
-// also races).
+// FollowerGet reads one row from this server whatever its copy's role.
+// Synchronous replication guarantees a follower copy holds every acked
+// write, so the answer is as good as the primary's (modulo a racing
+// write, which a primary read also races).
 func (rs *RegionServer) FollowerGet(ctx context.Context, table, row string) (hstore.Row, bool, error) {
 	return rs.get(ctx, table, row, false)
 }
@@ -446,7 +445,7 @@ func (rs *RegionServer) Scan(ctx context.Context, table string, regionID int, st
 }
 
 // FollowerScan reads [start, end) of one hosted region whatever its
-// copy's role — the hedged-scan path. The region ID still pins the
+// copy's role. The region ID still pins the
 // route (a moved region fails NotServing rather than returning a stale
 // subset), and synchronous replication means a follower copy holds
 // every acked write, so the rows are as fresh as the primary's.

@@ -17,7 +17,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	clock := newTestClock()
 	c := NewClient(nil, nil)
 	c.BreakerThreshold = 3
-	c.BreakerCooldown = 100 * time.Millisecond
 	c.Now = clock.now
 	b := c.breakerFor("rs-x")
 
@@ -149,6 +148,37 @@ func TestCtxCancelStopsRetriesWithoutExhausted(t *testing.T) {
 	}
 }
 
+// TestCtxDeadlineStopsRetriesWithoutExhausted is the deadline twin of
+// the cancellation test: a caller whose deadline passes while the
+// client retries against stopped servers gets its own
+// context.DeadlineExceeded back, not ErrExhausted, and the client does
+// not count a give-up. The attempt budget far outlasts the deadline, so
+// only the deadline can end the call.
+func TestCtxDeadlineStopsRetriesWithoutExhausted(t *testing.T) {
+	c, _ := startCluster(t, 2, nil)
+	cl := c.Client()
+	cl.MaxAttempts = 1000
+	if err := cl.Put(context.Background(), "t", "k", "c", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range c.Servers {
+		rs.Stop()
+	}
+	giveUps := cl.Obs().Snapshot().Counters["dstore_client_giveup_total"]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	_, _, err := cl.Get(ctx, "t", "k")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Get past its deadline: err=%v, want context.DeadlineExceeded", err)
+	}
+	if errors.Is(err, ErrExhausted) {
+		t.Fatalf("deadline misreported as exhaustion: %v", err)
+	}
+	if got := cl.Obs().Snapshot().Counters["dstore_client_giveup_total"]; got != giveUps {
+		t.Errorf("dstore_client_giveup_total moved %d -> %d on a caller deadline", giveUps, got)
+	}
+}
+
 // TestCtxCancelMidBackoff: a cancellation arriving while the client
 // sleeps between retries interrupts the sleep promptly.
 func TestCtxCancelMidBackoff(t *testing.T) {
@@ -177,79 +207,6 @@ func TestCtxCancelMidBackoff(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancellation did not interrupt the backoff sleep")
-	}
-}
-
-// TestOpBudgetExhausts: a wall-clock budget cuts the retry loop short
-// with ErrExhausted even when attempts remain.
-func TestOpBudgetExhausts(t *testing.T) {
-	c, clock := startCluster(t, 2, nil)
-	cl := c.Client()
-	cl.RetryBase = time.Nanosecond
-	cl.BreakerThreshold = -1
-	cl.OpBudget = 50 * time.Millisecond
-	cl.Now = func() time.Time { return clock.advance(30 * time.Millisecond) }
-	if err := cl.Put(context.Background(), "t", "k", "c", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for _, rs := range c.Servers {
-		rs.Stop()
-	}
-	_, _, err := cl.Get(context.Background(), "t", "k")
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err=%v, want ErrExhausted", err)
-	}
-	// The budget (2 clock ticks) must have fired well before the 12
-	// default attempts.
-	if got := cl.Retries(); got >= 12 {
-		t.Fatalf("budget did not cut retries short: %d retries", got)
-	}
-}
-
-// slowConn delays reads on one wrapped connection — the straggling
-// primary a hedged read exists to cover.
-type slowConn struct {
-	ServerConn
-	delay time.Duration
-}
-
-func (s *slowConn) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
-	time.Sleep(s.delay)
-	return s.ServerConn.Get(ctx, table, row)
-}
-
-// TestHedgedReadCoversSlowPrimary: with the primary answering slowly,
-// an armed hedge fires a follower read and the operation completes at
-// follower latency with the correct value.
-func TestHedgedReadCoversSlowPrimary(t *testing.T) {
-	c, _ := startCluster(t, 2, nil)
-	cl := c.Client()
-	if err := cl.Put(context.Background(), "t", "k", "c", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := cl.Meta()
-	g, err := cl.routeIn(m, "t", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Followers) == 0 {
-		t.Fatal("region has no follower to hedge against")
-	}
-	slow := g.Primary
-	c.Reg.WrapConn = func(id string, conn ServerConn) ServerConn {
-		if id == slow {
-			return &slowConn{ServerConn: conn, delay: 300 * time.Millisecond}
-		}
-		return conn
-	}
-	cl.HedgeDelay = 5 * time.Millisecond
-
-	row, ok, err := cl.Get(context.Background(), "t", "k")
-	if err != nil || !ok || string(row.Columns["c"]) != "v" {
-		t.Fatalf("hedged Get: row=%v ok=%v err=%v", row, ok, err)
-	}
-	if n := cl.Obs().Snapshot().Counters["hedged_reads_total"]; n == 0 {
-		t.Error("hedged read not counted")
 	}
 }
 

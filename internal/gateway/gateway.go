@@ -17,8 +17,9 @@
 //   - quotas and admission control: per-tenant token buckets and
 //     concurrency ceilings, a global inflight cap, and load shedding
 //     tied to the store's degraded signals — when circuit breakers
-//     open or op budgets blow, the lowest-priority tenants are shed
-//     first, with 429 + Retry-After instead of unbounded queuing.
+//     open or store retries run out of attempts, the lowest-priority
+//     tenants are shed first, with 429 + Retry-After instead of
+//     unbounded queuing.
 //
 // A Gateway keeps no state beyond caches (per-tenant stores, the
 // memoizing evaluators, token buckets): any instance can serve any
@@ -91,17 +92,17 @@ type Options struct {
 	// dstore client breaker open"), checked at admission alongside the
 	// gateway's own store-failure observations.
 	DegradedFn func() bool
-	// DegradeCooldown is how long one observed store outage (op budget
-	// exhausted, breaker rejection) keeps the gateway in degraded-shed
-	// mode (default 1s).
-	DegradeCooldown time.Duration
-	// FlightDeadline bounds each coalesced evaluation's wall-clock time
-	// regardless of any single caller's deadline (default 30s).
-	FlightDeadline time.Duration
-	// EvaluatorEntries bounds each tenant's memoized What-If cache
-	// (default: the whatif package default).
-	EvaluatorEntries int
 }
+
+const (
+	// degradeCooldown is how long one observed store outage (a store
+	// call that ran out of retry attempts) keeps the gateway in
+	// degraded-shed mode.
+	degradeCooldown = time.Second
+	// flightDeadline bounds each coalesced evaluation's wall-clock time
+	// regardless of any single caller's deadline.
+	flightDeadline = 30 * time.Second
+)
 
 // tenantState is everything the gateway caches per tenant. The store
 // and evaluator are caches over shared backends — dropping the whole
@@ -159,12 +160,6 @@ func New(opt Options) (*Gateway, error) {
 	}
 	if opt.Now == nil {
 		opt.Now = time.Now
-	}
-	if opt.DegradeCooldown <= 0 {
-		opt.DegradeCooldown = time.Second
-	}
-	if opt.FlightDeadline <= 0 {
-		opt.FlightDeadline = 30 * time.Second
 	}
 	g := &Gateway{
 		opt:              opt,
@@ -239,10 +234,7 @@ func (g *Gateway) tenant(ctx context.Context, name string) (*tenantState, error)
 	sys := core.NewSystem(st, g.engine)
 	sys.Matcher = g.matcher
 	sys.CBO.Seed = g.opt.Seed
-	sys.Evaluator = whatif.NewEvaluator(whatif.EvaluatorOptions{
-		MaxEntries: g.opt.EvaluatorEntries,
-		Obs:        g.o,
-	})
+	sys.Evaluator = whatif.NewEvaluator(whatif.EvaluatorOptions{Obs: g.o})
 	sys.Obs = g.o
 	sys.Now = g.now
 
@@ -283,15 +275,15 @@ func (g *Gateway) degraded() bool {
 }
 
 // noteStoreError trips the gateway's own degraded signal when err is a
-// store-availability failure (op budget exhausted after retries — the
-// breaker/budget machinery has already decided the store is in
-// trouble).
+// store-availability failure: ErrExhausted, which the store client
+// returns only once its retries have run out of attempts, so the
+// store is already known to be in trouble.
 func (g *Gateway) noteStoreError(err error) {
 	if err == nil || !errors.Is(err, dstore.ErrExhausted) {
 		return
 	}
 	g.mu.Lock()
-	g.degradeUntil = g.now().Add(g.opt.DegradeCooldown)
+	g.degradeUntil = g.now().Add(degradeCooldown)
 	g.mu.Unlock()
 	g.cDegradeTrips.Inc()
 }
@@ -327,7 +319,7 @@ func (g *Gateway) admit(ts *tenantState) *admitError {
 		undo()
 		return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeShedDegraded,
 			msg:        fmt.Sprintf("store degraded; shedding priority<=%d tenants", g.opt.DegradedShedPriority),
-			retryAfter: g.opt.DegradeCooldown}
+			retryAfter: degradeCooldown}
 	}
 
 	// 3. Per-tenant rate quota.
@@ -508,7 +500,7 @@ func (g *Gateway) handleTune(w http.ResponseWriter, r *http.Request, ts *tenantS
 		rec, err := ts.sys.Tune(fctx, prof, inputBytes, core.TuneOptions{
 			Workers:  req.Workers,
 			Budget:   req.Budget,
-			Deadline: g.opt.FlightDeadline,
+			Deadline: flightDeadline,
 			Seed:     req.Seed,
 		})
 		if err != nil {

@@ -16,9 +16,9 @@ type TenantConfig struct {
 	// (<= 0: no per-tenant ceiling).
 	MaxInflight int
 	// Priority orders tenants for load shedding: when the store degrades
-	// (breakers open, op budgets blowing), tenants with Priority <= the
-	// gateway's DegradedShedPriority are shed first. Higher = kept
-	// longer. Default 0 = best-effort.
+	// (breakers open, store retries running out of attempts), tenants
+	// with Priority <= the gateway's DegradedShedPriority are shed
+	// first. Higher = kept longer. Default 0 = best-effort.
 	Priority int
 }
 
