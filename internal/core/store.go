@@ -106,6 +106,10 @@ type KV interface {
 	Put(ctx context.Context, table, row, column string, value []byte) error
 	PutRow(ctx context.Context, table string, r hstore.Row) error
 	Get(ctx context.Context, table, row string) (hstore.Row, bool, error)
+	// Scan returns the rows of [start, end) passing f, in key order,
+	// trimmed to its columns when f is an hstore.Project. Each row owns
+	// its Columns map; the values are read-only, as Get's are, since an
+	// in-process store hands out slices of its own memory.
 	Scan(ctx context.Context, table, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error)
 	DeleteRow(ctx context.Context, table, row string) error
 }

@@ -674,7 +674,11 @@ func (c *Client) scanRegion(ctx context.Context, m Meta, t scanTask, table strin
 // withRetry's epoch probe), so a busy rebalancer cannot starve wide
 // scans. The caller's context rides into every per-region RPC, so
 // cancellation stops region-server merges mid-scan and the fan-out
-// stops launching work for a departed caller.
+// stops launching work for a departed caller. A Project filter trims
+// the rows at the region servers, so only its columns travel. Each row
+// owns its Columns map; the values are read-only, since an in-process
+// region server hands out slices of its blocks and memstore
+// (hstore.Server.Scan).
 func (c *Client) Scan(ctx context.Context, table, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
 	var out []hstore.Row
 	var epoch int64

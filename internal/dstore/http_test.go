@@ -72,6 +72,29 @@ func TestHTTPCluster(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("prefix scan returned %d rows, want 10", len(got))
 	}
+	// So does projection: rows keep only the requested columns they
+	// have, and a row with none of them comes back with nil Columns.
+	got, err = cl.Scan(context.Background(), "t", "", "", hstore.Project(&hstore.PrefixFilter{Prefix: "k0"}, "c", "absent"), 0)
+	if err != nil {
+		t.Fatalf("projected Scan over HTTP: %v", err)
+	}
+	if len(got) != 10 {
+		t.Fatalf("projected scan returned %d rows, want 10", len(got))
+	}
+	for i, r := range got {
+		if want := fmt.Sprintf("v%d", i); len(r.Columns) != 1 || string(r.Columns["c"]) != want {
+			t.Fatalf("projected row %s = %v, want only c=%s", r.Key, r.Columns, want)
+		}
+	}
+	got, err = cl.Scan(context.Background(), "t", "", "", hstore.Project(&hstore.PrefixFilter{Prefix: "k0"}, "absent"), 0)
+	if err != nil || len(got) != 10 {
+		t.Fatalf("scan projected onto an absent column: %d rows, err %v; want 10", len(got), err)
+	}
+	for _, r := range got {
+		if r.Columns != nil {
+			t.Fatalf("row %s holds no requested column but came back with %v", r.Key, r.Columns)
+		}
+	}
 
 	// A NotServing on the remote side maps through 409 back to a typed
 	// error: fence a region, hit it directly, and check the client's

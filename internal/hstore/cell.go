@@ -64,15 +64,6 @@ func (r Row) Bytes() int64 {
 	return n
 }
 
-// Clone deep-copies the row.
-func (r Row) Clone() Row {
-	out := Row{Key: r.Key, Columns: make(map[string][]byte, len(r.Columns))}
-	for c, v := range r.Columns {
-		out.Columns[c] = append([]byte(nil), v...)
-	}
-	return out
-}
-
 // String renders the row compactly for debugging.
 func (r Row) String() string {
 	var b strings.Builder

@@ -92,7 +92,8 @@ func (c *Client) ResetStats() error { c.s.ResetStats(); return nil }
 
 // Scan returns the rows in [start, end) matching the filter, evaluated
 // at the server (pushdown). Limit 0 means unlimited. A canceled ctx
-// stops the server's region merge mid-scan.
+// stops the server's region merge mid-scan. The rows are the caller's
+// and their values read-only (Server.Scan).
 func (c *Client) Scan(ctx context.Context, table, start, end string, f Filter, limit int) ([]Row, error) {
 	return c.s.Scan(ctx, table, start, end, f, limit)
 }

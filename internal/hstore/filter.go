@@ -35,8 +35,20 @@ func EncodeFilter(f Filter) ([]byte, error) {
 	return json.Marshal(envelope{Kind: f.kind(), Body: body})
 }
 
+// maxFilterDepth bounds how deeply DecodeFilter follows nested And and
+// Project envelopes. Filters arrive in /d/scan bodies off the network,
+// and each level re-reads the body beneath it.
+const maxFilterDepth = 16
+
 // DecodeFilter reconstructs a filter from its wire form.
 func DecodeFilter(raw []byte) (Filter, error) {
+	return decodeFilter(raw, 0)
+}
+
+func decodeFilter(raw []byte, depth int) (Filter, error) {
+	if depth > maxFilterDepth {
+		return nil, fmt.Errorf("hstore: filter nested deeper than %d", maxFilterDepth)
+	}
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return nil, fmt.Errorf("hstore: decode filter envelope: %w", err)
@@ -52,7 +64,14 @@ func DecodeFilter(raw []byte) (Filter, error) {
 		return &f, json.Unmarshal(env.Body, &f)
 	case "euclidean":
 		var f EuclideanFilter
-		return &f, json.Unmarshal(env.Body, &f)
+		if err := json.Unmarshal(env.Body, &f); err != nil {
+			return nil, err
+		}
+		if n := len(f.Features); len(f.Target) != n || len(f.Min) != n || len(f.Max) != n {
+			return nil, fmt.Errorf("hstore: euclidean filter has %d features but %d targets, %d mins and %d maxes",
+				n, len(f.Target), len(f.Min), len(f.Max))
+		}
+		return &f, nil
 	case "jaccard":
 		var f JaccardFilter
 		return &f, json.Unmarshal(env.Body, &f)
@@ -63,13 +82,23 @@ func DecodeFilter(raw []byte) (Filter, error) {
 		}
 		var fs []Filter
 		for _, raw := range w.Filters {
-			sub, err := DecodeFilter(raw)
+			sub, err := decodeFilter(raw, depth+1)
 			if err != nil {
 				return nil, err
 			}
 			fs = append(fs, sub)
 		}
 		return And(fs...), nil
+	case "project":
+		var w projectWire
+		if err := json.Unmarshal(env.Body, &w); err != nil {
+			return nil, err
+		}
+		inner, err := decodeFilter(w.Filter, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		return Project(inner, w.Columns...), nil
 	default:
 		return nil, fmt.Errorf("hstore: unknown filter kind %q", env.Kind)
 	}
@@ -229,4 +258,56 @@ func (f *AndFilter) MarshalJSON() ([]byte, error) {
 		w.Filters = append(w.Filters, raw)
 	}
 	return json.Marshal(w)
+}
+
+// ProjectFilter matches like Filter (nil matches every row) and asks the
+// scan to return only Columns: Server.Scan trims each row it returns to
+// those of them the row holds, and a row holding none comes back with
+// nil Columns. Only a top-level Project pushed down to Server.Scan
+// trims; nested in And, or applied client-side, it filters like Filter
+// alone.
+type ProjectFilter struct {
+	Filter  Filter
+	Columns []string
+}
+
+type projectWire struct {
+	Filter  json.RawMessage `json:"filter"`
+	Columns []string        `json:"columns"`
+}
+
+// Project returns f with its returned rows trimmed to cols.
+func Project(f Filter, cols ...string) *ProjectFilter {
+	return &ProjectFilter{Filter: f, Columns: cols}
+}
+
+func (f *ProjectFilter) kind() string { return "project" }
+
+// Matches implements Filter.
+func (f *ProjectFilter) Matches(r Row) bool {
+	return f.Filter == nil || f.Filter.Matches(r)
+}
+
+// MarshalJSON implements json.Marshaler: the inner filter is encoded as
+// an envelope, as And's are.
+func (f *ProjectFilter) MarshalJSON() ([]byte, error) {
+	inner, err := EncodeFilter(f.Filter)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(projectWire{Filter: inner, Columns: f.Columns})
+}
+
+// project returns r trimmed to f.Columns in a map of its own.
+func (f *ProjectFilter) project(r Row) Row {
+	out := Row{Key: r.Key}
+	for _, c := range f.Columns {
+		if v, ok := r.Columns[c]; ok {
+			if out.Columns == nil {
+				out.Columns = make(map[string][]byte, len(f.Columns))
+			}
+			out.Columns[c] = v
+		}
+	}
+	return out
 }

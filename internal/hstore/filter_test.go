@@ -185,3 +185,70 @@ func TestDecodeUnknownFilter(t *testing.T) {
 		t.Error("garbage decoded without error")
 	}
 }
+
+// FuzzDecodeFilter feeds arbitrary bytes to DecodeFilter, which reads
+// the filters of /d/scan bodies off the network. It never panics or
+// hangs: it returns an error, or a filter that evaluates safely on any
+// row, re-encodes, and decodes back to the same wire form. The seed
+// corpus under testdata/fuzz (every kind, And and Project nested in
+// each other, nesting past the depth bound, mismatched Euclidean
+// vectors, truncated envelopes and garbage) runs as regression inputs
+// in plain `go test`.
+func FuzzDecodeFilter(f *testing.F) {
+	rows := []Row{
+		row("dynmap/j", map[string]string{"x": "1", "y": "2", "!CFG": "B L(B)", "A": "1"}),
+		row("", map[string]string{"x": "not a number"}),
+		{Key: "nil-columns"},
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		flt, err := DecodeFilter(raw)
+		if err != nil || flt == nil {
+			return
+		}
+		for _, r := range rows {
+			flt.Matches(r)
+			if p, ok := flt.(*ProjectFilter); ok {
+				p.project(r)
+			}
+		}
+		wire, err := EncodeFilter(flt)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", flt, err)
+		}
+		back, err := DecodeFilter(wire)
+		if err != nil {
+			t.Fatalf("re-encoded %s does not decode: %v", wire, err)
+		}
+		if again, err := EncodeFilter(back); err != nil || string(again) != string(wire) {
+			t.Fatalf("wire form %s came back as %s (err %v)", wire, again, err)
+		}
+	})
+}
+
+// TestDecodeFilterRejectsUnsafeShapes: a Euclidean filter whose vectors
+// disagree in length would index past one of them when evaluated, and
+// envelopes nested past maxFilterDepth make each level re-read the body
+// beneath it; both are refused at decode.
+func TestDecodeFilterRejectsUnsafeShapes(t *testing.T) {
+	bad := []byte(`{"kind":"euclidean","body":{"features":["x","y"],"target":[1],"min":[0,0],"max":[1,1],"threshold":1}}`)
+	if f, err := DecodeFilter(bad); err == nil {
+		t.Errorf("mismatched euclidean vectors decoded as %#v", f)
+	}
+	var f Filter = &PrefixFilter{Prefix: "p"}
+	for i := 0; i < maxFilterDepth; i++ {
+		f = And(f)
+	}
+	wire, err := EncodeFilter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFilter(wire); err != nil {
+		t.Errorf("filter nested %d deep: %v", maxFilterDepth, err)
+	}
+	if wire, err = EncodeFilter(Project(f)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFilter(wire); err == nil {
+		t.Errorf("filter nested %d deep decoded", maxFilterDepth+1)
+	}
+}

@@ -520,6 +520,151 @@ func checkReadResultsOwned(t *testing.T, cacheBytes int64) {
 	checkAll("after further reads", scanned, filtered, got, multi)
 }
 
+// cappedValuesServer holds one table per place a read can take a value
+// from: "mem" stays in the memstore, and its values are slices of one
+// writer buffer, each with the next value in its spare capacity; "raw"
+// and "flate" are flushed, with every block of "raw" stored as is and
+// every block of "flate" compressed (and so served from the block
+// cache).
+func cappedValuesServer(t *testing.T) (*Server, map[string]map[string]map[string]string) {
+	t.Helper()
+	s := NewServer()
+	s.WallClock = func() time.Time { return time.Unix(0, 0) } // short timestamps
+	want := map[string]map[string]map[string]string{}
+	rng := rand.New(rand.NewSource(5))
+	for _, tbl := range []string{"mem", "raw", "flate"} {
+		if err := s.CreateTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		want[tbl] = map[string]map[string]string{}
+		buf := make([]byte, 0, 1<<14) // never regrown: every value shares it
+		for i := 0; i < 150; i++ {
+			key := fmt.Sprintf("row%04d", i)
+			want[tbl][key] = map[string]string{}
+			for c := 0; c < 3; c++ {
+				col := fmt.Sprintf("col%d", c)
+				v := []byte(fmt.Sprintf("%s-%s-%06d", key, col, i*37%1000))
+				if tbl == "raw" {
+					v = make([]byte, 96)
+					rng.Read(v)
+				}
+				if tbl == "mem" {
+					start := len(buf)
+					buf = append(buf, v...)
+					v = buf[start:len(buf):cap(buf)]
+				}
+				if err := s.Put(tbl, key, col, v); err != nil {
+					t.Fatal(err)
+				}
+				want[tbl][key][col] = string(v)
+			}
+		}
+		if tbl == "mem" {
+			continue
+		}
+		if err := s.Flush(tbl); err != nil {
+			t.Fatal(err)
+		}
+		codec := codecRaw
+		if tbl == "flate" {
+			codec = codecFlate
+		}
+		for _, g := range s.tables[tbl].regions {
+			for _, st := range g.sstables {
+				for i, b := range st.blocks {
+					if b.codec != codec {
+						t.Fatalf("%s: block %d has codec %d, want %d", tbl, i, b.codec, codec)
+					}
+				}
+			}
+		}
+	}
+	return s, want
+}
+
+// TestAppendToReadValuesLeavesStoreIntact: every value a read returns
+// is capped at its length, so appending to it reallocates instead of
+// writing past its end — into the next entry of a raw or cached block,
+// or into the next value of a memstore writer's buffer. After a reader
+// appends to every value Get, MultiGet and Scan return, from the
+// memstore, a raw block and a flate block, every re-read is
+// byte-identical, no region is quarantined and no corruption is
+// counted.
+func TestAppendToReadValuesLeavesStoreIntact(t *testing.T) {
+	ctx := context.Background()
+	s, want := cappedValuesServer(t)
+	c := Connect(s)
+	corruptions := func() int64 { return s.Obs().Snapshot().Counters["store_corruptions_detected_total"] }
+	before := corruptions()
+	scribble := func(rows []Row) {
+		for _, r := range rows {
+			for col, v := range r.Columns {
+				v = append(v, "\xff\xff\xff\xff\xff\xff\xff\xff"...)
+				r.Columns[col] = v
+			}
+		}
+	}
+	verify := func(what, tbl string) {
+		t.Helper()
+		rows, err := s.Scan(ctx, tbl, "", "", nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %s: re-scan: %v", what, tbl, err)
+		}
+		if len(rows) != len(want[tbl]) {
+			t.Fatalf("%s: %s: re-scan found %d rows, want %d", what, tbl, len(rows), len(want[tbl]))
+		}
+		for _, r := range rows {
+			if d := columnsDiff(r, want[tbl][r.Key]); d != "" {
+				t.Fatalf("%s: %s: re-scan: %s", what, tbl, d)
+			}
+			g, ok, err := s.Get(tbl, r.Key)
+			if err != nil || !ok {
+				t.Fatalf("%s: %s: re-get %s: ok=%v err=%v", what, tbl, r.Key, ok, err)
+			}
+			if d := columnsDiff(g, want[tbl][r.Key]); d != "" {
+				t.Fatalf("%s: %s: re-get: %s", what, tbl, d)
+			}
+		}
+	}
+	keys := []string{"row0000", "row0001", "row0074", "row0148", "row0149"}
+	for _, tbl := range []string{"mem", "raw", "flate"} {
+		var got []Row
+		for _, k := range keys {
+			r, ok, err := s.Get(tbl, k)
+			if err != nil || !ok {
+				t.Fatalf("%s: get %s: ok=%v err=%v", tbl, k, ok, err)
+			}
+			got = append(got, r)
+		}
+		scribble(got)
+		verify("after appending to Get's values", tbl)
+
+		multi, _, err := c.MultiGet(ctx, tbl, keys)
+		if err != nil {
+			t.Fatalf("%s: multiget: %v", tbl, err)
+		}
+		scribble(multi)
+		verify("after appending to MultiGet's values", tbl)
+
+		scanned, err := s.Scan(ctx, tbl, "", "", nil, 0)
+		if err != nil {
+			t.Fatalf("%s: scan: %v", tbl, err)
+		}
+		scribble(scanned)
+		verify("after appending to Scan's values", tbl)
+	}
+	for _, tbl := range []string{"mem", "raw", "flate"} {
+		for _, g := range s.tables[tbl].regions {
+			if g.quarantined.Load() {
+				t.Errorf("%s: region %d quarantined", tbl, g.id)
+			}
+		}
+	}
+	if n := corruptions() - before; n != 0 {
+		t.Errorf("store_corruptions_detected_total rose by %d", n)
+	}
+}
+
 // TestFilteredScanAllocs: a scan whose filter rejects every row
 // allocates per block, not per row. The values are random bytes, so
 // every block stays raw and the count leaves out the flate reader's
@@ -567,5 +712,47 @@ func TestFilteredScanAllocs(t *testing.T) {
 	t.Logf("%.0f allocations for %d rejected rows", allocs, rows)
 	if allocs >= rows/4 {
 		t.Errorf("a scan rejecting all %d rows allocated %.0f times, want < %d", rows, allocs, rows/4)
+	}
+}
+
+// TestReturnedScanAllocs: a warm scan that returns N of M flushed rows
+// allocates one map per returned row — the map the merge built the row
+// in — and nothing per value, plus a constant for the scan itself.
+func TestReturnedScanAllocs(t *testing.T) {
+	const rows, kept, cols = 1200, 100, 6
+	s := flateServer(t, rows)
+	ctx := context.Background()
+	keep := &PrefixFilter{Prefix: "dyn/job_001"} // job_00100 .. job_00199
+	scan := func() {
+		if out, err := s.Scan(ctx, "t", "", "", keep, 0); err != nil || len(out) != kept {
+			t.Fatalf("scan: %d rows, err %v; want %d", len(out), err, kept)
+		}
+	}
+	scan() // warm the block cache
+	allocs := testing.AllocsPerRun(10, scan)
+
+	// What one map of a returned row's shape costs the runtime.
+	v := []byte("0.000000")
+	names := make([]string, cols)
+	for f := range names {
+		names[f] = fmt.Sprintf("feat%d", f)
+	}
+	var sink map[string][]byte
+	perMap := testing.AllocsPerRun(100, func() {
+		m := make(map[string][]byte, cols)
+		for _, n := range names {
+			m[n] = v
+		}
+		sink = m
+	})
+	_ = sink
+	// The constant: the warm scan's own allocations, bounded as in
+	// TestWarmScanAllocs, plus the result slice's doublings.
+	const scanAllocs = warmScanMaxAllocs + 8
+	bound := kept*perMap + scanAllocs
+	t.Logf("%.0f allocations for %d of %d rows (%.0f per map)", allocs, kept, rows, perMap)
+	if allocs > bound {
+		t.Errorf("a warm scan returning %d of %d rows allocated %.0f times, want at most %.0f (%.0f per map + %d)",
+			kept, rows, allocs, bound, perMap, scanAllocs)
 	}
 }

@@ -3,7 +3,6 @@ package hstore
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -96,8 +95,12 @@ func (g *region) checkQuarantine() error {
 // a tiered compaction — after the lock is released, so the merge never
 // blocks this or any other writer. It reports false without writing
 // when the region has been sealed by a split: the caller must
-// re-resolve the row to the child region and retry there.
+// re-resolve the row to the child region and retry there. Every cell
+// a memstore keeps enters here, and its value is capped at its length:
+// reads hand the value out, and an append to it must reallocate rather
+// than write into the writer's spare capacity.
 func (g *region) put(c Cell) bool {
+	c.Value = c.Value[:len(c.Value):len(c.Value)]
 	g.mu.Lock()
 	if g.sealed {
 		g.mu.Unlock()
@@ -236,7 +239,7 @@ func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, ca
 // server's block cache. A checksum mismatch in any touched block
 // quarantines the region and aborts the scan with a CorruptionError —
 // partial garbage is never surfaced.
-func (g *region) scanRows(startRow, endRow string, fn func(Row) bool) error {
+func (g *region) scanRows(startRow, endRow string, fn func(*Row) bool) error {
 	if err := g.checkQuarantine(); err != nil {
 		return err
 	}
@@ -260,12 +263,15 @@ func (g *region) memCells(startRow, endRow string) []Cell {
 
 // mergeRows groups the newest-version stream of a memstore snapshot and
 // sstables (newest first) over [startRow, endRow) into rows, passing fn
-// each row that has a live column. The Row is borrowed: its Columns map
-// is cleared and refilled for the next row, so fn must copy any row it
-// keeps. Values alias immutable memstore cells and sstable blocks, the
-// server's cached blocks included.
-func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow string, fn func(Row) bool) error {
-	cur := Row{Columns: make(map[string][]byte)}
+// each row that has a live column. The Row is borrowed: once fn returns,
+// its Columns map is cleared and refilled for the next row. fn keeps the
+// map by taking it, setting r.Columns to nil, and the merge goes on in a
+// fresh map sized like the one taken. Values alias immutable memstore
+// cells and sstable blocks, the server's cached blocks included, and
+// are capped at their length.
+func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow string, fn func(*Row) bool) error {
+	var cur Row
+	width := 0 // columns in the last row passed on: the next map's size
 	// emit passes on the row built so far and empties it, so after fn
 	// stops the merge the final emit below finds nothing to pass.
 	emit := func() bool {
@@ -273,7 +279,8 @@ func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow 
 		if len(cur.Columns) == 0 {
 			return true
 		}
-		ok := fn(cur)
+		width = len(cur.Columns)
+		ok := fn(&cur)
 		clear(cur.Columns)
 		return ok
 	}
@@ -285,6 +292,9 @@ func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow 
 			cur.Key = c.Row
 		}
 		if !c.Deleted {
+			if cur.Columns == nil {
+				cur.Columns = make(map[string][]byte, width)
+			}
 			cur.Columns[c.Column] = c.Value
 		}
 		return true
@@ -322,10 +332,11 @@ func (g *region) get(row string) (Row, bool, error) {
 		return Row{}, false, nil
 	}
 
-	// The merge lends its row; the caller gets a map of its own.
+	// The merge's one row is the answer; take its map.
 	var out Row
-	err := g.mergeRows(memCells, tables, row, end, func(r Row) bool {
-		out = Row{Key: r.Key, Columns: maps.Clone(r.Columns)}
+	err := g.mergeRows(memCells, tables, row, end, func(r *Row) bool {
+		out = *r
+		r.Columns = nil
 		return false
 	})
 	if err != nil {
@@ -338,7 +349,7 @@ func (g *region) get(row string) (Row, bool, error) {
 // few distinct rows to split.
 func (g *region) splitPoint() (string, error) {
 	var rows []string
-	if err := g.scanRows(g.startKey, g.endKey, func(r Row) bool {
+	if err := g.scanRows(g.startKey, g.endKey, func(r *Row) bool {
 		rows = append(rows, r.Key)
 		return true
 	}); err != nil {
@@ -357,7 +368,7 @@ func (g *region) split(at string, leftID, rightID int) (*region, *region, error)
 	}
 	left := newRegion(leftID, g.startKey, at, g.flushBytes, g.stats)
 	right := newRegion(rightID, at, g.endKey, g.flushBytes, g.stats)
-	if err := g.scanRows(g.startKey, g.endKey, func(r Row) bool {
+	if err := g.scanRows(g.startKey, g.endKey, func(r *Row) bool {
 		target := left
 		if r.Key >= at {
 			target = right

@@ -493,8 +493,9 @@ func (s *Server) DeleteRow(tableName, row string) error {
 }
 
 // Get fetches one row. The row's map is the caller's, but its values
-// are read-only: they alias sstable blocks that the server's block
-// cache shares with every other read.
+// are read-only: they alias memstore cells and sstable blocks that the
+// server's block cache shares with every other read. Each is capped at
+// its length, so an append to one reallocates.
 func (s *Server) Get(tableName, row string) (Row, bool, error) {
 	t, err := s.table(tableName)
 	if err != nil {
@@ -521,8 +522,17 @@ func (s *Server) Get(tableName, row string) (Row, bool, error) {
 // unbounded) through the filter, region by region in key order. Only
 // rows passing the filter are "returned" (and accounted); this is the
 // server-side half of the pushdown mechanism. Limit 0 means no limit.
+// A top-level Project filter trims each returned row to its columns,
+// and BytesReturned counts what is left.
 // The context is checked once per emitted row, so a canceled caller
 // stops the merge mid-region instead of paying for the full range.
+//
+// Every returned row owns its Columns map: the merge hands over the map
+// it built the row in and goes on in a fresh one, so nothing is copied.
+// The values are read-only, as Get's are: they alias memstore cells and
+// sstable blocks the block cache shares with every other read. Each is
+// capped at its length, so an append reallocates, but writing into one
+// in place corrupts the store.
 func (s *Server) Scan(ctx context.Context, tableName, startRow, endRow string, f Filter, limit int) ([]Row, error) {
 	t, err := s.table(tableName)
 	if err != nil {
@@ -562,6 +572,7 @@ func (s *Server) Scan(ctx context.Context, tableName, startRow, endRow string, f
 		return nil, &NotServingError{Table: tableName, Row: cursor}
 	}
 
+	proj, _ := f.(*ProjectFilter)
 	var out []Row
 	for _, g := range regions {
 		if endRow != "" && g.startKey >= endRow {
@@ -572,20 +583,27 @@ func (s *Server) Scan(ctx context.Context, tableName, startRow, endRow string, f
 		}
 		stop := false
 		var ctxErr error
-		if err := g.scanRows(startRow, endRow, func(r Row) bool {
+		if err := g.scanRows(startRow, endRow, func(r *Row) bool {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				return false
 			}
 			s.rowsScanned.Add(1)
-			if f == nil || f.Matches(r) {
-				out = append(out, r.Clone())
-				s.rowsReturned.Add(1)
-				s.bytesReturned.Add(r.Bytes())
-				if limit > 0 && len(out) >= limit {
-					stop = true
-					return false
-				}
+			if f != nil && !f.Matches(*r) {
+				return true
+			}
+			kept := *r
+			if proj != nil {
+				kept = proj.project(kept) // the merge keeps its map
+			} else {
+				r.Columns = nil // hand the map over
+			}
+			out = append(out, kept)
+			s.rowsReturned.Add(1)
+			s.bytesReturned.Add(kept.Bytes())
+			if limit > 0 && len(out) >= limit {
+				stop = true
+				return false
 			}
 			return true
 		}); err != nil {

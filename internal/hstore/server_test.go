@@ -270,15 +270,10 @@ func TestClientScanClientSideMatchesPushdown(t *testing.T) {
 	}
 }
 
-func TestRowBytesAndClone(t *testing.T) {
+func TestRowBytes(t *testing.T) {
 	r := row("key", map[string]string{"a": "12345"})
 	if r.Bytes() != int64(len("key")+len("a")+5) {
 		t.Errorf("Bytes() = %d", r.Bytes())
-	}
-	c := r.Clone()
-	c.Columns["a"][0] = 'X'
-	if r.Columns["a"][0] == 'X' {
-		t.Error("Clone shares value bytes")
 	}
 }
 

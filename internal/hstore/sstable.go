@@ -450,7 +450,9 @@ func (it *ssIter) column(b []byte) string {
 
 // blockEntry is one prefix-compressed entry located in a block: its row
 // key shares shared bytes with the previous row key and ends in suffix;
-// suffix, col and val alias the block.
+// suffix, col and val alias the block. val is capped at its length, so
+// an append to a value a read returned reallocates instead of writing
+// into the block.
 type blockEntry struct {
 	shared           int
 	suffix, col, val []byte
@@ -481,7 +483,7 @@ func (e *blockEntry) decode(buf []byte, pos int) error {
 		return entryCorrupt("overruns block", pos)
 	}
 	*e = blockEntry{
-		shared: int(h[0]), suffix: buf[pos:sfx], col: buf[sfx:col], val: buf[col:end],
+		shared: int(h[0]), suffix: buf[pos:sfx], col: buf[sfx:col], val: buf[col:end:end],
 		ts: int64(h[4]), deleted: flags&1 != 0, next: end,
 	}
 	return nil

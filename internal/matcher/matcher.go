@@ -26,8 +26,11 @@ package matcher
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"pstorm/internal/hstore"
@@ -71,8 +74,10 @@ type Entry struct {
 // implements it over the hstore client with server-side filter pushdown.
 type Store interface {
 	// ScanFeatures scans all rows of the given feature type through the
-	// (pushed-down) filter. The context bounds the scan: a canceled
-	// caller stops the underlying region scans server-side.
+	// (pushed-down) filter, returning them in job-ID order: the matcher
+	// joins its stages by merging such lists. The context bounds the
+	// scan: a canceled caller stops the underlying region scans
+	// server-side.
 	ScanFeatures(ctx context.Context, ftype string, f hstore.Filter) ([]Entry, error)
 	// GetFeatures point-reads one profile's feature row.
 	GetFeatures(ctx context.Context, ftype, jobID string) (hstore.Row, bool, error)
@@ -339,10 +344,12 @@ func (m *Matcher) structuralWant(side *profile.Side) (col, want string) {
 // structuralScan is stage 2 evaluated where the rows live: one scan of
 // the side's static rows with the structural comparison pushed down,
 // returning only the rows whose CFG (or call signature) equals the
-// probe's. Both filter orders issue it.
-func (m *Matcher) structuralScan(ctx context.Context, st Store, spec sideSpec, side *profile.Side) ([]Entry, error) {
+// probe's, trimmed to the stage-3 columns of jacWant. Both filter
+// orders issue it.
+func (m *Matcher) structuralScan(ctx context.Context, st Store, spec sideSpec, side *profile.Side, jacWant map[string]string) ([]Entry, error) {
 	col, want := m.structuralWant(side)
-	return st.ScanFeatures(ctx, spec.ftStat, &hstore.ColumnEqualsFilter{Column: col, Value: want})
+	f := hstore.Project(&hstore.ColumnEqualsFilter{Column: col, Value: want}, slices.Sorted(maps.Keys(jacWant))...)
+	return st.ScanFeatures(ctx, spec.ftStat, f)
 }
 
 // jaccardWant returns the stage-3 categorical vector, extended with the
@@ -361,7 +368,9 @@ func (m *Matcher) jaccardWant(side *profile.Side, params map[string]string) map[
 	return want
 }
 
-// matchSide runs the per-side workflow.
+// matchSide runs the per-side workflow. Per-candidate state lives in
+// slices aligned with the job-ID-ordered candidate list; later stages
+// hold indices into it.
 func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *profile.Side, inputBytes int64, params map[string]string) (SideReport, error) {
 	if m.StaticFirst {
 		return m.matchSideStaticFirst(ctx, st, spec, side, inputBytes, params)
@@ -396,43 +405,44 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		rep.Failed = true
 		return rep, nil
 	}
-	dynDist := make(map[string]float64, len(cands))
-	candIn := make(map[string]int64, len(cands))
-	rep.CandidateIDs = dynDist
-	for _, c := range cands {
-		dynDist[c.JobID] = dynFilter.Distance(c.Row)
-		if raw, ok := c.Row.Columns[InputBytesColumn]; ok {
-			if v, err := strconv.ParseInt(string(raw), 10, 64); err == nil {
-				candIn[c.JobID] = v
-			}
-		}
+	dynDist := make([]float64, len(cands))
+	rep.CandidateIDs = make(map[string]float64, len(cands))
+	for i, c := range cands {
+		dynDist[i] = dynFilter.Distance(c.Row)
+		rep.CandidateIDs[c.JobID] = dynDist[i]
 	}
 
 	// ----- Stage 2: conservative CFG match, pushed down. -----
 	// The survivors are the stage-1 candidates whose static row the scan
-	// returns; a probe without a CFG matches nothing and skips the scan.
+	// returns, found by merging the two job-ID-ordered lists; a probe
+	// without a CFG matches nothing and skips the scan.
 	// A scan failure means the static rows are unreachable after the
 	// client's whole retry budget — a store outage, not a miss. Rather
 	// than failing the match (and with it the whole tuning run), degrade
 	// to stage-1-only: the dynamic-distance winner is still a defensible
 	// profile, just unrefined by the code-identity stages.
-	var statRows map[string]hstore.Row
+	jacWant := m.jaccardWant(side, params)
+	var afterCFG []int        // indices into cands
+	var statRows []hstore.Row // aligned with afterCFG
 	if _, want := m.structuralWant(side); want != "" {
-		hits, err := m.structuralScan(ctx, st, spec, side)
+		hits, err := m.structuralScan(ctx, st, spec, side, jacWant)
 		if err != nil {
 			rep.Degraded = true
-			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, candIn, inputBytes)
+			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, nil, inputBytes)
 			return rep, nil
 		}
-		statRows = make(map[string]hstore.Row, len(hits))
-		for _, h := range hits {
-			statRows[h.JobID] = h.Row
-		}
-	}
-	var afterCFG []Entry
-	for _, c := range cands {
-		if _, ok := statRows[c.JobID]; ok {
-			afterCFG = append(afterCFG, c)
+		for i, j := 0, 0; i < len(cands) && j < len(hits); {
+			switch c := strings.Compare(cands[i].JobID, hits[j].JobID); {
+			case c < 0:
+				i++
+			case c > 0:
+				j++
+			default:
+				afterCFG = append(afterCFG, i)
+				statRows = append(statRows, hits[j].Row)
+				i++
+				j++
+			}
 		}
 	}
 	rep.AfterCFG = len(afterCFG)
@@ -444,25 +454,24 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 	// sizes, Fig 4.6 — letting it override a better code match would
 	// hand a submission to whichever unrelated job happens to share its
 	// input, exactly the DD trap.)
-	var afterJac []Entry
-	jac := &hstore.JaccardFilter{Want: m.jaccardWant(side, params), Threshold: m.JaccardThreshold}
+	jac := &hstore.JaccardFilter{Want: jacWant, Threshold: m.JaccardThreshold}
 	bestScore := -1.0
-	scores := make(map[string]float64, len(afterCFG))
-	for _, c := range afterCFG {
-		sc := jac.Score(statRows[c.JobID])
-		scores[c.JobID] = sc
+	scores := make([]float64, len(afterCFG))
+	for k, row := range statRows {
+		sc := jac.Score(row)
+		scores[k] = sc
 		if sc >= m.JaccardThreshold && sc > bestScore {
 			bestScore = sc
 		}
 	}
-	for _, c := range afterCFG {
-		if sc := scores[c.JobID]; sc >= m.JaccardThreshold && sc >= bestScore-1e-9 {
-			afterJac = append(afterJac, c)
+	var survivors []int // indices into cands
+	for k, i := range afterCFG {
+		if sc := scores[k]; sc >= m.JaccardThreshold && sc >= bestScore-1e-9 {
+			survivors = append(survivors, i)
 		}
 	}
-	rep.AfterJaccard = len(afterJac)
+	rep.AfterJaccard = len(survivors)
 
-	survivors := afterJac
 	if len(survivors) == 0 {
 		// ----- Alternative filter: cost factors over stage-1 set. -----
 		// The submitted job was never executed on this cluster; the
@@ -476,7 +485,7 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		cmin, cmax, err := st.Bounds(ctx, spec.ftCost, spec.costFeats)
 		if err != nil {
 			rep.Degraded = true
-			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, candIn, inputBytes)
+			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, nil, inputBytes)
 			return rep, nil
 		}
 		mergeBounds(cmin, cmax, costTarget)
@@ -488,12 +497,12 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		costRows, err := getFeatureRows(ctx, st, spec.ftCost, cands)
 		if err != nil {
 			rep.Degraded = true
-			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, candIn, inputBytes)
+			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, nil, inputBytes)
 			return rep, nil
 		}
-		for _, c := range cands {
+		for i, c := range cands {
 			if row, ok := costRows[c.JobID]; ok && costFilter.Matches(row) {
-				survivors = append(survivors, c)
+				survivors = append(survivors, i)
 			}
 		}
 		if len(survivors) == 0 {
@@ -503,22 +512,45 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 	}
 
 	// ----- Tie-break: closest input data size. -----
-	rep.Winner, rep.WinnerDistance = pickWinner(survivors, dynDist, candIn, inputBytes)
+	rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, survivors, inputBytes)
 	return rep, nil
 }
 
 // pickWinner applies the Fig 4.6 tie-break — closest input data size,
-// then smallest dynamic distance — over the surviving candidates.
-func pickWinner(survivors []Entry, dynDist map[string]float64, candIn map[string]int64, inputBytes int64) (string, float64) {
-	best := survivors[0]
-	bestGap := int64(math.MaxInt64)
-	for _, c := range survivors {
-		gap := absInt64(candIn[c.JobID] - inputBytes)
-		if gap < bestGap || (gap == bestGap && dynDist[c.JobID] < dynDist[best.JobID]) {
-			best, bestGap = c, gap
+// then smallest dynamic distance — over cands[i] for each i in keep, in
+// order (nil keeps every candidate). dist is aligned with cands (nil
+// reads as all zero). The input size is parsed from each compared row's
+// InputBytesColumn; a row without one counts as size 0.
+func pickWinner(cands []Entry, dist []float64, keep []int, inputBytes int64) (string, float64) {
+	distOf := func(i int) float64 {
+		if dist == nil {
+			return 0
+		}
+		return dist[i]
+	}
+	best, bestGap := -1, int64(math.MaxInt64)
+	consider := func(i int) {
+		var in int64
+		if raw, ok := cands[i].Row.Columns[InputBytesColumn]; ok {
+			if v, err := strconv.ParseInt(string(raw), 10, 64); err == nil {
+				in = v
+			}
+		}
+		gap := absInt64(in - inputBytes)
+		if best == -1 || gap < bestGap || (gap == bestGap && distOf(i) < distOf(best)) {
+			best, bestGap = i, gap
 		}
 	}
-	return best.JobID, dynDist[best.JobID]
+	if keep == nil {
+		for i := range cands {
+			consider(i)
+		}
+	} else {
+		for _, i := range keep {
+			consider(i)
+		}
+	}
+	return cands[best].JobID, distOf(best)
 }
 
 // stage1Filter builds the normalized Euclidean filter for the stage-1
@@ -577,7 +609,7 @@ func (m *Matcher) stage1Scan(ctx context.Context, st Store, spec sideSpec, f *hs
 			if !ok {
 				continue
 			}
-			joined := e.Row.Clone()
+			joined := hstore.Row{Key: e.Row.Key, Columns: maps.Clone(e.Row.Columns)}
 			for c, v := range dynRow.Columns {
 				joined.Columns[c] = v
 			}
@@ -602,7 +634,7 @@ func (m *Matcher) stage1Scan(ctx context.Context, st Store, spec sideSpec, f *hs
 		if !ok {
 			continue
 		}
-		joined := e.Row.Clone()
+		joined := hstore.Row{Key: e.Row.Key, Columns: maps.Clone(e.Row.Columns)}
 		for c, v := range costRow.Columns {
 			joined.Columns[c] = v
 		}
@@ -619,12 +651,13 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 	rep := SideReport{Side: spec.kind}
 
 	// Static stages over the whole store, CFG pushed down.
-	statCands, err := m.structuralScan(ctx, st, spec, side)
+	jacWant := m.jaccardWant(side, params)
+	statCands, err := m.structuralScan(ctx, st, spec, side, jacWant)
 	if err != nil {
 		return rep, err
 	}
 	rep.AfterCFG = len(statCands)
-	jac := &hstore.JaccardFilter{Want: m.jaccardWant(side, params), Threshold: m.JaccardThreshold}
+	jac := &hstore.JaccardFilter{Want: jacWant, Threshold: m.JaccardThreshold}
 	var afterJac []Entry
 	for _, c := range statCands {
 		if jac.Matches(c.Row) {
@@ -650,9 +683,7 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 		rep.Winner, rep.WinnerDistance = pickWinner(afterJac, nil, nil, inputBytes)
 		return rep, nil
 	}
-	dynDist := make(map[string]float64)
-	candIn := make(map[string]int64)
-	rep.CandidateIDs = dynDist
+	rep.CandidateIDs = make(map[string]float64)
 	dynRows, err := getFeatureRows(ctx, st, spec.ftDyn, afterJac)
 	if err != nil {
 		rep.Degraded = true
@@ -660,19 +691,16 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 		return rep, nil
 	}
 	var survivors []Entry
+	var dynDist []float64 // aligned with survivors
 	for _, c := range afterJac {
 		row, ok := dynRows[c.JobID]
 		if !ok {
 			continue
 		}
-		if raw, ok := row.Columns[InputBytesColumn]; ok {
-			if v, perr := strconv.ParseInt(string(raw), 10, 64); perr == nil {
-				candIn[c.JobID] = v
-			}
-		}
 		if d := dynFilter.Distance(row); d <= dynFilter.Threshold {
-			dynDist[c.JobID] = d
+			rep.CandidateIDs[c.JobID] = d
 			survivors = append(survivors, Entry{JobID: c.JobID, Row: row})
+			dynDist = append(dynDist, d)
 		}
 	}
 	rep.Stage1Candidates = len(survivors)
@@ -680,16 +708,7 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 		rep.Failed = true
 		return rep, nil
 	}
-	best := survivors[0]
-	bestGap := int64(math.MaxInt64)
-	for _, c := range survivors {
-		gap := absInt64(candIn[c.JobID] - inputBytes)
-		if gap < bestGap || (gap == bestGap && dynDist[c.JobID] < dynDist[best.JobID]) {
-			best, bestGap = c, gap
-		}
-	}
-	rep.Winner = best.JobID
-	rep.WinnerDistance = dynDist[best.JobID]
+	rep.Winner, rep.WinnerDistance = pickWinner(survivors, dynDist, nil, inputBytes)
 	return rep, nil
 }
 

@@ -3,6 +3,8 @@ package matcher_test
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,8 +58,8 @@ func (c *countingStore) GetFeatures(ctx context.Context, ftype, jobID string) (h
 type plainStore struct{ matcher.Store }
 
 // TestMatchBatchesStage2Reads: stage 2 is one pushed-down scan per side
-// — a CFG equality filter over the static rows — never a point read per
-// stage-1 survivor. Only the cost fallback still multi-gets, and only
+// — a CFG equality filter over the static rows, projected onto the
+// Jaccard columns — never a point read per stage-1 survivor. Only the cost fallback still multi-gets, and only
 // the rows it needs.
 func TestMatchBatchesStage2Reads(t *testing.T) {
 	st := newStore(t)
@@ -74,14 +76,25 @@ func TestMatchBatchesStage2Reads(t *testing.T) {
 	if !m.Matched() || m.MapReport.UsedCostFallback || m.ReduceReport.UsedCostFallback {
 		t.Fatalf("want a static match on both sides, got %+v / %+v", m.MapReport, m.ReduceReport)
 	}
-	for _, ftype := range []string{matcher.FTStatMap, matcher.FTStatRed} {
+	// Each hit comes back trimmed to the columns stage 3 reads.
+	jaccardCols := map[string][]string{
+		matcher.FTStatMap: slices.Sorted(maps.Keys(sample.Map.StaticCategorical)),
+		matcher.FTStatRed: slices.Sorted(maps.Keys(sample.Reduce.StaticCategorical)),
+	}
+	for ftype, cols := range jaccardCols {
 		scans := cs.scans[ftype]
 		if len(scans) != 1 {
 			t.Fatalf("%s: %d scans, want exactly 1", ftype, len(scans))
 		}
-		f, ok := scans[0].(*hstore.ColumnEqualsFilter)
-		if !ok || f.Column != matcher.CFGColumn || f.Value != "cfg" {
-			t.Errorf("%s: scan filter = %#v, want ColumnEqualsFilter{%s, cfg}", ftype, scans[0], matcher.CFGColumn)
+		p, ok := scans[0].(*hstore.ProjectFilter)
+		if !ok {
+			t.Errorf("%s: scan filter = %#v, want a Project", ftype, scans[0])
+			continue
+		}
+		f, ok := p.Filter.(*hstore.ColumnEqualsFilter)
+		if !ok || f.Column != matcher.CFGColumn || f.Value != "cfg" || len(cols) == 0 || !slices.Equal(p.Columns, cols) {
+			t.Errorf("%s: scan filter = Project{%#v, %q}, want Project{ColumnEqualsFilter{%s, cfg}, %q}",
+				ftype, p.Filter, p.Columns, matcher.CFGColumn, cols)
 		}
 	}
 	for ftype, n := range cs.multiGets {
