@@ -11,7 +11,7 @@ import (
 	"pstorm/internal/workloads"
 )
 
-func profileFor(t *testing.T, job, ds string) (*engine.RunResult, *cluster.Cluster, int64) {
+func profileFor(t testing.TB, job, ds string) (*engine.RunResult, *cluster.Cluster, int64) {
 	t.Helper()
 	cl := cluster.Default16()
 	eng := engine.New(cl, 42)
@@ -113,5 +113,21 @@ func TestPredictedSpeedupZeroGuard(t *testing.T) {
 	r := &Recommendation{PredictedMs: 0, DefaultMs: 100}
 	if r.PredictedSpeedup() != 0 {
 		t.Error("zero predicted runtime should yield 0 speedup, not Inf")
+	}
+}
+
+// BenchmarkOptimize times one full search at the default effort — 301
+// What-If evaluations — with every prediction computed directly.
+func BenchmarkOptimize(b *testing.B) {
+	run, cl, in := profileFor(b, "wordcount", "wiki-35g")
+	b.ReportAllocs()
+	for b.Loop() {
+		rec, err := Optimize(context.Background(), run.Profile, in, cl, true, Options{Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.Evaluations != 301 {
+			b.Fatalf("%d evaluations, want 301", rec.Evaluations)
+		}
 	}
 }

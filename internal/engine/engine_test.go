@@ -16,27 +16,22 @@ func testEngine(seed int64) *Engine {
 
 func TestScheduleJobWaves(t *testing.T) {
 	cl := cluster.Default16()
-	cl.NoiseStdDev = 0
 	mt := MapTaskModel{TotalMs: 1000}
-	rt := ReduceTaskModel{TotalMs: 100, ShuffleMs: 50}
 	cfg := conf.Default()
-	// 30 slots, 60 tasks = 2 waves of 1000ms each; reducer tail after.
-	res := ScheduleJob(mt, rt, 60, cfg, cl, nil)
-	if res.MapsDoneMs != 2000 {
-		t.Errorf("MapsDoneMs = %v, want 2000 (2 waves)", res.MapsDoneMs)
-	}
-	if res.MakespanMs < 2000 {
-		t.Errorf("makespan %v < maps-done time", res.MakespanMs)
+	// 30 slots, 60 tasks = 2 waves of 1000ms each. With a zero-length
+	// reducer the makespan is the maps-done time.
+	if done := ExpectedMakespan(mt, ReduceTaskModel{}, 60, cfg, cl); done != 2000 {
+		t.Errorf("maps done at %v, want 2000 (2 waves)", done)
 	}
 	// Shuffle overlaps maps but cannot finish before the last one.
-	if res.MakespanMs != 2000+50 {
-		t.Errorf("makespan = %v, want 2050 (post-shuffle work after last map)", res.MakespanMs)
+	rt := ReduceTaskModel{TotalMs: 100, ShuffleMs: 50}
+	if got := ExpectedMakespan(mt, rt, 60, cfg, cl); got != 2000+50 {
+		t.Errorf("makespan = %v, want 2050 (post-shuffle work after last map)", got)
 	}
 }
 
 func TestScheduleJobReduceWaves(t *testing.T) {
 	cl := cluster.Default16()
-	cl.NoiseStdDev = 0
 	mt := MapTaskModel{TotalMs: 100}
 	rt := ReduceTaskModel{TotalMs: 1000, ShuffleMs: 0}
 	one := conf.Default()
@@ -44,9 +39,9 @@ func TestScheduleJobReduceWaves(t *testing.T) {
 	sixty.ReduceTasks = 60 // 2 reduce waves on 30 slots
 	thirty := conf.Default()
 	thirty.ReduceTasks = 30
-	m1 := ScheduleJob(mt, rt, 30, one, cl, nil).MakespanMs
-	m30 := ScheduleJob(mt, rt, 30, thirty, cl, nil).MakespanMs
-	m60 := ScheduleJob(mt, rt, 30, sixty, cl, nil).MakespanMs
+	m1 := ExpectedMakespan(mt, rt, 30, one, cl)
+	m30 := ExpectedMakespan(mt, rt, 30, thirty, cl)
+	m60 := ExpectedMakespan(mt, rt, 30, sixty, cl)
 	if m30 != m1 {
 		t.Errorf("30 reducers in one wave (%v) should cost the same wall-clock as 1 (%v)", m30, m1)
 	}

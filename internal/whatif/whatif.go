@@ -4,7 +4,8 @@
 // The prediction uses the same analytical phase model as the execution
 // engine, but parameterized entirely by the profile's data-flow
 // statistics and cost factors — no job code is executed. Predictions
-// are noise-free expected values.
+// are noise-free expected values: the schedule is evaluated in closed
+// form, one wave at a time (engine.ExpectedMakespan).
 package whatif
 
 import (
@@ -76,10 +77,8 @@ func Predict(q Question) (*Prediction, error) {
 	totalRaw := rawRecsPerTask * float64(numMaps)
 	rt := engine.ModelReduceTask(in, q.Config, totalOutRecs, totalOutLogical, totalOutDisk, totalRaw, numMaps)
 
-	// Deterministic schedule: nil RNG disables node noise.
-	sched := engine.ScheduleJob(mt, rt, numMaps, q.Config, q.Cluster, nil)
 	return &Prediction{
-		RuntimeMs:   sched.MakespanMs,
+		RuntimeMs:   engine.ExpectedMakespan(mt, rt, numMaps, q.Config, q.Cluster),
 		NumMapTasks: numMaps,
 		MapModel:    mt,
 		ReduceModel: rt,

@@ -1,7 +1,10 @@
 package whatif
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"pstorm/internal/cluster"
@@ -11,7 +14,7 @@ import (
 	"pstorm/internal/workloads"
 )
 
-func collect(t *testing.T, jobName, dsName string, seed int64) (*engine.Engine, *data.Dataset, *enginePair) {
+func collect(t testing.TB, jobName, dsName string, seed int64) (*engine.Engine, *data.Dataset, *enginePair) {
 	t.Helper()
 	cl := cluster.Default16()
 	eng := engine.New(cl, seed)
@@ -143,5 +146,89 @@ func TestPredictErrors(t *testing.T) {
 	orphan.InputBytes = 0
 	if _, err := Predict(Question{Profile: orphan, Cluster: eng.Cluster, Config: p.cfg}); err == nil {
 		t.Error("profile without input size and no explicit size accepted")
+	}
+}
+
+// TestPredictMatchesSimulatedSchedule checks the closed-form schedule
+// behind Predict against the task-by-task simulation on real profiles:
+// ScheduleJob, fed the prediction's own task models on the same cluster
+// without noise or failures, must reproduce RuntimeMs bit for bit at
+// every configuration the optimizer could draw.
+func TestPredictMatchesSimulatedSchedule(t *testing.T) {
+	for _, c := range []struct{ job, ds string }{
+		{"wordcount", "wiki-35g"},
+		{"sort", "tera-35g"},
+		{"pigmix-l2", "pigmix-1g"},
+	} {
+		eng, ds, p := collect(t, c.job, c.ds, 7)
+		quiet := *eng.Cluster
+		quiet.NoiseStdDev, quiet.TaskFailureProb = 0, 0
+		space := conf.DefaultSpace(eng.Cluster.ReduceSlots())
+		r := rand.New(rand.NewSource(34))
+		for i := 0; i < 500; i++ {
+			cfg := space.Sample(r)
+			pred, err := Predict(Question{Profile: p.run.Profile, InputBytes: ds.NominalBytes, Cluster: eng.Cluster, Config: cfg})
+			if err != nil {
+				t.Fatalf("%s/%s config %d: %v", c.job, c.ds, i, err)
+			}
+			sim := engine.ScheduleJob(pred.MapModel, pred.ReduceModel, pred.NumMapTasks, cfg, &quiet, rand.New(rand.NewSource(int64(i))))
+			if pred.RuntimeMs != sim.MakespanMs {
+				t.Fatalf("%s/%s config %d (%v): predicted %v, simulated %v", c.job, c.ds, i, cfg, pred.RuntimeMs, sim.MakespanMs)
+			}
+		}
+	}
+}
+
+// A prediction costs the same allocations, in count and in bytes,
+// whatever the job's map count: the schedule is evaluated per wave,
+// never per task. (A per-task schedule allocates the same number of
+// slices at any size, so only the bytes tell the two apart.)
+func TestPredictAllocsIndependentOfMapCount(t *testing.T) {
+	eng, _, p := collect(t, "wordcount", "randomtext-1g", 7)
+	predict := func(maps int64) func() {
+		q := Question{Profile: p.run.Profile, InputBytes: maps * data.SplitBytes, Cluster: eng.Cluster, Config: p.cfg}
+		return func() {
+			if _, err := Predict(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one, many := predict(1), predict(5000)
+	if a1, a5k := testing.AllocsPerRun(20, one), testing.AllocsPerRun(20, many); a1 != a5k {
+		t.Errorf("Predict allocates %v times at 1 map and %v at 5000 maps", a1, a5k)
+	}
+	if b1, b5k := bytesPerRun(20, one), bytesPerRun(20, many); b1 != b5k {
+		t.Errorf("Predict allocates %d bytes at 1 map and %d at 5000 maps", b1, b5k)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// BenchmarkPredict times one What-If prediction of a job's own profile
+// at its own input: a 561-map job (wiki-35g) and a 16-map one.
+func BenchmarkPredict(b *testing.B) {
+	for _, ds := range []string{"wiki-35g", "randomtext-1g"} {
+		eng, d, p := collect(b, "wordcount", ds, 7)
+		q := Question{Profile: p.run.Profile, InputBytes: d.NominalBytes, Cluster: eng.Cluster, Config: p.cfg}
+		b.Run(fmt.Sprintf("wordcount/%s/maps=%d", ds, d.Splits()), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Predict(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
