@@ -6,20 +6,18 @@
 // exploration to find promising regions, then local neighbourhood
 // exploitation around the incumbent, with restarts.
 //
-// The search runs as deterministic batch-parallel rounds: the
-// candidates of every explore/exploit round are generated up front from
-// the seeded RNG, evaluated by a worker pool, and reduced in
-// candidate-index order — so the recommendation is bit-identical at any
-// worker count, and the worker count only changes wall-clock time.
+// The search runs in rounds: the candidates of every explore/exploit
+// round are drawn up front from the seeded RNG, then evaluated in
+// candidate order in the calling goroutine. A prediction costs a couple
+// of microseconds, so a whole tune is about a millisecond of work and a
+// worker pool costs more than it saves; tunes run in parallel only as
+// concurrent requests, which may share one Evaluator.
 package cbo
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"pstorm/internal/cluster"
 	"pstorm/internal/conf"
@@ -27,10 +25,9 @@ import (
 	"pstorm/internal/whatif"
 )
 
-// exploitBatch is the fixed exploitation round size. It must not depend
-// on Options.Workers: the incumbent a neighbour is generated from
-// advances only at round boundaries, so a worker-count-dependent batch
-// size would change the search trajectory.
+// exploitBatch is the fixed exploitation round size. The incumbent a
+// neighbour is generated from advances only at round boundaries, so
+// changing it changes the search trajectory.
 const exploitBatch = 8
 
 // Options tune the search effort.
@@ -46,10 +43,6 @@ type Options struct {
 	// Seed drives the search's randomness (the What-If predictions
 	// themselves are deterministic).
 	Seed int64
-	// Workers is the width of the What-If evaluation worker pool
-	// (default GOMAXPROCS). The recommendation is identical at every
-	// worker count; see the package comment.
-	Workers int
 	// MaxEvaluations caps the total number of What-If evaluations,
 	// truncating rounds deterministically in candidate order (0: the
 	// full ExploreSamples/ExploitSteps/Restarts effort).
@@ -69,9 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 3
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -111,31 +101,24 @@ func Optimize(ctx context.Context, prof *profile.Profile, inputBytes int64, cl *
 
 	def := whatif.Quantize(conf.Default())
 	def.UseCombiner = hasCombiner
-	defRes := s.evalRound([]conf.Config{def})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if defRes[0].err != nil {
-		return nil, fmt.Errorf("cbo: evaluating default config: %w", defRes[0].err)
+	defMs, err := s.eval(def)
+	s.evals++
+	if err != nil {
+		return nil, fmt.Errorf("cbo: evaluating default config: %w", err)
 	}
-	defMs := defRes[0].ms
 
 	best, bestMs := def, defMs
 	for restart := 0; restart < opt.Restarts && !s.exhausted(); restart++ {
-		incumbent, incumbentMs := best, bestMs
-
-		// Exploration: uniform random samples over the space, generated
-		// up front, evaluated in parallel, reduced in index order.
+		// Exploration: uniform random samples over the space, all drawn
+		// before any is evaluated.
 		explore := make([]conf.Config, opt.ExploreSamples)
 		for i := range explore {
 			explore[i] = whatif.Quantize(space.Sample(rng))
 		}
-		explore = s.truncate(explore)
-		for i, r := range s.evalRound(explore) {
-			if r.err == nil && r.ms < incumbentMs {
-				incumbent, incumbentMs = explore[i], r.ms
-			}
-		}
+		incumbent, incumbentMs := s.round(explore, best, bestMs)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -144,21 +127,13 @@ func Optimize(ctx context.Context, prof *profile.Profile, inputBytes int64, cl *
 		// fixed-size rounds. Within a round every neighbour derives from
 		// the same incumbent; the incumbent advances at round edges.
 		for done := 0; done < opt.ExploitSteps && !s.exhausted(); {
-			n := exploitBatch
-			if rem := opt.ExploitSteps - done; n > rem {
-				n = rem
-			}
+			n := min(exploitBatch, opt.ExploitSteps-done)
 			done += n
 			batch := make([]conf.Config, n)
 			for i := range batch {
 				batch[i] = whatif.Quantize(space.Neighbor(incumbent, rng))
 			}
-			batch = s.truncate(batch)
-			for i, r := range s.evalRound(batch) {
-				if r.err == nil && r.ms < incumbentMs {
-					incumbent, incumbentMs = batch[i], r.ms
-				}
-			}
+			incumbent, incumbentMs = s.round(batch, incumbent, incumbentMs)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -170,7 +145,7 @@ func Optimize(ctx context.Context, prof *profile.Profile, inputBytes int64, cl *
 	return &Recommendation{Config: best, PredictedMs: bestMs, DefaultMs: defMs, Evaluations: s.evals}, nil
 }
 
-// search carries one OptimizeContext invocation's state.
+// search carries one Optimize invocation's state.
 type search struct {
 	ctx        context.Context
 	prof       *profile.Profile
@@ -185,94 +160,33 @@ func (s *search) exhausted() bool {
 	return s.opt.MaxEvaluations > 0 && s.evals >= s.opt.MaxEvaluations
 }
 
-// truncate clips a generated batch to the remaining evaluation budget.
-// Generation happens before clipping so the RNG stream is identical
-// with and without a budget.
-func (s *search) truncate(batch []conf.Config) []conf.Config {
-	if s.opt.MaxEvaluations <= 0 {
-		return batch
-	}
-	rem := s.opt.MaxEvaluations - s.evals
-	if rem < 0 {
-		rem = 0
-	}
-	if len(batch) > rem {
-		batch = batch[:rem]
-	}
-	return batch
-}
-
-type evalResult struct {
-	ms  float64
-	err error
-}
-
-// evalRound evaluates one candidate batch and returns per-candidate
-// results aligned with the batch. Candidates the memoizing evaluator
-// already knows are answered inline (a map lookup — no goroutines);
-// only the misses go to the worker pool. A cancelled context stops
-// workers from starting further evaluations; candidates skipped that
-// way carry the context error.
-func (s *search) evalRound(batch []conf.Config) []evalResult {
-	out := make([]evalResult, len(batch))
-	if len(batch) == 0 {
-		return out
+// round clips one generated batch to the remaining evaluation budget,
+// evaluates it in candidate order, and returns the better of the
+// incumbent and the batch's best. The comparison is a strict <, so of
+// equal candidates the earliest wins; candidates whose prediction fails
+// are skipped. Generation happens before clipping, so the RNG stream is
+// identical with and without a budget. A cancelled context ends the
+// round before its next candidate; the caller checks it after every
+// round.
+func (s *search) round(batch []conf.Config, incumbent conf.Config, incumbentMs float64) (conf.Config, float64) {
+	if s.opt.MaxEvaluations > 0 {
+		batch = batch[:min(len(batch), max(s.opt.MaxEvaluations-s.evals, 0))]
 	}
 	s.evals += len(batch)
-	pending := make([]int, 0, len(batch))
-	if ev := s.opt.Evaluator; ev != nil {
-		for i, c := range batch {
-			if ms, ok := ev.Cached(s.prof, s.inputBytes, s.cl, c); ok {
-				out[i] = evalResult{ms: ms}
-			} else {
-				pending = append(pending, i)
-			}
+	for _, c := range batch {
+		if s.ctx.Err() != nil {
+			break
 		}
-	} else {
-		for i := range batch {
-			pending = append(pending, i)
+		if ms, err := s.eval(c); err == nil && ms < incumbentMs {
+			incumbent, incumbentMs = c, ms
 		}
 	}
-	if len(pending) == 0 {
-		return out
-	}
-	workers := s.opt.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(pending) {
-					return
-				}
-				i := pending[k]
-				if err := s.ctx.Err(); err != nil {
-					out[i] = evalResult{err: err}
-					continue
-				}
-				out[i] = s.eval(batch[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return incumbent, incumbentMs
 }
 
-// eval answers one What-If question, through the memoizing evaluator
-// when one is configured.
-func (s *search) eval(c conf.Config) evalResult {
-	var ms float64
-	var err error
-	if s.opt.Evaluator != nil {
-		ms, err = s.opt.Evaluator.PredictRuntime(s.prof, s.inputBytes, s.cl, c)
-	} else {
-		ms, err = whatif.PredictRuntime(s.prof, s.inputBytes, s.cl, c)
-	}
-	return evalResult{ms: ms, err: err}
+// eval answers one What-If question. A nil Evaluator computes it
+// directly; Quantize is idempotent, so a candidate that is already
+// canonical is predicted as is either way.
+func (s *search) eval(c conf.Config) (float64, error) {
+	return s.opt.Evaluator.PredictRuntime(s.prof, s.inputBytes, s.cl, c)
 }

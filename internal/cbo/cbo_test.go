@@ -131,3 +131,24 @@ func BenchmarkOptimize(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOptimizeWarm times the same search through an Evaluator warmed
+// by one identical tune, so every candidate is a cache hit: the path a
+// resubmitted job takes.
+func BenchmarkOptimizeWarm(b *testing.B) {
+	run, cl, in := profileFor(b, "wordcount", "wiki-35g")
+	opt := Options{Seed: 7, Evaluator: whatif.NewEvaluator(whatif.EvaluatorOptions{})}
+	if _, err := Optimize(context.Background(), run.Profile, in, cl, true, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		rec, err := Optimize(context.Background(), run.Profile, in, cl, true, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.Evaluations != 301 {
+			b.Fatalf("%d evaluations, want 301", rec.Evaluations)
+		}
+	}
+}

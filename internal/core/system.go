@@ -63,9 +63,6 @@ func NewSystem(store *Store, eng *engine.Engine) *System {
 
 // TuneOptions bound one tuning request.
 type TuneOptions struct {
-	// Workers overrides the optimizer's worker-pool width for this tune
-	// (0: the system's CBO setting, defaulting to GOMAXPROCS).
-	Workers int
 	// Budget caps the tune's What-If evaluations (0: the full search
 	// effort).
 	Budget int
@@ -99,9 +96,6 @@ func (s *System) Tune(ctx context.Context, prof *profile.Profile, inputBytes int
 // and the obs instrumentation are applied uniformly.
 func (s *System) tune(ctx context.Context, prof *profile.Profile, inputBytes int64, hasCombiner bool, opt TuneOptions) (*cbo.Recommendation, error) {
 	copts := s.CBO
-	if opt.Workers > 0 {
-		copts.Workers = opt.Workers
-	}
 	if opt.Budget > 0 {
 		copts.MaxEvaluations = opt.Budget
 	}

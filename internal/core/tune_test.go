@@ -33,7 +33,7 @@ func TestSystemTuneDerivesCombinerAndRecordsMetrics(t *testing.T) {
 		t.Fatal("wordcount profile should carry its combiner in the static features")
 	}
 
-	rec, err := sys.Tune(context.Background(), prof, prof.InputBytes, core.TuneOptions{Workers: 4})
+	rec, err := sys.Tune(context.Background(), prof, prof.InputBytes, core.TuneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

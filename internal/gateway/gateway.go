@@ -6,10 +6,8 @@
 //
 //   - request coalescing: N identical in-flight Tune/Match/WhatIf
 //     requests cost one evaluation. Keys are canonical — WhatIf keys
-//     pass through whatif.Quantize, Tune keys deliberately exclude the
-//     worker count because recommendations are bit-identical at any
-//     width — and late joiners attach to the running flight with their
-//     own contexts;
+//     pass through whatif.Quantize — and late joiners attach to the
+//     running flight with their own contexts;
 //   - per-tenant namespacing: a tenant id (X-Pstorm-Tenant header or
 //     ?tenant= query field) is woven into every profile row key at the
 //     core.Store boundary, so tenants sharing the cluster cannot read
@@ -438,7 +436,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 type TuneRequest struct {
 	JobID      string `json:"job_id"`
 	InputBytes int64  `json:"input_bytes"`
-	Workers    int    `json:"workers"`
 	Budget     int    `json:"budget"`
 	DeadlineMs int64  `json:"deadline_ms"`
 	Seed       int64  `json:"seed"`
@@ -459,12 +456,9 @@ type tuneOut struct {
 	resp TuneResponse
 }
 
-// tuneKey is the canonical coalescing identity of a tune request.
-// Workers are excluded on purpose: the batch-parallel optimizer's
-// recommendation is bit-identical at any worker count, so requests
-// differing only in width share one evaluation. The seed is the
-// caller-visible part of the search identity; the config space itself
-// is canonical via whatif.Quantize inside the evaluator.
+// tuneKey is the canonical coalescing identity of a tune request. The
+// seed is the caller-visible part of the search identity; the config
+// space itself is canonical via whatif.Quantize inside the evaluator.
 func tuneKey(tenant string, req TuneRequest) string {
 	return strings.Join([]string{"tune", tenant, req.JobID,
 		strconv.FormatInt(req.InputBytes, 10),
@@ -498,7 +492,6 @@ func (g *Gateway) handleTune(w http.ResponseWriter, r *http.Request, ts *tenantS
 			inputBytes = prof.InputBytes
 		}
 		rec, err := ts.sys.Tune(fctx, prof, inputBytes, core.TuneOptions{
-			Workers:  req.Workers,
 			Budget:   req.Budget,
 			Deadline: flightDeadline,
 			Seed:     req.Seed,
@@ -657,7 +650,6 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request, ts *tenant
 type SubmitRequest struct {
 	Job        string `json:"job"`
 	Dataset    string `json:"dataset"`
-	Workers    int    `json:"workers"`
 	Budget     int    `json:"budget"`
 	DeadlineMs int64  `json:"deadline_ms"`
 }
@@ -695,7 +687,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, ts *tenan
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := ts.sys.Submit(ctx, spec, ds, core.TuneOptions{Workers: req.Workers, Budget: req.Budget})
+	res, err := ts.sys.Submit(ctx, spec, ds, core.TuneOptions{Budget: req.Budget})
 	if err != nil {
 		g.writeErr(w, err)
 		return

@@ -262,6 +262,53 @@ func TestCoalescingSingleEvaluation(t *testing.T) {
 	}
 }
 
+// TestTuneIgnoresLegacyWorkersField: the tune request once carried a
+// "workers" width. A client that still sends it gets the same answer as
+// one that does not, and the two share one flight, because the field is
+// neither decoded nor part of the coalescing key.
+func TestTuneIgnoresLegacyWorkersField(t *testing.T) {
+	gate := &gateKV{kv: hstore.Connect(hstore.NewServer())}
+	eng := engine.New(cluster.Default16(), 7)
+	g, srv := newTestGateway(t, Options{KV: gate, Engine: eng})
+	prof := seedProfile(t, gate, "acme", eng)
+
+	prime(t, srv, "acme")
+	gate.open() // freeze the leader inside LoadProfile
+	bodies := []map[string]any{
+		{"job_id": prof.JobID, "seed": 3, "workers": 8},
+		{"job_id": prof.JobID, "seed": 3},
+	}
+	var wg sync.WaitGroup
+	var resps [2]TuneResponse
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, raw, _ := doReq(t, http.MethodPost, srv.URL+"/g/tune", "acme", body)
+			if status != http.StatusOK {
+				t.Errorf("tune %d: status %d: %s", i, status, raw)
+				return
+			}
+			if err := json.Unmarshal(raw, &resps[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, "both tunes on one flight", func() bool { return tuneWaiters(g) == 2 })
+	gate.release()
+	wg.Wait()
+
+	if resps[0].Config != resps[1].Config || resps[0].PredictedMs != resps[1].PredictedMs {
+		t.Errorf("answers differ: %+v vs %+v", resps[0], resps[1])
+	}
+	if resps[0].Coalesced == resps[1].Coalesced {
+		t.Errorf("want exactly one leader, got coalesced=%v/%v", resps[0].Coalesced, resps[1].Coalesced)
+	}
+	if got := g.Obs().Snapshot().Counters["gateway_coalesce_leaders_total"]; got != 1 {
+		t.Errorf("gateway_coalesce_leaders_total = %d, want 1", got)
+	}
+}
+
 // TestCanceledJoinerKeepsFlightAlive: a caller abandoning a coalesced
 // evaluation must not cancel it for the caller still waiting.
 func TestCanceledJoinerKeepsFlightAlive(t *testing.T) {

@@ -53,11 +53,12 @@ type evalEntry struct {
 	ms  float64
 }
 
+// maxEntries bounds every Evaluator's cache; the bound is enforced with
+// LRU eviction.
+const maxEntries = 4096
+
 // EvaluatorOptions configure an Evaluator.
 type EvaluatorOptions struct {
-	// MaxEntries bounds the cache (default 4096 entries). The bound is
-	// enforced with LRU eviction.
-	MaxEntries int
 	// Obs, when non-nil, receives tune_cache_hits_total /
 	// tune_cache_misses_total counters. Evaluators sharing a registry
 	// add into the same counters; the tune_cache_size gauge is
@@ -67,9 +68,9 @@ type EvaluatorOptions struct {
 
 // Evaluator wraps Predict/PredictRuntime with a bounded memoizing cache
 // keyed by (profile identity, quantized config, input bytes, cluster).
-// It is safe for concurrent use: the tuning worker pool hammers one
-// Evaluator from every worker, and repeated tunes of the same profile
-// (the multi-tenant resubmission pattern) are answered from memory.
+// It is safe for concurrent use: concurrent tune requests of one tenant
+// share one Evaluator, and repeated tunes of the same profile (the
+// multi-tenant resubmission pattern) are answered from memory.
 //
 // Predictions are pure functions of the key, so concurrent misses on
 // the same key may compute the value twice but always store the same
@@ -90,11 +91,8 @@ type Evaluator struct {
 
 // NewEvaluator returns an empty evaluator.
 func NewEvaluator(opt EvaluatorOptions) *Evaluator {
-	if opt.MaxEntries <= 0 {
-		opt.MaxEntries = 4096
-	}
 	e := &Evaluator{
-		max:     opt.MaxEntries,
+		max:     maxEntries,
 		entries: make(map[evalKey]*list.Element),
 		lru:     list.New(),
 		cHits:   opt.Obs.Counter("tune_cache_hits_total"),
@@ -150,9 +148,7 @@ func (e *Evaluator) PredictRuntime(p *profile.Profile, inputBytes int64, cl *clu
 }
 
 // Cached returns the memoized prediction for the question, if present,
-// computing nothing on a miss. Callers batching work use it to answer
-// already-known candidates inline and send only the misses to a worker
-// pool.
+// computing nothing on a miss.
 func (e *Evaluator) Cached(p *profile.Profile, inputBytes int64, cl *cluster.Cluster, cfg conf.Config) (float64, bool) {
 	if e == nil || p == nil || cl == nil || p.JobID == "" {
 		return 0, false

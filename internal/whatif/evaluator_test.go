@@ -96,7 +96,8 @@ func TestEvaluatorBypassesWithoutIdentity(t *testing.T) {
 }
 
 func TestEvaluatorLRUBound(t *testing.T) {
-	e := NewEvaluator(EvaluatorOptions{MaxEntries: 4})
+	e := NewEvaluator(EvaluatorOptions{})
+	e.max = 4
 	_, run, cl, in := evaluatorFixture(t)
 	cfg := conf.Default()
 	for i := 0; i < 10; i++ {

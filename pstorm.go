@@ -66,8 +66,8 @@ type (
 	// Metrics is a point-in-time observability snapshot: counters,
 	// gauges, histograms, and traced events (see System.Snapshot).
 	Metrics = obs.Snapshot
-	// TuneOptions bound one tuning request: worker-pool width,
-	// evaluation budget, and wall-clock deadline.
+	// TuneOptions bound one tuning request: evaluation budget,
+	// wall-clock deadline, and search seed.
 	TuneOptions = core.TuneOptions
 	// Recommendation is the cost-based optimizer's full verdict.
 	Recommendation = cbo.Recommendation
@@ -293,9 +293,9 @@ func (s *System) Match(job *Job, ds *Dataset) (*MatchResult, error) {
 }
 
 // TuneProfile runs the cost-based optimizer over a profile for the
-// dataset's nominal size. The search runs on the system's parallel
-// evaluation core: opt bounds its worker count, evaluation budget, and
-// deadline, and ctx cancels it.
+// dataset's nominal size. The search runs through the system's shared
+// What-If evaluator: opt bounds its evaluation budget and deadline and
+// may override its seed, and ctx cancels it.
 func (s *System) TuneProfile(ctx context.Context, prof *Profile, ds *Dataset, opt TuneOptions) (*Recommendation, error) {
 	return s.core.Tune(ctx, prof, ds.NominalBytes, opt)
 }
