@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +30,11 @@ func splitmix64(x int64) int64 {
 // Client is the routing client: it caches META, routes every operation
 // to the primary of the owning region, and on a stale route
 // (NotServing, dead server, failed replication) refreshes META from the
-// master and retries with exponential backoff. Its method set matches
-// hstore.Client, so core.NewStore accepts either.
+// master and retries with exponential backoff. Every operation runs
+// through one retry loop (retry), and a retry redoes only the part of
+// the operation that failed: the unacked batch groups, the unanswered
+// scan ranges. Its method set matches hstore.Client, so core.NewStore
+// accepts either.
 type Client struct {
 	master MasterConn
 	reg    *Registry
@@ -213,7 +218,7 @@ func (c *Client) BreakerState(id string) int {
 // AnyBreakerOpen reports whether any server's circuit breaker is
 // currently open — the client-side signal that some slice of the store
 // is rejecting traffic. Serving tiers use it to enter degraded-mode
-// load shedding before retry loops start running out of attempts.
+// load shedding before operations start running out of attempts.
 func (c *Client) AnyBreakerOpen() bool {
 	if c.BreakerThreshold < 0 {
 		return false
@@ -233,22 +238,6 @@ func (c *Client) AnyBreakerOpen() bool {
 		}
 	}
 	return false
-}
-
-// do runs one call against the named server through its circuit
-// breaker: an open breaker rejects the call locally (errBreakerOpen,
-// retryable) and every admitted call's outcome trains the breaker.
-func (c *Client) do(id string, call func() error) error {
-	br := c.breakerFor(id)
-	if br == nil {
-		return call()
-	}
-	if !br.allow() {
-		return errBreakerOpen
-	}
-	err := call()
-	br.record(breakerFailure(err))
-	return err
 }
 
 // Refresh refetches META from the master.
@@ -300,59 +289,31 @@ func (c *Client) connFor(m Meta, id string) (ServerConn, error) {
 	return nil, fmt.Errorf("dstore: META names unknown server %q", id)
 }
 
-// route finds the region owning row and a connection to its primary.
-func (c *Client) route(table, row string) (RegionInfo, ServerConn, error) {
-	m, err := c.cachedMeta()
-	if err != nil {
-		return RegionInfo{}, nil, err
-	}
-	g, err := c.routeIn(m, table, row)
-	if err != nil {
-		return RegionInfo{}, nil, err
-	}
-	conn, err := c.connFor(m, g.Primary)
-	if err != nil {
-		return RegionInfo{}, nil, err
-	}
-	return g, conn, nil
-}
-
 // topoRestartCap bounds, in multiples of the attempt budget, how many
-// forgiven restarts withRetry tolerates before charging every failure
-// anyway. It is a backstop against pathological master or epoch churn,
-// not a budget the normal path ever approaches.
+// master-outage rounds retry forgives before charging them anyway. It is
+// a backstop against pathological master churn, not a budget the normal
+// path ever approaches.
 const topoRestartCap = 32
 
-// withRetry runs op, refreshing META and backing off after each
-// retryable failure. Exhausting the attempt budget on a retryable error
-// wraps it in ErrExhausted, so callers can tell a liveness problem ("the
-// cluster never healed while I retried") from a plain store error.
+// retry is the client's one retry loop. Each round checks ctx, reads
+// META and runs step under that view. step keeps whatever part of the
+// operation succeeded, so a later round redoes only what failed. A
+// retryable failure invalidates META, counts a retry, backs off and
+// charges an attempt; a master outage (a takeover in flight) is not
+// charged, up to topoRestartCap*MaxAttempts times, so a takeover costs
+// wall-clock time, never op attempts. Running out of attempts wraps the
+// last error in ErrExhausted, so callers can tell a liveness problem
+// ("the cluster never healed while I retried") from a plain store
+// error, which returns as is.
 //
 // A dead caller — canceled or past its deadline — consumes no attempt
 // and surfaces as the context's own error wrapped, not as ErrExhausted:
-// the caller gave up, the cluster did not fail. op's RPCs run under the
-// same ctx, so the caller's deadline reaches the wire
+// the caller gave up, the cluster did not fail. step's RPCs run under
+// the same ctx, so the caller's deadline reaches the wire
 // (httperr.DeadlineHeader) and region servers abort work nobody waits
 // for.
-//
-// A failed attempt is charged against MaxAttempts unless it is forgiven,
-// and up to topoRestartCap*MaxAttempts failures are. A master takeover
-// (masterOutage) is always forgiven: it costs wall-clock time, never op
-// attempts. A non-nil epoch arms a second pardon, for operations whose
-// one attempt spans many regions at once (the scan fan-out). Such an
-// attempt needs the whole keyspace healthy at a single instant, so under
-// a steady stream of rebalances it can lose the race against the next
-// fence every time and exhaust a budget that a region-at-a-time visit
-// would have survived. op stores the META epoch it is about to run under
-// in *epoch; when the attempt fails retryably the loop refetches META
-// (blocking on the master until any in-flight move commits) and
-// compares. Epoch advanced — the restart is the designed response to a
-// concurrent topology change, so no attempt is consumed. Epoch unchanged
-// — the cluster is actually unhealthy and the failure burns an attempt.
-// Forgiven or not, every retryable failure invalidates META, counts a
-// retry, backs off, and rebuilds the operation from scratch.
-func (c *Client) withRetry(ctx context.Context, opName string, epoch *int64, op func() error) error {
-	c.countOp(opName)
+func (c *Client) retry(ctx context.Context, op string, step func(Meta) error) error {
+	c.countOp(op)
 	refreshesBefore := c.mRefreshes.Value()
 	defer func() {
 		c.refreshPerOpH.Observe(float64(c.mRefreshes.Value() - refreshesBefore))
@@ -361,46 +322,64 @@ func (c *Client) withRetry(ctx context.Context, opName string, epoch *int64, op 
 	spins := 0
 	for attempt := 0; attempt < c.maxAttempts(); {
 		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
+			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
 		}
-		if epoch != nil {
-			*epoch = 0
-		}
-		if err = op(); err == nil {
-			return nil
+		var m Meta
+		if m, err = c.cachedMeta(); err == nil {
+			if err = step(m); err == nil {
+				return nil
+			}
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
+			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
 		}
 		if !retryable(err) {
 			return err
 		}
 		c.mRetries.Inc()
 		c.invalidate()
-		forgiven := spins < topoRestartCap*c.maxAttempts() && (masterOutage(err) || c.epochAdvanced(epoch))
 		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", opName, cerr)
+			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
 		}
-		if forgiven {
+		if masterOutage(err) && spins < topoRestartCap*c.maxAttempts() {
 			spins++
 		} else {
 			attempt++
 		}
 	}
 	c.mGiveUps.Inc()
-	return fmt.Errorf("%w: giving up after %d attempts: %w", ErrExhausted, c.maxAttempts(), err)
+	return fmt.Errorf("%w: %s giving up after %d attempts: %w", ErrExhausted, op, c.maxAttempts(), err)
 }
 
-// epochAdvanced is withRetry's epoch probe: it refetches META and
-// reports whether its epoch moved past the one a failed attempt recorded
-// in *epoch (0: the attempt failed before reading META). A nil epoch
-// never probes.
-func (c *Client) epochAdvanced(epoch *int64) bool {
-	if epoch == nil {
-		return false
+// do runs one call against the server META names id, through the
+// server's circuit breaker: an open breaker rejects the call locally
+// (errBreakerOpen, retryable) and every admitted call's outcome trains
+// the breaker.
+func (c *Client) do(m Meta, id string, call func(ServerConn) error) error {
+	conn, err := c.connFor(m, id)
+	if err != nil {
+		return err
 	}
-	m, err := c.cachedMeta()
-	return err == nil && *epoch != 0 && m.Epoch > *epoch
+	br := c.breakerFor(id)
+	if br == nil {
+		return call(conn)
+	}
+	if !br.allow() {
+		return errBreakerOpen
+	}
+	err = call(conn)
+	br.record(breakerFailure(err))
+	return err
+}
+
+// onPrimary runs call against the primary of the region that owns row
+// under m.
+func (c *Client) onPrimary(m Meta, table, row string, call func(ServerConn) error) error {
+	g, err := c.routeIn(m, table, row)
+	if err != nil {
+		return err
+	}
+	return c.do(m, g.Primary, call)
 }
 
 // CreateTable asks the master to lay out a new table.
@@ -416,12 +395,8 @@ func (c *Client) CreateTable(ctx context.Context, table string) error {
 // Put writes one cell through the owning primary. Cancellation aborts
 // the retry loop without consuming an attempt.
 func (c *Client) Put(ctx context.Context, table, row, column string, value []byte) error {
-	return c.withRetry(ctx, "put", nil, func() error {
-		g, conn, err := c.route(table, row)
-		if err != nil {
-			return err
-		}
-		return c.do(g.Primary, func() error {
+	return c.retry(ctx, "put", func(m Meta) error {
+		return c.onPrimary(m, table, row, func(conn ServerConn) error {
 			return conn.Put(ctx, table, row, column, value)
 		})
 	})
@@ -429,140 +404,100 @@ func (c *Client) Put(ctx context.Context, table, row, column string, value []byt
 
 // PutRow writes all columns of a row in one replication round.
 func (c *Client) PutRow(ctx context.Context, table string, r hstore.Row) error {
-	return c.withRetry(ctx, "putrow", nil, func() error {
-		g, conn, err := c.route(table, r.Key)
-		if err != nil {
-			return err
-		}
-		return c.do(g.Primary, func() error {
+	return c.retry(ctx, "putrow", func(m Meta) error {
+		return c.onPrimary(m, table, r.Key, func(conn ServerConn) error {
 			return conn.BatchPut(ctx, table, []hstore.Row{r})
 		})
 	})
 }
 
 // BatchPut writes many rows, grouped per primary server so each server
-// sees one batch per round; failed groups are retried with a refreshed
-// META view until every row is acked or attempts run out. Cancellation
-// aborts between rounds without consuming an attempt.
+// sees one batch per round; only the groups that failed are retried,
+// with a refreshed META view, until every row is acked or attempts run
+// out. Cancellation aborts between rounds without consuming an attempt.
 func (c *Client) BatchPut(ctx context.Context, table string, rows []hstore.Row) error {
-	c.countOp("batchput")
-	return groupedRounds(ctx, c, "batch put", "unacked", table, rows,
-		func(r hstore.Row) string { return r.Key },
-		func(ctx context.Context, conn ServerConn, group []hstore.Row) error {
-			return conn.BatchPut(ctx, table, group)
-		})
+	return c.retry(ctx, "batchput", func(m Meta) (err error) {
+		rows, err = byPrimary(c, m, table, rows,
+			func(r hstore.Row) string { return r.Key },
+			func(conn ServerConn, group []hstore.Row) error {
+				return conn.BatchPut(ctx, table, group)
+			})
+		return err
+	})
 }
 
 // MultiGet point-reads many rows, grouped per primary server so each
 // server answers one batch per round. Both result slices are aligned
-// with the requested keys; failed groups are retried with a refreshed
-// META view until every row is answered or attempts run out.
-// Cancellation aborts between rounds without consuming an attempt, and
-// the caller's deadline rides to each server, which checks it while
-// assembling the batch.
+// with the requested keys; only the groups that failed are retried,
+// with a refreshed META view, until every row is answered or attempts
+// run out. Cancellation aborts between rounds without consuming an
+// attempt, and the caller's deadline rides to each server, which checks
+// it while assembling the batch.
 func (c *Client) MultiGet(ctx context.Context, table string, rows []string) ([]hstore.Row, []bool, error) {
-	c.countOp("multiget")
 	out := make([]hstore.Row, len(rows))
 	found := make([]bool, len(rows))
-	all := make([]int, len(rows))
+	pending := make([]int, len(rows))
 	for i := range rows {
-		all[i] = i
+		pending[i] = i
 	}
-	err := groupedRounds(ctx, c, "multi-get", "unanswered", table, all,
-		func(i int) string { return rows[i] },
-		func(ctx context.Context, conn ServerConn, idx []int) error {
-			keys := make([]string, len(idx))
-			for k, i := range idx {
-				keys[k] = rows[i]
-			}
-			got, ok, err := conn.BatchGet(ctx, table, keys)
-			if err != nil {
-				return err
-			}
-			for k, i := range idx {
-				out[i], found[i] = got[k], ok[k]
-			}
-			return nil
-		})
+	err := c.retry(ctx, "multiget", func(m Meta) (err error) {
+		pending, err = byPrimary(c, m, table, pending,
+			func(i int) string { return rows[i] },
+			func(conn ServerConn, idx []int) error {
+				keys := make([]string, len(idx))
+				for k, i := range idx {
+					keys[k] = rows[i]
+				}
+				got, ok, err := conn.BatchGet(ctx, table, keys)
+				if err != nil {
+					return err
+				}
+				for k, i := range idx {
+					out[i], found[i] = got[k], ok[k]
+				}
+				return nil
+			})
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, found, nil
 }
 
-// groupedRounds is the round loop BatchPut and MultiGet share. Each
-// round groups the still-pending items by the primary that owns
-// key(item) under the current META view, visits the servers in sorted-id
-// order with one call each through the server's breaker, and keeps the
-// groups whose call failed retryably for the next round, which runs
-// against refreshed META after a backoff. op names the operation and
-// pending its leftover items ("unacked") in errors. A master outage
-// (takeover in flight) while fetching META heals on wall-clock time
-// without burning attempts, up to topoRestartCap*MaxAttempts times;
-// any other non-retryable error is final.
-func groupedRounds[T any](ctx context.Context, c *Client, op, pending, table string, items []T,
-	key func(T) string, call func(ctx context.Context, conn ServerConn, group []T) error) error {
-	remaining := items
-	var lastErr error
-	spins := 0
-	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
+// byPrimary is one round of BatchPut or MultiGet: it groups items by
+// the primary that owns key(item) under m and makes one call per
+// server, in sorted-id order, through the server's breaker. It returns
+// the items of the groups whose call failed retryably, with the last
+// such error; a non-retryable error ends the round at once.
+func byPrimary[T any](c *Client, m Meta, table string, items []T,
+	key func(T) string, call func(conn ServerConn, group []T) error) ([]T, error) {
+	groups := make(map[string][]T)
+	for _, it := range items {
+		g, err := c.routeIn(m, table, key(it))
+		if err != nil {
+			return nil, err
 		}
-		m, err := c.cachedMeta()
-		outage := err != nil
-		if outage {
-			if !masterOutage(err) {
-				return err
+		groups[g.Primary] = append(groups[g.Primary], it)
+	}
+	ids := make([]string, 0, len(groups))
+	for id := range groups {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var failed []T
+	var lastErr error
+	for _, id := range ids {
+		err := c.do(m, id, func(conn ServerConn) error { return call(conn, groups[id]) })
+		if err != nil {
+			if !retryable(err) {
+				return nil, err
 			}
 			lastErr = err
-		} else {
-			groups := make(map[string][]T)
-			for _, it := range remaining {
-				g, err := c.routeIn(m, table, key(it))
-				if err != nil {
-					return err
-				}
-				groups[g.Primary] = append(groups[g.Primary], it)
-			}
-			ids := make([]string, 0, len(groups))
-			for id := range groups {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			var failed []T
-			for _, id := range ids {
-				conn, err := c.connFor(m, id)
-				if err != nil {
-					return err
-				}
-				if err := c.do(id, func() error {
-					return call(ctx, conn, groups[id])
-				}); err != nil {
-					if !retryable(err) {
-						return err
-					}
-					lastErr = err
-					failed = append(failed, groups[id]...)
-				}
-			}
-			if len(failed) == 0 {
-				return nil
-			}
-			remaining = failed
-			c.invalidate()
-		}
-		c.mRetries.Inc()
-		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
-			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
-		}
-		if outage && spins < topoRestartCap*c.maxAttempts() {
-			spins++
-			attempt--
+			failed = append(failed, groups[id]...)
 		}
 	}
-	c.mGiveUps.Inc()
-	return fmt.Errorf("%w: %s gave up with %d rows %s: %w", ErrExhausted, op, len(remaining), pending, lastErr)
+	return failed, lastErr
 }
 
 // routeIn locates the owning region in an already-fetched META view.
@@ -583,15 +518,9 @@ func (c *Client) routeIn(m Meta, table, row string) (RegionInfo, error) {
 
 // Get fetches one row. Cancellation aborts the retry loop without
 // consuming an attempt.
-func (c *Client) Get(ctx context.Context, table, row string) (hstore.Row, bool, error) {
-	var out hstore.Row
-	var found bool
-	err := c.withRetry(ctx, "get", nil, func() error {
-		g, conn, err := c.route(table, row)
-		if err != nil {
-			return err
-		}
-		return c.do(g.Primary, func() (err error) {
+func (c *Client) Get(ctx context.Context, table, row string) (out hstore.Row, found bool, err error) {
+	err = c.retry(ctx, "get", func(m Meta) error {
+		return c.onPrimary(m, table, row, func(conn ServerConn) (err error) {
 			out, found, err = conn.Get(ctx, table, row)
 			return err
 		})
@@ -601,12 +530,8 @@ func (c *Client) Get(ctx context.Context, table, row string) (hstore.Row, bool, 
 
 // DeleteRow tombstones every column of the row.
 func (c *Client) DeleteRow(ctx context.Context, table, row string) error {
-	return c.withRetry(ctx, "deleterow", nil, func() error {
-		g, conn, err := c.route(table, row)
-		if err != nil {
-			return err
-		}
-		return c.do(g.Primary, func() error {
+	return c.retry(ctx, "deleterow", func(m Meta) error {
+		return c.onPrimary(m, table, row, func(conn ServerConn) error {
 			return conn.DeleteRow(ctx, table, row)
 		})
 	})
@@ -617,19 +542,21 @@ func (c *Client) DeleteRow(ctx context.Context, table, row string) error {
 const scanFanout = 4
 
 // scanTask is one region's share of a table scan, with the scan range
-// clamped to the region's bounds.
+// clamped to the region's bounds, and the region's answer.
 type scanTask struct {
 	g    RegionInfo
 	s, e string
+	rows []hstore.Row
+	err  error
 }
 
-// scanTasks computes the per-region tasks of [start, end) in key order.
-func (c *Client) scanTasks(m Meta, table, start, end string) ([]scanTask, error) {
+// scanTasks appends to tasks the per-region tasks of [start, end) under
+// m, in key order.
+func (c *Client) scanTasks(tasks []scanTask, m Meta, table, start, end string) ([]scanTask, error) {
 	regions, ok := m.Tables[table]
 	if !ok {
 		return nil, fmt.Errorf("dstore: table %q does not exist", table)
 	}
-	var tasks []scanTask
 	for _, g := range regions {
 		if end != "" && g.StartKey >= end {
 			break
@@ -649,30 +576,16 @@ func (c *Client) scanTasks(m Meta, table, start, end string) ([]scanTask, error)
 	return tasks, nil
 }
 
-// scanRegion runs one region's scan RPC through the primary's breaker.
-func (c *Client) scanRegion(ctx context.Context, m Meta, t scanTask, table string, f hstore.Filter, limit int) (rows []hstore.Row, err error) {
-	conn, err := c.connFor(m, t.g.Primary)
-	if err != nil {
-		return nil, err
-	}
-	err = c.do(t.g.Primary, func() (e error) {
-		rows, e = conn.Scan(ctx, table, t.g.ID, t.s, t.e, f, limit)
-		return e
-	})
-	return rows, err
-}
-
 // Scan returns the rows of [start, end) matching the filter, fanning
 // out to the owning regions with the filter pushed down to each one.
-// Up to scanFanout regions are scanned concurrently. Each region
-// fetches up to the full limit, and the results are stitched back in
-// region order and truncated to the limit, so the answer is the
-// key-ordered prefix a region-by-region walk would return. A stale
-// route anywhere restarts the whole scan against fresh META (partial
-// fan-out results are discarded, never returned); restarts forced by a
-// move that committed mid-scan do not consume retry attempts (see
-// withRetry's epoch probe), so a busy rebalancer cannot starve wide
-// scans. The caller's context rides into every per-region RPC, so
+// Up to scanFanout region RPCs run at a time. A region that answers
+// keeps its rows; a round that hits a stale route re-plans only the
+// ranges still unanswered against fresh META, so a mid-scan move costs
+// one more RPC to the moved region, not a second pass over every
+// region. Each region fetches up to the full limit, and at the end the
+// answers are stitched in key order and truncated to the limit, so the
+// result is the key-ordered prefix a region-by-region walk would
+// return. The caller's context rides into every per-region RPC, so
 // cancellation stops region-server merges mid-scan and the fan-out
 // stops launching work for a departed caller. A Project filter trims
 // the rows at the region servers, so only its columns travel. Each row
@@ -680,61 +593,64 @@ func (c *Client) scanRegion(ctx context.Context, m Meta, t scanTask, table strin
 // region server hands out slices of its blocks and memstore
 // (hstore.Server.Scan).
 func (c *Client) Scan(ctx context.Context, table, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
-	var out []hstore.Row
-	var epoch int64
-	err := c.withRetry(ctx, "scan", &epoch, func() error {
-		out = nil
-		m, err := c.cachedMeta()
-		if err != nil {
-			return err
-		}
-		epoch = m.Epoch
-		tasks, err := c.scanTasks(m, table, start, end)
-		if err != nil {
-			return err
-		}
-		if len(tasks) == 0 {
-			return nil
-		}
-		c.hFanout.Observe(float64(len(tasks)))
-		results := make([][]hstore.Row, len(tasks))
-		errs := make([]error, len(tasks))
-		sem := make(chan struct{}, scanFanout)
-		var wg sync.WaitGroup
-		for i, t := range tasks {
-			wg.Add(1)
-			go func(i int, t scanTask) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				// A canceled caller stops the fan-out from launching more
-				// region RPCs; regions already in flight abort server-side
-				// via the same context.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				results[i], errs[i] = c.scanRegion(ctx, m, t, table, f, limit)
-			}(i, t)
-		}
-		wg.Wait()
-		// Surface the first error in region order, deterministically.
-		for _, err := range errs {
-			if err != nil {
+	var done []scanTask
+	todo := []scanTask{{s: start, e: end}}
+	err := c.retry(ctx, "scan", func(m Meta) error {
+		var tasks []scanTask
+		for _, t := range todo {
+			var err error
+			if tasks, err = c.scanTasks(tasks, m, table, t.s, t.e); err != nil {
 				return err
 			}
 		}
-		for _, rows := range results {
-			out = append(out, rows...)
-			if limit > 0 && len(out) >= limit {
-				out = out[:limit]
-				break
-			}
+		if len(tasks) > 0 {
+			c.hFanout.Observe(float64(len(tasks)))
 		}
-		return nil
+		sem := make(chan struct{}, scanFanout)
+		var wg sync.WaitGroup
+		for i := range tasks {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func(t *scanTask) {
+				defer func() { <-sem; wg.Done() }()
+				// A canceled caller stops the fan-out from launching more
+				// region RPCs; regions already in flight abort server-side
+				// via the same context.
+				if t.err = ctx.Err(); t.err != nil {
+					return
+				}
+				t.err = c.do(m, t.g.Primary, func(conn ServerConn) (err error) {
+					t.rows, err = conn.Scan(ctx, table, t.g.ID, t.s, t.e, f, limit)
+					return err
+				})
+			}(&tasks[i])
+		}
+		wg.Wait()
+		// Keep the answers; surface the first error in key order.
+		todo = todo[:0]
+		var err error
+		for _, t := range tasks {
+			if t.err == nil {
+				done = append(done, t)
+				continue
+			}
+			if err == nil {
+				err = t.err
+			}
+			todo = append(todo, t)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	slices.SortFunc(done, func(a, b scanTask) int { return strings.Compare(a.s, b.s) })
+	var out []hstore.Row
+	for _, t := range done {
+		out = append(out, t.rows...)
+		if limit > 0 && len(out) >= limit {
+			return out[:limit], nil
+		}
 	}
 	return out, nil
 }

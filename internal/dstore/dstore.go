@@ -23,7 +23,8 @@
 //     route to the primary of the owning region; on NotServing (stale
 //     route: the region moved or is fenced) or a dead-server transport
 //     error, the client refreshes META from the master and retries with
-//     backoff. Multi-row writes are batched per region server.
+//     backoff, redoing only the part of the operation that failed.
+//     Multi-row reads and writes are batched per region server.
 //
 // Everything runs over two interchangeable transports: direct in-process
 // calls (tests, benchmarks, pstorm.Open) and HTTP/JSON (cmd/pstormd),
@@ -123,11 +124,11 @@ var ErrUnknownServer = errors.New("dstore: unknown server")
 // errNoLeader marks a multi-master conn that exhausted its whole peer
 // list without reaching a leader — the takeover window, when the old
 // leader is dead and no standby has promoted yet. It is retryable, and
-// the routing client additionally forgives it from the per-op attempt
-// budget (the caller's deadline and the restart cap still bound the
-// wait): a client should survive any takeover its deadline allows, not
-// give up because the window spanned more RPC attempts than a region
-// failover would.
+// it is a masterOutage, so the routing client's retry loop does not
+// charge it against the per-op attempt budget (the caller's deadline
+// and topoRestartCap still bound the wait): a client should survive any
+// takeover its deadline allows, not give up because the window spanned
+// more RPC attempts than a region failover would.
 var errNoLeader = errors.New("dstore: no master reachable or leading")
 
 // errStopped marks operations against a stopped (simulated-dead)
@@ -171,9 +172,10 @@ func retryable(err error) bool {
 
 // masterOutage reports a retryable failure that is the control plane's
 // fault, not the data plane's: no leader reachable, or a stale leader
-// hint. Client retry loops forgive these from the attempt budget — the
-// caller's deadline and the topo-spin cap still bound the wait — so a
-// master takeover costs wall-clock time, never op attempts.
+// hint. The routing client's retry loop does not charge these against
+// the attempt budget — the caller's deadline and topoRestartCap still
+// bound the wait — so a master takeover costs wall-clock time, never op
+// attempts.
 func masterOutage(err error) bool {
 	return errors.Is(err, errNoLeader) || IsNotLeader(err)
 }

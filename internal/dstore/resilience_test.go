@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,5 +337,82 @@ func TestQuarantineRebuildPrunesCorruptFollower(t *testing.T) {
 	g3, _ := cl.routeIn(c.Master.Meta(), "t", "k00")
 	if len(g3.Followers) != 1 {
 		t.Fatalf("replication not restored: followers=%v", g3.Followers)
+	}
+}
+
+// flakyMeta fails the next Meta call with a transport error once armed:
+// the single-address MasterURL deployment, whose conn is bare HTTP,
+// sees exactly that on a dropped request.
+type flakyMeta struct {
+	MasterConn
+	armed atomic.Bool
+}
+
+func (f *flakyMeta) Meta() (Meta, error) {
+	if f.armed.CompareAndSwap(true, false) {
+		return Meta{}, fmt.Errorf("%w: meta fetch dropped", errTransport)
+	}
+	return f.MasterConn.Meta()
+}
+
+// TestTransientMetaErrorRetriedByEveryOp: one transient transport error
+// while refreshing META costs every client operation one retry, never
+// the operation itself.
+func TestTransientMetaErrorRetriedByEveryOp(t *testing.T) {
+	c, _ := startCluster(t, 3, []string{"m"})
+	ctx := context.Background()
+	if err := c.Client().BatchPut(ctx, "t", []hstore.Row{
+		{Key: "a", Columns: map[string][]byte{"c": []byte("va")}},
+		{Key: "z", Columns: map[string][]byte{"c": []byte("vz")}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct {
+		name string
+		run  func(cl *Client) error
+	}{
+		{"Get", func(cl *Client) error {
+			r, ok, err := cl.Get(ctx, "t", "a")
+			if err == nil && (!ok || string(r.Columns["c"]) != "va") {
+				err = fmt.Errorf("read %v (found %v), want va", r.Columns, ok)
+			}
+			return err
+		}},
+		{"MultiGet", func(cl *Client) error {
+			rows, found, err := cl.MultiGet(ctx, "t", []string{"z", "a"})
+			if err == nil && (!found[0] || !found[1] || string(rows[0].Columns["c"]) != "vz") {
+				err = fmt.Errorf("read %v (found %v)", rows, found)
+			}
+			return err
+		}},
+		{"BatchPut", func(cl *Client) error {
+			return cl.BatchPut(ctx, "t", []hstore.Row{
+				{Key: "b", Columns: map[string][]byte{"c": []byte("vb")}},
+				{Key: "y", Columns: map[string][]byte{"c": []byte("vy")}},
+			})
+		}},
+		{"Scan", func(cl *Client) error {
+			rows, err := cl.Scan(ctx, "t", "", "", nil, 0)
+			if err == nil && len(rows) < 2 {
+				err = fmt.Errorf("scanned %d rows, want at least 2", len(rows))
+			}
+			return err
+		}},
+	}
+	for _, op := range ops {
+		mc := &flakyMeta{MasterConn: c.MasterConn()}
+		mc.armed.Store(true)
+		cl := NewClient(mc, c.Reg)
+		cl.RetryBase = time.Microsecond
+		if err := op.run(cl); err != nil {
+			t.Errorf("%s after one transient META error: %v", op.name, err)
+			continue
+		}
+		if mc.armed.Load() {
+			t.Errorf("%s never fetched META", op.name)
+		}
+		if n := cl.Retries(); n != 1 {
+			t.Errorf("%s retried %d times, want 1", op.name, n)
+		}
 	}
 }

@@ -94,7 +94,8 @@ func TestScanMatchesModel(t *testing.T) {
 // movingConn yanks a region out from under the first scan RPC that
 // targets it: the master promotes the follower (fencing the old
 // primary) just before the RPC is forwarded, so the in-flight scan
-// hits a fenced region and must restart from fresh meta.
+// hits a fenced region and must retry that region against fresh meta.
+// It counts the scan RPCs each region receives.
 type movingConn struct {
 	ServerConn
 	c      *LocalCluster
@@ -102,9 +103,11 @@ type movingConn struct {
 	region int
 	moveTo string
 	fail   func(string)
+	scans  func(regionID int)
 }
 
 func (m *movingConn) Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
+	m.scans(regionID)
 	if regionID == m.region {
 		m.once.Do(func() {
 			if _, err := m.c.Master.MoveRegion(table, m.region, m.moveTo); err != nil {
@@ -115,10 +118,11 @@ func (m *movingConn) Scan(ctx context.Context, table string, regionID int, start
 	return m.ServerConn.Scan(ctx, table, regionID, start, end, f, limit)
 }
 
-// TestScanRestartsOnMidScanRegionMove: a region move between the meta
-// read and the per-region RPC must surface as a whole-scan restart,
-// and the restarted scan must return the complete ordered result.
-func TestScanRestartsOnMidScanRegionMove(t *testing.T) {
+// TestScanRetriesOnlyFailedRegion: a region move between the meta read
+// and the per-region RPC must cost one retry of that region alone —
+// the regions that already answered keep their rows — and the scan
+// must still return the complete ordered result.
+func TestScanRetriesOnlyFailedRegion(t *testing.T) {
 	c, _ := startCluster(t, 3, nil)
 	cl := c.Client()
 	seedScanRows(t, cl)
@@ -138,11 +142,13 @@ func TestScanRestartsOnMidScanRegionMove(t *testing.T) {
 	var once sync.Once
 	var mu sync.Mutex
 	var failMsg string
+	scans := make(map[int]int)
 	c.Reg.WrapConn = func(id string, conn ServerConn) ServerConn {
 		return &movingConn{
 			ServerConn: conn, c: c, once: &once,
 			region: g.ID, moveTo: g.Followers[0],
-			fail: func(msg string) { mu.Lock(); failMsg = msg; mu.Unlock() },
+			fail:  func(msg string) { mu.Lock(); failMsg = msg; mu.Unlock() },
+			scans: func(regionID int) { mu.Lock(); scans[regionID]++; mu.Unlock() },
 		}
 	}
 	before := cl.Retries()
@@ -152,14 +158,26 @@ func TestScanRestartsOnMidScanRegionMove(t *testing.T) {
 		t.Fatalf("scan across region move: %v", err)
 	}
 	mu.Lock()
+	defer mu.Unlock()
 	if failMsg != "" {
 		t.Fatal(failMsg)
 	}
-	mu.Unlock()
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("restarted scan diverges: got %d rows, want %d", len(got), len(want))
+		t.Errorf("retried scan diverges: got %d rows, want %d", len(got), len(want))
 	}
-	if cl.Retries() == before {
-		t.Error("scan over a moved region completed without a restart")
+	if n := cl.Retries() - before; n != 1 {
+		t.Errorf("scan over a moved region retried %d times, want 1", n)
+	}
+	if len(scans) != len(m.Tables["t"]) {
+		t.Errorf("scan RPCs reached %d regions, want all %d: %v", len(scans), len(m.Tables["t"]), scans)
+	}
+	for id, n := range scans {
+		want := 1
+		if id == g.ID {
+			want = 2
+		}
+		if n != want {
+			t.Errorf("region %d got %d scan RPCs, want %d (moved region %d): %v", id, n, want, g.ID, scans)
+		}
 	}
 }

@@ -82,10 +82,6 @@ type Options struct {
 	// tenants (<= 0: unlimited). Past it, requests are shed with 429
 	// rather than queued.
 	MaxInflight int
-	// DegradedShedPriority: while the store is degraded, tenants with
-	// Priority <= this value are shed. Default 0 — best-effort tenants
-	// shed first, higher-priority tenants keep service.
-	DegradedShedPriority int
 	// DegradedFn, when set, is an external degraded signal (e.g. "any
 	// dstore client breaker open"), checked at admission alongside the
 	// gateway's own store-failure observations.
@@ -312,12 +308,11 @@ func (g *Gateway) admit(ts *tenantState) *admitError {
 		g.mu.Unlock()
 	}
 
-	// 2. Degraded shed: lowest-priority tenants go first.
-	if ts.cfg.Priority <= g.opt.DegradedShedPriority && g.degraded() {
+	// 2. Degraded shed: best-effort tenants (Priority <= 0) go first.
+	if ts.cfg.Priority <= 0 && g.degraded() {
 		undo()
 		return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeShedDegraded,
-			msg:        fmt.Sprintf("store degraded; shedding priority<=%d tenants", g.opt.DegradedShedPriority),
-			retryAfter: degradeCooldown}
+			msg: "store degraded; shedding priority<=0 tenants", retryAfter: degradeCooldown}
 	}
 
 	// 3. Per-tenant rate quota.

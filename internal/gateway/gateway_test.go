@@ -547,8 +547,7 @@ func TestTuneCacheSizeSumsTenants(t *testing.T) {
 func TestDegradedShedsByPriority(t *testing.T) {
 	var degraded atomic.Bool
 	_, srv := newTestGateway(t, Options{
-		DegradedFn:           func() bool { return degraded.Load() },
-		DegradedShedPriority: 0,
+		DegradedFn: func() bool { return degraded.Load() },
 		Tenants: map[string]TenantConfig{
 			"free": {Priority: 0},
 			"paid": {Priority: 1},

@@ -15,10 +15,10 @@ type TenantConfig struct {
 	// MaxInflight caps the tenant's concurrently admitted requests
 	// (<= 0: no per-tenant ceiling).
 	MaxInflight int
-	// Priority orders tenants for load shedding: when the store degrades
-	// (breakers open, store retries running out of attempts), tenants
-	// with Priority <= the gateway's DegradedShedPriority are shed
-	// first. Higher = kept longer. Default 0 = best-effort.
+	// Priority orders tenants for load shedding: while the store is
+	// degraded (breakers open, store retries running out of attempts),
+	// tenants with Priority <= 0 are shed and higher-priority tenants
+	// keep service. Default 0 = best-effort.
 	Priority int
 }
 

@@ -89,7 +89,7 @@ func TestTombstoneSurvivesPersistence(t *testing.T) {
 	if err := s.SaveTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadServer(dir)
+	back, err := loadServerFS(dir, OSFS)
 	if err != nil {
 		t.Fatal(err)
 	}

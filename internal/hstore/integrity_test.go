@@ -219,7 +219,7 @@ func TestSSTableFileCorruptionDetectedOnLoad(t *testing.T) {
 	if err := os.WriteFile(matches[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadServer(dir); !IsCorruption(err) {
+	if _, err := loadServerFS(dir, OSFS); !IsCorruption(err) {
 		t.Fatalf("loading corrupted checkpoint: err=%v, want CorruptionError", err)
 	}
 }

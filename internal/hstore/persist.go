@@ -112,12 +112,8 @@ func sanitize(name string) string {
 	return string(out)
 }
 
-// LoadServer reopens a server previously checkpointed with SaveTo.
-func LoadServer(dir string) (*Server, error) {
-	return loadServerFS(dir, OSFS)
-}
-
-// loadServerFS is LoadServer over an injectable filesystem. Every
+// loadServerFS reopens a server previously checkpointed with SaveTo,
+// reading through fsys; OpenDurable is the exported way in. Every
 // sstable file's checksums are verified as it is read back; a corrupt
 // file fails the load with a CorruptionError (and is counted) rather
 // than being served as data.

@@ -78,7 +78,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.SaveTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadServer(dir)
+	back, err := loadServerFS(dir, OSFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSaveEmptyServerAndTables(t *testing.T) {
 	if err := s.SaveTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadServer(dir)
+	back, err := loadServerFS(dir, OSFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSaveEmptyServerAndTables(t *testing.T) {
 }
 
 func TestLoadServerErrors(t *testing.T) {
-	if _, err := LoadServer(t.TempDir()); err == nil {
+	if _, err := loadServerFS(t.TempDir(), OSFS); err == nil {
 		t.Error("loading an empty directory should fail")
 	}
 }

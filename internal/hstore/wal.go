@@ -265,8 +265,8 @@ func decodeWALPayload(p []byte) (kind byte, table string, c Cell, err error) {
 }
 
 // EnableWAL makes every subsequent Put/Delete/CreateTable durable by
-// appending it to dir/wal.log. Call after LoadServer (or on a fresh
-// server); OpenDurable bundles the whole recovery sequence. With
+// appending it to dir/wal.log. Call after loading a checkpoint (or on a
+// fresh server); OpenDurable bundles the whole recovery sequence. With
 // Server.WALSync set, every record is fsynced before the write is
 // acknowledged.
 func (s *Server) EnableWAL(dir string) error {
