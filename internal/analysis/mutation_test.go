@@ -30,8 +30,8 @@ var mutations = []mutation{
 	{
 		name: "bare wall clock in the master's liveness bookkeeping", checker: "clockcheck",
 		file: "internal/dstore/master.go",
-		old:  "\tmem.lastBeat = m.now()\n\tmem.alive = true\n\tm.cHeartbeats.Inc()",
-		new:  "\tmem.lastBeat = time.Now()\n\tmem.alive = true\n\tm.cHeartbeats.Inc()",
+		old:  "\tmem.lastBeat = m.now()\n\tm.cHeartbeats.Inc()",
+		new:  "\tmem.lastBeat = time.Now()\n\tm.cHeartbeats.Inc()",
 	},
 	{
 		name: "global math/rand in client backoff jitter", checker: "randcheck",
@@ -72,14 +72,14 @@ var mutations = []mutation{
 	{
 		name: "region-server RPC under the catalog lock", checker: "lockcheck",
 		file: "internal/dstore/master.go",
-		old:  "\tmem.alive = true\n\tm.cHeartbeats.Inc()",
-		new:  "\tmem.alive = true\n\tmem.conn.SetRole(\"t\", 0, false, nil, m.masterEpoch)\n\tm.cHeartbeats.Inc()",
+		old:  "\tmem.lastBeat = m.now()\n\tm.cHeartbeats.Inc()",
+		new:  "\tmem.lastBeat = m.now()\n\tmem.conn.SetRole(\"t\", 0, false, nil, m.masterEpoch)\n\tm.cHeartbeats.Inc()",
 	},
 	{
 		name: "the same RPC one helper down", checker: "lockcheck",
 		file: "internal/dstore/master.go",
-		old:  "\tmem.alive = true\n\tm.cHeartbeats.Inc()",
-		new:  "\tmem.alive = true\n\tm.rpcDemote(mem, \"t\", 0)\n\tm.cHeartbeats.Inc()",
+		old:  "\tmem.lastBeat = m.now()\n\tm.cHeartbeats.Inc()",
+		new:  "\tmem.lastBeat = m.now()\n\tm.rpcDemote(mem, \"t\", 0)\n\tm.cHeartbeats.Inc()",
 		miss: "lockcheck is intraprocedural by design: the master holds the catalog lock across its rpc* helpers everywhere (MoveRegion's choreography, failover, repair), so following calls would flag the design, not a regression",
 	},
 	{
@@ -103,8 +103,8 @@ var mutations = []mutation{
 	{
 		name: "held-image lock taken before the catalog lock", checker: "lockorder",
 		file: "internal/dstore/election.go",
-		old:  "\tif fromPeer {\n\t\tif h.leading {\n",
-		new:  "\tif fromPeer {\n\t\tm.mu.Lock()\n\t\tm.mu.Unlock()\n\t\tif h.leading {\n",
+		old:  "\tif fromPeer {\n\t\tif m.leading.Load() {\n",
+		new:  "\tif fromPeer {\n\t\tm.mu.Lock()\n\t\tm.mu.Unlock()\n\t\tif m.leading.Load() {\n",
 	},
 	{
 		name: "gateway handler reads a header-keyed row off the raw KV", checker: "tenantcheck",

@@ -10,7 +10,11 @@
 //     through heartbeats, promotes a follower when a primary's
 //     heartbeat lapses, re-replicates under-replicated regions, and
 //     moves regions between servers (export snapshot → install → flip
-//     META → drop source) for rebalancing.
+//     META → drop source) for rebalancing. The catalog is one image
+//     that every mutation changes through one commit: journaled,
+//     pushed to standby masters, and served as META. A standby serves
+//     the newest image it holds and promotes when the leader's lease
+//     lapses.
 //
 //   - N RegionServers, each wrapping an hstore.Server that hosts a
 //     subset of regions. The primary copy of a region is serving;

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
-	"sync"
 	"time"
 
 	"pstorm/internal/hstore"
@@ -18,8 +17,10 @@ import (
 //
 // The election is deterministic under an injected clock: liveness is
 // "pinged successfully within LeaseDuration", and contention between
-// standbys is broken by a seeded rank (splitmix64 of the master ID), so
-// a test driving the same tick sequence always elects the same master.
+// standbys goes to the one holding the newest catalog image, ties
+// broken by a seeded rank (splitmix64 of the master ID), so a test
+// driving the same tick sequence always elects the same master. A
+// leader that sees a peer hold an image of a later reign steps down.
 //
 // Safety does not rest on the election itself but on epoch fencing:
 // a promoting master mints masterEpoch = term*len(electorate)+ownIndex,
@@ -48,14 +49,17 @@ const (
 )
 
 // PeerStatus is one master's answer to a peer ping — enough for the
-// caller to track leases, epochs, and leader hints.
+// caller to track leases, epochs, leader hints, and how fresh a catalog
+// the sender holds: (ImageMasterEpoch, MetaEpoch) is its held image's
+// version.
 type PeerStatus struct {
-	ID          string `json:"id"`
-	Role        string `json:"role"`
-	MasterEpoch int64  `json:"master_epoch"`
-	MetaEpoch   int64  `json:"meta_epoch"`
-	LeaderID    string `json:"leader_id,omitempty"`
-	LeaderAddr  string `json:"leader_addr,omitempty"`
+	ID               string `json:"id"`
+	Role             string `json:"role"`
+	MasterEpoch      int64  `json:"master_epoch"`
+	MetaEpoch        int64  `json:"meta_epoch"`
+	ImageMasterEpoch int64  `json:"image_master_epoch"`
+	LeaderID         string `json:"leader_id,omitempty"`
+	LeaderAddr       string `json:"leader_addr,omitempty"`
 }
 
 // MasterPeerConn is how one master reaches another: lease pings, a
@@ -82,10 +86,10 @@ type MetaImage struct {
 
 // metaVersion orders catalog images, master epoch first. The order is
 // total and safe to take the maximum of: distinct masters mint distinct
-// master epochs (mintEpochLocked), every journaled mutation of one
-// reign bumps the META epoch, and region servers obey the greater
-// master epoch whatever META epoch an older reign reached (DESIGN.md §
-// Control-plane HA).
+// master epochs (mintEpochLocked), commit bumps the META epoch of every
+// image that changed, and region servers obey the greater master epoch
+// whatever META epoch an older reign reached (DESIGN.md § Control-plane
+// HA).
 type metaVersion struct{ masterEpoch, epoch int64 }
 
 func (v metaVersion) newerThan(o metaVersion) bool {
@@ -100,28 +104,11 @@ func (st *metaState) version() metaVersion {
 	return metaVersion{st.MasterEpoch, st.Epoch}
 }
 
-// heldImage is the newest catalog image this master has journaled,
-// written as leader or accepted from a peer; immutable once held. Its
-// lock is a leaf (only the journal's nests inside), so the push-receive
-// path never waits on the catalog lock. leading tracks role ==
-// roleLeader: a leader's own history is authoritative and it refuses
-// peer images — two partitioned leaders never overwrite each other.
-type heldImage struct {
-	mu      sync.Mutex
-	leading bool
-	state   *metaState
-}
-
-func (h *heldImage) get() *metaState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
-
-func (h *heldImage) setLeading(on bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.leading = on
+// peerSeen is the last successful contact with a master peer and the
+// held-image version it last reported.
+type peerSeen struct {
+	at   time.Time
+	held metaVersion
 }
 
 // Ping answers a peer's lease probe with this master's view. The probe
@@ -135,19 +122,23 @@ func (m *Master) Ping(from string) (PeerStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if from != "" && from != m.id {
-		m.lastSeen[from] = m.now()
+		p := m.seen[from]
+		p.at = m.now()
+		m.seen[from] = p
 	}
 	return m.statusLocked(), nil
 }
 
 func (m *Master) statusLocked() PeerStatus {
+	v := m.journal.image().version()
 	return PeerStatus{
-		ID:          m.id,
-		Role:        m.role,
-		MasterEpoch: m.masterEpoch,
-		MetaEpoch:   m.epoch,
-		LeaderID:    m.leaderID,
-		LeaderAddr:  m.leaderAddr,
+		ID:               m.id,
+		Role:             m.Role(),
+		MasterEpoch:      m.masterEpoch,
+		MetaEpoch:        v.epoch,
+		ImageMasterEpoch: v.masterEpoch,
+		LeaderID:         m.leaderID,
+		LeaderAddr:       m.leaderAddr,
 	}
 }
 
@@ -175,7 +166,7 @@ func (m *Master) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
 		return MetaImage{}, errStopped
 	}
 	m.cJournalTails.Inc()
-	st := m.held.get()
+	st := m.journal.image()
 	if !st.version().newerThan(metaVersion{masterEpoch, epoch}) {
 		return MetaImage{}, nil
 	}
@@ -188,11 +179,9 @@ func (m *Master) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
 // It deliberately touches only leaf locks — never the catalog lock — so
 // a push can never stall behind (or deadlock against) a local catalog
 // operation, even with two partitioned leaders pushing at each other.
-// The shadow catalog catches up on the next election tick, and
-// promotion adopts the held image first, so nothing pushed is lost even
-// when no tick intervened before the leader's death. A frame that fails
-// its checksum or is not exactly one record is rejected and changes
-// nothing.
+// A standby serves the held image as META at once, and promotion builds
+// its catalog from it. A frame that fails its checksum or is not
+// exactly one record is rejected and changes nothing.
 func (m *Master) PushImage(from string, img MetaImage) error {
 	if m.stopped.Load() {
 		return errStopped
@@ -209,26 +198,28 @@ func (m *Master) PushImage(from string, img MetaImage) error {
 }
 
 // keepImage appends one image to this master's own journal and makes it
-// the held one — leader mutations and accepted peer images alike. A
-// peer image is refused while leading and dropped unless strictly newer
-// than the held one, so the held version never decreases; the lock
-// spans the append, so the file keeps that order and a restart recovers
-// the newest image acknowledged. A failed append is reported but the
-// image is still held: it is the freshest catalog this process knows.
+// the held one — leader commits and accepted peer images alike. A peer
+// image is refused while leading (a leader's own history is
+// authoritative, so two partitioned leaders never overwrite each
+// other) and dropped unless strictly newer than the held one, so the
+// held version never decreases; the slot's lock spans the append, so
+// the file keeps that order and a restart recovers the newest image
+// acknowledged. A failed append is reported but the image is still
+// held: it is the freshest catalog this process knows.
 func (m *Master) keepImage(rec journalRecord, framed []byte, fromPeer bool) error {
-	h := &m.held
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	j := m.journal
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if fromPeer {
-		if h.leading {
+		if m.leading.Load() {
 			return fmt.Errorf("dstore: image push refused: %s is leading", m.id)
 		}
-		if !rec.State.version().newerThan(h.state.version()) {
+		if !rec.State.version().newerThan(j.held.version()) {
 			return nil
 		}
 	}
-	if m.opts.JournalDir != "" {
-		checkpointed, err := m.journal.append(rec, framed)
+	if framed != nil && m.opts.JournalDir != "" {
+		checkpointed, err := j.appendLocked(rec, framed)
 		if err != nil {
 			m.o.Emit("journal_error", map[string]string{"kind": rec.Kind, "error": err.Error()})
 		} else {
@@ -238,7 +229,7 @@ func (m *Master) keepImage(rec journalRecord, framed []byte, fromPeer bool) erro
 			}
 		}
 	}
-	h.state = &rec.State
+	j.held = &rec.State
 	return nil
 }
 
@@ -347,14 +338,17 @@ func (m *Master) ElectionTick(now time.Time) {
 			continue
 		}
 		okPings++
-		m.lastSeen[v.id] = now
-		if v.st.MasterEpoch > m.maxSeenMasterEpoch {
-			m.maxSeenMasterEpoch = v.st.MasterEpoch
-		}
+		m.seen[v.id] = peerSeen{at: now, held: metaVersion{v.st.ImageMasterEpoch, v.st.MetaEpoch}}
+		m.maxSeenMasterEpoch = max(m.maxSeenMasterEpoch, v.st.MasterEpoch, v.st.ImageMasterEpoch)
 		if v.st.MasterEpoch > m.masterEpoch && v.st.Role == roleLeader {
 			supersededBy = v.st.MasterEpoch
 		}
-		if v.st.Role == roleLeader && (m.role != roleLeader || v.st.MasterEpoch > m.masterEpoch) {
+		if v.st.ImageMasterEpoch > m.masterEpoch {
+			// A peer holds an image a later reign wrote: that reign may
+			// have fenced the region servers, and its catalog is newer.
+			supersededBy = v.st.ImageMasterEpoch
+		}
+		if v.st.Role == roleLeader && (!m.leading.Load() || v.st.MasterEpoch > m.masterEpoch) {
 			m.leaderID, m.leaderAddr = v.st.ID, v.st.LeaderAddr
 			if m.leaderAddr == "" {
 				m.leaderAddr = m.peerAddr(v.st.ID)
@@ -366,11 +360,11 @@ func (m *Master) ElectionTick(now time.Time) {
 			m.leaderID, m.leaderAddr = "", ""
 		}
 	}
-	if m.role == roleLeader && supersededBy > 0 {
+	if m.leading.Load() && supersededBy > 0 {
 		m.stepDownLocked("superseded by epoch " + strconv.FormatInt(supersededBy, 10))
 	}
 	pullID := ""
-	if m.role == roleStandby && m.leaderID != "" && m.leaderID != m.id {
+	if !m.leading.Load() && m.leaderID != "" && m.leaderID != m.id {
 		for i, id := range ids {
 			if id == m.leaderID && views[i].err == nil {
 				pullFrom, pullID = conns[i], id
@@ -392,7 +386,7 @@ func (m *Master) ElectionTick(now time.Time) {
 	// Standby: pull the leader's image if it is newer than the one held
 	// — outside the lock, it is an RPC.
 	if pullFrom != nil {
-		have := m.held.get().version()
+		have := m.journal.image().version()
 		if img, err := pullFrom.PullImage(have.masterEpoch, have.epoch); err == nil && len(img.Frame) > 0 {
 			m.PushImage(pullID, img) //nolint:errcheck — a rejected image is emitted there; the next tick pulls again
 		}
@@ -400,37 +394,25 @@ func (m *Master) ElectionTick(now time.Time) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.role != roleStandby {
-		return
-	}
-	m.adoptHeldLocked(now)
-	if (fullView || !now.Before(m.electionGrace)) && !m.blockedLocked(now) {
+	if !m.leading.Load() && (fullView || !now.Before(m.electionGrace)) && !m.blockedLocked(now) {
 		m.promoteLocked(now)
 	}
 }
 
-// adoptHeldLocked brings the catalog up to the held image when newer.
-func (m *Master) adoptHeldLocked(now time.Time) {
-	if st := m.held.get(); st.version().newerThan(metaVersion{m.catalogTerm, m.epoch}) {
-		m.adoptStateLocked(*st, now)
-	}
-}
-
 // blockedLocked reports whether a standby must defer promotion: the
-// known leader's lease is still fresh, or a better-ranked peer — who
-// would win the election — is alive.
+// known leader's lease is still fresh, or a peer alive within a lease
+// would win the election — it holds a newer image, or the same one and
+// outranks this master. Version and rank are one order, so two
+// standbys can never defer to each other.
 func (m *Master) blockedLocked(now time.Time) bool {
 	lease := m.leaseDuration()
-	if m.leaderID != "" && m.leaderID != m.id {
-		if last, ok := m.lastSeen[m.leaderID]; ok && now.Sub(last) <= lease {
-			return true
-		}
-	}
+	mine := m.journal.image().version()
 	for _, id := range m.electorate {
-		if id == m.id || !m.outranksMe(id) {
+		p, ok := m.seen[id]
+		if id == m.id || !ok || now.Sub(p.at) > lease {
 			continue
 		}
-		if last, ok := m.lastSeen[id]; ok && now.Sub(last) <= lease {
+		if id == m.leaderID || p.held.newerThan(mine) || (p.held == mine && m.outranksMe(id)) {
 			return true
 		}
 	}
@@ -458,58 +440,47 @@ func (m *Master) mintEpochLocked() {
 		term++
 		e = term*n + idx
 	}
-	m.masterEpoch, m.catalogTerm, m.maxSeenMasterEpoch = e, e, e
+	m.masterEpoch, m.cat.MasterEpoch, m.maxSeenMasterEpoch = e, e, e
 }
 
-// promoteLocked turns this standby into the leader: mint a fencing
-// epoch, adopt the shadow catalog as authoritative, bump the META
-// epoch, journal the takeover, and re-push every region's role at the
-// new epoch so every region server's epoch floor rises past any deposed
-// leader.
+// promoteLocked turns this standby into the leader: build the working
+// catalog from the held image, mint a fencing epoch, commit the
+// takeover, and re-push every region's role at the new epoch so every
+// region server's epoch floor rises past any deposed leader.
 func (m *Master) promoteLocked(now time.Time) {
-	// Pushed images land in the held slot without touching the catalog,
-	// so the slot may be ahead of the shadow catalog. Seal it against
-	// peer images — from here this history is authoritative — then
-	// adopt anything fresher.
-	m.held.setLeading(true)
-	m.adoptHeldLocked(now)
+	// Seal the held slot against peer images first — from here this
+	// history is authoritative — so the image read next is final.
+	m.leading.Store(true)
+	m.cat = m.journal.image().clone()
+	m.resolveConnsLocked(now)
+	m.cat.LeaderID, m.maxSeenMasterEpoch = m.id, max(m.maxSeenMasterEpoch, m.cat.MasterEpoch)
 	m.mintEpochLocked()
-	m.role = roleLeader
 	m.fastElect = false
 	m.leaderID, m.leaderAddr = m.id, m.peerAddr(m.id)
-	m.epoch++
-	// Fresh leases all around: nobody is declared dead for silence that
-	// happened on the old leader's watch.
-	for _, id := range m.order {
-		m.servers[id].lastBeat = now
-	}
 	for _, g := range m.regionsLocked() {
-		m.pendSyncLocked(g)
+		m.owed[owedRPC{regionRef{g.Table, g.ID}, ""}] = true
 	}
 	m.cElections.Inc()
 	m.gLeader.Set(1)
 	m.o.Emit("elected", map[string]string{
 		"master": m.id, "master_epoch": strconv.FormatInt(m.masterEpoch, 10),
 	})
-	m.journalLocked("promote")
-	m.syncPendingLocked()
+	m.commit("promote")
+	m.payOwedLocked()
 }
 
-// stepDownLocked demotes a deposed leader to standby. Its catalog stays
-// as a shadow view (reads keep working); mutations redirect via
+// stepDownLocked demotes a deposed leader to standby. It serves the
+// last image it committed (reads keep working); mutations redirect via
 // NotLeader until the next leader is known. The grace window re-arms to
 // a full lease from now — not to zero — so the tick that deposed this
 // master cannot also re-promote it: a deposed leader must wait out a
 // whole lease, like any cold-started standby, before running again.
 func (m *Master) stepDownLocked(reason string) {
-	if m.role != roleLeader {
+	if !m.leading.Load() {
 		return
 	}
-	m.role = roleStandby
+	m.leading.Store(false)
 	m.fastElect = false
-	// The catalog keeps serving as a shadow view until a later reign's
-	// image, which outranks everything written here, arrives.
-	m.held.setLeading(false)
 	m.leaderID, m.leaderAddr = "", ""
 	m.electionGrace = m.now().Add(m.leaseDuration())
 	m.cStepdowns.Inc()

@@ -7,17 +7,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"pstorm/internal/hstore"
 )
 
 // META journal: each master's own durability log of the catalog images
-// it has written (as leader) or accepted from a peer (as standby), so a
-// restarted master recovers epoch-consistent META instead of an empty
-// table. It is never shipped: masters exchange only their latest image
-// (election.go), framed by the same codec the file uses.
+// it has committed (as leader) or accepted from a peer (as standby), so
+// a restarted master recovers epoch-consistent META instead of an empty
+// table, and the slot holding the newest of them. It is never shipped:
+// masters exchange only their latest image (election.go), framed by the
+// same codec the file uses.
 //
 // Framing is the PST/WAL discipline (u32 payloadLen | u32 crc32c |
 // payload, little endian): replay verifies every frame and stops at
@@ -59,16 +62,80 @@ type journalServer struct {
 	Alive bool `json:"alive"`
 }
 
-// metaState is the full catalog image a journal record carries: every
-// field a restarted or promoted master needs to serve META and resume
-// liveness, failover, and rebalancing where the journal left off.
+// metaState is the catalog — the one representation of it: the
+// leader's working catalog, a journal record, the image masters
+// exchange, and (projected by meta) the META clients route by. It holds
+// every field a restarted or promoted master needs to serve META and
+// resume liveness, failover, and rebalancing where the image left off.
 type metaState struct {
 	MasterEpoch  int64                   `json:"master_epoch"`
 	LeaderID     string                  `json:"leader_id"`
 	Epoch        int64                   `json:"epoch"`
 	NextRegionID int                     `json:"next_region_id"`
-	Servers      []journalServer         `json:"servers"`
+	Servers      []journalServer         `json:"servers"` // join order
 	Tables       map[string][]RegionInfo `json:"tables"`
+}
+
+// clone deep-copies an image; nil clones to the empty catalog.
+func (st *metaState) clone() metaState {
+	if st == nil {
+		return metaState{NextRegionID: 1, Tables: map[string][]RegionInfo{}}
+	}
+	out := *st
+	out.NextRegionID = max(out.NextRegionID, 1)
+	out.Servers = slices.Clone(st.Servers)
+	out.Tables = make(map[string][]RegionInfo, len(st.Tables))
+	for t, regions := range st.Tables {
+		regions = slices.Clone(regions)
+		for i := range regions {
+			regions[i].Followers = slices.Clone(regions[i].Followers)
+		}
+		out.Tables[t] = regions
+	}
+	return out
+}
+
+// sameAs reports whether st and o (nil: no image) differ only in Epoch.
+func (st *metaState) sameAs(o *metaState) bool {
+	return o != nil && st.MasterEpoch == o.MasterEpoch && st.LeaderID == o.LeaderID &&
+		st.NextRegionID == o.NextRegionID && slices.Equal(st.Servers, o.Servers) &&
+		maps.EqualFunc(st.Tables, o.Tables, func(a, b []RegionInfo) bool {
+			return slices.EqualFunc(a, b, func(x, y RegionInfo) bool {
+				return x.ID == y.ID && x.Table == y.Table && x.StartKey == y.StartKey &&
+					x.EndKey == y.EndKey && x.Primary == y.Primary && slices.Equal(x.Followers, y.Followers)
+			})
+		})
+}
+
+// meta projects an image onto the routing view clients cache.
+func (st *metaState) meta() Meta {
+	c := st.clone()
+	out := Meta{Epoch: c.Epoch, Tables: c.Tables}
+	for _, s := range c.Servers {
+		out.Servers = append(out.Servers, s.Peer)
+	}
+	return out
+}
+
+// server returns id's catalog entry, nil if it never joined.
+func (st *metaState) server(id string) *journalServer {
+	for i := range st.Servers {
+		if st.Servers[i].Peer.ID == id {
+			return &st.Servers[i]
+		}
+	}
+	return nil
+}
+
+// primaryCounts counts the regions each server is primary for.
+func (st *metaState) primaryCounts() map[string]int {
+	counts := make(map[string]int, len(st.Servers))
+	for _, regions := range st.Tables {
+		for _, g := range regions {
+			counts[g.Primary]++
+		}
+	}
+	return counts
 }
 
 // journalRecord is one framed journal payload: the mutation kind (for
@@ -78,12 +145,17 @@ type journalRecord struct {
 	State metaState `json:"state"`
 }
 
-// metaJournal is the append-only record file. It holds no copy of its
-// contents: every record is a full image, so the only one that ever
-// matters again is the last, and that is read back once, at open.
-// Without a directory it is inert — append is a no-op.
+// metaJournal is the append-only record file and the slot holding the
+// newest image this master has committed or accepted. It keeps no other
+// copy of its contents: every record is a full image, so the only one
+// that ever matters again is the last, read back once, at open. Without
+// a directory the file is inert — appendLocked is a no-op. Its lock is
+// a leaf.
 type metaJournal struct {
 	mu sync.Mutex
+	// held is the newest image (nil before the first); immutable once
+	// held.
+	held *metaState
 
 	fs   hstore.FS
 	path string
@@ -97,46 +169,50 @@ type metaJournal struct {
 
 // openMetaJournal opens (or creates) the journal. With dir empty there
 // is no file and nothing to recover. With a dir, the existing file is
-// replayed: the last clean record's state is returned for the master to
-// adopt and everything past the clean prefix is truncated away.
+// replayed: the last clean record's state is held for the master to
+// recover and everything past the clean prefix is truncated away.
 // discarded is nonzero only when replay stopped at a checksum or decode
 // failure rather than a torn tail — the bytes cut then may have held
 // valid, fresher records, and the caller must say so.
-func openMetaJournal(fsys hstore.FS, dir string) (j *metaJournal, state *metaState, discarded int64, err error) {
+func openMetaJournal(fsys hstore.FS, dir string) (j *metaJournal, discarded int64, err error) {
 	if dir == "" {
-		return &metaJournal{}, nil, 0, nil
+		return &metaJournal{}, 0, nil
 	}
 	if fsys == nil {
 		fsys = hstore.OSFS
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	path := filepath.Join(dir, metaJournalFile)
-	j = &metaJournal{fs: fsys, path: path}
 	raw, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	state, _, cleanLen, corrupt := replayMetaJournal(raw)
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	if int64(len(raw)) > cleanLen {
 		// Torn or corrupt tail: cut it before re-arming appends, so a
 		// valid record never lands after garbage replay would drop.
 		if err := f.Truncate(cleanLen); err != nil {
 			f.Close() //nolint:errcheck — the truncate failure is the interesting one
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 	}
-	j.f = f
-	j.fileSize = cleanLen
 	if corrupt {
 		discarded = int64(len(raw)) - cleanLen
 	}
-	return j, state, discarded, nil
+	return &metaJournal{held: state, fs: fsys, path: path, f: f, fileSize: cleanLen}, discarded, nil
+}
+
+// image returns the held image (nil before the first).
+func (j *metaJournal) image() *metaState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.held
 }
 
 // errTornFrame reports that the bytes end inside a frame: a torn write,
@@ -199,13 +275,11 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 	return append(framed, payload...), nil
 }
 
-// append logs one record — framed holds its frameRecord bytes, which
-// the caller also ships to peers — compacting to a checkpoint when the
-// journal has outgrown the threshold. It returns whether a checkpoint
-// rewrite happened (for the master's checkpoint counter).
-func (j *metaJournal) append(rec journalRecord, framed []byte) (checkpointed bool, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// appendLocked logs one record — framed holds its frameRecord bytes,
+// which the caller also ships to peers — compacting to a checkpoint when
+// the journal has outgrown the threshold. It returns whether a
+// checkpoint rewrite happened (for the master's checkpoint counter).
+func (j *metaJournal) appendLocked(rec journalRecord, framed []byte) (checkpointed bool, err error) {
 	if j.broken != nil {
 		return false, j.broken
 	}
@@ -230,13 +304,13 @@ func (j *metaJournal) append(rec journalRecord, framed []byte) (checkpointed boo
 		// acked mutation must never be lost to a failed compaction. The
 		// rewrite retries on the next append.
 	}
-	return false, j.appendLocked(framed)
+	return false, j.writeLocked(framed)
 }
 
-// appendLocked writes one framed record to the file, fsyncing so an
+// writeLocked writes one framed record to the file, fsyncing so an
 // acked control-plane mutation survives power loss, not just a process
 // crash.
-func (j *metaJournal) appendLocked(framed []byte) error {
+func (j *metaJournal) writeLocked(framed []byte) error {
 	_, err := j.f.Write(framed)
 	if err == nil {
 		err = j.f.Sync()

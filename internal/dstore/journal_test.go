@@ -35,7 +35,7 @@ func journalFixture(t *testing.T) (dir string, raw []byte, liveStates [][]byte) 
 
 	capture := func() {
 		m.mu.Lock()
-		st := m.snapshotStateLocked()
+		st := m.journal.image()
 		m.mu.Unlock()
 		b, err := json.Marshal(st)
 		if err != nil {
@@ -224,7 +224,7 @@ func TestJournalReplayDetectsCorruption(t *testing.T) {
 	}
 	defer m.Close()
 	m.mu.Lock()
-	got, _ := json.Marshal(m.snapshotStateLocked())
+	got, _ := json.Marshal(m.journal.image())
 	m.mu.Unlock()
 	if !bytes.Equal(got, liveStates[1]) {
 		t.Fatalf("recovered catalog != last record before the flip:\n got:  %s\n want: %s", got, liveStates[1])
@@ -272,7 +272,7 @@ func TestJournalRecoveryTruncatesTornTail(t *testing.T) {
 	defer m.Close()
 
 	m.mu.Lock()
-	got := m.snapshotStateLocked()
+	got := m.journal.image()
 	m.mu.Unlock()
 	var want metaState
 	if err := json.Unmarshal(liveStates[len(liveStates)-2], &want); err != nil {
@@ -405,6 +405,52 @@ func TestJournalCheckpointCompaction(t *testing.T) {
 	}
 }
 
+// TestJournalFormatUnchanged replays a journal an earlier build wrote
+// (testdata/journal, by journalFixture's script: three joins, a create,
+// a flip move and a death) and compares the catalog it recovers with
+// the one that build held when it appended the last record. The record
+// format and its replay must not drift.
+func TestJournalFormatUnchanged(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "journal", metaJournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "journal", "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, records, cleanLen, corrupt := replayMetaJournal(raw)
+	if corrupt || cleanLen != int64(len(raw)) || records != 6 {
+		t.Fatalf("replay: corrupt=%v clean=%d/%d records=%d, want a clean journal of 6", corrupt, cleanLen, len(raw), records)
+	}
+	catalog := func(st *metaState) []byte {
+		b, err := json.MarshalIndent(st, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	if got := catalog(last); !bytes.Equal(got, want) {
+		t.Fatalf("replayed catalog differs:\n got:  %s\n want: %s", got, want)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, metaJournalFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMaster(NewRegistry(), MasterOptions{JournalDir: dir})
+	if err != nil {
+		t.Fatalf("OpenMaster: %v", err)
+	}
+	defer m.Close()
+	if got := catalog(m.journal.image()); !bytes.Equal(got, want) {
+		t.Fatalf("recovered catalog differs:\n got:  %s\n want: %s", got, want)
+	}
+	if meta := m.Meta(); meta.Epoch != last.Epoch || !reflect.DeepEqual(meta.Tables, last.Tables) {
+		t.Fatalf("recovered META = epoch %d %v, want epoch %d %v", meta.Epoch, meta.Tables, last.Epoch, last.Tables)
+	}
+}
+
 // FuzzReplayMetaJournal feeds arbitrary bytes to the one frame decoder
 // through both of its doors. As a journal file: replay never panics,
 // the clean prefix it reports lies inside the input, and replaying just
@@ -432,7 +478,7 @@ func FuzzReplayMetaJournal(f *testing.F) {
 		if (err == nil) != oneFrame {
 			t.Fatalf("PushImage err = %v for input with %d clean records in %d of %d bytes", err, records, cleanLen, len(raw))
 		}
-		switch held := m.held.get(); {
+		switch held := m.journal.image(); {
 		case err != nil && held != nil:
 			t.Fatalf("rejected push changed the held image to %+v", held)
 		case held != nil && !reflect.DeepEqual(held, last):

@@ -1,11 +1,14 @@
 package dstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,9 +39,10 @@ type MasterOptions struct {
 	// and epoch fencing of control RPCs. Empty or single-entry keeps the
 	// legacy single-master behavior (unfenced, always leader).
 	Peers []Peer
-	// Standby starts this master as a standby that follows the leader's
-	// latest catalog image and only serves reads; it promotes itself when
-	// the leader's lease lapses. Ignored without Peers.
+	// Standby starts this master as a standby: it holds the newest
+	// catalog image the leader has pushed (or it has pulled), serves
+	// reads from it, and promotes itself when the leader's lease lapses.
+	// Ignored without Peers.
 	Standby bool
 	// LeaseDuration is how long a leader may go unreachable before
 	// standbys may promote (default 2×HeartbeatTimeout).
@@ -85,18 +89,20 @@ func (o MasterOptions) replication() int {
 	return 2
 }
 
+// member is what the master knows of a server beyond the catalog: how
+// to reach it and when it last beat. Neither is journaled; identity and
+// liveness live in the catalog image.
 type member struct {
-	peer     Peer
 	conn     ServerConn
 	lastBeat time.Time
-	alive    bool
 }
 
 // Master owns the META catalog and region→server assignment: liveness
 // via heartbeats, follower promotion on primary death, re-replication,
-// and region moves. With MasterOptions.Peers set it is one voice in an
-// HA electorate: the leader mutates META, journals every change and
-// pushes the resulting image; standbys hold the newest image and
+// and region moves. The catalog is one metaState: the leader edits a
+// working copy and commit publishes it — journaled, held, pushed, and
+// served as META. With MasterOptions.Peers set the master is one voice
+// in an HA electorate: standbys serve the newest image they hold and
 // promote on lease expiry (election.go).
 type Master struct {
 	opts MasterOptions
@@ -107,37 +113,34 @@ type Master struct {
 	// immutable after construction.
 	electorate []string
 
+	// journal persists every image this master commits or accepts and
+	// holds the newest; its lock is a leaf, so a pushed image never
+	// waits on the catalog lock.
 	journal *metaJournal
-	held    heldImage
 	stopped atomic.Bool
+	// leading is the role. It changes only under mu, but the held slot
+	// reads it without mu to refuse peer images while leading.
+	leading atomic.Bool
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// cat is the working catalog while leading: every mutation edits it
+	// and ends in commit. A standby serves the held image instead and
+	// promotion rebuilds cat from it.
+	cat     metaState
 	servers map[string]*member
-	order   []string // join order, for deterministic placement
-	tables  map[string][]*RegionInfo
-	epoch   int64
-	// catalogTerm is the master epoch of the reign that wrote the catalog
-	// held here: this master's own masterEpoch while it leads, the
-	// adopted image's otherwise. (catalogTerm, epoch) is the catalog's
-	// metaVersion.
-	catalogTerm  int64
-	nextRegionID int
-	// pendingSync holds regions whose primary has not yet confirmed the
-	// role the catalog gives it (a SetRole push failed, or a new reign
-	// has yet to re-stamp it); every liveness and health round re-pushes
-	// them until the primary acks.
-	pendingSync map[regionRef]bool
+	// owed holds control RPCs a server has yet to ack (owedRPC); every
+	// liveness and health round retries them until it does.
+	owed map[owedRPC]bool
 
 	// Election state (all under mu). masterEpoch is this master's
 	// fencing term stamped on every control RPC; 0 means legacy
 	// single-master, unfenced. maxSeenMasterEpoch tracks the highest
 	// epoch observed anywhere — the floor the next promotion must clear.
-	role               string
 	masterEpoch        int64
 	maxSeenMasterEpoch int64
 	leaderID           string
 	leaderAddr         string
-	lastSeen           map[string]time.Time // peer ID -> last successful contact
+	seen               map[string]peerSeen
 	peerConns          map[string]MasterPeerConn
 	electionGrace      time.Time
 	// fastElect marks a cold-started standby that has never led nor been
@@ -183,15 +186,15 @@ func NewMaster(reg *Registry, opts MasterOptions) *Master {
 }
 
 // OpenMaster creates a master, replaying its durable META journal when
-// MasterOptions.JournalDir is set: the recovered catalog (tables,
-// servers, epochs) is adopted wholesale, server leases are restamped to
-// now (nobody is declared dead for silence during the master's own
-// outage), and a torn journal tail is truncated. A journal that fails
+// MasterOptions.JournalDir is set: the recovered image (tables,
+// servers, epochs) is held and becomes the catalog, server leases are
+// restamped to now (nobody is declared dead for silence during the
+// master's own outage), and a torn journal tail is truncated. A journal that fails
 // a checksum mid-file still opens on its clean prefix, but says so: a
 // journal_corrupt event and dstore_master_journal_corrupt_total.
 func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 	o := obs.NewRegistry()
-	journal, recovered, discarded, err := openMetaJournal(opts.FS, opts.JournalDir)
+	journal, discarded, err := openMetaJournal(opts.FS, opts.JournalDir)
 	if err != nil {
 		return nil, fmt.Errorf("dstore: opening META journal: %w", err)
 	}
@@ -200,11 +203,8 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 		reg:                 reg,
 		id:                  opts.id(),
 		journal:             journal,
-		servers:             make(map[string]*member),
-		tables:              make(map[string][]*RegionInfo),
-		pendingSync:         make(map[regionRef]bool),
-		nextRegionID:        1,
-		lastSeen:            make(map[string]time.Time),
+		owed:                make(map[owedRPC]bool),
+		seen:                make(map[string]peerSeen),
 		peerConns:           make(map[string]MasterPeerConn),
 		loopStop:            make(chan struct{}),
 		o:                   o,
@@ -238,7 +238,8 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 	}
 	sort.Strings(m.electorate)
 
-	m.role = roleLeader
+	recovered := journal.held
+	leader := true
 	if m.haEnabled() && (opts.Standby || recovered != nil) {
 		// A restarted HA master (journal present) must not boot straight
 		// into leadership: its catalog may be stale and a live peer may
@@ -248,7 +249,7 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 		// ElectionTick), else after the election grace. Only a fresh
 		// non-standby bootstrap (no journal to recover) starts leading
 		// immediately.
-		m.role = roleStandby
+		leader = false
 		m.fastElect = true
 	}
 	if discarded > 0 {
@@ -258,28 +259,41 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 			"discarded_bytes": strconv.FormatInt(discarded, 10),
 		})
 	}
+	m.cat = recovered.clone()
+	m.resolveConnsLocked(m.now())
 	if recovered != nil {
-		m.held.state = recovered
-		m.adoptStateLocked(*recovered, m.now())
 		m.o.Emit("journal_recover", map[string]string{
-			"epoch":   strconv.FormatInt(m.epoch, 10),
-			"servers": strconv.Itoa(len(m.servers)),
+			"epoch":   strconv.FormatInt(recovered.Epoch, 10),
+			"servers": strconv.Itoa(len(recovered.Servers)),
 		})
 	}
-	if m.role == roleLeader {
-		m.leaderID, m.leaderAddr = m.id, m.peerAddr(m.id)
+	if leader {
+		m.leaderID, m.leaderAddr, m.cat.LeaderID = m.id, m.peerAddr(m.id), m.id
 		if m.haEnabled() {
 			// A fresh HA bootstrap leader (nothing recovered — a restart
 			// boots standby) mints its first fencing epoch.
 			m.mintEpochLocked()
-			for _, g := range m.regionsLocked() {
-				m.pendSyncLocked(g)
-			}
 		}
-		m.held.leading = true
+		m.leading.Store(true)
 		m.gLeader.Set(1)
 	}
 	return m, nil
+}
+
+// resolveConnsLocked rebuilds the runtime server table for the catalog:
+// conns re-resolve through the registry — a server that has not
+// (re)registered yet gets an unresolvable stub that fails like a dead
+// transport until its next Join — and every lease restarts at now, so
+// nobody is declared dead for silence on another master's watch.
+func (m *Master) resolveConnsLocked(now time.Time) {
+	m.servers = make(map[string]*member, len(m.cat.Servers))
+	for _, s := range m.cat.Servers {
+		conn, err := m.reg.Resolve(s.Peer)
+		if err != nil {
+			conn = &unresolvedConn{id: s.Peer.ID}
+		}
+		m.servers[s.Peer.ID] = &member{conn: conn, lastBeat: now}
+	}
 }
 
 // haEnabled reports whether this master runs the HA machinery: more
@@ -290,17 +304,14 @@ func (m *Master) haEnabled() bool { return len(m.electorate) > 1 }
 func (m *Master) MasterID() string { return m.id }
 
 // IsLeader reports whether this master currently leads.
-func (m *Master) IsLeader() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.role == roleLeader
-}
+func (m *Master) IsLeader() bool { return m.leading.Load() }
 
 // Role returns "leader" or "standby".
 func (m *Master) Role() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.role
+	if m.leading.Load() {
+		return roleLeader
+	}
+	return roleStandby
 }
 
 // MasterEpoch returns this master's fencing epoch (0 = legacy,
@@ -334,30 +345,35 @@ func (m *Master) notLeaderLocked() error {
 	return &NotLeaderError{LeaderID: m.leaderID, LeaderAddr: m.leaderAddr}
 }
 
-// journalLocked makes the post-mutation catalog image durable and
-// replicated: appended to this master's journal, held for pulls, pushed
-// to the standbys. Every epoch-bumping mutation calls it while still
-// holding the catalog lock, so journal order is mutation order. A
-// master with neither a journal dir nor peers has nobody to tell, and a
-// leader deposed mid-mutation (a stale-rejected control RPC) must not
-// write its orphaned step over what the new leader has pushed it since.
-func (m *Master) journalLocked(kind string) {
-	if m.role != roleLeader || (m.opts.JournalDir == "" && !m.haEnabled()) {
+// commit is the one place the catalog changes version. If the working
+// catalog differs from the held image outside Epoch, it bumps the
+// epoch and keeps a copy: appended to this master's journal, held (and
+// so served as META), and pushed to the standbys. Every mutation ends
+// here while still holding the catalog lock, so journal order is
+// mutation order. A leader deposed mid-mutation (a stale-rejected
+// control RPC) writes nothing over what the new leader has pushed it
+// since, and a master with neither a journal dir nor peers has nobody
+// to tell, so it frames nothing.
+func (m *Master) commit(kind string) {
+	if !m.leading.Load() || m.cat.sameAs(m.journal.image()) {
 		return
 	}
-	rec := journalRecord{Kind: kind, State: m.snapshotStateLocked()}
-	framed, err := frameRecord(rec)
-	if err != nil {
-		m.o.Emit("journal_error", map[string]string{"kind": kind, "error": err.Error()})
-		return
+	m.cat.Epoch++
+	rec := journalRecord{Kind: kind, State: m.cat.clone()}
+	var framed []byte
+	if m.opts.JournalDir != "" || m.haEnabled() {
+		var err error
+		if framed, err = frameRecord(rec); err != nil {
+			m.o.Emit("journal_error", map[string]string{"kind": kind, "error": err.Error()})
+		}
 	}
 	m.keepImage(rec, framed, false) //nolint:errcheck — only a peer's image can be refused
-	if m.haEnabled() {
+	if framed != nil && m.haEnabled() {
 		m.pushImageLocked(MetaImage{Frame: framed})
 	}
 }
 
-// pushImageLocked replicates the just-journaled image to every standby
+// pushImageLocked replicates the just-committed image to every standby
 // seen alive within a lease, synchronously, before the mutation that
 // triggered it acks — whether or not the leader's own append succeeded:
 // a failing disk must not also withhold the change from the masters
@@ -372,7 +388,7 @@ func (m *Master) pushImageLocked(img MetaImage) {
 		if id == m.id {
 			continue
 		}
-		if last, ok := m.lastSeen[id]; !ok || now.Sub(last) > lease {
+		if p, ok := m.seen[id]; !ok || now.Sub(p.at) > lease {
 			continue
 		}
 		c, err := m.peerConnLocked(id)
@@ -385,75 +401,6 @@ func (m *Master) pushImageLocked(img MetaImage) {
 			continue
 		}
 		m.cJournalPushes.Inc()
-	}
-}
-
-// snapshotStateLocked captures the full catalog image a journal record
-// carries.
-func (m *Master) snapshotStateLocked() metaState {
-	st := metaState{
-		MasterEpoch:  m.catalogTerm,
-		LeaderID:     m.leaderID,
-		Epoch:        m.epoch,
-		NextRegionID: m.nextRegionID,
-		Tables:       m.copyTablesLocked(),
-	}
-	for _, id := range m.order {
-		mem := m.servers[id]
-		st.Servers = append(st.Servers, journalServer{Peer: mem.peer, Alive: mem.alive})
-	}
-	return st
-}
-
-// copyTablesLocked deep-copies the region catalog for a caller that
-// outlives the lock.
-func (m *Master) copyTablesLocked() map[string][]RegionInfo {
-	out := make(map[string][]RegionInfo, len(m.tables))
-	for t, regions := range m.tables {
-		rs := make([]RegionInfo, len(regions))
-		for i, g := range regions {
-			rs[i] = *g
-			rs[i].Followers = append([]string(nil), g.Followers...)
-		}
-		out[t] = rs
-	}
-	return out
-}
-
-// adoptStateLocked replaces the catalog with a journaled image — the
-// recovery path of a restarted master and the shadow view of a
-// standby. Server conns re-resolve through the registry; a peer that
-// has not (re)registered yet gets an unresolvable stub that fails like
-// a dead transport until its next Join.
-func (m *Master) adoptStateLocked(st metaState, now time.Time) {
-	m.epoch = st.Epoch
-	m.catalogTerm = st.MasterEpoch
-	m.nextRegionID = st.NextRegionID
-	if m.nextRegionID < 1 {
-		m.nextRegionID = 1
-	}
-	if st.MasterEpoch > m.maxSeenMasterEpoch {
-		m.maxSeenMasterEpoch = st.MasterEpoch
-	}
-	m.tables = make(map[string][]*RegionInfo, len(st.Tables))
-	for t, regions := range st.Tables {
-		ptrs := make([]*RegionInfo, len(regions))
-		for i := range regions {
-			g := regions[i]
-			g.Followers = append([]string(nil), g.Followers...)
-			ptrs[i] = &g
-		}
-		m.tables[t] = ptrs
-	}
-	m.servers = make(map[string]*member, len(st.Servers))
-	m.order = m.order[:0]
-	for _, s := range st.Servers {
-		conn, err := m.reg.Resolve(s.Peer)
-		if err != nil {
-			conn = &unresolvedConn{id: s.Peer.ID}
-		}
-		m.servers[s.Peer.ID] = &member{peer: s.Peer, conn: conn, lastBeat: now, alive: s.Alive}
-		m.order = append(m.order, s.Peer.ID)
 	}
 }
 
@@ -486,10 +433,6 @@ func (m *Master) rpcInstall(mem *member, snap *hstore.RegionSnapshot) error {
 	return m.deposeOnStaleLocked(mem.conn.Install(snap, m.masterEpoch))
 }
 
-func (m *Master) rpcDrop(mem *member, table string, regionID int) error {
-	return m.deposeOnStaleLocked(mem.conn.Drop(table, regionID, m.masterEpoch))
-}
-
 // rpcDemote fences mem's copy into a follower; it returns once the
 // copy's in-flight writes have reached its whole chain.
 func (m *Master) rpcDemote(mem *member, table string, regionID int) error {
@@ -498,21 +441,26 @@ func (m *Master) rpcDemote(mem *member, table string, regionID int) error {
 
 // pushRoleLocked tells g.Primary what the catalog says: serve, and
 // replicate to g.Followers. The catalog is the truth and this is the one
-// way a primary learns it, so a push that fails leaves the region
-// pending — syncPendingLocked retries until the primary acks, and a
-// dropped RPC cannot leave a region fenced or a chain stale forever.
+// way a primary learns it, so a push that fails stays owed — payOwedLocked
+// retries until the primary acks, and a dropped RPC cannot leave a
+// region fenced or a chain stale forever.
 func (m *Master) pushRoleLocked(g *RegionInfo) error {
 	peers := make([]Peer, 0, len(g.Followers))
 	for _, f := range g.Followers {
-		peers = append(peers, m.servers[f].peer)
+		peers = append(peers, m.cat.server(f).Peer)
 	}
 	err := m.deposeOnStaleLocked(m.servers[g.Primary].conn.SetRole(g.Table, g.ID, true, peers, m.masterEpoch))
-	if err != nil {
-		m.pendSyncLocked(g)
-	} else {
-		delete(m.pendingSync, regionRef{g.Table, g.ID})
-	}
+	m.oweLocked(owedRPC{regionRef{g.Table, g.ID}, ""}, err != nil)
 	return err
+}
+
+// dropLocked removes server's copy of a region the catalog no longer
+// places there. A Drop lost on the way stays owed: the orphan it would
+// leave makes Install refuse that region, so every later recruit onto
+// the server would fail.
+func (m *Master) dropLocked(server, table string, regionID int) {
+	err := m.deposeOnStaleLocked(m.servers[server].conn.Drop(table, regionID, m.masterEpoch))
+	m.oweLocked(owedRPC{regionRef{table, regionID}, server}, err != nil && retryable(err))
 }
 
 // Join registers a region server. A re-join of a known ID — whether its
@@ -533,43 +481,37 @@ func (m *Master) Join(p Peer) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.role != roleLeader {
+	if !m.leading.Load() {
 		return m.notLeaderLocked()
 	}
-	if mem, ok := m.servers[p.ID]; ok {
+	m.servers[p.ID] = &member{conn: conn, lastBeat: m.now()}
+	m.cJoins.Inc()
+	if s := m.cat.server(p.ID); s != nil {
 		// New incarnation: fail over whatever the old one held, then
 		// revive empty. failoverLocked prunes it from every follower set
 		// and promotes live followers of its primaries.
-		mem.alive = false
+		s.Alive = false
 		m.failoverLocked()
-		mem.peer = p
-		mem.conn = conn
-		mem.lastBeat = m.now()
-		mem.alive = true
-		m.epoch++
-		m.cJoins.Inc()
+		*s = journalServer{Peer: p, Alive: true}
 		m.o.Emit("rejoin", map[string]string{"server": p.ID})
-		m.journalLocked("rejoin")
+		m.commit("rejoin")
 		return nil
 	}
-	m.servers[p.ID] = &member{peer: p, conn: conn, lastBeat: m.now(), alive: true}
-	m.order = append(m.order, p.ID)
-	m.epoch++
-	m.cJoins.Inc()
+	m.cat.Servers = append(m.cat.Servers, journalServer{Peer: p, Alive: true})
 	m.o.Emit("join", map[string]string{"server": p.ID})
-	m.journalLocked("join")
+	m.commit("join")
 	return nil
 }
 
-// Heartbeat records liveness for a server. Standbys redirect: only the
-// leader's liveness view drives failover.
+// Heartbeat records liveness for a server, reviving one declared dead.
+// Standbys redirect: only the leader's liveness view drives failover.
 func (m *Master) Heartbeat(id string) error {
 	if m.stopped.Load() {
 		return errStopped
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.role != roleLeader {
+	if !m.leading.Load() {
 		return m.notLeaderLocked()
 	}
 	mem, ok := m.servers[id]
@@ -577,35 +519,36 @@ func (m *Master) Heartbeat(id string) error {
 		return fmt.Errorf("%w: heartbeat from %q", ErrUnknownServer, id)
 	}
 	mem.lastBeat = m.now()
-	mem.alive = true
 	m.cHeartbeats.Inc()
+	if s := m.cat.server(id); !s.Alive {
+		s.Alive = true
+		m.commit("heartbeat")
+	}
 	return nil
 }
 
-// Meta snapshots the routing view.
+// Meta serves the routing view of the newest committed image.
 func (m *Master) Meta() Meta {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := Meta{Epoch: m.epoch, Tables: m.copyTablesLocked()}
-	for _, id := range m.order {
-		out.Servers = append(out.Servers, m.servers[id].peer)
-	}
-	return out
+	return m.journal.image().meta()
 }
 
 // Epoch returns the current META epoch.
-func (m *Master) Epoch() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
+func (m *Master) Epoch() int64 { return m.journal.image().version().epoch }
+
+// alive reports whether the catalog has server id alive.
+func (m *Master) alive(id string) bool {
+	s := m.cat.server(id)
+	return s != nil && s.Alive
 }
 
 // aliveIDs returns live server IDs in join order.
 func (m *Master) aliveIDs() []string {
 	var out []string
-	for _, id := range m.order {
-		if m.servers[id].alive {
-			out = append(out, id)
+	for _, s := range m.cat.Servers {
+		if s.Alive {
+			out = append(out, s.Peer.ID)
 		}
 	}
 	return out
@@ -626,10 +569,13 @@ func (m *Master) CreateTableSplits(table string, splits []string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.role != roleLeader {
+	if !m.leading.Load() {
 		return m.notLeaderLocked()
 	}
-	if _, ok := m.tables[table]; ok {
+	// A create that fails half-way still consumed region IDs, and copies
+	// under them may exist: commit keeps the counter past them.
+	defer m.commit("create_table")
+	if _, ok := m.cat.Tables[table]; ok {
 		return fmt.Errorf("dstore: table %q already exists", table)
 	}
 	alive := m.aliveIDs()
@@ -643,31 +589,29 @@ func (m *Master) CreateTableSplits(table string, splits []string) error {
 	splits = append([]string(nil), splits...)
 	sort.Strings(splits)
 	bounds := append([]string{""}, splits...)
-	var regions []*RegionInfo
+	var regions []RegionInfo
 	for i, start := range bounds {
 		end := ""
 		if i+1 < len(bounds) {
 			end = bounds[i+1]
 		}
-		g := &RegionInfo{
-			ID:       m.nextRegionID,
+		g := RegionInfo{
+			ID:       m.cat.NextRegionID,
 			Table:    table,
 			StartKey: start,
 			EndKey:   end,
 			Primary:  alive[i%len(alive)],
 		}
-		m.nextRegionID++
+		m.cat.NextRegionID++
 		for j := 1; j < repl; j++ {
 			g.Followers = append(g.Followers, alive[(i+j)%len(alive)])
 		}
-		if err := m.installRegionLocked(g); err != nil {
+		if err := m.installRegionLocked(&g); err != nil {
 			return err
 		}
 		regions = append(regions, g)
 	}
-	m.tables[table] = regions
-	m.epoch++
-	m.journalLocked("create_table")
+	m.cat.Tables[table] = regions
 	return nil
 }
 
@@ -699,89 +643,85 @@ func (m *Master) CheckLiveness(now time.Time) []string {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.role != roleLeader {
-		// A standby's liveness view is secondhand (journal shadow);
-		// only the leader declares deaths.
+	if !m.leading.Load() {
+		// Only the leader, which hears the heartbeats, declares deaths.
 		return nil
 	}
-	epochBefore := m.epoch
+	defer m.commit("liveness")
 	var died []string
-	for _, id := range m.order {
-		mem := m.servers[id]
-		if mem.alive && now.Sub(mem.lastBeat) > m.opts.heartbeatTimeout() {
-			mem.alive = false
-			died = append(died, id)
+	for i := range m.cat.Servers {
+		s := &m.cat.Servers[i]
+		if s.Alive && now.Sub(m.servers[s.Peer.ID].lastBeat) > m.opts.heartbeatTimeout() {
+			s.Alive = false
+			died = append(died, s.Peer.ID)
 			m.cDeaths.Inc()
-			m.o.Emit("server_dead", map[string]string{"server": id})
+			m.o.Emit("server_dead", map[string]string{"server": s.Peer.ID})
 		}
 	}
 	if len(died) > 0 {
 		m.failoverLocked()
 	}
 	m.repairLocked()
-	m.syncPendingLocked()
-	if len(died) > 0 && m.epoch == epochBefore {
-		// No region moved, but the image did change (an alive flag), and
-		// peers take two images of one version for the same image.
-		m.epoch++
-	}
-	if m.epoch != epochBefore {
-		m.journalLocked("liveness")
-	}
+	m.payOwedLocked()
 	return died
 }
 
-// regionRef names one region for the pending-sync set.
+// owedRPC is one control RPC the catalog still owes a server: the role
+// push to a region's primary (drop empty), or the Drop of the copy on
+// server drop, which the catalog no longer places there.
+type owedRPC struct {
+	regionRef
+	drop string
+}
+
+// regionRef names one region.
 type regionRef struct {
 	table string
 	id    int
 }
 
-func (m *Master) pendSyncLocked(g *RegionInfo) {
-	m.pendingSync[regionRef{g.Table, g.ID}] = true
+// oweLocked records r as owed, or settled.
+func (m *Master) oweLocked(r owedRPC, owed bool) {
+	if owed {
+		m.owed[r] = true
+	} else {
+		delete(m.owed, r)
+	}
 }
 
-// syncPendingLocked re-pushes the role of every region left pending.
-// Refs are retried in sorted order so the RPC sequence — and with it a
-// chaos harness's fault schedule — is deterministic.
-func (m *Master) syncPendingLocked() {
-	if len(m.pendingSync) == 0 {
-		return
-	}
-	refs := make([]regionRef, 0, len(m.pendingSync))
-	for r := range m.pendingSync {
-		refs = append(refs, r)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].table != refs[j].table {
-			return refs[i].table < refs[j].table
-		}
-		return refs[i].id < refs[j].id
+// payOwedLocked retries every owed RPC, in sorted order so the RPC
+// sequence — and with it a chaos harness's fault schedule — is
+// deterministic. A Drop answered "not hosted" is settled, and one is
+// never sent to a server the catalog places a copy on again.
+func (m *Master) payOwedLocked() {
+	owed := slices.SortedFunc(maps.Keys(m.owed), func(a, b owedRPC) int {
+		return cmp.Or(strings.Compare(a.table, b.table), cmp.Compare(a.id, b.id), strings.Compare(a.drop, b.drop))
 	})
-	for _, ref := range refs {
-		g, err := m.regionLocked(ref.table, ref.id)
-		if err != nil {
-			delete(m.pendingSync, ref) // region vanished; nothing to sync
-			continue
+	for _, r := range owed {
+		g, err := m.regionLocked(r.table, r.id)
+		switch {
+		case err != nil:
+			delete(m.owed, r) // region vanished; nothing owed
+		case r.drop == "":
+			if m.alive(g.Primary) { // else failover will reassign; keep it owed
+				m.pushRoleLocked(g) //nolint:errcheck — stays owed on failure
+			}
+		case r.drop == g.Primary || slices.Contains(g.Followers, r.drop):
+			delete(m.owed, r) // Install found no orphan there since
+		case m.alive(r.drop):
+			m.dropLocked(r.drop, r.table, r.id)
 		}
-		if !m.servers[g.Primary].alive {
-			continue // failover will reassign; keep it pending
-		}
-		m.pushRoleLocked(g) //nolint:errcheck — stays pending on failure
 	}
 }
 
 // regionsLocked lists every region, tables in name order, so a walk
 // that issues RPCs issues them in the same order every run.
 func (m *Master) regionsLocked() []*RegionInfo {
-	names := make([]string, 0, len(m.tables))
-	for t := range m.tables {
-		names = append(names, t)
-	}
-	sort.Strings(names)
 	var out []*RegionInfo
-	for _, t := range names {
-		out = append(out, m.tables[t]...)
+	for _, t := range slices.Sorted(maps.Keys(m.cat.Tables)) {
+		for i := range m.cat.Tables[t] {
+			out = append(out, &m.cat.Tables[t][i])
+		}
 	}
 	return out
 }
@@ -791,22 +731,20 @@ func (m *Master) regionsLocked() []*RegionInfo {
 // by its first live follower, whose fenced copy is promoted. Only a
 // region whose own assignment changed costs an RPC.
 func (m *Master) failoverLocked() {
-	changed := false
 	for _, g := range m.regionsLocked() {
-		live := slices.DeleteFunc(g.Followers, func(f string) bool { return !m.servers[f].alive })
+		live := slices.DeleteFunc(g.Followers, func(f string) bool { return !m.alive(f) })
 		pruned := len(live) < len(g.Followers)
 		g.Followers = live
 		switch {
-		case m.servers[g.Primary].alive:
+		case m.alive(g.Primary):
 			if pruned {
-				m.pushRoleLocked(g) //nolint:errcheck — pended on failure
+				m.pushRoleLocked(g) //nolint:errcheck — owed on failure
 			}
 		case len(g.Followers) == 0:
 			// No live copy; the region is unavailable until an operator
 			// restores a server. Leave META pointing at the corpse so
 			// clients keep retrying.
 		default:
-			pruned = true
 			m.cFailovers.Inc()
 			m.o.Emit("failover", map[string]string{
 				"table": g.Table, "region": strconv.Itoa(g.ID),
@@ -814,10 +752,6 @@ func (m *Master) failoverLocked() {
 			})
 			m.promoteFollowerLocked(g, g.Followers[0])
 		}
-		changed = changed || pruned
-	}
-	if changed {
-		m.epoch++
 	}
 }
 
@@ -827,12 +761,12 @@ func (m *Master) failoverLocked() {
 // replicate.
 func (m *Master) promoteFollowerLocked(g *RegionInfo, f string) {
 	g.Primary, g.Followers = f, slices.DeleteFunc(g.Followers, func(id string) bool { return id == f })
-	m.pushRoleLocked(g) //nolint:errcheck — pended on failure
+	m.pushRoleLocked(g) //nolint:errcheck — owed on failure
 }
 
 // recruitLocked makes cand, which holds no copy of g, a follower:
 // install an empty fenced copy — refused, before anything changes, if
-// cand still hosts a copy a lost Drop left behind, which may hold rows
+// cand still hosts a copy a Drop has yet to remove, which may hold rows
 // deleted since — join the primary's chain (the push drains the
 // primary's in-flight writes, so every write from here on reaches cand),
 // then backfill it with an export taken after the join. The primary
@@ -855,8 +789,8 @@ func (m *Master) recruitLocked(g *RegionInfo, cand string) (int64, error) {
 	}
 	if err != nil {
 		g.Followers = g.Followers[:len(g.Followers)-1]
-		m.pushRoleLocked(g)           //nolint:errcheck — pended on failure
-		m.rpcDrop(mem, g.Table, g.ID) //nolint:errcheck — orphan copy, harmless
+		m.pushRoleLocked(g) //nolint:errcheck — owed on failure
+		m.dropLocked(cand, g.Table, g.ID)
 		return 0, err
 	}
 	return snap.Bytes(), nil
@@ -871,9 +805,8 @@ func (m *Master) repairLocked() {
 	if len(alive) < 2 {
 		return
 	}
-	changed := false
 	for _, g := range m.regionsLocked() {
-		if !m.servers[g.Primary].alive {
+		if !m.alive(g.Primary) {
 			continue
 		}
 		for len(g.Followers)+1 < repl {
@@ -884,15 +817,11 @@ func (m *Master) repairLocked() {
 			if _, err := m.recruitLocked(g, cand); err != nil {
 				break
 			}
-			changed = true
 			m.cRepairs.Inc()
 			m.o.Emit("rereplicate", map[string]string{
 				"table": g.Table, "region": strconv.Itoa(g.ID), "to": cand,
 			})
 		}
-	}
-	if changed {
-		m.epoch++
 	}
 }
 
@@ -905,10 +834,7 @@ func (m *Master) repairLocked() {
 // CheckLiveness round). pstormd and background local clusters call it
 // alongside CheckLiveness; deterministic tests call it directly.
 func (m *Master) CheckHealth() int {
-	if m.stopped.Load() {
-		return 0
-	}
-	if !m.IsLeader() {
+	if m.stopped.Load() || !m.IsLeader() {
 		return 0
 	}
 	type probe struct {
@@ -916,11 +842,9 @@ func (m *Master) CheckHealth() int {
 		conn ServerConn
 	}
 	m.mu.Lock()
-	probes := make([]probe, 0, len(m.order))
-	for _, id := range m.order {
-		if mem := m.servers[id]; mem.alive {
-			probes = append(probes, probe{id, mem.conn})
-		}
+	var probes []probe
+	for _, id := range m.aliveIDs() {
+		probes = append(probes, probe{id, m.servers[id].conn})
 	}
 	m.mu.Unlock()
 
@@ -951,7 +875,7 @@ func (m *Master) CheckHealth() int {
 		}
 	}
 	m.mu.Lock()
-	m.syncPendingLocked()
+	m.payOwedLocked()
 	m.mu.Unlock()
 	return rebuilt
 }
@@ -970,52 +894,35 @@ func (m *Master) CheckHealth() int {
 func (m *Master) rebuildQuarantined(server, table string, regionID int, badCopies map[string]bool) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.commit("quarantine_rebuild")
 	g, err := m.regionLocked(table, regionID)
 	if err != nil {
 		return false // table or region vanished since the poll
 	}
-	mem, ok := m.servers[server]
-	if !ok {
-		return false
-	}
 	if g.Primary == server {
-		promoted := ""
-		for _, f := range g.Followers {
-			if m.servers[f].alive && !badCopies[f] {
-				promoted = f
-				break
-			}
-		}
-		if promoted == "" {
+		i := slices.IndexFunc(g.Followers, func(f string) bool { return m.alive(f) && !badCopies[f] })
+		if i < 0 {
 			// No healthy replica to rebuild from; the region stays
 			// unavailable (reads keep failing retryable) rather than
 			// serving corrupt bytes.
 			return false
 		}
-		m.promoteFollowerLocked(g, promoted)
+		m.promoteFollowerLocked(g, g.Followers[i])
 	} else {
-		idx := -1
-		for i, f := range g.Followers {
-			if f == server {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
+		i := slices.Index(g.Followers, server)
+		if i < 0 {
 			return false // already evicted
 		}
-		g.Followers = append(g.Followers[:idx], g.Followers[idx+1:]...)
-		m.pushRoleLocked(g) //nolint:errcheck — pended on failure
+		g.Followers = slices.Delete(g.Followers, i, i+1)
+		m.pushRoleLocked(g) //nolint:errcheck — owed on failure
 	}
-	// Drop the corrupt copy; a failure leaves an orphan the next health
-	// round retries (the copy stays quarantined, so it is never read).
-	m.rpcDrop(mem, table, regionID) //nolint:errcheck
-	m.epoch++
+	// Drop the corrupt copy; a lost Drop stays owed (the copy stays
+	// quarantined meanwhile, so it is never read).
+	m.dropLocked(server, table, regionID)
 	m.cRebuilds.Inc()
 	m.o.Emit("quarantine_rebuild", map[string]string{
 		"table": table, "region": strconv.Itoa(regionID), "server": server,
 	})
-	m.journalLocked("quarantine_rebuild")
 	return true
 }
 
@@ -1026,7 +933,7 @@ func (m *Master) pickCandidateLocked(g *RegionInfo, alive []string) string {
 	for _, f := range g.Followers {
 		holds[f] = true
 	}
-	counts := m.primaryCountsLocked()
+	counts := m.cat.primaryCounts()
 	best := ""
 	for _, id := range alive {
 		if holds[id] {
@@ -1037,19 +944,6 @@ func (m *Master) pickCandidateLocked(g *RegionInfo, alive []string) string {
 		}
 	}
 	return best
-}
-
-func (m *Master) primaryCountsLocked() map[string]int {
-	counts := make(map[string]int, len(m.servers))
-	for id := range m.servers {
-		counts[id] = 0
-	}
-	for _, regions := range m.tables {
-		for _, g := range regions {
-			counts[g.Primary]++
-		}
-	}
-	return counts
 }
 
 // MoveRegion moves a region's primary to another live server and
@@ -1075,21 +969,20 @@ func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.role != roleLeader {
+	if !m.leading.Load() {
 		return 0, m.notLeaderLocked()
 	}
 	g, err := m.regionLocked(table, regionID)
 	if err != nil {
 		return 0, err
 	}
-	dst, ok := m.servers[to]
-	if !ok || !dst.alive {
+	if !m.alive(to) {
 		return 0, fmt.Errorf("dstore: move target %q not a live server", to)
 	}
 	if to == g.Primary {
 		return 0, nil
 	}
-	src, from := m.servers[g.Primary], g.Primary
+	from := g.Primary
 	before, after := slices.Clone(g.Followers), slices.Clone(g.Followers)
 	kind, moved := "full", int64(0)
 	if i := slices.Index(after, to); i >= 0 {
@@ -1100,27 +993,26 @@ func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error
 			return 0, err
 		}
 	}
-	if err = m.rpcDemote(src, table, regionID); err == nil {
+	if err = m.rpcDemote(m.servers[from], table, regionID); err == nil {
 		g.Primary, g.Followers = to, after
 		err = m.pushRoleLocked(g)
 	}
 	if err != nil {
 		g.Primary, g.Followers = from, before
-		m.pushRoleLocked(g) //nolint:errcheck — pended on failure
+		m.pushRoleLocked(g) //nolint:errcheck — owed on failure
 		if kind == "full" {
-			m.rpcDrop(dst, table, regionID) //nolint:errcheck — orphan copy, harmless
+			m.dropLocked(to, table, regionID)
 		}
 		return 0, err
 	}
-	m.epoch++
 	m.cMoves.Inc()
 	m.o.Emit("move", map[string]string{
 		"table": table, "region": strconv.Itoa(regionID),
 		"from": from, "to": to, "kind": kind,
 	})
-	m.journalLocked("move")
+	m.commit("move")
 	if kind == "full" {
-		m.rpcDrop(src, table, regionID) //nolint:errcheck — orphan copy, harmless
+		m.dropLocked(from, table, regionID)
 	}
 	return moved, nil
 }
@@ -1135,12 +1027,12 @@ func (m *Master) Rebalance() (int64, error) {
 	var moved int64
 	for {
 		m.mu.Lock()
-		if m.role != roleLeader {
+		if !m.leading.Load() {
 			err := m.notLeaderLocked()
 			m.mu.Unlock()
 			return moved, err
 		}
-		counts := m.primaryCountsLocked()
+		counts := m.cat.primaryCounts()
 		alive := m.aliveIDs()
 		if len(alive) < 2 {
 			m.mu.Unlock()
@@ -1181,13 +1073,13 @@ func (m *Master) Rebalance() (int64, error) {
 }
 
 func (m *Master) regionLocked(table string, regionID int) (*RegionInfo, error) {
-	regions, ok := m.tables[table]
+	regions, ok := m.cat.Tables[table]
 	if !ok {
 		return nil, fmt.Errorf("dstore: table %q does not exist", table)
 	}
-	for _, g := range regions {
-		if g.ID == regionID {
-			return g, nil
+	for i := range regions {
+		if regions[i].ID == regionID {
+			return &regions[i], nil
 		}
 	}
 	return nil, fmt.Errorf("dstore: region %d not in table %q", regionID, table)
@@ -1202,26 +1094,28 @@ type ServerStatus struct {
 	Follows   int       `json:"follows"`
 }
 
-// Status reports per-server liveness and region counts.
+// Status reports per-server liveness and region counts from the newest
+// committed image.
 func (m *Master) Status() []ServerStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	st := m.journal.image().clone()
 	follows := make(map[string]int)
-	for _, regions := range m.tables {
+	for _, regions := range st.Tables {
 		for _, g := range regions {
 			for _, f := range g.Followers {
 				follows[f]++
 			}
 		}
 	}
-	counts := m.primaryCountsLocked()
-	out := make([]ServerStatus, 0, len(m.order))
-	for _, id := range m.order {
-		mem := m.servers[id]
-		out = append(out, ServerStatus{
-			Peer: mem.peer, Alive: mem.alive, LastBeat: mem.lastBeat,
-			Primaries: counts[id], Follows: follows[id],
-		})
+	counts := st.primaryCounts()
+	out := make([]ServerStatus, 0, len(st.Servers))
+	for _, s := range st.Servers {
+		row := ServerStatus{Peer: s.Peer, Alive: s.Alive, Primaries: counts[s.Peer.ID], Follows: follows[s.Peer.ID]}
+		if mem := m.servers[s.Peer.ID]; mem != nil {
+			row.LastBeat = mem.lastBeat
+		}
+		out = append(out, row)
 	}
 	return out
 }

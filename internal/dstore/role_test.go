@@ -541,6 +541,51 @@ func TestOrphanCopyNeverResurrectsDeletes(t *testing.T) {
 	deletedEverywhere("after the move back")
 }
 
+// TestLostDropIsRetried: the source Drop of a full move is lost, so the
+// source keeps an orphan copy. The next liveness round re-sends the
+// Drop, and moving the region back onto the source then succeeds
+// instead of tripping over the orphan.
+func TestLostDropIsRetried(t *testing.T) {
+	var lose atomic.Bool
+	c, err := StartLocalCluster(LocalOptions{Servers: 3, Replication: 2,
+		WrapConn: func(id string, conn ServerConn) ServerConn {
+			return &dropLosingConn{ServerConn: conn, armed: &lose}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Client().CreateTable(context.Background(), "t"); err != nil {
+		t.Fatal(err)
+	}
+	g := c.Master.Meta().Tables["t"][0]
+	home, away := g.Primary, ""
+	for _, s := range c.Servers {
+		if id := s.ID(); id != home && id != g.Followers[0] {
+			away = id
+		}
+	}
+	lose.Store(true)
+	if _, err := c.Master.MoveRegion("t", g.ID, away); err != nil {
+		t.Fatal(err)
+	}
+	lose.Store(false)
+	if _, err := c.Server(home).Export("t", g.ID); err != nil {
+		t.Fatalf("setup: the lost Drop left no orphan on %s: %v", home, err)
+	}
+
+	c.Master.CheckLiveness(time.Now())
+	if _, err := c.Server(home).Export("t", g.ID); err == nil {
+		t.Fatalf("the liveness round left the orphan on %s", home)
+	}
+	if _, err := c.Master.MoveRegion("t", g.ID, home); err != nil {
+		t.Fatalf("move back onto %s: %v", home, err)
+	}
+	if p := c.Master.Meta().Tables["t"][0].Primary; p != home {
+		t.Fatalf("primary = %s, want %s", p, home)
+	}
+}
+
 // TestControlRPCOnUnhostedRegionLeavesNoRecord: per-key records are
 // never deleted, so a Drop or SetRole naming a region this server never
 // hosted must fail without creating one.
