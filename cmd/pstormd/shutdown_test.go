@@ -41,6 +41,7 @@ func leakGuard(t *testing.T) {
 // shutdownHarness runs serveGraceful over a loopback listener with a
 // handler that blocks until the test releases it.
 type shutdownHarness struct {
+	addr    string
 	url     string
 	cancel  context.CancelFunc
 	release chan struct{}
@@ -56,6 +57,7 @@ func startShutdownHarness(t *testing.T, drain time.Duration) *shutdownHarness {
 		t.Fatal(err)
 	}
 	h := &shutdownHarness{
+		addr:    ln.Addr().String(),
 		url:     "http://" + ln.Addr().String(),
 		release: make(chan struct{}),
 		started: make(chan struct{}, 16),
@@ -111,11 +113,16 @@ func TestServeGracefulDrainsInflight(t *testing.T) {
 
 	// New connections are refused once the drain begins; the held
 	// request is still running, so the server must not have finished.
+	// A probe only connects and hangs up: one that reached the server
+	// before the listener closed must not become a second request the
+	// handler holds past the drain deadline.
 	deadline := time.After(5 * time.Second)
 	for {
-		if _, err := http.Get(h.url); err != nil {
+		conn, err := net.Dial("tcp", h.addr)
+		if err != nil {
 			break
 		}
+		conn.Close()
 		select {
 		case <-deadline:
 			t.Fatal("listener still accepting connections after shutdown began")

@@ -142,7 +142,7 @@ func TestRestartedHAMasterBootsStandby(t *testing.T) {
 	if m2.Role() != roleStandby {
 		t.Fatalf("restarted HA master role = %s, want standby", m2.Role())
 	}
-	// The recovered catalog still serves as the shadow view.
+	// The standby serves META from the image its journal recovered.
 	if len(m2.Meta().Tables["t"]) == 0 {
 		t.Fatal("restarted standby lost the recovered catalog")
 	}

@@ -3,6 +3,9 @@ package hstore
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -181,5 +184,175 @@ func TestWarmScanAllocs(t *testing.T) {
 	}
 	if warm >= warmScanMaxAllocs {
 		t.Errorf("a warm scan of %d cached blocks allocated %.0f times, want < %d (cold: %.0f)", blocks, warm, warmScanMaxAllocs, cold)
+	}
+}
+
+// slabs counts the cached blocks that hold their decoded cells.
+func (c *blockCache) slabs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.items {
+		if e.Value.(*cacheEntry).cells != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConcurrentReadsOfDecodedBlocks: readers run filtered scans,
+// projected scans and Gets against a cache of about four blocks while
+// a writer puts, flushes and compacts, so blocks are decoded into
+// slabs, evicted and dropped under the readers throughout. Every row a
+// reader is returned must be right when returned, and still right, byte
+// for byte, once every reader and the writer are done.
+func TestConcurrentReadsOfDecodedBlocks(t *testing.T) {
+	const rows = 300
+	s := flateServer(t, rows)
+	ctx := context.Background()
+	for range 2 { // the second scan decodes every block
+		if _, err := s.Scan(ctx, "t", "", "", nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, size := s.stats.blocks.stat()
+	if slabs := s.stats.blocks.slabs(); slabs != entries || entries < 8 {
+		t.Fatalf("%d of %d blocks decoded after two scans; want all of at least 8", slabs, entries)
+	}
+	old := s.stats.blocks
+	s.stats.blocks = newBlockCache(4*size/int64(entries), old.hits, old.misses)
+	hits0, misses0 := cacheCounters(s)
+
+	want := func(key, col string) string { // flateServer's value
+		var i, f int
+		if n, _ := fmt.Sscanf(key+" "+col, "dyn/job_%05d feat%d", &i, &f); n != 2 {
+			return "no such value"
+		}
+		return fmt.Sprintf("%d.%06d", f, i*37%1000000)
+	}
+	// check compares r with the stored row, cut down to cols when given.
+	check := func(r Row, cols ...string) error {
+		if strings.Contains(r.Key, "/w") { // a writer's row: column w only
+			if len(cols) > 0 && r.Columns != nil {
+				return fmt.Errorf("writer row %s projected to %v holds %v", r.Key, cols, r)
+			}
+			return nil
+		}
+		if cols == nil {
+			cols = []string{"feat0", "feat1", "feat2", "feat3", "feat4", "feat5"}
+		}
+		if len(r.Columns) != len(cols) {
+			return fmt.Errorf("row %s holds %d columns, want %d", r.Key, len(r.Columns), len(cols))
+		}
+		for _, c := range cols {
+			if w := want(r.Key, c); string(r.Columns[c]) != w {
+				return fmt.Errorf("row %s column %s = %q, want %q", r.Key, c, r.Columns[c], w)
+			}
+		}
+		return nil
+	}
+	near := &EuclideanFilter{Features: []string{"feat1"}, Target: []float64{1}, Min: []float64{1}, Max: []float64{1.011063}, Threshold: 0.5}
+	proj := Project(&PrefixFilter{Prefix: "dyn/job_001"}, "feat2", "feat4")
+
+	type kept struct {
+		r    Row
+		cols []string
+	}
+	var readers sync.WaitGroup
+	errs := make(chan error, 4) // at most one from each reader and the writer
+	held := make([][]kept, 3)
+	for g := range held {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			keep := func(r Row, cols ...string) bool {
+				if err := check(r, cols...); err != nil {
+					errs <- err
+					return false
+				}
+				held[g] = append(held[g], kept{r, cols})
+				return true
+			}
+			for range 25 {
+				near, err := s.Scan(ctx, "t", "", "", near, 0)
+				if err != nil || len(near) != 150 {
+					errs <- fmt.Errorf("euclidean scan: %d rows, err %v", len(near), err)
+					return
+				}
+				projected, err := s.Scan(ctx, "t", "dyn/job_00100", "dyn/job_00200", proj, 0)
+				if err != nil || len(projected) < 100 {
+					errs <- fmt.Errorf("projected scan: %d rows, err %v", len(projected), err)
+					return
+				}
+				for _, r := range near {
+					if !keep(r) {
+						return
+					}
+				}
+				for _, r := range projected {
+					if !keep(r, "feat2", "feat4") {
+						return
+					}
+				}
+				for range 10 {
+					key := fmt.Sprintf("dyn/job_%05d", 100+rng.Intn(100))
+					r, ok, err := s.Get("t", key)
+					if err != nil || !ok {
+						errs <- fmt.Errorf("get %s: ok=%v err=%v", key, ok, err)
+						return
+					}
+					if !keep(r) {
+						return
+					}
+				}
+			}
+		}()
+	}
+	stop, written := make(chan struct{}), make(chan bool)
+	go func() { // the writer; it reports whether it saw a slab cached
+		sawSlab := false
+		defer func() { written <- sawSlab }()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sawSlab = sawSlab || s.stats.blocks.slabs() > 0
+			err := s.Put("t", fmt.Sprintf("dyn/job_%05d/w%d", i*7%rows, i), "w", []byte(strings.Repeat("x", i%50)))
+			if err == nil && i%20 == 19 {
+				err = s.Flush("t")
+			}
+			if err == nil && i%100 == 99 {
+				err = s.Compact("t")
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	readers.Wait()
+	close(stop)
+	sawSlab := <-written
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if !sawSlab {
+		t.Error("no block was ever cached decoded: the readers never read one twice")
+	}
+	n := 0
+	for _, rows := range held {
+		for _, k := range rows {
+			if err := check(k.r, k.cols...); err != nil {
+				t.Fatalf("after the run: %v", err)
+			}
+			n++
+		}
+	}
+	if hits, misses := cacheCounters(s); n < 3*25*250 || hits == hits0 || misses == misses0 {
+		t.Errorf("%d rows re-checked, %d hits, %d misses; want every read kept and the cache both hit and missed", n, hits, misses)
 	}
 }

@@ -24,6 +24,8 @@ func (f *cancelAfter) Matches(Row) bool {
 	return true
 }
 
+func (f *cancelAfter) matchRun(cellRun) bool { return f.Matches(Row{}) }
+
 func (f *cancelAfter) kind() string { return "test-cancel-after" }
 
 // TestScanStopsMidRegionOnCancel: the per-row context check inside the

@@ -18,6 +18,8 @@ package hstore
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -62,6 +64,46 @@ func (r Row) Bytes() int64 {
 		n += int64(len(c) + len(v))
 	}
 	return n
+}
+
+// value returns a column's value, for filters.
+func (r Row) value(col string) ([]byte, bool) {
+	v, ok := r.Columns[col]
+	return v, ok
+}
+
+// cellRun is a row as the scan merge yields it: its live cells, in
+// column order. Filters read it before any Row map exists.
+type cellRun []Cell
+
+// value finds a column's value by binary search.
+func (r cellRun) value(col string) ([]byte, bool) {
+	i := sort.Search(len(r), func(i int) bool { return r[i].Column >= col })
+	if i < len(r) && r[i].Column == col {
+		return r[i].Value, true
+	}
+	return nil, false
+}
+
+// build returns the run as a Row with every column, or only proj's
+// columns when proj is set, and its size as Row.Bytes counts it. A run
+// left with no column builds nil Columns.
+func (r cellRun) build(proj *ProjectFilter) (Row, int64) {
+	out, size, n := Row{Key: r[0].Row}, int64(len(r[0].Row)), len(r)
+	if proj != nil {
+		n = len(proj.Columns)
+	}
+	for _, c := range r {
+		if proj != nil && !slices.Contains(proj.Columns, c.Column) {
+			continue
+		}
+		if out.Columns == nil {
+			out.Columns = make(map[string][]byte, n)
+		}
+		out.Columns[c.Column] = c.Value
+		size += int64(len(c.Column) + len(c.Value))
+	}
+	return out, size
 }
 
 // String renders the row compactly for debugging.

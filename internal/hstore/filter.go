@@ -5,16 +5,27 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
-// Filter is a predicate over materialized rows, evaluated at the region
-// server when pushed down with a scan (§5.3). Filters must be
+// Filter is a row predicate, evaluated at the region server when pushed
+// down with a scan (§5.3). The server evaluates it on each row's cells
+// and builds a Row only for the rows that pass. Filters must be
 // serializable so they can cross the client/server boundary.
 type Filter interface {
 	// Matches reports whether the row passes the filter.
 	Matches(r Row) bool
+	// matchRun is Matches over a row as Server.Scan holds it before
+	// building one: its live cells in column order.
+	matchRun(r cellRun) bool
 	// kind returns the registry tag used for serialization.
 	kind() string
+}
+
+// columnReader is what a filter reads: a Row, or the cellRun
+// Server.Scan holds.
+type columnReader interface {
+	value(col string) ([]byte, bool)
 }
 
 // envelope is the wire form of a filter.
@@ -112,9 +123,9 @@ type PrefixFilter struct {
 func (f *PrefixFilter) kind() string { return "prefix" }
 
 // Matches implements Filter.
-func (f *PrefixFilter) Matches(r Row) bool {
-	return len(r.Key) >= len(f.Prefix) && r.Key[:len(f.Prefix)] == f.Prefix
-}
+func (f *PrefixFilter) Matches(r Row) bool { return strings.HasPrefix(r.Key, f.Prefix) }
+
+func (f *PrefixFilter) matchRun(r cellRun) bool { return strings.HasPrefix(r[0].Row, f.Prefix) }
 
 // ColumnEqualsFilter keeps rows where the column exists and equals the
 // value exactly. PStorM's conservative CFG matching (§4.2) is this
@@ -129,8 +140,12 @@ type ColumnEqualsFilter struct {
 func (f *ColumnEqualsFilter) kind() string { return "column-equals" }
 
 // Matches implements Filter.
-func (f *ColumnEqualsFilter) Matches(r Row) bool {
-	v, ok := r.Columns[f.Column]
+func (f *ColumnEqualsFilter) Matches(r Row) bool { return columnEquals(f, r) }
+
+func (f *ColumnEqualsFilter) matchRun(r cellRun) bool { return columnEquals(f, r) }
+
+func columnEquals[R columnReader](f *ColumnEqualsFilter, r R) bool {
+	v, ok := r.value(f.Column)
 	return ok && string(v) == f.Value
 }
 
@@ -154,10 +169,17 @@ func (f *EuclideanFilter) kind() string { return "euclidean" }
 
 // Distance computes the normalized Euclidean distance between the
 // row's features and the target, or +Inf if any feature is missing.
-func (f *EuclideanFilter) Distance(r Row) float64 {
+func (f *EuclideanFilter) Distance(r Row) float64 { return distance(f, r) }
+
+// Matches implements Filter.
+func (f *EuclideanFilter) Matches(r Row) bool { return distance(f, r) <= f.Threshold }
+
+func (f *EuclideanFilter) matchRun(r cellRun) bool { return distance(f, r) <= f.Threshold }
+
+func distance[R columnReader](f *EuclideanFilter, r R) float64 {
 	var sum float64
 	for i, name := range f.Features {
-		raw, ok := r.Columns[name]
+		raw, ok := r.value(name)
 		if !ok {
 			return math.Inf(1)
 		}
@@ -169,11 +191,6 @@ func (f *EuclideanFilter) Distance(r Row) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// Matches implements Filter.
-func (f *EuclideanFilter) Matches(r Row) bool {
-	return f.Distance(r) <= f.Threshold
 }
 
 func normalize(v, lo, hi float64) float64 {
@@ -204,22 +221,24 @@ type JaccardFilter struct {
 func (f *JaccardFilter) kind() string { return "jaccard" }
 
 // Score returns the fraction of features on which the row agrees.
-func (f *JaccardFilter) Score(r Row) float64 {
+func (f *JaccardFilter) Score(r Row) float64 { return score(f, r) }
+
+// Matches implements Filter.
+func (f *JaccardFilter) Matches(r Row) bool { return score(f, r) >= f.Threshold }
+
+func (f *JaccardFilter) matchRun(r cellRun) bool { return score(f, r) >= f.Threshold }
+
+func score[R columnReader](f *JaccardFilter, r R) float64 {
 	if len(f.Want) == 0 {
 		return 1
 	}
 	agree := 0
 	for col, want := range f.Want {
-		if v, ok := r.Columns[col]; ok && string(v) == want {
+		if v, ok := r.value(col); ok && string(v) == want {
 			agree++
 		}
 	}
 	return float64(agree) / float64(len(f.Want))
-}
-
-// Matches implements Filter.
-func (f *JaccardFilter) Matches(r Row) bool {
-	return f.Score(r) >= f.Threshold
 }
 
 // AndFilter conjoins filters.
@@ -246,6 +265,15 @@ func (f *AndFilter) Matches(r Row) bool {
 	return true
 }
 
+func (f *AndFilter) matchRun(r cellRun) bool {
+	for _, sub := range f.filters {
+		if sub != nil && !sub.matchRun(r) {
+			return false
+		}
+	}
+	return true
+}
+
 // MarshalJSON implements json.Marshaler: nested filters are encoded as
 // envelopes.
 func (f *AndFilter) MarshalJSON() ([]byte, error) {
@@ -261,9 +289,9 @@ func (f *AndFilter) MarshalJSON() ([]byte, error) {
 }
 
 // ProjectFilter matches like Filter (nil matches every row) and asks the
-// scan to return only Columns: Server.Scan trims each row it returns to
-// those of them the row holds, and a row holding none comes back with
-// nil Columns. Only a top-level Project pushed down to Server.Scan
+// scan to return only Columns: Server.Scan builds each row it returns
+// with only those of them the row holds, and a row holding none comes
+// back with nil Columns. Only a top-level Project pushed down to Server.Scan
 // trims; nested in And, or applied client-side, it filters like Filter
 // alone.
 type ProjectFilter struct {
@@ -284,9 +312,9 @@ func Project(f Filter, cols ...string) *ProjectFilter {
 func (f *ProjectFilter) kind() string { return "project" }
 
 // Matches implements Filter.
-func (f *ProjectFilter) Matches(r Row) bool {
-	return f.Filter == nil || f.Filter.Matches(r)
-}
+func (f *ProjectFilter) Matches(r Row) bool { return f.Filter == nil || f.Filter.Matches(r) }
+
+func (f *ProjectFilter) matchRun(r cellRun) bool { return f.Filter == nil || f.Filter.matchRun(r) }
 
 // MarshalJSON implements json.Marshaler: the inner filter is encoded as
 // an envelope, as And's are.
@@ -296,18 +324,4 @@ func (f *ProjectFilter) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(projectWire{Filter: inner, Columns: f.Columns})
-}
-
-// project returns r trimmed to f.Columns in a map of its own.
-func (f *ProjectFilter) project(r Row) Row {
-	out := Row{Key: r.Key}
-	for _, c := range f.Columns {
-		if v, ok := r.Columns[c]; ok {
-			if out.Columns == nil {
-				out.Columns = make(map[string][]byte, len(f.Columns))
-			}
-			out.Columns[c] = v
-		}
-	}
-	return out
 }

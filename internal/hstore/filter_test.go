@@ -2,6 +2,7 @@ package hstore
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -186,14 +187,24 @@ func TestDecodeUnknownFilter(t *testing.T) {
 	}
 }
 
+// runOf returns r as the scan merge yields it: its cells in column order.
+func runOf(r Row) cellRun {
+	var run cellRun
+	for c, v := range r.Columns {
+		run = append(run, Cell{Row: r.Key, Column: c, Value: v})
+	}
+	sort.Slice(run, func(i, j int) bool { return run[i].Column < run[j].Column })
+	return run
+}
+
 // FuzzDecodeFilter feeds arbitrary bytes to DecodeFilter, which reads
 // the filters of /d/scan bodies off the network. It never panics or
-// hangs: it returns an error, or a filter that evaluates safely on any
-// row, re-encodes, and decodes back to the same wire form. The seed
-// corpus under testdata/fuzz (every kind, And and Project nested in
-// each other, nesting past the depth bound, mismatched Euclidean
-// vectors, truncated envelopes and garbage) runs as regression inputs
-// in plain `go test`.
+// hangs: it returns an error, or a filter that evaluates safely, and
+// alike, on any row as a Row and as its cells, re-encodes, and decodes
+// back to the same wire form. The seed corpus under testdata/fuzz
+// (every kind, And and Project nested in each other, nesting past the
+// depth bound, mismatched Euclidean vectors, truncated envelopes and
+// garbage) runs as regression inputs in plain `go test`.
 func FuzzDecodeFilter(f *testing.F) {
 	rows := []Row{
 		row("dynmap/j", map[string]string{"x": "1", "y": "2", "!CFG": "B L(B)", "A": "1"}),
@@ -206,9 +217,16 @@ func FuzzDecodeFilter(f *testing.F) {
 			return
 		}
 		for _, r := range rows {
-			flt.Matches(r)
+			got := flt.Matches(r)
+			run := runOf(r)
+			if len(run) == 0 { // the scan merge yields no empty run
+				continue
+			}
+			if flt.matchRun(run) != got {
+				t.Fatalf("%T passes row %v %v but its cells %v", flt, r, got, !got)
+			}
 			if p, ok := flt.(*ProjectFilter); ok {
-				p.project(r)
+				run.build(p)
 			}
 		}
 		wire, err := EncodeFilter(flt)

@@ -159,28 +159,6 @@ func (g *region) flushLocked() {
 	g.stats.compress(t.compressionRatio())
 }
 
-// cellSource streams sorted cells for the k-way merge: the memstore
-// snapshot as a slice, each sstable through its lazy block iterator.
-type cellSource interface {
-	peek() (Cell, bool)
-	advance() error
-}
-
-// cellIterator is the slice-backed cellSource (memstore snapshots).
-type cellIterator struct {
-	cells []Cell
-	pos   int
-}
-
-func (it *cellIterator) peek() (Cell, bool) {
-	if it.pos >= len(it.cells) {
-		return Cell{}, false
-	}
-	return it.cells[it.pos], true
-}
-
-func (it *cellIterator) advance() error { it.pos++; return nil }
-
 // newestCells k-way merges the memstore snapshot and sstables (newest
 // first) over [startRow, endRow) and passes fn the newest version of
 // each (row, column), tombstones included; fn returning false stops the
@@ -191,7 +169,12 @@ func (it *cellIterator) advance() error { it.pos++; return nil }
 // column) the merge reaches is its newest version and every later one
 // is shadowed.
 func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, cache *blockCache, fn func(Cell) bool) error {
-	srcs := []cellSource{&cellIterator{cells: memCells}}
+	// The memstore snapshot is a slab with no blocks behind it.
+	mem := &ssIter{t: noBlocks, cells: memCells}
+	srcs := []*ssIter{mem}
+	if err := mem.advance(); err != nil {
+		return err
+	}
 	for _, t := range tables {
 		it, err := t.iterate(startRow, endRow, cache)
 		if err != nil {
@@ -200,27 +183,27 @@ func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, ca
 		srcs = append(srcs, it)
 	}
 	var last Cell
-	seen := false
 	for {
-		best := -1
-		var c Cell
-		for i, it := range srcs {
-			if p, ok := it.peek(); ok && (best == -1 || p.less(c)) {
-				best, c = i, p
+		var best *ssIter
+		for _, it := range srcs {
+			if it.ok && (best == nil || it.cur.less(best.cur)) {
+				best = it
 			}
 		}
-		if best == -1 {
+		if best == nil {
 			return nil
 		}
-		if err := srcs[best].advance(); err != nil {
+		c := best.cur
+		if err := best.advance(); err != nil {
 			return err
 		}
 		// A cell with an empty row key predates the write check that
 		// refuses one; it was never readable, and compaction drops it.
-		if c.Row == "" || seen && c.Row == last.Row && c.Column == last.Column {
+		// So no cell passed on has last's zero row.
+		if c.Row == "" || c.Row == last.Row && c.Column == last.Column {
 			continue
 		}
-		seen, last = true, c
+		last = c
 		if !fn(c) {
 			return nil
 		}
@@ -228,8 +211,7 @@ func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, ca
 }
 
 // scanRows passes fn each row in [startRow, endRow) that has a live
-// column, under mergeRows' borrowed-row contract; fn returning false
-// stops early.
+// column, as mergeRows does; fn returning false stops early.
 // The region lock is held only long enough to snapshot the memstore's
 // in-range cells and the sstable list; the merge and fn callbacks run
 // outside it against immutable segments, so a slow consumer (an HTTP
@@ -239,7 +221,7 @@ func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, ca
 // server's block cache. A checksum mismatch in any touched block
 // quarantines the region and aborts the scan with a CorruptionError —
 // partial garbage is never surfaced.
-func (g *region) scanRows(startRow, endRow string, fn func(*Row) bool) error {
+func (g *region) scanRows(startRow, endRow string, fn func(cellRun) bool) error {
 	if err := g.checkQuarantine(); err != nil {
 		return err
 	}
@@ -263,46 +245,35 @@ func (g *region) memCells(startRow, endRow string) []Cell {
 
 // mergeRows groups the newest-version stream of a memstore snapshot and
 // sstables (newest first) over [startRow, endRow) into rows, passing fn
-// each row that has a live column. The Row is borrowed: once fn returns,
-// its Columns map is cleared and refilled for the next row. fn keeps the
-// map by taking it, setting r.Columns to nil, and the merge goes on in a
-// fresh map sized like the one taken. Values alias immutable memstore
-// cells and sstable blocks, the server's cached blocks included, and
-// are capped at their length.
-func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow string, fn func(*Row) bool) error {
-	var cur Row
-	width := 0 // columns in the last row passed on: the next map's size
-	// emit passes on the row built so far and empties it, so after fn
-	// stops the merge the final emit below finds nothing to pass.
-	emit := func() bool {
-		// A row whose every column was tombstoned no longer exists.
-		if len(cur.Columns) == 0 {
-			return true
-		}
-		width = len(cur.Columns)
-		ok := fn(&cur)
-		clear(cur.Columns)
-		return ok
-	}
+// each row that has a live column as its run: its live cells in column
+// order. The run is borrowed: once fn returns, its array is refilled
+// with the next row. Values alias immutable memstore cells and sstable
+// blocks, the server's cached blocks included, and are capped at their
+// length.
+func (g *region) mergeRows(memCells []Cell, tables []*sstable, startRow, endRow string, fn func(cellRun) bool) error {
+	var run cellRun
+	key := ""
+	// A row whose every column was tombstoned has an empty run: it no
+	// longer exists. After fn stops the merge, the run is left empty.
 	err := newestCells(memCells, tables, startRow, endRow, g.stats.cache(), func(c Cell) bool {
-		if c.Row != cur.Key {
-			if !emit() {
+		if c.Row != key {
+			ok := len(run) == 0 || fn(run)
+			run, key = run[:0], c.Row
+			if !ok {
 				return false
 			}
-			cur.Key = c.Row
 		}
 		if !c.Deleted {
-			if cur.Columns == nil {
-				cur.Columns = make(map[string][]byte, width)
-			}
-			cur.Columns[c.Column] = c.Value
+			run = append(run, c)
 		}
 		return true
 	})
 	if err != nil {
 		return g.corruptionDetected(err)
 	}
-	emit()
+	if len(run) > 0 {
+		fn(run)
+	}
 	return nil
 }
 
@@ -332,11 +303,10 @@ func (g *region) get(row string) (Row, bool, error) {
 		return Row{}, false, nil
 	}
 
-	// The merge's one row is the answer; take its map.
+	// The merge's one row is the answer.
 	var out Row
-	err := g.mergeRows(memCells, tables, row, end, func(r *Row) bool {
-		out = *r
-		r.Columns = nil
+	err := g.mergeRows(memCells, tables, row, end, func(r cellRun) bool {
+		out, _ = r.build(nil)
 		return false
 	})
 	if err != nil {
@@ -349,8 +319,8 @@ func (g *region) get(row string) (Row, bool, error) {
 // few distinct rows to split.
 func (g *region) splitPoint() (string, error) {
 	var rows []string
-	if err := g.scanRows(g.startKey, g.endKey, func(r *Row) bool {
-		rows = append(rows, r.Key)
+	if err := g.scanRows(g.startKey, g.endKey, func(r cellRun) bool {
+		rows = append(rows, r[0].Row)
 		return true
 	}); err != nil {
 		return "", err
@@ -368,13 +338,13 @@ func (g *region) split(at string, leftID, rightID int) (*region, *region, error)
 	}
 	left := newRegion(leftID, g.startKey, at, g.flushBytes, g.stats)
 	right := newRegion(rightID, at, g.endKey, g.flushBytes, g.stats)
-	if err := g.scanRows(g.startKey, g.endKey, func(r *Row) bool {
+	if err := g.scanRows(g.startKey, g.endKey, func(r cellRun) bool {
 		target := left
-		if r.Key >= at {
+		if r[0].Row >= at {
 			target = right
 		}
-		for col, v := range r.Columns {
-			target.put(Cell{Row: r.Key, Column: col, Ts: 1, Value: v})
+		for _, c := range r {
+			target.put(Cell{Row: c.Row, Column: c.Column, Ts: 1, Value: c.Value})
 		}
 		return true
 	}); err != nil {

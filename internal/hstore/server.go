@@ -522,17 +522,17 @@ func (s *Server) Get(tableName, row string) (Row, bool, error) {
 // unbounded) through the filter, region by region in key order. Only
 // rows passing the filter are "returned" (and accounted); this is the
 // server-side half of the pushdown mechanism. Limit 0 means no limit.
-// A top-level Project filter trims each returned row to its columns,
-// and BytesReturned counts what is left.
+// The filter reads each row's cells; a Row is built only for a row
+// that passes, and under a top-level Project filter only with its
+// columns, which are what BytesReturned counts.
 // The context is checked once per emitted row, so a canceled caller
 // stops the merge mid-region instead of paying for the full range.
 //
-// Every returned row owns its Columns map: the merge hands over the map
-// it built the row in and goes on in a fresh one, so nothing is copied.
-// The values are read-only, as Get's are: they alias memstore cells and
-// sstable blocks the block cache shares with every other read. Each is
-// capped at its length, so an append reallocates, but writing into one
-// in place corrupts the store.
+// Every returned row owns its Columns map. The values are read-only, as
+// Get's are: they alias memstore cells and sstable blocks the block
+// cache shares with every other read. Each is capped at its length, so
+// an append reallocates, but writing into one in place corrupts the
+// store.
 func (s *Server) Scan(ctx context.Context, tableName, startRow, endRow string, f Filter, limit int) ([]Row, error) {
 	t, err := s.table(tableName)
 	if err != nil {
@@ -583,24 +583,19 @@ func (s *Server) Scan(ctx context.Context, tableName, startRow, endRow string, f
 		}
 		stop := false
 		var ctxErr error
-		if err := g.scanRows(startRow, endRow, func(r *Row) bool {
+		if err := g.scanRows(startRow, endRow, func(r cellRun) bool {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				return false
 			}
 			s.rowsScanned.Add(1)
-			if f != nil && !f.Matches(*r) {
+			if f != nil && !f.matchRun(r) {
 				return true
 			}
-			kept := *r
-			if proj != nil {
-				kept = proj.project(kept) // the merge keeps its map
-			} else {
-				r.Columns = nil // hand the map over
-			}
+			kept, size := r.build(proj)
 			out = append(out, kept)
 			s.rowsReturned.Add(1)
-			s.bytesReturned.Add(kept.Bytes())
+			s.bytesReturned.Add(size)
 			if limit > 0 && len(out) >= limit {
 				stop = true
 				return false

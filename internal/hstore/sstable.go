@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // sstable is an immutable sorted segment produced by flushing a
@@ -277,20 +278,22 @@ func (t *sstable) seekBlock(row string) int {
 }
 
 // ssIter streams cells of [startRow, endRow) lazily: blocks are CRC-
-// verified, decompressed (or taken from cache), and decoded one at a
-// time as the iterator crosses into them, and each decoded cell's value
-// aliases the block's buffer (no per-cell copy). A block failing its
-// checksum or decoding impossibly surfaces as a CorruptionError from
-// advance().
+// verified and opened one at a time as the iterator crosses into them.
+// A block the cache already holds decoded is a slab the iterator steps
+// through; any other block is decoded one cell at a time as the
+// iterator reaches it, each value aliasing the block's buffer (no
+// per-cell copy). A block failing its checksum or decoding impossibly
+// surfaces as a CorruptionError from advance().
 type ssIter struct {
 	t      *sstable
 	cache  *blockCache // nil: open every block afresh
 	endRow string
 
-	bi   int    // next block to open
-	buf  []byte // decoded current block
-	pos  int
-	left uint32 // cells remaining in current block
+	bi    int    // next block to open
+	cells []Cell // the rest of the current block's slab
+	buf   []byte // the current block, decoded from pos on
+	pos   int
+	left  uint32 // cells of buf not yet decoded
 
 	// row is the current row key. Opening a block rebuilds its row keys
 	// end to end into keys and copies them to one string, rows (or takes
@@ -310,12 +313,15 @@ type ssIter struct {
 	ok  bool
 }
 
+// noBlocks is the table behind an iterator over cells already decoded.
+var noBlocks = &sstable{}
+
 // maxInternedCols bounds an iterator's intern map over ever-new names.
 const maxInternedCols = 256
 
 // iterate positions an iterator at the first cell with row >= startRow,
 // opening blocks through cache (nil for none). The returned iterator
-// already holds that cell (peek) or is exhausted.
+// already holds that cell (cur, ok) or is exhausted.
 func (t *sstable) iterate(startRow, endRow string, cache *blockCache) (*ssIter, error) {
 	it := &ssIter{t: t, cache: cache, endRow: endRow}
 	if len(t.blocks) == 0 {
@@ -332,11 +338,10 @@ func (t *sstable) iterate(startRow, endRow string, cache *blockCache) (*ssIter, 
 	}
 }
 
-// peek returns the current cell without advancing.
-func (it *ssIter) peek() (Cell, bool) { return it.cur, it.ok }
-
 // openBlock verifies block bi's stored payload, then takes its decoded
-// form from the cache or decompresses it and rebuilds its row keys.
+// form from the cache or decompresses it and rebuilds its row keys. A
+// block the cache holds without a slab is on its second read: it is
+// decoded whole into one, which goes to the cache for every later read.
 // The checksum runs on every open, hit or miss, so a flipped stored bit
 // is caught even while the block's decoded form sits in the cache.
 func (it *ssIter) openBlock(bi int) error {
@@ -351,8 +356,8 @@ func (it *ssIter) openBlock(bi int) error {
 		return &CorruptionError{Detail: fmt.Sprintf("sstable block %d checksum mismatch (got %#x want %#x)", bi, got, m.crc)}
 	}
 	key := blockKey{table: t.id, block: bi}
-	b, ok := it.cache.get(key)
-	if !ok {
+	b, hit := it.cache.get(key)
+	if !hit {
 		buf, err := decompressBlock(payload, m.codec, m.ulen)
 		if err != nil {
 			return err
@@ -363,17 +368,33 @@ func (it *ssIter) openBlock(bi int) error {
 		if m.codec != codecRaw {
 			b.buf = buf
 		}
+		b.cost = int64(m.ulen) + int64(len(b.rows)) + int64(m.cells)*int64(unsafe.Sizeof(Cell{})) + blockEntryOverhead
 		it.cache.add(key, b)
 	}
-	if m.codec == codecRaw { // read in place, never cached
+	if b.buf == nil { // raw: read in place, or from a copy a slab may keep
 		b.buf = payload
+		if hit {
+			b.buf = bytes.Clone(payload)
+		}
 	}
 	it.buf, it.rows, it.to, it.pos, it.left, it.row = b.buf, b.rows, 0, 0, m.cells, ""
+	if hit && b.cells == nil { // a second read: decode the block's slab
+		b.cells = make([]Cell, m.cells)
+		for i := range b.cells {
+			if err := it.decode(&b.cells[i]); err != nil {
+				return err
+			}
+		}
+		it.cache.add(key, b)
+	}
+	if it.cells = b.cells; b.cells != nil {
+		it.left = 0
+	}
 	return nil
 }
 
 // blockKeys rebuilds the row keys of a decoded block end to end into
-// one string, for advance to slice from offset 0 on.
+// one string, for decode to slice from offset 0 on.
 func (it *ssIter) blockKeys(buf []byte, cells uint32) (string, error) {
 	keys := it.keys[:0]
 	var e blockEntry
@@ -394,11 +415,11 @@ func (it *ssIter) blockKeys(buf []byte, cells uint32) (string, error) {
 	return string(keys), nil
 }
 
-// advance decodes the next cell, exhausting cleanly at the table's end
+// advance moves to the next cell, exhausting cleanly at the table's end
 // or at endRow.
 func (it *ssIter) advance() error {
 	it.ok = false
-	for it.left == 0 {
+	for len(it.cells) == 0 && it.left == 0 {
 		if it.bi >= len(it.t.blocks) {
 			return nil
 		}
@@ -407,6 +428,22 @@ func (it *ssIter) advance() error {
 		}
 		it.bi++
 	}
+	if len(it.cells) > 0 {
+		it.cur, it.cells = it.cells[0], it.cells[1:]
+	} else if err := it.decode(&it.cur); err != nil {
+		return err
+	}
+	if it.endRow != "" && it.cur.Row >= it.endRow {
+		it.cells, it.left = nil, 0
+		it.bi = len(it.t.blocks) // past endRow: every later cell is too
+		return nil
+	}
+	it.ok = true
+	return nil
+}
+
+// decode decodes buf's next cell into c.
+func (it *ssIter) decode(c *Cell) error {
 	var e blockEntry
 	if err := e.decode(it.buf, it.pos); err != nil {
 		return err
@@ -423,13 +460,7 @@ func (it *ssIter) advance() error {
 	}
 	it.pos = e.next
 	it.left--
-	c := Cell{Row: it.row, Column: it.column(e.col), Ts: e.ts, Value: e.val, Deleted: e.deleted}
-	if it.endRow != "" && c.Row >= it.endRow {
-		it.left = 0
-		it.bi = len(it.t.blocks) // past endRow: every later cell is too
-		return nil
-	}
-	it.cur, it.ok = c, true
+	*c = Cell{Row: it.row, Column: it.column(e.col), Ts: e.ts, Value: e.val, Deleted: e.deleted}
 	return nil
 }
 

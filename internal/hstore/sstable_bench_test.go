@@ -81,11 +81,9 @@ func BenchmarkSSTableSeekScan(b *testing.B) {
 	}
 }
 
-// BenchmarkRegionScanFiltered scans a flushed region of profile-shaped
-// rows through a pushed-down filter that keeps one row in ten: the
-// matcher's scan shape, where most merged rows exist only to fail their
-// filter.
-func BenchmarkRegionScanFiltered(b *testing.B) {
+// profileServer holds one flushed region of 2000 profile-shaped rows:
+// twelve numeric features and a kind column.
+func profileServer(b *testing.B) *Server {
 	const rows = 2000
 	s := NewServer()
 	if err := s.CreateTable("t"); err != nil {
@@ -105,13 +103,38 @@ func BenchmarkRegionScanFiltered(b *testing.B) {
 	if err := s.Flush("t"); err != nil {
 		b.Fatal(err)
 	}
+	return s
+}
+
+// BenchmarkRegionScanFiltered scans profileServer's region through a
+// pushed-down filter that keeps one row in ten: the matcher's scan
+// shape, where most merged rows exist only to fail their filter.
+func BenchmarkRegionScanFiltered(b *testing.B) {
+	s := profileServer(b)
 	ctx := context.Background()
 	keep := &ColumnEqualsFilter{Column: "kind", Value: "k0"}
 	b.ReportAllocs()
 	for b.Loop() {
 		out, err := s.Scan(ctx, "t", "", "", keep, 0)
-		if err != nil || len(out) != rows/10 {
-			b.Fatalf("scan kept %d rows, err %v; want %d", len(out), err, rows/10)
+		if err != nil || len(out) != 200 {
+			b.Fatalf("scan kept %d rows, err %v; want 200", len(out), err)
+		}
+	}
+}
+
+// BenchmarkRegionScanCold is BenchmarkRegionScanFiltered through an
+// empty block cache each time, so every block is a miss: the first
+// read of a freshly flushed or compacted segment.
+func BenchmarkRegionScanCold(b *testing.B) {
+	s := profileServer(b)
+	ctx := context.Background()
+	keep := &ColumnEqualsFilter{Column: "kind", Value: "k0"}
+	b.ReportAllocs()
+	for b.Loop() {
+		s.stats.blocks = newBlockCache(blockCacheBytes, nil, nil)
+		out, err := s.Scan(ctx, "t", "", "", keep, 0)
+		if err != nil || len(out) != 200 {
+			b.Fatalf("scan kept %d rows, err %v; want 200", len(out), err)
 		}
 	}
 }

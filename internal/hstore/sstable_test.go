@@ -18,8 +18,7 @@ func (t *sstable) scanRange(startRow, endRow string, fn func(Cell) bool) error {
 		return err
 	}
 	for {
-		c, ok := it.peek()
-		if !ok || !fn(c) {
+		if !it.ok || !fn(it.cur) {
 			return nil
 		}
 		if err := it.advance(); err != nil {

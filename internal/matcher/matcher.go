@@ -207,10 +207,6 @@ type SideReport struct {
 	// the side fell back to stage-1-only matching: the winner is the
 	// best dynamic-distance candidate, unrefined by CFG or Jaccard.
 	Degraded bool
-
-	// CandidateIDs lists the stage-1 survivors with their dynamic
-	// distances, for diagnostics and the experiment harness.
-	CandidateIDs map[string]float64
 }
 
 // Result is the matcher's verdict for a submitted job.
@@ -405,12 +401,6 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		rep.Failed = true
 		return rep, nil
 	}
-	dynDist := make([]float64, len(cands))
-	rep.CandidateIDs = make(map[string]float64, len(cands))
-	for i, c := range cands {
-		dynDist[i] = dynFilter.Distance(c.Row)
-		rep.CandidateIDs[c.JobID] = dynDist[i]
-	}
 
 	// ----- Stage 2: conservative CFG match, pushed down. -----
 	// The survivors are the stage-1 candidates whose static row the scan
@@ -428,7 +418,7 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		hits, err := m.structuralScan(ctx, st, spec, side, jacWant)
 		if err != nil {
 			rep.Degraded = true
-			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, nil, inputBytes)
+			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynFilter, nil, inputBytes)
 			return rep, nil
 		}
 		for i, j := 0, 0; i < len(cands) && j < len(hits); {
@@ -485,7 +475,7 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		cmin, cmax, err := st.Bounds(ctx, spec.ftCost, spec.costFeats)
 		if err != nil {
 			rep.Degraded = true
-			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, nil, inputBytes)
+			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynFilter, nil, inputBytes)
 			return rep, nil
 		}
 		mergeBounds(cmin, cmax, costTarget)
@@ -497,7 +487,7 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 		costRows, err := getFeatureRows(ctx, st, spec.ftCost, cands)
 		if err != nil {
 			rep.Degraded = true
-			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, nil, inputBytes)
+			rep.Winner, rep.WinnerDistance = pickWinner(cands, dynFilter, nil, inputBytes)
 			return rep, nil
 		}
 		for i, c := range cands {
@@ -512,23 +502,27 @@ func (m *Matcher) matchSide(ctx context.Context, st Store, spec sideSpec, side *
 	}
 
 	// ----- Tie-break: closest input data size. -----
-	rep.Winner, rep.WinnerDistance = pickWinner(cands, dynDist, survivors, inputBytes)
+	rep.Winner, rep.WinnerDistance = pickWinner(cands, dynFilter, survivors, inputBytes)
 	return rep, nil
 }
 
 // pickWinner applies the Fig 4.6 tie-break — closest input data size,
-// then smallest dynamic distance — over cands[i] for each i in keep, in
-// order (nil keeps every candidate). dist is aligned with cands (nil
-// reads as all zero). The input size is parsed from each compared row's
-// InputBytesColumn; a row without one counts as size 0.
-func pickWinner(cands []Entry, dist []float64, keep []int, inputBytes int64) (string, float64) {
+// then smallest dynamic distance under dyn — over cands[i] for each i
+// in keep, in order (nil keeps every candidate), and returns the winner
+// with its distance (every distance reads 0 when dyn is nil). The input
+// size is parsed from each compared row's InputBytesColumn; a row
+// without one counts as size 0. A distance is computed only where the
+// tie-break compares one, and for the winner.
+func pickWinner(cands []Entry, dyn *hstore.EuclideanFilter, keep []int, inputBytes int64) (string, float64) {
 	distOf := func(i int) float64 {
-		if dist == nil {
+		if dyn == nil {
 			return 0
 		}
-		return dist[i]
+		return dyn.Distance(cands[i].Row)
 	}
 	best, bestGap := -1, int64(math.MaxInt64)
+	var bestDist float64
+	known := false // bestDist holds best's distance
 	consider := func(i int) {
 		var in int64
 		if raw, ok := cands[i].Row.Columns[InputBytesColumn]; ok {
@@ -536,9 +530,16 @@ func pickWinner(cands []Entry, dist []float64, keep []int, inputBytes int64) (st
 				in = v
 			}
 		}
-		gap := absInt64(in - inputBytes)
-		if best == -1 || gap < bestGap || (gap == bestGap && distOf(i) < distOf(best)) {
-			best, bestGap = i, gap
+		switch gap := absInt64(in - inputBytes); {
+		case best == -1 || gap < bestGap:
+			best, bestGap, known = i, gap, false
+		case gap == bestGap:
+			if !known {
+				bestDist, known = distOf(best), true
+			}
+			if d := distOf(i); d < bestDist {
+				best, bestDist = i, d
+			}
 		}
 	}
 	if keep == nil {
@@ -550,7 +551,10 @@ func pickWinner(cands []Entry, dist []float64, keep []int, inputBytes int64) (st
 			consider(i)
 		}
 	}
-	return cands[best].JobID, distOf(best)
+	if !known {
+		bestDist = distOf(best)
+	}
+	return cands[best].JobID, bestDist
 }
 
 // stage1Filter builds the normalized Euclidean filter for the stage-1
@@ -683,7 +687,6 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 		rep.Winner, rep.WinnerDistance = pickWinner(afterJac, nil, nil, inputBytes)
 		return rep, nil
 	}
-	rep.CandidateIDs = make(map[string]float64)
 	dynRows, err := getFeatureRows(ctx, st, spec.ftDyn, afterJac)
 	if err != nil {
 		rep.Degraded = true
@@ -691,16 +694,9 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 		return rep, nil
 	}
 	var survivors []Entry
-	var dynDist []float64 // aligned with survivors
 	for _, c := range afterJac {
-		row, ok := dynRows[c.JobID]
-		if !ok {
-			continue
-		}
-		if d := dynFilter.Distance(row); d <= dynFilter.Threshold {
-			rep.CandidateIDs[c.JobID] = d
+		if row, ok := dynRows[c.JobID]; ok && dynFilter.Matches(row) {
 			survivors = append(survivors, Entry{JobID: c.JobID, Row: row})
-			dynDist = append(dynDist, d)
 		}
 	}
 	rep.Stage1Candidates = len(survivors)
@@ -708,7 +704,7 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 		rep.Failed = true
 		return rep, nil
 	}
-	rep.Winner, rep.WinnerDistance = pickWinner(survivors, dynDist, nil, inputBytes)
+	rep.Winner, rep.WinnerDistance = pickWinner(survivors, dynFilter, nil, inputBytes)
 	return rep, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"pstorm/internal/hstore"
 	"pstorm/internal/matcher"
 	"pstorm/internal/profile"
 )
@@ -115,19 +116,47 @@ func TestCostFallbackExhausted(t *testing.T) {
 	}
 }
 
+// TestMatchReportsCandidateDistances: two stored runs of one job tie on
+// input size, so the tie-break compares their dynamic distances; each
+// side's WinnerDistance is the closer one's, equal to a distance
+// computed here from its stored dynamic row.
 func TestMatchReportsCandidateDistances(t *testing.T) {
+	ctx := context.Background()
 	st := newStore(t)
-	self := fab("self", "jobA", 1000, 1.0, 10, "B L(B)", "MapA")
-	putProfile(t, st, self)
-	res, err := matcher.New().Match(context.Background(), st, sampleLike(self, 1000))
+	putProfile(t, st, fab("self", "jobA", 1000, 1.0, 10, "B L(B)", "MapA"))
+	putProfile(t, st, fab("near", "jobA", 1000, 1.05, 10, "B L(B)", "MapA"))
+	sample := sampleLike(fab("sub", "jobA", 1000, 1.02, 10, "B L(B)", "MapA"), 1000)
+	res, err := matcher.New().Match(ctx, st, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := res.MapReport.CandidateIDs["self"]; !ok || d < 0 {
-		t.Errorf("candidate distances not reported: %+v", res.MapReport.CandidateIDs)
-	}
-	if res.MapReport.WinnerDistance != res.MapReport.CandidateIDs["self"] {
-		t.Error("winner distance inconsistent with candidate map")
+	for _, side := range []struct {
+		rep   matcher.SideReport
+		ftype string
+		feats []string
+		flow  map[string]float64
+	}{
+		{res.MapReport, matcher.FTDynMap, profile.MapDataFlowFeatures, sample.Map.DataFlow},
+		{res.ReduceReport, matcher.FTDynRed, profile.ReduceDataFlowFeatures, sample.Reduce.DataFlow},
+	} {
+		if side.rep.Winner != "self" || side.rep.AfterJaccard != 2 {
+			t.Fatalf("%v side: winner %q of %d, want self of both", side.rep.Side, side.rep.Winner, side.rep.AfterJaccard)
+		}
+		f := &hstore.EuclideanFilter{Features: side.feats, Target: make([]float64, len(side.feats))}
+		for i, name := range side.feats {
+			f.Target[i] = side.flow[name]
+		}
+		if f.Min, f.Max, err = st.Bounds(ctx, side.ftype, side.feats); err != nil {
+			t.Fatal(err)
+		}
+		matcher.MergeBounds(f.Min, f.Max, f.Target)
+		row, ok, err := st.GetFeatures(ctx, side.ftype, "self")
+		if err != nil || !ok {
+			t.Fatalf("dynamic row of self: ok=%v err=%v", ok, err)
+		}
+		if want := f.Distance(row); side.rep.WinnerDistance != want || want <= 0 {
+			t.Errorf("%v side: winner distance %v, want %v from the stored row", side.rep.Side, side.rep.WinnerDistance, want)
+		}
 	}
 }
 
