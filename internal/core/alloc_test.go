@@ -1,0 +1,49 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"pstorm/internal/profile"
+)
+
+// putProfileAllocs is what one in-process PutProfile allocates: the
+// profile's encoding, its seven feature rows and the four bounds rows
+// it reads and widens, each through hstore's write path. Allocation
+// repeats run to run where timings do not, so a write-path change that
+// costs allocations shows here first.
+const putProfileAllocs = 328
+
+// TestPutProfileAllocs holds one in-process PutProfile to within 1 % of
+// putProfileAllocs. Every profile it stores is new and raises every
+// max bound, so each call writes its seven rows and one bounds cell per
+// feature. A change that moves the count on purpose updates the
+// constant and says why.
+func TestPutProfileAllocs(t *testing.T) {
+	if testing.Short() {
+		// Under -race, sync.Pool drops items at random, so the count
+		// drifts by a few; CI runs the race detector with -short.
+		t.Skip("allocation golden; run without -short and -race")
+	}
+	ctx := context.Background()
+	st := newStore(t)
+	const runs = 20
+	// AllocsPerRun calls the function once more to warm up.
+	ps := make([]*profile.Profile, runs+1)
+	for i := range ps {
+		ps[i] = fullProfile(fmt.Sprintf("job-%03d", i), float64(i+1))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := st.PutProfile(ctx, ps[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("%.1f allocations per PutProfile", allocs)
+	if math.Abs(allocs-putProfileAllocs) > putProfileAllocs/100 {
+		t.Errorf("one PutProfile allocated %.0f times, want %d ± 1 %%", allocs, putProfileAllocs)
+	}
+}

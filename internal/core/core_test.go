@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"pstorm/internal/cluster"
 	"pstorm/internal/core"
@@ -123,6 +126,69 @@ func TestStoreBoundsMaintenance(t *testing.T) {
 	for i := range min {
 		if min[i] != 2 || max[i] != 11 {
 			t.Errorf("bounds[%d] = [%v,%v], want [2,11]", i, min[i], max[i])
+		}
+	}
+}
+
+// fullProfile is a hand-built profile with every Table 5.1 feature set:
+// feature i of each set is v*(i+1), so a larger v widens every max.
+func fullProfile(id string, v float64) *profile.Profile {
+	p := &profile.Profile{
+		JobID: id, JobName: "j", DatasetName: "ds", InputBytes: 1 << 30,
+		NumMapTasks: 16, NumReduceTasks: 4, Complete: true,
+		Map: profile.NewSide(), Reduce: profile.NewSide(),
+	}
+	for _, set := range []struct {
+		m        map[string]float64
+		features []string
+	}{
+		{p.Map.DataFlow, profile.MapDataFlowFeatures},
+		{p.Reduce.DataFlow, profile.ReduceDataFlowFeatures},
+		{p.Map.CostFactors, profile.MapCostFeatures},
+		{p.Reduce.CostFactors, profile.ReduceCostFeatures},
+	} {
+		for i, f := range set.features {
+			set.m[f] = v * float64(i+1)
+		}
+	}
+	p.Map.StaticCategorical = map[string]string{"MAPPER": "M", "MAP_OUT_KEY": "Text"}
+	p.Reduce.StaticCategorical = map[string]string{"REDUCER": "R", "RED_OUT_VAL": "IntWritable"}
+	p.Map.StaticCFG, p.Reduce.StaticCFG = "B L(B)", "B"
+	return p
+}
+
+// TestBoundsCellsDeterministic: two fresh stores on a pinned clock that
+// are given the same profiles hold the same cells, timestamps included.
+// The bounds rows are where this can break: they are written from a map
+// of changed columns.
+func TestBoundsCellsDeterministic(t *testing.T) {
+	ctx := context.Background()
+	export := func() []hstore.Cell {
+		srv := hstore.NewServer()
+		srv.WallClock = func() time.Time { return time.Unix(0, 0) }
+		st, err := core.NewStore(ctx, hstore.Connect(srv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range []float64{5, 11, 2} {
+			if err := st.PutProfile(ctx, fullProfile(fmt.Sprintf("job-%d", i), v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := srv.ExportRegion(core.TableName, srv.Meta()[0].RegionID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Cells
+	}
+	a, b := export(), export()
+	if len(a) != len(b) {
+		t.Fatalf("the stores hold %d and %d cells", len(a), len(b))
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("cell %d differs: %s/%s@%d vs %s/%s@%d",
+				i, a[i].Row, a[i].Column, a[i].Ts, b[i].Row, b[i].Column, b[i].Ts)
 		}
 	}
 }

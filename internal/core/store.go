@@ -253,40 +253,28 @@ func costRow(key string, values map[string]float64, features []string) hstore.Ro
 func (s *Store) updateBounds(ctx context.Context, ftype string, features []string, values map[string]float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	row, ok, err := s.client.Get(ctx, TableName, s.boundsRowKey(ftype))
+	row, _, err := s.client.Get(ctx, TableName, s.boundsRowKey(ftype))
 	if err != nil {
 		return err
 	}
-	cols := make(map[string][]byte)
-	if ok {
-		cols = row.Columns
-	}
-	changed := make(map[string][]byte)
+	// A missing or unparsable bound is replaced. Changed bounds are
+	// written in feature order, min before max, so the same profiles
+	// give the same bounds cells, timestamps included. Each is its own
+	// Put, not part of a PutRow: the benchmark's capturing KV
+	// (rowCapture) tells bounds writes from profile rows by the method.
+	key := s.boundsRowKey(ftype)
 	for _, f := range features {
 		v := values[f]
 		minKey, maxKey := f+".min", f+".max"
-		if raw, ok := cols[minKey]; ok {
-			if cur, err := strconv.ParseFloat(string(raw), 64); err == nil && cur <= v {
-				// keep current min
-			} else {
-				changed[minKey] = fmtFloat(v)
+		if cur, err := strconv.ParseFloat(string(row.Columns[minKey]), 64); err != nil || !(cur <= v) {
+			if err := s.client.Put(ctx, TableName, key, minKey, fmtFloat(v)); err != nil {
+				return err
 			}
-		} else {
-			changed[minKey] = fmtFloat(v)
 		}
-		if raw, ok := cols[maxKey]; ok {
-			if cur, err := strconv.ParseFloat(string(raw), 64); err == nil && cur >= v {
-				// keep current max
-			} else {
-				changed[maxKey] = fmtFloat(v)
+		if cur, err := strconv.ParseFloat(string(row.Columns[maxKey]), 64); err != nil || !(cur >= v) {
+			if err := s.client.Put(ctx, TableName, key, maxKey, fmtFloat(v)); err != nil {
+				return err
 			}
-		} else {
-			changed[maxKey] = fmtFloat(v)
-		}
-	}
-	for c, v := range changed {
-		if err := s.client.Put(ctx, TableName, s.boundsRowKey(ftype), c, v); err != nil {
-			return err
 		}
 	}
 	return nil

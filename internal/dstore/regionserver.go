@@ -50,15 +50,14 @@ type RegionServer struct {
 	cStaleMaster *obs.Counter
 }
 
-// NewRegionServer creates a region server with an empty store. Auto
-// split is disabled: region boundaries belong to the master's catalog.
+// NewRegionServer creates a region server with an empty store. Its
+// region boundaries are the master's catalog: copies arrive and leave
+// only through InstallRegion and DropRegion.
 func NewRegionServer(id string, reg *Registry) *RegionServer {
-	hs := hstore.NewServer()
-	hs.NoAutoSplit = true
 	o := obs.NewRegistry()
 	rs := &RegionServer{
 		id:           id,
-		hs:           hs,
+		hs:           hstore.NewServer(),
 		reg:          reg,
 		copies:       make(map[regionRef]*regionCopy),
 		hbStop:       make(chan struct{}),

@@ -45,7 +45,6 @@ func TestGetOpensOnlyBloomAdmittedSSTables(t *testing.T) {
 // list would leave out the segment the flush just built.
 func TestGetDuringFlushFindsRow(t *testing.T) {
 	s := NewServer()
-	s.NoAutoSplit = true
 	s.FlushBytes = 512 // a flush every few puts
 	if err := s.CreateTable("t"); err != nil {
 		t.Fatal(err)

@@ -144,7 +144,6 @@ func loadServerFS(dir string, fsys FS) (*Server, error) {
 					return nil, fmt.Errorf("hstore: region %d of %q: %w", mr.ID, mt.Name, err)
 				}
 				g.sstables = []*sstable{seg}
-				g.totalBytes = int64(len(seg.data))
 			}
 			t.regions = append(t.regions, g)
 			if mr.ID >= s.nextID {

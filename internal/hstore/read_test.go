@@ -209,7 +209,6 @@ func checkNewestVersionModel(t *testing.T, seed int64, steps int, cacheBytes int
 		s.stats.blocks.max = cacheBytes
 	}
 	s.FlushBytes = 8 << 10
-	s.NoAutoSplit = true // a split rewrites timestamps, outside the model
 	s.WallClock = func() time.Time { return time.Unix(0, 0) }
 	if err := s.CreateTable("t"); err != nil {
 		t.Fatal(err)

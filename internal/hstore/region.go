@@ -2,7 +2,6 @@ package hstore
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +19,6 @@ type region struct {
 	mem        *memStore
 	sstables   []*sstable // newest first
 	flushBytes int64
-	totalBytes int64
 
 	// quarantined latches when any read finds a checksum mismatch in
 	// this region's data. A quarantined copy never serves again: reads
@@ -37,14 +35,6 @@ type region struct {
 	// snapshot taken under mu by the compaction holder stays a suffix
 	// of the live list while the merge runs outside any lock.
 	compactMu sync.Mutex
-
-	// sealed (guarded by mu) is set by a split just before it copies
-	// this region's rows into its children. A put finding the region
-	// sealed must not land here — the copy would miss it — so put
-	// refuses and the server re-routes to the child region. Writers that
-	// completed before the seal are in the memstore or an sstable and
-	// are picked up by the split's scan.
-	sealed bool
 }
 
 func newRegion(id int, start, end string, flushBytes int64, stats *storeStats) *region {
@@ -93,21 +83,14 @@ func (g *region) checkQuarantine() error {
 // put inserts one cell, flushing the memstore if it has grown too big.
 // A flush that pushes the segment count past the tier threshold kicks
 // a tiered compaction — after the lock is released, so the merge never
-// blocks this or any other writer. It reports false without writing
-// when the region has been sealed by a split: the caller must
-// re-resolve the row to the child region and retry there. Every cell
-// a memstore keeps enters here, and its value is capped at its length:
-// reads hand the value out, and an append to it must reallocate rather
-// than write into the writer's spare capacity.
-func (g *region) put(c Cell) bool {
+// blocks this or any other writer. Every cell a memstore keeps enters
+// here, and its value is capped at its length: reads hand the value
+// out, and an append to it must reallocate rather than write into the
+// writer's spare capacity.
+func (g *region) put(c Cell) {
 	c.Value = c.Value[:len(c.Value):len(c.Value)]
 	g.mu.Lock()
-	if g.sealed {
-		g.mu.Unlock()
-		return false
-	}
 	g.mem.Put(c)
-	g.totalBytes += int64(len(c.Row) + len(c.Column) + len(c.Value))
 	flushed := false
 	if g.mem.SizeBytes() >= g.flushBytes {
 		g.flushLocked()
@@ -118,22 +101,6 @@ func (g *region) put(c Cell) bool {
 	if flushed && nseg >= tierFanout {
 		g.maybeCompactTier()
 	}
-	return true
-}
-
-// seal marks the region as mid-split; subsequent puts are refused so
-// the split's row copy cannot miss them.
-func (g *region) seal() {
-	g.mu.Lock()
-	g.sealed = true
-	g.mu.Unlock()
-}
-
-// unseal reopens a region whose split failed.
-func (g *region) unseal() {
-	g.mu.Lock()
-	g.sealed = false
-	g.mu.Unlock()
 }
 
 // Flush forces the memstore into a new sstable.
@@ -215,8 +182,8 @@ func newestCells(memCells []Cell, tables []*sstable, startRow, endRow string, ca
 // The region lock is held only long enough to snapshot the memstore's
 // in-range cells and the sstable list; the merge and fn callbacks run
 // outside it against immutable segments, so a slow consumer (an HTTP
-// scan response draining to a client) no longer blocks flushes, splits,
-// or writers. Sstable blocks are decompressed lazily as the merge
+// scan response draining to a client) no longer blocks flushes or
+// writers. Sstable blocks are decompressed lazily as the merge
 // reaches them rather than materialized up front, or come from the
 // server's block cache. A checksum mismatch in any touched block
 // quarantines the region and aborts the scan with a CorruptionError —
@@ -315,44 +282,6 @@ func (g *region) get(row string) (Row, bool, error) {
 	return out, out.Columns != nil, nil
 }
 
-// splitPoint proposes a middle row key, or "" if the region holds too
-// few distinct rows to split.
-func (g *region) splitPoint() (string, error) {
-	var rows []string
-	if err := g.scanRows(g.startKey, g.endKey, func(r cellRun) bool {
-		rows = append(rows, r[0].Row)
-		return true
-	}); err != nil {
-		return "", err
-	}
-	if len(rows) < 2 {
-		return "", nil
-	}
-	return rows[len(rows)/2], nil
-}
-
-// split divides the region at the given key into two fresh regions.
-func (g *region) split(at string, leftID, rightID int) (*region, *region, error) {
-	if at <= g.startKey || (g.endKey != "" && at >= g.endKey) {
-		return nil, nil, fmt.Errorf("hstore: split key %q outside region [%q,%q)", at, g.startKey, g.endKey)
-	}
-	left := newRegion(leftID, g.startKey, at, g.flushBytes, g.stats)
-	right := newRegion(rightID, at, g.endKey, g.flushBytes, g.stats)
-	if err := g.scanRows(g.startKey, g.endKey, func(r cellRun) bool {
-		target := left
-		if r[0].Row >= at {
-			target = right
-		}
-		for _, c := range r {
-			target.put(Cell{Row: c.Row, Column: c.Column, Ts: 1, Value: c.Value})
-		}
-		return true
-	}); err != nil {
-		return nil, nil, err
-	}
-	return left, right, nil
-}
-
 // Compaction. Two flavors share the same non-blocking shape —
 // snapshot the segment list under the lock, merge entirely outside it,
 // swap the merged segment in under a brief critical section:
@@ -368,9 +297,7 @@ func (g *region) split(at string, leftID, rightID int) (*region, *region, error)
 // Writes that land mid-compaction flush into segments prepended ahead
 // of the merging run; the swap keeps them and replaces only the run it
 // snapshotted, so nothing is lost and newer data keeps shadowing the
-// merged (superseded) segments. Merged output is pushed through the
-// owning server's compaction rate limiter so a large merge cannot
-// starve foreground traffic.
+// merged (superseded) segments.
 
 // tierFanout is both the flush count that triggers a tiered compaction
 // and the minimum run length worth merging.
@@ -559,11 +486,4 @@ func (g *region) segmentCount() int {
 		n++
 	}
 	return n
-}
-
-// sizeBytes returns the total bytes ever written to the region.
-func (g *region) sizeBytes() int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.totalBytes
 }

@@ -2,8 +2,6 @@ package hstore
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -71,7 +69,6 @@ func TestExportInstallRoundTrip(t *testing.T) {
 // and the exporter's clock carries over — and into nothing else.
 func TestBackfillRegion(t *testing.T) {
 	s := NewServer()
-	s.NoAutoSplit = true
 	shell := &RegionSnapshot{Table: "t", RegionID: 7, StartKey: "m", EndKey: "t"}
 	fill := &RegionSnapshot{Table: "t", RegionID: 7, StartKey: "m", EndKey: "t", Clock: 50, Cells: []Cell{
 		{Row: "ma", Column: "c", Ts: 10, Value: []byte("snap")},
@@ -102,7 +99,6 @@ func TestBackfillRegion(t *testing.T) {
 
 func TestNotServingOnGapsAndFences(t *testing.T) {
 	s := NewServer()
-	s.NoAutoSplit = true
 	// Host only ["m", "t") of table "t" — a partial server, as under a
 	// dstore master.
 	snap := &RegionSnapshot{Table: "t", RegionID: 7, StartKey: "m", EndKey: "t"}
@@ -139,55 +135,5 @@ func TestDropRegion(t *testing.T) {
 	}
 	if err := s.DropRegion("t", id); err == nil {
 		t.Error("double drop should fail")
-	}
-}
-
-// TestConcurrentSplitRace races client puts and scans against
-// size-triggered region splits (META changing under the operations) and
-// asserts no acked write is lost. Run under -race in CI.
-func TestConcurrentSplitRace(t *testing.T) {
-	s := NewServer()
-	s.MaxRegionBytes = 4 << 10 // split aggressively
-	s.FlushBytes = 1 << 10
-	if err := s.CreateTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	c := Connect(s)
-	const writers, perWriter = 4, 200
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				row := fmt.Sprintf("row-%d-%04d", w, i)
-				if err := c.Put(context.Background(), "t", row, "c", []byte(fmt.Sprintf("padpadpadpadpad-%d", i))); err != nil {
-					t.Errorf("put %s: %v", row, err)
-					return
-				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			if _, err := c.Scan(context.Background(), "t", "", "", nil, 0); err != nil {
-				t.Errorf("scan during splits: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	rows, err := c.Scan(context.Background(), "t", "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != writers*perWriter {
-		t.Errorf("rows after concurrent split = %d, want %d (lost writes)", len(rows), writers*perWriter)
-	}
-	if len(s.Meta()) < 2 {
-		t.Errorf("expected splits to have happened, META = %v", s.Meta())
 	}
 }

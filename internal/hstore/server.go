@@ -26,14 +26,8 @@ type Server struct {
 	rowsReturned  atomic.Int64
 	bytesReturned atomic.Int64
 
-	// MaxRegionBytes triggers a region split when exceeded (default 8 MB).
-	MaxRegionBytes int64
 	// FlushBytes is the per-region memstore flush threshold (default 4 MB).
 	FlushBytes int64
-	// NoAutoSplit disables size-triggered region splits. dstore region
-	// servers set it: their region boundaries belong to the master's
-	// catalog and must not drift underneath it.
-	NoAutoSplit bool
 
 	// wal, when non-nil, makes mutations durable (see OpenDurable).
 	wal *wal
@@ -47,13 +41,6 @@ type Server struct {
 	// WallClock, when non-nil, replaces time.Now for the one-time
 	// seeding of the logical clock (tests inject a fixed epoch).
 	WallClock func() time.Time
-
-	// CompactionRateLimit caps compaction output in bytes/second so a
-	// large merge cannot starve foreground traffic; 0 means unlimited.
-	CompactionRateLimit int64
-	// CompactionSleep replaces time.Sleep for rate-limit pauses (tests
-	// inject it to observe or skip pacing).
-	CompactionSleep func(time.Duration)
 
 	clock    atomic.Int64 // logical timestamp source
 	seedOnce sync.Once    // guards the wall-clock seeding of clock
@@ -80,9 +67,9 @@ type storeStats struct {
 	// hits and misses (hstore_block_cache_{hits,misses}_total).
 	blocks *blockCache
 
-	// throttle paces compaction output (the server wires it to the
-	// compaction rate limiter; tests inject hooks here to land writes
-	// mid-compaction deterministically).
+	// throttle, when set, is called with the size of each merged
+	// compaction segment before it is swapped in; tests hook it to land
+	// writes mid-compaction deterministically.
 	throttle func(bytes int)
 }
 
@@ -144,9 +131,8 @@ func (st *storeStats) compress(ratio float64) {
 	st.compressRatio.Observe(ratio)
 }
 
-// throttleBytes pushes merged compaction output through the rate
-// limiter, sleeping long enough to keep compaction under its byte
-// budget.
+// throttleBytes reports a merged compaction segment of n bytes to the
+// test hook, if any.
 func (st *storeStats) throttleBytes(n int) {
 	if st != nil && st.throttle != nil {
 		st.throttle(n)
@@ -177,25 +163,8 @@ func NewServer() *Server {
 				o.Counter("hstore_block_cache_hits_total"), o.Counter("hstore_block_cache_misses_total")),
 		},
 	}
-	s.stats.throttle = s.throttleCompaction
 	o.GaugeFunc("hstore_memstore_bytes", s.memstoreBytes)
 	return s
-}
-
-// throttleCompaction paces merged compaction output: writing n bytes
-// at CompactionRateLimit bytes/second costs n/rate seconds of sleep.
-// Duration-only pacing needs no wall-clock read, so it stays
-// deterministic under injected sleeps.
-func (s *Server) throttleCompaction(n int) {
-	rate := s.CompactionRateLimit
-	if rate <= 0 || n <= 0 {
-		return
-	}
-	sleep := s.CompactionSleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	sleep(time.Duration(float64(n) / float64(rate) * float64(time.Second)))
 }
 
 // Obs exposes the server's metrics registry. The bloom hit rate is
@@ -268,13 +237,6 @@ func (s *Server) flushBytes() int64 {
 		return s.FlushBytes
 	}
 	return 4 << 20
-}
-
-func (s *Server) maxRegionBytes() int64 {
-	if s.MaxRegionBytes > 0 {
-		return s.MaxRegionBytes
-	}
-	return 8 << 20
 }
 
 func (s *Server) table(name string) (*table, error) {
@@ -350,35 +312,24 @@ func (s *Server) applyCell(tableName string, c Cell, local bool) error {
 	if err != nil {
 		return err
 	}
-	logged := s.wal == nil
-	for {
-		s.mu.Lock()
-		g := t.regionFor(c.Row)
-		s.mu.Unlock()
-		if g == nil {
-			return &NotServingError{Table: tableName, Row: c.Row}
-		}
-		if local {
-			if err := g.checkQuarantine(); err != nil {
-				return withTable(err, tableName)
-			}
-		}
-		if !logged {
-			if err := s.wal.logCell(tableName, c); err != nil {
-				return err
-			}
-			logged = true
-		}
-		if !g.put(c) {
-			// The region was sealed by a concurrent split between the
-			// lookup and the write; re-resolve to the child region.
-			continue
-		}
-		if !s.NoAutoSplit && g.sizeBytes() > s.maxRegionBytes() {
-			s.trySplit(t, g)
-		}
-		return nil
+	s.mu.RLock()
+	g := t.regionFor(c.Row)
+	s.mu.RUnlock()
+	if g == nil {
+		return &NotServingError{Table: tableName, Row: c.Row}
 	}
+	if local {
+		if err := g.checkQuarantine(); err != nil {
+			return withTable(err, tableName)
+		}
+	}
+	if s.wal != nil {
+		if err := s.wal.logCell(tableName, c); err != nil {
+			return err
+		}
+	}
+	g.put(c)
+	return nil
 }
 
 // Apply writes pre-stamped cells — the replication and snapshot-install
@@ -417,42 +368,6 @@ func (s *Server) PutRow(tableName string, r Row) error {
 		}
 	}
 	return nil
-}
-
-// trySplit splits a region that has outgrown the limit.
-func (s *Server) trySplit(t *table, g *region) {
-	at, err := g.splitPoint()
-	if err != nil || at == "" {
-		// A corrupt region cannot be split safely; reads will surface
-		// the corruption and trigger quarantine handling.
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := -1
-	for i, r := range t.regions {
-		if r == g {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		return // already split by a concurrent writer
-	}
-	// Seal before copying: a writer that resolved this region but has
-	// not written yet would otherwise land its cell after the copy below
-	// and lose it when the region is discarded. Sealed puts bounce back
-	// to applyCell, which re-resolves to the children once we swap them
-	// in. Writers that got in before the seal are in the memstore or an
-	// sstable, both of which the split's scan reads.
-	g.seal()
-	s.nextID += 2
-	left, right, err := g.split(at, s.nextID-1, s.nextID)
-	if err != nil {
-		g.unseal()
-		return
-	}
-	t.regions = append(t.regions[:idx], append([]*region{left, right}, t.regions[idx+1:]...)...)
 }
 
 // Delete writes a tombstone for one column of a row; older versions

@@ -120,45 +120,6 @@ func TestServerScanWithFilterAndLimit(t *testing.T) {
 	}
 }
 
-func TestServerRegionSplit(t *testing.T) {
-	s := NewServer()
-	s.MaxRegionBytes = 4 << 10 // force splits quickly
-	s.FlushBytes = 1 << 10
-	_ = s.CreateTable("t")
-	val := make([]byte, 128)
-	for i := 0; i < 200; i++ {
-		if err := s.Put("t", fmt.Sprintf("r%04d", i), "c", val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	meta := s.Meta()
-	if len(meta) < 2 {
-		t.Fatalf("expected region splits, META has %d entries", len(meta))
-	}
-	// Regions must tile the key space: start "" to end "".
-	if meta[0].StartKey != "" || meta[len(meta)-1].EndKey != "" {
-		t.Errorf("regions do not cover key space: %+v", meta)
-	}
-	for i := 1; i < len(meta); i++ {
-		if meta[i].StartKey != meta[i-1].EndKey {
-			t.Errorf("region gap: %q -> %q", meta[i-1].EndKey, meta[i].StartKey)
-		}
-	}
-	// All rows still readable after splits.
-	rows, err := s.Scan(context.Background(), "t", "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 200 {
-		t.Errorf("after splits scan = %d rows, want 200", len(rows))
-	}
-	for i := 0; i < 200; i += 37 {
-		if _, ok, _ := s.Get("t", fmt.Sprintf("r%04d", i)); !ok {
-			t.Errorf("row r%04d lost after split", i)
-		}
-	}
-}
-
 func TestServerTransferStats(t *testing.T) {
 	s := NewServer()
 	_ = s.CreateTable("t")

@@ -77,7 +77,7 @@ const (
 	codecMinSize = 64
 )
 
-// Block codecs. A codec compresses a sealed block payload and restores
+// Block codecs. A codec compresses a finished block payload and restores
 // it on read; the codec ID is stored per block so formats can mix
 // within one file (a block that does not compress stays raw).
 const (
@@ -209,7 +209,7 @@ func buildSSTable(cells []Cell) *sstable {
 	var blockBuf []byte
 	var firstRow, prevRow, lastRow string
 	var nCells uint32
-	seal := func() {
+	finishBlock := func() {
 		if nCells == 0 {
 			return
 		}
@@ -244,10 +244,10 @@ func buildSSTable(cells []Cell) *sstable {
 			lastRow = c.Row
 		}
 		if len(blockBuf) >= sstBlockSize {
-			seal()
+			finishBlock()
 		}
 	}
-	seal()
+	finishBlock()
 	if len(cells) > 0 {
 		t.minRow = t.blocks[0].firstRow
 		t.maxRow = strings.Clone(cells[len(cells)-1].Row)

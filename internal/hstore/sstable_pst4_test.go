@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // sameCells asserts two cell streams are identical.
@@ -175,9 +174,8 @@ func TestPooledFlateReaderSurvivesCorruption(t *testing.T) {
 func TestCompactionKeepsMidCompactionWrites(t *testing.T) {
 	s := NewServer()
 	s.FlushBytes = 1 // every put flushes: many tiny segments
-	s.CompactionRateLimit = 1
 	injected := false
-	s.CompactionSleep = func(time.Duration) {
+	s.stats.throttle = func(int) {
 		if injected {
 			return
 		}
