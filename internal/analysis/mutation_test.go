@@ -41,15 +41,21 @@ var mutations = []mutation{
 	},
 	{
 		name: "WAL fsync error dropped on the floor", checker: "walerrcheck",
-		file: "internal/hstore/wal.go",
-		old:  "\tif w.sync {\n\t\treturn w.f.Sync()\n\t}",
-		new:  "\tif w.sync {\n\t\tw.f.Sync()\n\t}",
+		file: "internal/hstore/log.go",
+		old:  "\tif err == nil && l.sync {\n\t\terr = l.f.Sync()\n\t}",
+		new:  "\tif err == nil && l.sync {\n\t\tl.f.Sync()\n\t}",
 	},
 	{
 		name: "WAL truncate error assigned to blank", checker: "walerrcheck",
-		file: "internal/hstore/wal.go",
-		old:  "\tif err := w.f.Truncate(0); err != nil {\n\t\treturn err\n\t}",
-		new:  "\t_ = w.f.Truncate(0)",
+		file: "internal/hstore/log.go",
+		old:  "\t\tif terr := l.f.Truncate(l.size); terr != nil {\n\t\t\tl.broken = fmt.Errorf(\"hstore: %s unwritable after failed rollback: %w\", filepath.Base(l.path), terr)\n\t\t}",
+		new:  "\t\t_ = l.f.Truncate(l.size)",
+	},
+	{
+		name: "WAL append error dropped in the write path", checker: "walerrcheck",
+		file: "internal/hstore/server.go",
+		old:  "\t\tif err := s.wal.Append(walCellFrame(tableName, c)); err != nil {\n\t\t\treturn err\n\t\t}",
+		new:  "\t\ts.wal.Append(walCellFrame(tableName, c))",
 	},
 	{
 		name: "metric name built at the call site", checker: "obscheck",

@@ -13,8 +13,8 @@ import (
 // truncations. A swallowed error there means an acked write that never
 // reached disk — the exact failure class the hstore WAL exists to
 // prevent. A call counts as durability-path when its name, or its
-// receiver type's name, mentions the WAL/flush/sync/persist family and
-// it returns an error; the error is "discarded" when the call is a
+// receiver type's name, mentions the WAL/flush/sync/persist family (or
+// is exactly "Log", hstore's framed append log) and it returns an error; the error is "discarded" when the call is a
 // bare statement, deferred, spawned with go, or its error slot is
 // assigned to blank.
 type walErrCheck struct{}
@@ -24,7 +24,7 @@ func (walErrCheck) Doc() string {
 	return "no discarded errors from WAL/persist/flush/fsync-path calls"
 }
 
-var persistName = regexp.MustCompile(`(?i)wal|flush|fsync|sync|persist|save|compact|truncate`)
+var persistName = regexp.MustCompile(`(?i)wal|flush|fsync|sync|persist|save|compact|truncate|^log$`)
 
 func (walErrCheck) Check(m *Module, report func(token.Position, string)) {
 	for _, pkg := range m.Pkgs {

@@ -33,7 +33,7 @@ type Options struct {
 
 	// File-layer faults (FaultFS).
 	ReadBitFlipProb float64 // one bit of a ReadFile result flips
-	TornWriteProb   float64 // WriteFile persists only a prefix, then errors
+	TornWriteProb   float64 // an append persists only a prefix, then errors
 	FsyncErrProb    float64 // AppendFile.Sync fails
 
 	// Transport faults (WrapConn).

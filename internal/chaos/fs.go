@@ -43,22 +43,6 @@ func (f *faultFS) ReadFile(path string) ([]byte, error) {
 	return data, nil
 }
 
-// WriteFile possibly persists only a prefix and reports failure — a
-// torn write, as when power dies mid-checkpoint.
-func (f *faultFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
-	site := f.site("write", path)
-	n, h, armed := f.e.draw(site)
-	if armed && hit(h, f.e.opts.TornWriteProb) && len(data) > 0 {
-		keep := int(splitmix64(h) % uint64(len(data)))
-		f.e.record(site, n, fmt.Sprintf("torn@%d", keep))
-		if err := f.inner.WriteFile(path, data[:keep], perm); err != nil {
-			return err
-		}
-		return fmt.Errorf("chaos: torn write of %s at %d/%d bytes: %w", path, keep, len(data), ErrIO)
-	}
-	return f.inner.WriteFile(path, data, perm)
-}
-
 func (f *faultFS) MkdirAll(path string, perm fs.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
 }
@@ -75,8 +59,10 @@ func (f *faultFS) OpenAppend(path string) (hstore.AppendFile, error) {
 	return &faultAppend{e: f.e, inner: af, wSite: f.site("append", path), sSite: f.site("fsync", path)}, nil
 }
 
-// faultAppend injects torn writes and fsync failures into the WAL's
-// append stream.
+// faultAppend injects torn writes and fsync failures into an append
+// stream. The store writes every file through one — logs, and the temp
+// files checkpoints are renamed from — so a torn checkpoint is a torn
+// append too.
 type faultAppend struct {
 	e     *Engine
 	inner hstore.AppendFile

@@ -356,3 +356,38 @@ func TestDeleteProfile(t *testing.T) {
 		t.Error("matcher returned a deleted profile")
 	}
 }
+
+// TestResubmitMatchesOwnProfilesInSmallStore: a job resubmitted to a
+// store holding only its own profiles matches them on both sides. With
+// so few profiles the store's feature range is (nearly) one point, and
+// the normalization floor must be laid around those stored points, not
+// around the span the probe adds: a combiner job's one-task sample
+// reduces at selectivity 1 against the full run's ~0.6, and a floor
+// centred on that probe-made span would put the two ~0.8 of the range
+// apart on each of two features — past the stage-1 threshold.
+func TestResubmitMatchesOwnProfilesInSmallStore(t *testing.T) {
+	for _, job := range []string{"wordcount", "cooccurrence-stripes"} {
+		spec, err := workloads.JobByName(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := mustDataset(t, "randomtext-1g")
+		for stored := 1; stored <= 3; stored++ {
+			sys := core.NewSystem(newStore(t), engine.New(cluster.Default16(), 7))
+			sys.CBO.ExploreSamples, sys.CBO.ExploitSteps, sys.CBO.Restarts = 5, 2, 1
+			for i := 0; i < stored; i++ {
+				if _, err := sys.CollectAndStore(context.Background(), spec, ds); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := sys.Submit(context.Background(), spec, ds, core.TuneOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res.Match; !res.Tuned || m.MapReport.Failed || m.ReduceReport.Failed {
+				t.Errorf("%s against %d stored profiles of itself: tuned=%v, map %+v, reduce %+v",
+					job, stored, res.Tuned, m.MapReport, m.ReduceReport)
+			}
+		}
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"hash/fnv"
 	"strconv"
 	"time"
-
-	"pstorm/internal/hstore"
 )
 
 // Lease-based master election. Every master — leader or standby — runs
@@ -186,10 +184,7 @@ func (m *Master) PushImage(from string, img MetaImage) error {
 	if m.stopped.Load() {
 		return errStopped
 	}
-	rec, n, err := decodeFrame(img.Frame)
-	if err == nil && n != len(img.Frame) {
-		err = &hstore.CorruptionError{Detail: fmt.Sprintf("META image has %d trailing bytes", len(img.Frame)-n)}
-	}
+	rec, err := decodeImage(img.Frame)
 	if err != nil {
 		m.o.Emit("image_rejected", map[string]string{"from": from, "error": err.Error()})
 		return err

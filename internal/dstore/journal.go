@@ -1,12 +1,8 @@
 package dstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io/fs"
 	"maps"
 	"path/filepath"
 	"slices"
@@ -19,13 +15,14 @@ import (
 // it has committed (as leader) or accepted from a peer (as standby), so
 // a restarted master recovers epoch-consistent META instead of an empty
 // table, and the slot holding the newest of them. It is never shipped:
-// masters exchange only their latest image (election.go), framed by the
-// same codec the file uses.
+// masters exchange only their latest image (election.go), framed as the
+// file frames it.
 //
-// Framing is the PST/WAL discipline (u32 payloadLen | u32 crc32c |
-// payload, little endian): replay verifies every frame and stops at
-// the first torn or corrupt one, truncating the file there so garbage
-// is neither replayed nor appended after.
+// The file is an hstore.Log, the same framed append log as a region
+// server's WAL: replay verifies every frame, the torn or corrupt tail
+// is truncated on open, a failed append is rolled back, and a
+// checkpoint replaces the file atomically. This file holds only the
+// record codec, the checkpoint rule and the held-image slot.
 //
 // Each record carries the *full post-mutation catalog image*, not a
 // delta. META is small — tens of regions, a handful of servers — so a
@@ -40,17 +37,10 @@ import (
 // metaJournalFile is the journal's file name under MasterOptions.JournalDir.
 const metaJournalFile = "meta.journal"
 
-// journalFrameHeader is the per-record framing overhead: length + CRC.
-const journalFrameHeader = 8
-
 // journalCheckpointBytes is the compaction threshold: once the journal
 // exceeds it, the next append rewrites it as a single checkpoint
 // record.
 const journalCheckpointBytes = 256 << 10
-
-var journalCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-func journalCRC(p []byte) uint32 { return crc32.Checksum(p, journalCRCTable) }
 
 // journalServer is one catalog server entry as journaled: its peer
 // identity plus liveness, the parts of member state that survive a
@@ -149,34 +139,26 @@ type journalRecord struct {
 // newest image this master has committed or accepted. It keeps no other
 // copy of its contents: every record is a full image, so the only one
 // that ever matters again is the last, read back once, at open. Without
-// a directory the file is inert — appendLocked is a no-op. Its lock is
-// a leaf.
+// a directory there is no file and appendLocked is a no-op. Its lock is
+// a leaf but for the log's own.
 type metaJournal struct {
 	mu sync.Mutex
 	// held is the newest image (nil before the first); immutable once
 	// held.
 	held *metaState
-
-	fs   hstore.FS
-	path string
-	f    hstore.AppendFile
-	// fileSize tracks the last known-good frame boundary on disk so a
-	// failed append can be rolled back, as in the hstore WAL; broken
-	// latches the journal read-only if even the rollback fails.
-	fileSize int64
-	broken   error
+	log  *hstore.Log // nil without a directory
 }
 
 // openMetaJournal opens (or creates) the journal. With dir empty there
 // is no file and nothing to recover. With a dir, the existing file is
 // replayed: the last clean record's state is held for the master to
-// recover and everything past the clean prefix is truncated away.
-// discarded is nonzero only when replay stopped at a checksum or decode
-// failure rather than a torn tail — the bytes cut then may have held
-// valid, fresher records, and the caller must say so.
+// recover. discarded is nonzero only when replay stopped at a checksum
+// or decode failure rather than a torn tail — the bytes cut then may
+// have held valid, fresher records, and the caller must say so.
 func openMetaJournal(fsys hstore.FS, dir string) (j *metaJournal, discarded int64, err error) {
+	j = &metaJournal{}
 	if dir == "" {
-		return &metaJournal{}, 0, nil
+		return j, 0, nil
 	}
 	if fsys == nil {
 		fsys = hstore.OSFS
@@ -184,28 +166,19 @@ func openMetaJournal(fsys hstore.FS, dir string) (j *metaJournal, discarded int6
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, 0, err
 	}
-	path := filepath.Join(dir, metaJournalFile)
-	raw, err := fsys.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, err
-	}
-	state, _, cleanLen, corrupt := replayMetaJournal(raw)
-	f, err := fsys.OpenAppend(path)
+	// Every append is fsynced, so an acked control-plane mutation
+	// survives power loss, not just a process crash.
+	j.log, discarded, err = hstore.OpenLog(fsys, filepath.Join(dir, metaJournalFile), true, func(p []byte) error {
+		rec, err := decodeRecord(p)
+		if err == nil {
+			j.held = &rec.State
+		}
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if int64(len(raw)) > cleanLen {
-		// Torn or corrupt tail: cut it before re-arming appends, so a
-		// valid record never lands after garbage replay would drop.
-		if err := f.Truncate(cleanLen); err != nil {
-			f.Close() //nolint:errcheck — the truncate failure is the interesting one
-			return nil, 0, err
-		}
-	}
-	if corrupt {
-		discarded = int64(len(raw)) - cleanLen
-	}
-	return &metaJournal{held: state, fs: fsys, path: path, f: f, fileSize: cleanLen}, discarded, nil
+	return j, discarded, nil
 }
 
 // image returns the held image (nil before the first).
@@ -215,64 +188,36 @@ func (j *metaJournal) image() *metaState {
 	return j.held
 }
 
-// errTornFrame reports that the bytes end inside a frame: a torn write,
-// or a corrupt length field — the two are indistinguishable.
-var errTornFrame = errors.New("dstore: torn journal frame")
-
-// decodeFrame decodes the frame at the head of raw and returns its
-// record and length. It is the one decoder for the journal file and the
-// peer wire: a checksum mismatch, or a payload that checksums but is
-// not a record, is a *hstore.CorruptionError — never silently accepted.
-func decodeFrame(raw []byte) (rec journalRecord, size int, err error) {
-	if len(raw) < journalFrameHeader {
-		return rec, 0, errTornFrame
-	}
-	n := int(binary.LittleEndian.Uint32(raw))
-	sum := binary.LittleEndian.Uint32(raw[4:])
-	if n < 0 || n > len(raw)-journalFrameHeader {
-		return rec, 0, errTornFrame
-	}
-	p := raw[journalFrameHeader : journalFrameHeader+n]
-	if got := journalCRC(p); got != sum {
-		return rec, 0, &hstore.CorruptionError{Detail: fmt.Sprintf("META frame checksum mismatch (got %#x want %#x)", got, sum)}
-	}
-	if err := json.Unmarshal(p, &rec); err != nil {
-		return rec, 0, &hstore.CorruptionError{Detail: fmt.Sprintf("META frame payload: %v", err)}
-	}
-	return rec, journalFrameHeader + n, nil
-}
-
-// replayMetaJournal decodes the journal byte stream: the state of the
-// last clean record (nil if none), how many records decoded, the clean
-// prefix length, and whether the stop was a checksum/decode failure
-// rather than a torn tail.
-func replayMetaJournal(raw []byte) (last *metaState, records int, cleanLen int64, corrupt bool) {
-	off := 0
-	for off < len(raw) {
-		rec, n, err := decodeFrame(raw[off:])
-		if err != nil {
-			corrupt = !errors.Is(err, errTornFrame)
-			break
-		}
-		last = &rec.State
-		records++
-		off += n
-	}
-	return last, records, int64(off), corrupt
-}
-
 // frameRecord marshals and frames one record.
 func frameRecord(rec journalRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
 	}
-	framed := make([]byte, 0, journalFrameHeader+len(payload))
-	var hdr [journalFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], journalCRC(payload))
-	framed = append(framed, hdr[:]...)
-	return append(framed, payload...), nil
+	return hstore.Frame(payload), nil
+}
+
+// decodeRecord decodes one verified frame payload. A payload that
+// checksums but is not a record is a *hstore.CorruptionError — never
+// silently accepted.
+func decodeRecord(p []byte) (rec journalRecord, err error) {
+	if err := json.Unmarshal(p, &rec); err != nil {
+		return rec, &hstore.CorruptionError{Detail: fmt.Sprintf("META frame payload: %v", err)}
+	}
+	return rec, nil
+}
+
+// decodeImage decodes a pushed image, which must be exactly one frame
+// holding one record.
+func decodeImage(frame []byte) (journalRecord, error) {
+	p, n, err := hstore.DecodeFrame(frame)
+	switch {
+	case err != nil:
+		return journalRecord{}, err
+	case n != len(frame):
+		return journalRecord{}, &hstore.CorruptionError{Detail: fmt.Sprintf("META image has %d trailing bytes", len(frame)-n)}
+	}
+	return decodeRecord(p)
 }
 
 // appendLocked logs one record — framed holds its frameRecord bytes,
@@ -280,114 +225,46 @@ func frameRecord(rec journalRecord) ([]byte, error) {
 // the journal has outgrown the threshold. It returns whether a
 // checkpoint rewrite happened (for the master's checkpoint counter).
 func (j *metaJournal) appendLocked(rec journalRecord, framed []byte) (checkpointed bool, err error) {
-	if j.broken != nil {
-		return false, j.broken
-	}
-	if j.f == nil {
+	if j.log == nil {
 		return false, nil
 	}
-	if j.fileSize > journalCheckpointBytes {
+	if j.log.Size() > journalCheckpointBytes {
 		// Compact: the record being appended already carries the full
 		// catalog image, so the checkpoint IS this record, re-labeled.
 		ck, err := frameRecord(journalRecord{Kind: "checkpoint", State: rec.State})
 		if err != nil {
 			return false, err
 		}
-		switch err := j.replaceFileLocked(ck); {
-		case err == nil:
+		if j.log.Rewrite(ck) == nil {
 			return true, nil
-		case j.broken != nil:
-			return false, err
 		}
-		// The rewrite failed before its rename landed, so the on-disk
-		// journal is untouched: fall through to a plain append — an
-		// acked mutation must never be lost to a failed compaction. The
-		// rewrite retries on the next append.
+		// A rewrite that failed before its rename left the journal
+		// untouched: fall through to a plain append — an acked mutation
+		// must never be lost to a failed compaction — and retry the
+		// rewrite on the next append. One that failed after the rename
+		// latched the log broken, and the append reports that.
 	}
-	return false, j.writeLocked(framed)
-}
-
-// writeLocked writes one framed record to the file, fsyncing so an
-// acked control-plane mutation survives power loss, not just a process
-// crash.
-func (j *metaJournal) writeLocked(framed []byte) error {
-	_, err := j.f.Write(framed)
-	if err == nil {
-		err = j.f.Sync()
-	}
-	if err != nil {
-		// The append may have persisted a partial frame; roll the file
-		// back to the last good boundary or latch the journal broken.
-		if terr := j.f.Truncate(j.fileSize); terr != nil {
-			j.broken = fmt.Errorf("dstore: META journal unwritable after failed rollback: %w", terr)
-		}
-		return err
-	}
-	j.fileSize += int64(len(framed))
-	return nil
-}
-
-// replaceFileLocked replaces the durable journal file with data,
-// crash-safely: data is written and synced to a temp file first, then
-// renamed over the journal, so at every instant the path holds either
-// the full old history or the complete replacement — never an empty or
-// torn file. A failure before the rename leaves the old journal
-// untouched (compaction falls back to a plain append); a failure after
-// it latches the journal broken, since the append handle no longer
-// reaches the live file.
-func (j *metaJournal) replaceFileLocked(data []byte) error {
-	tmp := j.path + ".tmp"
-	tf, err := j.fs.OpenAppend(tmp)
-	if err != nil {
-		return err
-	}
-	// A stale temp from an earlier crashed rewrite may linger; start it
-	// clean.
-	err = tf.Truncate(0)
-	if err == nil {
-		_, err = tf.Write(data)
-	}
-	if err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := j.fs.Rename(tmp, j.path); err != nil {
-		return err
-	}
-	old := j.f
-	f, err := j.fs.OpenAppend(j.path)
-	if err != nil {
-		j.f = nil
-		j.broken = fmt.Errorf("dstore: META journal unreachable after rewrite rename: %w", err)
-		old.Close() //nolint:errcheck — the reopen failure is the interesting one
-		return j.broken
-	}
-	old.Close() //nolint:errcheck — the old inode is already unlinked
-	j.f = f
-	j.fileSize = int64(len(data))
-	return nil
+	return false, j.log.Append(framed)
 }
 
 // size returns the journal file's length in bytes.
 func (j *metaJournal) size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.fileSize
+	if j.log == nil {
+		return 0
+	}
+	return j.log.Size()
 }
 
 // close releases the file handle.
 func (j *metaJournal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }

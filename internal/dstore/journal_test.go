@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"pstorm/internal/hstore"
 )
 
 // journalFixture drives a journaling master through a representative
@@ -99,16 +101,16 @@ func journalFixture(t *testing.T) (dir string, raw []byte, liveStates [][]byte) 
 func frameBounds(t *testing.T, raw []byte) (ends []int64, states []metaState) {
 	t.Helper()
 	off := int64(0)
-	for off+journalFrameHeader <= int64(len(raw)) {
+	for off+hstore.FrameHeader <= int64(len(raw)) {
 		n := int64(frameLen(raw, off))
-		if off+journalFrameHeader+n > int64(len(raw)) {
+		if off+hstore.FrameHeader+n > int64(len(raw)) {
 			break
 		}
 		var rec journalRecord
-		if err := json.Unmarshal(raw[off+journalFrameHeader:off+journalFrameHeader+n], &rec); err != nil {
+		if err := json.Unmarshal(raw[off+hstore.FrameHeader:off+hstore.FrameHeader+n], &rec); err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
-		off += journalFrameHeader + n
+		off += hstore.FrameHeader + n
 		ends = append(ends, off)
 		states = append(states, rec.State)
 	}
@@ -116,6 +118,21 @@ func frameBounds(t *testing.T, raw []byte) (ends []int64, states []metaState) {
 		t.Fatalf("journal has trailing bytes: %d of %d framed", off, len(raw))
 	}
 	return ends, states
+}
+
+// replayMetaJournal decodes a journal byte stream: the state of the
+// last clean record (nil if none), how many records decoded, the clean
+// prefix length, and whether the stop was a checksum or decode failure
+// rather than a torn tail.
+func replayMetaJournal(raw []byte) (last *metaState, records int, cleanLen int64, corrupt bool) {
+	cleanLen, err := hstore.ReplayLog(raw, func(p []byte) error {
+		rec, err := decodeRecord(p)
+		if err == nil {
+			last, records = &rec.State, records+1
+		}
+		return err
+	})
+	return last, records, cleanLen, err != nil
 }
 
 func frameLen(raw []byte, off int64) uint32 {
@@ -200,7 +217,7 @@ func TestJournalReplayDetectsCorruption(t *testing.T) {
 		t.Fatalf("fixture journal too short: %d records", len(ends))
 	}
 	mut := append([]byte(nil), raw...)
-	mut[ends[1]+journalFrameHeader+2] ^= 0xff // inside record 2's payload
+	mut[ends[1]+hstore.FrameHeader+2] ^= 0xff // inside record 2's payload
 	last, records, cleanLen, corrupt := replayMetaJournal(mut)
 	if !corrupt {
 		t.Fatal("bit flip not flagged corrupt")

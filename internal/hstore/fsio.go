@@ -13,14 +13,13 @@ import (
 // disk paths. The zero default (OSFS) is the operating system.
 type FS interface {
 	ReadFile(path string) ([]byte, error)
-	WriteFile(path string, data []byte, perm fs.FileMode) error
 	MkdirAll(path string, perm fs.FileMode) error
 	Stat(path string) (fs.FileInfo, error)
 	// OpenAppend opens (creating if needed) a file for appending —
-	// the WAL's access pattern.
+	// every write the store makes goes through one (log.go).
 	OpenAppend(path string) (AppendFile, error)
-	// Rename atomically replaces newpath with oldpath — the
-	// write-temp-then-rename discipline checkpoint rewrites rely on.
+	// Rename atomically replaces newpath with oldpath: the commit point
+	// of replaceFile, by which checkpoint files and log rewrites land.
 	Rename(oldpath, newpath string) error
 }
 
@@ -41,10 +40,6 @@ var OSFS FS = osFS{}
 type osFS struct{}
 
 func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
-
-func (osFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
-	return os.WriteFile(path, data, perm)
-}
 
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 
@@ -81,8 +76,8 @@ func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
 // fsys returns the server's filesystem, defaulting to the OS.
 func (s *Server) fsys() FS {
-	if s.FS != nil {
-		return s.FS
+	if s.fs != nil {
+		return s.fs
 	}
 	return OSFS
 }

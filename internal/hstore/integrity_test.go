@@ -15,10 +15,10 @@ func walFrameStarts(t *testing.T, raw []byte) []int64 {
 	t.Helper()
 	var starts []int64
 	off := int64(0)
-	for off+walFrameHeader <= int64(len(raw)) {
+	for off+FrameHeader <= int64(len(raw)) {
 		starts = append(starts, off)
 		n := binary.LittleEndian.Uint32(raw[off:])
-		off += walFrameHeader + int64(n)
+		off += FrameHeader + int64(n)
 	}
 	if off != int64(len(raw)) {
 		t.Fatalf("WAL does not parse into whole frames: parsed %d of %d bytes", off, len(raw))
@@ -118,7 +118,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	starts := walFrameStarts(t, raw)
 	// Corrupt the payload of the second-to-last frame (a mid-log Put).
 	victim := starts[len(starts)-2]
-	raw[victim+walFrameHeader] ^= 0xFF
+	raw[victim+FrameHeader] ^= 0xFF
 	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

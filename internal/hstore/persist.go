@@ -35,7 +35,11 @@ type manifestRegion struct {
 const manifestName = "MANIFEST.json"
 
 // SaveTo checkpoints the whole server into dir (created if needed).
-// Existing contents of dir are replaced.
+// Existing contents of dir are replaced: each sstable and then the
+// MANIFEST goes through replaceFile (written to a temp, synced,
+// renamed), and only then is the WAL emptied. A crash or a failed write
+// part-way leaves every file whole — old or new, each covered by the
+// WAL, which still holds every write since the last checkpoint.
 func (s *Server) SaveTo(dir string) error {
 	fsys := s.fsys()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -74,7 +78,7 @@ func (s *Server) SaveTo(dir string) error {
 			g.mu.RUnlock()
 			if seg != nil && seg.count > 0 {
 				mr.File = fmt.Sprintf("%s-region%04d.sst", sanitize(n), mr.ID)
-				if err := seg.writeFile(fsys, filepath.Join(dir, mr.File)); err != nil {
+				if err := replaceFile(fsys, filepath.Join(dir, mr.File), seg.encode()); err != nil {
 					return err
 				}
 			}
@@ -86,15 +90,12 @@ func (s *Server) SaveTo(dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := fsys.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+	if err := replaceFile(fsys, filepath.Join(dir, manifestName), raw); err != nil {
 		return err
 	}
 	// The checkpoint now covers everything the WAL recorded.
-	s.mu.RLock()
-	w := s.wal
-	s.mu.RUnlock()
-	if w != nil {
-		return w.truncate()
+	if s.wal != nil {
+		return s.wal.Rewrite(nil)
 	}
 	return nil
 }
@@ -130,7 +131,6 @@ func loadServerFS(dir string, fsys FS) (*Server, error) {
 		return nil, fmt.Errorf("hstore: unsupported manifest version %d", m.Version)
 	}
 	s := NewServer()
-	s.FS = fsys
 	for _, mt := range m.Tables {
 		t := &table{name: mt.Name}
 		for _, mr := range mt.Regions {

@@ -29,14 +29,11 @@ type Server struct {
 	// FlushBytes is the per-region memstore flush threshold (default 4 MB).
 	FlushBytes int64
 
-	// wal, when non-nil, makes mutations durable (see OpenDurable).
-	wal *wal
-
-	// FS replaces the real filesystem for WAL/checkpoint I/O; nil means
-	// the OS. The chaos harness injects fault-carrying filesystems here.
-	FS FS
-	// WALSync fsyncs every WAL record before the write is acknowledged.
-	WALSync bool
+	// wal, when non-nil, makes mutations durable, and fs is the
+	// filesystem it and checkpoints write through (nil: the OS). Both
+	// are set once, by OpenDurableWith, before the server is shared.
+	wal *Log
+	fs  FS
 
 	// WallClock, when non-nil, replaces time.Now for the one-time
 	// seeding of the logical clock (tests inject a fixed epoch).
@@ -197,7 +194,7 @@ func (s *Server) CreateTable(name string) error {
 		return fmt.Errorf("hstore: table %q already exists", name)
 	}
 	if s.wal != nil {
-		if err := s.wal.logCreateTable(name); err != nil {
+		if err := s.wal.Append(walCreateFrame(name)); err != nil {
 			return err
 		}
 	}
@@ -324,7 +321,7 @@ func (s *Server) applyCell(tableName string, c Cell, local bool) error {
 		}
 	}
 	if s.wal != nil {
-		if err := s.wal.logCell(tableName, c); err != nil {
+		if err := s.wal.Append(walCellFrame(tableName, c)); err != nil {
 			return err
 		}
 	}

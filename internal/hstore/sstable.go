@@ -637,11 +637,7 @@ func decodeSSTable(raw []byte) (*sstable, error) {
 	return t, nil
 }
 
-// writeFile persists the table; readSSTableFile loads it.
-func (t *sstable) writeFile(fsys FS, path string) error {
-	return fsys.WriteFile(path, t.encode(), 0o644)
-}
-
+// readSSTableFile loads a table SaveTo wrote.
 func readSSTableFile(fsys FS, path string) (*sstable, error) {
 	raw, err := fsys.ReadFile(path)
 	if err != nil {

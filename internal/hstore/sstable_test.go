@@ -177,7 +177,7 @@ func TestSSTableFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg1.sst")
 	tbl := buildSSTable(makeCells(120, 7))
-	if err := tbl.writeFile(OSFS, path); err != nil {
+	if err := replaceFile(OSFS, path, tbl.encode()); err != nil {
 		t.Fatal(err)
 	}
 	back, err := readSSTableFile(OSFS, path)

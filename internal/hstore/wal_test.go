@@ -185,3 +185,43 @@ func TestWALPreservesVersionOrder(t *testing.T) {
 		t.Errorf("replay lost version order: %q", r.Columns["c"])
 	}
 }
+
+// durablePutMaxAllocs bounds one WAL-backed Put: the one allocation a
+// Put makes in memory, plus the record's frame, into which the record
+// is encoded directly.
+const durablePutMaxAllocs = 2
+
+// TestDurablePutAllocs pins the allocations of one Put on a durable
+// server, keys built beforehand, against the same Put in memory.
+func TestDurablePutAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts drift under the race detector; CI runs this without -short")
+	}
+	const runs = 200
+	keys := make([]string, runs+1)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("row%05d", i)
+	}
+	val := []byte("value-bytes")
+	allocs := func(s *Server) float64 {
+		if err := s.CreateTable("t"); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			if err := s.Put("t", keys[i], "c", val); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	durable, err := OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, m := allocs(durable), allocs(NewServer())
+	t.Logf("one Put: %.0f allocations durable, %.0f in memory", d, m)
+	if d > durablePutMaxAllocs {
+		t.Errorf("a durable Put allocated %.0f times, want <= %d (in memory: %.0f)", d, durablePutMaxAllocs, m)
+	}
+}

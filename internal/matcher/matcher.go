@@ -708,29 +708,27 @@ func (m *Matcher) matchSideStaticFirst(ctx context.Context, st Store, spec sideS
 	return rep, nil
 }
 
-// mergeBounds prepares the normalization bounds for a filter: it widens
-// the store's observed min/max with the probe's own values (the sample
-// is itself an observation), then floors each feature's span at a
-// fraction of its magnitude. Without the floor, a nearly-degenerate
-// range
-// would amplify sub-percent measurement noise into full-scale
-// normalized distances; and a feature with a sub-50% spread across the
-// whole store carries no real discriminative signal anyway.
+// mergeBounds prepares the normalization bounds for a filter: it floors
+// the span of the store's observed min/max at a fraction of the
+// feature's magnitude (the probe's included), padding evenly around
+// what the store holds, then widens the result to take in the probe's
+// own value (the sample is itself an observation). Without the floor, a
+// nearly-degenerate range would amplify sub-percent measurement noise
+// into full-scale normalized distances; and a feature with a sub-50%
+// spread across the whole store carries no real discriminative signal
+// anyway. The floor goes around the stored points, not around a span
+// the probe widened them to: in a store of one profile that span is the
+// probe's own distance, and a floor centred on it would put a
+// resubmitted job most of the range away from its own profile.
 func mergeBounds(minB, maxB, target []float64) {
 	const relFloor = 0.5
 	for i, v := range target {
-		if v < minB[i] {
-			minB[i] = v
+		lo, hi := math.Min(minB[i], v), math.Max(maxB[i], v)
+		if floor := relFloor * math.Max(math.Abs(lo), math.Abs(hi)); hi-lo < floor {
+			pad := (floor - (maxB[i] - minB[i])) / 2
+			lo, hi = math.Min(minB[i]-pad, v), math.Max(maxB[i]+pad, v)
 		}
-		if v > maxB[i] {
-			maxB[i] = v
-		}
-		scale := math.Max(math.Abs(minB[i]), math.Abs(maxB[i]))
-		if span := maxB[i] - minB[i]; span < relFloor*scale {
-			pad := (relFloor*scale - span) / 2
-			minB[i] -= pad
-			maxB[i] += pad
-		}
+		minB[i], maxB[i] = lo, hi
 	}
 }
 
