@@ -12,6 +12,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Record is one input key/value pair as handed to a map function. For
@@ -131,6 +132,7 @@ func FromRecords(name string, pool []Record, nominalBytes int64, seed int64) *Da
 // records. Offsets in the keys are split-relative.
 func (d *Dataset) SampleRecords(split, n int) []Record {
 	r := rand.New(rand.NewSource(d.Seed*1000003 + int64(split)*7919 + 17))
+	z := d.zipf(r)
 	recs := make([]Record, 0, n)
 	offset := int64(0)
 	for i := 0; i < n; i++ {
@@ -141,9 +143,9 @@ func (d *Dataset) SampleRecords(split, n int) []Record {
 			}
 			v = d.pool[r.Intn(len(d.pool))].Value
 		} else {
-			v = d.genLine(r)
+			v = d.genLine(r, z)
 		}
-		recs = append(recs, Record{Key: fmt.Sprintf("%d", offset), Value: v})
+		recs = append(recs, Record{Key: strconv.FormatInt(offset, 10), Value: v})
 		offset += int64(len(v)) + 1
 	}
 	return recs
@@ -169,23 +171,39 @@ func (d *Dataset) NominalRecords() int64 {
 	return int64(float64(d.NominalBytes) / avg)
 }
 
-// genLine produces one input line according to the dataset kind.
-func (d *Dataset) genLine(r *rand.Rand) string {
+// zipf returns the rank distribution of the kind's skewed field (words,
+// users, items), or nil for a kind without one. NewZipf draws nothing
+// from r, so one per sample yields the same records as one per line.
+func (d *Dataset) zipf(r *rand.Rand) *rand.Zipf {
+	switch d.Kind {
+	case KindRandomText, KindWikipedia, KindWebDocs:
+		return rand.NewZipf(r, d.zipfS, 1, uint64(d.vocab-1))
+	case KindRatings:
+		return rand.NewZipf(r, 1.4, 1, 71_999)
+	case KindPigMix:
+		return rand.NewZipf(r, 1.2, 1, 9999)
+	}
+	return nil
+}
+
+// genLine produces one input line according to the dataset kind; z is
+// d.zipf(r).
+func (d *Dataset) genLine(r *rand.Rand, z *rand.Zipf) string {
 	switch d.Kind {
 	case KindRandomText, KindWikipedia:
-		return d.genText(r)
+		return d.genText(r, z)
 	case KindTPCH:
 		return genTPCH(r)
 	case KindTeraGen:
 		return genTera(r)
 	case KindRatings:
-		return genRating(r)
+		return genRating(r, z)
 	case KindWebDocs:
-		return d.genTransaction(r)
+		return d.genTransaction(r, z)
 	case KindGenome:
 		return genRead(r)
 	case KindPigMix:
-		return genPigMix(r)
+		return genPigMix(r, z)
 	default:
 		return ""
 	}
@@ -208,8 +226,7 @@ func word(rank int) string {
 	return string(b)
 }
 
-func (d *Dataset) genText(r *rand.Rand) string {
-	z := rand.NewZipf(r, d.zipfS, 1, uint64(d.vocab-1))
+func (d *Dataset) genText(r *rand.Rand, z *rand.Zipf) string {
 	words := 6 + r.Intn(10)
 	if d.Kind == KindWikipedia {
 		// Wikipedia records are paragraph-sized, not line-sized.
@@ -244,18 +261,16 @@ func genTera(r *rand.Rand) string {
 	return string(key) + "\t" + string(filler)
 }
 
-func genRating(r *rand.Rand) string {
+func genRating(r *rand.Rand, z *rand.Zipf) string {
 	// User activity is power-law distributed (as in MovieLens), so a
 	// modest record sample still contains users with several ratings —
 	// which is what gives the collaborative-filtering reducer real
 	// per-user groups to pair up.
-	z := rand.NewZipf(r, 1.4, 1, 71_999)
 	return fmt.Sprintf("%d::%d::%d::%d",
 		1+z.Uint64(), 1+r.Intn(10_000), 1+r.Intn(5), 789_000_000+r.Intn(200_000_000))
 }
 
-func (d *Dataset) genTransaction(r *rand.Rand) string {
-	z := rand.NewZipf(r, d.zipfS, 1, uint64(d.vocab-1))
+func (d *Dataset) genTransaction(r *rand.Rand, z *rand.Zipf) string {
 	items := 3 + r.Intn(15)
 	seen := make(map[uint64]bool, items)
 	line := make([]byte, 0, items*5)
@@ -268,7 +283,7 @@ func (d *Dataset) genTransaction(r *rand.Rand) string {
 		if len(line) > 0 {
 			line = append(line, ' ')
 		}
-		line = append(line, fmt.Sprintf("%d", it)...)
+		line = strconv.AppendUint(line, it, 10)
 	}
 	return string(line)
 }
@@ -283,8 +298,7 @@ func genRead(r *rand.Rand) string {
 	return fmt.Sprintf("read%d\t%s", r.Intn(1_000_000), read)
 }
 
-func genPigMix(r *rand.Rand) string {
-	z := rand.NewZipf(r, 1.2, 1, 9999)
+func genPigMix(r *rand.Rand, z *rand.Zipf) string {
 	return fmt.Sprintf("user%d\t%d\t%s\t%d\tpage%d",
 		z.Uint64(), r.Intn(100), word(r.Intn(2000)), r.Intn(1_000_000), r.Intn(5000))
 }

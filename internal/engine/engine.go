@@ -193,9 +193,6 @@ func (e *Engine) Run(spec *mrjob.Spec, ds *data.Dataset, cfg conf.Config, opt Ru
 	sched := ScheduleJob(mt, rt, numMaps, cfg, e.Cluster, rng)
 
 	e.o.Counter("engine_runs_total", "mode", runMode(opt)).Inc()
-	// Simulated times span µs to hours; exponential buckets fit better
-	// than the latency defaults.
-	simBuckets := obs.ExpBuckets(100, 4, 12)
 	e.o.Histogram("engine_job_runtime_ms", simBuckets).Observe(sched.MakespanMs)
 	e.o.Histogram("engine_map_task_ms", simBuckets).Observe(mt.TotalMs)
 	e.o.Histogram("engine_reduce_task_ms", simBuckets).Observe(rt.TotalMs)
@@ -213,6 +210,11 @@ func (e *Engine) Run(spec *mrjob.Spec, ds *data.Dataset, cfg conf.Config, opt Ru
 	}
 	return res, nil
 }
+
+// simBuckets are the histogram buckets of simulated times, which span
+// µs to hours: exponential buckets fit them better than the latency
+// defaults.
+var simBuckets = obs.ExpBuckets(100, 4, 12)
 
 func scaleMapModel(mt MapTaskModel, f float64) MapTaskModel {
 	out := mt

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -76,8 +77,9 @@ func TestMeasureStatsGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasure executes every Table 6.1 job over 200 records of five
-// splits of its first dataset: the DSL work behind one profiled run.
+// BenchmarkMeasure executes every Table 6.1 job over 200 records of
+// splits of its first dataset: five splits, the DSL work behind one
+// profiled run, and one split, the 1-task sample CollectSample takes.
 func BenchmarkMeasure(b *testing.B) {
 	entries := workloads.Benchmark()
 	datasets := make([]*data.Dataset, len(entries))
@@ -88,12 +90,16 @@ func BenchmarkMeasure(b *testing.B) {
 		}
 		datasets[i] = ds
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		for i, e := range entries {
-			if _, err := Measure(e.Spec, datasets[i], []int{0, 1, 2, 3, 4}, 200); err != nil {
-				b.Fatal(err)
+	for _, splits := range [][]int{{0, 1, 2, 3, 4}, {0}} {
+		b.Run(fmt.Sprintf("splits=%d", len(splits)), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for i, e := range entries {
+					if _, err := Measure(e.Spec, datasets[i], splits, 200); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"fmt"
+	"strconv"
 
 	"pstorm/internal/data"
-	"pstorm/internal/jobdsl"
 	"pstorm/internal/mrjob"
 )
 
@@ -14,62 +13,15 @@ import (
 // (§7.2.5) materializes the next stage's derived dataset from this
 // sample.
 func SampleOutput(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int) ([]data.Record, error) {
-	if err := spec.Validate(); err != nil {
+	var red collectEmitter
+	if _, err := execute(spec, ds, splits, recsPerSplit, &red); err != nil {
 		return nil, err
 	}
-	prog, err := spec.Program()
-	if err != nil {
-		return nil, err
-	}
-	if len(splits) == 0 {
-		return nil, fmt.Errorf("engine: SampleOutput needs at least one split")
-	}
-	if recsPerSplit <= 0 {
-		recsPerSplit = 200
-	}
-	in := jobdsl.NewInterp(prog)
-	in.Params = spec.Params
-
-	var intermediate []kvPair
-	for _, split := range splits {
-		em := &collectEmitter{}
-		for _, rec := range ds.SampleRecords(split, recsPerSplit) {
-			if _, err := in.Call("map", []jobdsl.Value{jobdsl.Str(rec.Key), jobdsl.Str(rec.Value)}, em); err != nil {
-				return nil, fmt.Errorf("engine: map of job %q failed: %w", spec.Name, err)
-			}
-		}
-		pairs := em.pairs
-		if spec.HasCombiner() {
-			cem := &collectEmitter{}
-			for _, g := range groupPairs(pairs) {
-				vals := make([]jobdsl.Value, len(g.vals))
-				for i, v := range g.vals {
-					vals[i] = jobdsl.Str(v)
-				}
-				if _, err := in.Call("combine", []jobdsl.Value{jobdsl.Str(g.key), jobdsl.List(vals)}, cem); err != nil {
-					return nil, fmt.Errorf("engine: combine of job %q failed: %w", spec.Name, err)
-				}
-			}
-			pairs = cem.pairs
-		}
-		intermediate = append(intermediate, pairs...)
-	}
-
-	rem := &collectEmitter{}
-	for _, g := range groupPairs(intermediate) {
-		vals := make([]jobdsl.Value, len(g.vals))
-		for i, v := range g.vals {
-			vals[i] = jobdsl.Str(v)
-		}
-		if _, err := in.Call("reduce", []jobdsl.Value{jobdsl.Str(g.key), jobdsl.List(vals)}, rem); err != nil {
-			return nil, fmt.Errorf("engine: reduce of job %q failed: %w", spec.Name, err)
-		}
-	}
-	out := make([]data.Record, len(rem.pairs))
+	out := make([]data.Record, len(red.pairs))
 	offset := int64(0)
-	for i, p := range rem.pairs {
+	for i, p := range red.pairs {
 		line := p.k + "\t" + p.v
-		out[i] = data.Record{Key: fmt.Sprintf("%d", offset), Value: line}
+		out[i] = data.Record{Key: strconv.FormatInt(offset, 10), Value: line}
 		offset += int64(len(line)) + 1
 	}
 	return out, nil

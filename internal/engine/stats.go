@@ -1,10 +1,16 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"pstorm/internal/data"
 	"pstorm/internal/jobdsl"
@@ -59,26 +65,58 @@ type Stats struct {
 	RedStepsPerRec float64 // steps per reduce input record
 }
 
-// kvPair is one intermediate record.
-type kvPair struct{ k, v string }
-
-type collectEmitter struct {
-	pairs []kvPair
-	bytes int64
+// kvPair is one intermediate record. seq is its arrival index, set by
+// callGroups to keep the sort that groups pairs stable.
+type kvPair struct {
+	k, v string
+	seq  int
 }
 
-func (c *collectEmitter) Emit(k, v string) {
-	c.pairs = append(c.pairs, kvPair{k, v})
-	// Serialized intermediate record: key + value + framing overhead
-	// (Hadoop IFile writes length-prefixed key and value).
+// countEmitter counts emitted records and their serialized bytes: key +
+// value + framing overhead (Hadoop IFile writes length-prefixed key and
+// value).
+type countEmitter struct{ recs, bytes int64 }
+
+func (c *countEmitter) Emit(k, v string) {
+	c.recs++
 	c.bytes += int64(len(k) + len(v) + 8)
 }
 
-// Measure executes the job's functions over sampled records from the
-// given splits and returns the measured statistics. recsPerSplit
-// controls the per-split sample size. The rng only selects which splits
-// to sample when splits is nil.
-func Measure(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int) (*Stats, error) {
+// collectEmitter also keeps what was emitted.
+type collectEmitter struct {
+	countEmitter
+	pairs []kvPair
+}
+
+func (c *collectEmitter) Emit(k, v string) {
+	c.pairs = append(c.pairs, kvPair{k: k, v: v})
+	c.countEmitter.Emit(k, v)
+}
+
+// splitTask is what one split's map task, and its combiner, measured.
+type splitTask struct {
+	records, inBytes   int64
+	keys               []string // map output keys in emit order
+	mapBytes, mapSteps int64
+	combineSteps       int64
+	out                collectEmitter // the combiner's output, or the map's without one
+}
+
+// sampleRun is one execution of a job over sampled records: a map task
+// (and combiner) per split, then one reduce over their merged output.
+type sampleRun struct {
+	tasks     []splitTask
+	redGroups int
+	redSteps  int64
+}
+
+// execute runs spec over recsPerSplit sampled records of each split,
+// reducing into red. The splits' tasks run on up to GOMAXPROCS
+// goroutines, each with its own Interp (Interps share compiled code and
+// keep nothing between calls), and are merged in split order, so the
+// result is the same at any core count. An error is the lowest failing
+// split's.
+func execute(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int, red jobdsl.Emitter) (*sampleRun, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -87,178 +125,205 @@ func Measure(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int)
 		return nil, err
 	}
 	if len(splits) == 0 {
-		return nil, fmt.Errorf("engine: Measure needs at least one split")
+		return nil, fmt.Errorf("engine: job %q needs at least one split", spec.Name)
 	}
 	if recsPerSplit <= 0 {
 		recsPerSplit = 200
 	}
-
-	in := jobdsl.NewInterp(prog)
-	in.Params = spec.Params
-
-	st := &Stats{SampledSplits: len(splits)}
-
-	var (
-		inRecords, inBytes int64
-		mapPairs           []kvPair
-		rawKeys            []string
-		mapOutBytes        int64
-		mapSteps           int64
-		combineInRecs      int64
-		combineOutRecs     int64
-		combineInBytes     int64
-		combineOutBytes    int64
-		combineSteps       int64
-		reduceInRecs       int64
-		reduceInBytes      int64
-		reduceOutRecs      int64
-		reduceOutBytes     int64
-		reduceSteps        int64
-	)
-
-	for _, split := range splits {
-		recs := ds.SampleRecords(split, recsPerSplit)
-		em := &collectEmitter{}
-		in.ResetSteps()
-		for _, rec := range recs {
-			inRecords++
-			inBytes += int64(len(rec.Value)) + 1
-			if _, err := in.Call("map", []jobdsl.Value{jobdsl.Str(rec.Key), jobdsl.Str(rec.Value)}, em); err != nil {
-				return nil, fmt.Errorf("engine: map of job %q failed: %w", spec.Name, err)
+	newInterp := func() *jobdsl.Interp {
+		in := jobdsl.NewInterp(prog)
+		in.Params = spec.Params
+		return in
+	}
+	run := &sampleRun{tasks: make([]splitTask, len(splits))}
+	errs := make([]error, len(splits))
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		// The first task's output is sized for one pair per record.
+		r := &taskRunner{in: newInterp(), outCap: recsPerSplit}
+		// Splits are claimed in index order, so every split below a
+		// failed one has been claimed and finishes.
+		for i := int(next.Add(1) - 1); i < len(splits) && !failed.Load(); i = int(next.Add(1) - 1) {
+			if run.tasks[i], errs[i] = r.measureSplit(spec, ds, splits[i], recsPerSplit); errs[i] != nil {
+				failed.Store(true)
 			}
 		}
-		mapSteps += in.Steps()
-		mapOutBytes += em.bytes
-		for _, p := range em.pairs {
-			rawKeys = append(rawKeys, p.k)
+	}
+	if workers := min(runtime.GOMAXPROCS(0), len(splits)); workers == 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
 		}
-		groups := groupPairs(em.pairs)
-
-		// Run the combiner over this task's grouped output, as Hadoop
-		// does during spills.
-		taskPairs := em.pairs
-		if spec.HasCombiner() {
-			cem := &collectEmitter{}
-			in.ResetSteps()
-			for _, g := range groups {
-				vals := make([]jobdsl.Value, len(g.vals))
-				for i, v := range g.vals {
-					vals[i] = jobdsl.Str(v)
-				}
-				if _, err := in.Call("combine", []jobdsl.Value{jobdsl.Str(g.key), jobdsl.List(vals)}, cem); err != nil {
-					return nil, fmt.Errorf("engine: combine of job %q failed: %w", spec.Name, err)
-				}
-			}
-			combineSteps += in.Steps()
-			combineInRecs += int64(len(taskPairs))
-			combineInBytes += em.bytes
-			combineOutRecs += int64(len(cem.pairs))
-			combineOutBytes += cem.bytes
-			taskPairs = cem.pairs
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		mapPairs = append(mapPairs, taskPairs...)
 	}
 
-	if inRecords == 0 {
+	redIn := run.tasks[0].out.pairs
+	if len(run.tasks) > 1 {
+		n := 0
+		for i := range run.tasks {
+			n += len(run.tasks[i].out.pairs)
+		}
+		redIn = make([]kvPair, 0, n)
+		for i := range run.tasks {
+			redIn = append(redIn, run.tasks[i].out.pairs...)
+		}
+	}
+	in := newInterp()
+	if run.redGroups, err = callGroups(in, "reduce", redIn, red); err != nil {
+		return nil, fmt.Errorf("engine: reduce of job %q failed: %w", spec.Name, err)
+	}
+	run.redSteps = in.Steps()
+	return run, nil
+}
+
+// taskRunner runs map tasks one after another. A task's map output is
+// its own when the job has no combiner; otherwise the combiner consumes
+// it, and the next task reuses the buffer.
+type taskRunner struct {
+	in     *jobdsl.Interp
+	spill  []kvPair // map output the last combiner consumed
+	outCap int      // the last task's output length: the next one's capacity
+}
+
+// measureSplit runs one split's map task, then the job's combiner over
+// the task's grouped output, as Hadoop does during spills.
+func (r *taskRunner) measureSplit(spec *mrjob.Spec, ds *data.Dataset, split, recs int) (splitTask, error) {
+	t := splitTask{out: collectEmitter{pairs: make([]kvPair, 0, r.outCap)}}
+	em := &t.out
+	if spec.HasCombiner() {
+		em = &collectEmitter{pairs: slices.Grow(r.spill[:0], recs)}
+	}
+	r.in.ResetSteps()
+	for _, rec := range ds.SampleRecords(split, recs) {
+		t.records++
+		t.inBytes += int64(len(rec.Value)) + 1
+		if _, err := r.in.Call("map", []jobdsl.Value{jobdsl.Str(rec.Key), jobdsl.Str(rec.Value)}, em); err != nil {
+			return t, fmt.Errorf("engine: map of job %q failed on split %d: %w", spec.Name, split, err)
+		}
+	}
+	t.mapSteps, t.mapBytes = r.in.Steps(), em.bytes
+	t.keys = make([]string, len(em.pairs))
+	for i, p := range em.pairs {
+		t.keys[i] = p.k
+	}
+	if spec.HasCombiner() {
+		r.in.ResetSteps()
+		if _, err := callGroups(r.in, "combine", em.pairs, &t.out); err != nil {
+			return t, fmt.Errorf("engine: combine of job %q failed on split %d: %w", spec.Name, split, err)
+		}
+		t.combineSteps = r.in.Steps()
+		r.spill = em.pairs
+	}
+	r.outCap = len(t.out.pairs)
+	return t, nil
+}
+
+// Measure executes the job's functions over recsPerSplit sampled
+// records of each of the given splits (at least one) and returns the
+// measured statistics.
+func Measure(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int) (*Stats, error) {
+	var red countEmitter
+	run, err := execute(spec, ds, splits, recsPerSplit, &red)
+	if err != nil {
+		return nil, err
+	}
+	// A task's output, the combiner's or else the map's, is reduce input.
+	var inRecs, inBytes, mapOutRecs, mapOutBytes, mapSteps, combineSteps, redInRecs, redInBytes int64
+	keys := make([][]string, len(run.tasks))
+	for i := range run.tasks {
+		t := &run.tasks[i]
+		inRecs += t.records
+		inBytes += t.inBytes
+		mapOutRecs += int64(len(t.keys))
+		mapOutBytes += t.mapBytes
+		mapSteps += t.mapSteps
+		combineSteps += t.combineSteps
+		redInRecs += t.out.recs
+		redInBytes += t.out.bytes
+		keys[i] = t.keys
+	}
+	if inRecs == 0 {
 		return nil, fmt.Errorf("engine: dataset %q produced no records", ds.Name)
 	}
 
-	// Reduce over the globally grouped (post-combine) intermediate data.
-	redGroups := groupPairs(mapPairs)
-	rem := &collectEmitter{}
-	in.ResetSteps()
-	for _, g := range redGroups {
-		vals := make([]jobdsl.Value, len(g.vals))
-		for i, v := range g.vals {
-			vals[i] = jobdsl.Str(v)
-		}
-		if _, err := in.Call("reduce", []jobdsl.Value{jobdsl.Str(g.key), jobdsl.List(vals)}, rem); err != nil {
-			return nil, fmt.Errorf("engine: reduce of job %q failed: %w", spec.Name, err)
-		}
-	}
-	reduceSteps = in.Steps()
-	for _, g := range redGroups {
-		reduceInRecs += int64(len(g.vals))
-		for _, v := range g.vals {
-			reduceInBytes += int64(len(g.key) + len(v) + 8)
-		}
-	}
-	reduceOutRecs = int64(len(rem.pairs))
-	reduceOutBytes = rem.bytes
-
-	rawMapOutRecs := int64(0)
-	if spec.HasCombiner() {
-		rawMapOutRecs = combineInRecs
-	} else {
-		rawMapOutRecs = int64(len(mapPairs))
-	}
-
-	st.SampledRecords = int(inRecords)
-	st.AvgInRecWidth = ratio(float64(inBytes), float64(inRecords), 1)
-	st.MapSizeSel = ratio(rawOutBytes(mapOutBytes), float64(inBytes), 0)
-	st.MapPairsSel = ratio(float64(rawMapOutRecs), float64(inRecords), 0)
-	st.MapOutRecWidth = ratio(rawOutBytes(mapOutBytes), float64(rawMapOutRecs), 1)
-	st.MapStepsPerRec = ratio(float64(mapSteps), float64(inRecords), 1)
+	st := &Stats{SampledSplits: len(splits), SampledRecords: int(inRecs)}
+	st.AvgInRecWidth = ratio(float64(inBytes), float64(inRecs), 1)
+	st.MapSizeSel = ratio(float64(mapOutBytes), float64(inBytes), 0)
+	st.MapPairsSel = ratio(float64(mapOutRecs), float64(inRecs), 0)
+	st.MapOutRecWidth = ratio(float64(mapOutBytes), float64(mapOutRecs), 1)
+	st.MapStepsPerRec = ratio(float64(mapSteps), float64(inRecs), 1)
 	if spec.MapCPUWeight > 0 {
 		st.MapStepsPerRec *= spec.MapCPUWeight
 	}
-	st.HeapsK, st.HeapsBeta = fitHeaps(rawKeys)
+	st.HeapsK, st.HeapsBeta = fitHeaps(keys...)
 
 	if spec.HasCombiner() {
-		st.CombineSizeSel = ratio(float64(combineOutBytes), float64(combineInBytes), 1)
-		st.CombinePairsSel = ratio(float64(combineOutRecs), float64(combineInRecs), 1)
-		st.CombineStepsPerRec = ratio(float64(combineSteps), float64(combineInRecs), 0)
-		st.CombineOutWidth = ratio(float64(combineOutBytes), float64(combineOutRecs), st.MapOutRecWidth)
+		st.CombineSizeSel = ratio(float64(redInBytes), float64(mapOutBytes), 1)
+		st.CombinePairsSel = ratio(float64(redInRecs), float64(mapOutRecs), 1)
+		st.CombineStepsPerRec = ratio(float64(combineSteps), float64(mapOutRecs), 0)
+		st.CombineOutWidth = ratio(float64(redInBytes), float64(redInRecs), st.MapOutRecWidth)
 	} else {
 		st.CombineSizeSel, st.CombinePairsSel = 1, 1
 		st.CombineOutWidth = st.MapOutRecWidth
 	}
-	st.RedOutPerGroupRecs = ratio(float64(reduceOutRecs), float64(len(redGroups)), 0)
+	st.RedOutPerGroupRecs = ratio(float64(red.recs), float64(run.redGroups), 0)
 
-	st.RedSizeSel = ratio(float64(reduceOutBytes), float64(reduceInBytes), 0)
-	st.RedPairsSel = ratio(float64(reduceOutRecs), float64(reduceInRecs), 0)
-	st.RedInRecWidth = ratio(float64(reduceInBytes), float64(reduceInRecs), 1)
-	st.RedOutRecWidth = ratio(float64(reduceOutBytes), float64(reduceOutRecs), 1)
-	st.RedStepsPerRec = ratio(float64(reduceSteps), float64(reduceInRecs), 1)
+	st.RedSizeSel = ratio(float64(red.bytes), float64(redInBytes), 0)
+	st.RedPairsSel = ratio(float64(red.recs), float64(redInRecs), 0)
+	st.RedInRecWidth = ratio(float64(redInBytes), float64(redInRecs), 1)
+	st.RedOutRecWidth = ratio(float64(red.bytes), float64(red.recs), 1)
+	st.RedStepsPerRec = ratio(float64(run.redSteps), float64(redInRecs), 1)
 	if spec.ReduceCPUWeight > 0 {
 		st.RedStepsPerRec *= spec.ReduceCPUWeight
 	}
 	return st, nil
 }
 
-// rawOutBytes exists for symmetry/readability of the ratio lines.
-func rawOutBytes(b int64) float64 { return float64(b) }
-
-// fitHeaps fits distinct(n) ~ K * n^Beta to the observed key stream by
-// least squares over log-log points sampled at n/8, n/4, n/2, and n.
-// A saturating vocabulary (word count) yields a small Beta; key spaces
-// that keep growing (co-occurring pairs) yield Beta near 1.
-func fitHeaps(keys []string) (k, beta float64) {
-	n := len(keys)
+// fitHeaps fits distinct(n) ~ K * n^Beta to the observed key stream,
+// the chunks in order, by least squares over log-log points sampled at
+// n/8, n/4, n/2, and n. A saturating vocabulary (word count) yields a
+// small Beta; key spaces that keep growing (co-occurring pairs) yield
+// Beta near 1.
+func fitHeaps(chunks ...[]string) (k, beta float64) {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
 	if n == 0 {
 		return 1, 1
 	}
-	if n < 8 {
-		seen := make(map[string]bool, n)
-		for _, key := range keys {
-			seen[key] = true
+	marks := []int{n / 8, n / 4, n / 2, n}
+	seen := make(map[string]struct{}, n)
+	var xs, ys []float64
+	i, mi := 0, 0
+	for _, c := range chunks {
+		for _, key := range c {
+			seen[key] = struct{}{}
+			i++
+			for mi < len(marks) && i == marks[mi] {
+				xs = append(xs, logf(float64(marks[mi])))
+				ys = append(ys, logf(float64(len(seen))))
+				mi++
+			}
 		}
+	}
+	if n < 8 {
 		if len(seen) == n {
 			return 1, 1
 		}
 		return float64(len(seen)), 0.5
-	}
-	marks := []int{n / 8, n / 4, n / 2, n}
-	seen := make(map[string]bool, n)
-	var xs, ys []float64
-	mi := 0
-	for i, key := range keys {
-		seen[key] = true
-		for mi < len(marks) && i+1 == marks[mi] {
-			xs = append(xs, logf(float64(marks[mi])))
-			ys = append(ys, logf(float64(len(seen))))
-			mi++
-		}
 	}
 	// Use the tail slope (the last two points): key spaces saturate, so
 	// the local growth rate at the largest observed n extrapolates far
@@ -275,12 +340,6 @@ func fitHeaps(keys []string) (k, beta float64) {
 		beta = 1
 	}
 	k = expf(ys[l-1] - beta*xs[l-1])
-	if beta > 1 {
-		beta = 1
-	}
-	if beta < 0.02 {
-		beta = 0.02
-	}
 	if k <= 0 {
 		k = 1
 	}
@@ -297,28 +356,36 @@ func ratio(num, den, def float64) float64 {
 	return num / den
 }
 
-type group struct {
-	key  string
-	vals []string
-}
-
-// groupPairs groups intermediate pairs by key, keys sorted, preserving
-// value arrival order within a key.
-func groupPairs(pairs []kvPair) []group {
-	byKey := make(map[string][]string)
-	for _, p := range pairs {
-		byKey[p.k] = append(byKey[p.k], p.v)
+// callGroups sorts pairs in place by key, keeping arrival order within
+// a key, and calls fn once per key with (key, values), as Hadoop's
+// sort/merge feeds a combiner or reducer. It returns the group count.
+// One values buffer serves every group: emit copies its arguments into
+// strings and DSL append copies its list, so no call keeps it.
+func callGroups(in *jobdsl.Interp, fn string, pairs []kvPair, em jobdsl.Emitter) (int, error) {
+	for i := range pairs {
+		pairs[i].seq = i
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
+	slices.SortFunc(pairs, func(a, b kvPair) int {
+		if c := strings.Compare(a.k, b.k); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	var buf []jobdsl.Value
+	groups := 0
+	for i := 0; i < len(pairs); groups++ {
+		buf = buf[:0]
+		j := i
+		for ; j < len(pairs) && pairs[j].k == pairs[i].k; j++ {
+			buf = append(buf, jobdsl.Str(pairs[j].v))
+		}
+		n := len(buf)
+		if _, err := in.Call(fn, []jobdsl.Value{jobdsl.Str(pairs[i].k), jobdsl.List(buf[:n:n])}, em); err != nil {
+			return groups, err
+		}
+		i = j
 	}
-	sort.Strings(keys)
-	out := make([]group, len(keys))
-	for i, k := range keys {
-		out[i] = group{key: k, vals: byKey[k]}
-	}
-	return out
+	return groups, nil
 }
 
 // PickSplits selects n distinct split indices (of total) using r.

@@ -84,10 +84,14 @@ func biTokenize(in *Interp, args []Value, line int) Value {
 	if args[0].Kind != KindStr {
 		in.fail(line, "tokenize expects a string")
 	}
-	fields := strings.Fields(args[0].S)
-	out := make([]Value, len(fields))
-	for i, f := range fields {
-		out[i] = Str(f)
+	return strList(strings.Fields(args[0].S))
+}
+
+// strList wraps each of ss as a string value.
+func strList(ss []string) Value {
+	out := make([]Value, len(ss))
+	for i, s := range ss {
+		out[i] = Str(s)
 	}
 	return List(out)
 }
@@ -97,12 +101,17 @@ func biSplit(in *Interp, args []Value, line int) Value {
 	if args[0].Kind != KindStr || args[1].Kind != KindStr {
 		in.fail(line, "split expects (string, string)")
 	}
-	parts := strings.Split(args[0].S, args[1].S)
-	out := make([]Value, len(parts))
-	for i, p := range parts {
-		out[i] = Str(p)
+	s, sep := args[0].S, args[1].S
+	if sep == "" {
+		return strList(strings.Split(s, sep))
 	}
-	return List(out)
+	// strings.Split's parts, without its []string.
+	out := make([]Value, 0, strings.Count(s, sep)+1)
+	for i := strings.Index(s, sep); i >= 0; i = strings.Index(s, sep) {
+		out = append(out, Str(s[:i]))
+		s = s[i+len(sep):]
+	}
+	return List(append(out, Str(s)))
 }
 
 func biLower(in *Interp, args []Value, line int) Value {

@@ -356,3 +356,24 @@ func TestValueTruthinessAndEquality(t *testing.T) {
 		t.Error("cross-kind values should not be Equal")
 	}
 }
+
+// TestSplitMatchesStringsSplit holds split() to strings.Split part for
+// part, separators that overlap, lead, trail or are empty included.
+func TestSplitMatchesStringsSplit(t *testing.T) {
+	cases := [][2]string{
+		{"a|b|c", "|"}, {"|a||b|", "|"}, {"", "|"}, {"abc", ""}, {"", ""},
+		{"aaaa", "aa"}, {"x::y::", "::"}, {"no sep here", "\t"}, {"héllo wörld", ""},
+	}
+	for _, c := range cases {
+		got := biSplit(nil, []Value{Str(c[0]), Str(c[1])}, 0)
+		want := strings.Split(c[0], c[1])
+		if len(got.L) != len(want) {
+			t.Fatalf("split(%q, %q) has %d parts, want %d", c[0], c[1], len(got.L), len(want))
+		}
+		for i, w := range want {
+			if got.L[i].S != w {
+				t.Errorf("split(%q, %q)[%d] = %q, want %q", c[0], c[1], i, got.L[i].S, w)
+			}
+		}
+	}
+}
