@@ -6,7 +6,11 @@ import (
 	"math"
 	"testing"
 
+	"pstorm/internal/cluster"
+	"pstorm/internal/core"
+	"pstorm/internal/engine"
 	"pstorm/internal/profile"
+	"pstorm/internal/workloads"
 )
 
 // putProfileAllocs is what one in-process PutProfile allocates: the
@@ -45,5 +49,51 @@ func TestPutProfileAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per PutProfile", allocs)
 	if math.Abs(allocs-putProfileAllocs) > putProfileAllocs/100 {
 		t.Errorf("one PutProfile allocated %.0f times, want %d ± 1 %%", allocs, putProfileAllocs)
+	}
+}
+
+// submitAllocs is what one in-process Submit of pigmix-l3 allocates once
+// its profile is stored: the 1-task sample through the DSL, the match,
+// a full CBO search over the What-If model and the tuned run, the
+// engine's share of which the DSL's value representation decides.
+const submitAllocs = 11188
+
+// TestSubmitAllocs holds one matched, tuned Submit to within 1 % of
+// submitAllocs. A change that moves the count on purpose updates the
+// constant and says why.
+func TestSubmitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation golden; run without -short and -race")
+	}
+	ctx := context.Background()
+	spec, err := workloads.JobByName("pigmix-l3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := workloads.DatasetByName("pigmix-1g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.NewSystem(newStore(t), engine.New(cluster.Default16(), 7))
+	tuned := 0
+	submit := func() {
+		res, err := sys.Submit(ctx, spec, ds, core.TuneOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tuned {
+			tuned++
+		}
+	}
+	// The first Submit stores the profile; AllocsPerRun's own warm-up
+	// call then tunes once, so every counted call takes the same path.
+	submit()
+	allocs := testing.AllocsPerRun(10, submit)
+	if tuned != 11 {
+		t.Fatalf("%d of 11 Submits after the first were tuned, want all", tuned)
+	}
+	t.Logf("%.1f allocations per Submit", allocs)
+	if math.Abs(allocs-submitAllocs) > submitAllocs/100 {
+		t.Errorf("one Submit allocated %.0f times, want %d ± 1 %%", allocs, submitAllocs)
 	}
 }

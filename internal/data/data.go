@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 )
 
 // Record is one input key/value pair as handed to a map function. For
@@ -127,11 +128,17 @@ func FromRecords(name string, pool []Record, nominalBytes int64, seed int64) *Da
 	return d
 }
 
+// rngs holds generators for SampleRecords to re-seed, since a fresh
+// math/rand source is about 5 KB of state. Seed resets every bit of it.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // SampleRecords deterministically generates n input records drawn from
 // the given split. The same (dataset, split, n) always yields the same
 // records. Offsets in the keys are split-relative.
 func (d *Dataset) SampleRecords(split, n int) []Record {
-	r := rand.New(rand.NewSource(d.Seed*1000003 + int64(split)*7919 + 17))
+	r := rngs.Get().(*rand.Rand)
+	defer rngs.Put(r)
+	r.Seed(d.Seed*1000003 + int64(split)*7919 + 17)
 	z := d.zipf(r)
 	recs := make([]Record, 0, n)
 	offset := int64(0)

@@ -379,8 +379,7 @@ func callGroups(in *jobdsl.Interp, fn string, pairs []kvPair, em jobdsl.Emitter)
 		for ; j < len(pairs) && pairs[j].k == pairs[i].k; j++ {
 			buf = append(buf, jobdsl.Str(pairs[j].v))
 		}
-		n := len(buf)
-		if _, err := in.Call(fn, []jobdsl.Value{jobdsl.Str(pairs[i].k), jobdsl.List(buf[:n:n])}, em); err != nil {
+		if _, err := in.Call(fn, []jobdsl.Value{jobdsl.Str(pairs[i].k), jobdsl.List(buf)}, em); err != nil {
 			return groups, err
 		}
 		i = j

@@ -2,6 +2,7 @@ package jobdsl
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,25 +67,23 @@ func biEmit(in *Interp, args []Value, line int) Value {
 
 func biLen(in *Interp, args []Value, line int) Value {
 	in.argc(args, 1, "len", line)
-	switch args[0].Kind {
-	case KindStr:
-		return Int(int64(len(args[0].S)))
-	case KindList:
-		return Int(int64(len(args[0].L)))
+	switch args[0].kind {
+	case KindStr, KindList:
+		return Int(args[0].n)
 	case KindMap:
-		return Int(int64(len(args[0].M)))
+		return Int(int64(len(args[0].Map())))
 	default:
-		in.fail(line, "len of %s", args[0].Kind)
+		in.fail(line, "len of %s", args[0].kind)
 		return Nil
 	}
 }
 
 func biTokenize(in *Interp, args []Value, line int) Value {
 	in.argc(args, 1, "tokenize", line)
-	if args[0].Kind != KindStr {
+	if args[0].kind != KindStr {
 		in.fail(line, "tokenize expects a string")
 	}
-	return strList(strings.Fields(args[0].S))
+	return strList(strings.Fields(args[0].str()))
 }
 
 // strList wraps each of ss as a string value.
@@ -98,10 +97,10 @@ func strList(ss []string) Value {
 
 func biSplit(in *Interp, args []Value, line int) Value {
 	in.argc(args, 2, "split", line)
-	if args[0].Kind != KindStr || args[1].Kind != KindStr {
+	if args[0].kind != KindStr || args[1].kind != KindStr {
 		in.fail(line, "split expects (string, string)")
 	}
-	s, sep := args[0].S, args[1].S
+	s, sep := args[0].str(), args[1].str()
 	if sep == "" {
 		return strList(strings.Split(s, sep))
 	}
@@ -116,49 +115,44 @@ func biSplit(in *Interp, args []Value, line int) Value {
 
 func biLower(in *Interp, args []Value, line int) Value {
 	in.argc(args, 1, "lower", line)
-	if args[0].Kind != KindStr {
+	if args[0].kind != KindStr {
 		in.fail(line, "lower expects a string")
 	}
-	return Str(strings.ToLower(args[0].S))
+	return Str(strings.ToLower(args[0].str()))
 }
 
 func biSubstr(in *Interp, args []Value, line int) Value {
 	in.argc(args, 3, "substr", line)
 	s := args[0]
-	if s.Kind != KindStr || args[1].Kind != KindInt || args[2].Kind != KindInt {
+	if s.kind != KindStr || args[1].kind != KindInt || args[2].kind != KindInt {
 		in.fail(line, "substr expects (string, int, int)")
 	}
-	j := min(max(args[2].I, 0), int64(len(s.S)))
-	i := min(max(args[1].I, 0), j)
-	return Str(s.S[i:j])
+	j := min(max(args[2].n, 0), s.n)
+	i := min(max(args[1].n, 0), j)
+	return Str(s.str()[i:j])
 }
 
 func biContains(in *Interp, args []Value, line int) Value {
 	in.argc(args, 2, "contains", line)
-	if args[0].Kind != KindStr || args[1].Kind != KindStr {
+	if args[0].kind != KindStr || args[1].kind != KindStr {
 		in.fail(line, "contains expects (string, string)")
 	}
-	return Bool(strings.Contains(args[0].S, args[1].S))
+	return Bool(strings.Contains(args[0].str(), args[1].str()))
 }
 
 func biToInt(in *Interp, args []Value, line int) Value {
 	in.argc(args, 1, "toint", line)
-	switch args[0].Kind {
-	case KindInt:
-		return args[0]
-	case KindBool:
-		if args[0].B {
-			return Int(1)
-		}
-		return Int(0)
+	switch args[0].kind {
+	case KindInt, KindBool:
+		return Int(args[0].n)
 	case KindStr:
-		n, err := strconv.ParseInt(strings.TrimSpace(args[0].S), 10, 64)
+		n, err := strconv.ParseInt(strings.TrimSpace(args[0].str()), 10, 64)
 		if err != nil {
-			in.fail(line, "toint: %q is not an integer", args[0].S)
+			in.fail(line, "toint: %q is not an integer", args[0].str())
 		}
 		return Int(n)
 	default:
-		in.fail(line, "toint of %s", args[0].Kind)
+		in.fail(line, "toint of %s", args[0].kind)
 		return Nil
 	}
 }
@@ -177,10 +171,10 @@ func biHash(in *Interp, args []Value, line int) Value {
 
 func biAppend(in *Interp, args []Value, line int) Value {
 	in.argc(args, 2, "append", line)
-	if args[0].Kind != KindList {
+	if args[0].kind != KindList {
 		in.fail(line, "append expects a list first argument")
 	}
-	l := args[0].L
+	l := args[0].List()
 	out := make([]Value, len(l), len(l)+1)
 	copy(out, l)
 	return List(append(out, args[1]))
@@ -193,66 +187,53 @@ func biNewMap(in *Interp, args []Value, line int) Value {
 
 func biPut(in *Interp, args []Value, line int) Value {
 	in.argc(args, 3, "put", line)
-	if args[0].Kind != KindMap {
+	if args[0].kind != KindMap {
 		in.fail(line, "put expects a map first argument")
 	}
-	args[0].M[args[1].String()] = args[2]
+	args[0].Map()[args[1].String()] = args[2]
 	return args[0]
 }
 
 func biGet(in *Interp, args []Value, line int) Value {
 	in.argc(args, 2, "get", line)
-	if args[0].Kind != KindMap {
+	if args[0].kind != KindMap {
 		in.fail(line, "get expects a map first argument")
 	}
-	if v, ok := args[0].M[args[1].String()]; ok {
-		return v
-	}
-	return Nil
+	return args[0].Map()[args[1].String()]
 }
 
 func biHasKey(in *Interp, args []Value, line int) Value {
 	in.argc(args, 2, "haskey", line)
-	if args[0].Kind != KindMap {
+	if args[0].kind != KindMap {
 		in.fail(line, "haskey expects a map first argument")
 	}
-	_, ok := args[0].M[args[1].String()]
+	_, ok := args[0].Map()[args[1].String()]
 	return Bool(ok)
 }
 
 func biKeys(in *Interp, args []Value, line int) Value {
 	in.argc(args, 1, "keys", line)
-	if args[0].Kind != KindMap {
+	if args[0].kind != KindMap {
 		in.fail(line, "keys expects a map")
 	}
-	ks := make([]string, 0, len(args[0].M))
-	for k := range args[0].M {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	out := make([]Value, len(ks))
-	for i, k := range ks {
-		out[i] = Str(k)
-	}
-	return List(out)
+	return strList(sortedKeys(args[0].Map()))
 }
 
 func biSortList(in *Interp, args []Value, line int) Value {
 	in.argc(args, 1, "sortlist", line)
-	if args[0].Kind != KindList {
+	if args[0].kind != KindList {
 		in.fail(line, "sortlist expects a list")
 	}
-	out := make([]Value, len(args[0].L))
-	copy(out, args[0].L)
+	out := slices.Clone(args[0].List())
 	allInt := true
 	for _, v := range out {
-		if v.Kind != KindInt {
+		if v.kind != KindInt {
 			allInt = false
 			break
 		}
 	}
 	if allInt {
-		sort.Slice(out, func(i, j int) bool { return out[i].I < out[j].I })
+		sort.Slice(out, func(i, j int) bool { return out[i].n < out[j].n })
 	} else {
 		sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	}
@@ -261,12 +242,12 @@ func biSortList(in *Interp, args []Value, line int) Value {
 
 func biParam(in *Interp, args []Value, line int) Value {
 	in.argc(args, 1, "param", line)
-	if args[0].Kind != KindStr {
+	if args[0].kind != KindStr {
 		in.fail(line, "param expects a string name")
 	}
-	v, ok := in.Params[args[0].S]
+	v, ok := in.Params[args[0].str()]
 	if !ok {
-		in.fail(line, "undefined job parameter %q", args[0].S)
+		in.fail(line, "undefined job parameter %q", args[0].str())
 	}
 	return Str(v)
 }

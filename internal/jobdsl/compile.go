@@ -275,10 +275,10 @@ func (c *compiler) expr(e Expr) expr {
 			return func(in *Interp, fr []Value) Value {
 				in.tick(line)
 				v := x(in, fr)
-				if v.Kind != KindInt {
-					in.fail(line, "unary - needs int, got %s", v.Kind)
+				if v.kind != KindInt {
+					in.fail(line, "unary - needs int, got %s", v.kind)
 				}
-				return Int(-v.I)
+				return Int(-v.n)
 			}
 		case "!":
 			return func(in *Interp, fr []Value) Value { in.tick(line); return Bool(!x(in, fr).Truthy()) }

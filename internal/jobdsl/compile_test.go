@@ -50,7 +50,7 @@ func sum(a, b) {
 		in.MaxSteps = 0
 		before := in.Steps()
 		v, err := in.Call("sum", []Value{Int(10), Int(5)}, nil)
-		if err != nil || v.Kind != KindInt || v.I != 20 {
+		if err != nil || v.Kind() != KindInt || v.Int() != 20 {
 			t.Fatalf("after %s: sum = %v, %v; want 20", c.fn, v, err)
 		}
 		if len(in.vals) != 0 || len(in.args) != 0 || in.depth != 0 {
@@ -160,7 +160,7 @@ func f() {
 	for (let i = 0; i < 2; i = i + 1) { let j = i; out = out + "," + j; }
 	return out + "," + i + "," + fact(5);
 }`, "f")
-	if got.S != "1,7,3,0,1,100,120" {
-		t.Errorf("got %q, want 1,7,3,0,1,100,120", got.S)
+	if got.String() != "1,7,3,0,1,100,120" {
+		t.Errorf("got %q, want 1,7,3,0,1,100,120", got.String())
 	}
 }

@@ -142,41 +142,41 @@ func (in *Interp) tick(line int) {
 
 // index evaluates container[idx].
 func (in *Interp) index(container, idx Value, line int) Value {
-	switch container.Kind {
+	switch container.kind {
 	case KindList:
-		return container.L[in.offset(idx, len(container.L), "list", line)]
+		return container.List()[in.offset(idx, container.n, "list", line)]
 	case KindStr:
-		return Str(string(container.S[in.offset(idx, len(container.S), "string", line)]))
+		return Str(string(container.str()[in.offset(idx, container.n, "string", line)]))
 	case KindMap:
-		return container.M[idx.String()]
+		return container.Map()[idx.String()]
 	}
-	in.fail(line, "cannot index %s", container.Kind)
+	in.fail(line, "cannot index %s", container.kind)
 	return Nil
 }
 
 // setIndex performs container[idx] = v.
 func (in *Interp) setIndex(container, idx, v Value, line int) {
-	switch container.Kind {
+	switch container.kind {
 	case KindList:
-		// Slice headers share backing arrays, so this mutation is
-		// visible through every binding of the same list.
-		container.L[in.offset(idx, len(container.L), "list", line)] = v
+		// Every binding of the list points at the same backing array,
+		// so this mutation is visible through all of them.
+		container.List()[in.offset(idx, container.n, "list", line)] = v
 	case KindMap:
-		container.M[idx.String()] = v
+		container.Map()[idx.String()] = v
 	default:
-		in.fail(line, "cannot index-assign into %s", container.Kind)
+		in.fail(line, "cannot index-assign into %s", container.kind)
 	}
 }
 
 // offset checks that idx is a position in a sequence of length n.
-func (in *Interp) offset(idx Value, n int, what string, line int) int64 {
-	if idx.Kind != KindInt {
-		in.fail(line, "%s index must be int, got %s", what, idx.Kind)
+func (in *Interp) offset(idx Value, n int64, what string, line int) int64 {
+	if idx.kind != KindInt {
+		in.fail(line, "%s index must be int, got %s", what, idx.kind)
 	}
-	if idx.I < 0 || idx.I >= int64(n) {
-		in.fail(line, "%s index %d out of range [0,%d)", what, idx.I, n)
+	if idx.n < 0 || idx.n >= n {
+		in.fail(line, "%s index %d out of range [0,%d)", what, idx.n, n)
 	}
-	return idx.I
+	return idx.n
 }
 
 // binaryOps implements every binary operator but the short-circuit
@@ -185,7 +185,7 @@ var binaryOps = map[string]func(in *Interp, l, r Value, line int) Value{
 	"==": func(_ *Interp, l, r Value, _ int) Value { return Bool(l.Equal(r)) },
 	"!=": func(_ *Interp, l, r Value, _ int) Value { return Bool(!l.Equal(r)) },
 	"+": func(in *Interp, l, r Value, line int) Value {
-		if l.Kind == KindStr || r.Kind == KindStr {
+		if l.kind == KindStr || r.kind == KindStr {
 			return Str(l.String() + r.String())
 		}
 		return Int(in.wantInt(l, line) + in.wantInt(r, line))
@@ -215,18 +215,18 @@ var binaryOps = map[string]func(in *Interp, l, r Value, line int) Value{
 // compare orders two ints or two strings.
 func (in *Interp) compare(l, r Value, line int) int {
 	switch {
-	case l.Kind == KindInt && r.Kind == KindInt:
-		return cmp.Compare(l.I, r.I)
-	case l.Kind == KindStr && r.Kind == KindStr:
-		return cmp.Compare(l.S, r.S)
+	case l.kind == KindInt && r.kind == KindInt:
+		return cmp.Compare(l.n, r.n)
+	case l.kind == KindStr && r.kind == KindStr:
+		return cmp.Compare(l.str(), r.str())
 	}
-	in.fail(line, "cannot compare %s with %s", l.Kind, r.Kind)
+	in.fail(line, "cannot compare %s with %s", l.kind, r.kind)
 	return 0
 }
 
 func (in *Interp) wantInt(v Value, line int) int64 {
-	if v.Kind != KindInt {
-		in.fail(line, "expected int, got %s (%s)", v.Kind, v.String())
+	if v.kind != KindInt {
+		in.fail(line, "expected int, got %s (%s)", v.kind, v.String())
 	}
-	return v.I
+	return v.n
 }

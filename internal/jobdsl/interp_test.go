@@ -39,7 +39,7 @@ func TestInterpArithmetic(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := run(t, "func f() { return "+c.expr+"; }", "f")
-		if got.Kind != KindInt || got.I != c.want {
+		if got.Kind() != KindInt || got.Int() != c.want {
 			t.Errorf("%s = %v, want %d", c.expr, got, c.want)
 		}
 	}
@@ -57,7 +57,7 @@ func TestInterpComparisonsAndLogic(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := run(t, "func f() { return "+c.expr+"; }", "f")
-		if got.Kind != KindBool || got.B != c.want {
+		if got.Kind() != KindBool || got.Bool() != c.want {
 			t.Errorf("%s = %v, want %t", c.expr, got, c.want)
 		}
 	}
@@ -77,8 +77,8 @@ func TestInterpShortCircuit(t *testing.T) {
 
 func TestInterpStringConcat(t *testing.T) {
 	got := run(t, `func f() { return "n=" + 42; }`, "f")
-	if got.S != "n=42" {
-		t.Errorf("got %q, want n=42", got.S)
+	if got.String() != "n=42" {
+		t.Errorf("got %q, want n=42", got.String())
 	}
 }
 
@@ -95,8 +95,8 @@ func f() {
 	}
 	return x;
 }`, "f")
-	if got.I != 11 {
-		t.Errorf("x = %d, want 11 (outer updated before shadow)", got.I)
+	if got.Int() != 11 {
+		t.Errorf("x = %d, want 11 (outer updated before shadow)", got.Int())
 	}
 }
 
@@ -109,8 +109,8 @@ func f(n) {
 	while (j > 0) { sum = sum + 1; j = j - 1; }
 	return sum;
 }`, "f", Int(10))
-	if got.I != 65 {
-		t.Errorf("got %d, want 65", got.I)
+	if got.Int() != 65 {
+		t.Errorf("got %d, want 65", got.Int())
 	}
 }
 
@@ -122,8 +122,8 @@ func f() {
 	}
 	return -1;
 }`, "f")
-	if got.I != 7 {
-		t.Errorf("got %d, want 7", got.I)
+	if got.Int() != 7 {
+		t.Errorf("got %d, want 7", got.Int())
 	}
 }
 
@@ -132,8 +132,8 @@ func TestInterpUserFunctions(t *testing.T) {
 func square(x) { return x * x; }
 func f() { return square(3) + square(4); }
 `, "f")
-	if got.I != 25 {
-		t.Errorf("got %d, want 25", got.I)
+	if got.Int() != 25 {
+		t.Errorf("got %d, want 25", got.Int())
 	}
 }
 
@@ -190,8 +190,8 @@ func f() {
 	a[0] = 99;
 	return tostr(a) + "|" + tostr(b) + "|" + len(b);
 }`, "f")
-	if got.S != "[99,2,3]|[1,2,3,4]|4" {
-		t.Errorf("got %q", got.S)
+	if got.String() != "[99,2,3]|[1,2,3,4]|4" {
+		t.Errorf("got %q", got.String())
 	}
 }
 
@@ -205,8 +205,8 @@ func f() {
 	let ks = keys(m);
 	return tostr(m) + "|" + tostr(ks) + "|" + tostr(haskey(m, "c"));
 }`, "f")
-	if got.S != "{a:11,b:2}|[a,b]|false" {
-		t.Errorf("got %q", got.S)
+	if got.String() != "{a:11,b:2}|[a,b]|false" {
+		t.Errorf("got %q", got.String())
 	}
 }
 
@@ -232,8 +232,8 @@ func TestInterpStringBuiltins(t *testing.T) {
 }
 
 func TestInterpToInt(t *testing.T) {
-	if got := run(t, `func f() { return toint(" 42 ") + toint(true); }`, "f"); got.I != 43 {
-		t.Errorf("got %d, want 43", got.I)
+	if got := run(t, `func f() { return toint(" 42 ") + toint(true); }`, "f"); got.Int() != 43 {
+		t.Errorf("got %d, want 43", got.Int())
 	}
 	_, err := tryRun(`func f() { return toint("zap"); }`, "f")
 	if err == nil {
@@ -245,10 +245,10 @@ func TestInterpHashDeterministic(t *testing.T) {
 	a := run(t, `func f() { return hash("abc"); }`, "f")
 	b := run(t, `func f() { return hash("abc"); }`, "f")
 	c := run(t, `func f() { return hash("abd"); }`, "f")
-	if a.I != b.I {
+	if a.Int() != b.Int() {
 		t.Error("hash not deterministic")
 	}
-	if a.I == c.I {
+	if a.Int() == c.Int() {
 		t.Error("different strings hash equal (suspicious)")
 	}
 }
@@ -258,7 +258,7 @@ func TestInterpParams(t *testing.T) {
 	in := NewInterp(prog)
 	in.Params = map[string]string{"window": "3"}
 	v, err := in.Call("f", nil, nil)
-	if err != nil || v.I != 6 {
+	if err != nil || v.Int() != 6 {
 		t.Fatalf("got %v, %v; want 6", v, err)
 	}
 	in.Params = nil
@@ -325,8 +325,8 @@ func TestInterpStepCounting(t *testing.T) {
 }
 
 func TestInterpStringIndexing(t *testing.T) {
-	if got := run(t, `func f() { let s = "abc"; return s[1]; }`, "f"); got.S != "b" {
-		t.Errorf(`"abc"[1] = %q, want "b"`, got.S)
+	if got := run(t, `func f() { let s = "abc"; return s[1]; }`, "f"); got.String() != "b" {
+		t.Errorf(`"abc"[1] = %q, want "b"`, got.String())
 	}
 }
 
@@ -343,12 +343,12 @@ func TestValueTruthinessAndEquality(t *testing.T) {
 		t.Error("equal lists not Equal")
 	}
 	m1, m2 := NewMap(), NewMap()
-	m1.M["k"] = Int(1)
-	m2.M["k"] = Int(1)
+	m1.Map()["k"] = Int(1)
+	m2.Map()["k"] = Int(1)
 	if !m1.Equal(m2) {
 		t.Error("equal maps not Equal")
 	}
-	m2.M["j"] = Int(2)
+	m2.Map()["j"] = Int(2)
 	if m1.Equal(m2) {
 		t.Error("different maps Equal")
 	}
@@ -367,12 +367,12 @@ func TestSplitMatchesStringsSplit(t *testing.T) {
 	for _, c := range cases {
 		got := biSplit(nil, []Value{Str(c[0]), Str(c[1])}, 0)
 		want := strings.Split(c[0], c[1])
-		if len(got.L) != len(want) {
-			t.Fatalf("split(%q, %q) has %d parts, want %d", c[0], c[1], len(got.L), len(want))
+		if len(got.List()) != len(want) {
+			t.Fatalf("split(%q, %q) has %d parts, want %d", c[0], c[1], len(got.List()), len(want))
 		}
 		for i, w := range want {
-			if got.L[i].S != w {
-				t.Errorf("split(%q, %q)[%d] = %q, want %q", c[0], c[1], i, got.L[i].S, w)
+			if got.List()[i].String() != w {
+				t.Errorf("split(%q, %q)[%d] = %q, want %q", c[0], c[1], i, got.List()[i].String(), w)
 			}
 		}
 	}

@@ -14,13 +14,15 @@ package jobdsl
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types of DSL values.
-type Kind int
+type Kind uint8
 
 // Value kinds.
 const (
@@ -55,81 +57,133 @@ func (k Kind) String() string {
 // Lists have value semantics at the binding level (append returns a new
 // list); maps have reference semantics (put mutates), mirroring the
 // collection behaviour the benchmark jobs rely on.
+//
+// A Value is three words, so frame slots, arguments and list elements
+// copy 24 bytes. What p points to depends on kind:
+//   - KindStr: the string's bytes, n of them;
+//   - KindList: the first of n elements of a backing array, whose
+//     capacity is taken to be n, so index-assign writes the array every
+//     binding of the list shares and append always copies;
+//   - KindMap: a one-word box holding the map;
+//   - otherwise nothing: n is the int, or 0/1 for a bool.
+//
+// p keeps the string's or list's backing array alive, even when it
+// points into the middle of one. Only the constructors below set p, and
+// the accessors rebuild a string or slice only for the kind that set it.
 type Value struct {
-	Kind Kind
-	I    int64
-	B    bool
-	S    string
-	L    []Value
-	M    map[string]Value
+	p    unsafe.Pointer
+	n    int64
+	kind Kind
 }
 
 // Nil is the nil value.
 var Nil = Value{}
 
 // Int wraps an int64.
-func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: i} }
 
 // Bool wraps a bool.
-func Bool(b bool) Value { return Value{Kind: KindBool, B: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Str wraps a string.
-func Str(s string) Value { return Value{Kind: KindStr, S: s} }
+func Str(s string) Value {
+	return Value{kind: KindStr, p: unsafe.Pointer(unsafe.StringData(s)), n: int64(len(s))}
+}
 
-// List wraps a slice of values.
-func List(l []Value) Value { return Value{Kind: KindList, L: l} }
+// List wraps a slice of values. The list shares l's elements, but not
+// its spare capacity.
+func List(l []Value) Value {
+	return Value{kind: KindList, p: unsafe.Pointer(unsafe.SliceData(l)), n: int64(len(l))}
+}
 
 // NewMap returns an empty map value.
-func NewMap() Value { return Value{Kind: KindMap, M: make(map[string]Value)} }
+func NewMap() Value {
+	m := make(map[string]Value)
+	return Value{kind: KindMap, p: unsafe.Pointer(&m)}
+}
+
+// Kind returns v's dynamic type.
+func (v Value) Kind() Kind { return v.kind }
+
+// Int returns v's integer, or 0 if v is not an int.
+func (v Value) Int() int64 { return v.scalar(KindInt) }
+
+// Bool returns v's boolean, or false if v is not a bool.
+func (v Value) Bool() bool { return v.scalar(KindBool) != 0 }
+
+func (v Value) scalar(k Kind) int64 {
+	if v.kind != k {
+		return 0
+	}
+	return v.n
+}
+
+// str returns v's string, or "" if v is not a string.
+func (v Value) str() string {
+	if v.kind != KindStr {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
+
+// List returns v's elements, or nil if v is not a list. Assigning to an
+// element changes the list everywhere it is bound.
+func (v Value) List() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.p), v.n)
+}
+
+// Map returns v's map, or nil if v is not a map.
+func (v Value) Map() map[string]Value {
+	if v.kind != KindMap {
+		return nil
+	}
+	return *(*map[string]Value)(v.p)
+}
 
 // Truthy reports the boolean interpretation of v: false, 0, "", nil,
 // empty list and empty map are falsy.
 func (v Value) Truthy() bool {
-	switch v.Kind {
-	case KindBool:
-		return v.B
-	case KindInt:
-		return v.I != 0
-	case KindStr:
-		return v.S != ""
-	case KindList:
-		return len(v.L) > 0
-	case KindMap:
-		return len(v.M) > 0
-	default:
-		return false
+	if v.kind == KindMap {
+		return len(v.Map()) > 0
 	}
+	return v.n != 0
 }
 
 // String renders v for emission as a MapReduce key or value.
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.kind {
 	case KindNil:
 		return ""
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindBool:
-		if v.B {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindStr:
-		return v.S
+		return v.str()
 	case KindList:
-		parts := make([]string, len(v.L))
-		for i, e := range v.L {
+		l := v.List()
+		parts := make([]string, len(l))
+		for i, e := range l {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ",") + "]"
 	case KindMap:
-		keys := make([]string, 0, len(v.M))
-		for k := range v.M {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		m := v.Map()
+		keys := sortedKeys(m)
 		parts := make([]string, len(keys))
 		for i, k := range keys {
-			parts[i] = k + ":" + v.M[k].String()
+			parts[i] = k + ":" + m[k].String()
 		}
 		return "{" + strings.Join(parts, ",") + "}"
 	default:
@@ -137,42 +191,25 @@ func (v Value) String() string {
 	}
 }
 
+func sortedKeys(m map[string]Value) []string {
+	keys := slices.AppendSeq(make([]string, 0, len(m)), maps.Keys(m))
+	slices.Sort(keys)
+	return keys
+}
+
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
+	if v.kind != o.kind {
 		return false
 	}
-	switch v.Kind {
-	case KindNil:
-		return true
-	case KindInt:
-		return v.I == o.I
-	case KindBool:
-		return v.B == o.B
+	switch v.kind {
 	case KindStr:
-		return v.S == o.S
+		return v.str() == o.str()
 	case KindList:
-		if len(v.L) != len(o.L) {
-			return false
-		}
-		for i := range v.L {
-			if !v.L[i].Equal(o.L[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(v.List(), o.List(), Value.Equal)
 	case KindMap:
-		if len(v.M) != len(o.M) {
-			return false
-		}
-		for k, a := range v.M {
-			b, ok := o.M[k]
-			if !ok || !a.Equal(b) {
-				return false
-			}
-		}
-		return true
+		return maps.EqualFunc(v.Map(), o.Map(), Value.Equal)
 	default:
-		return false
+		return v.n == o.n
 	}
 }
