@@ -12,9 +12,6 @@
 //   - randcheck: no global math/rand package-level calls; every
 //     component draws from its own seeded *rand.Rand so two runs with
 //     the same seed produce byte-identical profiles and models.
-//   - lockcheck: no mutex held across a network/RPC call in the same
-//     function — a latency/deadlock hazard in the master and region
-//     servers. Read locks and TryLock-acquired locks count.
 //   - walerrcheck: no discarded error from WAL/persist/flush/fsync
 //     path calls; durability errors must be handled or returned.
 //   - obscheck: metric and event names are compile-time constants in
@@ -34,14 +31,18 @@
 //     WaitGroup, a stop channel, or a context — or is a provably
 //     bounded one-shot — so Close actually closes.
 //
-// One interprocedural checker, built on the whole-module call graph
-// and dataflow core in callgraph.go / dataflow.go (which hold exactly
-// what it uses):
+// Two interprocedural checkers, sharing one held-set pass
+// (lockAcquisitions) over the whole-module call graph and dataflow core
+// in callgraph.go / dataflow.go (which hold exactly what they use):
 //
 //   - lockorder: the global mutex-acquisition-order graph (which lock
 //     classes are acquired while which others are held, across function
 //     and package boundaries) must be acyclic — a cycle is a potential
 //     deadlock even when every individual function looks fine.
+//   - lockcheck: no mutex held across a network/RPC call, directly or
+//     any number of calls down — a latency/deadlock hazard in the
+//     master and region servers. Read locks and TryLock-acquired locks
+//     count.
 //
 // Every checker is held to one product-code regression it must catch:
 // the mutation table in mutation_test.go. Test files are out of scope —
@@ -80,12 +81,15 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Checker, f.Msg)
 }
 
-// Module is the loaded module plus the one lazily built whole-program
-// fact checkers share: the call graph, built at most once per Run.
+// Module is the loaded module plus the lazily built whole-program facts
+// checkers share: the call graph and the held-set pass's acquisitions,
+// each built at most once per Run.
 type Module struct {
 	Pkgs []*Package
 
-	cg *CallGraph
+	cg        *CallGraph
+	acqs      []lockAcq // lockAcquisitions' result, shared by lockorder and lockcheck
+	acqsBuilt bool
 }
 
 // NewModule wraps loaded packages for checking.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -222,51 +223,54 @@ func interfaceImplementers(pkgs []*Package) map[*types.Interface][]types.Type {
 
 // SCCs returns the graph's strongly connected components in bottom-up
 // (callees before callers) order — the order per-function summaries
-// must be computed in. Tarjan's algorithm emits components in exactly
-// this order.
+// must be computed in.
 func (g *CallGraph) SCCs() [][]*CGNode {
-	index := make(map[*CGNode]int)
-	low := make(map[*CGNode]int)
-	onStack := make(map[*CGNode]bool)
-	var stack []*CGNode
-	var out [][]*CGNode
-	next := 0
+	return tarjan(g.Order, func(n *CGNode) []*CGNode {
+		out := make([]*CGNode, len(n.Out))
+		for i, e := range n.Out {
+			out[i] = e.Callee
+		}
+		return out
+	})
+}
 
-	var strongconnect func(n *CGNode)
-	strongconnect = func(n *CGNode) {
-		index[n] = next
-		low[n] = next
-		next++
+// tarjan returns the strongly connected components of the graph over
+// nodes with successors succ, every component after the ones it reaches
+// — Tarjan's algorithm emits them in exactly that order.
+func tarjan[N comparable](nodes []N, succ func(N) []N) [][]N {
+	index := make(map[N]int)
+	low := make(map[N]int)
+	onStack := make(map[N]bool)
+	var stack []N
+	var out [][]N
+	var connect func(n N)
+	connect = func(n N) {
+		index[n], low[n] = len(index), len(index)
 		stack = append(stack, n)
 		onStack[n] = true
-		for _, e := range n.Out {
-			w := e.Callee
+		for _, w := range succ(n) {
 			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[n] {
-					low[n] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[n] {
-				low[n] = index[w]
+				connect(w)
+				low[n] = min(low[n], low[w])
+			} else if onStack[w] {
+				low[n] = min(low[n], index[w])
 			}
 		}
 		if low[n] == index[n] {
-			var scc []*CGNode
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == n {
-					break
-				}
+			i := len(stack) - 1
+			for stack[i] != n {
+				i--
 			}
-			out = append(out, scc)
+			for _, w := range stack[i:] {
+				onStack[w] = false
+			}
+			out = append(out, slices.Clone(stack[i:]))
+			stack = stack[:i]
 		}
 	}
-	for _, n := range g.Order {
+	for _, n := range nodes {
 		if _, seen := index[n]; !seen {
-			strongconnect(n)
+			connect(n)
 		}
 	}
 	return out

@@ -9,9 +9,10 @@ import (
 // This file is the intraprocedural half of the analysis core: a
 // statement-level control-flow graph over one function body and a
 // forward worklist solver over a caller-supplied join semilattice.
-// lockorder pairs it with the call graph's BottomUp driver: callee
-// may-acquire summaries first, then each function's held-set flow
-// consults them — the classic intra-then-inter layering.
+// The held-set pass lockorder and lockcheck share (lockAcquisitions)
+// pairs it with the call graph's BottomUp driver: callee may-acquire
+// summaries first, then each function's held-set flow consults them —
+// the classic intra-then-inter layering.
 //
 // Granularity: blocks hold "shallow" nodes — simple statements and the
 // bare condition/tag expressions of compound statements — never a

@@ -5,128 +5,42 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 // lockCheck flags network/RPC calls made while a sync.Mutex or
-// sync.RWMutex is held in the same function: a slow or hung peer then
-// stalls every other caller of that lock (and a re-entrant path
-// deadlocks). The master and region servers are the hot spots — their
-// catalog and follower-set locks must never wrap an http.Client.Do,
-// net.Dial, or a dstore client/conn call. The analysis is
-// intraprocedural and order-based: Lock(), then a network call before
-// the matching Unlock() (or with the Unlock deferred), is a finding.
-// Read locks count the same as write locks (a reader blocking on a
-// hung peer still starves every writer), and a successful
-// TryLock/TryRLock holds the lock just like Lock does.
+// sync.RWMutex is held — directly, or any number of calls down: a slow
+// or hung peer then stalls every other caller of that lock (and a
+// re-entrant path deadlocks). The master and region servers are the hot
+// spots — their catalog and follower-set locks must never wrap an
+// http.Client.Do, net.Dial, or a dstore client/conn call. It is
+// lockorder's held-set pass (lockAcquisitions) with every network call
+// acquiring a net pseudo class: a lock held into that class is a
+// finding, at the call in the function holding it. Read locks count the
+// same as write locks (a reader blocking on a hung peer still starves
+// every writer), and a successful TryLock/TryRLock holds the lock just
+// like Lock does.
 type lockCheck struct{}
 
 func (lockCheck) Name() string { return "lockcheck" }
 func (lockCheck) Doc() string {
-	return "no mutex held across a network/RPC call in the same function"
-}
-
-type lockEvent struct {
-	pos  token.Pos
-	kind int    // 0 lock, 1 unlock, 2 deferred unlock, 3 net call
-	key  string // lock receiver expression, or callee description for net calls
+	return "no mutex held across a network/RPC call, however many calls down"
 }
 
 func (lockCheck) Check(m *Module, report func(token.Position, string)) {
-	for _, pkg := range m.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						checkLockScope(pkg, fn.Body, report)
-					}
-				case *ast.FuncLit:
-					checkLockScope(pkg, fn.Body, report)
-					return false // its body was just handled as its own scope
-				}
-				return true
-			})
+	seen := make(map[token.Position]bool)
+	for _, a := range lockAcquisitions(m) {
+		desc, ok := strings.CutPrefix(a.to, netPrefix)
+		if !ok || seen[a.pos] {
+			continue // a site reaching several net calls reports the first
 		}
-	}
-}
-
-// checkLockScope walks one function body (excluding nested function
-// literals, which are separate scopes with separate lock lifetimes)
-// and reports net calls made while any lock is held.
-func checkLockScope(pkg *Package, body *ast.BlockStmt, report func(token.Position, string)) {
-	deferred := make(map[*ast.CallExpr]bool)
-	var events []lockEvent
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			deferred[x.Call] = true
-		case *ast.CallExpr:
-			if key, name, ok := mutexOp(pkg, x); ok {
-				switch {
-				case lockAcquires[name] || lockTryAcquires[name]:
-					events = append(events, lockEvent{x.Pos(), 0, key})
-				case deferred[x]:
-					events = append(events, lockEvent{x.Pos(), 2, key})
-				default:
-					events = append(events, lockEvent{x.Pos(), 1, key})
-				}
-				return true
-			}
-			if desc, ok := netCall(pkg, x); ok {
-				events = append(events, lockEvent{x.Pos(), 3, desc})
-			}
+		seen[a.pos] = true
+		what := desc + " called"
+		if a.via != nil {
+			what = fmt.Sprintf("call to %s reaches %s", funcDisplay(a.via), desc)
 		}
-		return true
+		report(a.pos, fmt.Sprintf("%s while %s is held — release the lock before network/RPC calls", what, a.held.names()))
 	}
-	ast.Inspect(body, walk)
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	held := make(map[string]bool)
-	for _, e := range events {
-		switch e.kind {
-		case 0:
-			held[e.key] = true
-		case 1:
-			delete(held, e.key)
-		case 2:
-			held[e.key] = true // deferred unlock: held for the rest of the function
-		case 3:
-			if len(held) > 0 {
-				locks := make([]string, 0, len(held))
-				for k := range held {
-					locks = append(locks, k)
-				}
-				sort.Strings(locks)
-				report(pkg.Fset.Position(e.pos),
-					fmt.Sprintf("%s called while %s is held — release the lock before network/RPC calls", e.key, strings.Join(locks, ", ")))
-			}
-		}
-	}
-}
-
-// mutexOp reports whether call is a lock operation
-// (Lock/RLock/TryLock/TryRLock/Unlock/RUnlock) on a sync.Mutex or
-// sync.RWMutex, and returns the lock's receiver expression as its
-// identity.
-func mutexOp(pkg *Package, call *ast.CallExpr) (key, name string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	name = fn.Name()
-	if lockAcquires[name] || lockTryAcquires[name] || lockReleases[name] {
-		return types.ExprString(sel.X), name, true
-	}
-	return "", "", false
 }
 
 // netCall reports whether the call crosses (or can cross) the network:

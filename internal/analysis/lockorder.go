@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -18,11 +20,10 @@ import (
 // across functions and packages).
 //
 // Locks are abstracted to classes — "(hstore.Region).mu" names the mu
-// field of every Region instance. Edges are collected per function by
-// a forward held-set dataflow over the CFG, and calls propagate the
-// callee's transitive may-acquire summary (computed bottom-up over the
-// call graph), so nesting hidden behind two levels of helpers is still
-// seen. Three deliberate precision choices:
+// field of every Region instance. Edges come from the held-set pass
+// (lockAcquisitions), which lockcheck shares, so nesting hidden behind
+// two levels of helpers is still seen. Three deliberate precision
+// choices:
 //
 //   - go-statement spawns carry no held state (a fresh goroutine holds
 //     nothing) and contribute nothing to a caller's may-acquire set;
@@ -49,27 +50,34 @@ var (
 	lockReleases    = map[string]bool{"Unlock": true, "RUnlock": true}
 )
 
+// netPrefix names the pseudo lock class a network/RPC call acquires in
+// the held-set pass ("net:Client.Do"). Nothing ever holds one, so it
+// has no outgoing edges and lockorder skips it; lockcheck reports
+// every lock held into one.
+const netPrefix = "net:"
+
 // lockClassOp resolves a call to a sync.Mutex/RWMutex method into its
-// lock class and operation. ok is false for non-mutex calls and for
-// locks with no stable class identity (local mutex variables).
-func lockClassOp(pkg *Package, call *ast.CallExpr) (class, op string, ok bool) {
+// lock class, the receiver expression it was called through, and the
+// operation. ok is false for non-mutex calls and for locks with no
+// stable class identity (local mutex variables).
+func lockClassOp(pkg *Package, call *ast.CallExpr) (class, expr, op string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return "", "", "", false
 	}
 	fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
+		return "", "", "", false
 	}
 	name := fn.Name()
 	if !lockAcquires[name] && !lockTryAcquires[name] && !lockReleases[name] {
-		return "", "", false
+		return "", "", "", false
 	}
 	class = lockClass(pkg, sel.X)
 	if class == "" {
-		return "", "", false
+		return "", "", "", false
 	}
-	return class, name, true
+	return class, types.ExprString(sel.X), name, true
 }
 
 // lockClass names the lock's class: "(pkg.Type).field" for a mutex
@@ -114,47 +122,41 @@ func namedOf(t types.Type) *types.Named {
 	return nil
 }
 
-// lockHeld is the dataflow state: the set of lock classes that may be
-// held at a program point.
-type lockHeld map[string]bool
+// lockHeld is the dataflow state: the lock classes that may be held at
+// a program point, each mapped to the receiver expression it was taken
+// through ("m.mu"), which findings name.
+type lockHeld map[string]string
 
-func (h lockHeld) clone() lockHeld {
-	out := make(lockHeld, len(h))
-	for k := range h {
-		out[k] = true
-	}
-	return out
+func (h lockHeld) clone() lockHeld { return maps.Clone(h) }
+
+// names lists the held receiver expressions, sorted, for a message.
+func (h lockHeld) names() string {
+	return strings.Join(slices.Compact(slices.Sorted(maps.Values(h))), ", ")
 }
 
 var lockFlow = FlowFuncs[lockHeld]{
 	Join: func(a, b lockHeld) lockHeld {
 		out := a.clone()
-		for k := range b {
-			out[k] = true
+		for k, v := range b {
+			if _, ok := out[k]; !ok {
+				out[k] = v
+			}
 		}
 		return out
 	},
 	Equal: func(a, b lockHeld) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
+		return maps.EqualFunc(a, b, func(string, string) bool { return true }) // classes only
 	},
-	Clone: func(s lockHeld) lockHeld { return s.clone() },
+	Clone: lockHeld.clone,
 }
 
 // lockWalk interprets one shallow CFG node: acquires and releases
 // mutate held in source order; onAcquire fires for blocking acquires
-// (with the pre-acquire held set), onCall for static calls to module
-// functions. Deferred releases are ignored (the lock stays held to
-// function exit); go statements are skipped entirely (their bodies are
-// separate scopes and their spawned callees run with an empty held
-// set).
+// and for network calls (the net pseudo class), with the pre-acquire
+// held set, and onCall for static calls to module functions. Deferred
+// releases are ignored (the lock stays held to function exit); go
+// statements are skipped entirely (their bodies are separate scopes
+// and their spawned callees run with an empty held set).
 func lockWalk(pkg *Package, node ast.Node, held lockHeld, onAcquire func(class string, pos token.Pos), onCall func(fn *types.Func, pos token.Pos)) {
 	deferred := false
 	if d, ok := node.(*ast.DeferStmt); ok {
@@ -172,19 +174,22 @@ func lockWalk(pkg *Package, node ast.Node, held lockHeld, onAcquire func(class s
 		if !ok {
 			return true
 		}
-		if class, op, ok := lockClassOp(pkg, call); ok {
+		if class, expr, op, ok := lockClassOp(pkg, call); ok {
 			switch {
 			case lockAcquires[op]:
 				if onAcquire != nil {
 					onAcquire(class, call.Pos())
 				}
-				held[class] = true
+				held[class] = expr
 			case lockTryAcquires[op]:
-				held[class] = true // conditional acquire: no blocking edge in
+				held[class] = expr // conditional acquire: no blocking edge in
 			case lockReleases[op] && !deferred:
 				delete(held, class)
 			}
 			return true
+		}
+		if desc, ok := netCall(pkg, call); ok && onAcquire != nil {
+			onAcquire(netPrefix+desc, call.Pos())
 		}
 		if fn := calleeFunc(pkg, call); fn != nil && onCall != nil {
 			onCall(fn, call.Pos())
@@ -193,20 +198,27 @@ func lockWalk(pkg *Package, node ast.Node, held lockHeld, onAcquire func(class s
 	})
 }
 
-// lockEdge is one observed ordering: `from` held while acquiring `to`.
-type lockEdge struct {
-	from, to string
-	pos      token.Position
-	via      string // "" for a direct acquire, callee name for a call edge
+// lockAcq is one acquisition of class to — a lock class or a net pseudo
+// class — made while the held set was not empty: directly at pos, or
+// inside the call to via there.
+type lockAcq struct {
+	held lockHeld
+	to   string
+	pos  token.Position
+	via  *types.Func
 }
 
-func (lockOrderCheck) Check(m *Module, report func(token.Position, string)) {
-	g := m.Graph()
-
-	// Bottom-up may-acquire summaries: which lock classes can a call to
-	// fn end up acquiring on the caller's goroutine. Graph edges already
-	// attribute literal bodies to their declaration and mark go spawns,
-	// so this is a pure edge fold plus the declaration's local acquires.
+// lockAcquisitions is the interprocedural held-set pass lockorder and
+// lockcheck share, run once per Module. Each function's transitive
+// may-acquire summary (lock and net classes) is folded bottom-up over
+// the call graph — which attributes literal bodies to their
+// declaration and marks go spawns — and a forward held-set flow over
+// every scope's CFG then records each acquisition, direct or through a
+// callee's summary, made under a held lock.
+func lockAcquisitions(m *Module) []lockAcq {
+	if m.acqsBuilt {
+		return m.acqs
+	}
 	localAcq := make(map[*types.Func]lockHeld)
 	for _, fs := range moduleScopes(m.Pkgs) {
 		fn := fs.Fn()
@@ -218,87 +230,107 @@ func (lockOrderCheck) Check(m *Module, report func(token.Position, string)) {
 			acq = make(lockHeld)
 			localAcq[fn] = acq
 		}
-		for _, n := range collectCFGNodes(fs.Body) {
-			lockWalk(fs.Pkg, n, make(lockHeld), func(class string, _ token.Pos) { acq[class] = true }, nil)
+		for _, b := range BuildCFG(fs.Body).Blocks { // flow-insensitive: every node counts
+			for _, n := range b.Nodes {
+				lockWalk(fs.Pkg, n, make(lockHeld), func(class string, _ token.Pos) { acq[class] = "" }, nil)
+			}
 		}
 	}
-	eq := lockFlow.Equal
-	mayAcquire := BottomUp(g, func(n *CGNode, get func(*types.Func) lockHeld) lockHeld {
-		out := make(lockHeld)
-		for k := range localAcq[n.Fn] {
-			out[k] = true
+	mayAcquire := BottomUp(m.Graph(), func(n *CGNode, get func(*types.Func) lockHeld) lockHeld {
+		out := localAcq[n.Fn].clone()
+		if out == nil {
+			out = make(lockHeld)
 		}
 		for _, e := range n.Out {
 			if e.Kind == KindGo {
 				continue
 			}
 			for k := range get(e.Callee.Fn) {
-				out[k] = true
+				out[k] = ""
 			}
 		}
 		return out
-	}, func(a, b lockHeld) bool {
-		if a == nil {
-			a = lockHeld{}
-		}
-		if b == nil {
-			b = lockHeld{}
-		}
-		return eq(a, b)
-	})
+	}, lockFlow.Equal)
 
-	// Per-scope edge pass: forward held-set flow, recording an edge for
-	// every (held, acquired) pair — acquired directly or via a callee's
-	// may-acquire summary.
-	edges := make(map[[2]string]lockEdge)
-	record := func(from, to string, pos token.Position, via string) {
-		if from == to {
-			return
-		}
-		key := [2]string{from, to}
-		if _, ok := edges[key]; !ok {
-			edges[key] = lockEdge{from, to, pos, via}
-		}
-	}
+	var out []lockAcq
 	for _, fs := range moduleScopes(m.Pkgs) {
-		fs := fs
-		cfg := BuildCFG(fs.Body)
 		flow := lockFlow
 		flow.Transfer = func(n ast.Node, s lockHeld) lockHeld {
 			s = s.clone()
 			lockWalk(fs.Pkg, n, s, nil, nil)
 			return s
 		}
-		ForwardVisit(cfg, make(lockHeld), flow, func(n ast.Node, held lockHeld) {
+		ForwardVisit(BuildCFG(fs.Body), make(lockHeld), flow, func(n ast.Node, held lockHeld) {
 			held = held.clone()
 			lockWalk(fs.Pkg, n, held,
 				func(class string, pos token.Pos) {
-					for h := range held {
-						record(h, class, fs.Pkg.Fset.Position(pos), "")
+					if len(held) > 0 {
+						out = append(out, lockAcq{held.clone(), class, fs.Pkg.Fset.Position(pos), nil})
 					}
 				},
 				func(fn *types.Func, pos token.Pos) {
 					if len(held) == 0 {
 						return
 					}
-					for to := range mayAcquire[fn.Origin()] {
-						for h := range held {
-							record(h, to, fs.Pkg.Fset.Position(pos), funcDisplay(fn))
-						}
+					snap := held.clone()
+					for _, to := range slices.Sorted(maps.Keys(mayAcquire[fn.Origin()])) {
+						out = append(out, lockAcq{snap, to, fs.Pkg.Fset.Position(pos), fn})
 					}
 				})
 		})
 	}
+	m.acqs, m.acqsBuilt = out, true
+	return out
+}
 
-	// Cycle detection over the lock-class graph.
+// lockEdge is one observed ordering: `from` held while acquiring `to`.
+type lockEdge struct {
+	from, to string
+	pos      token.Position
+	via      string // "" for a direct acquire, callee name for a call edge
+}
+
+func (lockOrderCheck) Check(m *Module, report func(token.Position, string)) {
+	// The first site of every (held, acquired) pair is its edge.
+	edges := make(map[[2]string]lockEdge)
+	for _, a := range lockAcquisitions(m) {
+		if strings.HasPrefix(a.to, netPrefix) {
+			continue
+		}
+		via := ""
+		if a.via != nil {
+			via = funcDisplay(a.via)
+		}
+		for from := range a.held {
+			key := [2]string{from, a.to}
+			if _, ok := edges[key]; !ok && from != a.to {
+				edges[key] = lockEdge{from, a.to, a.pos, via}
+			}
+		}
+	}
+
+	// Cycle detection over the lock-class graph: an edge inside a
+	// strongly connected component closes a cycle through its members.
 	adj := make(map[string][]string)
 	for key := range edges {
 		adj[key[0]] = append(adj[key[0]], key[1])
 	}
-	comp := lockSCCs(adj)
+	nodes := slices.Sorted(maps.Keys(adj))
+	for _, tos := range adj {
+		slices.Sort(tos)
+	}
+	members := make(map[string][]string)
+	for _, scc := range tarjan(nodes, func(n string) []string { return adj[n] }) {
+		if len(scc) > 1 {
+			slices.Sort(scc)
+			for _, n := range scc {
+				members[n] = scc
+			}
+		}
+	}
 	var cyclic []lockEdge
 	for _, e := range edges {
-		if comp[e.from] != "" && comp[e.from] == comp[e.to] {
+		if slices.Contains(members[e.from], e.to) {
 			cyclic = append(cyclic, e)
 		}
 	}
@@ -313,108 +345,11 @@ func (lockOrderCheck) Check(m *Module, report func(token.Position, string)) {
 		return a.from+a.to < b.from+b.to
 	})
 	for _, e := range cyclic {
-		members := componentMembers(comp, comp[e.from])
 		what := fmt.Sprintf("acquires %s while holding %s", e.to, e.from)
 		if e.via != "" {
 			what = fmt.Sprintf("call to %s acquires %s while holding %s", e.via, e.to, e.from)
 		}
 		report(e.pos, fmt.Sprintf("lock order cycle: %s, but the reverse order also exists (cycle through %s) — pick one global order",
-			what, strings.Join(members, " → ")))
+			what, strings.Join(members[e.from], " → ")))
 	}
-}
-
-// collectCFGNodes flattens a body into the same shallow nodes a CFG
-// would hold, for passes that need no flow sensitivity.
-func collectCFGNodes(body *ast.BlockStmt) []ast.Node {
-	cfg := BuildCFG(body)
-	var out []ast.Node
-	for _, b := range cfg.Blocks {
-		out = append(out, b.Nodes...)
-	}
-	return out
-}
-
-// lockSCCs runs Tarjan over the string lock graph, returning a
-// component id per node; nodes in trivial components (no cycle) map to
-// "". Self-loops are excluded by construction (record skips them).
-func lockSCCs(adj map[string][]string) map[string]string {
-	nodes := make([]string, 0, len(adj))
-	seen := make(map[string]bool)
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-	}
-	for from, tos := range adj {
-		add(from)
-		for _, to := range tos {
-			add(to)
-		}
-	}
-	sort.Strings(nodes)
-	for _, tos := range adj {
-		sort.Strings(tos)
-	}
-
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	comp := make(map[string]string)
-	next := 0
-	var connect func(n string)
-	connect = func(n string) {
-		index[n] = next
-		low[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, w := range adj[n] {
-			if _, ok := index[w]; !ok {
-				connect(w)
-				if low[w] < low[n] {
-					low[n] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[n] {
-				low[n] = index[w]
-			}
-		}
-		if low[n] == index[n] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == n {
-					break
-				}
-			}
-			if len(scc) > 1 {
-				sort.Strings(scc)
-				id := scc[0]
-				for _, w := range scc {
-					comp[w] = id
-				}
-			}
-		}
-	}
-	for _, n := range nodes {
-		if _, ok := index[n]; !ok {
-			connect(n)
-		}
-	}
-	return comp
-}
-
-func componentMembers(comp map[string]string, id string) []string {
-	var out []string
-	for n, c := range comp {
-		if c == id {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -85,8 +85,7 @@ var mutations = []mutation{
 		name: "the same RPC one helper down", checker: "lockcheck",
 		file: "internal/dstore/master.go",
 		old:  "\tmem.lastBeat = m.now()\n\tm.cHeartbeats.Inc()",
-		new:  "\tmem.lastBeat = m.now()\n\tm.rpcDemote(mem, \"t\", 0)\n\tm.cHeartbeats.Inc()",
-		miss: "lockcheck is intraprocedural by design: the master holds the catalog lock across its rpc* helpers everywhere (MoveRegion's choreography, failover, repair), so following calls would flag the design, not a regression",
+		new:  "\tmem.lastBeat = m.now()\n\tm.flightLocked().setRole(&RegionInfo{Table: \"t\"}, id, false, nil)\n\tm.cHeartbeats.Inc()",
 	},
 	{
 		name: "root context minted in a gateway handler", checker: "ctxcheck",

@@ -1,5 +1,6 @@
 // Package lockfix exercises lockcheck: network calls between Lock and
-// Unlock (or after a deferred Unlock) in one function are findings.
+// Unlock (or after a deferred Unlock) are findings, made in the function
+// holding the lock or in a helper it calls.
 package lockfix
 
 import (
@@ -66,4 +67,12 @@ func (s *server) tryReadLocked() {
 	}
 	net.Dial("tcp", "example.test:80") // want `net\.Dial called while s\.rw is held`
 	s.rw.RUnlock()
+}
+
+func (s *server) fetch(req *http.Request) { s.hc.Do(req) }
+
+func (s *server) helperDown(req *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.fetch(req) // want `call to .*fetch reaches Client\.Do while s\.mu is held`
 }

@@ -78,14 +78,6 @@ type Recommendation struct {
 	Evaluations int
 }
 
-// PredictedSpeedup is DefaultMs / PredictedMs.
-func (r *Recommendation) PredictedSpeedup() float64 {
-	if r.PredictedMs <= 0 {
-		return 0
-	}
-	return r.DefaultMs / r.PredictedMs
-}
-
 // Optimize searches for the configuration minimizing the What-If
 // predicted runtime of the job represented by prof, processing
 // inputBytes on cl. The default configuration (with the job's own

@@ -109,6 +109,14 @@ func TestOptions(t *testing.T) {
 	}
 }
 
+// PredictedSpeedup is DefaultMs / PredictedMs.
+func (r *Recommendation) PredictedSpeedup() float64 {
+	if r.PredictedMs <= 0 {
+		return 0
+	}
+	return r.DefaultMs / r.PredictedMs
+}
+
 func TestPredictedSpeedupZeroGuard(t *testing.T) {
 	r := &Recommendation{PredictedMs: 0, DefaultMs: 100}
 	if r.PredictedSpeedup() != 0 {

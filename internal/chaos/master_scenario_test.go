@@ -293,16 +293,31 @@ func TestChaosMasterFailover(t *testing.T) {
 		t.Fatalf("promoted leader minted epoch %d, want > 0", newLeader.MasterEpoch())
 	}
 
-	// The successor resumes the interrupted rebalance from its
-	// journal-recovered catalog. The move choreography undoes its fence
-	// best-effort on failure, so the repair itself runs in a disarmed
-	// window (an operator fixing a degraded cluster over a clean link);
-	// the workload keeps hammering throughout. Rebalance reports bytes
-	// shipped — promotion flips ship zero — so the spread is the
-	// assertion.
+	// The successor spreads the piled-up primaries again from its
+	// journal-recovered catalog, one MoveRegion at a time. The move
+	// choreography owes its undo on failure, so the moves run in a
+	// disarmed window (an operator fixing a degraded cluster over a clean
+	// link); the workload keeps hammering throughout. A flip ships zero
+	// bytes, so the spread is the assertion.
 	eng.Disarm()
-	if _, err := newLeader.Rebalance(); err != nil {
-		t.Fatalf("Rebalance on promoted leader: %v", err)
+	var alive []string
+	for _, s := range newLeader.Status() {
+		if s.Alive {
+			alive = append(alive, s.Peer.ID)
+		}
+	}
+	moves := 0
+	for _, table := range []string{"t", core.TableName} {
+		for _, g := range newLeader.Meta().Tables[table] {
+			to := alive[moves%len(alive)]
+			moves++
+			if to == g.Primary {
+				continue
+			}
+			if _, err := newLeader.MoveRegion(table, g.ID, to); err != nil {
+				t.Fatalf("MoveRegion(%s/%d, %s) on promoted leader: %v", table, g.ID, to, err)
+			}
+		}
 	}
 	eng.Arm()
 	counts := map[string]int{}
@@ -312,11 +327,11 @@ func TestChaosMasterFailover(t *testing.T) {
 		}
 	}
 	if len(counts) < 2 {
-		t.Fatalf("primaries still piled up after resumed rebalance: %v", counts)
+		t.Fatalf("primaries still piled up after the resumed moves: %v", counts)
 	}
 
 	// Keep the cluster ticking under load so the surviving standby
-	// mirrors the rebalanced catalog before the next disaster.
+	// mirrors the spread catalog before the next disaster.
 	for i := 0; i < 4; i++ {
 		clock.advance(500 * time.Millisecond)
 		tickMasters(c, clock.now())

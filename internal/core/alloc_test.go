@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"pstorm/internal/cbo"
 	"pstorm/internal/cluster"
 	"pstorm/internal/core"
 	"pstorm/internal/engine"
@@ -95,5 +96,47 @@ func TestSubmitAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per Submit", allocs)
 	if math.Abs(allocs-submitAllocs) > submitAllocs/100 {
 		t.Errorf("one Submit allocated %.0f times, want %d ± 1 %%", allocs, submitAllocs)
+	}
+}
+
+// optimizeAllocs is what one cbo.Optimize of a stored pigmix-l3 profile
+// allocates: the 301-evaluation search over the What-If model, every
+// prediction computed afresh (no evaluator cache).
+const optimizeAllocs = 1525
+
+// TestOptimizeAllocs holds one Optimize of the profile the store hands
+// back for pigmix-l3 to within 1 % of optimizeAllocs. A change that
+// moves the count on purpose updates the constant and says why.
+func TestOptimizeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation golden; run without -short and -race")
+	}
+	ctx := context.Background()
+	st := newStore(t)
+	cl := cluster.Default16()
+	p := collectProfile(t, engine.New(cl, 7), "pigmix-l3", "pigmix-1g")
+	if err := st.PutProfile(ctx, p); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := st.LoadProfile(ctx, p.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workloads.JobByName("pigmix-l3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		rec, err := cbo.Optimize(ctx, stored, stored.InputBytes, cl, spec.HasCombiner(), cbo.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Evaluations != 301 {
+			t.Fatalf("%d evaluations, want 301", rec.Evaluations)
+		}
+	})
+	t.Logf("%.1f allocations per Optimize", allocs)
+	if math.Abs(allocs-optimizeAllocs) > optimizeAllocs/100 {
+		t.Errorf("one Optimize allocated %.0f times, want %d ± 1 %%", allocs, optimizeAllocs)
 	}
 }

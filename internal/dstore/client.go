@@ -300,8 +300,10 @@ const topoRestartCap = 32
 // operation succeeded, so a later round redoes only what failed. A
 // retryable failure invalidates META, counts a retry, backs off and
 // charges an attempt; a master outage (a takeover in flight) is not
-// charged, up to topoRestartCap*MaxAttempts times, so a takeover costs
-// wall-clock time, never op attempts. Running out of attempts wraps the
+// charged, nor is a NotServing under the same META epoch as the round
+// before (a region move in flight: its servers have flipped roles and
+// its commit is yet to publish), up to topoRestartCap*MaxAttempts times,
+// so a takeover or a move costs wall-clock time, never op attempts. Running out of attempts wraps the
 // last error in ErrExhausted, so callers can tell a liveness problem
 // ("the cluster never healed while I retried") from a plain store
 // error, which returns as is.
@@ -320,6 +322,7 @@ func (c *Client) retry(ctx context.Context, op string, step func(Meta) error) er
 	}()
 	var err error
 	spins := 0
+	lastEpoch := int64(-1)
 	for attempt := 0; attempt < c.maxAttempts(); {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
@@ -341,11 +344,15 @@ func (c *Client) retry(ctx context.Context, op string, step func(Meta) error) er
 		if cerr := c.sleepBackoff(ctx, attempt); cerr != nil {
 			return fmt.Errorf("dstore: %s interrupted: %w", op, cerr)
 		}
-		if masterOutage(err) && spins < topoRestartCap*c.maxAttempts() {
+		// NotServing twice under one META epoch: the servers are ahead
+		// of the catalog, a move between its flip and its commit.
+		inFlight := hstore.IsNotServing(err) && m.Epoch == lastEpoch
+		if (masterOutage(err) || inFlight) && spins < topoRestartCap*c.maxAttempts() {
 			spins++
 		} else {
 			attempt++
 		}
+		lastEpoch = m.Epoch
 	}
 	c.mGiveUps.Inc()
 	return fmt.Errorf("%w: %s giving up after %d attempts: %w", ErrExhausted, op, c.maxAttempts(), err)

@@ -122,3 +122,42 @@ func TestExhaustionWrapsErrExhausted(t *testing.T) {
 		t.Fatalf("dstore_client_giveup_total = %d, want >= 2", got)
 	}
 }
+
+// TestNotServingUnderUnchangedMetaIsNotCharged: a primary fenced while
+// META still names it — a move between its flip and its commit — costs
+// the client wall-clock time, not attempts. With a two-attempt budget
+// the Put keeps retrying until the role comes back, then succeeds.
+func TestNotServingUnderUnchangedMetaIsNotCharged(t *testing.T) {
+	c, err := StartLocalCluster(LocalOptions{Servers: 2, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	cl := c.Client()
+	cl.RetryBase = time.Millisecond
+	cl.MaxAttempts = 2
+	ctx := context.Background()
+	if err := cl.CreateTable(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	g := c.Master.Meta().Tables["t"][0]
+	primary := c.Server(g.Primary)
+	if err := primary.SetRole("t", g.ID, false, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	put := make(chan error, 1)
+	go func() { put <- cl.Put(ctx, "t", "a", "c", []byte("v")) }()
+	for cl.Retries() < 3*int64(cl.MaxAttempts) {
+		select {
+		case err := <-put:
+			t.Fatalf("Put returned %v after %d retries while the region was in flight", err, cl.Retries())
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	if err := primary.SetRole("t", g.ID, true, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-put; err != nil {
+		t.Fatalf("Put once the role came back: %v", err)
+	}
+}

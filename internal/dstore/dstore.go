@@ -10,11 +10,11 @@
 //     through heartbeats, promotes a follower when a primary's
 //     heartbeat lapses, re-replicates under-replicated regions, and
 //     moves regions between servers (export snapshot → install → flip
-//     META → drop source) for rebalancing. The catalog is one image
-//     that every mutation changes through one commit: journaled,
-//     pushed to standby masters, and served as META. A standby serves
-//     the newest image it holds and promotes when the leader's lease
-//     lapses.
+//     META → drop source). The catalog is one image that every
+//     mutation changes through one commit: journaled, pushed to
+//     standby masters, and served as META. The catalog lock is never
+//     held across an RPC. A standby serves the newest image it holds
+//     and promotes when the leader's lease lapses.
 //
 //   - N RegionServers, each wrapping an hstore.Server that hosts a
 //     subset of regions. The primary copy of a region is serving;
@@ -146,6 +146,12 @@ var errTransport = errors.New("dstore: transport error")
 // client retries while the master prunes the dead follower.
 var errReplication = errors.New("dstore: replication failed")
 
+// errRegionBusy refuses a region choreography while another has the
+// region in flight, or fails one whose region a failover changed
+// meanwhile; it is retryable — the region is there to move once the
+// other lands.
+var errRegionBusy = errors.New("dstore: region busy")
+
 // ErrInjected marks a fault deliberately injected by a chaos harness
 // (internal/chaos): a dropped request, a partition, a forced timeout.
 // It is retryable — from the client's perspective an injected fault is
@@ -168,6 +174,7 @@ func retryable(err error) bool {
 		errors.Is(err, errStopped) ||
 		errors.Is(err, errTransport) ||
 		errors.Is(err, errReplication) ||
+		errors.Is(err, errRegionBusy) ||
 		errors.Is(err, ErrInjected) ||
 		errors.Is(err, errBreakerOpen) ||
 		errors.Is(err, errNoLeader) ||

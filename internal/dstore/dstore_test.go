@@ -291,50 +291,6 @@ func TestMoveRegionFullAndFlip(t *testing.T) {
 	}
 }
 
-func TestRebalanceEvensPrimaries(t *testing.T) {
-	// 2 servers, 4 regions; then a third server joins empty and
-	// Rebalance must shed load onto it.
-	c, _ := startCluster(t, 2, []string{"f", "m", "t"})
-	cl := c.Client()
-	cl.RetryBase = time.Microsecond
-	for i := 0; i < 40; i++ {
-		if err := cl.Put(context.Background(), "t", fmt.Sprintf("k%02d", i), "c", []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rs := NewRegionServer("rs-new", c.Reg)
-	c.Servers = append(c.Servers, rs)
-	if err := c.Master.Join(Peer{ID: rs.ID()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Master.Rebalance(); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	counts := map[string]int{}
-	m := c.Master.Meta()
-	for _, g := range m.Tables["t"] {
-		counts[g.Primary]++
-	}
-	max, min := 0, 1<<30
-	for _, rs := range c.Servers {
-		n := counts[rs.ID()]
-		if n > max {
-			max = n
-		}
-		if n < min {
-			min = n
-		}
-	}
-	if max-min > 1 {
-		t.Fatalf("rebalance left skew %v", counts)
-	}
-	for i := 0; i < 40; i++ {
-		if _, ok, err := cl.Get(context.Background(), "t", fmt.Sprintf("k%02d", i)); err != nil || !ok {
-			t.Fatalf("Get(k%02d) after rebalance: ok=%v err=%v", i, ok, err)
-		}
-	}
-}
-
 func TestBatchPutGroupsAndSurvivesMove(t *testing.T) {
 	c, _ := startCluster(t, 3, []string{"m"})
 	cl := c.Client()

@@ -143,7 +143,7 @@ func TestEndToEndFailover(t *testing.T) {
 // it: every acked row reads back from its primary, and every follower
 // copy of every region scans equal to its primary, cell for cell.
 func TestConcurrentClientOpsDuringMoves(t *testing.T) {
-	c, _ := startCluster(t, 3, []string{"g", "p"})
+	c, clock := startCluster(t, 3, []string{"g", "p"})
 	cl := c.Client()
 	cl.RetryBase = time.Microsecond
 	ctx := context.Background()
@@ -151,7 +151,7 @@ func TestConcurrentClientOpsDuringMoves(t *testing.T) {
 	const writers, perWriter = 4, 120
 	prefixes := []string{"a", "h", "q"} // one per region
 	var wg sync.WaitGroup
-	errs := make(chan error, writers+2)
+	errs := make(chan error, writers+3)
 	acked := make([]map[string]string, writers)
 
 	for w := 0; w < writers; w++ {
@@ -228,6 +228,36 @@ func TestConcurrentClientOpsDuringMoves(t *testing.T) {
 					return
 				}
 			}
+		}
+	}()
+
+	// The rest of the control plane runs beside the moves: liveness
+	// rounds, heartbeats and META reads must neither wait out a move nor
+	// disturb one (the clock stands still, so nobody dies).
+	moverWG.Add(1)
+	go func() {
+		defer moverWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if died := c.Master.CheckLiveness(clock.now()); len(died) != 0 {
+				errs <- fmt.Errorf("liveness round declared %v dead", died)
+				return
+			}
+			for _, rs := range c.Servers {
+				if err := c.Master.Heartbeat(rs.ID()); err != nil {
+					errs <- fmt.Errorf("heartbeat %s: %w", rs.ID(), err)
+					return
+				}
+			}
+			if len(c.Master.Meta().Tables["t"]) != 3 {
+				errs <- fmt.Errorf("META lost regions of t: %+v", c.Master.Meta().Tables["t"])
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
 	}()
 

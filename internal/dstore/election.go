@@ -33,12 +33,13 @@ import (
 // journal record is a full catalog image, so a peer only ever needs the
 // newest, and images are totally ordered (metaVersion). The leader
 // pushes each new image to every standby seen alive within a lease
-// before the mutation acks (pushImageLocked); standbys also pull once
-// per tick as catch-up and repair. The push is availability-first, not
-// a quorum write: with every standby unreachable the leader still acks,
-// and mutations acked in that state live only in the leader's own
-// durable journal until it (or its disk) comes back — the residual,
-// deliberate loss window of this design.
+// before the mutation acks (pushImage, once the catalog lock is
+// released); standbys also pull once per tick as catch-up and repair.
+// The push is availability-first, not a quorum write: with every
+// standby unreachable the leader still acks, and mutations acked in
+// that state live only in the leader's own durable journal until it
+// (or its disk) comes back — the residual, deliberate loss window of
+// this design.
 
 // Master roles.
 const (
@@ -388,10 +389,14 @@ func (m *Master) ElectionTick(now time.Time) {
 	}
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	var push imagePush
+	var ps []payment
 	if !m.leading.Load() && (fullView || !now.Before(m.electionGrace)) && !m.blockedLocked(now) {
-		m.promoteLocked(now)
+		push, ps = m.promoteLocked(now)
 	}
+	m.mu.Unlock()
+	m.pushImage(push)
+	m.pay(ps)
 }
 
 // blockedLocked reports whether a standby must defer promotion: the
@@ -440,9 +445,11 @@ func (m *Master) mintEpochLocked() {
 
 // promoteLocked turns this standby into the leader: build the working
 // catalog from the held image, mint a fencing epoch, commit the
-// takeover, and re-push every region's role at the new epoch so every
-// region server's epoch floor rises past any deposed leader.
-func (m *Master) promoteLocked(now time.Time) {
+// takeover, and owe every region's role push at the new epoch so every
+// region server's epoch floor rises past any deposed leader. It returns
+// the image to push and the role pushes to pay once the lock is
+// released.
+func (m *Master) promoteLocked(now time.Time) (imagePush, []payment) {
 	// Seal the held slot against peer images first — from here this
 	// history is authoritative — so the image read next is final.
 	m.leading.Store(true)
@@ -453,15 +460,14 @@ func (m *Master) promoteLocked(now time.Time) {
 	m.fastElect = false
 	m.leaderID, m.leaderAddr = m.id, m.peerAddr(m.id)
 	for _, g := range m.regionsLocked() {
-		m.owed[owedRPC{regionRef{g.Table, g.ID}, ""}] = true
+		m.oweLocked(owedRPC{regionRef{g.Table, g.ID}, ""})
 	}
 	m.cElections.Inc()
 	m.gLeader.Set(1)
 	m.o.Emit("elected", map[string]string{
 		"master": m.id, "master_epoch": strconv.FormatInt(m.masterEpoch, 10),
 	})
-	m.commit("promote")
-	m.payOwedLocked()
+	return m.commit("promote"), m.takeAllOwedLocked()
 }
 
 // stepDownLocked demotes a deposed leader to standby. It serves the

@@ -383,10 +383,11 @@ func TestSameIDRejoinBeforeTimeoutIsCleanReregistration(t *testing.T) {
 	}
 }
 
-// TestPromotedLeaderResumesRebalance pins that control-plane work
+// TestPromotedLeaderResumesMoves pins that control-plane work
 // interrupted by a leader crash can be re-driven by the successor: the
-// new leader rebalances from the journal-recovered catalog.
-func TestPromotedLeaderResumesRebalance(t *testing.T) {
+// new leader moves regions off the piled-up server from the
+// journal-recovered catalog.
+func TestPromotedLeaderResumesMoves(t *testing.T) {
 	c, clock := startHACluster(t, 3, nil)
 	// Pile every region onto rs-0 so the cluster is visibly unbalanced.
 	for _, g := range c.Master.Meta().Tables["t"] {
@@ -404,16 +405,21 @@ func TestPromotedLeaderResumesRebalance(t *testing.T) {
 	if nl == nil {
 		t.Fatal("no leader after takeover")
 	}
-	// Rebalance returns bytes shipped; a promotion flip ships zero, so
-	// the balance itself — not the byte count — is the assertion.
-	if _, err := nl.Rebalance(); err != nil {
-		t.Fatalf("Rebalance on promoted leader: %v", err)
+	// Spread the regions over rs-0..rs-2 again. A flip ships zero bytes,
+	// so the layout — not the byte count — is the assertion.
+	regions := nl.Meta().Tables["t"]
+	for i, g := range regions {
+		if to := fmt.Sprintf("rs-%d", i%3); to != g.Primary {
+			if _, err := nl.MoveRegion("t", g.ID, to); err != nil {
+				t.Fatalf("MoveRegion(%d, %s) on promoted leader: %v", g.ID, to, err)
+			}
+		}
 	}
 	counts := map[string]int{}
 	for _, g := range nl.Meta().Tables["t"] {
 		counts[g.Primary]++
 	}
-	if len(counts) < 2 {
-		t.Fatalf("primaries still piled up after rebalance: %v", counts)
+	if len(regions) < 2 || len(counts) < 2 {
+		t.Fatalf("primaries still piled up after the moves: %v over %d regions", counts, len(regions))
 	}
 }

@@ -56,7 +56,7 @@ type journalServer struct {
 // leader's working catalog, a journal record, the image masters
 // exchange, and (projected by meta) the META clients route by. It holds
 // every field a restarted or promoted master needs to serve META and
-// resume liveness, failover, and rebalancing where the image left off.
+// resume liveness, failover, and moves where the image left off.
 type metaState struct {
 	MasterEpoch  int64                   `json:"master_epoch"`
 	LeaderID     string                  `json:"leader_id"`

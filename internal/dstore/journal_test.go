@@ -35,7 +35,21 @@ func journalFixture(t *testing.T) (dir string, raw []byte, liveStates [][]byte) 
 	}
 	t.Cleanup(m.Close)
 
-	capture := func() {
+	var capture func()
+	// The death round commits twice — the failover, then the recruit
+	// that restores its replication — so its first state is captured
+	// when the recruit's first Install reaches a server, after the
+	// failover commit: the master sends it with no lock held.
+	tapping := false
+	reg.WrapConn = func(_ string, conn ServerConn) ServerConn {
+		return installTap{conn, func() {
+			if tapping {
+				tapping = false
+				capture()
+			}
+		}}
+	}
+	capture = func() {
 		m.mu.Lock()
 		st := m.journal.image()
 		m.mu.Unlock()
@@ -78,8 +92,12 @@ func journalFixture(t *testing.T) (dir string, raw []byte, liveStates [][]byte) 
 			t.Fatalf("Heartbeat(%s): %v", id, err)
 		}
 	}
+	tapping = true
 	if dead := m.CheckLiveness(clock.t); len(dead) != 1 {
 		t.Fatalf("CheckLiveness = %v, want one death", dead)
+	}
+	if tapping {
+		t.Fatal("the death round recruited no follower")
 	}
 	capture()
 	// Same-id rejoin: a new incarnation registers over the old one.
@@ -94,6 +112,17 @@ func journalFixture(t *testing.T) (dir string, raw []byte, liveStates [][]byte) 
 		t.Fatalf("read journal: %v", err)
 	}
 	return dir, raw, liveStates
+}
+
+// installTap runs tap before every Install it carries.
+type installTap struct {
+	ServerConn
+	tap func()
+}
+
+func (c installTap) Install(snap *hstore.RegionSnapshot, masterEpoch int64) error {
+	c.tap()
+	return c.ServerConn.Install(snap, masterEpoch)
 }
 
 // frameBounds decodes the frame layout of a clean journal: ends[i] is

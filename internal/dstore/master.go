@@ -131,6 +131,9 @@ type Master struct {
 	// owed holds control RPCs a server has yet to ack (owedRPC); every
 	// liveness and health round retries them until it does.
 	owed map[owedRPC]bool
+	// inFlight marks the regions a choreography or a ledger payment is
+	// sending RPCs to; nothing else sends them any until it lands.
+	inFlight map[regionRef]bool
 
 	// Election state (all under mu). masterEpoch is this master's
 	// fencing term stamped on every control RPC; 0 means legacy
@@ -204,6 +207,7 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 		id:                  opts.id(),
 		journal:             journal,
 		owed:                make(map[owedRPC]bool),
+		inFlight:            make(map[regionRef]bool),
 		seen:                make(map[string]peerSeen),
 		peerConns:           make(map[string]MasterPeerConn),
 		loopStop:            make(chan struct{}),
@@ -345,18 +349,38 @@ func (m *Master) notLeaderLocked() error {
 	return &NotLeaderError{LeaderID: m.leaderID, LeaderAddr: m.leaderAddr}
 }
 
+// The control plane's one rule: m.mu covers in-memory edits of the
+// catalog and commit's journal append, and every server or peer RPC runs
+// after the unlock. An edit that needs no RPC first (failover, a
+// quarantine hand-off, a rejoin, a promotion) commits and records the
+// RPCs it implies in the owed ledger, paid once the lock is released. A
+// choreography whose RPCs must come before its catalog change (a
+// create's installs, a recruit, a move) plans under the lock and marks
+// its region in flight, sends its RPCs unlocked, and re-locks to commit
+// only if the region is still as planned — else the ledger owes its
+// undo. A region in flight gets RPCs from its own choreography only.
+
+// imagePush is a committed image and the standbys to send it to, both
+// taken under m.mu so the sending needs no lock.
+type imagePush struct {
+	img   MetaImage
+	ids   []string
+	conns []MasterPeerConn
+}
+
 // commit is the one place the catalog changes version. If the working
 // catalog differs from the held image outside Epoch, it bumps the
-// epoch and keeps a copy: appended to this master's journal, held (and
-// so served as META), and pushed to the standbys. Every mutation ends
-// here while still holding the catalog lock, so journal order is
-// mutation order. A leader deposed mid-mutation (a stale-rejected
-// control RPC) writes nothing over what the new leader has pushed it
-// since, and a master with neither a journal dir nor peers has nobody
-// to tell, so it frames nothing.
-func (m *Master) commit(kind string) {
+// epoch and keeps a copy: appended to this master's journal and held
+// (and so served as META). Every mutation ends here while still holding
+// the catalog lock, so journal order is mutation order; it returns the
+// image for the caller to push to every standby seen alive within a
+// lease once the lock is released. A leader deposed mid-mutation (a
+// stale-rejected control RPC) writes nothing over what the new leader
+// has pushed it since, and a master with neither a journal dir nor
+// peers has nobody to tell, so it frames nothing.
+func (m *Master) commit(kind string) (push imagePush) {
 	if !m.leading.Load() || m.cat.sameAs(m.journal.image()) {
-		return
+		return push
 	}
 	m.cat.Epoch++
 	rec := journalRecord{Kind: kind, State: m.cat.clone()}
@@ -368,36 +392,35 @@ func (m *Master) commit(kind string) {
 		}
 	}
 	m.keepImage(rec, framed, false) //nolint:errcheck — only a peer's image can be refused
-	if framed != nil && m.haEnabled() {
-		m.pushImageLocked(MetaImage{Frame: framed})
+	if framed == nil || !m.haEnabled() {
+		return push
 	}
+	push.img = MetaImage{Frame: framed}
+	now, lease := m.now(), m.leaseDuration()
+	for _, id := range m.electorate {
+		if p, ok := m.seen[id]; id == m.id || !ok || now.Sub(p.at) > lease {
+			continue
+		}
+		if c, err := m.peerConnLocked(id); err == nil {
+			push.ids, push.conns = append(push.ids, id), append(push.conns, c)
+		}
+	}
+	return push
 }
 
-// pushImageLocked replicates the just-committed image to every standby
-// seen alive within a lease, synchronously, before the mutation that
-// triggered it acks — whether or not the leader's own append succeeded:
-// a failing disk must not also withhold the change from the masters
-// that could outlive it. Availability-first, never quorum: an
-// unreachable or refusing standby is skipped (counted in
+// pushImage replicates a committed image to the standbys commit chose,
+// before the mutation that made it acks — whether or not the leader's
+// own append succeeded: a failing disk must not also withhold the change
+// from the masters that could outlive it. Availability-first, never
+// quorum: an unreachable or refusing standby is skipped (counted in
 // dstore_master_journal_push_misses_total and emitted) and its per-tick
-// pull catches it up.
-func (m *Master) pushImageLocked(img MetaImage) {
-	now := m.now()
-	lease := m.leaseDuration()
-	for _, id := range m.electorate {
-		if id == m.id {
-			continue
-		}
-		if p, ok := m.seen[id]; !ok || now.Sub(p.at) > lease {
-			continue
-		}
-		c, err := m.peerConnLocked(id)
-		if err != nil {
-			continue
-		}
-		if err := c.PushImage(m.id, img); err != nil {
+// pull catches it up. Pushes of concurrent commits may land out of
+// order; a standby drops an image not newer than the one it holds.
+func (m *Master) pushImage(push imagePush) {
+	for i, c := range push.conns {
+		if err := c.PushImage(m.id, push.img); err != nil {
 			m.cJournalPushMisses.Inc()
-			m.o.Emit("journal_push_miss", map[string]string{"peer": id, "error": err.Error()})
+			m.o.Emit("journal_push_miss", map[string]string{"peer": push.ids[i], "error": err.Error()})
 			continue
 		}
 		m.cJournalPushes.Inc()
@@ -414,14 +437,9 @@ func (m *Master) now() time.Time {
 	return time.Now() //pstorm:allow clockcheck this is the injection point's default when MasterOptions.Now is unset
 }
 
-// Control-RPC wrappers: every master-driven mutation of a region
-// server is stamped with this master's fencing epoch, and a stale
-// rejection — the server has already obeyed a newer leader — deposes
-// this master on the spot instead of letting it keep mutating a
-// catalog nobody obeys. Like the call sites they replaced, they run
-// under the catalog lock by design (see the MoveRegion doc).
-
-// depose steps the leader down when a control RPC was rejected stale.
+// deposeOnStaleLocked steps the leader down when a control RPC was
+// rejected stale: the server has already obeyed a newer leader, so this
+// master must stop mutating a catalog nobody obeys.
 func (m *Master) deposeOnStaleLocked(err error) error {
 	if errors.Is(err, ErrStaleMaster) {
 		m.stepDownLocked("control RPC rejected: " + err.Error())
@@ -429,38 +447,144 @@ func (m *Master) deposeOnStaleLocked(err error) error {
 	return err
 }
 
-func (m *Master) rpcInstall(mem *member, snap *hstore.RegionSnapshot) error {
-	return m.deposeOnStaleLocked(mem.conn.Install(snap, m.masterEpoch))
+// flight is one choreography's control RPCs: the fencing epoch they
+// carry and the conns and peers they need, all taken under m.mu, and
+// every copy they may have changed — what the ledger owes if the
+// choreography does not commit.
+type flight struct {
+	epoch   int64
+	servers map[string]*member // a member's conn never changes
+	peers   map[string]Peer
+	touched []owedRPC
 }
 
-// rpcDemote fences mem's copy into a follower; it returns once the
-// copy's in-flight writes have reached its whole chain.
-func (m *Master) rpcDemote(mem *member, table string, regionID int) error {
-	return m.deposeOnStaleLocked(mem.conn.SetRole(table, regionID, false, nil, m.masterEpoch))
-}
-
-// pushRoleLocked tells g.Primary what the catalog says: serve, and
-// replicate to g.Followers. The catalog is the truth and this is the one
-// way a primary learns it, so a push that fails stays owed — payOwedLocked
-// retries until the primary acks, and a dropped RPC cannot leave a
-// region fenced or a chain stale forever.
-func (m *Master) pushRoleLocked(g *RegionInfo) error {
-	peers := make([]Peer, 0, len(g.Followers))
-	for _, f := range g.Followers {
-		peers = append(peers, m.cat.server(f).Peer)
+func (m *Master) flightLocked() *flight {
+	f := &flight{epoch: m.masterEpoch, servers: maps.Clone(m.servers), peers: make(map[string]Peer)}
+	for _, s := range m.cat.Servers {
+		f.peers[s.Peer.ID] = s.Peer
 	}
-	err := m.deposeOnStaleLocked(m.servers[g.Primary].conn.SetRole(g.Table, g.ID, true, peers, m.masterEpoch))
-	m.oweLocked(owedRPC{regionRef{g.Table, g.ID}, ""}, err != nil)
+	return f
+}
+
+func (f *flight) install(server string, snap *hstore.RegionSnapshot) error {
+	err := f.servers[server].conn.Install(snap, f.epoch)
+	if err == nil {
+		f.touched = append(f.touched, owedRPC{regionRef{snap.Table, snap.RegionID}, server})
+	}
 	return err
 }
 
-// dropLocked removes server's copy of a region the catalog no longer
-// places there. A Drop lost on the way stays owed: the orphan it would
-// leave makes Install refuse that region, so every later recruit onto
-// the server would fail.
-func (m *Master) dropLocked(server, table string, regionID int) {
-	err := m.deposeOnStaleLocked(m.servers[server].conn.Drop(table, regionID, m.masterEpoch))
-	m.oweLocked(owedRPC{regionRef{table, regionID}, server}, err != nil && retryable(err))
+// setRole tells server its role in g: primary replicating to followers,
+// or a fenced follower, which returns once the copy's in-flight writes
+// have reached its whole chain.
+func (f *flight) setRole(g *RegionInfo, server string, primary bool, followers []string) error {
+	f.touched = append(f.touched, owedRPC{regionRef{g.Table, g.ID}, server})
+	chain := make([]Peer, 0, len(followers))
+	for _, id := range followers {
+		chain = append(chain, f.peers[id])
+	}
+	return f.servers[server].conn.SetRole(g.Table, g.ID, primary, chain, f.epoch)
+}
+
+// installRegion creates the empty, fenced copies of a new region on
+// every server it names and hands the primary its role.
+func (f *flight) installRegion(g *RegionInfo) error {
+	for _, id := range append([]string{g.Primary}, g.Followers...) {
+		if err := f.install(id, emptyCopy(g)); err != nil {
+			return fmt.Errorf("dstore: installing region %d on %s: %w", g.ID, id, err)
+		}
+	}
+	return f.setRole(g, g.Primary, true, g.Followers)
+}
+
+// recruit makes cand, which holds no copy of g, a follower on the
+// servers: install an empty fenced copy — refused if cand still hosts a
+// copy a Drop has yet to remove, which may hold rows deleted since —
+// join the primary's chain (the push drains the primary's in-flight
+// writes, so every write from here on reaches cand), then backfill it
+// with an export taken after the join. The primary serves throughout.
+// It returns the snapshot bytes shipped; the catalog change is the
+// caller's to commit.
+func (f *flight) recruit(g *RegionInfo, cand string) (int64, error) {
+	if err := f.install(cand, emptyCopy(g)); err != nil {
+		return 0, err
+	}
+	if err := f.setRole(g, g.Primary, true, append(slices.Clone(g.Followers), cand)); err != nil {
+		return 0, err
+	}
+	snap, err := f.servers[g.Primary].conn.Export(g.Table, g.ID)
+	if err != nil {
+		return 0, err
+	}
+	snap.Backfill = true
+	if err := f.install(cand, snap); err != nil {
+		return 0, err
+	}
+	return snap.Bytes(), nil
+}
+
+// reignLocked reports why a choreography planned at epoch may no longer
+// commit: this master stopped leading, or leads a later reign.
+func (m *Master) reignLocked(epoch int64) error {
+	if !m.leading.Load() || m.masterEpoch != epoch {
+		return m.notLeaderLocked()
+	}
+	return nil
+}
+
+// oweLocked records keys in the ledger and returns them.
+func (m *Master) oweLocked(keys ...owedRPC) []owedRPC {
+	for _, r := range keys {
+		m.owed[r] = true
+	}
+	return keys
+}
+
+// undoLocked owes what a choreography that did not commit may have
+// changed: the catalog's role push of every region it touched, and
+// every copy it touched brought back in line with the catalog.
+func (m *Master) undoLocked(f *flight) []owedRPC {
+	var keys []owedRPC
+	for _, r := range f.touched {
+		keys = append(keys, owedRPC{r.regionRef, ""}, r)
+	}
+	return m.oweLocked(keys...)
+}
+
+// beginLocked starts a choreography on g: it marks the region in flight
+// and returns the plan — a copy of g as it stands — and the flight its
+// RPCs go through. A region already in flight is refused, retryably.
+func (m *Master) beginLocked(g *RegionInfo) (RegionInfo, *flight, error) {
+	ref := regionRef{g.Table, g.ID}
+	if m.inFlight[ref] {
+		return RegionInfo{}, nil, fmt.Errorf("%w: region %d of %q", errRegionBusy, g.ID, g.Table)
+	}
+	m.inFlight[ref] = true
+	plan := *g
+	plan.Followers = slices.Clone(g.Followers)
+	return plan, m.flightLocked(), nil
+}
+
+// finishLocked ends a choreography begun on plan. If its RPCs succeeded
+// and the region's primary and followers are still as planned, edit
+// changes the catalog (returning any RPCs the change owes) and the
+// change is committed; otherwise nothing is, and the ledger owes the
+// undo. It returns the image to push and the owed RPCs to pay — both
+// after the unlock — and the choreography's error.
+func (m *Master) finishLocked(plan RegionInfo, f *flight, err error, kind string, edit func(g *RegionInfo) []owedRPC) (imagePush, []payment, error) {
+	delete(m.inFlight, regionRef{plan.Table, plan.ID})
+	if err = m.deposeOnStaleLocked(err); err == nil {
+		err = m.reignLocked(f.epoch)
+	}
+	g, gerr := m.regionLocked(plan.Table, plan.ID)
+	if err == nil && (gerr != nil || g.Primary != plan.Primary || !slices.Equal(g.Followers, plan.Followers)) {
+		err = fmt.Errorf("%w: region %d of %q changed while in flight", errRegionBusy, plan.ID, plan.Table)
+	}
+	if err != nil {
+		return imagePush{}, m.takeOwedLocked(m.undoLocked(f)), err
+	}
+	owe := m.oweLocked(edit(g)...)
+	return m.commit(kind), m.takeOwedLocked(owe), nil
 }
 
 // Join registers a region server. A re-join of a known ID — whether its
@@ -480,12 +604,14 @@ func (m *Master) Join(p Peer) error {
 		return err
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.leading.Load() {
-		return m.notLeaderLocked()
+		err := m.notLeaderLocked()
+		m.mu.Unlock()
+		return err
 	}
 	m.servers[p.ID] = &member{conn: conn, lastBeat: m.now()}
 	m.cJoins.Inc()
+	var push imagePush
 	if s := m.cat.server(p.ID); s != nil {
 		// New incarnation: fail over whatever the old one held, then
 		// revive empty. failoverLocked prunes it from every follower set
@@ -494,12 +620,16 @@ func (m *Master) Join(p Peer) error {
 		m.failoverLocked()
 		*s = journalServer{Peer: p, Alive: true}
 		m.o.Emit("rejoin", map[string]string{"server": p.ID})
-		m.commit("rejoin")
-		return nil
+		push = m.commit("rejoin")
+	} else {
+		m.cat.Servers = append(m.cat.Servers, journalServer{Peer: p, Alive: true})
+		m.o.Emit("join", map[string]string{"server": p.ID})
+		push = m.commit("join")
 	}
-	m.cat.Servers = append(m.cat.Servers, journalServer{Peer: p, Alive: true})
-	m.o.Emit("join", map[string]string{"server": p.ID})
-	m.commit("join")
+	ps := m.takeAllOwedLocked()
+	m.mu.Unlock()
+	m.pushImage(push)
+	m.pay(ps)
 	return nil
 }
 
@@ -510,29 +640,30 @@ func (m *Master) Heartbeat(id string) error {
 		return errStopped
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.leading.Load() {
-		return m.notLeaderLocked()
-	}
 	mem, ok := m.servers[id]
-	if !ok {
-		return fmt.Errorf("%w: heartbeat from %q", ErrUnknownServer, id)
+	if !m.leading.Load() || !ok {
+		err := m.notLeaderLocked()
+		if m.leading.Load() {
+			err = fmt.Errorf("%w: heartbeat from %q", ErrUnknownServer, id)
+		}
+		m.mu.Unlock()
+		return err
 	}
 	mem.lastBeat = m.now()
 	m.cHeartbeats.Inc()
+	var push imagePush
 	if s := m.cat.server(id); !s.Alive {
 		s.Alive = true
-		m.commit("heartbeat")
+		push = m.commit("heartbeat")
 	}
+	m.mu.Unlock()
+	m.pushImage(push)
 	return nil
 }
 
-// Meta serves the routing view of the newest committed image.
-func (m *Master) Meta() Meta {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.journal.image().meta()
-}
+// Meta serves the routing view of the newest committed image. It reads
+// the held image through the journal's leaf lock only, as Epoch does.
+func (m *Master) Meta() Meta { return m.journal.image().meta() }
 
 // Epoch returns the current META epoch.
 func (m *Master) Epoch() int64 { return m.journal.image().version().epoch }
@@ -562,30 +693,62 @@ func (m *Master) CreateTable(table string) error {
 }
 
 // CreateTableSplits creates a table with explicit region boundaries:
-// splits [k1, k2] yields regions ["", k1), [k1, k2), [k2, "").
+// splits [k1, k2] yields regions ["", k1), [k1, k2), [k2, ""). The
+// regions are planned under the lock, their copies installed after it,
+// and the table committed only if the installs all succeeded and no
+// create of the same name won meanwhile; otherwise the ledger drops
+// every copy installed.
 func (m *Master) CreateTableSplits(table string, splits []string) error {
 	if m.stopped.Load() {
 		return errStopped
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.leading.Load() {
-		return m.notLeaderLocked()
+	regions, err := m.planTableLocked(table, splits)
+	f := m.flightLocked()
+	m.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	// A create that fails half-way still consumed region IDs, and copies
-	// under them may exist: commit keeps the counter past them.
-	defer m.commit("create_table")
+	for i := range regions {
+		if err = f.installRegion(&regions[i]); err != nil {
+			break
+		}
+	}
+	m.mu.Lock()
+	if err = m.deposeOnStaleLocked(err); err == nil {
+		err = m.reignLocked(f.epoch)
+	}
+	if _, ok := m.cat.Tables[table]; ok && err == nil {
+		err = fmt.Errorf("dstore: table %q already exists", table)
+	}
+	var owe []owedRPC
+	if err == nil {
+		m.cat.Tables[table] = regions
+	} else {
+		owe = m.undoLocked(f)
+	}
+	// A create that fails half-way still consumed region IDs: commit
+	// keeps the counter past them.
+	push, ps := m.commit("create_table"), m.takeOwedLocked(owe)
+	m.mu.Unlock()
+	m.pushImage(push)
+	m.pay(ps)
+	return err
+}
+
+// planTableLocked lays out a new table's regions, consuming their IDs.
+func (m *Master) planTableLocked(table string, splits []string) ([]RegionInfo, error) {
+	if !m.leading.Load() {
+		return nil, m.notLeaderLocked()
+	}
 	if _, ok := m.cat.Tables[table]; ok {
-		return fmt.Errorf("dstore: table %q already exists", table)
+		return nil, fmt.Errorf("dstore: table %q already exists", table)
 	}
 	alive := m.aliveIDs()
 	if len(alive) == 0 {
-		return fmt.Errorf("dstore: no live region servers")
+		return nil, fmt.Errorf("dstore: no live region servers")
 	}
-	repl := m.opts.replication()
-	if repl > len(alive) {
-		repl = len(alive)
-	}
+	repl := min(m.opts.replication(), len(alive))
 	splits = append([]string(nil), splits...)
 	sort.Strings(splits)
 	bounds := append([]string{""}, splits...)
@@ -606,29 +769,14 @@ func (m *Master) CreateTableSplits(table string, splits []string) error {
 		for j := 1; j < repl; j++ {
 			g.Followers = append(g.Followers, alive[(i+j)%len(alive)])
 		}
-		if err := m.installRegionLocked(&g); err != nil {
-			return err
-		}
 		regions = append(regions, g)
 	}
-	m.cat.Tables[table] = regions
-	return nil
+	return regions, nil
 }
 
 // emptyCopy is the snapshot a fresh copy of g is installed from.
 func emptyCopy(g *RegionInfo) *hstore.RegionSnapshot {
 	return &hstore.RegionSnapshot{Table: g.Table, RegionID: g.ID, StartKey: g.StartKey, EndKey: g.EndKey}
-}
-
-// installRegionLocked creates the empty, fenced copies of a new region
-// on every server the catalog names and hands the primary its role.
-func (m *Master) installRegionLocked(g *RegionInfo) error {
-	for _, id := range append([]string{g.Primary}, g.Followers...) {
-		if err := m.rpcInstall(m.servers[id], emptyCopy(g)); err != nil {
-			return fmt.Errorf("dstore: installing region %d on %s: %w", g.ID, id, err)
-		}
-	}
-	return m.pushRoleLocked(g)
 }
 
 // CheckLiveness declares servers whose heartbeat lapsed dead (as of
@@ -642,12 +790,11 @@ func (m *Master) CheckLiveness(now time.Time) []string {
 		return nil
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.leading.Load() {
 		// Only the leader, which hears the heartbeats, declares deaths.
+		m.mu.Unlock()
 		return nil
 	}
-	defer m.commit("liveness")
 	var died []string
 	for i := range m.cat.Servers {
 		s := &m.cat.Servers[i]
@@ -661,17 +808,21 @@ func (m *Master) CheckLiveness(now time.Time) []string {
 	if len(died) > 0 {
 		m.failoverLocked()
 	}
-	m.repairLocked()
-	m.payOwedLocked()
+	push, ps := m.commit("liveness"), m.takeAllOwedLocked()
+	m.mu.Unlock()
+	m.pushImage(push)
+	m.pay(ps)
+	m.repair()
 	return died
 }
 
-// owedRPC is one control RPC the catalog still owes a server: the role
-// push to a region's primary (drop empty), or the Drop of the copy on
-// server drop, which the catalog no longer places there.
+// owedRPC is one control RPC the catalog still owes: with server empty,
+// the role push to a region's primary; else bringing server's copy in
+// line with the catalog — fenced if the catalog makes it a follower,
+// dropped if it places no copy there, nothing if it is the primary.
 type owedRPC struct {
 	regionRef
-	drop string
+	server string
 }
 
 // regionRef names one region.
@@ -680,42 +831,100 @@ type regionRef struct {
 	id    int
 }
 
-// oweLocked records r as owed, or settled.
-func (m *Master) oweLocked(r owedRPC, owed bool) {
-	if owed {
-		m.owed[r] = true
-	} else {
-		delete(m.owed, r)
-	}
+// payment is one owed RPC resolved against the catalog under m.mu.
+type payment struct {
+	owedRPC
+	conn    ServerConn
+	epoch   int64
+	primary bool   // a role push to the catalog's primary
+	chain   []Peer // the primary's followers
+	drop    bool   // else a fence
 }
 
-// payOwedLocked retries every owed RPC, in sorted order so the RPC
-// sequence — and with it a chaos harness's fault schedule — is
-// deterministic. A Drop answered "not hosted" is settled, and one is
-// never sent to a server the catalog places a copy on again.
-func (m *Master) payOwedLocked() {
-	owed := slices.SortedFunc(maps.Keys(m.owed), func(a, b owedRPC) int {
-		return cmp.Or(strings.Compare(a.table, b.table), cmp.Compare(a.id, b.id), strings.Compare(a.drop, b.drop))
+// takeAllOwedLocked takes every owed RPC for payment.
+func (m *Master) takeAllOwedLocked() []payment {
+	return m.takeOwedLocked(slices.Collect(maps.Keys(m.owed)))
+}
+
+// takeOwedLocked resolves the owed RPCs among keys into payments, in
+// sorted order so the RPC sequence, and with it a chaos harness's fault
+// schedule, is deterministic. A taken RPC leaves the ledger and its
+// region is in flight until pay re-owes what failed. A region in flight
+// stays owed for its own choreography's end; an RPC to a dead server
+// stays owed for failover to settle; one the catalog no longer needs is
+// settled here.
+func (m *Master) takeOwedLocked(keys []owedRPC) []payment {
+	if !m.leading.Load() {
+		return nil // only the leader's catalog is owed anything
+	}
+	slices.SortFunc(keys, func(a, b owedRPC) int {
+		return cmp.Or(strings.Compare(a.table, b.table), cmp.Compare(a.id, b.id), strings.Compare(a.server, b.server))
 	})
-	for _, r := range owed {
+	var out []payment
+	for _, r := range slices.Compact(keys) {
+		if !m.owed[r] || m.inFlight[r.regionRef] {
+			continue
+		}
+		p := payment{owedRPC: r, epoch: m.masterEpoch}
+		to := r.server
 		g, err := m.regionLocked(r.table, r.id)
 		switch {
+		case err != nil && r.server == "":
+			delete(m.owed, r) // region vanished; nothing to push
+			continue
 		case err != nil:
-			delete(m.owed, r) // region vanished; nothing owed
-		case r.drop == "":
-			if m.alive(g.Primary) { // else failover will reassign; keep it owed
-				m.pushRoleLocked(g) //nolint:errcheck — stays owed on failure
+			p.drop = true
+		case r.server == "":
+			to, p.primary = g.Primary, true
+			for _, f := range g.Followers {
+				p.chain = append(p.chain, m.cat.server(f).Peer)
 			}
-		case r.drop == g.Primary || slices.Contains(g.Followers, r.drop):
-			delete(m.owed, r) // Install found no orphan there since
-		case m.alive(r.drop):
-			m.dropLocked(r.drop, r.table, r.id)
+		case r.server == g.Primary:
+			delete(m.owed, r) // the role push covers it
+			continue
+		case !slices.Contains(g.Followers, r.server):
+			p.drop = true
+		}
+		if !m.alive(to) {
+			continue
+		}
+		delete(m.owed, r)
+		p.conn = m.servers[to].conn
+		out = append(out, p)
+	}
+	for _, p := range out {
+		m.inFlight[p.regionRef] = true
+	}
+	return out
+}
+
+// pay sends taken payments with no lock held, then re-owes each that
+// failed — a role push always, a Drop or fence only retryably (a copy
+// not hosted is settled) — and lands their regions.
+func (m *Master) pay(ps []payment) {
+	if len(ps) == 0 {
+		return
+	}
+	errs := make([]error, len(ps))
+	for i, p := range ps {
+		if p.drop {
+			errs[i] = p.conn.Drop(p.table, p.id, p.epoch)
+		} else {
+			errs[i] = p.conn.SetRole(p.table, p.id, p.primary, p.chain, p.epoch)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, p := range ps {
+		delete(m.inFlight, p.regionRef)
+		if err := m.deposeOnStaleLocked(errs[i]); err != nil && (p.server == "" || retryable(err)) {
+			m.owed[p.owedRPC] = true
 		}
 	}
 }
 
 // regionsLocked lists every region, tables in name order, so a walk
-// that issues RPCs issues them in the same order every run.
+// that owes RPCs owes them in the same order every run.
 func (m *Master) regionsLocked() []*RegionInfo {
 	var out []*RegionInfo
 	for _, t := range slices.Sorted(maps.Keys(m.cat.Tables)) {
@@ -729,7 +938,7 @@ func (m *Master) regionsLocked() []*RegionInfo {
 // failoverLocked walks every region and repairs assignments that name
 // dead servers: dead followers are pruned; a dead primary is replaced
 // by its first live follower, whose fenced copy is promoted. Only a
-// region whose own assignment changed costs an RPC.
+// region whose own assignment changed is owed a role push.
 func (m *Master) failoverLocked() {
 	for _, g := range m.regionsLocked() {
 		live := slices.DeleteFunc(g.Followers, func(f string) bool { return !m.alive(f) })
@@ -738,7 +947,7 @@ func (m *Master) failoverLocked() {
 		switch {
 		case m.alive(g.Primary):
 			if pruned {
-				m.pushRoleLocked(g) //nolint:errcheck — owed on failure
+				m.oweLocked(owedRPC{regionRef{g.Table, g.ID}, ""})
 			}
 		case len(g.Followers) == 0:
 			// No live copy; the region is unavailable until an operator
@@ -756,73 +965,64 @@ func (m *Master) failoverLocked() {
 }
 
 // promoteFollowerLocked makes follower f the region's primary: f leaves
-// the follower list and is pushed its new role — serving and the
-// surviving chain arrive together, so it never acks a write it does not
+// the follower list and is owed its new role — serving and the surviving
+// chain arrive together, so it never acks a write it does not
 // replicate.
 func (m *Master) promoteFollowerLocked(g *RegionInfo, f string) {
 	g.Primary, g.Followers = f, slices.DeleteFunc(g.Followers, func(id string) bool { return id == f })
-	m.pushRoleLocked(g) //nolint:errcheck — owed on failure
+	m.oweLocked(owedRPC{regionRef{g.Table, g.ID}, ""})
 }
 
-// recruitLocked makes cand, which holds no copy of g, a follower:
-// install an empty fenced copy — refused, before anything changes, if
-// cand still hosts a copy a Drop has yet to remove, which may hold rows
-// deleted since — join the primary's chain (the push drains the
-// primary's in-flight writes, so every write from here on reaches cand),
-// then backfill it with an export taken after the join. The primary
-// serves throughout. It returns the snapshot bytes shipped; on failure
-// the catalog and the chain are put back and the copy dropped.
-func (m *Master) recruitLocked(g *RegionInfo, cand string) (int64, error) {
-	mem := m.servers[cand]
-	if err := m.rpcInstall(mem, emptyCopy(g)); err != nil {
-		return 0, err
-	}
-	g.Followers = append(g.Followers, cand)
-	var snap *hstore.RegionSnapshot
-	err := m.pushRoleLocked(g)
-	if err == nil {
-		snap, err = m.servers[g.Primary].conn.Export(g.Table, g.ID)
-	}
-	if err == nil {
-		snap.Backfill = true
-		err = m.rpcInstall(mem, snap)
-	}
-	if err != nil {
-		g.Followers = g.Followers[:len(g.Followers)-1]
-		m.pushRoleLocked(g) //nolint:errcheck — owed on failure
-		m.dropLocked(cand, g.Table, g.ID)
-		return 0, err
-	}
-	return snap.Bytes(), nil
-}
-
-// repairLocked restores the replication factor of under-replicated
-// regions by recruiting live servers that do not yet hold a copy; a
-// failed recruit is retried next round.
-func (m *Master) repairLocked() {
-	repl := m.opts.replication()
-	alive := m.aliveIDs()
-	if len(alive) < 2 {
-		return
-	}
+// repair restores the replication factor of under-replicated regions,
+// one recruit at a time, each its own choreography; a region in flight
+// is skipped, and a failed recruit is retried next round.
+func (m *Master) repair() {
+	m.mu.Lock()
+	var refs []regionRef
 	for _, g := range m.regionsLocked() {
-		if !m.alive(g.Primary) {
-			continue
-		}
-		for len(g.Followers)+1 < repl {
-			cand := m.pickCandidateLocked(g, alive)
-			if cand == "" {
-				break
-			}
-			if _, err := m.recruitLocked(g, cand); err != nil {
-				break
-			}
-			m.cRepairs.Inc()
-			m.o.Emit("rereplicate", map[string]string{
-				"table": g.Table, "region": strconv.Itoa(g.ID), "to": cand,
-			})
+		refs = append(refs, regionRef{g.Table, g.ID})
+	}
+	m.mu.Unlock()
+	for _, ref := range refs {
+		for m.recruitOne(ref) {
 		}
 	}
+}
+
+// recruitOne recruits one live server that holds no copy of ref's
+// region as a follower, if the region is short of copies; it reports
+// whether it did.
+func (m *Master) recruitOne(ref regionRef) bool {
+	m.mu.Lock()
+	g, err := m.regionLocked(ref.table, ref.id)
+	alive := m.aliveIDs()
+	cand := ""
+	if err == nil && m.leading.Load() && len(alive) >= 2 && m.alive(g.Primary) && len(g.Followers)+1 < m.opts.replication() {
+		cand = m.pickCandidateLocked(g, alive)
+	}
+	var plan RegionInfo
+	var f *flight
+	if cand != "" {
+		plan, f, err = m.beginLocked(g)
+	}
+	m.mu.Unlock()
+	if cand == "" || err != nil {
+		return false
+	}
+	_, err = f.recruit(&plan, cand)
+	m.mu.Lock()
+	push, ps, err := m.finishLocked(plan, f, err, "rereplicate", func(g *RegionInfo) []owedRPC {
+		g.Followers = append(g.Followers, cand)
+		m.cRepairs.Inc()
+		m.o.Emit("rereplicate", map[string]string{
+			"table": g.Table, "region": strconv.Itoa(g.ID), "to": cand,
+		})
+		return nil
+	})
+	m.mu.Unlock()
+	m.pushImage(push)
+	m.pay(ps)
+	return err == nil
 }
 
 // CheckHealth polls every live server's Health report and rebuilds
@@ -868,33 +1068,29 @@ func (m *Master) CheckHealth() int {
 			quarantined[k][p.id] = true
 		}
 	}
+	m.mu.Lock()
 	rebuilt := 0
 	for _, f := range findings {
-		if m.rebuildQuarantined(f.server, f.q.Table, f.q.RegionID, quarantined[regionKey(f.q.Table, f.q.RegionID)]) {
+		if m.rebuildQuarantinedLocked(f.server, f.q.Table, f.q.RegionID, quarantined[regionKey(f.q.Table, f.q.RegionID)]) {
 			rebuilt++
 		}
 	}
-	m.mu.Lock()
-	m.payOwedLocked()
+	push, ps := m.commit("quarantine_rebuild"), m.takeAllOwedLocked()
 	m.mu.Unlock()
+	m.pushImage(push)
+	m.pay(ps)
 	return rebuilt
 }
 
-// rebuildQuarantined evicts one quarantined region copy: a quarantined
-// primary hands off to a healthy follower (promotion, as in failover)
-// and a quarantined follower is pruned; either way the corrupt copy is
-// dropped from its server and re-replication restores the copy count
-// from the surviving healthy data. badCopies names every server whose
-// copy of this region is also quarantined, so promotion never picks a
-// copy that is corrupt too.
-//
-// Like MoveRegion, the choreography is atomic under the catalog lock —
-// the role push and the META mutation must not interleave with
-// concurrent failovers.
-func (m *Master) rebuildQuarantined(server, table string, regionID int, badCopies map[string]bool) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	defer m.commit("quarantine_rebuild")
+// rebuildQuarantinedLocked evicts one quarantined region copy: a
+// quarantined primary hands off to a healthy follower (promotion, as in
+// failover) and a quarantined follower is pruned; either way the
+// corrupt copy is owed a Drop (the copy stays quarantined meanwhile, so
+// it is never read) and re-replication restores the copy count from the
+// surviving healthy data. badCopies names every server whose copy of
+// this region is also quarantined, so promotion never picks a copy that
+// is corrupt too.
+func (m *Master) rebuildQuarantinedLocked(server, table string, regionID int, badCopies map[string]bool) bool {
 	g, err := m.regionLocked(table, regionID)
 	if err != nil {
 		return false // table or region vanished since the poll
@@ -914,11 +1110,9 @@ func (m *Master) rebuildQuarantined(server, table string, regionID int, badCopie
 			return false // already evicted
 		}
 		g.Followers = slices.Delete(g.Followers, i, i+1)
-		m.pushRoleLocked(g) //nolint:errcheck — owed on failure
+		m.oweLocked(owedRPC{regionRef{table, regionID}, ""})
 	}
-	// Drop the corrupt copy; a lost Drop stays owed (the copy stays
-	// quarantined meanwhile, so it is never read).
-	m.dropLocked(server, table, regionID)
+	m.oweLocked(owedRPC{regionRef{table, regionID}, server})
 	m.cRebuilds.Inc()
 	m.o.Emit("quarantine_rebuild", map[string]string{
 		"table": table, "region": strconv.Itoa(regionID), "server": server,
@@ -947,129 +1141,72 @@ func (m *Master) pickCandidateLocked(g *RegionInfo, alive []string) string {
 }
 
 // MoveRegion moves a region's primary to another live server and
-// returns the snapshot bytes shipped. There is one choreography: a
-// target that holds no copy is first recruited as a follower (the source
-// keeps serving while the snapshot ships), then the roles flip — demote
-// the source, which drains its in-flight writes into a chain that
-// includes the target; swap the catalog; push the target its role. A
-// target that already follows the region skips the recruit and ships
-// zero bytes; a recruited one takes the source's place, and the source
-// copy is dropped. An error means the catalog is as it was and the
-// source has been told to serve again.
-//
-// The whole choreography runs under the catalog lock: the fence, the
-// META mutation, and the undo must be atomic with respect to concurrent
-// liveness checks and other moves. The known cost is that a slow peer
-// stalls heartbeats for the duration of one move; lifting the RPCs out
-// requires a per-region move lease and is tracked as future work rather
-// than bolted on here.
+// returns the snapshot bytes shipped. There is one choreography, its
+// RPCs sent with no lock held while the region is in flight: a target
+// that holds no copy is first recruited as a follower (the source keeps
+// serving while the snapshot ships), then the roles flip — demote the
+// source, which drains its in-flight writes into a chain that includes
+// the target, and push the target its role — and only then is the swap
+// committed. A target that already follows the region skips the recruit
+// and ships zero bytes; a recruited one takes the source's place, and
+// the source copy is dropped. An error means the catalog is as it was
+// and the source has been told to serve again. A region already in
+// flight, or changed by a failover while this move was, returns a
+// retryable error.
 func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error) {
 	if m.stopped.Load() {
 		return 0, errStopped
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.leading.Load() {
-		return 0, m.notLeaderLocked()
-	}
+	var plan RegionInfo
+	var f *flight
 	g, err := m.regionLocked(table, regionID)
-	if err != nil {
+	switch {
+	case !m.leading.Load():
+		err = m.notLeaderLocked()
+	case err != nil:
+	case !m.alive(to):
+		err = fmt.Errorf("dstore: move target %q not a live server", to)
+	case to != g.Primary:
+		plan, f, err = m.beginLocked(g)
+	}
+	m.mu.Unlock()
+	if f == nil {
 		return 0, err
 	}
-	if !m.alive(to) {
-		return 0, fmt.Errorf("dstore: move target %q not a live server", to)
-	}
-	if to == g.Primary {
-		return 0, nil
-	}
-	from := g.Primary
-	before, after := slices.Clone(g.Followers), slices.Clone(g.Followers)
+	from, after := plan.Primary, slices.Clone(plan.Followers)
 	kind, moved := "full", int64(0)
 	if i := slices.Index(after, to); i >= 0 {
 		kind, after[i] = "flip", from
+	} else {
+		moved, err = f.recruit(&plan, to)
 	}
-	if kind == "full" {
-		if moved, err = m.recruitLocked(g, to); err != nil {
-			return 0, err
-		}
+	if err == nil {
+		err = f.setRole(&plan, from, false, nil)
 	}
-	if err = m.rpcDemote(m.servers[from], table, regionID); err == nil {
+	if err == nil {
+		err = f.setRole(&plan, to, true, after)
+	}
+	m.mu.Lock()
+	push, ps, err := m.finishLocked(plan, f, err, "move", func(g *RegionInfo) []owedRPC {
 		g.Primary, g.Followers = to, after
-		err = m.pushRoleLocked(g)
-	}
-	if err != nil {
-		g.Primary, g.Followers = from, before
-		m.pushRoleLocked(g) //nolint:errcheck — owed on failure
+		m.cMoves.Inc()
+		m.o.Emit("move", map[string]string{
+			"table": table, "region": strconv.Itoa(regionID),
+			"from": from, "to": to, "kind": kind,
+		})
 		if kind == "full" {
-			m.dropLocked(to, table, regionID)
+			return []owedRPC{{regionRef{table, regionID}, from}}
 		}
+		return nil
+	})
+	m.mu.Unlock()
+	m.pushImage(push)
+	m.pay(ps)
+	if err != nil {
 		return 0, err
 	}
-	m.cMoves.Inc()
-	m.o.Emit("move", map[string]string{
-		"table": table, "region": strconv.Itoa(regionID),
-		"from": from, "to": to, "kind": kind,
-	})
-	m.commit("move")
-	if kind == "full" {
-		m.dropLocked(from, table, regionID)
-	}
 	return moved, nil
-}
-
-// Rebalance evens primary-region counts across live servers with
-// promotion flips where possible and full moves otherwise, returning
-// total bytes shipped.
-func (m *Master) Rebalance() (int64, error) {
-	if m.stopped.Load() {
-		return 0, errStopped
-	}
-	var moved int64
-	for {
-		m.mu.Lock()
-		if !m.leading.Load() {
-			err := m.notLeaderLocked()
-			m.mu.Unlock()
-			return moved, err
-		}
-		counts := m.cat.primaryCounts()
-		alive := m.aliveIDs()
-		if len(alive) < 2 {
-			m.mu.Unlock()
-			return moved, nil
-		}
-		maxID, minID := alive[0], alive[0]
-		for _, id := range alive {
-			if counts[id] > counts[maxID] {
-				maxID = id
-			}
-			if counts[id] < counts[minID] {
-				minID = id
-			}
-		}
-		if counts[maxID]-counts[minID] <= 1 {
-			m.mu.Unlock()
-			return moved, nil
-		}
-		// Pick one region of the overloaded server to shed. Capture its
-		// identity under the lock; MoveRegion re-locks and re-validates.
-		pickTable, pickID := "", 0
-		for _, g := range m.regionsLocked() {
-			if g.Primary == maxID {
-				pickTable, pickID = g.Table, g.ID
-				break
-			}
-		}
-		m.mu.Unlock()
-		if pickTable == "" {
-			return moved, nil
-		}
-		n, err := m.MoveRegion(pickTable, pickID, minID)
-		if err != nil {
-			return moved, err
-		}
-		moved += n
-	}
 }
 
 func (m *Master) regionLocked(table string, regionID int) (*RegionInfo, error) {

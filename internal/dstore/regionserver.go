@@ -15,7 +15,7 @@ import (
 
 // RegionServer hosts a subset of regions on an embedded hstore.Server
 // and replicates writes synchronously to its followers. It is the unit
-// the master assigns regions to, fails over, and rebalances.
+// the master assigns regions to, fails over, and moves regions between.
 type RegionServer struct {
 	id  string
 	hs  *hstore.Server

@@ -603,3 +603,251 @@ func TestControlRPCOnUnhostedRegionLeavesNoRecord(t *testing.T) {
 		t.Errorf("records = %d, want only the hosted region's", len(p.copies))
 	}
 }
+
+// ctlCounter counts the control RPCs (Install, SetRole, Export, Drop)
+// the master sends one region.
+type ctlCounter struct {
+	ServerConn
+	region int
+	n      *atomic.Int64
+}
+
+func (c ctlCounter) count(regionID int) {
+	if regionID == c.region {
+		c.n.Add(1)
+	}
+}
+
+func (c ctlCounter) Install(snap *hstore.RegionSnapshot, masterEpoch int64) error {
+	c.count(snap.RegionID)
+	return c.ServerConn.Install(snap, masterEpoch)
+}
+
+func (c ctlCounter) SetRole(table string, regionID int, primary bool, followers []Peer, masterEpoch int64) error {
+	c.count(regionID)
+	return c.ServerConn.SetRole(table, regionID, primary, followers, masterEpoch)
+}
+
+func (c ctlCounter) Export(table string, regionID int) (*hstore.RegionSnapshot, error) {
+	c.count(regionID)
+	return c.ServerConn.Export(table, regionID)
+}
+
+func (c ctlCounter) Drop(table string, regionID int, masterEpoch int64) error {
+	c.count(regionID)
+	return c.ServerConn.Drop(table, regionID, masterEpoch)
+}
+
+// movePark is a move parked mid-choreography by parkedMove.
+type movePark struct {
+	c     *LocalCluster
+	clock *testClock
+	park  *parkedConn
+	rpcs  *atomic.Int64 // control RPCs sent region 1
+	put   <-chan error  // the parked write's result
+	moved <-chan error  // the move's result
+}
+
+// parkedMove starts a 3-server cluster on a test clock whose first
+// region — id 1, primary rs-0, first follower rs-1 — has a write parked
+// in its Apply to rs-1, and starts MoveRegion("t", 1, to). It returns
+// once the move's first RPC to the primary (a full move's join push, a
+// flip's demote) waits on the primary's gate behind that write, the
+// region in flight; closing park.release lets both go on.
+func parkedMove(t *testing.T, replication int, to string) movePark {
+	t.Helper()
+	p := movePark{clock: newTestClock(), rpcs: new(atomic.Int64)}
+	p.park = &parkedConn{entered: make(chan struct{}), release: make(chan struct{})}
+	c, err := StartLocalCluster(LocalOptions{Servers: 3, Replication: replication, Now: p.clock.now,
+		WrapConn: func(id string, conn ServerConn) ServerConn {
+			if id == "rs-1" {
+				p.park.ServerConn = conn
+				conn = p.park
+			}
+			return ctlCounter{ServerConn: conn, region: 1, n: p.rpcs}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	p.c = c
+	beatAll(t, c)
+	if err := c.Client().CreateTable(context.Background(), "t"); err != nil {
+		t.Fatal(err)
+	}
+	if g := c.Master.Meta().Tables["t"][0]; g.ID != 1 || g.Primary != "rs-0" || len(g.Followers) != replication-1 || g.Followers[0] != "rs-1" {
+		t.Fatalf("unexpected layout: %+v", g)
+	}
+	p.put = parkWriter(c.Server("rs-0"), p.park, "a-k")
+	moved := make(chan error, 1)
+	go func() {
+		_, err := c.Master.MoveRegion("t", 1, to)
+		moved <- err
+	}()
+	awaitBlockedOnGate(t, c.Server("rs-0"), moved, "MoveRegion")
+	p.moved = moved
+	return p
+}
+
+// returnsWhile fails the test unless call returns within a bound that
+// only a call waiting on the parked choreography could miss; it waits
+// for call either way, so nothing outlives the test.
+func returnsWhile(t *testing.T, what string, call func() error) func() {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+		return func() {}
+	case <-time.After(2 * time.Second):
+		t.Errorf("%s stalled behind a move's parked RPC", what)
+		return func() { <-done }
+	}
+}
+
+// TestMoveDoesNotStallMasterReads: a move whose join push waits on a
+// slow follower Apply holds no lock the rest of the master needs —
+// META, heartbeats and peer pings answer while it waits, and the move
+// succeeds once the Apply lands.
+func TestMoveDoesNotStallMasterReads(t *testing.T) {
+	p := parkedMove(t, 2, "rs-2")
+	c := p.c
+	var waits []func()
+	waits = append(waits, returnsWhile(t, "Meta", func() error {
+		if g := c.Master.Meta().Tables["t"][0]; g.Primary != "rs-0" {
+			return fmt.Errorf("META names primary %s before the move committed", g.Primary)
+		}
+		return nil
+	}))
+	waits = append(waits, returnsWhile(t, "Heartbeat", func() error { return c.Master.Heartbeat("rs-2") }))
+	waits = append(waits, returnsWhile(t, "Ping", func() error { _, err := c.Master.Ping("m-peer"); return err }))
+	close(p.park.release)
+	for _, wait := range waits {
+		wait()
+	}
+	if err := <-p.put; err != nil {
+		t.Fatalf("parked Put: %v", err)
+	}
+	if err := <-p.moved; err != nil {
+		t.Fatalf("MoveRegion after the Apply landed: %v", err)
+	}
+	if g := c.Master.Meta().Tables["t"][0]; g.Primary != "rs-2" {
+		t.Fatalf("primary = %s after the move, want rs-2", g.Primary)
+	}
+}
+
+// TestOneChoreographyPerRegion: while one move has a region in flight,
+// a second move of it sends the region no RPC and returns a retryable
+// error; the first then completes.
+func TestOneChoreographyPerRegion(t *testing.T) {
+	p := parkedMove(t, 2, "rs-2")
+	before := p.rpcs.Load()
+	var err error
+	wait := returnsWhile(t, "second MoveRegion", func() error {
+		_, err = p.c.Master.MoveRegion("t", 1, "rs-1")
+		return nil
+	})
+	if n := p.rpcs.Load() - before; n != 0 {
+		t.Errorf("second move sent the in-flight region %d control RPCs, want 0", n)
+	}
+	close(p.park.release)
+	wait()
+	if err == nil || !retryable(err) {
+		t.Errorf("second move of an in-flight region returned %v, want a retryable error", err)
+	}
+	if err := <-p.put; err != nil {
+		t.Fatalf("parked Put: %v", err)
+	}
+	if err := <-p.moved; err != nil {
+		t.Fatalf("first move: %v", err)
+	}
+	if g := p.c.Master.Meta().Tables["t"][0]; g.Primary != "rs-2" {
+		t.Fatalf("primary = %s after the first move, want rs-2", g.Primary)
+	}
+}
+
+// TestMoveRacedByFailoverCommitsNothing: a follower of a region in
+// flight dies, and the liveness round prunes it while the move waits.
+// The move must then commit nothing — its plan no longer holds — and
+// the ledger undoes it: the source serves the pruned chain again and
+// the target's recruited copy is dropped. The region is repaired once
+// it has landed.
+func TestMoveRacedByFailoverCommitsNothing(t *testing.T) {
+	p := parkedMove(t, 2, "rs-2")
+	c, clock := p.c, p.clock
+	c.KillServer("rs-1")
+	clock.advance(3 * time.Second)
+	beatAll(t, c)
+	if died := c.Master.CheckLiveness(clock.now()); !reflect.DeepEqual(died, []string{"rs-1"}) {
+		t.Fatalf("CheckLiveness declared %v dead, want [rs-1]", died)
+	}
+	if g := c.Master.Meta().Tables["t"][0]; g.Primary != "rs-0" || len(g.Followers) != 0 {
+		t.Fatalf("region in flight after the liveness round: %+v, want rs-0 with its dead follower pruned and no recruit", g)
+	}
+	close(p.park.release)
+	if err := <-p.put; err == nil {
+		t.Fatal("the parked write acked after its follower died")
+	}
+	err := <-p.moved
+	if err == nil || !retryable(err) {
+		t.Fatalf("move whose region changed in flight returned %v, want a retryable error", err)
+	}
+	if g := c.Master.Meta().Tables["t"][0]; g.Primary != "rs-0" || len(g.Followers) != 0 {
+		t.Fatalf("raced move changed META: %+v", g)
+	}
+	if _, err := c.Server("rs-2").Export("t", 1); err == nil {
+		t.Fatal("the raced move left its recruited copy on rs-2")
+	}
+	ctx := context.Background()
+	if err := c.Server("rs-0").Put(ctx, "t", "a-after", "c", []byte("v")); err != nil {
+		t.Fatalf("source after the raced move: %v", err)
+	}
+	c.Master.CheckLiveness(clock.now())
+	g := c.Master.Meta().Tables["t"][0]
+	if g.Primary != "rs-0" || !reflect.DeepEqual(g.Followers, []string{"rs-2"}) {
+		t.Fatalf("region after the next liveness round: %+v, want rs-0 replicating to rs-2", g)
+	}
+	if _, ok, err := c.Server("rs-2").FollowerGet(ctx, "t", "a-after"); err != nil || !ok {
+		t.Fatalf("repaired follower misses an acked row: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestRacedFlipFencesItsTarget: a flip whose region loses a follower
+// while the source's demote waits has told the target to serve by the
+// time it finds its plan stale. It commits nothing, and the ledger
+// fences the target back to a follower — else two copies would take
+// writes — and tells the source to serve the pruned chain.
+func TestRacedFlipFencesItsTarget(t *testing.T) {
+	p := parkedMove(t, 3, "rs-1")
+	c, clock := p.c, p.clock
+	c.KillServer("rs-2")
+	clock.advance(3 * time.Second)
+	beatAll(t, c)
+	if died := c.Master.CheckLiveness(clock.now()); !reflect.DeepEqual(died, []string{"rs-2"}) {
+		t.Fatalf("CheckLiveness declared %v dead, want [rs-2]", died)
+	}
+	close(p.park.release)
+	if err := <-p.put; err == nil {
+		t.Fatal("the parked write acked after a follower died")
+	}
+	if err := <-p.moved; err == nil || !retryable(err) {
+		t.Fatalf("flip whose region changed in flight returned %v, want a retryable error", err)
+	}
+	g := c.Master.Meta().Tables["t"][0]
+	if g.Primary != "rs-0" || !reflect.DeepEqual(g.Followers, []string{"rs-1"}) {
+		t.Fatalf("raced flip changed META: %+v", g)
+	}
+	ctx := context.Background()
+	if err := c.Server("rs-1").Put(ctx, "t", "a-stray", "c", []byte("v")); !hstore.IsNotServing(err) {
+		t.Fatalf("Put on the raced flip's target returned %v, want NotServing", err)
+	}
+	if err := c.Server("rs-0").Put(ctx, "t", "a-after", "c", []byte("v")); err != nil {
+		t.Fatalf("source after the raced flip: %v", err)
+	}
+	if _, ok, err := c.Server("rs-1").FollowerGet(ctx, "t", "a-after"); err != nil || !ok {
+		t.Fatalf("source stopped replicating to its follower: ok=%v err=%v", ok, err)
+	}
+}

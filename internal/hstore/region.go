@@ -286,9 +286,10 @@ func (g *region) get(row string) (Row, bool, error) {
 // snapshot the segment list under the lock, merge entirely outside it,
 // swap the merged segment in under a brief critical section:
 //
-//   - compact() is the major compaction persist and Server.Compact
-//     call: it folds everything (memstore included) into one segment,
-//     looping until no concurrent flush slipped in mid-merge.
+//   - compact() is the major compaction a checkpoint (and the tests'
+//     Server.Compact hook) runs: it folds everything, memstore
+//     included, into one segment, looping until no concurrent flush
+//     slipped in mid-merge.
 //   - maybeCompactTier() is the size-tiered background step triggered
 //     by flushes: it merges one contiguous run of similar-sized
 //     segments, bounding read amplification without ever rewriting the

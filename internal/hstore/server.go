@@ -206,17 +206,6 @@ func (s *Server) CreateTable(name string) error {
 	return nil
 }
 
-// DropTable removes a table and its regions.
-func (s *Server) DropTable(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tables[name]; !ok {
-		return fmt.Errorf("hstore: table %q %w", name, ErrNoTable)
-	}
-	delete(s.tables, name)
-	return nil
-}
-
 // Tables lists the table names.
 func (s *Server) Tables() []string {
 	s.mu.RLock()

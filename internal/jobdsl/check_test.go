@@ -135,7 +135,7 @@ func TestCheckNilProgram(t *testing.T) {
 
 // TestCheckBenchmarkJobsClean guards that every shipped benchmark job
 // passes static analysis (Validate runs the checker).
-// The actual assertion lives in workloads.ValidateAll; this pins the
+// The actual assertion lives in workloads' TestValidateAll; this pins the
 // checker's builtin table against the runtime builtins.
 func TestCheckBuiltinTableComplete(t *testing.T) {
 	for name := range builtins {

@@ -184,46 +184,3 @@ func NormalizedDistances(X [][]float64, q []float64) []float64 {
 	}
 	return out
 }
-
-// NearestNeighbor finds the row of X closest to q under min-max
-// normalized Euclidean distance (the matching rule of the P-features
-// and SP-features baselines). It returns the row index and distance,
-// or (-1, +Inf) when X is empty.
-func NearestNeighbor(X [][]float64, q []float64) (int, float64) {
-	if len(X) == 0 {
-		return -1, math.Inf(1)
-	}
-	nf := len(q)
-	minB := make([]float64, nf)
-	maxB := make([]float64, nf)
-	copy(minB, q)
-	copy(maxB, q)
-	for _, row := range X {
-		for f := 0; f < nf; f++ {
-			if row[f] < minB[f] {
-				minB[f] = row[f]
-			}
-			if row[f] > maxB[f] {
-				maxB[f] = row[f]
-			}
-		}
-	}
-	norm := func(v float64, f int) float64 {
-		if maxB[f] <= minB[f] {
-			return 0
-		}
-		return (v - minB[f]) / (maxB[f] - minB[f])
-	}
-	best, bestD := -1, math.Inf(1)
-	for i, row := range X {
-		sum := 0.0
-		for f := 0; f < nf; f++ {
-			d := norm(row[f], f) - norm(q[f], f)
-			sum += d * d
-		}
-		if d := math.Sqrt(sum); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}

@@ -91,19 +91,3 @@ func DatasetByName(name string) (*data.Dataset, error) {
 	}
 	return d, nil
 }
-
-// ValidateAll parses and validates every benchmark job, returning the
-// first error. Used by tests and at tool start-up.
-func ValidateAll() error {
-	for _, e := range Benchmark() {
-		if err := e.Spec.Validate(); err != nil {
-			return err
-		}
-		for _, dn := range e.DatasetNames {
-			if _, err := DatasetByName(dn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

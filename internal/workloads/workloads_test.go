@@ -7,9 +7,18 @@ import (
 	"pstorm/internal/jobdsl"
 )
 
+// TestValidateAll parses and validates every benchmark job and
+// resolves every dataset it names.
 func TestValidateAll(t *testing.T) {
-	if err := ValidateAll(); err != nil {
-		t.Fatal(err)
+	for _, e := range Benchmark() {
+		if err := e.Spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", e.Spec.Name, err)
+		}
+		for _, dn := range e.DatasetNames {
+			if _, err := DatasetByName(dn); err != nil {
+				t.Fatalf("%s: %v", e.Spec.Name, err)
+			}
+		}
 	}
 }
 
