@@ -10,7 +10,8 @@ import (
 )
 
 // ServerConn is how the master and the routing client reach one region
-// server, over either transport.
+// server, over either transport. It has a data half, below, and a
+// control half, controlConn: the five calls a master ever makes.
 //
 // Data-plane methods take the caller's context first: the HTTP conn
 // ships the remaining deadline on the wire (httperr.DeadlineHeader) and
@@ -18,10 +19,9 @@ import (
 // directly, so a canceled caller aborts server-side work. Apply stays
 // context-free — it is the replication/backfill path, owned by the
 // primary (or the master's move protocol), and must not be severed by
-// the original writer departing mid-replication. The control plane
-// below is master-owned and likewise context-free.
+// the original writer departing mid-replication. The control half is
+// master-owned and likewise context-free.
 type ServerConn interface {
-	// Data plane.
 	Put(ctx context.Context, table, row, column string, value []byte) error
 	BatchPut(ctx context.Context, table string, rows []hstore.Row) error
 	Apply(table string, cells []hstore.Cell) error
@@ -39,17 +39,21 @@ type ServerConn interface {
 	Flush(table string) error
 	Stats() (hstore.TransferStats, error)
 	ResetStats() error
+	controlConn
+}
+
+// controlConn is ServerConn's control half, all a master holds of a
+// server. Mutating calls carry the caller's master epoch for fencing: a
+// region server rejects epochs lower than the highest it has seen
+// (ErrStaleMaster), so a deposed leader cannot mutate placement after a
+// standby promoted. Epoch 0 means unfenced (single-master legacy).
+// Export is a read and stays unfenced. A copy is installed fenced;
+// SetRole alone makes it the primary (serving, replicating to
+// followers) or a fenced follower again, and returns once the writes of
+// the previous role drained.
+type controlConn interface {
 	// Health reports self-diagnosed damage (quarantined region copies).
 	Health() (HealthReport, error)
-
-	// Control plane (master-driven). Mutating calls carry the caller's
-	// master epoch for fencing: a region server rejects epochs lower
-	// than the highest it has seen (ErrStaleMaster), so a deposed
-	// leader cannot mutate placement after a standby promoted. Epoch 0
-	// means unfenced (single-master legacy). Export is a read and stays
-	// unfenced. A copy is installed fenced; SetRole alone makes it the
-	// primary (serving, replicating to followers) or a fenced follower
-	// again, and returns once the writes of the previous role drained.
 	Install(snap *hstore.RegionSnapshot, masterEpoch int64) error
 	Export(table string, regionID int) (*hstore.RegionSnapshot, error)
 	Drop(table string, regionID int, masterEpoch int64) error
@@ -149,37 +153,11 @@ func (c *unresolvedConn) err() error {
 	return fmt.Errorf("%w: server %s not resolvable after META recovery", errTransport, c.id)
 }
 
-func (c *unresolvedConn) Put(context.Context, string, string, string, []byte) error { return c.err() }
-func (c *unresolvedConn) BatchPut(context.Context, string, []hstore.Row) error      { return c.err() }
-func (c *unresolvedConn) Apply(string, []hstore.Cell) error                         { return c.err() }
-func (c *unresolvedConn) Get(context.Context, string, string) (hstore.Row, bool, error) {
-	return hstore.Row{}, false, c.err()
-}
-func (c *unresolvedConn) FollowerGet(context.Context, string, string) (hstore.Row, bool, error) {
-	return hstore.Row{}, false, c.err()
-}
-func (c *unresolvedConn) BatchGet(context.Context, string, []string) ([]hstore.Row, []bool, error) {
-	return nil, nil, c.err()
-}
-func (c *unresolvedConn) Scan(context.Context, string, int, string, string, hstore.Filter, int) ([]hstore.Row, error) {
-	return nil, c.err()
-}
-func (c *unresolvedConn) FollowerScan(context.Context, string, int, string, string, hstore.Filter, int) ([]hstore.Row, error) {
-	return nil, c.err()
-}
-func (c *unresolvedConn) DeleteRow(context.Context, string, string) error { return c.err() }
-func (c *unresolvedConn) Flush(string) error                              { return c.err() }
-func (c *unresolvedConn) Stats() (hstore.TransferStats, error) {
-	return hstore.TransferStats{}, c.err()
-}
-func (c *unresolvedConn) ResetStats() error                           { return c.err() }
-func (c *unresolvedConn) Health() (HealthReport, error)               { return HealthReport{}, c.err() }
-func (c *unresolvedConn) Install(*hstore.RegionSnapshot, int64) error { return c.err() }
-func (c *unresolvedConn) Export(string, int) (*hstore.RegionSnapshot, error) {
-	return nil, c.err()
-}
-func (c *unresolvedConn) Drop(string, int, int64) error                  { return c.err() }
-func (c *unresolvedConn) SetRole(string, int, bool, []Peer, int64) error { return c.err() }
+func (c *unresolvedConn) Health() (HealthReport, error)                      { return HealthReport{}, c.err() }
+func (c *unresolvedConn) Install(*hstore.RegionSnapshot, int64) error        { return c.err() }
+func (c *unresolvedConn) Export(string, int) (*hstore.RegionSnapshot, error) { return nil, c.err() }
+func (c *unresolvedConn) Drop(string, int, int64) error                      { return c.err() }
+func (c *unresolvedConn) SetRole(string, int, bool, []Peer, int64) error     { return c.err() }
 
 // directMaster adapts an in-process *Master to MasterConn.
 type directMaster struct{ m *Master }

@@ -17,33 +17,11 @@ import (
 	"pstorm/internal/httperr"
 )
 
-func queryEscape(s string) string { return url.QueryEscape(s) }
-
-// HTTP wire protocol. Every endpoint is JSON over POST/GET under /d/.
+// HTTP wire protocol. Every endpoint is JSON over POST/GET under /d/
+// (and /m/ between masters), and each is one verb registration below.
 // NotServing maps to 409 (the client re-routes), a stopped server to
-// 503, anything else to 400 — so retryability survives the wire.
-
-type wireRow struct {
-	Key     string            `json:"key"`
-	Columns map[string][]byte `json:"columns"`
-}
-
-func rowToWire(r hstore.Row) wireRow   { return wireRow{Key: r.Key, Columns: r.Columns} }
-func rowFromWire(w wireRow) hstore.Row { return hstore.Row{Key: w.Key, Columns: w.Columns} }
-func rowsToWire(rs []hstore.Row) []wireRow {
-	out := make([]wireRow, len(rs))
-	for i, r := range rs {
-		out[i] = rowToWire(r)
-	}
-	return out
-}
-func rowsFromWire(ws []wireRow) []hstore.Row {
-	out := make([]hstore.Row, len(ws))
-	for i, w := range ws {
-		out[i] = rowFromWire(w)
-	}
-	return out
-}
+// 503, anything else to 400 — so retryability survives the wire. Rows
+// cross as hstore.Row.
 
 type putWire struct {
 	Table  string `json:"table"`
@@ -53,8 +31,8 @@ type putWire struct {
 }
 
 type batchWire struct {
-	Table string    `json:"table"`
-	Rows  []wireRow `json:"rows"`
+	Table string       `json:"table"`
+	Rows  []hstore.Row `json:"rows"`
 }
 
 type batchGetWire struct {
@@ -63,8 +41,13 @@ type batchGetWire struct {
 }
 
 type batchGetRespWire struct {
-	Found []bool    `json:"found"`
-	Rows  []wireRow `json:"rows"`
+	Found []bool       `json:"found"`
+	Rows  []hstore.Row `json:"rows"`
+}
+
+type getRespWire struct {
+	Found bool       `json:"found"`
+	Row   hstore.Row `json:"row"`
 }
 
 type applyWire struct {
@@ -92,6 +75,15 @@ type roleWire struct {
 	Primary     bool   `json:"primary"`
 	Followers   []Peer `json:"followers,omitempty"`
 	MasterEpoch int64  `json:"master_epoch,omitempty"`
+}
+
+// nonNil keeps an empty row set `[]` on the wire and non-nil in the
+// caller's hands.
+func nonNil(rows []hstore.Row) []hstore.Row {
+	if rows == nil {
+		return []hstore.Row{}
+	}
+	return rows
 }
 
 func writeHTTPErr(w http.ResponseWriter, err error) {
@@ -131,188 +123,131 @@ func writeJSONBody(w http.ResponseWriter, v interface{}) {
 	}
 }
 
-func decodeBody(r *http.Request, v interface{}) error {
-	return json.NewDecoder(r.Body).Decode(v)
+// verb registers one endpoint: decode reads the request, do answers it
+// under the caller's deadline (httperr.ContextFromRequest), and the
+// answer goes back as JSON, or as an httperr envelope when either step
+// fails. It is the one place the wire's framing is decided.
+func verb[T any](mux *http.ServeMux, path string, decode func(*http.Request) (T, error), do func(context.Context, T) (any, error)) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := httperr.ContextFromRequest(r)
+		defer cancel()
+		req, err := decode(r)
+		if err == nil {
+			var resp any
+			if resp, err = do(ctx, req); err == nil {
+				writeJSONBody(w, resp)
+				return
+			}
+		}
+		writeHTTPErr(w, err)
+	})
 }
+
+// The decoders verb takes: a JSON body, the URL query, or the request.
+func body[T any](r *http.Request) (T, error) {
+	var v T
+	err := json.NewDecoder(r.Body).Decode(&v)
+	return v, err
+}
+
+func query(r *http.Request) (url.Values, error) { return r.URL.Query(), nil }
+
+func request(r *http.Request) (*http.Request, error) { return r, nil }
+
+// done is the answer of a verb that returns nothing but success.
+func done(err error) (any, error) { return map[string]string{"status": "ok"}, err }
 
 // queryInts parses numeric query values, in key order. A missing key is
 // 0 — an absent mepoch is the unfenced single-master case — but a
-// garbled one is answered 400 bad_request (ok false), never read as a
-// silent 0 that would name region 0 or wave a deposed master through
-// the epoch fence.
-func queryInts(w http.ResponseWriter, r *http.Request, keys ...string) (out []int64, parsed bool) {
-	q := r.URL.Query()
-	out = make([]int64, len(keys))
+// garbled one is an error (400 bad_request), never read as a silent 0
+// that would name region 0 or wave a deposed master through the epoch
+// fence.
+func queryInts(q url.Values, keys ...string) ([]int64, error) {
+	out := make([]int64, len(keys))
 	for i, k := range keys {
 		if !q.Has(k) {
 			continue
 		}
 		n, err := strconv.ParseInt(q.Get(k), 10, 64)
 		if err != nil {
-			writeHTTPErr(w, fmt.Errorf("dstore: query value %s=%q is not an integer", k, q.Get(k)))
-			return nil, false
+			return nil, fmt.Errorf("dstore: query value %s=%q is not an integer", k, q.Get(k))
 		}
 		out[i] = n
 	}
-	return out, true
+	return out, nil
 }
 
 // RegionServerHandler exposes a region server over HTTP.
 func RegionServerHandler(rs *RegionServer) http.Handler {
 	mux := http.NewServeMux()
-	ok := func(w http.ResponseWriter, err error) {
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, map[string]string{"status": "ok"})
+	verb(mux, "/d/put", body[putWire], func(ctx context.Context, req putWire) (any, error) {
+		return done(rs.Put(ctx, req.Table, req.Row, req.Column, req.Value))
+	})
+	verb(mux, "/d/batchput", body[batchWire], func(ctx context.Context, req batchWire) (any, error) {
+		return done(rs.BatchPut(ctx, req.Table, req.Rows))
+	})
+	verb(mux, "/d/apply", body[applyWire], func(_ context.Context, req applyWire) (any, error) {
+		return done(rs.Apply(req.Table, req.Cells))
+	})
+	for path, get := range map[string]func(context.Context, string, string) (hstore.Row, bool, error){
+		"/d/get": rs.Get, "/d/fget": rs.FollowerGet,
+	} {
+		verb(mux, path, query, func(ctx context.Context, q url.Values) (any, error) {
+			row, found, err := get(ctx, q.Get("table"), q.Get("row"))
+			return getRespWire{Found: found, Row: row}, err
+		})
 	}
-	mux.HandleFunc("/d/put", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		var req putWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		ok(w, rs.Put(ctx, req.Table, req.Row, req.Column, req.Value))
-	})
-	mux.HandleFunc("/d/batchput", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		var req batchWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		ok(w, rs.BatchPut(ctx, req.Table, rowsFromWire(req.Rows)))
-	})
-	mux.HandleFunc("/d/apply", func(w http.ResponseWriter, r *http.Request) {
-		var req applyWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		ok(w, rs.Apply(req.Table, req.Cells))
-	})
-	getHandler := func(get func(ctx context.Context, table, row string) (hstore.Row, bool, error)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := httperr.ContextFromRequest(r)
-			defer cancel()
-			row, found, err := get(ctx, r.URL.Query().Get("table"), r.URL.Query().Get("row"))
-			if err != nil {
-				writeHTTPErr(w, err)
-				return
-			}
-			writeJSONBody(w, map[string]interface{}{"found": found, "row": rowToWire(row)})
-		}
-	}
-	mux.HandleFunc("/d/get", getHandler(rs.Get))
-	mux.HandleFunc("/d/fget", getHandler(rs.FollowerGet))
-	mux.HandleFunc("/d/health", func(w http.ResponseWriter, r *http.Request) {
-		h, err := rs.Health()
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, h)
-	})
-	mux.HandleFunc("/d/batchget", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		var req batchGetWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
+	verb(mux, "/d/health", query, func(context.Context, url.Values) (any, error) { return rs.Health() })
+	verb(mux, "/d/batchget", body[batchGetWire], func(ctx context.Context, req batchGetWire) (any, error) {
 		rows, found, err := rs.BatchGet(ctx, req.Table, req.Rows)
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, batchGetRespWire{Found: found, Rows: rowsToWire(rows)})
+		return batchGetRespWire{Found: found, Rows: nonNil(rows)}, err
 	})
-	scanHandler := func(scan func(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := httperr.ContextFromRequest(r)
-			defer cancel()
-			var req scanWire
-			if err := decodeBody(r, &req); err != nil {
-				writeHTTPErr(w, err)
-				return
-			}
+	for path, scan := range map[string]func(context.Context, string, int, string, string, hstore.Filter, int) ([]hstore.Row, error){
+		"/d/scan": rs.Scan, "/d/fscan": rs.FollowerScan,
+	} {
+		verb(mux, path, body[scanWire], func(ctx context.Context, req scanWire) (any, error) {
 			var f hstore.Filter
 			if len(req.Filter) > 0 {
 				var err error
 				if f, err = hstore.DecodeFilter(req.Filter); err != nil {
-					writeHTTPErr(w, err)
-					return
+					return nil, err
 				}
 			}
 			rows, err := scan(ctx, req.Table, req.Region, req.Start, req.End, f, req.Limit)
-			if err != nil {
-				writeHTTPErr(w, err)
-				return
-			}
-			writeJSONBody(w, rowsToWire(rows))
-		}
+			return nonNil(rows), err
+		})
 	}
-	mux.HandleFunc("/d/scan", scanHandler(rs.Scan))
-	mux.HandleFunc("/d/fscan", scanHandler(rs.FollowerScan))
-	mux.HandleFunc("/d/deleterow", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		ok(w, rs.DeleteRow(ctx, r.URL.Query().Get("table"), r.URL.Query().Get("row")))
+	verb(mux, "/d/deleterow", query, func(ctx context.Context, q url.Values) (any, error) {
+		return done(rs.DeleteRow(ctx, q.Get("table"), q.Get("row")))
 	})
-	mux.HandleFunc("/d/flush", func(w http.ResponseWriter, r *http.Request) {
-		ok(w, rs.Flush(r.URL.Query().Get("table")))
-	})
-	mux.HandleFunc("/d/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("reset") == "1" {
+	verb(mux, "/d/flush", query, func(_ context.Context, q url.Values) (any, error) { return done(rs.Flush(q.Get("table"))) })
+	verb(mux, "/d/stats", query, func(_ context.Context, q url.Values) (any, error) {
+		if q.Get("reset") == "1" {
 			if err := rs.ResetStats(); err != nil {
-				writeHTTPErr(w, err)
-				return
+				return nil, err
 			}
 		}
-		st, err := rs.Stats()
+		return rs.Stats()
+	})
+	verb(mux, "/d/install", body[installWire], func(_ context.Context, req installWire) (any, error) {
+		return done(rs.Install(req.Snapshot, req.MasterEpoch))
+	})
+	verb(mux, "/d/export", query, func(_ context.Context, q url.Values) (any, error) {
+		v, err := queryInts(q, "region")
 		if err != nil {
-			writeHTTPErr(w, err)
-			return
+			return nil, err
 		}
-		writeJSONBody(w, st)
+		return rs.Export(q.Get("table"), int(v[0]))
 	})
-	mux.HandleFunc("/d/install", func(w http.ResponseWriter, r *http.Request) {
-		var req installWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		ok(w, rs.Install(req.Snapshot, req.MasterEpoch))
-	})
-	mux.HandleFunc("/d/export", func(w http.ResponseWriter, r *http.Request) {
-		v, parsed := queryInts(w, r, "region")
-		if !parsed {
-			return
-		}
-		snap, err := rs.Export(r.URL.Query().Get("table"), int(v[0]))
+	verb(mux, "/d/drop", query, func(_ context.Context, q url.Values) (any, error) {
+		v, err := queryInts(q, "region", "mepoch")
 		if err != nil {
-			writeHTTPErr(w, err)
-			return
+			return nil, err
 		}
-		writeJSONBody(w, snap)
+		return done(rs.Drop(q.Get("table"), int(v[0]), v[1]))
 	})
-	mux.HandleFunc("/d/drop", func(w http.ResponseWriter, r *http.Request) {
-		if v, parsed := queryInts(w, r, "region", "mepoch"); parsed {
-			ok(w, rs.Drop(r.URL.Query().Get("table"), int(v[0]), v[1]))
-		}
-	})
-	mux.HandleFunc("/d/role", func(w http.ResponseWriter, r *http.Request) {
-		var req roleWire
-		if err := decodeBody(r, &req); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		ok(w, rs.SetRole(req.Table, req.Region, req.Primary, req.Followers, req.MasterEpoch))
+	verb(mux, "/d/role", body[roleWire], func(_ context.Context, req roleWire) (any, error) {
+		return done(rs.SetRole(req.Table, req.Region, req.Primary, req.Followers, req.MasterEpoch))
 	})
 	return mux
 }
@@ -320,100 +255,46 @@ func RegionServerHandler(rs *RegionServer) http.Handler {
 // MasterHandler exposes a master over HTTP.
 func MasterHandler(m *Master) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/d/join", func(w http.ResponseWriter, r *http.Request) {
-		var p Peer
-		if err := decodeBody(r, &p); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		if err := m.Join(p); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, map[string]string{"status": "ok"})
+	verb(mux, "/d/join", body[Peer], func(_ context.Context, p Peer) (any, error) { return done(m.Join(p)) })
+	verb(mux, "/d/heartbeat", query, func(_ context.Context, q url.Values) (any, error) {
+		return done(m.Heartbeat(q.Get("id")))
 	})
-	mux.HandleFunc("/d/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		if err := m.Heartbeat(r.URL.Query().Get("id")); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, map[string]string{"status": "ok"})
+	verb(mux, "/d/meta", query, func(context.Context, url.Values) (any, error) { return ConnectMaster(m).Meta() })
+	verb(mux, "/d/createtable", query, func(_ context.Context, q url.Values) (any, error) {
+		return done(m.CreateTable(q.Get("name")))
 	})
-	mux.HandleFunc("/d/meta", func(w http.ResponseWriter, r *http.Request) {
-		if m.Stopped() {
-			writeHTTPErr(w, errStopped)
-			return
-		}
-		writeJSONBody(w, m.Meta())
-	})
-	mux.HandleFunc("/d/createtable", func(w http.ResponseWriter, r *http.Request) {
-		if err := m.CreateTable(r.URL.Query().Get("name")); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/d/move", func(w http.ResponseWriter, r *http.Request) {
-		v, parsed := queryInts(w, r, "region")
-		if !parsed {
-			return
-		}
-		n, err := m.MoveRegion(r.URL.Query().Get("table"), int(v[0]), r.URL.Query().Get("to"))
+	verb(mux, "/d/move", query, func(_ context.Context, q url.Values) (any, error) {
+		v, err := queryInts(q, "region")
 		if err != nil {
-			writeHTTPErr(w, err)
-			return
+			return nil, err
 		}
-		writeJSONBody(w, map[string]int64{"bytes_moved": n})
+		n, err := m.MoveRegion(q.Get("table"), int(v[0]), q.Get("to"))
+		return map[string]int64{"bytes_moved": n}, err
 	})
-	mux.HandleFunc("/d/status", func(w http.ResponseWriter, r *http.Request) {
+	verb(mux, "/d/status", query, func(context.Context, url.Values) (any, error) {
 		if m.Stopped() {
-			writeHTTPErr(w, errStopped)
-			return
+			return nil, errStopped
 		}
-		writeJSONBody(w, m.Status())
+		return m.Status(), nil
 	})
 	// Master-to-master endpoints: lease pings, catalog-image pull and
 	// push, and the operator HA view.
-	mux.HandleFunc("/m/ping", func(w http.ResponseWriter, r *http.Request) {
-		st, err := m.Ping(r.URL.Query().Get("from"))
+	verb(mux, "/m/ping", query, func(_ context.Context, q url.Values) (any, error) { return m.Ping(q.Get("from")) })
+	verb(mux, "/m/image", query, func(_ context.Context, q url.Values) (any, error) {
+		v, err := queryInts(q, "master_epoch", "epoch")
 		if err != nil {
-			writeHTTPErr(w, err)
-			return
+			return nil, err
 		}
-		writeJSONBody(w, st)
+		return m.PullImage(v[0], v[1])
 	})
-	mux.HandleFunc("/m/image", func(w http.ResponseWriter, r *http.Request) {
-		v, parsed := queryInts(w, r, "master_epoch", "epoch")
-		if !parsed {
-			return
-		}
-		img, err := m.PullImage(v[0], v[1])
+	verb(mux, "/m/image/push", request, func(_ context.Context, r *http.Request) (any, error) {
+		img, err := body[MetaImage](r)
 		if err != nil {
-			writeHTTPErr(w, err)
-			return
+			return nil, err
 		}
-		writeJSONBody(w, img)
+		return done(m.PushImage(r.URL.Query().Get("from"), img))
 	})
-	mux.HandleFunc("/m/image/push", func(w http.ResponseWriter, r *http.Request) {
-		var img MetaImage
-		if err := decodeBody(r, &img); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		if err := m.PushImage(r.URL.Query().Get("from"), img); err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/m/status", func(w http.ResponseWriter, r *http.Request) {
-		st, err := m.HAStatus()
-		if err != nil {
-			writeHTTPErr(w, err)
-			return
-		}
-		writeJSONBody(w, st)
-	})
+	verb(mux, "/m/status", query, func(context.Context, url.Values) (any, error) { return m.HAStatus() })
 	return mux
 }
 
@@ -529,7 +410,7 @@ func (c *httpServerConn) Put(ctx context.Context, table, row, column string, val
 }
 
 func (c *httpServerConn) BatchPut(ctx context.Context, table string, rows []hstore.Row) error {
-	return c.h.call(ctx, "/d/batchput", batchWire{Table: table, Rows: rowsToWire(rows)}, nil)
+	return c.h.call(ctx, "/d/batchput", batchWire{Table: table, Rows: nonNil(rows)}, nil)
 }
 
 func (c *httpServerConn) Apply(table string, cells []hstore.Cell) error {
@@ -545,14 +426,9 @@ func (c *httpServerConn) FollowerGet(ctx context.Context, table, row string) (hs
 }
 
 func (c *httpServerConn) get(ctx context.Context, path, table, row string) (hstore.Row, bool, error) {
-	var resp struct {
-		Found bool    `json:"found"`
-		Row   wireRow `json:"row"`
-	}
-	if err := c.h.call(ctx, path+"?table="+queryEscape(table)+"&row="+queryEscape(row), nil, &resp); err != nil {
-		return hstore.Row{}, false, err
-	}
-	return rowFromWire(resp.Row), resp.Found, nil
+	var resp getRespWire
+	err := c.h.call(ctx, path+"?table="+url.QueryEscape(table)+"&row="+url.QueryEscape(row), nil, &resp)
+	return resp.Row, resp.Found, err
 }
 
 func (c *httpServerConn) Health() (HealthReport, error) {
@@ -566,7 +442,7 @@ func (c *httpServerConn) BatchGet(ctx context.Context, table string, rows []stri
 	if err := c.h.call(ctx, "/d/batchget", batchGetWire{Table: table, Rows: rows}, &resp); err != nil {
 		return nil, nil, err
 	}
-	return rowsFromWire(resp.Rows), resp.Found, nil
+	return nonNil(resp.Rows), resp.Found, nil
 }
 
 func (c *httpServerConn) Scan(ctx context.Context, table string, regionID int, start, end string, f hstore.Filter, limit int) ([]hstore.Row, error) {
@@ -586,19 +462,19 @@ func (c *httpServerConn) scan(ctx context.Context, path, table string, regionID 
 		}
 		req.Filter = wire
 	}
-	var ws []wireRow
-	if err := c.h.call(ctx, path, req, &ws); err != nil {
+	var rows []hstore.Row
+	if err := c.h.call(ctx, path, req, &rows); err != nil {
 		return nil, err
 	}
-	return rowsFromWire(ws), nil
+	return nonNil(rows), nil
 }
 
 func (c *httpServerConn) DeleteRow(ctx context.Context, table, row string) error {
-	return c.h.call(ctx, "/d/deleterow?table="+queryEscape(table)+"&row="+queryEscape(row), nil, nil)
+	return c.h.call(ctx, "/d/deleterow?table="+url.QueryEscape(table)+"&row="+url.QueryEscape(row), nil, nil)
 }
 
 func (c *httpServerConn) Flush(table string) error {
-	return c.h.call(detachedCtx(), "/d/flush?table="+queryEscape(table), nil, nil)
+	return c.h.call(detachedCtx(), "/d/flush?table="+url.QueryEscape(table), nil, nil)
 }
 
 func (c *httpServerConn) Stats() (hstore.TransferStats, error) {
@@ -608,8 +484,7 @@ func (c *httpServerConn) Stats() (hstore.TransferStats, error) {
 }
 
 func (c *httpServerConn) ResetStats() error {
-	var st hstore.TransferStats
-	return c.h.call(detachedCtx(), "/d/stats?reset=1", nil, &st)
+	return c.h.call(detachedCtx(), "/d/stats?reset=1", nil, nil)
 }
 
 func (c *httpServerConn) Install(snap *hstore.RegionSnapshot, masterEpoch int64) error {
@@ -618,7 +493,7 @@ func (c *httpServerConn) Install(snap *hstore.RegionSnapshot, masterEpoch int64)
 
 func (c *httpServerConn) Export(table string, regionID int) (*hstore.RegionSnapshot, error) {
 	var snap hstore.RegionSnapshot
-	err := c.h.call(detachedCtx(), fmt.Sprintf("/d/export?table=%s&region=%d", queryEscape(table), regionID), nil, &snap)
+	err := c.h.call(detachedCtx(), fmt.Sprintf("/d/export?table=%s&region=%d", url.QueryEscape(table), regionID), nil, &snap)
 	if err != nil {
 		return nil, err
 	}
@@ -626,14 +501,16 @@ func (c *httpServerConn) Export(table string, regionID int) (*hstore.RegionSnaps
 }
 
 func (c *httpServerConn) Drop(table string, regionID int, masterEpoch int64) error {
-	return c.h.call(detachedCtx(), fmt.Sprintf("/d/drop?table=%s&region=%d&mepoch=%d", queryEscape(table), regionID, masterEpoch), nil, nil)
+	return c.h.call(detachedCtx(), fmt.Sprintf("/d/drop?table=%s&region=%d&mepoch=%d", url.QueryEscape(table), regionID, masterEpoch), nil, nil)
 }
 
 func (c *httpServerConn) SetRole(table string, regionID int, primary bool, followers []Peer, masterEpoch int64) error {
 	return c.h.call(detachedCtx(), "/d/role", roleWire{Table: table, Region: regionID, Primary: primary, Followers: followers, MasterEpoch: masterEpoch}, nil)
 }
 
-// httpMasterConn speaks to a remote master.
+// httpMasterConn speaks to a remote master: the /d/ calls of region
+// servers and clients (MasterConn) and the /m/ calls of master peers
+// (MasterPeerConn).
 type httpMasterConn struct{ h *httpJSON }
 
 // DialMaster returns a MasterConn speaking HTTP to a pstormd master.
@@ -642,10 +519,16 @@ func DialMaster(base string, timeout time.Duration) MasterConn {
 	return &httpMasterConn{h: newHTTPJSON(base, timeout)}
 }
 
+// DialMasterPeer returns a MasterPeerConn speaking HTTP to a pstormd
+// master. timeout 0 uses DefaultDialTimeout.
+func DialMasterPeer(base string, timeout time.Duration) MasterPeerConn {
+	return &httpMasterConn{h: newHTTPJSON(base, timeout)}
+}
+
 func (c *httpMasterConn) Join(p Peer) error { return c.h.call(detachedCtx(), "/d/join", p, nil) }
 
 func (c *httpMasterConn) Heartbeat(id string) error {
-	return c.h.call(detachedCtx(), "/d/heartbeat?id="+queryEscape(id), nil, nil)
+	return c.h.call(detachedCtx(), "/d/heartbeat?id="+url.QueryEscape(id), nil, nil)
 }
 
 func (c *httpMasterConn) Meta() (Meta, error) {
@@ -655,31 +538,21 @@ func (c *httpMasterConn) Meta() (Meta, error) {
 }
 
 func (c *httpMasterConn) CreateTable(table string) error {
-	return c.h.call(detachedCtx(), "/d/createtable?name="+queryEscape(table), nil, nil)
+	return c.h.call(detachedCtx(), "/d/createtable?name="+url.QueryEscape(table), nil, nil)
 }
 
-// httpPeerConn speaks master-to-master HTTP: lease pings, image pulls,
-// and image pushes against a peer's /m/ endpoints.
-type httpPeerConn struct{ h *httpJSON }
-
-// DialMasterPeer returns a MasterPeerConn speaking HTTP to a pstormd
-// master. timeout 0 uses DefaultDialTimeout.
-func DialMasterPeer(base string, timeout time.Duration) MasterPeerConn {
-	return &httpPeerConn{h: newHTTPJSON(base, timeout)}
-}
-
-func (c *httpPeerConn) Ping(from string) (PeerStatus, error) {
+func (c *httpMasterConn) Ping(from string) (PeerStatus, error) {
 	var st PeerStatus
-	err := c.h.call(detachedCtx(), "/m/ping?from="+queryEscape(from), nil, &st)
+	err := c.h.call(detachedCtx(), "/m/ping?from="+url.QueryEscape(from), nil, &st)
 	return st, err
 }
 
-func (c *httpPeerConn) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
+func (c *httpMasterConn) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
 	var img MetaImage
 	err := c.h.call(detachedCtx(), fmt.Sprintf("/m/image?master_epoch=%d&epoch=%d", masterEpoch, epoch), nil, &img)
 	return img, err
 }
 
-func (c *httpPeerConn) PushImage(from string, img MetaImage) error {
-	return c.h.call(detachedCtx(), "/m/image/push?from="+queryEscape(from), img, nil)
+func (c *httpMasterConn) PushImage(from string, img MetaImage) error {
+	return c.h.call(detachedCtx(), "/m/image/push?from="+url.QueryEscape(from), img, nil)
 }

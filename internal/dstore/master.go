@@ -93,7 +93,7 @@ func (o MasterOptions) replication() int {
 // to reach it and when it last beat. Neither is journaled; identity and
 // liveness live in the catalog image.
 type member struct {
-	conn     ServerConn
+	conn     controlConn
 	lastBeat time.Time
 }
 
@@ -292,9 +292,9 @@ func OpenMaster(reg *Registry, opts MasterOptions) (*Master, error) {
 func (m *Master) resolveConnsLocked(now time.Time) {
 	m.servers = make(map[string]*member, len(m.cat.Servers))
 	for _, s := range m.cat.Servers {
-		conn, err := m.reg.Resolve(s.Peer)
-		if err != nil {
-			conn = &unresolvedConn{id: s.Peer.ID}
+		var conn controlConn = &unresolvedConn{id: s.Peer.ID}
+		if c, err := m.reg.Resolve(s.Peer); err == nil {
+			conn = c
 		}
 		m.servers[s.Peer.ID] = &member{conn: conn, lastBeat: now}
 	}
@@ -834,7 +834,7 @@ type regionRef struct {
 // payment is one owed RPC resolved against the catalog under m.mu.
 type payment struct {
 	owedRPC
-	conn    ServerConn
+	conn    controlConn
 	epoch   int64
 	primary bool   // a role push to the catalog's primary
 	chain   []Peer // the primary's followers
@@ -1039,7 +1039,7 @@ func (m *Master) CheckHealth() int {
 	}
 	type probe struct {
 		id   string
-		conn ServerConn
+		conn controlConn
 	}
 	m.mu.Lock()
 	var probes []probe

@@ -3,6 +3,7 @@ package dstore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"pstorm/internal/hstore"
+	"pstorm/internal/httperr"
 )
 
 var updateWire = flag.Bool("update", false, "rewrite testdata/wire from the current code")
@@ -92,10 +94,10 @@ func tappedServerConn(w *wireTap, host string) *httpServerConn {
 	return c
 }
 
-func tappedMaster(w *wireTap, host string) (*httpMasterConn, *httpPeerConn) {
+func tappedMaster(w *wireTap, host string) (*httpMasterConn, *httpMasterConn) {
 	mc := DialMaster("http://"+host, 0).(*httpMasterConn)
 	mc.h.hc.Transport = w
-	pc := DialMasterPeer("http://"+host, 0).(*httpPeerConn)
+	pc := DialMasterPeer("http://"+host, 0).(*httpMasterConn)
 	pc.h.hc.Transport = w
 	return mc, pc
 }
@@ -358,4 +360,70 @@ func TestWireFormatUnchanged(t *testing.T) {
 			}
 		}
 	}
+}
+
+// regionServerVerbs is every path RegionServerHandler serves, in the
+// order FuzzRegionServerWire's verb byte indexes them.
+var regionServerVerbs = []string{
+	"/d/put", "/d/batchput", "/d/apply", "/d/get", "/d/fget", "/d/health",
+	"/d/batchget", "/d/scan", "/d/fscan", "/d/deleterow", "/d/flush",
+	"/d/stats", "/d/install", "/d/export", "/d/drop", "/d/role",
+}
+
+// noNetwork refuses every request, so a fuzzed follower address can
+// never make the server under test open a socket.
+type noNetwork struct{}
+
+func (noNetwork) RoundTrip(*http.Request) (*http.Response, error) {
+	return nil, fmt.Errorf("no network in this test")
+}
+
+// FuzzRegionServerWire sends one request — a verb from the list, any
+// query, any body — to RegionServerHandler over a seeded in-process
+// server and an httptest.ResponseRecorder. The handler must not panic;
+// a 200 answer must be JSON and any other an httperr envelope. The seed
+// corpus under testdata/fuzz holds one well-formed request per verb and
+// a few malformed ones.
+func FuzzRegionServerWire(f *testing.F) {
+	f.Fuzz(func(t *testing.T, verb uint8, rawQuery string, body []byte) {
+		reg := NewRegistry()
+		reg.WrapConn = func(_ string, c ServerConn) ServerConn {
+			if hc, ok := c.(*httpServerConn); ok {
+				return &httpServerConn{h: &httpJSON{base: hc.h.base, hc: &http.Client{Transport: noNetwork{}}}}
+			}
+			return c
+		}
+		rs := NewRegionServer("rs", reg)
+		if err := rs.Install(&hstore.RegionSnapshot{Table: "t"}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.SetRole("t", 0, true, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.BatchPut(context.Background(), "t", []hstore.Row{
+			{Key: "a", Columns: map[string][]byte{"c": []byte("v1")}},
+			{Key: "b", Columns: map[string][]byte{"c": []byte("v2"), "d": []byte("w")}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		method := http.MethodGet
+		if len(body) > 0 {
+			method = http.MethodPost
+		}
+		req := httptest.NewRequest(method, "/", bytes.NewReader(body))
+		req.URL.Path = regionServerVerbs[int(verb)%len(regionServerVerbs)]
+		req.URL.RawQuery = rawQuery
+		rec := httptest.NewRecorder()
+		RegionServerHandler(rs).ServeHTTP(rec, req)
+
+		got := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			if !json.Valid(got) {
+				t.Fatalf("%s %s?%s: 200 with a body that is not JSON: %q", method, req.URL.Path, rawQuery, got)
+			}
+		} else if _, ok := httperr.Parse(got); !ok {
+			t.Fatalf("%s %s?%s: %d with a body that is not an httperr envelope: %q", method, req.URL.Path, rawQuery, rec.Code, got)
+		}
+	})
 }

@@ -50,10 +50,10 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s:%s@%d=%q", c.Row, c.Column, c.Ts, c.Value)
 }
 
-// Row is a materialized row: its key and the latest value per column.
+// Row is a materialized row, its key and latest value per column, as the dstore wire carries it.
 type Row struct {
-	Key     string
-	Columns map[string][]byte
+	Key     string            `json:"key"`
+	Columns map[string][]byte `json:"columns"`
 }
 
 // Bytes returns the approximate wire size of the row (keys + values),

@@ -47,16 +47,28 @@ func walScript(t *testing.T, dir string) *Server {
 }
 
 // walRows is the replayed image of every table, as the rows.json
-// beside the fixture records it.
+// beside the fixture records it. That file predates Row's JSON tags, so
+// rows are rendered with the untagged field names it was written with.
 func walRows(t *testing.T, s *Server) []byte {
 	t.Helper()
-	out := map[string][]Row{}
+	type untaggedRow struct {
+		Key     string
+		Columns map[string][]byte
+	}
+	out := map[string][]untaggedRow{}
 	for _, name := range s.Tables() {
 		rows, err := s.Scan(context.Background(), name, "", "", nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[name] = rows
+		var conv []untaggedRow
+		if rows != nil {
+			conv = make([]untaggedRow, len(rows))
+		}
+		for i, r := range rows {
+			conv[i] = untaggedRow(r)
+		}
+		out[name] = conv
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
