@@ -71,12 +71,9 @@ type daemonConfig struct {
 	lease      time.Duration
 	seed       int64
 
-	// gateway role knobs: the default tenant contract and the global
-	// admission ceiling.
-	gwRate           float64
-	gwBurst          float64
-	gwTenantInflight int
-	gwMaxInflight    int
+	// gateway knobs (master and gateway roles): the default tenant
+	// contract and the global admission ceiling.
+	gw gateway.Options
 }
 
 func main() {
@@ -95,10 +92,10 @@ func main() {
 	flag.DurationVar(&cfg.hbEvery, "hb-every", 500*time.Millisecond, "region: heartbeat interval")
 	flag.IntVar(&cfg.repl, "replication", 2, "master: copies per region, primary included")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful shutdown: how long in-flight requests may finish after SIGTERM")
-	flag.Float64Var(&cfg.gwRate, "gw-rate", 0, "gateway: default per-tenant request rate limit in req/s (0 = unlimited)")
-	flag.Float64Var(&cfg.gwBurst, "gw-burst", 0, "gateway: default per-tenant burst (0 = max(rate, 1))")
-	flag.IntVar(&cfg.gwTenantInflight, "gw-tenant-inflight", 0, "gateway: default per-tenant concurrency ceiling (0 = unlimited)")
-	flag.IntVar(&cfg.gwMaxInflight, "gw-max-inflight", 0, "gateway: global concurrency ceiling across tenants (0 = unlimited)")
+	flag.Float64Var(&cfg.gw.DefaultTenant.RatePerSec, "gw-rate", 0, "gateway: default per-tenant request rate limit in req/s (0 = unlimited)")
+	flag.Float64Var(&cfg.gw.DefaultTenant.Burst, "gw-burst", 0, "gateway: default per-tenant burst (0 = max(rate, 1))")
+	flag.IntVar(&cfg.gw.DefaultTenant.MaxInflight, "gw-tenant-inflight", 0, "gateway: default per-tenant concurrency ceiling (0 = unlimited)")
+	flag.IntVar(&cfg.gw.MaxInflight, "gw-max-inflight", 0, "gateway: global concurrency ceiling across tenants (0 = unlimited)")
 	flag.BoolVar(&cfg.demo, "demo", false, "run a master and three region servers over loopback, seed the table, kill and replace a primary, print status")
 	flag.BoolVar(&cfg.hold, "hold", false, "demo: keep serving /metrics after the walkthrough instead of exiting")
 	flag.Parse()
@@ -144,29 +141,14 @@ func run(cfg daemonConfig) error {
 		// every client already knows, and the routing client it serves
 		// through reaches the region servers the same way any external
 		// client would.
-		gwObs := obs.NewRegistry()
-		gwKV := dstore.NewClient(dstore.ConnectMaster(m), reg)
-		gw, err := gateway.New(gateway.Options{
-			KV:  gwKV,
-			Obs: gwObs,
-			DefaultTenant: gateway.TenantConfig{
-				RatePerSec:  cfg.gwRate,
-				Burst:       cfg.gwBurst,
-				MaxInflight: cfg.gwTenantInflight,
-			},
-			MaxInflight: cfg.gwMaxInflight,
-			DegradedFn:  gwKV.AnyBreakerOpen,
-		})
+		mux := http.NewServeMux()
+		mux.Handle("/", dstore.MasterHandler(m))
+		gw, err := mountGateway(cfg.gw, mux, dstore.NewClient(dstore.ConnectMaster(m), reg))
 		if err != nil {
 			m.Close()
 			return err
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/", dstore.MasterHandler(m))
-		gw.Mount(mux)
-		gather := func() obs.Snapshot {
-			return obs.Merge(m.Obs().Snapshot(), gwObs.Snapshot(), gwKV.Obs().Snapshot())
-		}
+		gather := func() obs.Snapshot { return obs.Merge(m.Obs().Snapshot(), gw()) }
 		ln, err := net.Listen("tcp", cfg.listen)
 		if err != nil {
 			m.Close()
@@ -199,26 +181,10 @@ func run(cfg daemonConfig) error {
 		if cfg.listen == "" || cfg.masterURL == "" {
 			return fmt.Errorf("gateway needs -listen and -master")
 		}
-		kv := dstore.NewClient(dstore.DialMasters(cfg.masterURL, 0), dstore.NewRegistry())
-		o := obs.NewRegistry()
-		gw, err := gateway.New(gateway.Options{
-			KV:  kv,
-			Obs: o,
-			DefaultTenant: gateway.TenantConfig{
-				RatePerSec:  cfg.gwRate,
-				Burst:       cfg.gwBurst,
-				MaxInflight: cfg.gwTenantInflight,
-			},
-			MaxInflight: cfg.gwMaxInflight,
-			DegradedFn:  kv.AnyBreakerOpen,
-		})
+		mux := http.NewServeMux()
+		gather, err := mountGateway(cfg.gw, mux, dstore.NewClient(dstore.DialMasters(cfg.masterURL, 0), dstore.NewRegistry()))
 		if err != nil {
 			return err
-		}
-		mux := http.NewServeMux()
-		gw.Mount(mux)
-		gather := func() obs.Snapshot {
-			return obs.Merge(o.Snapshot(), kv.Obs().Snapshot())
 		}
 		ln, err := net.Listen("tcp", cfg.listen)
 		if err != nil {
@@ -229,6 +195,18 @@ func run(cfg daemonConfig) error {
 	default:
 		return fmt.Errorf("need -role master, -role region, -role gateway, or -demo (see -h)")
 	}
+}
+
+// mountGateway mounts on mux a gateway over kv, with opt's tenant
+// contract and ceiling, and returns the gather of its metrics and kv's.
+func mountGateway(opt gateway.Options, mux *http.ServeMux, kv *dstore.Client) (func() obs.Snapshot, error) {
+	opt.KV, opt.Obs, opt.DegradedFn = kv, obs.NewRegistry(), kv.AnyBreakerOpen
+	gw, err := gateway.New(opt)
+	if err != nil {
+		return nil, err
+	}
+	gw.Mount(mux)
+	return func() obs.Snapshot { return obs.Merge(opt.Obs.Snapshot(), kv.Obs().Snapshot()) }, nil
 }
 
 // serveGraceful serves h on ln until ctx is canceled (the SIGTERM /

@@ -90,7 +90,7 @@ var mutations = []mutation{
 	{
 		name: "root context minted in a gateway handler", checker: "ctxcheck",
 		file: "internal/gateway/gateway.go",
-		old:  "ts.sys.Store.JobIDs(r.Context())",
+		old:  "ts.sys.Store.JobIDs(ctx)",
 		new:  "ts.sys.Store.JobIDs(context.Background())",
 	},
 	{
@@ -114,15 +114,15 @@ var mutations = []mutation{
 	{
 		name: "gateway handler reads a header-keyed row off the raw KV", checker: "tenantcheck",
 		file: "internal/gateway/gateway.go",
-		old:  "\tids, err := ts.sys.Store.JobIDs(r.Context())\n",
-		new:  "\tkey := r.Header.Get(\"X-Job\")\n\tg.opt.KV.Get(r.Context(), core.TableName, key)\n\tids, err := ts.sys.Store.JobIDs(r.Context())\n",
+		old:  "\t\tts, err := g.tenant(r)\n",
+		new:  "\t\tkey := r.Header.Get(\"X-Job\")\n\t\tg.opt.KV.Get(r.Context(), core.TableName, key)\n\t\tts, err := g.tenant(r)\n",
 	},
 	{
 		name: "the same read laundered through a gateway helper", checker: "tenantcheck",
 		file: "internal/gateway/gateway.go",
-		old:  "func (g *Gateway) handleProfiles(w http.ResponseWriter, r *http.Request, ts *tenantState) {\n",
+		old:  "func (g *Gateway) tenant(r *http.Request) (*tenantState, error) {\n",
 		new: "func (g *Gateway) rawGet(ctx context.Context, key string) {\n\tg.opt.KV.Get(ctx, core.TableName, \"stat/\"+key)\n}\n\n" +
-			"func (g *Gateway) handleProfiles(w http.ResponseWriter, r *http.Request, ts *tenantState) {\n\tg.rawGet(r.Context(), r.Header.Get(\"X-Job\"))\n",
+			"func (g *Gateway) tenant(r *http.Request) (*tenantState, error) {\n\tg.rawGet(r.Context(), r.Header.Get(\"X-Job\"))\n",
 	},
 	{
 		name: "allow directive outlives the call it excused", checker: unusedAllowChecker,

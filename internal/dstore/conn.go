@@ -166,7 +166,7 @@ func (c *directMaster) Join(p Peer) error         { return c.m.Join(p) }
 func (c *directMaster) Heartbeat(id string) error { return c.m.Heartbeat(id) }
 func (c *directMaster) Meta() (Meta, error) {
 	if c.m.Stopped() {
-		return Meta{}, errStopped
+		return Meta{}, errMasterStopped
 	}
 	return c.m.Meta(), nil
 }

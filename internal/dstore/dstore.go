@@ -139,6 +139,9 @@ var errNoLeader = errors.New("dstore: no master reachable or leading")
 // region server; it is retryable, like a connection refused.
 var errStopped = errors.New("dstore: region server stopped")
 
+// errMasterStopped is errStopped for a master; %.0w wraps it unprinted.
+var errMasterStopped = fmt.Errorf("dstore: master stopped%.0w", errStopped)
+
 // errTransport wraps network-level failures of the HTTP transport.
 var errTransport = errors.New("dstore: transport error")
 

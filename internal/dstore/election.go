@@ -116,7 +116,7 @@ type peerSeen struct {
 // even when one side's outbound pings are partitioned away.
 func (m *Master) Ping(from string) (PeerStatus, error) {
 	if m.stopped.Load() {
-		return PeerStatus{}, errStopped
+		return PeerStatus{}, errMasterStopped
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -151,7 +151,7 @@ type HAStatus struct {
 // HAStatus reports this master's election and journal state.
 func (m *Master) HAStatus() (HAStatus, error) {
 	if m.stopped.Load() {
-		return HAStatus{}, errStopped
+		return HAStatus{}, errMasterStopped
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -162,7 +162,7 @@ func (m *Master) HAStatus() (HAStatus, error) {
 // caller holds — the /m/image endpoint standbys poll once a tick.
 func (m *Master) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
 	if m.stopped.Load() {
-		return MetaImage{}, errStopped
+		return MetaImage{}, errMasterStopped
 	}
 	m.cJournalTails.Inc()
 	st := m.journal.image()
@@ -183,7 +183,7 @@ func (m *Master) PullImage(masterEpoch, epoch int64) (MetaImage, error) {
 // exactly one record is rejected and changes nothing.
 func (m *Master) PushImage(from string, img MetaImage) error {
 	if m.stopped.Load() {
-		return errStopped
+		return errMasterStopped
 	}
 	rec, err := decodeImage(img.Frame)
 	if err != nil {

@@ -273,7 +273,7 @@ func MasterHandler(m *Master) http.Handler {
 	})
 	verb(mux, "/d/status", query, func(context.Context, url.Values) (any, error) {
 		if m.Stopped() {
-			return nil, errStopped
+			return nil, errMasterStopped
 		}
 		return m.Status(), nil
 	})

@@ -327,7 +327,7 @@ func (m *Master) MasterEpoch() int64 {
 }
 
 // Stop simulates a master crash: every subsequent RPC — heartbeats,
-// META fetches, peer pings, image pulls and pushes — fails with errStopped, and
+// META fetches, peer pings, image pulls and pushes — fails with errMasterStopped, and
 // the background loop halts. Like RegionServer.Stop there is no
 // restart; a recovered master is a new OpenMaster over the same
 // journal dir.
@@ -597,7 +597,7 @@ func (m *Master) finishLocked(plan RegionInfo, f *flight, err error, kind string
 // hosted anything, and the eventual timeout double-processed it.
 func (m *Master) Join(p Peer) error {
 	if m.stopped.Load() {
-		return errStopped
+		return errMasterStopped
 	}
 	conn, err := m.reg.Resolve(p)
 	if err != nil {
@@ -637,7 +637,7 @@ func (m *Master) Join(p Peer) error {
 // Standbys redirect: only the leader's liveness view drives failover.
 func (m *Master) Heartbeat(id string) error {
 	if m.stopped.Load() {
-		return errStopped
+		return errMasterStopped
 	}
 	m.mu.Lock()
 	mem, ok := m.servers[id]
@@ -700,7 +700,7 @@ func (m *Master) CreateTable(table string) error {
 // every copy installed.
 func (m *Master) CreateTableSplits(table string, splits []string) error {
 	if m.stopped.Load() {
-		return errStopped
+		return errMasterStopped
 	}
 	m.mu.Lock()
 	regions, err := m.planTableLocked(table, splits)
@@ -1155,7 +1155,7 @@ func (m *Master) pickCandidateLocked(g *RegionInfo, alive []string) string {
 // retryable error.
 func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error) {
 	if m.stopped.Load() {
-		return 0, errStopped
+		return 0, errMasterStopped
 	}
 	m.mu.Lock()
 	var plan RegionInfo

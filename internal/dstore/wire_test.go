@@ -427,3 +427,31 @@ func FuzzRegionServerWire(f *testing.F) {
 		}
 	})
 }
+
+// TestMasterStoppedClassifiesAsStopped: a stopped master names itself
+// in its error, and every classifier treats that error exactly as it
+// treats a stopped region server's — retryable, a breaker failure, not
+// a master outage, and a 503 unavailable on the wire.
+func TestMasterStoppedClassifiesAsStopped(t *testing.T) {
+	if got := errMasterStopped.Error(); got != "dstore: master stopped" {
+		t.Errorf("errMasterStopped reads %q", got)
+	}
+	for _, wrap := range []func(error) error{
+		func(err error) error { return err },
+		func(err error) error { return fmt.Errorf("rpc: %w", err) },
+	} {
+		stopped, master := wrap(errStopped), wrap(errMasterStopped)
+		if retryable(master) != retryable(stopped) || breakerFailure(master) != breakerFailure(stopped) ||
+			masterOutage(master) != masterOutage(stopped) {
+			t.Errorf("%v classifies unlike %v", master, stopped)
+		}
+		a, b := httptest.NewRecorder(), httptest.NewRecorder()
+		writeHTTPErr(a, stopped)
+		writeHTTPErr(b, master)
+		ea, _ := httperr.Parse(a.Body.Bytes())
+		eb, _ := httperr.Parse(b.Body.Bytes())
+		if a.Code != b.Code || ea.Code != eb.Code || b.Code != http.StatusServiceUnavailable {
+			t.Errorf("%v answers %d %s, %v answers %d %s", stopped, a.Code, ea.Code, master, b.Code, eb.Code)
+		}
+	}
+}

@@ -38,10 +38,12 @@ import (
 	"pstorm/internal/cluster"
 	"pstorm/internal/conf"
 	"pstorm/internal/core"
+	"pstorm/internal/data"
 	"pstorm/internal/dstore"
 	"pstorm/internal/engine"
 	"pstorm/internal/httperr"
 	"pstorm/internal/matcher"
+	"pstorm/internal/mrjob"
 	"pstorm/internal/obs"
 	"pstorm/internal/whatif"
 	"pstorm/internal/workloads"
@@ -57,12 +59,10 @@ type Options struct {
 	// KV is the shared column-store client every tenant store wraps —
 	// a dstore routing client in fleet mode, any core.KV in process.
 	KV core.KV
-	// Engine simulates sampling and job execution (nil: a fresh engine
-	// over Cluster with Seed).
+	// Engine simulates sampling and job execution; every endpoint
+	// answers for its Cluster (nil: a fresh engine over the paper's
+	// 16-node testbed with Seed).
 	Engine *engine.Engine
-	// Cluster is the execution environment (nil: the paper's 16-node
-	// testbed).
-	Cluster *cluster.Cluster
 	// Seed drives the optimizer search and the default engine.
 	Seed int64
 	// Obs receives the gateway_* metrics and the tuning pipeline's
@@ -93,7 +93,7 @@ const (
 	// call that ran out of retry attempts) keeps the gateway in
 	// degraded-shed mode.
 	degradeCooldown = time.Second
-	// flightDeadline bounds each coalesced evaluation's wall-clock time
+	// flightDeadline bounds each coalesced tune's wall-clock time
 	// regardless of any single caller's deadline.
 	flightDeadline = 30 * time.Second
 )
@@ -116,14 +116,11 @@ type tenantState struct {
 type Gateway struct {
 	opt     Options
 	o       *obs.Registry
-	engine  *engine.Engine
-	cluster *cluster.Cluster
 	matcher *matcher.Matcher
-	now     func() time.Time
 
-	tuneFlights   *Group[*tuneOut]
-	whatifFlights *Group[float64]
-	matchFlights  *Group[*matchOut]
+	// flights coalesces /g/tune, /g/whatif and /g/match; each key
+	// begins with its endpoint's name.
+	flights *Group[any]
 
 	mu           sync.Mutex
 	tenants      map[string]*tenantState
@@ -140,14 +137,11 @@ func New(opt Options) (*Gateway, error) {
 	if opt.KV == nil {
 		return nil, fmt.Errorf("gateway: Options.KV is required")
 	}
-	if opt.Cluster == nil {
-		opt.Cluster = cluster.Default16()
-	}
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
 	if opt.Engine == nil {
-		opt.Engine = engine.New(opt.Cluster, opt.Seed)
+		opt.Engine = engine.New(cluster.Default16(), opt.Seed)
 	}
 	if opt.Obs == nil {
 		opt.Obs = obs.NewRegistry()
@@ -158,13 +152,8 @@ func New(opt Options) (*Gateway, error) {
 	g := &Gateway{
 		opt:              opt,
 		o:                opt.Obs,
-		engine:           opt.Engine,
-		cluster:          opt.Cluster,
 		matcher:          matcher.New(),
-		now:              opt.Now,
-		tuneFlights:      NewGroup[*tuneOut](),
-		whatifFlights:    NewGroup[float64](),
-		matchFlights:     NewGroup[*matchOut](),
+		flights:          NewGroup[any](),
 		tenants:          make(map[string]*tenantState),
 		cCoalesceHits:    opt.Obs.Counter("gateway_coalesce_hits_total"),
 		cCoalesceLeaders: opt.Obs.Counter("gateway_coalesce_leaders_total"),
@@ -200,11 +189,21 @@ func (g *Gateway) Obs() *obs.Registry { return g.o }
 // endpoints instrumented with per-tenant latency histograms.
 var latencyEndpoints = []string{"tune", "whatif", "match", "submit", "profiles"}
 
-// tenant returns (building and caching on first use) the per-tenant
-// serving state. Building opens the namespaced store — an idempotent
-// CreateTable against the shared cluster — outside the gateway lock so
-// one slow tenant bootstrap cannot stall admission for everyone.
-func (g *Gateway) tenant(ctx context.Context, name string) (*tenantState, error) {
+var errNoTenant = errors.New("tenant required (" + TenantHeader + " header or ?tenant=)")
+
+// tenant returns (building and caching on first use) the serving state
+// of r's tenant, named by the header or else the query. Building opens
+// the namespaced store — an idempotent CreateTable against the shared
+// cluster — outside the gateway lock so one slow tenant bootstrap
+// cannot stall admission for everyone.
+func (g *Gateway) tenant(r *http.Request) (*tenantState, error) {
+	name := r.Header.Get(TenantHeader)
+	if name == "" {
+		name = r.URL.Query().Get("tenant")
+	}
+	if name == "" {
+		return nil, errNoTenant
+	}
 	if err := core.ValidateTenant(name); err != nil {
 		return nil, err
 	}
@@ -215,7 +214,7 @@ func (g *Gateway) tenant(ctx context.Context, name string) (*tenantState, error)
 	}
 	g.mu.Unlock()
 
-	st, err := core.NewTenantStore(ctx, g.opt.KV, name)
+	st, err := core.NewTenantStore(r.Context(), g.opt.KV, name)
 	if err != nil {
 		return nil, err
 	}
@@ -225,12 +224,12 @@ func (g *Gateway) tenant(ctx context.Context, name string) (*tenantState, error)
 	}
 	cfg = cfg.withDefaults()
 
-	sys := core.NewSystem(st, g.engine)
+	sys := core.NewSystem(st, g.opt.Engine)
 	sys.Matcher = g.matcher
 	sys.CBO.Seed = g.opt.Seed
 	sys.Evaluator = whatif.NewEvaluator(whatif.EvaluatorOptions{Obs: g.o})
 	sys.Obs = g.o
-	sys.Now = g.now
+	sys.Now = g.opt.Now
 
 	ts := &tenantState{
 		name:     name,
@@ -243,7 +242,7 @@ func (g *Gateway) tenant(ctx context.Context, name string) (*tenantState, error)
 		ts.lat[ep] = g.o.Histogram("gateway_request_latency_ms", nil, "endpoint", ep, "tenant", name)
 	}
 	if cfg.RatePerSec > 0 {
-		ts.bkt = newBucket(cfg.RatePerSec, cfg.Burst, g.now())
+		ts.bkt = newBucket(cfg.RatePerSec, cfg.Burst, g.opt.Now())
 	}
 
 	g.mu.Lock()
@@ -260,78 +259,56 @@ func (g *Gateway) tenant(ctx context.Context, name string) (*tenantState, error)
 // cooling down, or the external signal (breaker state) says so.
 func (g *Gateway) degraded() bool {
 	g.mu.Lock()
-	own := g.now().Before(g.degradeUntil)
+	own := g.opt.Now().Before(g.degradeUntil)
 	g.mu.Unlock()
-	if own {
-		return true
-	}
-	return g.opt.DegradedFn != nil && g.opt.DegradedFn()
-}
-
-// noteStoreError trips the gateway's own degraded signal when err is a
-// store-availability failure: ErrExhausted, which the store client
-// returns only once its retries have run out of attempts, so the
-// store is already known to be in trouble.
-func (g *Gateway) noteStoreError(err error) {
-	if err == nil || !errors.Is(err, dstore.ErrExhausted) {
-		return
-	}
-	g.mu.Lock()
-	g.degradeUntil = g.now().Add(degradeCooldown)
-	g.mu.Unlock()
-	g.cDegradeTrips.Inc()
+	return own || g.opt.DegradedFn != nil && g.opt.DegradedFn()
 }
 
 // admit runs the admission pipeline for one request. On success the
 // caller owes a release(ts).
 func (g *Gateway) admit(ts *tenantState) *admitError {
 	// 1. Global ceiling: shed rather than queue.
-	if g.opt.MaxInflight > 0 {
-		g.mu.Lock()
-		over := g.inflight >= g.opt.MaxInflight
-		if !over {
-			g.inflight++
-		}
-		g.mu.Unlock()
-		if over {
-			return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeOverCapacity,
-				msg: "gateway at capacity", retryAfter: time.Second}
-		}
-	} else {
-		g.mu.Lock()
+	g.mu.Lock()
+	over := g.opt.MaxInflight > 0 && g.inflight >= g.opt.MaxInflight
+	if !over {
 		g.inflight++
-		g.mu.Unlock()
 	}
-	undo := func() {
-		g.mu.Lock()
-		g.inflight--
-		g.mu.Unlock()
+	g.mu.Unlock()
+	if over {
+		return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeOverCapacity,
+			msg: "gateway at capacity", retryAfter: time.Second}
 	}
 
 	// 2. Degraded shed: best-effort tenants (Priority <= 0) go first.
 	if ts.cfg.Priority <= 0 && g.degraded() {
-		undo()
-		return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeShedDegraded,
-			msg: "store degraded; shedding priority<=0 tenants", retryAfter: degradeCooldown}
+		return g.unadmit(&admitError{status: http.StatusTooManyRequests, code: httperr.CodeShedDegraded,
+			msg: "store degraded; shedding priority<=0 tenants", retryAfter: degradeCooldown})
 	}
 
 	// 3. Per-tenant rate quota.
 	if ts.bkt != nil {
-		if ok, retry := ts.bkt.take(g.now()); !ok {
-			undo()
-			return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeRateLimited,
-				msg: fmt.Sprintf("tenant %s over rate quota (%.3g req/s)", ts.name, ts.cfg.RatePerSec), retryAfter: retry}
+		if ok, retry := ts.bkt.take(g.opt.Now()); !ok {
+			return g.unadmit(&admitError{status: http.StatusTooManyRequests, code: httperr.CodeRateLimited,
+				msg: fmt.Sprintf("tenant %s over rate quota (%.3g req/s)", ts.name, ts.cfg.RatePerSec), retryAfter: retry})
 		}
 	}
 
 	// 4. Per-tenant concurrency ceiling.
 	if ts.cfg.MaxInflight > 0 && ts.inflight.Value() >= int64(ts.cfg.MaxInflight) {
-		undo()
-		return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeOverCapacity,
-			msg: fmt.Sprintf("tenant %s at concurrency ceiling (%d)", ts.name, ts.cfg.MaxInflight), retryAfter: time.Second}
+		return g.unadmit(&admitError{status: http.StatusTooManyRequests, code: httperr.CodeOverCapacity,
+			msg: fmt.Sprintf("tenant %s at concurrency ceiling (%d)", ts.name, ts.cfg.MaxInflight), retryAfter: time.Second})
 	}
 	ts.inflight.Add(1)
 	return nil
+}
+
+// unadmit gives back the global slot step 1 took for a request a later
+// step refuses.
+func (g *Gateway) unadmit(aerr *admitError) *admitError {
+	g.mu.Lock()
+	g.inflight--
+	g.mu.Unlock()
+	return aerr
 }
 
 func (g *Gateway) release(ts *tenantState) {
@@ -341,9 +318,16 @@ func (g *Gateway) release(ts *tenantState) {
 	g.mu.Unlock()
 }
 
-// writeErr maps an evaluation error onto the shared envelope.
+// writeErr maps an evaluation error onto the shared envelope. An
+// ErrExhausted, which the store client returns only once its retries
+// ran out of attempts, also trips the gateway's own degraded signal.
 func (g *Gateway) writeErr(w http.ResponseWriter, err error) {
-	g.noteStoreError(err)
+	if errors.Is(err, dstore.ErrExhausted) {
+		g.mu.Lock()
+		g.degradeUntil = g.opt.Now().Add(degradeCooldown)
+		g.mu.Unlock()
+		g.cDegradeTrips.Inc()
+	}
 	status, code := http.StatusInternalServerError, httperr.CodeInternal
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -358,8 +342,7 @@ func (g *Gateway) writeErr(w http.ResponseWriter, err error) {
 	httperr.Write(w, status, code, err.Error(), g.degraded())
 }
 
-// Handler returns the gateway's HTTP surface, every endpoint under
-// /g/.
+// Handler returns the gateway's HTTP surface: every endpoint under /g/.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	g.Mount(mux)
@@ -369,33 +352,29 @@ func (g *Gateway) Handler() http.Handler {
 // Mount registers the gateway endpoints on an existing mux (pstormd
 // mounts them next to the wire protocol).
 func (g *Gateway) Mount(mux *http.ServeMux) {
-	mux.Handle("/g/tune", g.instrument("tune", http.MethodPost, g.handleTune))
-	mux.Handle("/g/whatif", g.instrument("whatif", http.MethodPost, g.handleWhatIf))
-	mux.Handle("/g/match", g.instrument("match", http.MethodPost, g.handleMatch))
-	mux.Handle("/g/submit", g.instrument("submit", http.MethodPost, g.handleSubmit))
-	mux.Handle("/g/profiles", g.instrument("profiles", http.MethodGet, g.handleProfiles))
+	handle(g, mux, "tune", http.MethodPost, tuneKey, (*tenantState).tune)
+	handle(g, mux, "whatif", http.MethodPost, whatifKey, (*tenantState).whatif)
+	handle(g, mux, "match", http.MethodPost, matchKey, (*tenantState).match)
+	handle(g, mux, "submit", http.MethodPost, submitKey, (*tenantState).submit)
+	handle(g, mux, "profiles", http.MethodGet, nil, (*tenantState).profiles)
 }
 
-// instrument wraps one endpoint with the whole serving pipeline:
-// method check, tenant resolution, admission, latency recording.
-func (g *Gateway) instrument(ep, method string, fn func(w http.ResponseWriter, r *http.Request, ts *tenantState)) http.Handler {
+// handle registers /g/<ep> and owns its pipeline: method check, tenant,
+// admission, latency histogram, a POST body's JSON decode, prep — which
+// checks the request (an error is a 400) and returns the key its flight
+// coalesces on ("": none) and the caller's deadline (<= 0 ms: none) —
+// then do, the endpoint's own work, and the JSON or envelope answer.
+func handle[Req any](g *Gateway, mux *http.ServeMux, ep, method string,
+	prep func(tenant string, req *Req) (key string, deadlineMs int64, err error),
+	do func(ts *tenantState, ctx context.Context, req *Req) (any, error)) {
 	reqs := g.o.Counter("gateway_requests_total", "endpoint", ep)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/g/"+ep, func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
 		if r.Method != method {
 			httperr.Write(w, http.StatusMethodNotAllowed, httperr.CodeBadRequest, method+" only", false)
 			return
 		}
-		name := r.Header.Get(TenantHeader)
-		if name == "" {
-			name = r.URL.Query().Get("tenant")
-		}
-		if name == "" {
-			httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest,
-				"tenant required ("+TenantHeader+" header or ?tenant=)", false)
-			return
-		}
-		ts, err := g.tenant(r.Context(), name)
+		ts, err := g.tenant(r)
 		if err != nil {
 			httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, err.Error(), false)
 			return
@@ -406,23 +385,70 @@ func (g *Gateway) instrument(ep, method string, fn func(w http.ResponseWriter, r
 			return
 		}
 		defer g.release(ts)
-		start := g.now()
-		fn(w, r, ts)
-		ts.lat[ep].Observe(float64(g.now().Sub(start)) / float64(time.Millisecond))
+		start := g.opt.Now()
+		var req Req
+		key, deadlineMs := "", int64(0)
+		if method == http.MethodPost {
+			err = json.NewDecoder(r.Body).Decode(&req)
+		}
+		if err == nil && prep != nil {
+			key, deadlineMs, err = prep(ts.name, &req)
+		}
+		work := func(ctx context.Context) (any, error) { return do(ts, ctx, &req) }
+		if err != nil {
+			httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, err.Error(), false)
+		} else if v, err := g.run(r.Context(), key, deadlineMs, work); err != nil {
+			g.writeErr(w, err)
+		} else {
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(v)
+		}
+		ts.lat[ep].Observe(float64(g.opt.Now().Sub(start)) / float64(time.Millisecond))
 	})
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, err.Error(), false)
-		return false
+// coalescible is an answer a flight shares: each joiner gets a copy
+// marked as coalesced.
+type coalescible interface{ joined() any }
+
+// run does work under the caller's deadline, as the leader or a joiner
+// of key's flight unless key is "", and counts the flight's leaders and
+// hits.
+func (g *Gateway) run(ctx context.Context, key string, deadlineMs int64, work func(context.Context) (any, error)) (any, error) {
+	if deadlineMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMs)*time.Millisecond)
+		defer cancel()
 	}
-	return true
+	if key == "" {
+		return work(ctx)
+	}
+	v, err, shared := g.flights.Do(ctx, key, work)
+	if !shared {
+		g.cCoalesceLeaders.Inc()
+		return v, err
+	}
+	g.cCoalesceHits.Inc()
+	if err != nil {
+		return nil, err
+	}
+	return v.(coalescible).joined(), nil
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+var errJobID = errors.New("job_id required")
+
+// workload resolves a named job and dataset; an unknown name is
+// not_found.
+func workload(job, dataset string) (*mrjob.Spec, *data.Dataset, error) {
+	spec, err := workloads.JobByName(job)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", job, core.ErrNotFound)
+	}
+	ds, err := workloads.DatasetByName(dataset)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", dataset, core.ErrNotFound)
+	}
+	return spec, ds, nil
 }
 
 // ---- /g/tune ----
@@ -447,69 +473,36 @@ type TuneResponse struct {
 	Coalesced   bool        `json:"coalesced"`
 }
 
-type tuneOut struct {
-	resp TuneResponse
-}
+func (r TuneResponse) joined() any { r.Coalesced = true; return &r }
 
 // tuneKey is the canonical coalescing identity of a tune request. The
 // seed is the caller-visible part of the search identity; the config
 // space itself is canonical via whatif.Quantize inside the evaluator.
-func tuneKey(tenant string, req TuneRequest) string {
+func tuneKey(tenant string, req *TuneRequest) (string, int64, error) {
+	if req.JobID == "" {
+		return "", 0, errJobID
+	}
 	return strings.Join([]string{"tune", tenant, req.JobID,
 		strconv.FormatInt(req.InputBytes, 10),
 		strconv.Itoa(req.Budget),
-		strconv.FormatInt(req.Seed, 10)}, "\x00")
+		strconv.FormatInt(req.Seed, 10)}, "\x00"), req.DeadlineMs, nil
 }
 
-func (g *Gateway) handleTune(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	var req TuneRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if req.JobID == "" {
-		httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, "job_id required", false)
-		return
-	}
-	ctx := r.Context()
-	if req.DeadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-		defer cancel()
-	}
-	out, err, shared := g.tuneFlights.Do(ctx, tuneKey(ts.name, req), func(fctx context.Context) (*tuneOut, error) {
-		g.cCoalesceLeaders.Inc()
-		prof, err := ts.sys.Store.LoadProfile(fctx, req.JobID)
-		if err != nil {
-			return nil, err
-		}
-		inputBytes := req.InputBytes
-		if inputBytes <= 0 {
-			inputBytes = prof.InputBytes
-		}
-		rec, err := ts.sys.Tune(fctx, prof, inputBytes, core.TuneOptions{
-			Budget:   req.Budget,
-			Deadline: flightDeadline,
-			Seed:     req.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &tuneOut{resp: TuneResponse{
-			JobID: req.JobID, Tenant: ts.name, Config: rec.Config,
-			PredictedMs: rec.PredictedMs, DefaultMs: rec.DefaultMs,
-			Evaluations: rec.Evaluations,
-		}}, nil
-	})
-	if shared {
-		g.cCoalesceHits.Inc()
-	}
+func (ts *tenantState) tune(ctx context.Context, req *TuneRequest) (any, error) {
+	prof, err := ts.sys.Store.LoadProfile(ctx, req.JobID)
 	if err != nil {
-		g.writeErr(w, err)
-		return
+		return nil, err
 	}
-	resp := out.resp
-	resp.Coalesced = shared
-	writeJSON(w, resp)
+	inputBytes := req.InputBytes
+	if inputBytes <= 0 {
+		inputBytes = prof.InputBytes
+	}
+	rec, err := ts.sys.Tune(ctx, prof, inputBytes, core.TuneOptions{Budget: req.Budget, Deadline: flightDeadline, Seed: req.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return &TuneResponse{JobID: req.JobID, Tenant: ts.name, Config: rec.Config,
+		PredictedMs: rec.PredictedMs, DefaultMs: rec.DefaultMs, Evaluations: rec.Evaluations}, nil
 }
 
 // ---- /g/whatif ----
@@ -530,45 +523,36 @@ type WhatIfResponse struct {
 	Coalesced   bool        `json:"coalesced"`
 }
 
-// whatifKey is canonical through whatif.Quantize: any two configs that
+func (r WhatIfResponse) joined() any { r.Coalesced = true; return &r }
+
+// whatifKey quantizes req's config in place, so any two configs that
 // quantize identically — i.e. ask the same question of the What-If
 // model — coalesce onto one flight. Struct field order makes the JSON
 // encoding deterministic.
-func whatifKey(tenant string, req WhatIfRequest, q conf.Config) string {
-	raw, _ := json.Marshal(q)
+func whatifKey(tenant string, req *WhatIfRequest) (string, int64, error) {
+	if req.JobID == "" {
+		return "", 0, errJobID
+	}
+	req.Config = whatif.Quantize(req.Config)
+	raw, _ := json.Marshal(req.Config)
 	return strings.Join([]string{"whatif", tenant, req.JobID,
-		strconv.FormatInt(req.InputBytes, 10), string(raw)}, "\x00")
+		strconv.FormatInt(req.InputBytes, 10), string(raw)}, "\x00"), 0, nil
 }
 
-func (g *Gateway) handleWhatIf(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	var req WhatIfRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if req.JobID == "" {
-		httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, "job_id required", false)
-		return
-	}
-	q := whatif.Quantize(req.Config)
-	ms, err, shared := g.whatifFlights.Do(r.Context(), whatifKey(ts.name, req, q), func(fctx context.Context) (float64, error) {
-		prof, err := ts.sys.Store.LoadProfile(fctx, req.JobID)
-		if err != nil {
-			return 0, err
-		}
-		inputBytes := req.InputBytes
-		if inputBytes <= 0 {
-			inputBytes = prof.InputBytes
-		}
-		return ts.sys.Evaluator.PredictRuntime(prof, inputBytes, g.cluster, q)
-	})
-	if shared {
-		g.cCoalesceHits.Inc()
-	}
+func (ts *tenantState) whatif(ctx context.Context, req *WhatIfRequest) (any, error) {
+	prof, err := ts.sys.Store.LoadProfile(ctx, req.JobID)
 	if err != nil {
-		g.writeErr(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, WhatIfResponse{JobID: req.JobID, Tenant: ts.name, Config: q, PredictedMs: ms, Coalesced: shared})
+	inputBytes := req.InputBytes
+	if inputBytes <= 0 {
+		inputBytes = prof.InputBytes
+	}
+	ms, err := ts.sys.Evaluator.PredictRuntime(prof, inputBytes, ts.sys.Cluster, req.Config)
+	if err != nil {
+		return nil, err
+	}
+	return &WhatIfResponse{JobID: req.JobID, Tenant: ts.name, Config: req.Config, PredictedMs: ms}, nil
 }
 
 // ---- /g/match ----
@@ -591,49 +575,28 @@ type MatchResponse struct {
 	Coalesced   bool   `json:"coalesced"`
 }
 
-type matchOut struct {
-	resp MatchResponse
+func (r MatchResponse) joined() any { r.Coalesced = true; return &r }
+
+func matchKey(tenant string, req *MatchRequest) (string, int64, error) {
+	return strings.Join([]string{"match", tenant, req.Job, req.Dataset}, "\x00"), 0, nil
 }
 
-func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	var req MatchRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	key := strings.Join([]string{"match", ts.name, req.Job, req.Dataset}, "\x00")
-	out, err, shared := g.matchFlights.Do(r.Context(), key, func(fctx context.Context) (*matchOut, error) {
-		spec, err := workloads.JobByName(req.Job)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", req.Job, core.ErrNotFound)
-		}
-		ds, err := workloads.DatasetByName(req.Dataset)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", req.Dataset, core.ErrNotFound)
-		}
-		sample, _, err := g.engine.CollectSample(spec, ds, core.DefaultConfig(spec), 1)
-		if err != nil {
-			return nil, err
-		}
-		sample.InputBytes = ds.NominalBytes
-		res, err := g.matcher.Match(fctx, ts.sys.Store, sample)
-		if err != nil {
-			return nil, err
-		}
-		return &matchOut{resp: MatchResponse{
-			Tenant: ts.name, Matched: res.Matched(), Composite: res.Composite,
-			MapJobID: res.MapJobID, ReduceJobID: res.ReduceJobID, Degraded: res.Degraded,
-		}}, nil
-	})
-	if shared {
-		g.cCoalesceHits.Inc()
-	}
+func (ts *tenantState) match(ctx context.Context, req *MatchRequest) (any, error) {
+	spec, ds, err := workload(req.Job, req.Dataset)
 	if err != nil {
-		g.writeErr(w, err)
-		return
+		return nil, err
 	}
-	resp := out.resp
-	resp.Coalesced = shared
-	writeJSON(w, resp)
+	sample, _, err := ts.sys.Engine.CollectSample(spec, ds, core.DefaultConfig(spec), 1)
+	if err != nil {
+		return nil, err
+	}
+	sample.InputBytes = ds.NominalBytes
+	res, err := ts.sys.Matcher.Match(ctx, ts.sys.Store, sample)
+	if err != nil {
+		return nil, err
+	}
+	return &MatchResponse{Tenant: ts.name, Matched: res.Matched(), Composite: res.Composite,
+		MapJobID: res.MapJobID, ReduceJobID: res.ReduceJobID, Degraded: res.Degraded}, nil
 }
 
 // ---- /g/submit ----
@@ -661,37 +624,20 @@ type SubmitResponse struct {
 	Degraded        bool    `json:"degraded,omitempty"`
 }
 
-func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	var req SubmitRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	spec, err := workloads.JobByName(req.Job)
+func submitKey(_ string, req *SubmitRequest) (string, int64, error) { return "", req.DeadlineMs, nil }
+
+func (ts *tenantState) submit(ctx context.Context, req *SubmitRequest) (any, error) {
+	spec, ds, err := workload(req.Job, req.Dataset)
 	if err != nil {
-		g.writeErr(w, fmt.Errorf("%s: %w", req.Job, core.ErrNotFound))
-		return
-	}
-	ds, err := workloads.DatasetByName(req.Dataset)
-	if err != nil {
-		g.writeErr(w, fmt.Errorf("%s: %w", req.Dataset, core.ErrNotFound))
-		return
-	}
-	ctx := r.Context()
-	if req.DeadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-		defer cancel()
+		return nil, err
 	}
 	res, err := ts.sys.Submit(ctx, spec, ds, core.TuneOptions{Budget: req.Budget})
 	if err != nil {
-		g.writeErr(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, SubmitResponse{
-		Tenant: ts.name, JobID: res.JobID, Tuned: res.Tuned, RuntimeMs: res.RuntimeMs,
+	return &SubmitResponse{Tenant: ts.name, JobID: res.JobID, Tuned: res.Tuned, RuntimeMs: res.RuntimeMs,
 		PredictedMs: res.PredictedMs, ProfileStored: res.ProfileStored,
-		StoredProfileID: res.StoredProfileID, Degraded: res.Degraded,
-	})
+		StoredProfileID: res.StoredProfileID, Degraded: res.Degraded}, nil
 }
 
 // ---- /g/profiles ----
@@ -702,14 +648,10 @@ type ProfilesResponse struct {
 	JobIDs []string `json:"job_ids"`
 }
 
-func (g *Gateway) handleProfiles(w http.ResponseWriter, r *http.Request, ts *tenantState) {
-	ids, err := ts.sys.Store.JobIDs(r.Context())
-	if err != nil {
-		g.writeErr(w, err)
-		return
-	}
+func (ts *tenantState) profiles(ctx context.Context, _ *struct{}) (any, error) {
+	ids, err := ts.sys.Store.JobIDs(ctx)
 	if ids == nil {
 		ids = []string{}
 	}
-	writeJSON(w, ProfilesResponse{Tenant: ts.name, JobIDs: ids})
+	return &ProfilesResponse{Tenant: ts.name, JobIDs: ids}, err
 }

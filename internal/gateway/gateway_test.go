@@ -20,6 +20,7 @@ import (
 	"pstorm/internal/hstore"
 	"pstorm/internal/httperr"
 	"pstorm/internal/profile"
+	"pstorm/internal/whatif"
 	"pstorm/internal/workloads"
 )
 
@@ -83,7 +84,7 @@ func (g *gateKV) DeleteRow(ctx context.Context, table, row string) error {
 
 // seedProfile collects one profiled run and stores it in the tenant's
 // namespace, returning its job id.
-func seedProfile(t *testing.T, kv core.KV, tenant string, eng *engine.Engine) *profile.Profile {
+func seedProfile(t testing.TB, kv core.KV, tenant string, eng *engine.Engine) *profile.Profile {
 	t.Helper()
 	st, err := core.NewTenantStore(context.Background(), kv, tenant)
 	if err != nil {
@@ -183,13 +184,13 @@ func prime(t *testing.T, srv *httptest.Server, tenant string) {
 	}
 }
 
-// tuneWaiters reports how many callers are attached to the (single)
-// in-flight tune evaluation.
-func tuneWaiters(g *Gateway) int {
-	g.tuneFlights.mu.Lock()
-	defer g.tuneFlights.mu.Unlock()
+// flightWaiters reports how many callers are attached to the gateway's
+// in-flight coalesced evaluations.
+func flightWaiters(g *Gateway) int {
+	g.flights.mu.Lock()
+	defer g.flights.mu.Unlock()
 	n := 0
-	for _, f := range g.tuneFlights.flights {
+	for _, f := range g.flights.flights {
 		n += f.waiters
 	}
 	return n
@@ -227,7 +228,7 @@ func TestCoalescingSingleEvaluation(t *testing.T) {
 	// Everyone must be attached to the one flight before the evaluation
 	// is allowed to proceed — otherwise a straggler arriving after the
 	// flight completed would lead a second one.
-	waitFor(t, "all requests to join the flight", func() bool { return tuneWaiters(g) == K })
+	waitFor(t, "all requests to join the flight", func() bool { return flightWaiters(g) == K })
 	gate.release()
 	wg.Wait()
 
@@ -294,7 +295,7 @@ func TestTuneIgnoresLegacyWorkersField(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, "both tunes on one flight", func() bool { return tuneWaiters(g) == 2 })
+	waitFor(t, "both tunes on one flight", func() bool { return flightWaiters(g) == 2 })
 	gate.release()
 	wg.Wait()
 
@@ -354,13 +355,13 @@ func TestCanceledJoinerKeepsFlightAlive(t *testing.T) {
 		quit <- err
 	}()
 
-	waitFor(t, "both callers on one flight", func() bool { return tuneWaiters(g) == 2 })
+	waitFor(t, "both callers on one flight", func() bool { return flightWaiters(g) == 2 })
 	cancel()
 	if err := <-quit; err == nil {
 		t.Error("canceled caller should see an error")
 	}
 	// The abandoned caller must not have torn down the shared flight.
-	waitFor(t, "quitter to detach", func() bool { return tuneWaiters(g) == 1 })
+	waitFor(t, "quitter to detach", func() bool { return flightWaiters(g) == 1 })
 	gate.release()
 
 	r := <-surv
@@ -699,15 +700,7 @@ func TestWhatIfCoalescesOnQuantizedConfig(t *testing.T) {
 			coalesced[i] = resp.Coalesced
 		}(i, cfg.c)
 	}
-	waitFor(t, "both whatifs on one flight", func() bool {
-		g.whatifFlights.mu.Lock()
-		defer g.whatifFlights.mu.Unlock()
-		n := 0
-		for _, f := range g.whatifFlights.flights {
-			n += f.waiters
-		}
-		return n == 2
-	})
+	waitFor(t, "both whatifs on one flight", func() bool { return flightWaiters(g) == 2 })
 	gate.release()
 	wg.Wait()
 
@@ -834,6 +827,14 @@ func TestValidateTenant(t *testing.T) {
 	}
 }
 
+// Inflight returns the number of distinct keys currently being
+// evaluated.
+func (g *Group[V]) Inflight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.flights)
+}
+
 func TestGroupSequentialCallsDoNotCoalesce(t *testing.T) {
 	g := NewGroup[int]()
 	var calls atomic.Int64
@@ -877,5 +878,99 @@ func TestGroupLastWaiterAbandonCancelsFlight(t *testing.T) {
 	case <-flightCanceled:
 	case <-time.After(5 * time.Second):
 		t.Fatal("flight context was not canceled after the last waiter left")
+	}
+}
+
+// TestCoalescingCountersAddUp: on every coalescing endpoint, K
+// identical requests held on one flight count one leader, and leaders
+// plus hits count every request — so gateway_coalesce_hits_total over
+// hits + leaders is a ratio of like with like.
+func TestCoalescingCountersAddUp(t *testing.T) {
+	const K = 4
+	for _, ep := range []string{"tune", "whatif", "match"} {
+		t.Run(ep, func(t *testing.T) {
+			gate := &gateKV{kv: hstore.Connect(hstore.NewServer())}
+			eng := engine.New(cluster.Default16(), 7)
+			g, srv := newTestGateway(t, Options{KV: gate, Engine: eng})
+			prof := seedProfile(t, gate, "acme", eng)
+			spec, err := workloads.JobByName("wordcount")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := map[string]any{
+				"tune":   map[string]any{"job_id": prof.JobID, "budget": 6},
+				"whatif": map[string]any{"job_id": prof.JobID, "config": core.DefaultConfig(spec)},
+				"match":  map[string]any{"job": "wordcount", "dataset": "randomtext-1g"},
+			}[ep]
+			prime(t, srv, "acme")
+			before := g.Obs().Snapshot().Counters
+			gate.open()
+			var wg sync.WaitGroup
+			statuses := make([]int, K)
+			for i := range statuses {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					statuses[i], _, _ = doReq(t, http.MethodPost, srv.URL+"/g/"+ep, "acme", body)
+				}()
+			}
+			waitFor(t, "all requests on one flight", func() bool { return flightWaiters(g) == K })
+			gate.release()
+			wg.Wait()
+			for i, s := range statuses {
+				if s != http.StatusOK {
+					t.Fatalf("request %d: status %d", i, s)
+				}
+			}
+			after := g.Obs().Snapshot().Counters
+			leaders := after["gateway_coalesce_leaders_total"] - before["gateway_coalesce_leaders_total"]
+			hits := after["gateway_coalesce_hits_total"] - before["gateway_coalesce_hits_total"]
+			if leaders != 1 || leaders+hits != K {
+				t.Errorf("leaders %d, hits %d after %d requests on one flight; want 1 and %d", leaders, hits, K, K-1)
+			}
+		})
+	}
+}
+
+// TestWhatIfAnswersForEngineCluster: a gateway over an engine for a
+// cluster other than the default predicts on that cluster, as its tunes
+// do, not on the paper's testbed.
+func TestWhatIfAnswersForEngineCluster(t *testing.T) {
+	cl := cluster.Default16()
+	cl.Name, cl.Workers = "ec2-c1medium-5", 4
+	kv := hstore.Connect(hstore.NewServer())
+	eng := engine.New(cl, 7)
+	_, srv := newTestGateway(t, Options{KV: kv, Engine: eng})
+	seeded := seedProfile(t, kv, "acme", eng)
+	st, err := core.NewTenantStore(context.Background(), kv, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := st.LoadProfile(context.Background(), seeded.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workloads.JobByName("wordcount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := whatif.Quantize(core.DefaultConfig(spec))
+	want, err := whatif.PredictRuntime(prof, prof.InputBytes, cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, _ := whatif.PredictRuntime(prof, prof.InputBytes, cluster.Default16(), cfg); other == want {
+		t.Fatalf("both clusters predict %v ms; the test cannot tell them apart", want)
+	}
+	status, raw, _ := doReq(t, http.MethodPost, srv.URL+"/g/whatif", "acme", WhatIfRequest{JobID: prof.JobID, Config: cfg})
+	if status != http.StatusOK {
+		t.Fatalf("whatif: status %d: %s", status, raw)
+	}
+	var got WhatIfResponse
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.PredictedMs != want {
+		t.Errorf("whatif predicted %v ms, want %v ms (the engine's %d-worker cluster)", got.PredictedMs, want, cl.Workers)
 	}
 }

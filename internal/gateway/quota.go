@@ -77,5 +77,3 @@ type admitError struct {
 	msg        string
 	retryAfter time.Duration
 }
-
-func (e *admitError) Error() string { return e.msg }

@@ -81,11 +81,3 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(ctx context.Conte
 		return v, ctx.Err(), joined
 	}
 }
-
-// Inflight returns the number of distinct keys currently being
-// evaluated.
-func (g *Group[V]) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.flights)
-}
