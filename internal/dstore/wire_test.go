@@ -381,7 +381,8 @@ func (noNetwork) RoundTrip(*http.Request) (*http.Response, error) {
 // FuzzRegionServerWire sends one request — a verb from the list, any
 // query, any body — to RegionServerHandler over a seeded in-process
 // server and an httptest.ResponseRecorder. The handler must not panic;
-// a 200 answer must be JSON and any other an httperr envelope. The seed
+// a 200 answer must be JSON and any other an httperr envelope, never
+// internal, since nothing in the server is faulted. The seed
 // corpus under testdata/fuzz holds one well-formed request per verb and
 // a few malformed ones.
 func FuzzRegionServerWire(f *testing.F) {
@@ -422,8 +423,10 @@ func FuzzRegionServerWire(f *testing.F) {
 			if !json.Valid(got) {
 				t.Fatalf("%s %s?%s: 200 with a body that is not JSON: %q", method, req.URL.Path, rawQuery, got)
 			}
-		} else if _, ok := httperr.Parse(got); !ok {
+		} else if e, ok := httperr.Parse(got); !ok {
 			t.Fatalf("%s %s?%s: %d with a body that is not an httperr envelope: %q", method, req.URL.Path, rawQuery, rec.Code, got)
+		} else if e.Code == httperr.CodeInternal {
+			t.Fatalf("%s %s?%s: %d internal from an unfaulted server: %q", method, req.URL.Path, rawQuery, rec.Code, got)
 		}
 	})
 }

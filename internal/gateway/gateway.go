@@ -338,6 +338,8 @@ func (g *Gateway) writeErr(w http.ResponseWriter, err error) {
 		status, code = http.StatusNotFound, httperr.CodeNotFound
 	case errors.Is(err, dstore.ErrExhausted):
 		status, code = http.StatusServiceUnavailable, httperr.CodeUnavailable
+	case errors.As(err, new(badRequest)):
+		status, code = http.StatusBadRequest, httperr.CodeBadRequest
 	}
 	httperr.Write(w, status, code, err.Error(), g.degraded())
 }
@@ -436,6 +438,10 @@ func (g *Gateway) run(ctx context.Context, key string, deadlineMs int64, work fu
 }
 
 var errJobID = errors.New("job_id required")
+
+// badRequest marks a request the endpoint found malformed only after
+// its lookup: a what-if config out of range for a stored profile.
+type badRequest struct{ error }
 
 // workload resolves a named job and dataset; an unknown name is
 // not_found.
@@ -543,6 +549,9 @@ func (ts *tenantState) whatif(ctx context.Context, req *WhatIfRequest) (any, err
 	prof, err := ts.sys.Store.LoadProfile(ctx, req.JobID)
 	if err != nil {
 		return nil, err
+	}
+	if err := req.Config.Validate(); err != nil {
+		return nil, badRequest{err}
 	}
 	inputBytes := req.InputBytes
 	if inputBytes <= 0 {
