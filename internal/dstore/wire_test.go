@@ -378,23 +378,53 @@ func (noNetwork) RoundTrip(*http.Request) (*http.Response, error) {
 	return nil, fmt.Errorf("no network in this test")
 }
 
+// offlineRegistry is a registry whose HTTP conns all dial noNetwork.
+func offlineRegistry() *Registry {
+	reg := NewRegistry()
+	reg.WrapConn = func(_ string, c ServerConn) ServerConn {
+		if hc, ok := c.(*httpServerConn); ok {
+			return &httpServerConn{h: &httpJSON{base: hc.h.base, hc: &http.Client{Transport: noNetwork{}}}}
+		}
+		return c
+	}
+	return reg
+}
+
+// checkFuzzAnswer sends one request to h — POST when it has a body,
+// else GET — and fails t unless a 200 answer is JSON and any other an
+// httperr envelope that is not internal: the servers the fuzzers drive
+// are unfaulted, so every refusal is the request's own fault.
+func checkFuzzAnswer(t *testing.T, h http.Handler, path, rawQuery string, body []byte) {
+	t.Helper()
+	method := http.MethodGet
+	if len(body) > 0 {
+		method = http.MethodPost
+	}
+	req := httptest.NewRequest(method, "/", bytes.NewReader(body))
+	req.URL.Path, req.URL.RawQuery = path, rawQuery
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+
+	got := rec.Body.Bytes()
+	if rec.Code == http.StatusOK {
+		if !json.Valid(got) {
+			t.Fatalf("%s %s?%s: 200 with a body that is not JSON: %q", method, path, rawQuery, got)
+		}
+	} else if e, ok := httperr.Parse(got); !ok {
+		t.Fatalf("%s %s?%s: %d with a body that is not an httperr envelope: %q", method, path, rawQuery, rec.Code, got)
+	} else if e.Code == httperr.CodeInternal {
+		t.Fatalf("%s %s?%s: %d internal from an unfaulted server: %q", method, path, rawQuery, rec.Code, got)
+	}
+}
+
 // FuzzRegionServerWire sends one request — a verb from the list, any
 // query, any body — to RegionServerHandler over a seeded in-process
-// server and an httptest.ResponseRecorder. The handler must not panic;
-// a 200 answer must be JSON and any other an httperr envelope, never
-// internal, since nothing in the server is faulted. The seed
-// corpus under testdata/fuzz holds one well-formed request per verb and
-// a few malformed ones.
+// server and an httptest.ResponseRecorder, under checkFuzzAnswer's
+// oracle. The seed corpus under testdata/fuzz holds one well-formed
+// request per verb and a few malformed ones.
 func FuzzRegionServerWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, verb uint8, rawQuery string, body []byte) {
-		reg := NewRegistry()
-		reg.WrapConn = func(_ string, c ServerConn) ServerConn {
-			if hc, ok := c.(*httpServerConn); ok {
-				return &httpServerConn{h: &httpJSON{base: hc.h.base, hc: &http.Client{Transport: noNetwork{}}}}
-			}
-			return c
-		}
-		rs := NewRegionServer("rs", reg)
+		rs := NewRegionServer("rs", offlineRegistry())
 		if err := rs.Install(&hstore.RegionSnapshot{Table: "t"}, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -407,27 +437,51 @@ func FuzzRegionServerWire(f *testing.F) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		checkFuzzAnswer(t, RegionServerHandler(rs), regionServerVerbs[int(verb)%len(regionServerVerbs)], rawQuery, body)
+	})
+}
 
-		method := http.MethodGet
-		if len(body) > 0 {
-			method = http.MethodPost
-		}
-		req := httptest.NewRequest(method, "/", bytes.NewReader(body))
-		req.URL.Path = regionServerVerbs[int(verb)%len(regionServerVerbs)]
-		req.URL.RawQuery = rawQuery
-		rec := httptest.NewRecorder()
-		RegionServerHandler(rs).ServeHTTP(rec, req)
+// masterVerbs is every path MasterHandler serves, in the order
+// FuzzMasterWire's verb byte indexes them.
+var masterVerbs = []string{
+	"/d/join", "/d/heartbeat", "/d/meta", "/d/createtable", "/d/move",
+	"/d/status", "/m/ping", "/m/image", "/m/image/push", "/m/status",
+}
 
-		got := rec.Body.Bytes()
-		if rec.Code == http.StatusOK {
-			if !json.Valid(got) {
-				t.Fatalf("%s %s?%s: 200 with a body that is not JSON: %q", method, req.URL.Path, rawQuery, got)
+// FuzzMasterWire sends one request — a verb from the list, any query,
+// any body — to MasterHandler under checkFuzzAnswer's oracle: to a
+// leader over two in-process region servers and table "t" split at
+// "m", or, when standby is set, to a standby of a two-master
+// electorate. No conn reaches the network. The seed corpus under
+// testdata/fuzz holds one well-formed and one malformed request per
+// verb.
+func FuzzMasterWire(f *testing.F) {
+	f.Fuzz(func(t *testing.T, verb uint8, standby bool, rawQuery string, body []byte) {
+		clock := newTestClock()
+		var m *Master
+		if standby {
+			peers := []Peer{{ID: "m-0", Addr: "http://m0"}, {ID: "m-1", Addr: "http://m1"}}
+			m = NewMaster(offlineRegistry(), MasterOptions{ID: "m-1", Peers: peers, Standby: true, Now: clock.now,
+				PeerResolver: func(p Peer) (MasterPeerConn, error) {
+					return &httpMasterConn{h: &httpJSON{base: p.Addr, hc: &http.Client{Transport: noNetwork{}}}}, nil
+				}})
+		} else {
+			reg := offlineRegistry()
+			for _, id := range []string{"rs-a", "rs-b"} {
+				NewRegionServer(id, reg).now = clock.now
 			}
-		} else if e, ok := httperr.Parse(got); !ok {
-			t.Fatalf("%s %s?%s: %d with a body that is not an httperr envelope: %q", method, req.URL.Path, rawQuery, rec.Code, got)
-		} else if e.Code == httperr.CodeInternal {
-			t.Fatalf("%s %s?%s: %d internal from an unfaulted server: %q", method, req.URL.Path, rawQuery, rec.Code, got)
+			m = NewMaster(reg, MasterOptions{Replication: 2, DefaultSplits: []string{"m"}, Now: clock.now})
+			for _, id := range []string{"rs-a", "rs-b"} {
+				if err := m.Join(Peer{ID: id}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.CreateTable("t"); err != nil {
+				t.Fatal(err)
+			}
 		}
+		defer m.Close()
+		checkFuzzAnswer(t, MasterHandler(m), masterVerbs[int(verb)%len(masterVerbs)], rawQuery, body)
 	})
 }
 
