@@ -212,3 +212,47 @@ func TestCheckpointSyncsEveryFileBeforeWALReset(t *testing.T) {
 		t.Fatalf("WAL after checkpoint: %v, err %v; want empty", fi, err)
 	}
 }
+
+// TestCheckpointKeepsWriteAckedMidSave acks a put into table a while
+// SaveTo is compacting table b, after a's sstable has been written. The
+// checkpoint does not cover that put, so the WAL must keep it: reopened
+// from the directory, the row is there.
+func TestCheckpointKeepsWriteAckedMidSave(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []string{"a", "b"} {
+		if err := s.CreateTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		for seg := 0; seg < 2; seg++ {
+			mustPut(t, s, tbl, fmt.Sprintf("r%d", seg), "c", "v")
+			if err := s.Flush(tbl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	merges := 0
+	s.stats.throttle = func(int) {
+		// Tables are checkpointed in name order, one merge each: the
+		// second merge is b's, after a's file is on disk.
+		if merges++; merges == 2 {
+			mustPut(t, s, "a", "mid", "c", "acked")
+		}
+	}
+	if err := s.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	if merges != 2 {
+		t.Fatalf("setup: %d compaction merges, want 2", merges)
+	}
+	back, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok, err := back.Get("a", "mid"); err != nil || !ok || string(r.Columns["c"]) != "acked" {
+		t.Fatalf("row acked mid-checkpoint after reopen = %v (ok=%v err=%v)", r, ok, err)
+	}
+}

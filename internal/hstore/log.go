@@ -171,6 +171,31 @@ func (l *Log) Append(frame []byte) error {
 func (l *Log) Rewrite(data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.rewriteLocked(data)
+}
+
+// DropBefore rewrites the log without its first mark bytes — records a
+// checkpoint now covers — keeping every frame appended since, and fails
+// as Rewrite does. It reads and replaces under the lock, so no append
+// lands in between. A mark past the end (a rewrite ran since it was
+// taken) keeps the whole log: replay is idempotent, loss is not.
+func (l *Log) DropBefore(mark int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if mark == l.size || l.broken != nil {
+		return l.rewriteLocked(nil)
+	}
+	raw, err := l.fs.ReadFile(l.path)
+	if err != nil {
+		return err
+	}
+	if mark > l.size {
+		mark = 0
+	}
+	return l.rewriteLocked(raw[mark:l.size])
+}
+
+func (l *Log) rewriteLocked(data []byte) error {
 	if l.broken != nil {
 		return l.broken
 	}

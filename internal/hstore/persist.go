@@ -37,13 +37,20 @@ const manifestName = "MANIFEST.json"
 // SaveTo checkpoints the whole server into dir (created if needed).
 // Existing contents of dir are replaced: each sstable and then the
 // MANIFEST goes through replaceFile (written to a temp, synced,
-// renamed), and only then is the WAL emptied. A crash or a failed write
-// part-way leaves every file whole — old or new, each covered by the
-// WAL, which still holds every write since the last checkpoint.
+// renamed), and only then does the WAL drop the records logged before
+// the first compaction began. A crash or a failed write part-way leaves
+// every file whole — old or new, each covered by the WAL, which still
+// holds every write since the last checkpoint. A write acked while the
+// checkpoint runs stays in the WAL: its region's file may already be
+// written without it.
 func (s *Server) SaveTo(dir string) error {
 	fsys := s.fsys()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
+	}
+	var mark int64
+	if s.wal != nil {
+		mark = s.wal.Size()
 	}
 	s.mu.RLock()
 	names := make([]string, 0, len(s.tables))
@@ -93,9 +100,9 @@ func (s *Server) SaveTo(dir string) error {
 	if err := replaceFile(fsys, filepath.Join(dir, manifestName), raw); err != nil {
 		return err
 	}
-	// The checkpoint now covers everything the WAL recorded.
+	// The checkpoint now covers everything the WAL recorded up to mark.
 	if s.wal != nil {
-		return s.wal.Rewrite(nil)
+		return s.wal.DropBefore(mark)
 	}
 	return nil
 }
