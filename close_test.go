@@ -55,7 +55,7 @@ func TestCloseIdempotentAfterKill(t *testing.T) {
 	// Kill every server out from under the system, as a chaos scenario
 	// would, then close twice. Both must return without hanging, and the
 	// leak guard checks the heartbeat/master loops are gone.
-	c := sys.StoreCluster()
+	c := sys.cluster
 	for _, rs := range c.Servers {
 		c.KillServer(rs.ID())
 	}

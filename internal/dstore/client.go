@@ -112,10 +112,6 @@ func (c *Client) countOp(op string) {
 	ctr.Inc()
 }
 
-// Retries reports how many times operations re-routed after a
-// retryable failure — the observable cost of moves and failovers.
-func (c *Client) Retries() int64 { return c.mRetries.Value() }
-
 func (c *Client) maxAttempts() int {
 	if c.MaxAttempts > 0 {
 		return c.MaxAttempts
@@ -196,23 +192,6 @@ func (c *Client) breakerFor(id string) *breaker {
 		c.breakers[id] = b
 	}
 	return b
-}
-
-// BreakerState reports the named server's current breaker state
-// (breakerClosed when breakers are disabled or the server is unknown).
-func (c *Client) BreakerState(id string) int {
-	if c.BreakerThreshold < 0 {
-		return breakerClosed
-	}
-	c.breakersMu.Lock()
-	b, ok := c.breakers[id]
-	c.breakersMu.Unlock()
-	if !ok {
-		return breakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 // AnyBreakerOpen reports whether any server's circuit breaker is

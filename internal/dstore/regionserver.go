@@ -117,10 +117,6 @@ func (rs *RegionServer) guard(table, row string, err error) error {
 // ID returns the server's identity.
 func (rs *RegionServer) ID() string { return rs.id }
 
-// SeenMasterEpoch returns the highest master epoch this server has
-// fenced against (tests and operator status).
-func (rs *RegionServer) SeenMasterEpoch() int64 { return rs.masterEpoch.Load() }
-
 // HStore exposes the embedded store (tests and stats).
 func (rs *RegionServer) HStore() *hstore.Server { return rs.hs }
 

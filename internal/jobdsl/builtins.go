@@ -44,12 +44,6 @@ func init() {
 	}
 }
 
-// IsBuiltin reports whether name is a DSL built-in function.
-func IsBuiltin(name string) bool {
-	_, ok := builtins[name]
-	return ok
-}
-
 func (in *Interp) argc(args []Value, want int, name string, line int) {
 	if len(args) != want {
 		in.fail(line, "%s expects %d args, got %d", name, want, len(args))

@@ -24,16 +24,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse is Parse that panics on error; intended for package-level
-// declarations of the built-in benchmark jobs, whose sources are fixed.
-func MustParse(src string) *Program {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type parser struct {
 	toks []Token
 	pos  int

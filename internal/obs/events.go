@@ -90,13 +90,3 @@ func (l *EventLog) Len() int {
 	defer l.mu.Unlock()
 	return len(l.buf)
 }
-
-// LastSeq returns the sequence number of the newest event (0 if none).
-func (l *EventLog) LastSeq() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}

@@ -113,15 +113,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the elapsed time since start, in milliseconds.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	//pstorm:allow clockcheck monotonic latency helper measuring real elapsed time; data-path timestamps go through Registry.Now
-	h.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -53,26 +53,5 @@ func DatasetByName(name string) (*Dataset, error) { return workloads.DatasetByNa
 // Datasets returns all benchmark corpora keyed by name.
 func Datasets() map[string]*Dataset { return workloads.Datasets() }
 
-// NewDataset builds a custom synthetic dataset of one of the generator
-// kinds re-exported below.
-func NewDataset(name string, kind DatasetKind, nominalBytes int64, seed int64) *Dataset {
-	return data.New(name, kind, nominalBytes, seed)
-}
-
-// DatasetKind selects a synthetic generator family.
-type DatasetKind = data.Kind
-
-// Generator kinds for NewDataset.
-const (
-	RandomText = data.KindRandomText
-	Wikipedia  = data.KindWikipedia
-	TPCH       = data.KindTPCH
-	TeraGen    = data.KindTeraGen
-	Ratings    = data.KindRatings
-	WebDocs    = data.KindWebDocs
-	Genome     = data.KindGenome
-	PigMixData = data.KindPigMix
-)
-
 // GB is a convenience for nominal dataset sizes.
 const GB = data.GB

@@ -224,11 +224,6 @@ func (s *System) Close() {
 	})
 }
 
-// StoreCluster exposes the in-process dstore cluster backing the
-// profile store when Options.StoreServers was used (nil otherwise) —
-// benchmarks and tests use it to kill servers and move regions.
-func (s *System) StoreCluster() *dstore.LocalCluster { return s.cluster }
-
 // Checkpoint folds the profile store into a compact on-disk image in
 // Options.DataDir and truncates the write-ahead log. Mutations are
 // already durable through the WAL; checkpointing bounds recovery time

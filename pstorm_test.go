@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pstorm"
+	"pstorm/internal/data"
 )
 
 // TestQuickstartFlow is the README's quickstart, as a test: open a
@@ -123,7 +124,7 @@ func TestCustomDatasetAndJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := pstorm.NewDataset("mine", pstorm.TeraGen, pstorm.GB/4, 123)
+	ds := data.New("mine", data.KindTeraGen, pstorm.GB/4, 123)
 	ms, err := sys.Run(pstorm.Sort(), ds, pstorm.DefaultConfig(pstorm.Sort()))
 	if err != nil {
 		t.Fatal(err)
