@@ -205,7 +205,7 @@ func mountGateway(opt gateway.Options, mux *http.ServeMux, kv *dstore.Client) (f
 	if err != nil {
 		return nil, err
 	}
-	gw.Mount(mux)
+	mux.Handle("/g/", gw.Handler())
 	return func() obs.Snapshot { return obs.Merge(opt.Obs.Snapshot(), kv.Obs().Snapshot()) }, nil
 }
 

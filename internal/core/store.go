@@ -6,12 +6,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 
 	"pstorm/internal/hstore"
+	"pstorm/internal/httperr"
 	"pstorm/internal/matcher"
 	"pstorm/internal/profile"
 )
@@ -93,7 +93,7 @@ const (
 
 // ErrNotFound marks a lookup of a profile that is not in the store —
 // callers (the HTTP serving tier) translate it to 404 rather than 500.
-var ErrNotFound = errors.New("not found")
+var ErrNotFound = httperr.Errorf(httperr.CodeNotFound, "not found")
 
 // KV is the column-store surface the profile store needs. Both
 // *hstore.Client (single server) and *dstore.Client (sharded,

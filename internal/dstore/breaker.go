@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"pstorm/internal/httperr"
 	"pstorm/internal/obs"
 )
 
@@ -15,7 +16,7 @@ import (
 // retryable — the retry loop refreshes META (the master may have
 // failed the server over already) and backs off, and the breaker
 // half-opens after the cooldown to probe for recovery.
-var errBreakerOpen = errors.New("dstore: circuit breaker open")
+var errBreakerOpen = httperr.Errorf(httperr.CodeUnavailable, "dstore: circuit breaker open")
 
 // breakerCooldown is how long an open breaker rejects calls before
 // half-opening to probe the server.

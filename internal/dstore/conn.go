@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pstorm/internal/hstore"
+	"pstorm/internal/httperr"
 )
 
 // ServerConn is how the master and the routing client reach one region
@@ -123,7 +124,7 @@ func (r *Registry) resolve(p Peer) (ServerConn, error) {
 		rs, ok := r.local[p.ID]
 		r.mu.RUnlock()
 		if !ok {
-			return nil, fmt.Errorf("dstore: unknown in-process server %q", p.ID)
+			return nil, httperr.Errorf(httperr.CodeBadRequest, "dstore: unknown in-process server %q", p.ID)
 		}
 		return rs, nil
 	}

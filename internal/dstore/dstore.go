@@ -45,10 +45,12 @@
 package dstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
 	"pstorm/internal/hstore"
+	"pstorm/internal/httperr"
 )
 
 // Peer identifies one region server. Addr empty means in-process (the
@@ -95,6 +97,13 @@ type NotLeaderError struct {
 	LeaderAddr string
 }
 
+// Unwrap is the redirect's wire form: not_leader, with the best hint —
+// an address when the standby knows one (HTTP deployments), else the
+// leader's ID — as the whole message.
+func (e *NotLeaderError) Unwrap() error {
+	return &httperr.Error{Code: httperr.CodeNotLeader, Message: cmp.Or(e.LeaderAddr, e.LeaderID)}
+}
+
 func (e *NotLeaderError) Error() string {
 	switch {
 	case e.LeaderAddr != "":
@@ -116,14 +125,14 @@ func IsNotLeader(err error) bool {
 // the caller is a deposed leader and must step down, not retry. It is
 // deliberately not in retryable() — fencing is permanent for that
 // master epoch.
-var ErrStaleMaster = errors.New("dstore: stale master epoch")
+var ErrStaleMaster = httperr.Errorf(httperr.CodeStaleMaster, "dstore: stale master epoch")
 
 // ErrUnknownServer is the master's answer to a heartbeat from a server
 // absent from its catalog — typically one whose Join was acked by a
 // soon-deposed leader and lost on failover. It is deliberately not in
 // retryable(): retrying the same heartbeat can never register the
 // server. The heartbeat loop reacts by re-issuing Join instead.
-var ErrUnknownServer = errors.New("dstore: unknown server")
+var ErrUnknownServer = httperr.Errorf(httperr.CodeUnknownServer, "dstore: unknown server")
 
 // errNoLeader marks a multi-master conn that exhausted its whole peer
 // list without reaching a leader — the takeover window, when the old
@@ -133,33 +142,33 @@ var ErrUnknownServer = errors.New("dstore: unknown server")
 // and topoRestartCap still bound the wait): a client should survive any
 // takeover its deadline allows, not give up because the window spanned
 // more RPC attempts than a region failover would.
-var errNoLeader = errors.New("dstore: no master reachable or leading")
+var errNoLeader = httperr.Errorf(httperr.CodeUnavailable, "dstore: no master reachable or leading")
 
 // errStopped marks operations against a stopped (simulated-dead)
 // region server; it is retryable, like a connection refused.
-var errStopped = errors.New("dstore: region server stopped")
+var errStopped = httperr.Errorf(httperr.CodeUnavailable, "dstore: region server stopped")
 
 // errMasterStopped is errStopped for a master; %.0w wraps it unprinted.
 var errMasterStopped = fmt.Errorf("dstore: master stopped%.0w", errStopped)
 
 // errTransport wraps network-level failures of the HTTP transport.
-var errTransport = errors.New("dstore: transport error")
+var errTransport = httperr.Errorf(httperr.CodeUnavailable, "dstore: transport error")
 
 // errReplication wraps a primary's failure to reach a follower; the
 // client retries while the master prunes the dead follower.
-var errReplication = errors.New("dstore: replication failed")
+var errReplication = httperr.Errorf(httperr.CodeUnavailable, "dstore: replication failed")
 
 // errRegionBusy refuses a region choreography while another has the
 // region in flight, or fails one whose region a failover changed
 // meanwhile; it is retryable — the region is there to move once the
 // other lands.
-var errRegionBusy = errors.New("dstore: region busy")
+var errRegionBusy = httperr.Errorf(httperr.CodeUnavailable, "dstore: region busy")
 
 // ErrInjected marks a fault deliberately injected by a chaos harness
 // (internal/chaos): a dropped request, a partition, a forced timeout.
 // It is retryable — from the client's perspective an injected fault is
 // indistinguishable from a flaky network, and must heal the same way.
-var ErrInjected = errors.New("dstore: injected fault")
+var ErrInjected = httperr.Errorf(httperr.CodeUnavailable, "dstore: injected fault")
 
 // ErrExhausted marks a routing-client operation that kept hitting
 // retryable failures until its attempt budget ran out. It wraps the
@@ -167,7 +176,7 @@ var ErrInjected = errors.New("dstore: injected fault")
 // attempts" (a cluster liveness problem — nothing healed while the
 // client retried) from a non-retryable store error, which surfaces
 // unwrapped.
-var ErrExhausted = errors.New("dstore: retry attempts exhausted")
+var ErrExhausted = httperr.Errorf(httperr.CodeUnavailable, "dstore: retry attempts exhausted")
 
 // retryable reports whether the routing client should refresh META and
 // retry after err: stale routes (NotServing), dead or unreachable

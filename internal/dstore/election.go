@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"strconv"
 	"time"
+
+	"pstorm/internal/httperr"
 )
 
 // Lease-based master election. Every master — leader or standby — runs
@@ -188,7 +190,7 @@ func (m *Master) PushImage(from string, img MetaImage) error {
 	rec, err := decodeImage(img.Frame)
 	if err != nil {
 		m.o.Emit("image_rejected", map[string]string{"from": from, "error": err.Error()})
-		return err
+		return httperr.Errorf(httperr.CodeBadRequest, "%w", err)
 	}
 	return m.keepImage(rec, img.Frame, true)
 }
@@ -208,7 +210,7 @@ func (m *Master) keepImage(rec journalRecord, framed []byte, fromPeer bool) erro
 	defer j.mu.Unlock()
 	if fromPeer {
 		if m.leading.Load() {
-			return fmt.Errorf("dstore: image push refused: %s is leading", m.id)
+			return httperr.Errorf(httperr.CodeBadRequest, "dstore: image push refused: %s is leading", m.id)
 		}
 		if !rec.State.version().newerThan(j.held.version()) {
 			return nil

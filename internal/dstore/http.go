@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,10 +17,10 @@ import (
 )
 
 // HTTP wire protocol. Every endpoint is JSON over POST/GET under /d/
-// (and /m/ between masters), and each is one verb registration below.
-// NotServing maps to 409 (the client re-routes), a stopped server to
-// 503, anything else to 400 — so retryability survives the wire. Rows
-// cross as hstore.Row.
+// (and /m/ between masters), each one httperr.Handle registration below.
+// Errors name their codes where they are made, so retryability survives
+// the wire: NotServing is 409 (the client re-routes), a stopped server
+// 503, a client fault 400. Rows cross as hstore.Row.
 
 type putWire struct {
 	Table  string `json:"table"`
@@ -86,74 +85,6 @@ func nonNil(rows []hstore.Row) []hstore.Row {
 	return rows
 }
 
-func writeHTTPErr(w http.ResponseWriter, err error) {
-	status, code := http.StatusBadRequest, httperr.CodeBadRequest
-	var nl *NotLeaderError
-	switch {
-	case hstore.IsNotServing(err):
-		status, code = http.StatusConflict, httperr.CodeNotServing
-	case errors.As(err, &nl):
-		// 421: this server cannot answer, but another can. The message
-		// is the redirect hint — an address when the standby knows one
-		// (HTTP deployments), else the leader's ID.
-		hint := nl.LeaderAddr
-		if hint == "" {
-			hint = nl.LeaderID
-		}
-		httperr.Write(w, http.StatusMisdirectedRequest, httperr.CodeNotLeader, hint, false)
-		return
-	case errors.Is(err, ErrStaleMaster):
-		status, code = http.StatusMisdirectedRequest, httperr.CodeStaleMaster
-	case errors.Is(err, ErrUnknownServer):
-		status, code = http.StatusNotFound, httperr.CodeUnknownServer
-	case retryable(err):
-		status, code = http.StatusServiceUnavailable, httperr.CodeUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// The server aborted because the caller's budget ran out (or the
-		// caller hung up). Not retryable: the client is out of time.
-		status, code = http.StatusGatewayTimeout, httperr.CodeDeadline
-	}
-	httperr.Write(w, status, code, err.Error(), false)
-}
-
-func writeJSONBody(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// verb registers one endpoint: decode reads the request, do answers it
-// under the caller's deadline (httperr.ContextFromRequest), and the
-// answer goes back as JSON, or as an httperr envelope when either step
-// fails. It is the one place the wire's framing is decided.
-func verb[T any](mux *http.ServeMux, path string, decode func(*http.Request) (T, error), do func(context.Context, T) (any, error)) {
-	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := httperr.ContextFromRequest(r)
-		defer cancel()
-		req, err := decode(r)
-		if err == nil {
-			var resp any
-			if resp, err = do(ctx, req); err == nil {
-				writeJSONBody(w, resp)
-				return
-			}
-		}
-		writeHTTPErr(w, err)
-	})
-}
-
-// The decoders verb takes: a JSON body, the URL query, or the request.
-func body[T any](r *http.Request) (T, error) {
-	var v T
-	err := json.NewDecoder(r.Body).Decode(&v)
-	return v, err
-}
-
-func query(r *http.Request) (url.Values, error) { return r.URL.Query(), nil }
-
-func request(r *http.Request) (*http.Request, error) { return r, nil }
-
 // done is the answer of a verb that returns nothing but success.
 func done(err error) (any, error) { return map[string]string{"status": "ok"}, err }
 
@@ -170,7 +101,7 @@ func queryInts(q url.Values, keys ...string) ([]int64, error) {
 		}
 		n, err := strconv.ParseInt(q.Get(k), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("dstore: query value %s=%q is not an integer", k, q.Get(k))
+			return nil, httperr.Errorf(httperr.CodeBadRequest, "dstore: query value %s=%q is not an integer", k, q.Get(k))
 		}
 		out[i] = n
 	}
@@ -180,48 +111,48 @@ func queryInts(q url.Values, keys ...string) ([]int64, error) {
 // RegionServerHandler exposes a region server over HTTP.
 func RegionServerHandler(rs *RegionServer) http.Handler {
 	mux := http.NewServeMux()
-	verb(mux, "/d/put", body[putWire], func(ctx context.Context, req putWire) (any, error) {
-		return done(rs.Put(ctx, req.Table, req.Row, req.Column, req.Value))
+	httperr.Handle(mux, "/d/put", func(r *http.Request, req *putWire) (any, error) {
+		return done(rs.Put(r.Context(), req.Table, req.Row, req.Column, req.Value))
 	})
-	verb(mux, "/d/batchput", body[batchWire], func(ctx context.Context, req batchWire) (any, error) {
-		return done(rs.BatchPut(ctx, req.Table, req.Rows))
+	httperr.Handle(mux, "/d/batchput", func(r *http.Request, req *batchWire) (any, error) {
+		return done(rs.BatchPut(r.Context(), req.Table, req.Rows))
 	})
-	verb(mux, "/d/apply", body[applyWire], func(_ context.Context, req applyWire) (any, error) {
+	httperr.Handle(mux, "/d/apply", func(_ *http.Request, req *applyWire) (any, error) {
 		return done(rs.Apply(req.Table, req.Cells))
 	})
 	for path, get := range map[string]func(context.Context, string, string) (hstore.Row, bool, error){
 		"/d/get": rs.Get, "/d/fget": rs.FollowerGet,
 	} {
-		verb(mux, path, query, func(ctx context.Context, q url.Values) (any, error) {
-			row, found, err := get(ctx, q.Get("table"), q.Get("row"))
+		httperr.Handle(mux, path, func(r *http.Request, q *url.Values) (any, error) {
+			row, found, err := get(r.Context(), q.Get("table"), q.Get("row"))
 			return getRespWire{Found: found, Row: row}, err
 		})
 	}
-	verb(mux, "/d/health", query, func(context.Context, url.Values) (any, error) { return rs.Health() })
-	verb(mux, "/d/batchget", body[batchGetWire], func(ctx context.Context, req batchGetWire) (any, error) {
-		rows, found, err := rs.BatchGet(ctx, req.Table, req.Rows)
+	httperr.Handle(mux, "/d/health", func(*http.Request, *url.Values) (any, error) { return rs.Health() })
+	httperr.Handle(mux, "/d/batchget", func(r *http.Request, req *batchGetWire) (any, error) {
+		rows, found, err := rs.BatchGet(r.Context(), req.Table, req.Rows)
 		return batchGetRespWire{Found: found, Rows: nonNil(rows)}, err
 	})
 	for path, scan := range map[string]func(context.Context, string, int, string, string, hstore.Filter, int) ([]hstore.Row, error){
 		"/d/scan": rs.Scan, "/d/fscan": rs.FollowerScan,
 	} {
-		verb(mux, path, body[scanWire], func(ctx context.Context, req scanWire) (any, error) {
+		httperr.Handle(mux, path, func(r *http.Request, req *scanWire) (any, error) {
 			var f hstore.Filter
 			if len(req.Filter) > 0 {
 				var err error
 				if f, err = hstore.DecodeFilter(req.Filter); err != nil {
-					return nil, err
+					return nil, httperr.Errorf(httperr.CodeBadRequest, "%w", err)
 				}
 			}
-			rows, err := scan(ctx, req.Table, req.Region, req.Start, req.End, f, req.Limit)
+			rows, err := scan(r.Context(), req.Table, req.Region, req.Start, req.End, f, req.Limit)
 			return nonNil(rows), err
 		})
 	}
-	verb(mux, "/d/deleterow", query, func(ctx context.Context, q url.Values) (any, error) {
-		return done(rs.DeleteRow(ctx, q.Get("table"), q.Get("row")))
+	httperr.Handle(mux, "/d/deleterow", func(r *http.Request, q *url.Values) (any, error) {
+		return done(rs.DeleteRow(r.Context(), q.Get("table"), q.Get("row")))
 	})
-	verb(mux, "/d/flush", query, func(_ context.Context, q url.Values) (any, error) { return done(rs.Flush(q.Get("table"))) })
-	verb(mux, "/d/stats", query, func(_ context.Context, q url.Values) (any, error) {
+	httperr.Handle(mux, "/d/flush", func(_ *http.Request, q *url.Values) (any, error) { return done(rs.Flush(q.Get("table"))) })
+	httperr.Handle(mux, "/d/stats", func(_ *http.Request, q *url.Values) (any, error) {
 		if q.Get("reset") == "1" {
 			if err := rs.ResetStats(); err != nil {
 				return nil, err
@@ -229,24 +160,24 @@ func RegionServerHandler(rs *RegionServer) http.Handler {
 		}
 		return rs.Stats()
 	})
-	verb(mux, "/d/install", body[installWire], func(_ context.Context, req installWire) (any, error) {
+	httperr.Handle(mux, "/d/install", func(_ *http.Request, req *installWire) (any, error) {
 		return done(rs.Install(req.Snapshot, req.MasterEpoch))
 	})
-	verb(mux, "/d/export", query, func(_ context.Context, q url.Values) (any, error) {
-		v, err := queryInts(q, "region")
+	httperr.Handle(mux, "/d/export", func(_ *http.Request, q *url.Values) (any, error) {
+		v, err := queryInts(*q, "region")
 		if err != nil {
 			return nil, err
 		}
 		return rs.Export(q.Get("table"), int(v[0]))
 	})
-	verb(mux, "/d/drop", query, func(_ context.Context, q url.Values) (any, error) {
-		v, err := queryInts(q, "region", "mepoch")
+	httperr.Handle(mux, "/d/drop", func(_ *http.Request, q *url.Values) (any, error) {
+		v, err := queryInts(*q, "region", "mepoch")
 		if err != nil {
 			return nil, err
 		}
 		return done(rs.Drop(q.Get("table"), int(v[0]), v[1]))
 	})
-	verb(mux, "/d/role", body[roleWire], func(_ context.Context, req roleWire) (any, error) {
+	httperr.Handle(mux, "/d/role", func(_ *http.Request, req *roleWire) (any, error) {
 		return done(rs.SetRole(req.Table, req.Region, req.Primary, req.Followers, req.MasterEpoch))
 	})
 	return mux
@@ -255,23 +186,23 @@ func RegionServerHandler(rs *RegionServer) http.Handler {
 // MasterHandler exposes a master over HTTP.
 func MasterHandler(m *Master) http.Handler {
 	mux := http.NewServeMux()
-	verb(mux, "/d/join", body[Peer], func(_ context.Context, p Peer) (any, error) { return done(m.Join(p)) })
-	verb(mux, "/d/heartbeat", query, func(_ context.Context, q url.Values) (any, error) {
+	httperr.Handle(mux, "/d/join", func(_ *http.Request, p *Peer) (any, error) { return done(m.Join(*p)) })
+	httperr.Handle(mux, "/d/heartbeat", func(_ *http.Request, q *url.Values) (any, error) {
 		return done(m.Heartbeat(q.Get("id")))
 	})
-	verb(mux, "/d/meta", query, func(context.Context, url.Values) (any, error) { return ConnectMaster(m).Meta() })
-	verb(mux, "/d/createtable", query, func(_ context.Context, q url.Values) (any, error) {
+	httperr.Handle(mux, "/d/meta", func(*http.Request, *url.Values) (any, error) { return ConnectMaster(m).Meta() })
+	httperr.Handle(mux, "/d/createtable", func(_ *http.Request, q *url.Values) (any, error) {
 		return done(m.CreateTable(q.Get("name")))
 	})
-	verb(mux, "/d/move", query, func(_ context.Context, q url.Values) (any, error) {
-		v, err := queryInts(q, "region")
+	httperr.Handle(mux, "/d/move", func(_ *http.Request, q *url.Values) (any, error) {
+		v, err := queryInts(*q, "region")
 		if err != nil {
 			return nil, err
 		}
 		n, err := m.MoveRegion(q.Get("table"), int(v[0]), q.Get("to"))
 		return map[string]int64{"bytes_moved": n}, err
 	})
-	verb(mux, "/d/status", query, func(context.Context, url.Values) (any, error) {
+	httperr.Handle(mux, "/d/status", func(*http.Request, *url.Values) (any, error) {
 		if m.Stopped() {
 			return nil, errMasterStopped
 		}
@@ -279,22 +210,18 @@ func MasterHandler(m *Master) http.Handler {
 	})
 	// Master-to-master endpoints: lease pings, catalog-image pull and
 	// push, and the operator HA view.
-	verb(mux, "/m/ping", query, func(_ context.Context, q url.Values) (any, error) { return m.Ping(q.Get("from")) })
-	verb(mux, "/m/image", query, func(_ context.Context, q url.Values) (any, error) {
-		v, err := queryInts(q, "master_epoch", "epoch")
+	httperr.Handle(mux, "/m/ping", func(_ *http.Request, q *url.Values) (any, error) { return m.Ping(q.Get("from")) })
+	httperr.Handle(mux, "/m/image", func(_ *http.Request, q *url.Values) (any, error) {
+		v, err := queryInts(*q, "master_epoch", "epoch")
 		if err != nil {
 			return nil, err
 		}
 		return m.PullImage(v[0], v[1])
 	})
-	verb(mux, "/m/image/push", request, func(_ context.Context, r *http.Request) (any, error) {
-		img, err := body[MetaImage](r)
-		if err != nil {
-			return nil, err
-		}
-		return done(m.PushImage(r.URL.Query().Get("from"), img))
+	httperr.Handle(mux, "/m/image/push", func(r *http.Request, img *MetaImage) (any, error) {
+		return done(m.PushImage(r.URL.Query().Get("from"), *img))
 	})
-	verb(mux, "/m/status", query, func(context.Context, url.Values) (any, error) { return m.HAStatus() })
+	httperr.Handle(mux, "/m/status", func(*http.Request, *url.Values) (any, error) { return m.HAStatus() })
 	return mux
 }
 

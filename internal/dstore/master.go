@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pstorm/internal/hstore"
+	"pstorm/internal/httperr"
 	"pstorm/internal/obs"
 )
 
@@ -719,7 +720,7 @@ func (m *Master) CreateTableSplits(table string, splits []string) error {
 		err = m.reignLocked(f.epoch)
 	}
 	if _, ok := m.cat.Tables[table]; ok && err == nil {
-		err = fmt.Errorf("dstore: table %q already exists", table)
+		err = httperr.Errorf(httperr.CodeBadRequest, "dstore: table %q already exists", table)
 	}
 	var owe []owedRPC
 	if err == nil {
@@ -742,7 +743,7 @@ func (m *Master) planTableLocked(table string, splits []string) ([]RegionInfo, e
 		return nil, m.notLeaderLocked()
 	}
 	if _, ok := m.cat.Tables[table]; ok {
-		return nil, fmt.Errorf("dstore: table %q already exists", table)
+		return nil, httperr.Errorf(httperr.CodeBadRequest, "dstore: table %q already exists", table)
 	}
 	alive := m.aliveIDs()
 	if len(alive) == 0 {
@@ -1166,7 +1167,7 @@ func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error
 		err = m.notLeaderLocked()
 	case err != nil:
 	case !m.alive(to):
-		err = fmt.Errorf("dstore: move target %q not a live server", to)
+		err = httperr.Errorf(httperr.CodeBadRequest, "dstore: move target %q not a live server", to)
 	case to != g.Primary:
 		plan, f, err = m.beginLocked(g)
 	}
@@ -1212,14 +1213,14 @@ func (m *Master) MoveRegion(table string, regionID int, to string) (int64, error
 func (m *Master) regionLocked(table string, regionID int) (*RegionInfo, error) {
 	regions, ok := m.cat.Tables[table]
 	if !ok {
-		return nil, fmt.Errorf("dstore: table %q does not exist", table)
+		return nil, httperr.Errorf(httperr.CodeBadRequest, "dstore: table %q does not exist", table)
 	}
 	for i := range regions {
 		if regions[i].ID == regionID {
 			return &regions[i], nil
 		}
 	}
-	return nil, fmt.Errorf("dstore: region %d not in table %q", regionID, table)
+	return nil, httperr.Errorf(httperr.CodeBadRequest, "dstore: region %d not in table %q", regionID, table)
 }
 
 // ServerStatus is one row of the master's operator view.

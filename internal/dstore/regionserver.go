@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pstorm/internal/hstore"
+	"pstorm/internal/httperr"
 	"pstorm/internal/obs"
 )
 
@@ -540,7 +541,7 @@ func (rs *RegionServer) Install(snap *hstore.RegionSnapshot, masterEpoch int64) 
 	c.gate.Lock()
 	defer c.gate.Unlock()
 	if c.primary.Load() {
-		return fmt.Errorf("dstore: region %d of table %q is primary here, not a fenced copy to backfill", snap.RegionID, snap.Table)
+		return httperr.Errorf(httperr.CodeBadRequest, "dstore: region %d of table %q is primary here, not a fenced copy to backfill", snap.RegionID, snap.Table)
 	}
 	return rs.hs.BackfillRegion(snap)
 }

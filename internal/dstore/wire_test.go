@@ -502,13 +502,9 @@ func TestMasterStoppedClassifiesAsStopped(t *testing.T) {
 			masterOutage(master) != masterOutage(stopped) {
 			t.Errorf("%v classifies unlike %v", master, stopped)
 		}
-		a, b := httptest.NewRecorder(), httptest.NewRecorder()
-		writeHTTPErr(a, stopped)
-		writeHTTPErr(b, master)
-		ea, _ := httperr.Parse(a.Body.Bytes())
-		eb, _ := httperr.Parse(b.Body.Bytes())
-		if a.Code != b.Code || ea.Code != eb.Code || b.Code != http.StatusServiceUnavailable {
-			t.Errorf("%v answers %d %s, %v answers %d %s", stopped, a.Code, ea.Code, master, b.Code, eb.Code)
+		ea, eb := httperr.Of(stopped), httperr.Of(master)
+		if ea.Code != eb.Code || httperr.Status(eb.Code) != http.StatusServiceUnavailable {
+			t.Errorf("%v answers %s, %v answers %s", stopped, ea.Code, master, eb.Code)
 		}
 	}
 }

@@ -17,23 +17,14 @@ import (
 // FuzzGatewayRequest's path byte indexes them.
 var gatewayPaths = []string{"/g/tune", "/g/whatif", "/g/match", "/g/submit", "/g/profiles"}
 
-// writeErrStatus is the status writeErr answers each of its codes with.
-var writeErrStatus = map[string]int{
-	httperr.CodeInternal:    http.StatusInternalServerError,
-	httperr.CodeDeadline:    http.StatusGatewayTimeout,
-	httperr.CodeCanceled:    http.StatusGatewayTimeout,
-	httperr.CodeNotFound:    http.StatusNotFound,
-	httperr.CodeUnavailable: http.StatusServiceUnavailable,
-}
-
 // FuzzGatewayRequest sends one request — any method, a path from the
 // list with any query, any tenant header, any body — to Handler() over
 // an in-process store that holds tenant acme's profile
 // wordcount-run0001, through an httptest.ResponseRecorder. Nothing may
 // panic; a 2xx answer must be JSON and any other an httperr envelope,
-// and a 5xx must carry a code writeErr maps, with writeErr's status.
-// No answer may be internal: the store is unfaulted, so every refusal
-// is the request's own fault or its deadline.
+// and its status must be the httperr table's for its code, but for a
+// wrong method's 405. No answer may be internal: the store is unfaulted,
+// so every refusal is the request's own fault or its deadline.
 // The seed corpus under testdata/fuzz holds one well-formed request per
 // endpoint and one of each kind the gateway refuses.
 func FuzzGatewayRequest(f *testing.F) {
@@ -66,8 +57,9 @@ func FuzzGatewayRequest(f *testing.F) {
 		if !ok {
 			t.Fatalf("%q %s?%s: %d with a body that is not an httperr envelope: %q", method, req.URL.Path, rawQuery, rec.Code, got)
 		}
-		if e.Code == httperr.CodeInternal || rec.Code/100 == 5 && writeErrStatus[e.Code] != rec.Code {
-			t.Fatalf("%q %s?%s: %d with code %q, which writeErr does not answer with that status or the unfaulted store cannot cause", method, req.URL.Path, rawQuery, rec.Code, e.Code)
+		wrongMethod := rec.Code == http.StatusMethodNotAllowed && e.Code == httperr.CodeBadRequest
+		if e.Code == httperr.CodeInternal || !wrongMethod && httperr.Status(e.Code) != rec.Code {
+			t.Fatalf("%q %s?%s: %d with code %q, which the unfaulted store cannot cause or the table does not answer with that status", method, req.URL.Path, rawQuery, rec.Code, e.Code)
 		}
 	})
 }

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -189,7 +190,7 @@ func (g *Gateway) Obs() *obs.Registry { return g.o }
 // endpoints instrumented with per-tenant latency histograms.
 var latencyEndpoints = []string{"tune", "whatif", "match", "submit", "profiles"}
 
-var errNoTenant = errors.New("tenant required (" + TenantHeader + " header or ?tenant=)")
+var errNoTenant = httperr.Errorf(httperr.CodeBadRequest, "tenant required ("+TenantHeader+" header or ?tenant=)")
 
 // tenant returns (building and caching on first use) the serving state
 // of r's tenant, named by the header or else the query. Building opens
@@ -205,7 +206,7 @@ func (g *Gateway) tenant(r *http.Request) (*tenantState, error) {
 		return nil, errNoTenant
 	}
 	if err := core.ValidateTenant(name); err != nil {
-		return nil, err
+		return nil, httperr.Errorf(httperr.CodeBadRequest, "%w", err)
 	}
 	g.mu.Lock()
 	if ts, ok := g.tenants[name]; ok {
@@ -265,8 +266,8 @@ func (g *Gateway) degraded() bool {
 }
 
 // admit runs the admission pipeline for one request. On success the
-// caller owes a release(ts).
-func (g *Gateway) admit(ts *tenantState) *admitError {
+// caller owes a release(ts); a refusal is a shed with its Retry-After.
+func (g *Gateway) admit(ts *tenantState) *httperr.Error {
 	// 1. Global ceiling: shed rather than queue.
 	g.mu.Lock()
 	over := g.opt.MaxInflight > 0 && g.inflight >= g.opt.MaxInflight
@@ -275,28 +276,27 @@ func (g *Gateway) admit(ts *tenantState) *admitError {
 	}
 	g.mu.Unlock()
 	if over {
-		return &admitError{status: http.StatusTooManyRequests, code: httperr.CodeOverCapacity,
-			msg: "gateway at capacity", retryAfter: time.Second}
+		return &httperr.Error{Code: httperr.CodeOverCapacity, Message: "gateway at capacity", RetryAfter: time.Second}
 	}
 
 	// 2. Degraded shed: best-effort tenants (Priority <= 0) go first.
 	if ts.cfg.Priority <= 0 && g.degraded() {
-		return g.unadmit(&admitError{status: http.StatusTooManyRequests, code: httperr.CodeShedDegraded,
-			msg: "store degraded; shedding priority<=0 tenants", retryAfter: degradeCooldown})
+		return g.unadmit(&httperr.Error{Code: httperr.CodeShedDegraded,
+			Message: "store degraded; shedding priority<=0 tenants", RetryAfter: degradeCooldown})
 	}
 
 	// 3. Per-tenant rate quota.
 	if ts.bkt != nil {
 		if ok, retry := ts.bkt.take(g.opt.Now()); !ok {
-			return g.unadmit(&admitError{status: http.StatusTooManyRequests, code: httperr.CodeRateLimited,
-				msg: fmt.Sprintf("tenant %s over rate quota (%.3g req/s)", ts.name, ts.cfg.RatePerSec), retryAfter: retry})
+			return g.unadmit(&httperr.Error{Code: httperr.CodeRateLimited,
+				Message: fmt.Sprintf("tenant %s over rate quota (%.3g req/s)", ts.name, ts.cfg.RatePerSec), RetryAfter: retry})
 		}
 	}
 
 	// 4. Per-tenant concurrency ceiling.
 	if ts.cfg.MaxInflight > 0 && ts.inflight.Value() >= int64(ts.cfg.MaxInflight) {
-		return g.unadmit(&admitError{status: http.StatusTooManyRequests, code: httperr.CodeOverCapacity,
-			msg: fmt.Sprintf("tenant %s at concurrency ceiling (%d)", ts.name, ts.cfg.MaxInflight), retryAfter: time.Second})
+		return g.unadmit(&httperr.Error{Code: httperr.CodeOverCapacity,
+			Message: fmt.Sprintf("tenant %s at concurrency ceiling (%d)", ts.name, ts.cfg.MaxInflight), RetryAfter: time.Second})
 	}
 	ts.inflight.Add(1)
 	return nil
@@ -304,7 +304,7 @@ func (g *Gateway) admit(ts *tenantState) *admitError {
 
 // unadmit gives back the global slot step 1 took for a request a later
 // step refuses.
-func (g *Gateway) unadmit(aerr *admitError) *admitError {
+func (g *Gateway) unadmit(aerr *httperr.Error) *httperr.Error {
 	g.mu.Lock()
 	g.inflight--
 	g.mu.Unlock()
@@ -318,94 +318,66 @@ func (g *Gateway) release(ts *tenantState) {
 	g.mu.Unlock()
 }
 
-// writeErr maps an evaluation error onto the shared envelope. An
-// ErrExhausted, which the store client returns only once its retries
-// ran out of attempts, also trips the gateway's own degraded signal.
-func (g *Gateway) writeErr(w http.ResponseWriter, err error) {
+// failed marks a refusal or an endpoint's error with the gateway's
+// degraded state. An ErrExhausted, which the store client returns only
+// once its retries ran out of attempts, first trips that state.
+func (g *Gateway) failed(err error) error {
 	if errors.Is(err, dstore.ErrExhausted) {
 		g.mu.Lock()
 		g.degradeUntil = g.opt.Now().Add(degradeCooldown)
 		g.mu.Unlock()
 		g.cDegradeTrips.Inc()
 	}
-	status, code := http.StatusInternalServerError, httperr.CodeInternal
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		status, code = http.StatusGatewayTimeout, httperr.CodeDeadline
-	case errors.Is(err, context.Canceled):
-		status, code = http.StatusGatewayTimeout, httperr.CodeCanceled
-	case errors.Is(err, core.ErrNotFound):
-		status, code = http.StatusNotFound, httperr.CodeNotFound
-	case errors.Is(err, dstore.ErrExhausted):
-		status, code = http.StatusServiceUnavailable, httperr.CodeUnavailable
-	case errors.As(err, new(badRequest)):
-		status, code = http.StatusBadRequest, httperr.CodeBadRequest
-	}
-	httperr.Write(w, status, code, err.Error(), g.degraded())
+	e := httperr.Of(err)
+	e.Degraded = g.degraded()
+	return &e
 }
 
-// Handler returns the gateway's HTTP surface: every endpoint under /g/.
+// Handler returns the gateway's HTTP surface: every endpoint under /g/
+// (pstormd mounts it next to the wire protocol).
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	g.Mount(mux)
+	route(g, mux, "tune", tuneKey, (*tenantState).tune)
+	route(g, mux, "whatif", whatifKey, (*tenantState).whatif)
+	route(g, mux, "match", matchKey, (*tenantState).match)
+	route(g, mux, "submit", nil, (*tenantState).submit)
+	route(g, mux, "profiles", nil, (*tenantState).profiles)
 	return mux
 }
 
-// Mount registers the gateway endpoints on an existing mux (pstormd
-// mounts them next to the wire protocol).
-func (g *Gateway) Mount(mux *http.ServeMux) {
-	handle(g, mux, "tune", http.MethodPost, tuneKey, (*tenantState).tune)
-	handle(g, mux, "whatif", http.MethodPost, whatifKey, (*tenantState).whatif)
-	handle(g, mux, "match", http.MethodPost, matchKey, (*tenantState).match)
-	handle(g, mux, "submit", http.MethodPost, submitKey, (*tenantState).submit)
-	handle(g, mux, "profiles", http.MethodGet, nil, (*tenantState).profiles)
-}
-
-// handle registers /g/<ep> and owns its pipeline: method check, tenant,
-// admission, latency histogram, a POST body's JSON decode, prep — which
-// checks the request (an error is a 400) and returns the key its flight
-// coalesces on ("": none) and the caller's deadline (<= 0 ms: none) —
-// then do, the endpoint's own work, and the JSON or envelope answer.
-func handle[Req any](g *Gateway, mux *http.ServeMux, ep, method string,
-	prep func(tenant string, req *Req) (key string, deadlineMs int64, err error),
+// route registers /g/<ep> through httperr.Handle, with the gateway's
+// own step around do, the endpoint's work: tenant, admission, latency
+// histogram, then prep — which checks the request and returns the key
+// its flight coalesces on ("": none; prep nil: never) — and do under
+// that flight, its error marked by failed.
+func route[Req any](g *Gateway, mux *http.ServeMux, ep string,
+	prep func(tenant string, req *Req) (key string, err error),
 	do func(ts *tenantState, ctx context.Context, req *Req) (any, error)) {
 	reqs := g.o.Counter("gateway_requests_total", "endpoint", ep)
-	mux.HandleFunc("/g/"+ep, func(w http.ResponseWriter, r *http.Request) {
+	httperr.Handle(mux, "/g/"+ep, func(r *http.Request, req *Req) (any, error) {
 		reqs.Inc()
-		if r.Method != method {
-			httperr.Write(w, http.StatusMethodNotAllowed, httperr.CodeBadRequest, method+" only", false)
-			return
-		}
 		ts, err := g.tenant(r)
 		if err != nil {
-			httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, err.Error(), false)
-			return
+			return nil, err
 		}
 		if aerr := g.admit(ts); aerr != nil {
-			g.o.Counter("gateway_shed_total", "reason", aerr.code, "tenant", ts.name).Inc()
-			httperr.WriteRetryAfter(w, aerr.status, aerr.code, aerr.msg, g.degraded(), aerr.retryAfter)
-			return
+			g.o.Counter("gateway_shed_total", "reason", aerr.Code, "tenant", ts.name).Inc()
+			return nil, g.failed(aerr)
 		}
 		defer g.release(ts)
 		start := g.opt.Now()
-		var req Req
-		key, deadlineMs := "", int64(0)
-		if method == http.MethodPost {
-			err = json.NewDecoder(r.Body).Decode(&req)
+		flightKey := ""
+		if prep != nil {
+			flightKey, err = prep(ts.name, req)
 		}
-		if err == nil && prep != nil {
-			key, deadlineMs, err = prep(ts.name, &req)
-		}
-		work := func(ctx context.Context) (any, error) { return do(ts, ctx, &req) }
-		if err != nil {
-			httperr.Write(w, http.StatusBadRequest, httperr.CodeBadRequest, err.Error(), false)
-		} else if v, err := g.run(r.Context(), key, deadlineMs, work); err != nil {
-			g.writeErr(w, err)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(v)
+		var v any
+		if err == nil {
+			if v, err = g.run(r.Context(), flightKey, func(ctx context.Context) (any, error) { return do(ts, ctx, req) }); err != nil {
+				err = g.failed(err)
+			}
 		}
 		ts.lat[ep].Observe(float64(g.opt.Now().Sub(start)) / float64(time.Millisecond))
+		return v, err
 	})
 }
 
@@ -413,15 +385,9 @@ func handle[Req any](g *Gateway, mux *http.ServeMux, ep, method string,
 // marked as coalesced.
 type coalescible interface{ joined() any }
 
-// run does work under the caller's deadline, as the leader or a joiner
-// of key's flight unless key is "", and counts the flight's leaders and
-// hits.
-func (g *Gateway) run(ctx context.Context, key string, deadlineMs int64, work func(context.Context) (any, error)) (any, error) {
-	if deadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMs)*time.Millisecond)
-		defer cancel()
-	}
+// run does work as the leader or a joiner of key's flight unless key is
+// "", and counts the flight's leaders and hits.
+func (g *Gateway) run(ctx context.Context, key string, work func(context.Context) (any, error)) (any, error) {
 	if key == "" {
 		return work(ctx)
 	}
@@ -437,11 +403,7 @@ func (g *Gateway) run(ctx context.Context, key string, deadlineMs int64, work fu
 	return v.(coalescible).joined(), nil
 }
 
-var errJobID = errors.New("job_id required")
-
-// badRequest marks a request the endpoint found malformed only after
-// its lookup: a what-if config out of range for a stored profile.
-type badRequest struct{ error }
+var errJobID = httperr.Errorf(httperr.CodeBadRequest, "job_id required")
 
 // workload resolves a named job and dataset; an unknown name is
 // not_found.
@@ -481,17 +443,20 @@ type TuneResponse struct {
 
 func (r TuneResponse) joined() any { r.Coalesced = true; return &r }
 
+// Deadline is the caller's deadline_ms, which httperr.Handle reads.
+func (r *TuneRequest) Deadline() time.Duration { return time.Duration(r.DeadlineMs) * time.Millisecond }
+
 // tuneKey is the canonical coalescing identity of a tune request. The
 // seed is the caller-visible part of the search identity; the config
 // space itself is canonical via whatif.Quantize inside the evaluator.
-func tuneKey(tenant string, req *TuneRequest) (string, int64, error) {
+func tuneKey(tenant string, req *TuneRequest) (string, error) {
 	if req.JobID == "" {
-		return "", 0, errJobID
+		return "", errJobID
 	}
 	return strings.Join([]string{"tune", tenant, req.JobID,
 		strconv.FormatInt(req.InputBytes, 10),
 		strconv.Itoa(req.Budget),
-		strconv.FormatInt(req.Seed, 10)}, "\x00"), req.DeadlineMs, nil
+		strconv.FormatInt(req.Seed, 10)}, "\x00"), nil
 }
 
 func (ts *tenantState) tune(ctx context.Context, req *TuneRequest) (any, error) {
@@ -535,14 +500,14 @@ func (r WhatIfResponse) joined() any { r.Coalesced = true; return &r }
 // quantize identically — i.e. ask the same question of the What-If
 // model — coalesce onto one flight. Struct field order makes the JSON
 // encoding deterministic.
-func whatifKey(tenant string, req *WhatIfRequest) (string, int64, error) {
+func whatifKey(tenant string, req *WhatIfRequest) (string, error) {
 	if req.JobID == "" {
-		return "", 0, errJobID
+		return "", errJobID
 	}
 	req.Config = whatif.Quantize(req.Config)
 	raw, _ := json.Marshal(req.Config)
 	return strings.Join([]string{"whatif", tenant, req.JobID,
-		strconv.FormatInt(req.InputBytes, 10), string(raw)}, "\x00"), 0, nil
+		strconv.FormatInt(req.InputBytes, 10), string(raw)}, "\x00"), nil
 }
 
 func (ts *tenantState) whatif(ctx context.Context, req *WhatIfRequest) (any, error) {
@@ -551,7 +516,7 @@ func (ts *tenantState) whatif(ctx context.Context, req *WhatIfRequest) (any, err
 		return nil, err
 	}
 	if err := req.Config.Validate(); err != nil {
-		return nil, badRequest{err}
+		return nil, httperr.Errorf(httperr.CodeBadRequest, "%w", err)
 	}
 	inputBytes := req.InputBytes
 	if inputBytes <= 0 {
@@ -586,8 +551,8 @@ type MatchResponse struct {
 
 func (r MatchResponse) joined() any { r.Coalesced = true; return &r }
 
-func matchKey(tenant string, req *MatchRequest) (string, int64, error) {
-	return strings.Join([]string{"match", tenant, req.Job, req.Dataset}, "\x00"), 0, nil
+func matchKey(tenant string, req *MatchRequest) (string, error) {
+	return strings.Join([]string{"match", tenant, req.Job, req.Dataset}, "\x00"), nil
 }
 
 func (ts *tenantState) match(ctx context.Context, req *MatchRequest) (any, error) {
@@ -633,7 +598,10 @@ type SubmitResponse struct {
 	Degraded        bool    `json:"degraded,omitempty"`
 }
 
-func submitKey(_ string, req *SubmitRequest) (string, int64, error) { return "", req.DeadlineMs, nil }
+// Deadline is the caller's deadline_ms, which httperr.Handle reads.
+func (r *SubmitRequest) Deadline() time.Duration {
+	return time.Duration(r.DeadlineMs) * time.Millisecond
+}
 
 func (ts *tenantState) submit(ctx context.Context, req *SubmitRequest) (any, error) {
 	spec, ds, err := workload(req.Job, req.Dataset)
@@ -657,7 +625,7 @@ type ProfilesResponse struct {
 	JobIDs []string `json:"job_ids"`
 }
 
-func (ts *tenantState) profiles(ctx context.Context, _ *struct{}) (any, error) {
+func (ts *tenantState) profiles(ctx context.Context, _ *url.Values) (any, error) {
 	ids, err := ts.sys.Store.JobIDs(ctx)
 	if ids == nil {
 		ids = []string{}

@@ -764,6 +764,10 @@ func TestTenantRequired(t *testing.T) {
 	}
 }
 
+// TestTuneDeadlineEnvelope parks a tune's store reads at a closed gate
+// past the caller's budget, sent either as the body's deadline_ms or as
+// the X-Pstorm-Deadline header every endpoint reads: both are a 504
+// deadline.
 func TestTuneDeadlineEnvelope(t *testing.T) {
 	gate := &gateKV{kv: hstore.Connect(hstore.NewServer())}
 	eng := engine.New(cluster.Default16(), 7)
@@ -773,13 +777,40 @@ func TestTuneDeadlineEnvelope(t *testing.T) {
 	prime(t, srv, "acme")
 	gate.open()
 	defer gate.release()
-	status, raw, _ := doReq(t, http.MethodPost, srv.URL+"/g/tune", "acme",
-		TuneRequest{JobID: prof.JobID, Budget: 6, DeadlineMs: 30})
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("deadline tune: status %d, want 504: %s", status, raw)
-	}
-	if code := envelopeCode(t, raw); code != httperr.CodeDeadline {
-		t.Errorf("envelope code = %q, want %q", code, httperr.CodeDeadline)
+	for _, tc := range []struct {
+		name, header string
+		req          TuneRequest
+	}{
+		{"deadline_ms", "", TuneRequest{JobID: prof.JobID, Budget: 6, Seed: 1, DeadlineMs: 30}},
+		{httperr.DeadlineHeader, "1", TuneRequest{JobID: prof.JobID, Budget: 6, Seed: 2}},
+	} {
+		raw, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/g/tune", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, "acme")
+		if tc.header != "" {
+			req.Header.Set(httperr.DeadlineHeader, tc.header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want 504: %s", tc.name, resp.StatusCode, body)
+		}
+		if code := envelopeCode(t, body); code != httperr.CodeDeadline {
+			t.Errorf("%s: envelope code = %q, want %q", tc.name, code, httperr.CodeDeadline)
+		}
 	}
 }
 

@@ -68,12 +68,3 @@ func (b *bucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	need := (1 - b.tokens) / b.rate
 	return false, time.Duration(need * float64(time.Second))
 }
-
-// admitError is an admission rejection: the HTTP status, envelope code,
-// and Retry-After hint the shed response should carry.
-type admitError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"pstorm/internal/httperr"
 )
 
 // NotServingError reports that the addressed row (or scan range) is not
@@ -22,6 +24,9 @@ func (e *NotServingError) Error() string {
 	return fmt.Sprintf("hstore: region for %s/%q not serving here", e.Table, e.Row)
 }
 
+// ErrorCode names the wire code: the client re-routes and retries.
+func (e *NotServingError) ErrorCode() string { return httperr.CodeNotServing }
+
 // IsNotServing reports whether err is (or wraps) a NotServingError.
 func IsNotServing(err error) bool {
 	if err == nil {
@@ -38,7 +43,7 @@ func IsNotServing(err error) bool {
 // request that reached it was routed by META, so the table exists
 // cluster-wide and its absence here means the route is stale — e.g. a
 // restarted-empty incarnation still named by a client's cached route.
-var ErrNoTable = errors.New("does not exist")
+var ErrNoTable = httperr.Errorf(httperr.CodeBadRequest, "does not exist")
 
 // RegionSnapshot is an immutable export of one region: its bounds plus
 // the newest live cell of every (row, column), timestamps preserved.
@@ -96,7 +101,7 @@ func (s *Server) ExportRegion(table string, regionID int) (*RegionSnapshot, erro
 // copy may hold rows deleted since.
 func (s *Server) InstallRegion(snap *RegionSnapshot) error {
 	if snap == nil || snap.Table == "" {
-		return fmt.Errorf("hstore: install needs a table name")
+		return httperr.Errorf(httperr.CodeBadRequest, "hstore: install needs a table name")
 	}
 	s.mu.Lock()
 	t, ok := s.tables[snap.Table]
@@ -107,11 +112,11 @@ func (s *Server) InstallRegion(snap *RegionSnapshot) error {
 	for _, g := range t.regions {
 		if g.id == snap.RegionID {
 			s.mu.Unlock()
-			return fmt.Errorf("hstore: region %d already hosted for table %q", snap.RegionID, snap.Table)
+			return httperr.Errorf(httperr.CodeBadRequest, "hstore: region %d already hosted for table %q", snap.RegionID, snap.Table)
 		}
 		if rangesOverlap(g.startKey, g.endKey, snap.StartKey, snap.EndKey) {
 			s.mu.Unlock()
-			return fmt.Errorf("hstore: region [%q,%q) overlaps hosted region %d [%q,%q)",
+			return httperr.Errorf(httperr.CodeBadRequest, "hstore: region [%q,%q) overlaps hosted region %d [%q,%q)",
 				snap.StartKey, snap.EndKey, g.id, g.startKey, g.endKey)
 		}
 	}
@@ -167,7 +172,7 @@ func (s *Server) DropRegion(table string, regionID int) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("hstore: region %d not hosted for table %q", regionID, table)
+	return httperr.Errorf(httperr.CodeBadRequest, "hstore: region %d not hosted for table %q", regionID, table)
 }
 
 // LookupRegion returns the catalog entry of the hosted region owning
@@ -208,7 +213,7 @@ func (s *Server) regionByID(table string, regionID int) (*region, error) {
 			return g, nil
 		}
 	}
-	return nil, fmt.Errorf("hstore: region %d not hosted for table %q", regionID, table)
+	return nil, httperr.Errorf(httperr.CodeBadRequest, "hstore: region %d not hosted for table %q", regionID, table)
 }
 
 // rangesOverlap reports whether [s1,e1) and [s2,e2) intersect, with ""

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pstorm/internal/httperr"
 	"pstorm/internal/obs"
 )
 
@@ -292,7 +293,7 @@ func (s *Server) PutCell(tableName, row, column string, value []byte) (Cell, err
 // regardless.
 func (s *Server) applyCell(tableName string, c Cell, local bool) error {
 	if c.Row == "" {
-		return fmt.Errorf("hstore: table %q: empty row key", tableName)
+		return httperr.Errorf(httperr.CodeBadRequest, "hstore: table %q: empty row key", tableName)
 	}
 	t, err := s.table(tableName)
 	if err != nil {

@@ -1,23 +1,26 @@
-// Package httperr is the JSON error envelope every HTTP surface of the
-// repo speaks: the dstore /d/* wire protocol and the gateway serving
-// tier. One shape everywhere means a client can always distinguish "the
-// store is degraded but answering" from "your request is malformed"
-// without parsing prose, and a shed request always carries a
-// machine-readable code plus Retry-After.
-//
-// The envelope is:
+// Package httperr is the repo's one HTTP boundary: every /d/*, /m/* and
+// /g/* endpoint is one Handle registration, which answers success as
+// JSON and failure as one error envelope:
 //
 //	{"error": {"code": "deadline", "message": "...", "degraded": false}}
 //
 // Codes are stable lowercase_snake identifiers, not HTTP reasons: the
-// HTTP status says what the transport should do (retry, back off, give
-// up); the code says what actually happened.
+// status says what the transport should do (retry, back off, give up);
+// the code says what actually happened, so a client can tell "the store
+// is degraded" from "your request is malformed" without parsing prose.
+// Each code has one status, in one table. An error names its code where
+// it is made, by an ErrorCode method that errors.As finds in its chain:
+// Errorf attaches one, and *Error is a whole envelope. An error that
+// names none is internal, except the context errors, rows of the table.
 package httperr
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 )
@@ -39,12 +42,52 @@ const (
 	CodeInternal      = "internal"       // everything else
 )
 
-// Error is the envelope body.
+// table is the one code → status table. cause is a foreign error that
+// names no code of its own but answers with this row's.
+var table = []struct {
+	code   string
+	status int
+	cause  error
+}{
+	{CodeBadRequest, http.StatusBadRequest, nil},
+	{CodeNotFound, http.StatusNotFound, nil},
+	{CodeDeadline, http.StatusGatewayTimeout, context.DeadlineExceeded},
+	{CodeCanceled, http.StatusGatewayTimeout, context.Canceled},
+	{CodeUnavailable, http.StatusServiceUnavailable, nil},
+	{CodeNotServing, http.StatusConflict, nil},
+	// 421: this server cannot answer, but another can.
+	{CodeNotLeader, http.StatusMisdirectedRequest, nil},
+	{CodeStaleMaster, http.StatusMisdirectedRequest, nil},
+	{CodeUnknownServer, http.StatusNotFound, nil},
+	{CodeRateLimited, http.StatusTooManyRequests, nil},
+	{CodeOverCapacity, http.StatusTooManyRequests, nil},
+	{CodeShedDegraded, http.StatusTooManyRequests, nil},
+	{CodeInternal, http.StatusInternalServerError, nil},
+}
+
+// Status is the HTTP status code answers with; a code not in the table
+// answers as internal.
+func Status(code string) int {
+	for _, row := range table {
+		if row.code == code {
+			return row.status
+		}
+	}
+	return http.StatusInternalServerError
+}
+
+// Error is the envelope body. As an error it answers with exactly
+// itself: a shed's Retry-After and degraded mark, a redirect hint.
 type Error struct {
 	Code     string `json:"code"`
 	Message  string `json:"message"`
 	Degraded bool   `json:"degraded,omitempty"`
+	// RetryAfter, when positive, goes out as a Retry-After header.
+	RetryAfter time.Duration `json:"-"`
 }
+
+func (e *Error) Error() string     { return e.Message }
+func (e *Error) ErrorCode() string { return e.Code }
 
 // Envelope is the wire shape: the error nested under one key so a
 // success body can never be mistaken for a failure.
@@ -52,22 +95,37 @@ type Envelope struct {
 	Error Error `json:"error"`
 }
 
-// Write sends the envelope with the given HTTP status.
-func Write(w http.ResponseWriter, status int, code, message string, degraded bool) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(Envelope{Error: Error{Code: code, Message: message, Degraded: degraded}})
+type coder interface{ ErrorCode() string }
+
+type coded struct {
+	error
+	code string
 }
 
-// WriteRetryAfter is Write plus a Retry-After header (rounded up to
-// whole seconds, minimum 1) — the shape of every 429 the gateway sheds.
-func WriteRetryAfter(w http.ResponseWriter, status int, code, message string, degraded bool, retryAfter time.Duration) {
-	secs := int64((retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+func (c *coded) ErrorCode() string { return c.code }
+func (c *coded) Unwrap() error     { return c.error }
+
+// Errorf is fmt.Errorf naming code; Errorf(code, "%w", err) tags err,
+// its text and chain unchanged.
+func Errorf(code, format string, a ...any) error { return &coded{fmt.Errorf(format, a...), code} }
+
+// Of is the envelope err answers with: the outermost error in its chain
+// that names a code — an *Error as is, any other with err's text — else
+// the row of a context error it wraps, else internal.
+func Of(err error) Error {
+	var c coder
+	if errors.As(err, &c) {
+		if e, ok := c.(*Error); ok {
+			return *e
+		}
+		return Error{Code: c.ErrorCode(), Message: err.Error()}
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	Write(w, status, code, message, degraded)
+	for _, row := range table {
+		if row.cause != nil && errors.Is(err, row.cause) {
+			return Error{Code: row.code, Message: err.Error()}
+		}
+	}
+	return Error{Code: CodeInternal, Message: err.Error()}
 }
 
 // Parse decodes an envelope from a response body. ok is false when the
@@ -104,19 +162,69 @@ func SetDeadlineHeader(h http.Header, ctx context.Context) {
 	h.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
 }
 
-// ContextFromRequest derives a server-side request context: r's own
-// context (canceled when the client connection drops) bounded by the
-// remaining budget the client sent in DeadlineHeader, if any. The
-// returned cancel must be called when the handler finishes.
-func ContextFromRequest(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	v := r.Header.Get(DeadlineHeader)
-	if v == "" {
-		return context.WithCancel(ctx)
+// budget is the time the caller gave: DeadlineHeader, narrowed by a
+// body's own Deadline() (a deadline_ms field, <= 0 none). ok is false
+// when neither was sent.
+func budget(r *http.Request, in any) (d time.Duration, ok bool) {
+	if v := r.Header.Get(DeadlineHeader); v != "" {
+		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms >= 0 {
+			d, ok = time.Duration(ms)*time.Millisecond, true
+		}
 	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms < 0 {
-		return context.WithCancel(ctx)
+	if b, isB := in.(interface{ Deadline() time.Duration }); isB {
+		if bd := b.Deadline(); bd > 0 && (!ok || bd < d) {
+			d, ok = bd, true
+		}
 	}
-	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	return d, ok
+}
+
+// call reads r's input into a new T and runs do under r's context
+// bounded by the caller's budget, if it sent one.
+func call[T any](r *http.Request, do func(*http.Request, *T) (any, error)) (any, error) {
+	v := new(T)
+	if q, query := any(v).(*url.Values); query {
+		*q = r.URL.Query()
+	} else if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return nil, Errorf(CodeBadRequest, "%w", err)
+	}
+	if d, ok := budget(r, v); ok {
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		defer cancel()
+		r = r.WithContext(ctx)
+	}
+	return do(r, v)
+}
+
+// Handle registers path on mux as one endpoint. do's input says what it
+// reads: *url.Values the query of a GET, anything else the JSON body of
+// a POST. Another method is a 405, a body that does not decode a 400.
+// do's answer goes back as JSON, its error as the envelope Of names,
+// with its Retry-After in whole seconds, at least 1.
+func Handle[T any](mux *http.ServeMux, path string, do func(r *http.Request, in *T) (any, error)) {
+	method := http.MethodPost
+	if _, query := any((*T)(nil)).(*url.Values); query {
+		method = http.MethodGet
+	}
+	wrongMethod := Error{Code: CodeBadRequest, Message: method + " only"}
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		status, e := http.StatusMethodNotAllowed, wrongMethod
+		if r.Method == method {
+			out, err := call(r, do)
+			if err == nil {
+				if err = json.NewEncoder(w).Encode(out); err == nil {
+					return
+				}
+			}
+			e = Of(err)
+			status = Status(e.Code)
+		}
+		if e.RetryAfter > 0 {
+			secs := max(int64((e.RetryAfter+time.Second-1)/time.Second), 1)
+			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		}
+		w.WriteHeader(status)
+		_ = json.NewEncoder(w).Encode(Envelope{Error: e})
+	})
 }
