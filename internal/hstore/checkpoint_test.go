@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // tearFS tears the first write to any file whose base name starts with
@@ -254,5 +255,118 @@ func TestCheckpointKeepsWriteAckedMidSave(t *testing.T) {
 	}
 	if r, ok, err := back.Get("a", "mid"); err != nil || !ok || string(r.Columns["c"]) != "acked" {
 		t.Fatalf("row acked mid-checkpoint after reopen = %v (ok=%v err=%v)", r, ok, err)
+	}
+}
+
+// hookFS runs hook just after the first rename onto a MANIFEST.
+type hookFS struct {
+	FS
+	hook func()
+}
+
+func (f *hookFS) Rename(oldpath, newpath string) error {
+	err := f.FS.Rename(oldpath, newpath)
+	if hook := f.hook; hook != nil && err == nil && filepath.Base(newpath) == manifestName {
+		f.hook = nil
+		hook()
+	}
+	return err
+}
+
+// TestOverlappingCheckpointsKeepAckedRows runs a whole second SaveTo
+// inside the first, just after the first's MANIFEST lands: the second
+// empties the WAL, then more puts grow it past the first's mark. The
+// first must not cut the log at its stale offset, which now falls
+// inside a frame: reopened, every acked row is there.
+func TestOverlappingCheckpointsKeepAckedRows(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &hookFS{FS: OSFS}
+	s, err := OpenDurableWith(dir, DurableOptions{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	put := func(k, v string) {
+		mustPut(t, s, "t", k, "c", v)
+		want[k] = v
+	}
+	// Long values before the first mark, short ones after it, so the
+	// stale mark is no multiple of the later frames' size.
+	for i := 0; i < 3; i++ {
+		put(fmt.Sprintf("a%d", i), strings.Repeat("x", 37))
+	}
+	fsys.hook = func() {
+		put("b0", "v")
+		if err := s.SaveTo(dir); err != nil {
+			t.Error(err)
+		}
+		for i := 1; i < 40; i++ {
+			put(fmt.Sprintf("b%02d", i), "v")
+		}
+	}
+	if err := s.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range want {
+		if r, ok, err := back.Get("t", k); err != nil || !ok || string(r.Columns["c"]) != v {
+			t.Fatalf("acked row %s after reopen = %v (ok=%v err=%v)", k, r, ok, err)
+		}
+	}
+}
+
+// TestCheckpointMarkWaitsForLoggedWrite parks a put after its WAL
+// append, before its memstore insert, and starts SaveTo meanwhile. The
+// checkpoint's mark must wait for the put: taken at once, it would
+// cover the put's frame while the compaction misses the row, and the
+// row would be gone after reopen.
+func TestCheckpointMarkWaitsForLoggedWrite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable("a"); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "a", "r0", "c", "v")
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.logged = func() {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	putDone := make(chan error, 1)
+	go func() { putDone <- s.Put("a", "mid", "c", []byte("acked")) }()
+	<-parked
+	saved := make(chan error, 1)
+	go func() { saved <- s.SaveTo(dir) }()
+	// Give SaveTo time to finish if its mark does not wait for the put.
+	select {
+	case err := <-saved:
+		saved <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-putDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok, err := back.Get("a", "mid"); err != nil || !ok || string(r.Columns["c"]) != "acked" {
+		t.Fatalf("row logged before the mark, after reopen = %v (ok=%v err=%v)", r, ok, err)
 	}
 }

@@ -102,6 +102,9 @@ type Log struct {
 	// can be rolled back: a record landing after garbage would be lost
 	// at replay, which stops at the first bad frame.
 	size int64
+	// rewrites counts Rewrite and DropBefore calls, so a stale Mark
+	// is never taken for a frame boundary of the new file.
+	rewrites int64
 	// broken latches the log read-only once its tail state is unknown.
 	broken error
 }
@@ -174,25 +177,41 @@ func (l *Log) Rewrite(data []byte) error {
 	return l.rewriteLocked(data)
 }
 
-// DropBefore rewrites the log without its first mark bytes — records a
-// checkpoint now covers — keeping every frame appended since, and fails
-// as Rewrite does. It reads and replaces under the lock, so no append
-// lands in between. A mark past the end (a rewrite ran since it was
-// taken) keeps the whole log: replay is idempotent, loss is not.
-func (l *Log) DropBefore(mark int64) error {
+// Mark is a position in a Log: its length when Mark was called, valid
+// only until the log is next rewritten.
+type Mark struct {
+	rewrites int64
+	size     int64
+}
+
+// Mark returns the log's current end, for a later DropBefore.
+func (l *Log) Mark() Mark {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if mark == l.size || l.broken != nil {
-		return l.rewriteLocked(nil)
+	return Mark{l.rewrites, l.size}
+}
+
+// DropBefore rewrites the log without the records before m — records a
+// checkpoint now covers — keeping every frame appended since, and fails
+// as Rewrite does. It reads and replaces under the lock, so no append
+// lands in between. If the log was rewritten since m was taken, m's
+// offset no longer names a frame boundary and the log is kept whole:
+// replay is idempotent, loss is not.
+func (l *Log) DropBefore(m Mark) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.broken != nil || m.rewrites != l.rewrites {
+		return l.broken
 	}
-	raw, err := l.fs.ReadFile(l.path)
-	if err != nil {
-		return err
+	var rest []byte
+	if m.size < l.size {
+		raw, err := l.fs.ReadFile(l.path)
+		if err != nil {
+			return err
+		}
+		rest = raw[m.size:l.size]
 	}
-	if mark > l.size {
-		mark = 0
-	}
-	return l.rewriteLocked(raw[mark:l.size])
+	return l.rewriteLocked(rest)
 }
 
 func (l *Log) rewriteLocked(data []byte) error {
@@ -209,6 +228,7 @@ func (l *Log) rewriteLocked(data []byte) error {
 	}
 	l.f.Close() //nolint:errcheck — the old inode is already unlinked
 	l.f, l.size = f, int64(len(data))
+	l.rewrites++
 	return nil
 }
 

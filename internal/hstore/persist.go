@@ -40,17 +40,20 @@ const manifestName = "MANIFEST.json"
 // renamed), and only then does the WAL drop the records logged before
 // the first compaction began. A crash or a failed write part-way leaves
 // every file whole — old or new, each covered by the WAL, which still
-// holds every write since the last checkpoint. A write acked while the
-// checkpoint runs stays in the WAL: its region's file may already be
-// written without it.
+// holds every write since the last checkpoint. The mark waits for every
+// write already in the WAL to reach its memstore, so the compactions
+// cover all of them; a write logged after the mark stays in the WAL,
+// since its region's file may already be written without it.
 func (s *Server) SaveTo(dir string) error {
 	fsys := s.fsys()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var mark int64
+	var mark Mark
 	if s.wal != nil {
-		mark = s.wal.Size()
+		s.ckpt.Lock()
+		mark = s.wal.Mark()
+		s.ckpt.Unlock()
 	}
 	s.mu.RLock()
 	names := make([]string, 0, len(s.tables))

@@ -35,6 +35,13 @@ type Server struct {
 	// are set once, by OpenDurableWith, before the server is shared.
 	wal *Log
 	fs  FS
+	// ckpt is held shared by a write from its WAL append until its
+	// cell is in the memstore, and exclusively by SaveTo while it takes
+	// its WAL mark, so every frame before the mark is in memory then.
+	ckpt sync.RWMutex
+	// logged, when set, runs between a write's WAL append and its
+	// memstore insert; tests hook it to park a write there.
+	logged func()
 
 	// WallClock, when non-nil, replaces time.Now for the one-time
 	// seeding of the logical clock (tests inject a fixed epoch).
@@ -311,8 +318,13 @@ func (s *Server) applyCell(tableName string, c Cell, local bool) error {
 		}
 	}
 	if s.wal != nil {
+		s.ckpt.RLock()
+		defer s.ckpt.RUnlock()
 		if err := s.wal.Append(walCellFrame(tableName, c)); err != nil {
 			return err
+		}
+		if s.logged != nil {
+			s.logged()
 		}
 	}
 	g.put(c)
