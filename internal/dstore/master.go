@@ -747,7 +747,7 @@ func (m *Master) planTableLocked(table string, splits []string) ([]RegionInfo, e
 	}
 	alive := m.aliveIDs()
 	if len(alive) == 0 {
-		return nil, fmt.Errorf("dstore: no live region servers")
+		return nil, httperr.Errorf(httperr.CodeUnavailable, "dstore: no live region servers")
 	}
 	repl := min(m.opts.replication(), len(alive))
 	splits = append([]string(nil), splits...)

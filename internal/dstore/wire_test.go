@@ -485,6 +485,19 @@ func FuzzMasterWire(f *testing.F) {
 	})
 }
 
+// TestMasterNoServersIsUnavailable: a leader that no live region server
+// has joined answers /d/createtable 503 unavailable — the cluster's
+// state, neither a bug nor the caller's fault.
+func TestMasterNoServersIsUnavailable(t *testing.T) {
+	m := NewMaster(offlineRegistry(), MasterOptions{})
+	defer m.Close()
+	rec := httptest.NewRecorder()
+	MasterHandler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/d/createtable?name=t", nil))
+	if e, _ := httperr.Parse(rec.Body.Bytes()); rec.Code != http.StatusServiceUnavailable || e.Code != httperr.CodeUnavailable {
+		t.Fatalf("createtable with no live region servers: %d %s", rec.Code, rec.Body)
+	}
+}
+
 // TestMasterStoppedClassifiesAsStopped: a stopped master names itself
 // in its error, and every classifier treats that error exactly as it
 // treats a stopped region server's — retryable, a breaker failure, not
