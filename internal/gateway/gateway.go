@@ -334,15 +334,30 @@ func (g *Gateway) failed(err error) error {
 }
 
 // Handler returns the gateway's HTTP surface: every endpoint under /g/
-// (pstormd mounts it next to the wire protocol).
+// (pstormd mounts it next to the wire protocol). It counts each request
+// to an endpoint in gateway_requests_total before anything can refuse
+// it, for its method or its body too.
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	route(g, mux, "tune", tuneKey, (*tenantState).tune)
-	route(g, mux, "whatif", whatifKey, (*tenantState).whatif)
-	route(g, mux, "match", matchKey, (*tenantState).match)
-	route(g, mux, "submit", nil, (*tenantState).submit)
-	route(g, mux, "profiles", nil, (*tenantState).profiles)
-	return mux
+	h := &counted{http.NewServeMux(), map[string]*obs.Counter{}}
+	route(g, h, "tune", tuneKey, (*tenantState).tune)
+	route(g, h, "whatif", whatifKey, (*tenantState).whatif)
+	route(g, h, "match", matchKey, (*tenantState).match)
+	route(g, h, "submit", nil, (*tenantState).submit)
+	route(g, h, "profiles", nil, (*tenantState).profiles)
+	return h
+}
+
+// counted is a mux that counts each request to a path in reqs.
+type counted struct {
+	*http.ServeMux
+	reqs map[string]*obs.Counter
+}
+
+func (h *counted) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if c := h.reqs[r.URL.Path]; c != nil {
+		c.Inc()
+	}
+	h.ServeMux.ServeHTTP(w, r)
 }
 
 // route registers /g/<ep> through httperr.Handle, with the gateway's
@@ -350,12 +365,11 @@ func (g *Gateway) Handler() http.Handler {
 // histogram, then prep — which checks the request and returns the key
 // its flight coalesces on ("": none; prep nil: never) — and do under
 // that flight, its error marked by failed.
-func route[Req any](g *Gateway, mux *http.ServeMux, ep string,
+func route[Req any](g *Gateway, h *counted, ep string,
 	prep func(tenant string, req *Req) (key string, err error),
 	do func(ts *tenantState, ctx context.Context, req *Req) (any, error)) {
-	reqs := g.o.Counter("gateway_requests_total", "endpoint", ep)
-	httperr.Handle(mux, "/g/"+ep, func(r *http.Request, req *Req) (any, error) {
-		reqs.Inc()
+	h.reqs["/g/"+ep] = g.o.Counter("gateway_requests_total", "endpoint", ep)
+	httperr.Handle(h.ServeMux, "/g/"+ep, func(r *http.Request, req *Req) (any, error) {
 		ts, err := g.tenant(r)
 		if err != nil {
 			return nil, err

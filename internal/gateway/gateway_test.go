@@ -515,6 +515,32 @@ func TestQuotaRateLimit(t *testing.T) {
 	}
 }
 
+// TestRequestsCountRefusals: gateway_requests_total counts a request
+// refused for its method or its body, as it counts one served.
+func TestRequestsCountRefusals(t *testing.T) {
+	g, srv := newTestGateway(t, Options{})
+	for _, c := range []struct {
+		method, ep string
+		body       any
+		want       int
+	}{
+		{http.MethodGet, "tune", nil, http.StatusMethodNotAllowed},
+		{http.MethodPost, "tune", "not an object", http.StatusBadRequest},
+		{http.MethodGet, "profiles", nil, http.StatusOK},
+	} {
+		if status, raw, _ := doReq(t, c.method, srv.URL+"/g/"+c.ep, "acme", c.body); status != c.want {
+			t.Fatalf("%s /g/%s: %d %s, want %d", c.method, c.ep, status, raw, c.want)
+		}
+	}
+	snap := g.Obs().Snapshot()
+	for ep, want := range map[string]int64{"tune": 2, "profiles": 1} {
+		key := `gateway_requests_total{endpoint="` + ep + `"}`
+		if got := snap.Counters[key]; got != want {
+			t.Errorf("%s = %d, want %d", key, got, want)
+		}
+	}
+}
+
 // TestTuneCacheSizeSumsTenants: every tenant's evaluator reports into
 // the gateway's one registry, so tune_cache_size must be their sum, not
 // whichever tenant was built last.
