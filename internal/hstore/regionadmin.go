@@ -24,8 +24,10 @@ func (e *NotServingError) Error() string {
 	return fmt.Sprintf("hstore: region for %s/%q not serving here", e.Table, e.Row)
 }
 
-// ErrorCode names the wire code: the client re-routes and retries.
-func (e *NotServingError) ErrorCode() string { return httperr.CodeNotServing }
+// Unwrap names the wire code: the client re-routes and retries.
+func (e *NotServingError) Unwrap() error { return errNotServing }
+
+var errNotServing = httperr.Errorf(httperr.CodeNotServing, "hstore: region not serving here")
 
 // IsNotServing reports whether err is (or wraps) a NotServingError.
 func IsNotServing(err error) bool {

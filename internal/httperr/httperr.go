@@ -9,9 +9,10 @@
 // the code says what actually happened, so a client can tell "the store
 // is degraded" from "your request is malformed" without parsing prose.
 // Each code has one status, in one table. An error names its code where
-// it is made, by an ErrorCode method that errors.As finds in its chain:
-// Errorf attaches one, and *Error is a whole envelope. An error that
-// names none is internal, except the context errors, rows of the table.
+// it is made, as an *Error that errors.As finds in its chain: Errorf
+// makes one around its text, and a whole *Error (a shed, a redirect)
+// answers as itself. An error that names none is internal, except the
+// two context errors.
 package httperr
 
 import (
@@ -42,27 +43,25 @@ const (
 	CodeInternal      = "internal"       // everything else
 )
 
-// table is the one code → status table. cause is a foreign error that
-// names no code of its own but answers with this row's.
+// table is the one code → status table.
 var table = []struct {
 	code   string
 	status int
-	cause  error
 }{
-	{CodeBadRequest, http.StatusBadRequest, nil},
-	{CodeNotFound, http.StatusNotFound, nil},
-	{CodeDeadline, http.StatusGatewayTimeout, context.DeadlineExceeded},
-	{CodeCanceled, http.StatusGatewayTimeout, context.Canceled},
-	{CodeUnavailable, http.StatusServiceUnavailable, nil},
-	{CodeNotServing, http.StatusConflict, nil},
+	{CodeBadRequest, http.StatusBadRequest},
+	{CodeNotFound, http.StatusNotFound},
+	{CodeDeadline, http.StatusGatewayTimeout},
+	{CodeCanceled, http.StatusGatewayTimeout},
+	{CodeUnavailable, http.StatusServiceUnavailable},
+	{CodeNotServing, http.StatusConflict},
 	// 421: this server cannot answer, but another can.
-	{CodeNotLeader, http.StatusMisdirectedRequest, nil},
-	{CodeStaleMaster, http.StatusMisdirectedRequest, nil},
-	{CodeUnknownServer, http.StatusNotFound, nil},
-	{CodeRateLimited, http.StatusTooManyRequests, nil},
-	{CodeOverCapacity, http.StatusTooManyRequests, nil},
-	{CodeShedDegraded, http.StatusTooManyRequests, nil},
-	{CodeInternal, http.StatusInternalServerError, nil},
+	{CodeNotLeader, http.StatusMisdirectedRequest},
+	{CodeStaleMaster, http.StatusMisdirectedRequest},
+	{CodeUnknownServer, http.StatusNotFound},
+	{CodeRateLimited, http.StatusTooManyRequests},
+	{CodeOverCapacity, http.StatusTooManyRequests},
+	{CodeShedDegraded, http.StatusTooManyRequests},
+	{CodeInternal, http.StatusInternalServerError},
 }
 
 // Status is the HTTP status code answers with; a code not in the table
@@ -76,18 +75,19 @@ func Status(code string) int {
 	return http.StatusInternalServerError
 }
 
-// Error is the envelope body. As an error it answers with exactly
-// itself: a shed's Retry-After and degraded mark, a redirect hint.
+// Error is the envelope body, and the one error type that names a code.
 type Error struct {
 	Code     string `json:"code"`
 	Message  string `json:"message"`
 	Degraded bool   `json:"degraded,omitempty"`
 	// RetryAfter, when positive, goes out as a Retry-After header.
 	RetryAfter time.Duration `json:"-"`
+	// cause is the error Errorf made; nil for a whole envelope.
+	cause error
 }
 
-func (e *Error) Error() string     { return e.Message }
-func (e *Error) ErrorCode() string { return e.Code }
+func (e *Error) Error() string { return e.Message }
+func (e *Error) Unwrap() error { return e.cause }
 
 // Envelope is the wire shape: the error nested under one key so a
 // success body can never be mistaken for a failure.
@@ -95,35 +95,27 @@ type Envelope struct {
 	Error Error `json:"error"`
 }
 
-type coder interface{ ErrorCode() string }
-
-type coded struct {
-	error
-	code string
-}
-
-func (c *coded) ErrorCode() string { return c.code }
-func (c *coded) Unwrap() error     { return c.error }
-
 // Errorf is fmt.Errorf naming code; Errorf(code, "%w", err) tags err,
 // its text and chain unchanged.
-func Errorf(code, format string, a ...any) error { return &coded{fmt.Errorf(format, a...), code} }
+func Errorf(code, format string, a ...any) error {
+	err := fmt.Errorf(format, a...)
+	return &Error{Code: code, Message: err.Error(), cause: err}
+}
 
-// Of is the envelope err answers with: the outermost error in its chain
-// that names a code — an *Error as is, any other with err's text — else
-// the row of a context error it wraps, else internal.
+// Of is the envelope err answers with: the outermost *Error in its
+// chain — a whole one as is, one Errorf made with err's text — else
+// deadline or canceled for a context error it wraps, else internal.
 func Of(err error) Error {
-	var c coder
-	if errors.As(err, &c) {
-		if e, ok := c.(*Error); ok {
-			return *e
-		}
-		return Error{Code: c.ErrorCode(), Message: err.Error()}
-	}
-	for _, row := range table {
-		if row.cause != nil && errors.Is(err, row.cause) {
-			return Error{Code: row.code, Message: err.Error()}
-		}
+	var e *Error
+	switch {
+	case errors.As(err, &e) && e.cause == nil:
+		return *e
+	case e != nil:
+		return Error{Code: e.Code, Message: err.Error()}
+	case errors.Is(err, context.DeadlineExceeded):
+		return Error{Code: CodeDeadline, Message: err.Error()}
+	case errors.Is(err, context.Canceled):
+		return Error{Code: CodeCanceled, Message: err.Error()}
 	}
 	return Error{Code: CodeInternal, Message: err.Error()}
 }
