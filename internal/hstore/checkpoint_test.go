@@ -258,26 +258,83 @@ func TestCheckpointKeepsWriteAckedMidSave(t *testing.T) {
 	}
 }
 
-// hookFS runs hook just after the first rename onto a MANIFEST.
+// hookFS calls before just ahead of the first rename onto a MANIFEST,
+// and after just behind it.
 type hookFS struct {
 	FS
-	hook func()
+	before, after func()
 }
 
 func (f *hookFS) Rename(oldpath, newpath string) error {
+	manifest := filepath.Base(newpath) == manifestName
+	if hook := f.before; hook != nil && manifest {
+		f.before = nil
+		hook()
+	}
 	err := f.FS.Rename(oldpath, newpath)
-	if hook := f.hook; hook != nil && err == nil && filepath.Base(newpath) == manifestName {
-		f.hook = nil
+	if hook := f.after; hook != nil && err == nil && manifest {
+		f.after = nil
 		hook()
 	}
 	return err
 }
 
-// TestOverlappingCheckpointsKeepAckedRows runs a whole second SaveTo
-// inside the first, just after the first's MANIFEST lands: the second
-// empties the WAL, then more puts grow it past the first's mark. The
-// first must not cut the log at its stale offset, which now falls
-// inside a frame: reopened, every acked row is there.
+// TestOverlappingSaveToBothSucceed starts a second SaveTo into the same
+// directory just before the first renames its MANIFEST into place, and
+// gives it time to finish. Checkpoints run one at a time, so the second
+// waits rather than renaming the first's MANIFEST temp file from under
+// it: both succeed, and reopened, every acked row is there.
+func TestOverlappingSaveToBothSucceed(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &hookFS{FS: OSFS}
+	s, err := OpenDurableWith(dir, DurableOptions{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	put := func(k, v string) {
+		mustPut(t, s, "t", k, "c", v)
+		want[k] = v
+	}
+	for i := 0; i < 20; i++ {
+		put(fmt.Sprintf("a%02d", i), "v")
+	}
+	second := make(chan error, 1)
+	fsys.before = func() {
+		put("b0", "v")
+		go func() { second <- s.SaveTo(dir) }()
+		// Give the second SaveTo time to finish if nothing holds it back.
+		select {
+		case err := <-second:
+			second <- err
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	if err := s.SaveTo(dir); err != nil {
+		t.Fatalf("first SaveTo: %v", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("second SaveTo: %v", err)
+	}
+	back, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range want {
+		if r, ok, err := back.Get("t", k); err != nil || !ok || string(r.Columns["c"]) != v {
+			t.Fatalf("acked row %s after reopen = %v (ok=%v err=%v)", k, r, ok, err)
+		}
+	}
+}
+
+// TestOverlappingCheckpointsKeepAckedRows starts a second SaveTo just
+// after the first's MANIFEST lands, with puts before and after it
+// starts: the second waits for the first, which must keep the frames
+// past its mark, and then checkpoints them. Reopened, every acked row
+// is there.
 func TestOverlappingCheckpointsKeepAckedRows(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &hookFS{FS: OSFS}
@@ -294,20 +351,22 @@ func TestOverlappingCheckpointsKeepAckedRows(t *testing.T) {
 		want[k] = v
 	}
 	// Long values before the first mark, short ones after it, so the
-	// stale mark is no multiple of the later frames' size.
+	// first mark is no multiple of the later frames' size.
 	for i := 0; i < 3; i++ {
 		put(fmt.Sprintf("a%d", i), strings.Repeat("x", 37))
 	}
-	fsys.hook = func() {
+	second := make(chan error, 1)
+	fsys.after = func() {
 		put("b0", "v")
-		if err := s.SaveTo(dir); err != nil {
-			t.Error(err)
-		}
+		go func() { second <- s.SaveTo(dir) }()
 		for i := 1; i < 40; i++ {
 			put(fmt.Sprintf("b%02d", i), "v")
 		}
 	}
 	if err := s.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
 		t.Fatal(err)
 	}
 	back, err := OpenDurable(dir)

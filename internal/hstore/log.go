@@ -102,10 +102,7 @@ type Log struct {
 	// can be rolled back: a record landing after garbage would be lost
 	// at replay, which stops at the first bad frame.
 	size int64
-	// rewrites counts Rewrite and DropBefore calls, so a stale Mark
-	// is never taken for a frame boundary of the new file.
-	rewrites int64
-	// broken latches the log read-only once its tail state is unknown.
+	// broken latches the log read-only once its tail is unknown or closed.
 	broken error
 }
 
@@ -177,39 +174,21 @@ func (l *Log) Rewrite(data []byte) error {
 	return l.rewriteLocked(data)
 }
 
-// Mark is a position in a Log: its length when Mark was called, valid
-// only until the log is next rewritten.
-type Mark struct {
-	rewrites int64
-	size     int64
-}
-
-// Mark returns the log's current end, for a later DropBefore.
-func (l *Log) Mark() Mark {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Mark{l.rewrites, l.size}
-}
-
-// DropBefore rewrites the log without the records before m — records a
+// DropBefore rewrites the log without its first off bytes — records a
 // checkpoint now covers — keeping every frame appended since, and fails
-// as Rewrite does. It reads and replaces under the lock, so no append
-// lands in between. If the log was rewritten since m was taken, m's
-// offset no longer names a frame boundary and the log is kept whole:
-// replay is idempotent, loss is not.
-func (l *Log) DropBefore(m Mark) error {
+// as Rewrite does. off is a Size the caller read, and no rewrite may
+// run in between (SaveTo, the WAL's one rewriter, runs one at a time).
+// It reads and replaces under the lock, so no append lands in between.
+func (l *Log) DropBefore(off int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken != nil || m.rewrites != l.rewrites {
-		return l.broken
-	}
 	var rest []byte
-	if m.size < l.size {
+	if off < l.size {
 		raw, err := l.fs.ReadFile(l.path)
 		if err != nil {
 			return err
 		}
-		rest = raw[m.size:l.size]
+		rest = raw[off:l.size]
 	}
 	return l.rewriteLocked(rest)
 }
@@ -228,7 +207,6 @@ func (l *Log) rewriteLocked(data []byte) error {
 	}
 	l.f.Close() //nolint:errcheck — the old inode is already unlinked
 	l.f, l.size = f, int64(len(data))
-	l.rewrites++
 	return nil
 }
 
@@ -239,10 +217,17 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// Close releases the file handle.
+// errLogClosed refuses every append and rewrite after Close.
+var errLogClosed = errors.New("hstore: log closed")
+
+// Close releases the file handle. A second Close is a no-op.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.broken == errLogClosed {
+		return nil
+	}
+	l.broken = errLogClosed
 	return l.f.Close()
 }
 

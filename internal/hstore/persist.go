@@ -43,16 +43,19 @@ const manifestName = "MANIFEST.json"
 // holds every write since the last checkpoint. The mark waits for every
 // write already in the WAL to reach its memstore, so the compactions
 // cover all of them; a write logged after the mark stays in the WAL,
-// since its region's file may already be written without it.
+// since its region's file may already be written without it. SaveTo
+// calls run one at a time, so no other rewrite moves the mark.
 func (s *Server) SaveTo(dir string) error {
+	s.save.Lock()
+	defer s.save.Unlock()
 	fsys := s.fsys()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var mark Mark
+	var mark int64
 	if s.wal != nil {
 		s.ckpt.Lock()
-		mark = s.wal.Mark()
+		mark = s.wal.Size()
 		s.ckpt.Unlock()
 	}
 	s.mu.RLock()

@@ -39,6 +39,9 @@ type Server struct {
 	// cell is in the memstore, and exclusively by SaveTo while it takes
 	// its WAL mark, so every frame before the mark is in memory then.
 	ckpt sync.RWMutex
+	// save runs SaveTo calls one at a time: two would share each
+	// file's temp path, and the WAL would have two rewriters.
+	save sync.Mutex
 	// logged, when set, runs between a write's WAL append and its
 	// memstore insert; tests hook it to park a write there.
 	logged func()
@@ -191,6 +194,15 @@ func (s *Server) memstoreBytes() float64 {
 		}
 	}
 	return float64(total)
+}
+
+// Close releases the WAL's file handle, if the server has one: a write
+// after it fails and is never acknowledged. A second Close is a no-op.
+func (s *Server) Close() error {
+	if s.wal == nil {
+		return nil
+	}
+	return s.wal.Close()
 }
 
 // CreateTable registers a new table with one region spanning all keys.
