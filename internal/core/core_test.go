@@ -319,44 +319,6 @@ func mustDataset(t *testing.T, name string) *data.Dataset {
 	return ds
 }
 
-func TestDeleteProfile(t *testing.T) {
-	st := newStore(t)
-	eng := engine.New(cluster.Default16(), 6)
-	p1 := collectProfile(t, eng, "wordcount", "randomtext-1g")
-	p2 := collectProfile(t, eng, "sort", "tera-1g")
-	_ = st.PutProfile(context.Background(), p1)
-	_ = st.PutProfile(context.Background(), p2)
-
-	if err := st.DeleteProfile(context.Background(), p1.JobID); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := st.JobIDs(context.Background())
-	if err != nil || len(ids) != 1 || ids[0] != p2.JobID {
-		t.Fatalf("after delete JobIDs = %v (%v)", ids, err)
-	}
-	if _, err := st.LoadProfile(context.Background(), p1.JobID); err == nil {
-		t.Error("deleted profile still loadable")
-	}
-	// Feature rows are gone too, so the matcher cannot see the ghost.
-	for _, ft := range []string{matcher.FTDynMap, matcher.FTStatMap, matcher.FTCostMap} {
-		if _, ok, _ := st.GetFeatures(context.Background(), ft, p1.JobID); ok {
-			t.Errorf("feature row %s survived deletion", ft)
-		}
-	}
-	entries, err := st.ScanFeatures(context.Background(), matcher.FTDynMap, nil)
-	if err != nil || len(entries) != 1 {
-		t.Errorf("dynmap scan after delete = %v (%v)", entries, err)
-	}
-	// The survivor still matches.
-	res, err := matcher.New().Match(context.Background(), st, sampleOf(t, eng, "sort", "tera-1g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matched() && res.MapJobID == p1.JobID {
-		t.Error("matcher returned a deleted profile")
-	}
-}
-
 // TestResubmitMatchesOwnProfilesInSmallStore: a job resubmitted to a
 // store holding only its own profiles matches them on both sides. With
 // so few profiles the store's feature range is (nearly) one point, and

@@ -364,23 +364,6 @@ func (s *Store) LoadProfile(ctx context.Context, jobID string) (*profile.Profile
 	return profile.Decode(row.Columns[profileColumn])
 }
 
-// DeleteProfile removes a stored profile: every feature row and the
-// serialized profile blob are tombstoned (§5: "updates consist of
-// adding new profiles ... and possibly deleting old profiles to free
-// up space"). Normalization bounds are high-water marks and are not
-// shrunk by deletion, matching the store's monotone min/max semantics.
-func (s *Store) DeleteProfile(ctx context.Context, jobID string) error {
-	for _, ft := range []string{
-		matcher.FTDynMap, matcher.FTDynRed, matcher.FTStatMap,
-		matcher.FTStatRed, matcher.FTCostMap, matcher.FTCostRed, ftMeta,
-	} {
-		if err := s.client.DeleteRow(ctx, TableName, s.featureRowKey(ft, jobID)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // JobIDs lists every stored profile's job ID (within the store's
 // namespace).
 func (s *Store) JobIDs(ctx context.Context) ([]string, error) {
