@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// leakGuard mirrors the repo root's close_test guard: the drain path
+// leakGuard fails the test if goroutines outlive it: the drain path
 // must not strand server goroutines. Teardown is asynchronous, so the
 // guard retries against a deadline instead of asserting immediately.
 func leakGuard(t *testing.T) {

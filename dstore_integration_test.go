@@ -9,68 +9,25 @@ import (
 	"pstorm/internal/dstore"
 )
 
-// TestStoreServersBackend runs the quickstart flow against a profile
-// store backed by an in-process dstore cluster (3 region servers,
-// replication 2) instead of a single hstore: submit once profiled, then
-// watch the second submission get tuned from the replicated store.
-func TestStoreServersBackend(t *testing.T) {
-	sys, err := pstorm.Open(pstorm.Options{Seed: 42, StoreServers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if sys.StoreCluster() == nil {
-		t.Fatal("StoreCluster() is nil for a StoreServers system")
-	}
-
-	job := pstorm.CoOccurrencePairs(2)
-	ds, err := pstorm.DatasetByName("randomtext-1g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := sys.Submit(job, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Tuned || !first.ProfileStored {
-		t.Fatalf("first submission: %s", pstorm.Describe(first))
-	}
-	second, err := sys.Submit(job, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Tuned {
-		t.Fatalf("second submission not tuned: %s", pstorm.Describe(second))
-	}
-
-	// The profile rows live sharded across region servers; the cluster
-	// must report more than one server holding primaries.
-	status := sys.StoreCluster().Master.Status()
-	withPrimaries := 0
-	for _, s := range status {
-		if s.Primaries > 0 {
-			withPrimaries++
-		}
-	}
-	if withPrimaries < 2 {
-		t.Fatalf("profile table not sharded: %+v", status)
-	}
-}
-
 // TestMasterURLBackend reaches the profile store the only remote way
-// there is: a pstormd-shaped cluster (here the degenerate one — a
-// master and a single region server, each on its own HTTP listener)
-// named by Options.MasterURL. A profile stored by one client must load
-// back, identical, through a second client opened later.
+// there is: a pstormd-shaped cluster (a master and two region servers,
+// each on its own HTTP listener, the profile table split at the
+// default keys) named by Options.MasterURL. The second submission is
+// tuned from the sharded store, and a profile stored by one client
+// loads back, identical, through a second client opened later.
 func TestMasterURLBackend(t *testing.T) {
-	m := dstore.NewMaster(dstore.NewRegistry(), dstore.MasterOptions{})
+	m := dstore.NewMaster(dstore.NewRegistry(), dstore.MasterOptions{DefaultSplits: dstore.DefaultSplits})
+	defer m.Close()
 	masterSrv := httptest.NewServer(dstore.MasterHandler(m))
 	defer masterSrv.Close()
-	rs := dstore.NewRegionServer("rs-0", dstore.NewRegistry())
-	regionSrv := httptest.NewServer(dstore.RegionServerHandler(rs))
-	defer regionSrv.Close()
-	if err := dstore.DialMaster(masterSrv.URL, 0).Join(dstore.Peer{ID: "rs-0", Addr: regionSrv.URL}); err != nil {
-		t.Fatalf("join: %v", err)
+	for _, id := range []string{"rs-0", "rs-1"} {
+		rs := dstore.NewRegionServer(id, dstore.NewRegistry())
+		defer rs.Stop()
+		regionSrv := httptest.NewServer(dstore.RegionServerHandler(rs))
+		defer regionSrv.Close()
+		if err := dstore.DialMaster(masterSrv.URL, 0).Join(dstore.Peer{ID: id, Addr: regionSrv.URL}); err != nil {
+			t.Fatalf("join %s: %v", id, err)
+		}
 	}
 
 	sys, err := pstorm.Open(pstorm.Options{Seed: 42, MasterURL: masterSrv.URL})
@@ -85,14 +42,39 @@ func TestMasterURLBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.ProfileStored {
+	if first.Tuned || !first.ProfileStored {
 		t.Fatalf("first submission: %s", pstorm.Describe(first))
+	}
+	second, err := sys.Submit(pstorm.WordCount(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Tuned {
+		t.Fatalf("second submission not tuned: %s", pstorm.Describe(second))
+	}
+	// The routing client's metrics are the store's part of the snapshot;
+	// the servers export their own.
+	if snap := sys.Snapshot(); !hasMetric(snap, "dstore_client_") || !hasMetric(snap, "matcher_match_total") {
+		t.Errorf("MasterURL snapshot lacks client or matcher metrics: %v", metricNames(snap))
+	}
+	// The profile rows live sharded across region servers: more than
+	// one server holds primaries.
+	withPrimaries := 0
+	for _, s := range m.Status() {
+		if s.Primaries > 0 {
+			withPrimaries++
+		}
+	}
+	if withPrimaries < 2 {
+		t.Fatalf("profile table not sharded: %+v", m.Status())
 	}
 	stored, err := sys.LoadProfile(first.StoredProfileID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Close()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	again, err := pstorm.Open(pstorm.Options{Seed: 43, MasterURL: masterSrv.URL})
 	if err != nil {

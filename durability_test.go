@@ -1,6 +1,7 @@
 package pstorm_test
 
 import (
+	"reflect"
 	"testing"
 
 	"pstorm"
@@ -29,6 +30,9 @@ func TestCheckpointAndReopen(t *testing.T) {
 	if err := sys1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if err := sys1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// "Restart": a fresh System over the same directory sees the
 	// profiles and can match against them immediately.
@@ -36,6 +40,7 @@ func TestCheckpointAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys2.Close()
 	ids, err := sys2.StoredProfiles()
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +58,47 @@ func TestCheckpointAndReopen(t *testing.T) {
 	p, err := sys2.LoadProfile(ids[0])
 	if err != nil || p.JobName == "" {
 		t.Fatalf("profile blob did not survive the restart: %v", err)
+	}
+}
+
+// TestCloseRefusesLaterWrites: Close releases a durable System's
+// write-ahead log, and a second Close is a no-op. A profile stored
+// after Close is refused, so it is never acked; a reopen of the
+// directory sees exactly the profile stored before.
+func TestCloseRefusesLaterWrites(t *testing.T) {
+	dir := t.TempDir()
+	sys1, err := pstorm.Open(pstorm.Options{Seed: 42, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := sys1.CollectAndStore(pstorm.Sort(), mustDS(t, "tera-1g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := sys1.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	if _, err := sys1.CollectAndStore(pstorm.WordCount(), mustDS(t, "randomtext-1g")); err == nil {
+		t.Fatal("a profile stored after Close was acked")
+	}
+
+	sys2, err := pstorm.Open(pstorm.Options{Seed: 43, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	ids, err := sys2.StoredProfiles()
+	if err != nil || len(ids) != 1 || ids[0] != stored.JobID {
+		t.Fatalf("reopened store lists %v (%v), want [%s]", ids, err, stored.JobID)
+	}
+	back, err := sys2.LoadProfile(stored.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, stored) {
+		t.Errorf("profile changed across Close and reopen:\n got %+v\nwant %+v", back, stored)
 	}
 }
 
@@ -78,11 +124,15 @@ func TestWALDurabilityWithoutCheckpoint(t *testing.T) {
 	if _, err := sys1.CollectAndStore(pstorm.Sort(), mustDS(t, "tera-1g")); err != nil {
 		t.Fatal(err)
 	}
-	// No Checkpoint. Reopen.
+	// No Checkpoint. Close, and reopen.
+	if err := sys1.Close(); err != nil {
+		t.Fatal(err)
+	}
 	sys2, err := pstorm.Open(pstorm.Options{Seed: 43, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys2.Close()
 	ids, err := sys2.StoredProfiles()
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("WAL recovery lost the profile: %v (%v)", ids, err)

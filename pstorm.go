@@ -23,8 +23,8 @@ package pstorm
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 
 	"pstorm/internal/cbo"
 	"pstorm/internal/cluster"
@@ -55,8 +55,6 @@ type (
 	Config = conf.Config
 	// Profile is a Starfish-style execution profile.
 	Profile = profile.Profile
-	// Cluster describes the simulated execution environment.
-	Cluster = cluster.Cluster
 	// MatchResult is the matcher's verdict for a submission.
 	MatchResult = matcher.Result
 	// SubmitResult describes what happened to a submission.
@@ -77,122 +75,85 @@ type (
 // combiner honoured.
 func DefaultConfig(job *Job) Config { return core.DefaultConfig(job) }
 
-// DefaultCluster returns the paper's 16-node EC2 c1.medium testbed.
-func DefaultCluster() *Cluster { return cluster.Default16() }
-
-// Options configure a System.
+// Options configure a System. The profile store is one of the two
+// deployments the paper's store can take: a pstormd cluster (MasterURL)
+// or one in-process store, durable when DataDir is set. Setting both is
+// an error. Jobs always run on the paper's 16-node cluster.
 type Options struct {
-	// Seed drives all simulated randomness; a fixed seed reproduces
-	// every run exactly. Zero means seed 1.
+	// Seed drives all simulated randomness and the optimizer search; a
+	// fixed seed reproduces every run exactly. Zero means seed 1.
 	Seed int64
-	// Cluster is the execution environment (nil: DefaultCluster).
-	Cluster *Cluster
-	// StoreServers, when > 0, backs the profile store with an in-process
-	// dstore cluster of that many region servers (replication 2, the
-	// profile table split across them). Takes precedence over DataDir.
-	// Close() shuts the cluster down.
-	StoreServers int
-	// MasterURL, when set, connects the profile store to a running
-	// pstormd master over HTTP; region servers must carry addresses in
-	// META (i.e. have joined with -addr). In an HA deployment list every
-	// master comma-separated — the client follows NotLeader redirects
-	// and fails over transparently. Takes precedence over StoreServers.
+	// MasterURL connects the profile store to a running pstormd master
+	// over HTTP; region servers must carry addresses in META (i.e. have
+	// joined with -addr). In an HA deployment list every master
+	// comma-separated — the client follows NotLeader redirects and fails
+	// over transparently.
 	MasterURL string
-	// DataDir, when set, makes the in-process profile store durable: the
-	// last checkpoint in the directory is reopened, the write-ahead log
+	// DataDir makes the in-process profile store durable: the last
+	// checkpoint in the directory is reopened, the write-ahead log
 	// replayed over it, and every subsequent mutation logged — so stored
 	// profiles survive restarts even without an explicit Checkpoint().
 	DataDir string
-	// CBOSeed seeds the optimizer search (0: derived from Seed).
-	CBOSeed int64
-	// SampleTasks is the sampler size (0: the paper's 1 task).
-	SampleTasks int
 }
 
 // System is a running PStorM deployment: engine + profile store +
 // matcher + optimizer (Fig 1.2).
 type System struct {
-	core      *core.System
-	engine    *engine.Engine
-	store     *core.Store
-	server    *hstore.Server       // nil unless backed by one in-process hstore
-	cluster   *dstore.LocalCluster // nil unless backed by an in-process dstore cluster
-	dclient   *dstore.Client       // nil unless connected to a remote master
-	dataDir   string
-	closeOnce sync.Once
+	core    *core.System
+	engine  *engine.Engine
+	store   *core.Store
+	server  *hstore.Server // nil when connected to a pstormd master
+	dclient *dstore.Client // nil unless connected to a pstormd master
+	dataDir string
 }
 
 // Open assembles a System.
 func Open(opt Options) (*System, error) {
+	if opt.MasterURL != "" && opt.DataDir != "" {
+		return nil, errors.New("pstorm: Options.MasterURL and Options.DataDir exclude each other")
+	}
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	cl := opt.Cluster
-	if cl == nil {
-		cl = DefaultCluster()
-	}
-	eng := engine.New(cl, opt.Seed)
-	var client core.KV
-	var server *hstore.Server
-	var dcluster *dstore.LocalCluster
-	var dclient *dstore.Client
+	s := &System{engine: engine.New(cluster.Default16(), opt.Seed), dataDir: opt.DataDir}
+	var kv core.KV
 	switch {
 	case opt.MasterURL != "":
-		dclient = dstore.NewClient(dstore.DialMasters(opt.MasterURL, 0), dstore.NewRegistry())
-		client = dclient
-	case opt.StoreServers > 0:
-		var err error
-		dcluster, err = dstore.StartLocalCluster(dstore.LocalOptions{
-			Servers:    opt.StoreServers,
-			Background: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		client = dcluster.Client()
+		s.dclient = dstore.NewClient(dstore.DialMasters(opt.MasterURL, 0), dstore.NewRegistry())
+		kv = s.dclient
 	case opt.DataDir != "":
 		var err error
-		server, err = hstore.OpenDurable(opt.DataDir)
-		if err != nil {
+		if s.server, err = hstore.OpenDurable(opt.DataDir); err != nil {
 			return nil, err
 		}
-		client = hstore.Connect(server)
+		kv = hstore.Connect(s.server)
 	default:
-		server = hstore.NewServer()
-		client = hstore.Connect(server)
+		s.server = hstore.NewServer()
+		kv = hstore.Connect(s.server)
 	}
 	// The root package is the sanctioned top layer: it roots contexts
 	// for callers that don't carry one.
-	store, err := core.NewStore(context.Background(), client)
-	if err != nil {
-		if dcluster != nil {
-			dcluster.Close()
-		}
+	var err error
+	if s.store, err = core.NewStore(context.Background(), kv); err != nil {
+		s.Close() //nolint:errcheck — the store error is the one to report
 		return nil, err
 	}
-	sys := core.NewSystem(store, eng)
-	if opt.CBOSeed != 0 {
-		sys.CBO.Seed = opt.CBOSeed
-	} else {
-		sys.CBO.Seed = opt.Seed
-	}
-	if opt.SampleTasks > 0 {
-		sys.SampleTasks = opt.SampleTasks
-	}
+	sys := core.NewSystem(s.store, s.engine)
+	sys.CBO.Seed = opt.Seed
 	sys.Matcher.Obs = obs.NewRegistry()
 	sys.Obs = obs.NewRegistry()
 	sys.Evaluator = whatif.NewEvaluator(whatif.EvaluatorOptions{Obs: sys.Obs})
 	sys.Obs.GaugeFunc("tune_cache_size", func() float64 { return float64(sys.Evaluator.Len()) })
-	return &System{core: sys, engine: eng, store: store, server: server, cluster: dcluster, dclient: dclient, dataDir: opt.DataDir}, nil
+	s.core = sys
+	return s, nil
 }
 
 // Snapshot merges the observability state of every component this
 // System owns: engine run counters and simulated-time histograms,
-// matcher outcome counters, and — depending on how the profile store is
-// backed — the in-process hstore's LSM counters or the whole dstore
-// cluster's metrics and event trace. For a MasterURL system only the
-// local routing client's metrics are included (the servers export their
-// own via pstormd's /metrics).
+// matcher outcome counters, and the profile store's metrics — the
+// in-process hstore's LSM counters, or for a MasterURL system the
+// local routing client's (the servers export their own via pstormd's
+// /metrics).
 func (s *System) Snapshot() Metrics {
 	snaps := []obs.Snapshot{
 		s.engine.Obs().Snapshot(),
@@ -202,39 +163,30 @@ func (s *System) Snapshot() Metrics {
 	if s.server != nil {
 		snaps = append(snaps, s.server.Obs().Snapshot())
 	}
-	if s.cluster != nil {
-		snaps = append(snaps, s.cluster.Snapshot())
-	}
 	if s.dclient != nil {
 		snaps = append(snaps, s.dclient.Obs().Snapshot())
 	}
 	return obs.Merge(snaps...)
 }
 
-// Close releases store resources. It matters for StoreServers systems
-// (stops the cluster's master loop and region servers); elsewhere it is
-// a no-op. Close is idempotent and safe after servers have already been
-// killed (e.g. by a chaos scenario): stopping a stopped server is a
-// no-op and the master loop shuts down exactly once.
-func (s *System) Close() {
-	s.closeOnce.Do(func() {
-		if s.cluster != nil {
-			s.cluster.Close()
-		}
-	})
+// Close releases the in-process store's write-ahead log file: a write
+// after Close fails and is never acknowledged. A MasterURL system holds
+// nothing to release. A second Close is a no-op.
+func (s *System) Close() error {
+	if s.server == nil {
+		return nil
+	}
+	return s.server.Close()
 }
 
 // Checkpoint folds the profile store into a compact on-disk image in
 // Options.DataDir and truncates the write-ahead log. Mutations are
 // already durable through the WAL; checkpointing bounds recovery time
-// and reclaims log space. It fails for remote stores and when no
-// DataDir was given.
+// and reclaims log space. It fails when no DataDir was given (a
+// MasterURL system has none). Checkpoints run one at a time.
 func (s *System) Checkpoint() error {
-	if s.server == nil {
-		return fmt.Errorf("pstorm: Checkpoint needs an in-process store")
-	}
 	if s.dataDir == "" {
-		return fmt.Errorf("pstorm: Checkpoint needs Options.DataDir")
+		return errors.New("pstorm: Checkpoint needs Options.DataDir")
 	}
 	return s.server.SaveTo(s.dataDir)
 }

@@ -2,6 +2,8 @@ package pstorm_test
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,6 +69,49 @@ func TestOpenDefaults(t *testing.T) {
 	if sys.Engine() == nil || sys.Store() == nil {
 		t.Fatal("Open left nils")
 	}
+}
+
+// TestOpenRefusesTwoBackends: MasterURL and DataDir name the two
+// deployments of the store, and a System runs on one of them.
+func TestOpenRefusesTwoBackends(t *testing.T) {
+	if _, err := pstorm.Open(pstorm.Options{MasterURL: "http://127.0.0.1:1", DataDir: t.TempDir()}); err == nil {
+		t.Fatal("Open accepted MasterURL together with DataDir")
+	}
+}
+
+// TestSnapshotInProcess: after a Submit, an in-process System's
+// snapshot carries the hstore's LSM metrics beside the matcher's and
+// the engine's.
+func TestSnapshotInProcess(t *testing.T) {
+	sys, err := pstorm.Open(pstorm.Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.Submit(pstorm.WordCount(), mustDS(t, "randomtext-1g")); err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Snapshot()
+	for _, prefix := range []string{"hstore_memstore_bytes", "hstore_flushes_total", "matcher_match_total", "engine_runs_total", "tune_cache_size"} {
+		if !hasMetric(snap, prefix) {
+			t.Errorf("snapshot lacks %s: %v", prefix, metricNames(snap))
+		}
+	}
+}
+
+// hasMetric reports whether snap holds a counter, gauge or histogram
+// whose name (labels included) starts with prefix.
+func hasMetric(snap pstorm.Metrics, prefix string) bool {
+	return slices.ContainsFunc(metricNames(snap), func(name string) bool { return strings.HasPrefix(name, prefix) })
+}
+
+// metricNames lists snap's counter, gauge and histogram names, sorted.
+func metricNames(snap pstorm.Metrics) []string {
+	names := slices.Collect(maps.Keys(snap.Counters))
+	names = slices.AppendSeq(names, maps.Keys(snap.Gauges))
+	names = slices.AppendSeq(names, maps.Keys(snap.Histograms))
+	slices.Sort(names)
+	return names
 }
 
 func TestRegisteredJobsAndDatasets(t *testing.T) {
