@@ -12,9 +12,10 @@ import (
 // TestMasterURLBackend reaches the profile store the only remote way
 // there is: a pstormd-shaped cluster (a master and two region servers,
 // each on its own HTTP listener, the profile table split at the
-// default keys) named by Options.MasterURL. The second submission is
-// tuned from the sharded store, and a profile stored by one client
-// loads back, identical, through a second client opened later.
+// default keys) named by Options.MasterURL, which excludes DataDir.
+// The second submission is tuned from the sharded store, and a profile
+// stored by one client loads back, identical, through a second client
+// opened later.
 func TestMasterURLBackend(t *testing.T) {
 	m := dstore.NewMaster(dstore.NewRegistry(), dstore.MasterOptions{DefaultSplits: dstore.DefaultSplits})
 	defer m.Close()
@@ -30,6 +31,10 @@ func TestMasterURLBackend(t *testing.T) {
 		}
 	}
 
+	// MasterURL and DataDir name the two deployments; a System runs on one.
+	if _, err := pstorm.Open(pstorm.Options{MasterURL: masterSrv.URL, DataDir: t.TempDir()}); err == nil {
+		t.Fatal("Open accepted MasterURL together with DataDir")
+	}
 	sys, err := pstorm.Open(pstorm.Options{Seed: 42, MasterURL: masterSrv.URL})
 	if err != nil {
 		t.Fatal(err)

@@ -71,14 +71,6 @@ func TestOpenDefaults(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesTwoBackends: MasterURL and DataDir name the two
-// deployments of the store, and a System runs on one of them.
-func TestOpenRefusesTwoBackends(t *testing.T) {
-	if _, err := pstorm.Open(pstorm.Options{MasterURL: "http://127.0.0.1:1", DataDir: t.TempDir()}); err == nil {
-		t.Fatal("Open accepted MasterURL together with DataDir")
-	}
-}
-
 // TestSnapshotInProcess: after a Submit, an in-process System's
 // snapshot carries the hstore's LSM metrics beside the matcher's and
 // the engine's.
