@@ -1,16 +1,19 @@
-package pstorm
+package pstorm_test
 
 import (
+	"net/http"
 	"runtime"
 	"testing"
 	"time"
+
+	"pstorm"
 )
 
 // leakGuard snapshots the goroutine count and fails the test if it has
 // not settled back by the end (cleanups run LIFO, so register it before
 // anything that starts background loops). Teardown is asynchronous —
-// loops notice their stop channels on the next ticker poll — so the
-// guard retries against a deadline instead of asserting immediately.
+// loops notice their stop channels on the next poll — so the guard
+// retries against a deadline instead of asserting immediately.
 func leakGuard(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -18,6 +21,7 @@ func leakGuard(t *testing.T) {
 		if t.Failed() {
 			return
 		}
+		http.DefaultClient.CloseIdleConnections()
 		deadline := time.Now().Add(2 * time.Second)
 		for {
 			if runtime.NumGoroutine() <= before {
@@ -34,42 +38,44 @@ func leakGuard(t *testing.T) {
 	})
 }
 
-// TestCloseIdempotentAfterKill: a StoreServers system whose region
-// servers were already killed (the chaos kill path) must still close
-// cleanly, repeatedly, and without leaking the cluster's background
-// goroutines.
+// TestCloseIdempotentAfterKill: a MasterURL system whose region servers
+// were already killed (the chaos kill path) must still close cleanly,
+// repeatedly, and leave no goroutine behind once the cluster is gone.
 func TestCloseIdempotentAfterKill(t *testing.T) {
 	leakGuard(t)
-	sys, err := Open(Options{StoreServers: 3})
+	_, url, kill := startStoreCluster(t, 2)
+	sys, err := pstorm.Open(pstorm.Options{Seed: 42, MasterURL: url})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := DatasetByName("randomtext-1g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(WordCount(), ds); err != nil {
+	if _, err := sys.Submit(pstorm.WordCount(), mustDS(t, "randomtext-1g")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	// Kill every server out from under the system, as a chaos scenario
-	// would, then close twice. Both must return without hanging, and the
-	// leak guard checks the heartbeat/master loops are gone.
-	c := sys.cluster
-	for _, rs := range c.Servers {
-		c.KillServer(rs.ID())
+	// Kill every server out from under the system, then close twice.
+	// Both must return without hanging or failing.
+	kill()
+	for i := 0; i < 2; i++ {
+		if err := sys.Close(); err != nil {
+			t.Fatalf("Close #%d after kill: %v", i+1, err)
+		}
 	}
-	sys.Close()
-	sys.Close()
 }
 
-// TestCloseIdempotentHealthy: double Close on an untouched system.
+// TestCloseIdempotentHealthy: double Close on an untouched system, in
+// both in-process forms and on a MasterURL cluster.
 func TestCloseIdempotentHealthy(t *testing.T) {
 	leakGuard(t)
-	sys, err := Open(Options{StoreServers: 2})
-	if err != nil {
-		t.Fatal(err)
+	_, url, _ := startStoreCluster(t, 1)
+	for _, opt := range []pstorm.Options{{}, {DataDir: t.TempDir()}, {MasterURL: url}} {
+		sys, err := pstorm.Open(opt)
+		if err != nil {
+			t.Fatalf("Open(%+v): %v", opt, err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := sys.Close(); err != nil {
+				t.Fatalf("Open(%+v): Close #%d: %v", opt, i+1, err)
+			}
+		}
 	}
-	sys.Close()
-	sys.Close()
 }
