@@ -19,7 +19,7 @@ import (
 // it reads and widens, each through hstore's write path. Allocation
 // repeats run to run where timings do not, so a write-path change that
 // costs allocations shows here first.
-const putProfileAllocs = 328
+const putProfileAllocs = 301
 
 // TestPutProfileAllocs holds one in-process PutProfile to within 1 % of
 // putProfileAllocs. Every profile it stores is new and raises every
@@ -57,7 +57,7 @@ func TestPutProfileAllocs(t *testing.T) {
 // its profile is stored: the 1-task sample through the DSL, the match,
 // a full CBO search over the What-If model and the tuned run, the
 // engine's share of which the DSL's value representation decides.
-const submitAllocs = 11188
+const submitAllocs = 9971
 
 // TestSubmitAllocs holds one matched, tuned Submit to within 1 % of
 // submitAllocs. A change that moves the count on purpose updates the

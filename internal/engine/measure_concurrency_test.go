@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,7 +108,7 @@ func reduce(key, values) { emit(key, len(values)); }`, bad1, bad3)
 // measureAllocs is what one Measure of pigmix-l3 (group-sum, with a
 // combiner) over 200 records of 5 splits allocates. AllocsPerRun runs at
 // GOMAXPROCS 1, so the splits run one after another on one Interp.
-const measureAllocs = 7335
+const measureAllocs = 6309
 
 // TestMeasureAllocs holds one Measure to within 1 % of measureAllocs. A
 // change that moves the count on purpose updates the constant and says
@@ -135,8 +137,110 @@ func TestMeasureAllocs(t *testing.T) {
 	}
 }
 
-// TestGroupsKeepArrivalOrder checks callGroups' sort: keys ascending,
-// and within a key the values in the order they were emitted.
+// measureBytes is what one Measure over 200 records of 5 splits
+// allocates, in bytes, at GOMAXPROCS 1 with warm task runners: of
+// pigmix-l3 (group-sum, with a combiner) and of cooccurrence-pairs
+// (pair expansion, without one).
+var measureBytes = []struct {
+	job, dataset string
+	bytes        float64
+}{{"pigmix-l3", "pigmix-1g", 114107}, {"cooccurrence-pairs", "randomtext-1g", 753660}}
+
+// TestMeasureBytes holds one Measure's bytes, from the TotalAlloc delta
+// over 20 runs, to within 2 % of measureBytes. A change that moves them
+// on purpose updates the table and says why.
+func TestMeasureBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation golden; run without -short and -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, m := range measureBytes {
+		spec, err := workloads.JobByName(m.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := workloads.DatasetByName(m.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := func() {
+			if _, err := Measure(spec, ds, []int{0, 1, 2, 3, 4}, 200); err != nil {
+				t.Fatal(err)
+			}
+		}
+		measure() // sizes the pooled task runner's buffers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			measure()
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / 20
+		t.Logf("%s: %.0f bytes per Measure", m.job, got)
+		if math.Abs(got-m.bytes) > m.bytes/50 {
+			t.Errorf("one Measure of %s allocated %.0f bytes, want %.0f ± 2 %%", m.job, got, m.bytes)
+		}
+	}
+}
+
+// TestConcurrentMeasuresMatchSequential measures three jobs of different
+// shapes — a combiner, none, and map-heavy stripes — on four goroutines
+// at once, each Measure itself on up to four: every result must be the
+// sequential one, byte for byte, though runners and their buffers pass
+// between Measures.
+func TestConcurrentMeasuresMatchSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	type job struct {
+		name, dataset string
+		want          []byte
+	}
+	jobs := []job{{name: "pigmix-l3", dataset: "pigmix-1g"}, {name: "cooccurrence-pairs", dataset: "randomtext-1g"}, {name: "cooccurrence-stripes", dataset: "randomtext-1g"}}
+	splits := []int{0, 3, 5, 6, 9}
+	measure := func(j job) ([]byte, error) {
+		spec, err := workloads.JobByName(j.name)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := workloads.DatasetByName(j.dataset)
+		if err != nil {
+			return nil, err
+		}
+		st, err := Measure(spec, ds, splits, 60)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(st)
+	}
+	for i := range jobs {
+		var err error
+		if jobs[i].want, err = measure(jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 2 * len(jobs) {
+				j := jobs[(g+k)%len(jobs)]
+				got, err := measure(j)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, j.want) {
+					t.Errorf("goroutine %d, %s:\n got  %s\n want %s", g, j.name, got, j.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestGroupsKeepArrivalOrder checks callGroups' sort and merge: keys
+// ascending, and within a key the values in the order they were
+// emitted, run by run, as one stable sort of the runs' concatenation.
 func TestGroupsKeepArrivalOrder(t *testing.T) {
 	spec := identitySpec()
 	prog, err := spec.Program()
@@ -144,13 +248,21 @@ func TestGroupsKeepArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pairs []kvPair
+	runs := make([][]kvPair, 3)
 	for i := range 300 {
-		pairs = append(pairs, kvPair{k: fmt.Sprint(i * 7 % 5), v: fmt.Sprint(i)})
+		p := kvPair{k: fmt.Sprint(i * 7 % 5), v: fmt.Sprint(i)}
+		pairs = append(pairs, p)
+		run := i * 3 / 300
+		p.seq = len(runs[run])
+		runs[run] = append(runs[run], p)
 	}
+	runs[1] = runs[1][:0] // an empty run merges as nothing
+	pairs = append(pairs[:100], pairs[200:]...)
 	want := slices.Clone(pairs)
 	slices.SortStableFunc(want, func(a, b kvPair) int { return strings.Compare(a.k, b.k) })
 	var out collectEmitter
-	groups, err := callGroups(jobdsl.NewInterp(prog), "reduce", pairs, &out)
+	r := &taskRunner{in: jobdsl.NewInterp(prog)}
+	groups, err := r.callGroups("reduce", runs, &out, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ type Stats struct {
 	RedStepsPerRec float64 // steps per reduce input record
 }
 
-// kvPair is one intermediate record. seq is its arrival index, set by
-// callGroups to keep the sort that groups pairs stable.
+// kvPair is one intermediate record. seq is its arrival index in its
+// task's output, which keeps the sort that groups pairs stable.
 type kvPair struct {
 	k, v string
 	seq  int
@@ -89,25 +89,27 @@ type collectEmitter struct {
 }
 
 func (c *collectEmitter) Emit(k, v string) {
-	c.pairs = append(c.pairs, kvPair{k: k, v: v})
+	c.pairs = append(c.pairs, kvPair{k, v, int(c.recs)})
 	c.countEmitter.Emit(k, v)
 }
 
 // splitTask is what one split's map task, and its combiner, measured.
 type splitTask struct {
-	records, inBytes   int64
-	keys               []string // map output keys in emit order
-	mapBytes, mapSteps int64
-	combineSteps       int64
-	out                collectEmitter // the combiner's output, or the map's without one
+	records, inBytes            int64
+	mapRecs, mapBytes, mapSteps int64
+	combineSteps                int64
+	out                         countEmitter // the combiner's output, or the map's without one
+	pairs                       []kvPair     // that output, in its runner's buffer until execute returns
+	firsts                      []kvPair     // with a combiner: each map output key's first pair, likewise
 }
 
 // sampleRun is one execution of a job over sampled records: a map task
 // (and combiner) per split, then one reduce over their merged output.
 type sampleRun struct {
-	tasks     []splitTask
-	redGroups int
-	redSteps  int64
+	tasks          []splitTask
+	redGroups      int
+	redSteps       int64
+	half, distinct int // distinct map output keys in its first half, in split order, and in all
 }
 
 // execute runs spec over recsPerSplit sampled records of each split,
@@ -130,18 +132,18 @@ func execute(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int,
 	if recsPerSplit <= 0 {
 		recsPerSplit = 200
 	}
-	newInterp := func() *jobdsl.Interp {
-		in := jobdsl.NewInterp(prog)
-		in.Params = spec.Params
-		return in
+	rs := make([]*taskRunner, min(runtime.GOMAXPROCS(0), len(splits)))
+	for i := range rs {
+		rs[i] = runners.Get().(*taskRunner)
+		rs[i].in = jobdsl.NewInterp(prog)
+		rs[i].in.Params = spec.Params
+		defer rs[i].release() // once the reduce has read their outputs
 	}
 	run := &sampleRun{tasks: make([]splitTask, len(splits))}
 	errs := make([]error, len(splits))
 	var next atomic.Int64
 	var failed atomic.Bool
-	work := func() {
-		// The first task's output is sized for one pair per record.
-		r := &taskRunner{in: newInterp(), outCap: recsPerSplit}
+	work := func(r *taskRunner) {
 		// Splits are claimed in index order, so every split below a
 		// failed one has been claimed and finishes.
 		for i := int(next.Add(1) - 1); i < len(splits) && !failed.Load(); i = int(next.Add(1) - 1) {
@@ -150,15 +152,15 @@ func execute(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int,
 			}
 		}
 	}
-	if workers := min(runtime.GOMAXPROCS(0), len(splits)); workers == 1 {
-		work()
+	if len(rs) == 1 {
+		work(rs[0])
 	} else {
 		var wg sync.WaitGroup
-		for range workers {
+		for _, r := range rs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				work()
+				work(r)
 			}()
 		}
 		wg.Wait()
@@ -169,41 +171,66 @@ func execute(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int,
 		}
 	}
 
-	redIn := run.tasks[0].out.pairs
-	if len(run.tasks) > 1 {
-		n := 0
-		for i := range run.tasks {
-			n += len(run.tasks[i].out.pairs)
-		}
-		redIn = make([]kvPair, 0, n)
-		for i := range run.tasks {
-			redIn = append(redIn, run.tasks[i].out.pairs...)
+	// A key's first arrival in the map output is the first pair of its
+	// group: in the reduce's merge, or with a combiner in a merge of the
+	// tasks' firsts. Either merge is in split order.
+	outs, firsts, bases := make([][]kvPair, len(splits)), make([][]kvPair, len(splits)), make([]int, len(splits))
+	n := 0
+	for i := range run.tasks {
+		outs[i], firsts[i], bases[i] = run.tasks[i].pairs, run.tasks[i].firsts, n
+		n += int(run.tasks[i].mapRecs)
+	}
+	count := func(task int, p kvPair) {
+		run.distinct++
+		if bases[task]+p.seq < n/2 {
+			run.half++
 		}
 	}
-	in := newInterp()
-	if run.redGroups, err = callGroups(in, "reduce", redIn, red); err != nil {
+	r := rs[0]
+	r.in.ResetSteps()
+	if spec.HasCombiner() {
+		r.callGroups("", firsts, nil, count)
+		count = nil
+	}
+	if run.redGroups, err = r.callGroups("reduce", outs, red, count); err != nil {
 		return nil, fmt.Errorf("engine: reduce of job %q failed: %w", spec.Name, err)
 	}
-	run.redSteps = in.Steps()
+	run.redSteps = r.in.Steps()
 	return run, nil
 }
 
-// taskRunner runs map tasks one after another. A task's map output is
-// its own when the job has no combiner; otherwise the combiner consumes
-// it, and the next task reuses the buffer.
+// taskRunner runs map tasks one after another, and the reduce after
+// them. Its buffers outlive its tasks and, through runners, its
+// execution: out holds every task's output until the reduce, spill the
+// map output one combiner consumes. Past their lengths all is zero.
 type taskRunner struct {
-	in     *jobdsl.Interp
-	spill  []kvPair // map output the last combiner consumed
-	outCap int      // the last task's output length: the next one's capacity
+	in         *jobdsl.Interp
+	spill, out collectEmitter
+	firsts     []kvPair       // with a combiner: every task's firsts
+	vals       []jobdsl.Value // the values of one group
+}
+
+// runners lends task runners, and with them their buffers.
+var runners = sync.Pool{New: func() any { return new(taskRunner) }}
+
+// release clears r's buffers, so that they pin no strings, and pools r.
+func (r *taskRunner) release() {
+	clear(r.spill.pairs)
+	clear(r.out.pairs)
+	clear(r.firsts)
+	clear(r.vals[:cap(r.vals)])
+	r.in, r.spill.pairs, r.out.pairs, r.firsts = nil, r.spill.pairs[:0], r.out.pairs[:0], r.firsts[:0]
+	runners.Put(r)
 }
 
 // measureSplit runs one split's map task, then the job's combiner over
 // the task's grouped output, as Hadoop does during spills.
 func (r *taskRunner) measureSplit(spec *mrjob.Spec, ds *data.Dataset, split, recs int) (splitTask, error) {
-	t := splitTask{out: collectEmitter{pairs: make([]kvPair, 0, r.outCap)}}
-	em := &t.out
+	var t splitTask
+	lo, em := len(r.out.pairs), &r.out
+	r.out.countEmitter, r.spill = countEmitter{}, collectEmitter{pairs: r.spill.pairs[:0]}
 	if spec.HasCombiner() {
-		em = &collectEmitter{pairs: slices.Grow(r.spill[:0], recs)}
+		em = &r.spill
 	}
 	r.in.ResetSteps()
 	for _, rec := range ds.SampleRecords(split, recs) {
@@ -213,20 +240,18 @@ func (r *taskRunner) measureSplit(spec *mrjob.Spec, ds *data.Dataset, split, rec
 			return t, fmt.Errorf("engine: map of job %q failed on split %d: %w", spec.Name, split, err)
 		}
 	}
-	t.mapSteps, t.mapBytes = r.in.Steps(), em.bytes
-	t.keys = make([]string, len(em.pairs))
-	for i, p := range em.pairs {
-		t.keys[i] = p.k
-	}
+	t.mapRecs, t.mapBytes, t.mapSteps = em.recs, em.bytes, r.in.Steps()
 	if spec.HasCombiner() {
 		r.in.ResetSteps()
-		if _, err := callGroups(r.in, "combine", em.pairs, &t.out); err != nil {
+		flo, keep := len(r.firsts), func(_ int, p kvPair) { r.firsts = append(r.firsts, p) }
+		if _, err := r.callGroups("combine", [][]kvPair{r.spill.pairs}, &r.out, keep); err != nil {
 			return t, fmt.Errorf("engine: combine of job %q failed on split %d: %w", spec.Name, split, err)
 		}
 		t.combineSteps = r.in.Steps()
-		r.spill = em.pairs
+		t.firsts = r.firsts[flo:]
+		clear(r.spill.pairs)
 	}
-	r.outCap = len(t.out.pairs)
+	t.out, t.pairs = r.out.countEmitter, r.out.pairs[lo:]
 	return t, nil
 }
 
@@ -241,18 +266,16 @@ func Measure(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int)
 	}
 	// A task's output, the combiner's or else the map's, is reduce input.
 	var inRecs, inBytes, mapOutRecs, mapOutBytes, mapSteps, combineSteps, redInRecs, redInBytes int64
-	keys := make([][]string, len(run.tasks))
 	for i := range run.tasks {
 		t := &run.tasks[i]
 		inRecs += t.records
 		inBytes += t.inBytes
-		mapOutRecs += int64(len(t.keys))
+		mapOutRecs += t.mapRecs
 		mapOutBytes += t.mapBytes
 		mapSteps += t.mapSteps
 		combineSteps += t.combineSteps
 		redInRecs += t.out.recs
 		redInBytes += t.out.bytes
-		keys[i] = t.keys
 	}
 	if inRecs == 0 {
 		return nil, fmt.Errorf("engine: dataset %q produced no records", ds.Name)
@@ -267,7 +290,7 @@ func Measure(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int)
 	if spec.MapCPUWeight > 0 {
 		st.MapStepsPerRec *= spec.MapCPUWeight
 	}
-	st.HeapsK, st.HeapsBeta = fitHeaps(keys...)
+	st.HeapsK, st.HeapsBeta = fitHeaps(int(mapOutRecs), run.half, run.distinct)
 
 	if spec.HasCombiner() {
 		st.CombineSizeSel = ratio(float64(redInBytes), float64(mapOutBytes), 1)
@@ -291,63 +314,31 @@ func Measure(spec *mrjob.Spec, ds *data.Dataset, splits []int, recsPerSplit int)
 	return st, nil
 }
 
-// fitHeaps fits distinct(n) ~ K * n^Beta to the observed key stream,
-// the chunks in order, by least squares over log-log points sampled at
-// n/8, n/4, n/2, and n. A saturating vocabulary (word count) yields a
-// small Beta; key spaces that keep growing (co-occurring pairs) yield
-// Beta near 1.
-func fitHeaps(chunks ...[]string) (k, beta float64) {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
+// fitHeaps fits distinct(n) ~ K * n^Beta to a stream of n keys, half of
+// them distinct among its first n/2 and all in the whole. It takes the
+// tail slope, from n/2 to n: key spaces saturate, so the local growth
+// rate at the largest observed n extrapolates far better than a global
+// fit that is dominated by the unsaturated head. A saturating
+// vocabulary (word count) yields a small Beta; key spaces that keep
+// growing (co-occurring pairs) yield Beta near 1.
+func fitHeaps(n, half, all int) (k, beta float64) {
 	if n == 0 {
 		return 1, 1
 	}
-	marks := []int{n / 8, n / 4, n / 2, n}
-	seen := make(map[string]struct{}, n)
-	var xs, ys []float64
-	i, mi := 0, 0
-	for _, c := range chunks {
-		for _, key := range c {
-			seen[key] = struct{}{}
-			i++
-			for mi < len(marks) && i == marks[mi] {
-				xs = append(xs, logf(float64(marks[mi])))
-				ys = append(ys, logf(float64(len(seen))))
-				mi++
-			}
-		}
-	}
 	if n < 8 {
-		if len(seen) == n {
+		if all == n {
 			return 1, 1
 		}
-		return float64(len(seen)), 0.5
+		return float64(all), 0.5
 	}
-	// Use the tail slope (the last two points): key spaces saturate, so
-	// the local growth rate at the largest observed n extrapolates far
-	// better than a global fit that is dominated by the unsaturated head.
-	l := len(xs)
-	if l < 2 || xs[l-1] == xs[l-2] {
-		return 1, 1
-	}
-	beta = (ys[l-1] - ys[l-2]) / (xs[l-1] - xs[l-2])
-	if beta < 0.02 {
-		beta = 0.02
-	}
-	if beta > 1 {
-		beta = 1
-	}
-	k = expf(ys[l-1] - beta*xs[l-1])
+	x, y := math.Log(float64(n)), math.Log(float64(all))
+	beta = min(max((y-math.Log(float64(half)))/(x-math.Log(float64(n/2))), 0.02), 1)
+	k = math.Exp(y - beta*x)
 	if k <= 0 {
 		k = 1
 	}
 	return k, beta
 }
-
-func logf(x float64) float64 { return math.Log(x) }
-func expf(x float64) float64 { return math.Exp(x) }
 
 func ratio(num, den, def float64) float64 {
 	if den == 0 {
@@ -356,35 +347,51 @@ func ratio(num, den, def float64) float64 {
 	return num / den
 }
 
-// callGroups sorts pairs in place by key, keeping arrival order within
-// a key, and calls fn once per key with (key, values), as Hadoop's
-// sort/merge feeds a combiner or reducer. It returns the group count.
-// One values buffer serves every group: emit copies its arguments into
+// callGroups calls fn once per key of runs, in key order, with the
+// key's values in arrival order, as Hadoop's sort/merge feeds a
+// combiner or reducer, and returns the group count; fn "" calls
+// nothing. It sorts each run in place by key and seq, and merges the
+// runs in order: a stable sort of their concatenation, without building
+// it. first, unless nil, gets each group's first pair and its run. One
+// values buffer serves every group: emit copies its arguments into
 // strings and DSL append copies its list, so no call keeps it.
-func callGroups(in *jobdsl.Interp, fn string, pairs []kvPair, em jobdsl.Emitter) (int, error) {
-	for i := range pairs {
-		pairs[i].seq = i
+func (r *taskRunner) callGroups(fn string, runs [][]kvPair, em jobdsl.Emitter, first func(run int, p kvPair)) (int, error) {
+	for _, run := range runs {
+		slices.SortFunc(run, func(a, b kvPair) int {
+			if c := strings.Compare(a.k, b.k); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
 	}
-	slices.SortFunc(pairs, func(a, b kvPair) int {
-		if c := strings.Compare(a.k, b.k); c != 0 {
-			return c
+	h := make([]int, len(runs)) // each run's next pair
+	for groups := 0; ; groups++ {
+		lo := -1 // the first run whose head has the least key
+		for i, run := range runs {
+			if h[i] < len(run) && (lo < 0 || run[h[i]].k < runs[lo][h[lo]].k) {
+				lo = i
+			}
 		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	var buf []jobdsl.Value
-	groups := 0
-	for i := 0; i < len(pairs); groups++ {
-		buf = buf[:0]
-		j := i
-		for ; j < len(pairs) && pairs[j].k == pairs[i].k; j++ {
-			buf = append(buf, jobdsl.Str(pairs[j].v))
+		if lo < 0 {
+			return groups, nil
 		}
-		if _, err := in.Call(fn, []jobdsl.Value{jobdsl.Str(pairs[i].k), jobdsl.List(buf)}, em); err != nil {
+		key := runs[lo][h[lo]].k
+		if first != nil {
+			first(lo, runs[lo][h[lo]])
+		}
+		r.vals = r.vals[:0]
+		for i := lo; i < len(runs); i++ {
+			for ; h[i] < len(runs[i]) && runs[i][h[i]].k == key; h[i]++ {
+				r.vals = append(r.vals, jobdsl.Str(runs[i][h[i]].v))
+			}
+		}
+		if fn == "" {
+			continue
+		}
+		if _, err := r.in.Call(fn, []jobdsl.Value{jobdsl.Str(key), jobdsl.List(r.vals)}, em); err != nil {
 			return groups, err
 		}
-		i = j
 	}
-	return groups, nil
 }
 
 // PickSplits selects n distinct split indices (of total) using r.

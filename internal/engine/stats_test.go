@@ -171,13 +171,26 @@ func TestMeasureDeterministic(t *testing.T) {
 	}
 }
 
+// fitKeys fits Heaps' law to a key stream.
+func fitKeys(keys []string) (k, beta float64) {
+	seen := map[string]bool{}
+	half := 0
+	for i, key := range keys {
+		if i == len(keys)/2 {
+			half = len(seen)
+		}
+		seen[key] = true
+	}
+	return fitHeaps(len(keys), half, len(seen))
+}
+
 func TestFitHeaps(t *testing.T) {
 	// All-unique keys: beta ~ 1.
 	var unique []string
 	for i := 0; i < 4096; i++ {
 		unique = append(unique, fmt.Sprintf("k%d", i))
 	}
-	if _, beta := fitHeaps(unique); beta < 0.98 {
+	if _, beta := fitKeys(unique); beta < 0.98 {
 		t.Errorf("unique keys beta = %v, want ~1", beta)
 	}
 	// Constant key: beta at the floor.
@@ -185,7 +198,7 @@ func TestFitHeaps(t *testing.T) {
 	for i := range constant {
 		constant[i] = "same"
 	}
-	if _, beta := fitHeaps(constant); beta > 0.05 {
+	if _, beta := fitKeys(constant); beta > 0.05 {
 		t.Errorf("constant key beta = %v, want floor", beta)
 	}
 	// Saturating vocabulary: beta strictly between.
@@ -193,14 +206,14 @@ func TestFitHeaps(t *testing.T) {
 	for i := 0; i < 8192; i++ {
 		vocab = append(vocab, fmt.Sprintf("w%d", i%50))
 	}
-	if _, beta := fitHeaps(vocab); beta > 0.5 {
+	if _, beta := fitKeys(vocab); beta > 0.5 {
 		t.Errorf("saturating vocab beta = %v, want small", beta)
 	}
 	// Degenerate inputs do not panic.
-	if k, beta := fitHeaps(nil); k != 1 || beta != 1 {
-		t.Errorf("fitHeaps(nil) = %v, %v", k, beta)
+	if k, beta := fitKeys(nil); k != 1 || beta != 1 {
+		t.Errorf("fitKeys(nil) = %v, %v", k, beta)
 	}
-	if _, beta := fitHeaps([]string{"a", "a", "b"}); beta <= 0 || beta > 1 {
+	if _, beta := fitKeys([]string{"a", "a", "b"}); beta <= 0 || beta > 1 {
 		t.Errorf("tiny input beta = %v out of range", beta)
 	}
 }

@@ -196,18 +196,29 @@ func (g *region) scanRows(startRow, endRow string, fn func(cellRun) bool) error 
 	memCells := g.memCells(startRow, endRow)
 	tables := append([]*sstable(nil), g.sstables...)
 	g.mu.RUnlock()
-	return g.mergeRows(memCells, tables, startRow, endRow, fn)
+	defer putCells(memCells)
+	return g.mergeRows(*memCells, tables, startRow, endRow, fn)
 }
 
-// memCells snapshots the memstore's cells in [startRow, endRow); the
-// caller holds mu.
-func (g *region) memCells(startRow, endRow string) []Cell {
-	var cells []Cell
+var cellSlabs = sync.Pool{New: func() any { return new([]Cell) }} // memCells' slabs
+
+// memCells snapshots the memstore's cells in [startRow, endRow) into a
+// slab that putCells returns; the caller holds mu.
+func (g *region) memCells(startRow, endRow string) *[]Cell {
+	cells := cellSlabs.Get().(*[]Cell)
 	g.mem.scanRange(startRow, endRow, func(c Cell) bool {
-		cells = append(cells, c)
+		*cells = append(*cells, c)
 		return true
 	})
 	return cells
+}
+
+// putCells clears a slab, so that it pins no values, and pools it. Once
+// mergeRows returns nothing refers to a slab: runs copy their cells.
+func putCells(cells *[]Cell) {
+	clear(*cells)
+	*cells = (*cells)[:0]
+	cellSlabs.Put(cells)
 }
 
 // mergeRows groups the newest-version stream of a memstore snapshot and
@@ -257,6 +268,7 @@ func (g *region) get(row string) (Row, bool, error) {
 	end := row + "\x00"
 	g.mu.RLock()
 	memCells := g.memCells(row, end)
+	defer putCells(memCells)
 	var tables []*sstable
 	for _, t := range g.sstables {
 		hit := t.mayContainRow(row)
@@ -266,13 +278,13 @@ func (g *region) get(row string) (Row, bool, error) {
 		}
 	}
 	g.mu.RUnlock()
-	if len(memCells) == 0 && len(tables) == 0 {
+	if len(*memCells) == 0 && len(tables) == 0 {
 		return Row{}, false, nil
 	}
 
 	// The merge's one row is the answer.
 	var out Row
-	err := g.mergeRows(memCells, tables, row, end, func(r cellRun) bool {
+	err := g.mergeRows(*memCells, tables, row, end, func(r cellRun) bool {
 		out, _ = r.build(nil)
 		return false
 	})

@@ -24,7 +24,7 @@ func init() {
 		"emit":     biEmit,
 		"len":      biLen,
 		"tokenize": biTokenize,
-		"split":    biSplit,
+		"split":    func(in *Interp, args []Value, line int) Value { return in.split(args, line, false) },
 		"lower":    biLower,
 		"substr":   biSubstr,
 		"contains": biContains,
@@ -89,7 +89,9 @@ func strList(ss []string) Value {
 	return List(out)
 }
 
-func biSplit(in *Interp, args []Value, line int) Value {
+// split is split(s, sep). A list the compiler proved never escapes goes
+// on the scratch stack, which the block that binds it pops.
+func (in *Interp) split(args []Value, line int, scratch bool) Value {
 	in.argc(args, 2, "split", line)
 	if args[0].kind != KindStr || args[1].kind != KindStr {
 		in.fail(line, "split expects (string, string)")
@@ -99,12 +101,17 @@ func biSplit(in *Interp, args []Value, line int) Value {
 		return strList(strings.Split(s, sep))
 	}
 	// strings.Split's parts, without its []string.
-	out := make([]Value, 0, strings.Count(s, sep)+1)
+	base := len(in.scratch)
 	for i := strings.Index(s, sep); i >= 0; i = strings.Index(s, sep) {
-		out = append(out, Str(s[:i]))
+		in.scratch = append(in.scratch, Str(s[:i]))
 		s = s[i+len(sep):]
 	}
-	return List(append(out, Str(s)))
+	in.scratch = append(in.scratch, Str(s))
+	l := in.scratch[base:]
+	if !scratch {
+		l, in.scratch = slices.Clone(l), in.scratch[:base]
+	}
+	return List(l)
 }
 
 func biLower(in *Interp, args []Value, line int) Value {

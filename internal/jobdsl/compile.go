@@ -30,9 +30,13 @@ type code struct {
 	body   stmt
 }
 
-// slotScope maps the names one lexical scope declares to frame slots.
+// local is one declared variable: its frame slot, its uses, and how many
+// of them only read it, as the operand of an index or of len().
+type local struct{ slot, uses, reads int }
+
+// slotScope maps the names one lexical scope declares to their locals.
 type slotScope struct {
-	slots  map[string]int
+	slots  map[string]*local
 	parent *slotScope
 	base   int // first slot of this scope; freed again when it closes
 }
@@ -63,27 +67,26 @@ func (c *compiler) report(line int, format string, args ...interface{}) {
 	c.problems = append(c.problems, Problem{Line: line, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (c *compiler) open() { c.sc = &slotScope{slots: make(map[string]int), parent: c.sc, base: c.next} }
+func (c *compiler) open() { c.sc = &slotScope{slots: map[string]*local{}, parent: c.sc, base: c.next} }
 
 // close ends the innermost scope. Its slots are reused by the next
 // sibling scope, which never runs at the same time.
 func (c *compiler) close() { c.next, c.sc = c.sc.base, c.sc.parent }
 
-func (c *compiler) declare(name string) int {
-	slot := c.next
+func (c *compiler) declare(name string, v *local) {
+	v.slot = c.next
 	c.next++
 	c.size = max(c.size, c.next)
-	c.sc.slots[name] = slot
-	return slot
+	c.sc.slots[name] = v
 }
 
-func (c *compiler) lookup(name string) (int, bool) {
+func (c *compiler) lookup(name string) *local {
 	for s := c.sc; s != nil; s = s.parent {
-		if slot, ok := s.slots[name]; ok {
-			return slot, true
+		if v, ok := s.slots[name]; ok {
+			return v
 		}
 	}
-	return 0, false
+	return nil
 }
 
 func (c *compiler) function(fn *code) {
@@ -93,7 +96,7 @@ func (c *compiler) function(fn *code) {
 		if _, dup := c.sc.slots[p]; dup {
 			c.report(fn.decl.Line, "function %q declares parameter %q twice", fn.decl.Name, p)
 		}
-		c.declare(p)
+		c.declare(p, new(local))
 	}
 	fn.body = c.block(fn.decl.Body)
 	c.close()
@@ -108,23 +111,34 @@ func (c *compiler) block(stmts []Stmt) stmt {
 	}
 	c.close()
 	return func(in *Interp, fr []Value) bool {
+		scratch, ret := len(in.scratch), false
 		for _, s := range body {
-			if s(in, fr) {
-				return true
+			if ret = s(in, fr); ret {
+				break
 			}
 		}
-		return false
+		in.scratch = in.scratch[:scratch] // the block's split lists are dead
+		return ret
 	}
 }
 
 func (c *compiler) stmt(s Stmt) stmt {
 	switch s := s.(type) {
 	case *LetStmt:
-		x, line := c.expr(s.Expr), s.Line
+		// A split() list bound to a variable that is only read lives on
+		// the scratch stack until its block ends. The rest of the block
+		// is compiled, and v's counts final, before the program runs.
+		v, line, x := new(local), s.Line, expr(nil)
+		if call, ok := s.Expr.(*CallExpr); ok && call.Name == "split" {
+			x = c.builtin(call, func(in *Interp, args []Value, line int) Value { return in.split(args, line, v.uses == v.reads) })
+		} else {
+			x = c.expr(s.Expr)
+		}
 		if _, dup := c.sc.slots[s.Name]; dup {
 			c.report(line, "variable %q redeclared in the same block", s.Name)
 		}
-		slot := c.declare(s.Name)
+		c.declare(s.Name, v)
+		slot := v.slot
 		return func(in *Interp, fr []Value) bool { in.tick(line); fr[slot] = x(in, fr); return false }
 	case *AssignStmt:
 		return c.assign(s)
@@ -203,8 +217,9 @@ func (c *compiler) assign(s *AssignStmt) stmt {
 	x, line := c.expr(s.Expr), s.Line
 	switch t := s.Target.(type) {
 	case *IdentExpr:
-		slot, ok := c.lookup(t.Name)
-		if ok {
+		if v := c.lookup(t.Name); v != nil {
+			v.uses++
+			slot := v.slot
 			return func(in *Interp, fr []Value) bool { in.tick(line); fr[slot] = x(in, fr); return false }
 		}
 		c.report(t.Line, "assignment to undeclared variable %q", t.Name)
@@ -257,9 +272,10 @@ func (c *compiler) expr(e Expr) expr {
 			return List(l)
 		}
 	case *IdentExpr:
-		slot, ok := c.lookup(e.Name)
-		line := e.Line
-		if ok {
+		v, line := c.lookup(e.Name), e.Line
+		if v != nil {
+			v.uses++
+			slot := v.slot
 			return func(in *Interp, fr []Value) Value { in.tick(line); return fr[slot] }
 		}
 		c.report(line, "reference to undefined variable %q", e.Name)
@@ -305,6 +321,7 @@ func (c *compiler) expr(e Expr) expr {
 		return func(in *Interp, fr []Value) Value { in.tick(line); return op(in, l(in, fr), r(in, fr), line) }
 	case *IndexExpr:
 		x, idx, line := c.expr(e.X), c.expr(e.Index), e.Line
+		c.read(e.X)
 		return func(in *Interp, fr []Value) Value { in.tick(line); return in.index(x(in, fr), idx(in, fr), line) }
 	case *CallExpr:
 		return c.call(e)
@@ -312,27 +329,21 @@ func (c *compiler) expr(e Expr) expr {
 	panic(fmt.Sprintf("jobdsl: unknown expression %T", e))
 }
 
+// read counts a use of a variable that only reads it.
+func (c *compiler) read(e Expr) {
+	if id, ok := e.(*IdentExpr); ok && c.lookup(id.Name) != nil {
+		c.lookup(id.Name).reads++
+	}
+}
+
 // call resolves a call once: builtins first, then the program's own
 // functions. Arguments go to a builtin through the argument stack and
 // to a function straight into its new frame on the value stack.
 func (c *compiler) call(e *CallExpr) expr {
-	args, line := c.exprs(e.Args), e.Line
 	if b, ok := builtins[e.Name]; ok {
-		if want := builtinArity[e.Name]; len(args) != want {
-			c.report(line, "builtin %q takes %d argument(s), got %d", e.Name, want, len(args))
-		}
-		return func(in *Interp, fr []Value) Value {
-			in.tick(line)
-			base := len(in.args)
-			a := push(&in.args, len(args))
-			for i, arg := range args {
-				a[i] = arg(in, fr)
-			}
-			v := b(in, a, line)
-			in.args = in.args[:base]
-			return v
-		}
+		return c.builtin(e, b)
 	}
+	args, line := c.exprs(e.Args), e.Line
 	var msg string
 	fn, ok := c.funcs[e.Name]
 	switch {
@@ -362,6 +373,28 @@ func (c *compiler) call(e *CallExpr) expr {
 		}
 		v := in.run(fn, callee, line)
 		in.vals = in.vals[:base]
+		return v
+	}
+}
+
+// builtin compiles a call of the builtin e names to b.
+func (c *compiler) builtin(e *CallExpr, b builtinFunc) expr {
+	args, line := c.exprs(e.Args), e.Line
+	if e.Name == "len" && len(e.Args) == 1 {
+		c.read(e.Args[0])
+	}
+	if want := builtinArity[e.Name]; len(args) != want {
+		c.report(line, "builtin %q takes %d argument(s), got %d", e.Name, want, len(args))
+	}
+	return func(in *Interp, fr []Value) Value {
+		in.tick(line)
+		base := len(in.args)
+		a := push(&in.args, len(args))
+		for i, arg := range args {
+			a[i] = arg(in, fr)
+		}
+		v := b(in, a, line)
+		in.args = in.args[:base]
 		return v
 	}
 }

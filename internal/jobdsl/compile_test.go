@@ -143,6 +143,64 @@ func f(n) {
 	}
 }
 
+// TestSplitListsOnScratchOnlyWhenRead checks where split() lists live.
+// One bound by let and only indexed or measured goes on the scratch
+// stack, so a call allocates nothing once that stack has grown, in a
+// loop and under recursion too. One that is returned, stored, passed on
+// or reassigned is the heap's: it keeps its parts after its block ends
+// and a later split reuses the scratch stack. Between calls, failed ones
+// included, the scratch stack is empty.
+func TestSplitListsOnScratchOnlyWhenRead(t *testing.T) {
+	prog := MustParse(`
+func fields(line, n) {
+	let f = split(line, "\t");
+	let s = 0;
+	for (let i = 0; i < len(f); i = i + 1) {
+		let kv = split(f[i], "=");
+		s = s + len(kv[0]) + len(kv[1]);
+	}
+	if (n > 0) { s = s + fields(line, n - 1); }
+	return s;
+}
+func keep(m, l) { put(m, "c", l); }
+func returned(line) { let f = split(line, "\t"); return f; }
+func fails(line) { let f = split(line, "\t"); return f[9]; }
+func escapes(line) {
+	let m = newmap();
+	let a = returned(line);
+	let e = [];
+	if (true) {
+		let b = split(line, "\t");
+		put(m, "b", b);
+		let c = split(line, "\t");
+		keep(m, c);
+		let t = split(line, "\t");
+		e = t;
+	}
+	let later = split("p\tq\tr\ts\tt\tu\tv\tw\tx", "\t");
+	return later[0] + a[0] + get(m, "b")[1] + get(m, "c")[2] + e[0];
+}`)
+	in := NewInterp(prog)
+	line := []Value{Str("k1=v1\tk2=v2\tk3=v3")}
+	if v, err := in.Call("escapes", line, nil); err != nil || v.String() != "pk1=v1k2=v2k3=v3k1=v1" {
+		t.Errorf("escapes = %v, %v; want pk1=v1k2=v2k3=v3k1=v1", v, err)
+	}
+	args := []Value{line[0], Int(3)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, err := in.Call("fields", args, nil); err != nil || v.Int() != 48 {
+			t.Fatalf("fields = %v, %v; want 48", v, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a call whose split lists are only read allocated %.1f times per run, want 0", allocs)
+	}
+	if _, err := in.Call("fails", line, nil); err == nil {
+		t.Error("fails: no error for an index out of range")
+	}
+	if len(in.scratch) != 0 {
+		t.Errorf("%d values left on the scratch stack between calls", len(in.scratch))
+	}
+}
+
 // TestCompileSlotsFollowScopes checks that slots follow lexical scope
 // rather than the order scopes happen to run in: a let's right-hand side
 // sees the outer name, sibling blocks reuse slots without leaking values,

@@ -50,9 +50,10 @@ type Interp struct {
 	emitter Emitter
 	depth   int
 
-	vals []Value // call frames, innermost last
-	args []Value // arguments of the builtin calls in progress, innermost last
-	ret  Value   // the value of the return statement that just ran
+	vals    []Value // call frames, innermost last
+	args    []Value // arguments of the builtin calls in progress, innermost last
+	scratch []Value // the split() lists of the blocks in progress, innermost last
+	ret     Value   // the value of the return statement that just ran
 }
 
 // NewInterp creates an interpreter over prog, compiling prog on its
@@ -72,7 +73,7 @@ func (in *Interp) ResetSteps() { in.steps = 0 }
 // Call invokes the named function with the given arguments, routing
 // emit() output to em (which may be nil if the function never emits).
 func (in *Interp) Call(name string, args []Value, em Emitter) (result Value, err error) {
-	vals, argc, depth := len(in.vals), len(in.args), in.depth
+	vals, argc, scratch, depth := len(in.vals), len(in.args), len(in.scratch), in.depth
 	defer func() {
 		if r := recover(); r != nil {
 			re, ok := r.(*RuntimeError)
@@ -80,7 +81,7 @@ func (in *Interp) Call(name string, args []Value, em Emitter) (result Value, err
 				panic(r)
 			}
 			// Unwind whatever the failed call left on the stacks.
-			in.vals, in.args, in.depth, in.ret = in.vals[:vals], in.args[:argc], depth, Nil
+			in.vals, in.args, in.scratch, in.depth, in.ret = in.vals[:vals], in.args[:argc], in.scratch[:scratch], depth, Nil
 			err = re
 		}
 	}()

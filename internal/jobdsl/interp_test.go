@@ -358,14 +358,16 @@ func TestValueTruthinessAndEquality(t *testing.T) {
 }
 
 // TestSplitMatchesStringsSplit holds split() to strings.Split part for
-// part, separators that overlap, lead, trail or are empty included.
+// part, separators that overlap, lead, trail or are empty included, on
+// the heap and on the scratch stack.
 func TestSplitMatchesStringsSplit(t *testing.T) {
 	cases := [][2]string{
 		{"a|b|c", "|"}, {"|a||b|", "|"}, {"", "|"}, {"abc", ""}, {"", ""},
 		{"aaaa", "aa"}, {"x::y::", "::"}, {"no sep here", "\t"}, {"héllo wörld", ""},
 	}
-	for _, c := range cases {
-		got := biSplit(nil, []Value{Str(c[0]), Str(c[1])}, 0)
+	in := new(Interp)
+	for i, c := range cases {
+		got := in.split([]Value{Str(c[0]), Str(c[1])}, 0, i%2 == 1)
 		want := strings.Split(c[0], c[1])
 		if len(got.List()) != len(want) {
 			t.Fatalf("split(%q, %q) has %d parts, want %d", c[0], c[1], len(got.List()), len(want))

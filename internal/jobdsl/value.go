@@ -8,8 +8,9 @@
 // interpreter's step counter provides the per-record CPU cost that
 // feeds the profile cost factors of Table 4.2). The interpreter compiles
 // each Program once into Go closures whose variables are slots of a call
-// frame; frames come from a per-Interp value stack and builtin arguments
-// from a per-Interp argument stack, which builtins never retain.
+// frame; frames come from a per-Interp value stack, builtin arguments
+// from an argument stack, which builtins never retain, and split() lists
+// that only their block reads from a scratch stack.
 package jobdsl
 
 import (
